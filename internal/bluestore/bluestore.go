@@ -15,6 +15,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"maps"
+	"strconv"
 	"sync"
 
 	"repro/internal/blockdev"
@@ -84,13 +86,102 @@ func DefaultConfig() Config {
 	}
 }
 
+// ChunkID names one EC shard of one object. It is the identity chunks
+// carry across the cluster/bluestore boundary: comparable, so it keys the
+// overlay map directly, and only rendered as a string where one is
+// needed (payload-mode KV keys, log and error text).
+type ChunkID struct {
+	Pool   string
+	PG     int
+	Object string
+	Shard  int
+}
+
+// String formats "<pool>/<pg>/<object>/s<shard>".
+func (id ChunkID) String() string {
+	b := make([]byte, 0, id.kvKeyLen()-len("o/"))
+	b = append(b, id.Pool...)
+	b = append(b, '/')
+	b = strconv.AppendInt(b, int64(id.PG), 10)
+	b = append(b, '/')
+	b = append(b, id.Object...)
+	b = append(b, "/s"...)
+	b = strconv.AppendInt(b, int64(id.Shard), 10)
+	return string(b)
+}
+
+// kvKeyLen is len("o/" + id.String()), the chunk's onode key length,
+// computed without building the key.
+func (id ChunkID) kvKeyLen() int {
+	return len("o/") + len(id.Pool) + 1 + decLen(id.PG) + 1 + len(id.Object) + len("/s") + decLen(id.Shard)
+}
+
+// decLen is the length of v in decimal, sign included.
+func decLen(v int) int {
+	n := 1
+	if v < 0 {
+		n++
+	}
+	for v /= 10; v != 0; v /= 10 {
+		n++
+	}
+	return n
+}
+
+// ObjectRecord tracks one stored object within a PG.
+type ObjectRecord struct {
+	Name      string
+	Size      int64
+	ChunkSize int64
+	Payload   bool // real bytes stored
+}
+
+// BulkPG is the accounting-mode objects one bulk load added to one
+// placement group. It is immutable and shared: the PG's object list, every
+// store holding a shard of the PG and every fork of those stores point at
+// the same records, so a bulk-loaded chunk costs no per-chunk state
+// anywhere.
+type BulkPG struct {
+	pool    string
+	pg      int
+	shards  int // n of the code: a chunk's logical share is Size/shards
+	objects []ObjectRecord
+
+	index     map[string]int32 // object name -> position in objects
+	nameBytes int64            // sum of len(Name) over objects
+}
+
+// NewBulkPG indexes a placement group's bulk-loaded objects. The caller
+// must not modify objects afterwards.
+func NewBulkPG(pool string, pg, shards int, objects []ObjectRecord) (*BulkPG, error) {
+	if shards <= 0 {
+		return nil, fmt.Errorf("bluestore: bulk PG needs a positive shard count, got %d", shards)
+	}
+	b := &BulkPG{pool: pool, pg: pg, shards: shards, objects: objects, index: make(map[string]int32, len(objects))}
+	for i := range objects {
+		o := &objects[i]
+		if o.ChunkSize < 0 || o.Size < 0 {
+			return nil, fmt.Errorf("bluestore: negative sizes")
+		}
+		b.index[o.Name] = int32(i)
+		b.nameBytes += int64(len(o.Name))
+	}
+	return b, nil
+}
+
+// baseRun is one shard of a bulk-loaded PG held by a store.
+type baseRun struct {
+	pg    *BulkPG
+	shard int
+}
+
 type chunkInfo struct {
 	size      int64
-	allocated int64
-	share     int64 // logical object share used for EC metadata accounting
-	hasData   bool
+	share     int64  // logical object share used for EC metadata accounting
 	checksum  uint32 // crc32 of the payload at write time (payload mode)
-	corrupted bool   // accounting-mode corruption marker
+	hasData   bool
+	corrupted bool // accounting-mode corruption marker
+	deleted   bool // tombstone over a base-run chunk
 }
 
 // Store is one OSD's object store.
@@ -100,22 +191,17 @@ type Store struct {
 	dev *blockdev.Device
 	kv  *kvstore.DB
 
-	chunks map[string]chunkInfo
-
-	// Copy-on-write fork state: base is the frozen parent's chunks map
-	// (shared, read-only), baseDeleted tombstones base names deleted or
-	// shadowed by this fork. Invariant: chunks ∩ base ⊆ baseDeleted.
-	// Nil base means a root store.
-	base        map[string]chunkInfo
-	baseDeleted map[string]bool
-	frozen      bool
-
-	// bulk holds accounting-mode chunks ingested through WriteChunksBulk
-	// whose byte/metadata accounting is already applied but whose map
-	// entries are deferred: synthetic bulk loads write millions of chunks
-	// that are usually never looked up by name again, so the hash-map
-	// cost is paid lazily, per store, on the first name lookup.
-	bulk []bulkEntry
+	// runs is the bulk base: one entry per (pool, PG, shard) ingested
+	// through WriteChunksBulk. Entries are immutable and the slice is
+	// append-only, so a fork shares its frozen parent's table as is.
+	runs []baseRun
+	// chunks is the overlay over runs: chunks written, overwritten or
+	// corrupted one at a time, plus tombstones for base chunks deleted or
+	// dropped. Every lookup, on root and forked stores alike, is overlay
+	// first, then runs.
+	chunks map[ChunkID]chunkInfo
+	count  int // visible chunks: runs + overlay - tombstones and shadows
+	frozen bool
 
 	dataAllocated int64
 	nextOffset    int64 // bump allocator for payload placement
@@ -176,7 +262,7 @@ func Open(dev *blockdev.Device, cfg Config) (*Store, error) {
 		cfg:    cfg,
 		dev:    dev,
 		kv:     kvstore.Open(cfg.KVSpaceAmp),
-		chunks: map[string]chunkInfo{},
+		chunks: map[ChunkID]chunkInfo{},
 	}, nil
 }
 
@@ -187,43 +273,43 @@ func roundUp(v, to int64) int64 { return (v + to - 1) / to * to }
 
 func ceilDiv(a, b int64) int64 { return (a + b - 1) / b }
 
-// lookupLocked resolves a chunk through the overlay, then the
-// untombstoned base. Callers must hold s.mu and have materialized bulk
-// entries if they care about them.
-func (s *Store) lookupLocked(name string) (chunkInfo, bool) {
-	if info, ok := s.chunks[name]; ok {
-		return info, true
+// lookupLocked resolves a chunk through the overlay, then the base runs.
+// Callers must hold s.mu.
+func (s *Store) lookupLocked(id ChunkID) (chunkInfo, bool) {
+	if info, ok := s.chunks[id]; ok {
+		return info, !info.deleted
 	}
-	if s.base != nil && !s.baseDeleted[name] {
-		if info, ok := s.base[name]; ok {
-			return info, true
+	return s.baseLocked(id)
+}
+
+// baseLocked resolves a chunk in the base runs, ignoring the overlay. A
+// store that holds no run of the chunk's (pool, PG, shard) — every
+// recovery target — misses on integer compares alone.
+func (s *Store) baseLocked(id ChunkID) (chunkInfo, bool) {
+	for i := range s.runs {
+		r := &s.runs[i]
+		if r.pg.pg != id.PG || r.shard != id.Shard || r.pg.pool != id.Pool {
+			continue
+		}
+		if j, ok := r.pg.index[id.Object]; ok {
+			o := &r.pg.objects[j]
+			return chunkInfo{size: o.ChunkSize, share: o.Size / int64(r.pg.shards)}, true
 		}
 	}
 	return chunkInfo{}, false
 }
 
-// setLocked writes a chunk record into the overlay, tombstoning any
-// base entry of the same name. Callers must hold s.mu.
-func (s *Store) setLocked(name string, info chunkInfo) {
-	s.chunks[name] = info
-	if s.base != nil {
-		if _, ok := s.base[name]; ok {
-			if s.baseDeleted == nil {
-				s.baseDeleted = map[string]bool{}
-			}
-			s.baseDeleted[name] = true
-		}
+// Writable reports why the store would refuse a write, or nil.
+func (s *Store) Writable() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.mutableLocked("write"); err != nil {
+		return err
 	}
-}
-
-// chunkCountLocked is the number of visible chunks, deferred bulk
-// entries included. Callers must hold s.mu.
-func (s *Store) chunkCountLocked() int {
-	n := len(s.chunks) + len(s.bulk)
-	if s.base != nil {
-		n += len(s.base) - len(s.baseDeleted)
+	if s.dev.Removed() {
+		return fmt.Errorf("bluestore: %w", blockdev.ErrRemoved)
 	}
-	return n
+	return nil
 }
 
 func (s *Store) mutableLocked(op string) error {
@@ -238,7 +324,7 @@ func (s *Store) mutableLocked(op string) error {
 // (S_object / n), which drives EC metadata accounting; payload, if
 // non-nil, carries real bytes (len(payload) must equal size), otherwise
 // the write is accounting-only.
-func (s *Store) WriteChunk(name string, size, objectShare int64, payload []byte) error {
+func (s *Store) WriteChunk(id ChunkID, size, objectShare int64, payload []byte) error {
 	if size < 0 || objectShare < 0 {
 		return fmt.Errorf("bluestore: negative sizes")
 	}
@@ -250,31 +336,30 @@ func (s *Store) WriteChunk(name string, size, objectShare int64, payload []byte)
 	if err := s.mutableLocked("WriteChunk"); err != nil {
 		return err
 	}
-	s.materializeBulkLocked()
-	if old, ok := s.lookupLocked(name); ok {
-		s.dropLocked(name, old)
+	if old, ok := s.lookupLocked(id); ok {
+		s.dropLocked(id, old)
 	}
 	info := chunkInfo{size: size, share: objectShare}
-	info.allocated = roundUp(size, s.cfg.MinAllocSize)
+	allocated := roundUp(size, s.cfg.MinAllocSize)
 
 	var off int64
 	if payload != nil {
 		info.checksum = crc32.ChecksumIEEE(payload)
 		off = s.nextOffset
-		if off+info.allocated > s.dev.Capacity() {
-			return fmt.Errorf("bluestore: device full (%d + %d > %d)", off, info.allocated, s.dev.Capacity())
+		if off+allocated > s.dev.Capacity() {
+			return fmt.Errorf("bluestore: device full (%d + %d > %d)", off, allocated, s.dev.Capacity())
 		}
 		if _, err := s.dev.WriteAt(payload, off); err != nil {
 			return fmt.Errorf("bluestore: %w", err)
 		}
-		s.nextOffset = off + info.allocated
+		s.nextOffset = off + allocated
 		info.hasData = true
 	} else {
 		if err := s.dev.AccountWrite(size); err != nil {
 			return fmt.Errorf("bluestore: %w", err)
 		}
 	}
-	s.dataAllocated += info.allocated
+	s.dataAllocated += allocated
 
 	if info.hasData {
 		// Onode record: placement offset + sizes, padded to the modeled
@@ -284,87 +369,67 @@ func (s *Store) WriteChunk(name string, size, objectShare int64, payload []byte)
 		binary.BigEndian.PutUint64(onode[8:16], uint64(size))
 		binary.BigEndian.PutUint64(onode[16:24], uint64(objectShare))
 		onode[24] = 1
-		s.kv.Put("o/"+name, onode)
+		s.kv.Put("o/"+id.String(), onode)
 	} else {
 		// Accounting-mode chunks account the identical KV entry without
 		// materializing the key or the onode bytes (the synthetic-workload
 		// hot path: millions of onodes nobody reads).
-		s.kv.PutAccounted(len("o/")+len(name), int(s.cfg.OnodeBytes))
+		s.kv.PutAccounted(id.kvKeyLen(), int(s.cfg.OnodeBytes))
 	}
 
 	s.accountedMeta += s.metaRecordBytes(size)
-	s.ecMetaBytes += int64(s.cfg.ECMetaFraction * float64(objectShare))
-	s.setLocked(name, info)
+	s.ecMetaBytes += s.ecMeta(objectShare)
+	s.chunks[id] = info
+	s.count++
 	return nil
 }
 
-// BulkChunk is one accounting-mode chunk of a bulk ingest.
-type BulkChunk struct {
-	Name  string
-	Size  int64 // padded chunk size on disk
-	Share int64 // logical object share (S_object / n)
-}
-
-type bulkEntry struct {
-	name string
-	info chunkInfo
-}
-
-// WriteChunksBulk ingests accounting-mode chunks in one locked pass:
-// byte-for-byte the same device, KV and metadata accounting as calling
-// WriteChunk(name, size, share, nil) per chunk, but with one device and
-// one KV accounting call for the whole batch, and the per-name map
-// entries deferred until some lookup actually needs them. Names must be
-// new — bulk ingest targets a freshly created pool.
-func (s *Store) WriteChunksBulk(chunks []BulkChunk) error {
-	var devBytes, keyBytes, allocSum, metaSum, ecSum int64
-	for i := range chunks {
-		ch := &chunks[i]
-		if ch.Size < 0 || ch.Share < 0 {
-			return fmt.Errorf("bluestore: negative sizes")
+// WriteChunksBulk ingests shard `shard` of every object of a bulk-loaded
+// PG as one base run: byte-for-byte the same device, KV and metadata
+// accounting as calling WriteChunk(id, ChunkSize, Size/shards, nil) per
+// object, in one device and one KV accounting call and without any
+// per-chunk state. Chunks must be new to the store — bulk ingest targets
+// objects the pool does not hold yet.
+func (s *Store) WriteChunksBulk(pg *BulkPG, shard int) error {
+	n := int64(len(pg.objects))
+	var devBytes, allocSum, metaSum, ecSum int64
+	// Workloads are uniform or nearly so: redo the per-size arithmetic
+	// only when the size changes.
+	var alloc, meta, ec int64
+	lastChunk, lastSize := int64(-1), int64(-1)
+	for i := range pg.objects {
+		o := &pg.objects[i]
+		if o.ChunkSize != lastChunk {
+			lastChunk = o.ChunkSize
+			alloc = roundUp(o.ChunkSize, s.cfg.MinAllocSize)
+			meta = s.metaRecordBytes(o.ChunkSize)
 		}
-		devBytes += ch.Size
-		keyBytes += int64(len("o/") + len(ch.Name))
-		allocSum += roundUp(ch.Size, s.cfg.MinAllocSize)
-		metaSum += s.metaRecordBytes(ch.Size)
-		ecSum += int64(s.cfg.ECMetaFraction * float64(ch.Share))
+		if o.Size != lastSize {
+			lastSize = o.Size
+			ec = s.ecMeta(o.Size / int64(pg.shards))
+		}
+		devBytes += o.ChunkSize
+		allocSum += alloc
+		metaSum += meta
+		ecSum += ec
 	}
+	keyBytes := n*int64(ChunkID{Pool: pg.pool, PG: pg.pg, Shard: shard}.kvKeyLen()) + pg.nameBytes
+
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.mutableLocked("WriteChunksBulk"); err != nil {
 		return err
 	}
-	if err := s.dev.AccountWrites(devBytes, int64(len(chunks))); err != nil {
+	if err := s.dev.AccountWrites(devBytes, n); err != nil {
 		return fmt.Errorf("bluestore: %w", err)
 	}
-	s.kv.PutAccountedN(keyBytes, int64(len(chunks))*s.cfg.OnodeBytes, int64(len(chunks)))
+	s.kv.PutAccountedN(keyBytes, n*s.cfg.OnodeBytes, n)
 	s.dataAllocated += allocSum
 	s.accountedMeta += metaSum
 	s.ecMetaBytes += ecSum
-	for _, ch := range chunks {
-		s.bulk = append(s.bulk, bulkEntry{name: ch.Name, info: chunkInfo{
-			size:      ch.Size,
-			allocated: roundUp(ch.Size, s.cfg.MinAllocSize),
-			share:     ch.Share,
-		}})
-	}
+	s.runs = append(s.runs, baseRun{pg: pg, shard: shard})
+	s.count += len(pg.objects)
 	return nil
-}
-
-// materializeBulkLocked moves deferred bulk entries into the chunks map.
-// Every name-keyed code path calls it first, so the deferral is invisible
-// to callers.
-func (s *Store) materializeBulkLocked() {
-	if len(s.bulk) == 0 {
-		return
-	}
-	for _, e := range s.bulk {
-		if old, ok := s.lookupLocked(e.name); ok {
-			s.dropLocked(e.name, old)
-		}
-		s.setLocked(e.name, e.info)
-	}
-	s.bulk = nil
 }
 
 // metaRecordBytes is the extent-map plus checksum record size for a chunk.
@@ -374,22 +439,26 @@ func (s *Store) metaRecordBytes(size int64) int64 {
 	return extents*s.cfg.ExtentEntryBytes + csums*s.cfg.CsumEntryBytes
 }
 
+// ecMeta is the accounted EC metadata for a chunk of the given share.
+func (s *Store) ecMeta(share int64) int64 {
+	return int64(s.cfg.ECMetaFraction * float64(share))
+}
+
 // ReadChunk returns the chunk size and, for payload-mode chunks, its
 // bytes. Device read counters are bumped either way.
-func (s *Store) ReadChunk(name string) (int64, []byte, error) {
+func (s *Store) ReadChunk(id ChunkID) (int64, []byte, error) {
 	s.mu.Lock()
-	s.materializeBulkLocked()
-	info, ok := s.lookupLocked(name)
+	info, ok := s.lookupLocked(id)
 	if !ok {
 		s.mu.Unlock()
-		return 0, nil, fmt.Errorf("%w: %s", ErrNoSuchChunk, name)
+		return 0, nil, fmt.Errorf("%w: %s", ErrNoSuchChunk, id)
 	}
 	var off int64
 	if info.hasData {
-		onode, ok := s.kv.Get("o/" + name)
+		onode, ok := s.kv.Get("o/" + id.String())
 		if !ok {
 			s.mu.Unlock()
-			return 0, nil, fmt.Errorf("%w: onode for %s", ErrNoSuchChunk, name)
+			return 0, nil, fmt.Errorf("%w: onode for %s", ErrNoSuchChunk, id)
 		}
 		off = int64(binary.BigEndian.Uint64(onode[0:8]))
 	}
@@ -411,13 +480,9 @@ func (s *Store) ReadChunk(name string) (int64, []byte, error) {
 
 // ReadSubChunks accounts a partial read of the chunk (count sub-chunk
 // reads totalling bytes), used by Clay repair I/O accounting.
-func (s *Store) ReadSubChunks(name string, bytes int64) error {
-	s.mu.Lock()
-	s.materializeBulkLocked()
-	_, ok := s.lookupLocked(name)
-	s.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNoSuchChunk, name)
+func (s *Store) ReadSubChunks(id ChunkID, bytes int64) error {
+	if !s.HasChunk(id) {
+		return fmt.Errorf("%w: %s", ErrNoSuchChunk, id)
 	}
 	return s.dev.AccountRead(bytes)
 }
@@ -426,23 +491,22 @@ func (s *Store) ReadSubChunks(name string, bytes int64) error {
 // chunk: payload-mode chunks get their on-device bytes flipped, and
 // accounting-mode chunks are marked corrupt. The stored checksum is left
 // intact, so only a scrub can tell.
-func (s *Store) CorruptChunk(name string) error {
+func (s *Store) CorruptChunk(id ChunkID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.mutableLocked("CorruptChunk"); err != nil {
 		return err
 	}
-	s.materializeBulkLocked()
-	info, ok := s.lookupLocked(name)
+	info, ok := s.lookupLocked(id)
 	if !ok {
-		return fmt.Errorf("%w: %s", ErrNoSuchChunk, name)
+		return fmt.Errorf("%w: %s", ErrNoSuchChunk, id)
 	}
 	info.corrupted = true
-	s.setLocked(name, info)
+	s.chunks[id] = info
 	if info.hasData {
-		onode, ok := s.kv.Get("o/" + name)
+		onode, ok := s.kv.Get("o/" + id.String())
 		if !ok {
-			return fmt.Errorf("%w: onode for %s", ErrNoSuchChunk, name)
+			return fmt.Errorf("%w: onode for %s", ErrNoSuchChunk, id)
 		}
 		off := int64(binary.BigEndian.Uint64(onode[0:8]))
 		// Flip a byte somewhere in the middle of the chunk.
@@ -463,78 +527,74 @@ func (s *Store) CorruptChunk(name string) error {
 // their crc32 compared against the write-time checksum; accounting-mode
 // chunks report their corruption marker. It returns true when the chunk
 // is consistent.
-func (s *Store) ScrubChunk(name string) (bool, error) {
+func (s *Store) ScrubChunk(id ChunkID) (bool, error) {
 	s.mu.Lock()
-	s.materializeBulkLocked()
-	info, ok := s.lookupLocked(name)
+	info, ok := s.lookupLocked(id)
 	s.mu.Unlock()
 	if !ok {
-		return false, fmt.Errorf("%w: %s", ErrNoSuchChunk, name)
+		return false, fmt.Errorf("%w: %s", ErrNoSuchChunk, id)
 	}
 	if !info.hasData {
 		return !info.corrupted, nil
 	}
-	_, payload, err := s.ReadChunk(name)
+	_, payload, err := s.ReadChunk(id)
 	if err != nil {
 		return false, err
 	}
 	return crc32.ChecksumIEEE(payload) == info.checksum, nil
 }
 
-// HasChunk reports whether the named chunk exists.
-func (s *Store) HasChunk(name string) bool {
+// HasChunk reports whether the chunk exists.
+func (s *Store) HasChunk(id ChunkID) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.materializeBulkLocked()
-	_, ok := s.lookupLocked(name)
+	_, ok := s.lookupLocked(id)
 	return ok
 }
 
 // ChunkSize returns the stored (padded) size of a chunk.
-func (s *Store) ChunkSize(name string) (int64, error) {
+func (s *Store) ChunkSize(id ChunkID) (int64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.materializeBulkLocked()
-	info, ok := s.lookupLocked(name)
+	info, ok := s.lookupLocked(id)
 	if !ok {
-		return 0, fmt.Errorf("%w: %s", ErrNoSuchChunk, name)
+		return 0, fmt.Errorf("%w: %s", ErrNoSuchChunk, id)
 	}
 	return info.size, nil
 }
 
 // DeleteChunk removes a chunk and its metadata.
-func (s *Store) DeleteChunk(name string) error {
+func (s *Store) DeleteChunk(id ChunkID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.mutableLocked("DeleteChunk"); err != nil {
 		return err
 	}
-	s.materializeBulkLocked()
-	info, ok := s.lookupLocked(name)
+	info, ok := s.lookupLocked(id)
 	if !ok {
-		return fmt.Errorf("%w: %s", ErrNoSuchChunk, name)
+		return fmt.Errorf("%w: %s", ErrNoSuchChunk, id)
 	}
-	s.dropLocked(name, info)
+	s.dropLocked(id, info)
 	return nil
 }
 
-func (s *Store) dropLocked(name string, info chunkInfo) {
-	s.dataAllocated -= info.allocated
+// dropLocked releases a visible chunk's accounting and hides it: a chunk
+// the base runs hold is tombstoned in the overlay, any other just leaves
+// it. Callers must hold s.mu.
+func (s *Store) dropLocked(id ChunkID, info chunkInfo) {
+	s.dataAllocated -= roundUp(info.size, s.cfg.MinAllocSize)
 	s.accountedMeta -= s.metaRecordBytes(info.size)
-	s.ecMetaBytes -= int64(s.cfg.ECMetaFraction * float64(info.share))
+	s.ecMetaBytes -= s.ecMeta(info.share)
 	if info.hasData {
-		s.kv.Delete("o/" + name)
+		s.kv.Delete("o/" + id.String())
 	} else {
-		s.kv.DeleteAccounted(len("o/")+len(name), int(s.cfg.OnodeBytes))
+		s.kv.DeleteAccounted(id.kvKeyLen(), int(s.cfg.OnodeBytes))
 	}
-	delete(s.chunks, name)
-	if s.base != nil {
-		if _, ok := s.base[name]; ok {
-			if s.baseDeleted == nil {
-				s.baseDeleted = map[string]bool{}
-			}
-			s.baseDeleted[name] = true
-		}
+	s.count--
+	if _, inBase := s.baseLocked(id); inBase {
+		s.chunks[id] = chunkInfo{deleted: true}
+	} else {
+		delete(s.chunks, id)
 	}
 }
 
@@ -542,7 +602,7 @@ func (s *Store) dropLocked(name string, info chunkInfo) {
 func (s *Store) Chunks() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.chunkCountLocked()
+	return s.count
 }
 
 // DataBytes is the allocated payload space (min_alloc rounded).
@@ -581,13 +641,11 @@ func (s *Store) SetDataWorkingSet(bytes int64) {
 	s.dataWorkingSet = bytes
 }
 
-// Freeze materializes any deferred bulk entries, then makes the store
-// and its device and KV store immutable so they can serve as shared
-// copy-on-write bases for Fork. Idempotent.
+// Freeze makes the store and its device and KV store immutable so they
+// can serve as shared copy-on-write bases for Fork. Idempotent.
 func (s *Store) Freeze() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.materializeBulkLocked()
 	s.frozen = true
 	s.kv.Freeze()
 	s.dev.Freeze()
@@ -596,9 +654,10 @@ func (s *Store) Freeze() {
 // Fork returns a writable copy-on-write child of a frozen store. cfg may
 // change only recovery-side knobs (cache scheme and size); every field
 // that shaped the on-disk layout during populate must match the parent,
-// because the child shares the parent's chunk map, device blocks and KV
-// entries and starts from a copy of its accounting. Only single-level
-// forking is supported.
+// because the child shares the parent's base runs, device blocks and KV
+// entries and starts from a copy of its overlay and accounting. Only
+// single-level forking is supported (the device and KV store refuse to
+// fork a fork).
 func (s *Store) Fork(cfg Config) (*Store, error) {
 	cfg, err := normalizeConfig(cfg)
 	if err != nil {
@@ -608,9 +667,6 @@ func (s *Store) Fork(cfg Config) (*Store, error) {
 	defer s.mu.Unlock()
 	if !s.frozen {
 		return nil, errors.New("bluestore: Fork of unfrozen store")
-	}
-	if s.base != nil {
-		return nil, errors.New("bluestore: Fork of forked store")
 	}
 	layout := func(c Config) Config {
 		c.Cache = CacheConfig{}
@@ -632,8 +688,9 @@ func (s *Store) Fork(cfg Config) (*Store, error) {
 		cfg:            cfg,
 		dev:            dev,
 		kv:             kv,
-		chunks:         map[string]chunkInfo{},
-		base:           s.chunks,
+		runs:           s.runs[:len(s.runs):len(s.runs)],
+		chunks:         maps.Clone(s.chunks),
+		count:          s.count,
 		dataAllocated:  s.dataAllocated,
 		nextOffset:     s.nextOffset,
 		accountedMeta:  s.accountedMeta,
@@ -651,13 +708,14 @@ func (s *Store) AccessProfile() (metaHit, kvHit, dataHit float64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	kvNeed := float64(s.kv.Footprint()) + s.cfg.KVSpaceAmp*float64(s.accountedMeta) + float64(s.ecMetaBytes)
-	metaNeed := float64(int64(s.chunkCountLocked()) * s.cfg.OnodeBytes)
+	metaNeed := float64(int64(s.count) * s.cfg.OnodeBytes)
 	dataNeed := float64(s.dataWorkingSet)
 	total := float64(s.cfg.CacheBytes)
 
 	var kvCache, metaCache, dataCache float64
 	if s.cfg.Cache.Autotune {
-		kvCache, metaCache, dataCache = waterFill(total, kvNeed, metaNeed, dataNeed)
+		grant := waterFill(total, [3]float64{kvNeed, metaNeed, dataNeed})
+		kvCache, metaCache, dataCache = grant[0], grant[1], grant[2]
 	} else {
 		rk, rm, rd := s.cfg.Cache.KVRatio, s.cfg.Cache.MetaRatio, s.cfg.Cache.DataRatio
 		sum := rk + rm + rd
@@ -683,19 +741,18 @@ func (s *Store) AccessProfile() (metaHit, kvHit, dataHit float64) {
 
 // waterFill splits cache across pools proportionally to demand, never
 // granting a pool more than it needs, and redistributing the surplus.
-func waterFill(total float64, needs ...float64) (a, b, c float64) {
-	grant := make([]float64, len(needs))
-	remainingNeeds := append([]float64(nil), needs...)
+// It runs once per helper per repaired object, so it works on arrays.
+func waterFill(total float64, needs [3]float64) (grant [3]float64) {
 	remaining := total
 	for iter := 0; iter < 4; iter++ {
 		sum := 0.0
-		for _, n := range remainingNeeds {
+		for _, n := range needs {
 			sum += n
 		}
 		if sum <= 0 || remaining <= 0 {
 			break
 		}
-		for i, n := range remainingNeeds {
+		for i, n := range needs {
 			if n <= 0 {
 				continue
 			}
@@ -704,15 +761,15 @@ func waterFill(total float64, needs ...float64) (a, b, c float64) {
 				share = n
 			}
 			grant[i] += share
-			remainingNeeds[i] -= share
+			needs[i] -= share
 		}
 		granted := 0.0
-		for i := range grant {
-			granted += grant[i]
+		for _, g := range grant {
+			granted += g
 		}
 		remaining = total - granted
 	}
-	return grant[0], grant[1], grant[2]
+	return grant
 }
 
 // KV exposes the embedded KV store (for tests and the logger).

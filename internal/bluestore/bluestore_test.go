@@ -22,14 +22,17 @@ func newStore(t *testing.T, cfg Config) *Store {
 	return s
 }
 
+// cid names a chunk of pool "", PG 0, shard 0.
+func cid(object string) ChunkID { return ChunkID{Object: object} }
+
 func TestPayloadRoundTrip(t *testing.T) {
 	s := newStore(t, Config{})
 	data := make([]byte, 10_000)
 	rand.New(rand.NewSource(1)).Read(data)
-	if err := s.WriteChunk("pg1/obj1/shard0", 10_000, 8_000, data); err != nil {
+	if err := s.WriteChunk(cid("pg1/obj1/shard0"), 10_000, 8_000, data); err != nil {
 		t.Fatal(err)
 	}
-	size, got, err := s.ReadChunk("pg1/obj1/shard0")
+	size, got, err := s.ReadChunk(cid("pg1/obj1/shard0"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,10 +43,10 @@ func TestPayloadRoundTrip(t *testing.T) {
 
 func TestAccountingOnlyMode(t *testing.T) {
 	s := newStore(t, Config{})
-	if err := s.WriteChunk("c0", 1<<20, 1<<20, nil); err != nil {
+	if err := s.WriteChunk(cid("c0"), 1<<20, 1<<20, nil); err != nil {
 		t.Fatal(err)
 	}
-	size, payload, err := s.ReadChunk("c0")
+	size, payload, err := s.ReadChunk(cid("c0"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +61,7 @@ func TestAccountingOnlyMode(t *testing.T) {
 
 func TestMinAllocRounding(t *testing.T) {
 	s := newStore(t, Config{MinAllocSize: 65536})
-	if err := s.WriteChunk("c", 100, 100, nil); err != nil {
+	if err := s.WriteChunk(cid("c"), 100, 100, nil); err != nil {
 		t.Fatal(err)
 	}
 	if s.DataBytes() != 65536 {
@@ -68,7 +71,7 @@ func TestMinAllocRounding(t *testing.T) {
 
 func TestUsedBytesGrowsWithMetadata(t *testing.T) {
 	s := newStore(t, Config{ECMetaFraction: 0.25, KVSpaceAmp: 1})
-	if err := s.WriteChunk("c", 1<<20, 1<<20, nil); err != nil {
+	if err := s.WriteChunk(cid("c"), 1<<20, 1<<20, nil); err != nil {
 		t.Fatal(err)
 	}
 	used := s.UsedBytes()
@@ -83,10 +86,10 @@ func TestUsedBytesGrowsWithMetadata(t *testing.T) {
 
 func TestDeleteChunkReleasesEverything(t *testing.T) {
 	s := newStore(t, Config{ECMetaFraction: 0.26})
-	if err := s.WriteChunk("c", 4096, 4096, nil); err != nil {
+	if err := s.WriteChunk(cid("c"), 4096, 4096, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.DeleteChunk("c"); err != nil {
+	if err := s.DeleteChunk(cid("c")); err != nil {
 		t.Fatal(err)
 	}
 	if s.DataBytes() != 0 {
@@ -98,15 +101,15 @@ func TestDeleteChunkReleasesEverything(t *testing.T) {
 	if s.MetaBytes() != 0 {
 		t.Fatalf("MetaBytes = %d after delete", s.MetaBytes())
 	}
-	if err := s.DeleteChunk("c"); !errors.Is(err, ErrNoSuchChunk) {
+	if err := s.DeleteChunk(cid("c")); !errors.Is(err, ErrNoSuchChunk) {
 		t.Fatalf("double delete: %v", err)
 	}
 }
 
 func TestOverwriteReplaces(t *testing.T) {
 	s := newStore(t, Config{})
-	_ = s.WriteChunk("c", 8192, 8192, nil)
-	_ = s.WriteChunk("c", 4096, 4096, nil)
+	_ = s.WriteChunk(cid("c"), 8192, 8192, nil)
+	_ = s.WriteChunk(cid("c"), 4096, 4096, nil)
 	if s.DataBytes() != 4096 {
 		t.Fatalf("DataBytes = %d after overwrite", s.DataBytes())
 	}
@@ -117,18 +120,18 @@ func TestOverwriteReplaces(t *testing.T) {
 
 func TestReadMissingChunk(t *testing.T) {
 	s := newStore(t, Config{})
-	if _, _, err := s.ReadChunk("nope"); !errors.Is(err, ErrNoSuchChunk) {
+	if _, _, err := s.ReadChunk(cid("nope")); !errors.Is(err, ErrNoSuchChunk) {
 		t.Fatalf("got %v", err)
 	}
-	if err := s.ReadSubChunks("nope", 10); !errors.Is(err, ErrNoSuchChunk) {
+	if err := s.ReadSubChunks(cid("nope"), 10); !errors.Is(err, ErrNoSuchChunk) {
 		t.Fatalf("got %v", err)
 	}
 }
 
 func TestReadSubChunksAccounts(t *testing.T) {
 	s := newStore(t, Config{})
-	_ = s.WriteChunk("c", 81*100, 81*100, nil)
-	if err := s.ReadSubChunks("c", 27*100); err != nil {
+	_ = s.WriteChunk(cid("c"), 81*100, 81*100, nil)
+	if err := s.ReadSubChunks(cid("c"), 27*100); err != nil {
 		t.Fatal(err)
 	}
 	if s.Device().Snapshot().ReadBytes != 27*100 {
@@ -139,7 +142,7 @@ func TestReadSubChunksAccounts(t *testing.T) {
 func TestWriteFailsOnRemovedDevice(t *testing.T) {
 	s := newStore(t, Config{})
 	s.Device().Remove()
-	if err := s.WriteChunk("c", 100, 100, nil); err == nil {
+	if err := s.WriteChunk(cid("c"), 100, 100, nil); err == nil {
 		t.Fatal("write to removed device succeeded")
 	}
 }
@@ -149,7 +152,7 @@ func TestCacheProfileSchemes(t *testing.T) {
 		s := newStore(t, Config{CacheBytes: 1 << 20, Cache: cache, ECMetaFraction: 0.26})
 		// Populate: KV-need ends up well above 1 MiB so ratios matter.
 		for i := 0; i < 50; i++ {
-			_ = s.WriteChunk(string(rune('a'+i%26))+string(rune('0'+i/26)), 1<<20, 1<<20, nil)
+			_ = s.WriteChunk(cid(string(rune('a'+i%26))+string(rune('0'+i/26))), 1<<20, 1<<20, nil)
 		}
 		s.SetDataWorkingSet(8 << 20)
 		return s
@@ -177,7 +180,7 @@ func TestCacheProfileSchemes(t *testing.T) {
 
 func TestAutotuneWaterFillsSmallNeeds(t *testing.T) {
 	s := newStore(t, Config{CacheBytes: 1 << 30, Cache: CacheAutotune})
-	_ = s.WriteChunk("c", 4096, 4096, nil)
+	_ = s.WriteChunk(cid("c"), 4096, 4096, nil)
 	s.SetDataWorkingSet(1 << 20)
 	metaHit, kvHit, dataHit := s.AccessProfile()
 	// Cache far exceeds all needs: everything should hit.
@@ -190,10 +193,10 @@ func TestDeviceFull(t *testing.T) {
 	dev, _ := blockdev.New("d", 1<<20, 4096)
 	s, _ := Open(dev, Config{})
 	big := make([]byte, 1<<20)
-	if err := s.WriteChunk("a", 1<<20, 1<<20, big); err != nil {
+	if err := s.WriteChunk(cid("a"), 1<<20, 1<<20, big); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.WriteChunk("b", 1<<20, 1<<20, big); err == nil {
+	if err := s.WriteChunk(cid("b"), 1<<20, 1<<20, big); err == nil {
 		t.Fatal("second write should exceed capacity")
 	}
 }
@@ -207,7 +210,7 @@ func TestWAExampleMatchesFormulaPlusMeta(t *testing.T) {
 	chunk := int64(8 << 20)
 	for i := int64(0); i < n; i++ {
 		name := string(rune('a' + i))
-		if err := s.WriteChunk(name, chunk, object/n, nil); err != nil {
+		if err := s.WriteChunk(cid(name), chunk, object/n, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -229,7 +232,7 @@ func TestOpenValidation(t *testing.T) {
 
 func TestPayloadSizeMismatch(t *testing.T) {
 	s := newStore(t, Config{})
-	if err := s.WriteChunk("c", 100, 100, make([]byte, 50)); err == nil {
+	if err := s.WriteChunk(cid("c"), 100, 100, make([]byte, 50)); err == nil {
 		t.Fatal("payload/size mismatch accepted")
 	}
 }
@@ -240,17 +243,17 @@ func TestCorruptAndScrubChunk(t *testing.T) {
 	for i := range data {
 		data[i] = byte(i)
 	}
-	if err := s.WriteChunk("c", 8192, 8192, data); err != nil {
+	if err := s.WriteChunk(cid("c"), 8192, 8192, data); err != nil {
 		t.Fatal(err)
 	}
-	ok, err := s.ScrubChunk("c")
+	ok, err := s.ScrubChunk(cid("c"))
 	if err != nil || !ok {
 		t.Fatalf("clean chunk scrub: ok=%v err=%v", ok, err)
 	}
-	if err := s.CorruptChunk("c"); err != nil {
+	if err := s.CorruptChunk(cid("c")); err != nil {
 		t.Fatal(err)
 	}
-	ok, err = s.ScrubChunk("c")
+	ok, err = s.ScrubChunk(cid("c"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,27 +261,27 @@ func TestCorruptAndScrubChunk(t *testing.T) {
 		t.Fatal("corrupted chunk passed scrub")
 	}
 	// Rewriting the chunk clears the corruption.
-	if err := s.WriteChunk("c", 8192, 8192, data); err != nil {
+	if err := s.WriteChunk(cid("c"), 8192, 8192, data); err != nil {
 		t.Fatal(err)
 	}
-	if ok, _ = s.ScrubChunk("c"); !ok {
+	if ok, _ = s.ScrubChunk(cid("c")); !ok {
 		t.Fatal("rewritten chunk still dirty")
 	}
 	// Accounting-mode chunks use the marker path.
-	if err := s.WriteChunk("acc", 4096, 4096, nil); err != nil {
+	if err := s.WriteChunk(cid("acc"), 4096, 4096, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.CorruptChunk("acc"); err != nil {
+	if err := s.CorruptChunk(cid("acc")); err != nil {
 		t.Fatal(err)
 	}
-	if ok, _ = s.ScrubChunk("acc"); ok {
+	if ok, _ = s.ScrubChunk(cid("acc")); ok {
 		t.Fatal("accounting corruption not detected")
 	}
 	// Unknown chunks error.
-	if err := s.CorruptChunk("nope"); err == nil {
+	if err := s.CorruptChunk(cid("nope")); err == nil {
 		t.Fatal("corrupting missing chunk accepted")
 	}
-	if _, err := s.ScrubChunk("nope"); err == nil {
+	if _, err := s.ScrubChunk(cid("nope")); err == nil {
 		t.Fatal("scrubbing missing chunk accepted")
 	}
 }
@@ -291,20 +294,20 @@ func TestAccessors(t *testing.T) {
 	if s.KV() == nil {
 		t.Fatal("KV accessor nil")
 	}
-	if s.HasChunk("x") {
+	if s.HasChunk(cid("x")) {
 		t.Fatal("phantom chunk")
 	}
-	if err := s.WriteChunk("x", 100, 100, nil); err != nil {
+	if err := s.WriteChunk(cid("x"), 100, 100, nil); err != nil {
 		t.Fatal(err)
 	}
-	if !s.HasChunk("x") {
+	if !s.HasChunk(cid("x")) {
 		t.Fatal("chunk missing")
 	}
-	size, err := s.ChunkSize("x")
+	size, err := s.ChunkSize(cid("x"))
 	if err != nil || size != 100 {
 		t.Fatalf("ChunkSize = %d, %v", size, err)
 	}
-	if _, err := s.ChunkSize("y"); err == nil {
+	if _, err := s.ChunkSize(cid("y")); err == nil {
 		t.Fatal("missing chunk size accepted")
 	}
 }

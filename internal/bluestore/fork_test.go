@@ -31,7 +31,11 @@ func TestStoreForkRequiresFreeze(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := f.Fork(f.Config()); err == nil {
-		t.Fatal("Fork of a fork should fail")
+		t.Fatal("Fork of an unfrozen fork should fail")
+	}
+	f.Freeze()
+	if _, err := f.Fork(f.Config()); err == nil {
+		t.Fatal("Fork of a frozen fork should fail")
 	}
 }
 
@@ -58,21 +62,21 @@ func TestStoreForkRejectsLayoutChange(t *testing.T) {
 
 func TestFrozenStoreRejectsWrites(t *testing.T) {
 	s := newTestStore(t)
-	if err := s.WriteChunk("c1", 4096, 4096, nil); err != nil {
+	if err := s.WriteChunk(cid("c1"), 4096, 4096, nil); err != nil {
 		t.Fatal(err)
 	}
 	s.Freeze()
-	if err := s.WriteChunk("c2", 4096, 4096, nil); err == nil {
+	if err := s.WriteChunk(cid("c2"), 4096, 4096, nil); err == nil {
 		t.Fatal("WriteChunk on frozen store should fail")
 	}
-	if err := s.DeleteChunk("c1"); err == nil {
+	if err := s.DeleteChunk(cid("c1")); err == nil {
 		t.Fatal("DeleteChunk on frozen store should fail")
 	}
 	// Reads still work.
-	if !s.HasChunk("c1") {
+	if !s.HasChunk(cid("c1")) {
 		t.Fatal("frozen store lost c1")
 	}
-	if _, _, err := s.ReadChunk("c1"); err != nil {
+	if _, _, err := s.ReadChunk(cid("c1")); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -80,7 +84,7 @@ func TestFrozenStoreRejectsWrites(t *testing.T) {
 func TestStoreForkIsolationPayload(t *testing.T) {
 	s := newTestStore(t)
 	pay := bytes.Repeat([]byte{7}, 4096)
-	if err := s.WriteChunk("obj.a", 4096, 4096, pay); err != nil {
+	if err := s.WriteChunk(cid("obj.a"), 4096, 4096, pay); err != nil {
 		t.Fatal(err)
 	}
 	s.Freeze()
@@ -95,23 +99,23 @@ func TestStoreForkIsolationPayload(t *testing.T) {
 
 	// f1 rewrites the chunk with different bytes; f2 deletes it.
 	pay2 := bytes.Repeat([]byte{9}, 4096)
-	if err := f1.WriteChunk("obj.a", 4096, 4096, pay2); err != nil {
+	if err := f1.WriteChunk(cid("obj.a"), 4096, 4096, pay2); err != nil {
 		t.Fatal(err)
 	}
-	if err := f2.DeleteChunk("obj.a"); err != nil {
+	if err := f2.DeleteChunk(cid("obj.a")); err != nil {
 		t.Fatal(err)
 	}
 
-	if _, got, err := s.ReadChunk("obj.a"); err != nil || !bytes.Equal(got, pay) {
+	if _, got, err := s.ReadChunk(cid("obj.a")); err != nil || !bytes.Equal(got, pay) {
 		t.Fatalf("parent payload changed: %v", err)
 	}
-	if _, got, err := f1.ReadChunk("obj.a"); err != nil || !bytes.Equal(got, pay2) {
+	if _, got, err := f1.ReadChunk(cid("obj.a")); err != nil || !bytes.Equal(got, pay2) {
 		t.Fatalf("f1 payload wrong: %v", err)
 	}
-	if f2.HasChunk("obj.a") {
+	if f2.HasChunk(cid("obj.a")) {
 		t.Fatal("f2 still sees deleted chunk")
 	}
-	if !s.HasChunk("obj.a") {
+	if !s.HasChunk(cid("obj.a")) {
 		t.Fatal("parent lost chunk after fork delete")
 	}
 }
@@ -121,15 +125,19 @@ func TestStoreForkAccountingMatchesFresh(t *testing.T) {
 	// same recovery-style mutations to the fork and to the fresh store.
 	// All externally observable accounting must stay bit-identical.
 	populate := func(s *Store) {
-		var chunks []BulkChunk
+		var objs []ObjectRecord
 		for i := 0; i < 100; i++ {
-			chunks = append(chunks, BulkChunk{
-				Name:  "obj" + string(rune('a'+i%26)) + string(rune('0'+i/26)),
-				Size:  16384,
-				Share: 18204,
+			objs = append(objs, ObjectRecord{
+				Name:      "obj" + string(rune('a'+i%26)) + string(rune('0'+i/26)),
+				Size:      18204,
+				ChunkSize: 16384,
 			})
 		}
-		if err := s.WriteChunksBulk(chunks); err != nil {
+		pg, err := NewBulkPG("", 0, 1, objs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.WriteChunksBulk(pg, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -146,13 +154,13 @@ func TestStoreForkAccountingMatchesFresh(t *testing.T) {
 
 	mutate := func(s *Store) {
 		// Recovery writes a reconstructed chunk and reads helpers.
-		if err := s.WriteChunk("obja0", 16384, 18204, nil); err != nil {
+		if err := s.WriteChunk(cid("obja0"), 16384, 18204, nil); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.ReadSubChunks("objb0", 2048); err != nil {
+		if err := s.ReadSubChunks(cid("objb0"), 2048); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := s.ReadChunk("objc0"); err != nil {
+		if _, _, err := s.ReadChunk(cid("objc0")); err != nil {
 			t.Fatal(err)
 		}
 		s.SetDataWorkingSet(1 << 20)

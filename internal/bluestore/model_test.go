@@ -1,0 +1,397 @@
+package bluestore
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"maps"
+	"math/rand"
+	"testing"
+
+	"repro/internal/blockdev"
+)
+
+// The oracle is the store the base runs replaced: one name-keyed map entry
+// per chunk, bulk-loaded or not, and all accounting recomputed per chunk
+// from that map. The real store must be indistinguishable from it.
+type oracleChunk struct {
+	size, share int64
+	payload     []byte // nil in accounting mode
+	corrupted   bool
+}
+
+type oracle struct {
+	chunks     map[string]oracleChunk
+	workingSet int64
+}
+
+func (o *oracle) fork() *oracle {
+	return &oracle{chunks: maps.Clone(o.chunks), workingSet: o.workingSet}
+}
+
+func (o *oracle) dataBytes(cfg Config) (total int64) {
+	for _, c := range o.chunks {
+		total += (c.size + cfg.MinAllocSize - 1) / cfg.MinAllocSize * cfg.MinAllocSize
+	}
+	return total
+}
+
+// kvFootprint, recordBytes and ecBytes are the three terms of MetaBytes.
+func (o *oracle) kvFootprint(cfg Config) int64 {
+	var logical int64
+	for name := range o.chunks {
+		logical += int64(len("o/"+name)) + cfg.OnodeBytes + 24
+	}
+	return int64(float64(logical) * cfg.KVSpaceAmp)
+}
+
+func (o *oracle) recordBytes(cfg Config) (total int64) {
+	for _, c := range o.chunks {
+		extents := (c.size + cfg.BlobSize - 1) / cfg.BlobSize
+		csums := (c.size + cfg.CsumChunkSize - 1) / cfg.CsumChunkSize
+		total += extents*cfg.ExtentEntryBytes + csums*cfg.CsumEntryBytes
+	}
+	return total
+}
+
+func (o *oracle) ecBytes(cfg Config) (total int64) {
+	for _, c := range o.chunks {
+		total += int64(cfg.ECMetaFraction * float64(c.share))
+	}
+	return total
+}
+
+func (o *oracle) metaBytes(cfg Config) int64 {
+	return o.kvFootprint(cfg) + int64(cfg.KVSpaceAmp*float64(o.recordBytes(cfg))) + o.ecBytes(cfg)
+}
+
+func (o *oracle) accessProfile(cfg Config) (metaHit, kvHit, dataHit float64) {
+	kvNeed := float64(o.kvFootprint(cfg)) + cfg.KVSpaceAmp*float64(o.recordBytes(cfg)) + float64(o.ecBytes(cfg))
+	metaNeed := float64(int64(len(o.chunks)) * cfg.OnodeBytes)
+	dataNeed := float64(o.workingSet)
+	total := float64(cfg.CacheBytes)
+	var kvCache, metaCache, dataCache float64
+	if cfg.Cache.Autotune {
+		kvCache, metaCache, dataCache = sliceWaterFill(total, kvNeed, metaNeed, dataNeed)
+	} else {
+		sum := cfg.Cache.KVRatio + cfg.Cache.MetaRatio + cfg.Cache.DataRatio
+		kvCache = total * cfg.Cache.KVRatio / sum
+		metaCache = total * cfg.Cache.MetaRatio / sum
+		dataCache = total * cfg.Cache.DataRatio / sum
+	}
+	hit := func(cache, need float64) float64 {
+		if need <= 0 || cache/need > 1 {
+			return 1
+		}
+		return cache / need
+	}
+	return hit(metaCache, metaNeed), hit(kvCache, kvNeed), hit(dataCache, dataNeed)
+}
+
+// sliceWaterFill is the slice-based water-filling the array version in
+// bluestore.go must match to the bit.
+func sliceWaterFill(total float64, needs ...float64) (a, b, c float64) {
+	grant := make([]float64, len(needs))
+	remainingNeeds := append([]float64(nil), needs...)
+	remaining := total
+	for iter := 0; iter < 4; iter++ {
+		sum := 0.0
+		for _, n := range remainingNeeds {
+			sum += n
+		}
+		if sum <= 0 || remaining <= 0 {
+			break
+		}
+		for i, n := range remainingNeeds {
+			if n <= 0 {
+				continue
+			}
+			share := remaining * n / sum
+			if share > n {
+				share = n
+			}
+			grant[i] += share
+			remainingNeeds[i] -= share
+		}
+		granted := 0.0
+		for i := range grant {
+			granted += grant[i]
+		}
+		remaining = total - granted
+	}
+	return grant[0], grant[1], grant[2]
+}
+
+// modelWorld is a root store, the two sibling forks it grows once frozen,
+// and one oracle per store.
+type modelWorld struct {
+	t       *testing.T
+	stores  []*Store
+	oracles []*oracle
+	ids     []ChunkID // every id ever used
+	nextObj int
+}
+
+var modelSchemes = []CacheConfig{CacheAutotune, CacheKVOptimized, CacheDataOptimized}
+
+func newModelWorld(t *testing.T, scheme byte) *modelWorld {
+	dev, err := blockdev.New("dev", 64<<20, 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A cache far smaller than the needs, so every hit fraction is < 1
+	// and depends on the chunk count and the accounting.
+	s, err := Open(dev, Config{CacheBytes: 8 << 10, Cache: modelSchemes[int(scheme)%len(modelSchemes)]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &modelWorld{t: t, stores: []*Store{s}, oracles: []*oracle{{chunks: map[string]oracleChunk{}}}}
+}
+
+func (w *modelWorld) frozen() bool { return len(w.stores) > 1 }
+
+// pickID returns an id used before, or a fresh one in a PG that may or may
+// not have a run on the store.
+func (w *modelWorld) pickID(a, b byte) ChunkID {
+	if len(w.ids) > 0 && a%4 != 0 {
+		return w.ids[(int(a)<<8|int(b))%len(w.ids)]
+	}
+	id := ChunkID{Pool: "p", PG: 9 + int(a>>2)%3, Object: fmt.Sprintf("solo-%d", b%8), Shard: int(b>>3) % 2}
+	w.ids = append(w.ids, id)
+	return id
+}
+
+// step interprets one (op, a, b) instruction against store `a`-chosen and
+// its oracle, requiring both to agree on the outcome.
+func (w *modelWorld) step(op, a, b byte) {
+	t := w.t
+	target := 0
+	if w.frozen() {
+		target = int(a>>6) % len(w.stores) // 0 is the frozen parent: must refuse
+	}
+	s, o := w.stores[target], w.oracles[target]
+	refuses := w.frozen() && target == 0
+	sizes := []int64{100, 4096, 5000, 600 << 10}
+
+	switch op % 9 {
+	case 0: // bulk load: a few new objects into one (PG, shard), runs pile up
+		pg, shard := 9+int(a)%2, int(a>>1)%2
+		var recs []ObjectRecord
+		for i := 0; i <= int(b)%5; i++ {
+			size := sizes[(int(b)+i)%len(sizes)]
+			recs = append(recs, ObjectRecord{Name: fmt.Sprintf("obj-%07d", w.nextObj), Size: 3 * size, ChunkSize: size})
+			w.nextObj++
+		}
+		run, err := NewBulkPG("p", pg, 3, recs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = s.WriteChunksBulk(run, shard)
+		if (err != nil) != refuses {
+			t.Fatalf("WriteChunksBulk: err %v, frozen %v", err, refuses)
+		}
+		if (s.Writable() != nil) != refuses {
+			t.Fatalf("Writable: %v, frozen %v", s.Writable(), refuses)
+		}
+		for _, r := range recs {
+			id := ChunkID{Pool: "p", PG: pg, Object: r.Name, Shard: shard}
+			w.ids = append(w.ids, id)
+			if err == nil {
+				o.chunks[id.String()] = oracleChunk{size: r.ChunkSize, share: r.Size / 3}
+			}
+		}
+	case 1, 2: // write, accounting (1) or payload (2) mode, over anything or nothing
+		id := w.pickID(a, b)
+		size := sizes[int(b)%3]
+		var payload []byte
+		if op%9 == 2 {
+			payload = bytes.Repeat([]byte{b | 1}, int(size))
+		}
+		err := s.WriteChunk(id, size, size+int64(b), payload)
+		if (err != nil) != refuses {
+			t.Fatalf("WriteChunk(%s): err %v, frozen %v", id, err, refuses)
+		}
+		if err == nil {
+			o.chunks[id.String()] = oracleChunk{size: size, share: size + int64(b), payload: payload}
+		}
+	case 3:
+		id := w.pickID(a, b)
+		_, had := o.chunks[id.String()]
+		err := s.DeleteChunk(id)
+		switch {
+		case refuses:
+			if err == nil {
+				t.Fatalf("DeleteChunk(%s) on frozen store succeeded", id)
+			}
+		case had && err != nil, !had && !errors.Is(err, ErrNoSuchChunk):
+			t.Fatalf("DeleteChunk(%s): had %v, err %v", id, had, err)
+		default:
+			delete(o.chunks, id.String())
+		}
+	case 4:
+		id := w.pickID(a, b)
+		c, had := o.chunks[id.String()]
+		err := s.CorruptChunk(id)
+		switch {
+		case refuses:
+			if err == nil {
+				t.Fatalf("CorruptChunk(%s) on frozen store succeeded", id)
+			}
+		case had != (err == nil):
+			t.Fatalf("CorruptChunk(%s): had %v, err %v", id, had, err)
+		case had:
+			// Payload corruption flips one byte in place, so a second
+			// corruption of the same chunk restores it.
+			c.corrupted = c.payload == nil || !c.corrupted
+			o.chunks[id.String()] = c
+		}
+	case 5:
+		id := w.pickID(a, b)
+		c, had := o.chunks[id.String()]
+		clean, err := s.ScrubChunk(id)
+		if had != (err == nil) || (had && clean == c.corrupted) {
+			t.Fatalf("ScrubChunk(%s) = %v, %v; oracle had %v corrupted %v", id, clean, err, had, c.corrupted)
+		}
+	case 6:
+		id := w.pickID(a, b)
+		c, had := o.chunks[id.String()]
+		size, payload, err := s.ReadChunk(id)
+		if had != (err == nil) {
+			t.Fatalf("ReadChunk(%s): had %v, err %v", id, had, err)
+		}
+		if had && (size != c.size || (c.payload == nil) != (payload == nil)) {
+			t.Fatalf("ReadChunk(%s) = %d bytes, payload %v; oracle %d, payload %v", id, size, payload != nil, c.size, c.payload != nil)
+		}
+		if had && c.payload != nil && !c.corrupted && !bytes.Equal(payload, c.payload) {
+			t.Fatalf("ReadChunk(%s) returned other bytes than were written", id)
+		}
+	case 7:
+		if !refuses {
+			s.SetDataWorkingSet(int64(b) << 10)
+			o.workingSet = int64(b) << 10
+		}
+	case 8: // freeze the root and grow two sibling forks, once
+		if w.frozen() {
+			return
+		}
+		s.Freeze()
+		for i := 0; i < 2; i++ {
+			f, err := s.Fork(s.Config())
+			if err != nil {
+				t.Fatal(err)
+			}
+			w.stores = append(w.stores, f)
+			w.oracles = append(w.oracles, o.fork())
+		}
+		s.Freeze() // idempotent
+		if _, err := w.stores[1].Fork(s.Config()); err == nil {
+			t.Fatal("fork of an unfrozen fork accepted")
+		}
+	}
+}
+
+// check compares every store with its oracle: the parent too, so a fork's
+// writes showing through to it or to the sibling fail here.
+func (w *modelWorld) check(step int) {
+	t := w.t
+	for i, s := range w.stores {
+		o, cfg := w.oracles[i], s.Config()
+		if got, want := s.Chunks(), len(o.chunks); got != want {
+			t.Fatalf("step %d store %d: Chunks %d, oracle %d", step, i, got, want)
+		}
+		if got, want := s.DataBytes(), o.dataBytes(cfg); got != want {
+			t.Fatalf("step %d store %d: DataBytes %d, oracle %d", step, i, got, want)
+		}
+		if got, want := s.MetaBytes(), o.metaBytes(cfg); got != want {
+			t.Fatalf("step %d store %d: MetaBytes %d, oracle %d", step, i, got, want)
+		}
+		if got, want := s.UsedBytes(), o.dataBytes(cfg)+o.metaBytes(cfg); got != want {
+			t.Fatalf("step %d store %d: UsedBytes %d, oracle %d", step, i, got, want)
+		}
+		gm, gk, gd := s.AccessProfile()
+		wm, wk, wd := o.accessProfile(cfg)
+		if gm != wm || gk != wk || gd != wd {
+			t.Fatalf("step %d store %d: AccessProfile (%v,%v,%v), oracle (%v,%v,%v)", step, i, gm, gk, gd, wm, wk, wd)
+		}
+		for _, id := range w.ids {
+			c, had := o.chunks[id.String()]
+			if s.HasChunk(id) != had {
+				t.Fatalf("step %d store %d: HasChunk(%s) = %v, oracle %v", step, i, id, !had, had)
+			}
+			size, err := s.ChunkSize(id)
+			if had != (err == nil) || size != c.size {
+				t.Fatalf("step %d store %d: ChunkSize(%s) = %d, %v; oracle %d, %v", step, i, id, size, err, c.size, had)
+			}
+		}
+	}
+}
+
+// runModel interprets a program: the first byte picks the cache scheme,
+// then (op, a, b) triples, the stores checked against their oracles after
+// every one.
+func runModel(t *testing.T, program []byte) {
+	if len(program) == 0 {
+		return
+	}
+	if len(program) > 1+3*400 {
+		program = program[:1+3*400] // keeps payload writes inside the device
+	}
+	w := newModelWorld(t, program[0])
+	for i := 1; i+2 < len(program); i += 3 {
+		w.step(program[i], program[i+1], program[i+2])
+		w.check(i / 3)
+	}
+}
+
+// modelSeedPrograms reach every op on bulk-loaded chunks, before and
+// after the freeze, on both forks.
+var modelSeedPrograms = [][]byte{
+	// two overlapping loads, overwrite/delete/corrupt/scrub bulk chunks,
+	// freeze, then the same on fork 1 (a>>6 == 1) and fork 2 (a>>6 == 2)
+	{0, 0, 0, 4, 0, 0, 3, 1, 1, 5, 1, 1, 2, 2, 1, 3, 3, 5, 4, 5, 7, 5, 5, 7, 6, 6, 3, 7, 0, 9,
+		8, 0, 0, 1, 65, 1, 2, 66, 2, 3, 67, 3, 4, 69, 5, 5, 69, 5, 0, 64, 2,
+		1, 129, 1, 2, 130, 2, 3, 131, 3, 4, 133, 5, 5, 133, 5, 0, 128, 2, 1, 1, 1, 3, 2, 2},
+	{1, 8, 0, 0, 0, 64, 3, 0, 128, 4, 3, 65, 0, 3, 129, 0},
+	{2, 0, 3, 4, 2, 4, 9, 3, 1, 0, 1, 1, 0, 8, 0, 0, 2, 65, 0, 2, 130, 0, 6, 65, 0, 6, 130, 0},
+}
+
+func TestStoreMatchesNaiveModel(t *testing.T) {
+	for i, p := range modelSeedPrograms {
+		t.Run(fmt.Sprintf("seed%d", i), func(t *testing.T) { runModel(t, p) })
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		t.Run(fmt.Sprintf("random%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			program := make([]byte, 1+3*300)
+			rng.Read(program)
+			runModel(t, program)
+		})
+	}
+}
+
+func FuzzStoreMatchesNaiveModel(f *testing.F) {
+	for _, p := range modelSeedPrograms {
+		f.Add(p)
+	}
+	f.Fuzz(runModel)
+}
+
+// The accounted KV key length is arithmetic; it must equal the length of
+// the key payload mode really builds, across every digit boundary.
+func TestChunkIDKeyLength(t *testing.T) {
+	for _, pool := range []string{"", "ecpool"} {
+		for _, pg := range []int{0, 9, 10, 99, 100, 9999, 10000} {
+			for _, shard := range []int{0, 9, 10} {
+				for _, object := range []string{"obj-0000000", "obj-9999999", "obj-10000000", ""} {
+					id := ChunkID{Pool: pool, PG: pg, Object: object, Shard: shard}
+					if want := fmt.Sprintf("%s/%d/%s/s%d", pool, pg, object, shard); id.String() != want {
+						t.Fatalf("String() = %q, want %q", id.String(), want)
+					}
+					if got, want := id.kvKeyLen(), len("o/"+id.String()); got != want {
+						t.Fatalf("%s: kvKeyLen %d, key is %d bytes", id, got, want)
+					}
+				}
+			}
+		}
+	}
+}

@@ -13,9 +13,8 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
-	"strconv"
-	"strings"
 
 	"repro/internal/blockdev"
 	"repro/internal/bluestore"
@@ -104,13 +103,10 @@ func (o *OSD) Up() bool { return o.up }
 // measurements and tests. Recovery cycles should use InjectOSDFailures.
 func (o *OSD) MarkDown() { o.up = false }
 
-// ObjectRecord tracks one stored object within a PG.
-type ObjectRecord struct {
-	Name      string
-	Size      int64
-	ChunkSize int64
-	Payload   bool // real bytes stored
-}
+// ObjectRecord tracks one stored object within a PG. Records are
+// immutable once published: bulk-loaded ones are shared with the stores'
+// base runs and with every snapshot fork.
+type ObjectRecord = bluestore.ObjectRecord
 
 // PG is a placement group: an ordered acting set of OSDs holding one
 // chunk each for every object mapped to the group.
@@ -365,22 +361,9 @@ func (p *Pool) pgOf(name string) *PG {
 // PGOf returns the placement group an object name maps to.
 func (p *Pool) PGOf(name string) *PG { return p.pgOf(name) }
 
-// chunkName is the per-shard object name on an OSD.
-// chunkName formats "<pool>/<pg>/<object>/s<shard>". It is on the bulk
-// load and recovery write paths (one call per stored chunk), so it
-// appends into an exactly sized buffer instead of going through fmt.
-func chunkName(pool string, pg int, object string, shard int) string {
-	var sb strings.Builder
-	var tmp [20]byte
-	sb.Grow(len(pool) + len(object) + 24)
-	sb.WriteString(pool)
-	sb.WriteByte('/')
-	sb.Write(strconv.AppendInt(tmp[:0], int64(pg), 10))
-	sb.WriteByte('/')
-	sb.WriteString(object)
-	sb.WriteString("/s")
-	sb.Write(strconv.AppendInt(tmp[:0], int64(shard), 10))
-	return sb.String()
+// chunkID is the identity of one shard of an object on its OSD.
+func (p *Pool) chunkID(pg *PG, object string, shard int) bluestore.ChunkID {
+	return bluestore.ChunkID{Pool: p.Name, PG: pg.ID, Object: object, Shard: shard}
 }
 
 // storedChunkSize returns the on-disk chunk size for an object: the
@@ -399,44 +382,65 @@ func (p *Pool) storedChunkSize(objectSize int64, payload bool) (int64, error) {
 }
 
 // BulkLoad ingests a synthetic workload into a pool without payload bytes
-// or simulated time: the steady state before the experiment's fault.
+// or simulated time: the steady state before the experiment's fault. Each
+// PG's new objects reach each acting OSD as one base run over one shared
+// slab of records, so the load costs O(PGs x n) store calls and no
+// per-chunk state. It is all-or-nothing: when any store would refuse the
+// write, nothing is written and no object is recorded.
 func (c *Cluster) BulkLoad(poolName string, objs []workload.Object) error {
 	pool, err := c.Pool(poolName)
 	if err != nil {
 		return err
 	}
-	n := pool.Code.N()
-	// Group the chunk writes per OSD and ingest each group in one
-	// WriteChunksBulk call: identical accounting to per-chunk WriteChunk,
-	// but one lock/KV/device round per store instead of one per chunk.
-	perOSD := int64(len(objs)) * int64(n) / int64(len(c.osds))
-	batches := make([][]bluestore.BulkChunk, len(c.osds))
-	for id := range batches {
-		batches[id] = make([]bluestore.BulkChunk, 0, perOSD+perOSD/4)
-	}
+	// Group the records by PG, load order kept within a PG: PG i owns
+	// records[starts[i]:starts[i+1]].
+	starts := make([]int, pool.PGCount+1)
 	for i := range objs {
-		o := objs[i]
-		pg := pool.pgOf(o.Name)
+		starts[pool.pgOf(objs[i].Name).ID+1]++
+	}
+	for i := 0; i < pool.PGCount; i++ {
+		starts[i+1] += starts[i]
+	}
+	records := make([]ObjectRecord, len(objs))
+	next := slices.Clone(starts[:pool.PGCount])
+	for i := range objs {
+		o := &objs[i]
 		cs, err := pool.storedChunkSize(o.Size, false)
 		if err != nil {
 			return err
 		}
-		share := o.Size / int64(n)
-		for shard, osdID := range pg.Acting {
-			batches[osdID] = append(batches[osdID], bluestore.BulkChunk{
-				Name:  chunkName(pool.Name, pg.ID, o.Name, shard),
-				Size:  cs,
-				Share: share,
-			})
-		}
-		pg.Objects = append(pg.Objects, &ObjectRecord{Name: o.Name, Size: o.Size, ChunkSize: cs})
+		pg := pool.pgOf(o.Name).ID
+		records[next[pg]] = ObjectRecord{Name: o.Name, Size: o.Size, ChunkSize: cs}
+		next[pg]++
 	}
-	for osdID, batch := range batches {
-		if len(batch) == 0 {
+	runs := make([]*bluestore.BulkPG, pool.PGCount)
+	for _, pg := range pool.PGs {
+		lo, hi := starts[pg.ID], starts[pg.ID+1]
+		if lo == hi {
 			continue
 		}
-		if err := c.osds[osdID].Store.WriteChunksBulk(batch); err != nil {
-			return fmt.Errorf("cluster: bulk load on osd.%d: %w", osdID, err)
+		if runs[pg.ID], err = bluestore.NewBulkPG(pool.Name, pg.ID, pool.Code.N(), records[lo:hi:hi]); err != nil {
+			return err
+		}
+		for _, osdID := range pg.Acting {
+			if err := c.osds[osdID].Store.Writable(); err != nil {
+				return fmt.Errorf("cluster: bulk load on osd.%d: %w", osdID, err)
+			}
+		}
+	}
+	for _, pg := range pool.PGs {
+		lo, hi := starts[pg.ID], starts[pg.ID+1]
+		if lo == hi {
+			continue
+		}
+		for shard, osdID := range pg.Acting {
+			if err := c.osds[osdID].Store.WriteChunksBulk(runs[pg.ID], shard); err != nil {
+				return fmt.Errorf("cluster: bulk load on osd.%d: %w", osdID, err)
+			}
+		}
+		pg.Objects = slices.Grow(pg.Objects, hi-lo)
+		for i := lo; i < hi; i++ {
+			pg.Objects = append(pg.Objects, &records[i])
 		}
 	}
 	return nil
@@ -494,18 +498,16 @@ func (c *Cluster) WriteObject(poolName, name string, data []byte) error {
 		if !osd.up {
 			continue // degraded write: shard stays missing until recovery
 		}
-		cn := chunkName(pool.Name, pg.ID, name, shard)
-		if err := osd.Store.WriteChunk(cn, cs, share, shards[shard]); err != nil {
+		if err := osd.Store.WriteChunk(pool.chunkID(pg, name, shard), cs, share, shards[shard]); err != nil {
 			return err
 		}
 	}
-	if _, existing, _ := pool.findObject(name); existing != nil {
-		existing.Size = int64(len(data))
-		existing.ChunkSize = cs
-		existing.Payload = true
+	rec := &ObjectRecord{Name: name, Size: int64(len(data)), ChunkSize: cs, Payload: true}
+	if _, existing, idx := pool.findObject(name); existing != nil {
+		pg.Objects[idx] = rec
 		return nil
 	}
-	pg.Objects = append(pg.Objects, &ObjectRecord{Name: name, Size: int64(len(data)), ChunkSize: cs, Payload: true})
+	pg.Objects = append(pg.Objects, rec)
 	return nil
 }
 
@@ -527,7 +529,7 @@ func (c *Cluster) DeleteObject(poolName, name string) error {
 		}
 		// Chunks may be missing on OSDs that joined after a degraded
 		// write; ignore not-found.
-		_ = osd.Store.DeleteChunk(chunkName(pool.Name, pg.ID, name, shard))
+		_ = osd.Store.DeleteChunk(pool.chunkID(pg, name, shard))
 	}
 	pg.Objects = append(pg.Objects[:idx], pg.Objects[idx+1:]...)
 	return nil
@@ -575,7 +577,7 @@ func (c *Cluster) ReadObject(poolName, name string) ([]byte, error) {
 		if !osd.up {
 			continue
 		}
-		_, buf, err := osd.Store.ReadChunk(chunkName(pool.Name, pg.ID, name, shard))
+		_, buf, err := osd.Store.ReadChunk(pool.chunkID(pg, name, shard))
 		if err != nil {
 			continue
 		}

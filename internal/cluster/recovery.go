@@ -677,9 +677,9 @@ func writeDiskDone(a any) {
 	obj := or.obj
 	target := c.osds[pr.targets[w.li]]
 	if !obj.Payload {
-		name := chunkName(pr.pool.Name, pr.pg.ID, obj.Name, pr.lostIdx[w.li])
+		id := pr.pool.chunkID(pr.pg, obj.Name, pr.lostIdx[w.li])
 		share := obj.Size / int64(pr.pool.Code.N())
-		if err := target.Store.WriteChunk(name, obj.ChunkSize, share, nil); err != nil {
+		if err := target.Store.WriteChunk(id, obj.ChunkSize, share, nil); err != nil {
 			c.log(c.sim.Now(), target.Host, fmt.Sprintf("recovery write failed: %v", err))
 		}
 	}
@@ -745,7 +745,7 @@ func (c *Cluster) repairPayload(pool *Pool, pg *PG, obj *ObjectRecord, lostIdx [
 		if !osd.up {
 			continue
 		}
-		_, buf, err := osd.Store.ReadChunk(chunkName(pool.Name, pg.ID, obj.Name, shard))
+		_, buf, err := osd.Store.ReadChunk(pool.chunkID(pg, obj.Name, shard))
 		if err != nil || buf == nil {
 			continue
 		}
@@ -757,8 +757,7 @@ func (c *Cluster) repairPayload(pool *Pool, pg *PG, obj *ObjectRecord, lostIdx [
 	share := obj.Size / int64(code.N())
 	for li, l := range lostIdx {
 		target := c.osds[targets[li]]
-		name := chunkName(pool.Name, pg.ID, obj.Name, l)
-		if err := target.Store.WriteChunk(name, obj.ChunkSize, share, shards[l]); err != nil {
+		if err := target.Store.WriteChunk(pool.chunkID(pg, obj.Name, l), obj.ChunkSize, share, shards[l]); err != nil {
 			return err
 		}
 	}

@@ -41,13 +41,13 @@ func (c *Cluster) ScrubPool(poolName string) (*ScrubReport, error) {
 					report.SkippedDown++
 					continue
 				}
-				name := chunkName(pool.Name, pg.ID, obj.Name, shard)
-				if !osd.Store.HasChunk(name) {
+				id := pool.chunkID(pg, obj.Name, shard)
+				if !osd.Store.HasChunk(id) {
 					continue // not yet recovered / degraded write hole
 				}
-				ok, err := osd.Store.ScrubChunk(name)
+				ok, err := osd.Store.ScrubChunk(id)
 				if err != nil {
-					return nil, fmt.Errorf("cluster: scrubbing %s on osd.%d: %w", name, osdID, err)
+					return nil, fmt.Errorf("cluster: scrubbing %s on osd.%d: %w", id, osdID, err)
 				}
 				report.ChunksScrubbed++
 				if !ok {
@@ -130,8 +130,7 @@ func (c *Cluster) RepairInconsistent(poolName string, report *ScrubReport) (int,
 			share := rec.Size / int64(pool.Code.N())
 			for _, s := range shards {
 				osd := c.osds[pg.Acting[s]]
-				name := chunkName(pool.Name, pg.ID, rec.Name, s)
-				if err := osd.Store.WriteChunk(name, rec.ChunkSize, share, nil); err != nil {
+				if err := osd.Store.WriteChunk(pool.chunkID(pg, rec.Name, s), rec.ChunkSize, share, nil); err != nil {
 					return repaired, err
 				}
 			}
@@ -157,7 +156,7 @@ func (c *Cluster) CorruptChunk(poolName, object string, shard int) error {
 		return fmt.Errorf("cluster: shard %d out of range", shard)
 	}
 	osd := c.osds[pg.Acting[shard]]
-	return osd.Store.CorruptChunk(chunkName(pool.Name, pg.ID, object, shard))
+	return osd.Store.CorruptChunk(pool.chunkID(pg, object, shard))
 }
 
 // ResetFailureState clears the monitor's pending-failure batch so a new

@@ -167,19 +167,72 @@ func TestForkRejectsGeometryChange(t *testing.T) {
 	}
 }
 
+// clusterFootprint is what a failed bulk load must leave untouched.
+type clusterFootprint struct {
+	objects, chunks int
+	used            int64
+}
+
+func footprint(t *testing.T, c *Cluster) clusterFootprint {
+	t.Helper()
+	pool, err := c.Pool("ecpool")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := clusterFootprint{used: c.UsedBytes()}
+	for _, pg := range pool.PGs {
+		fp.objects += len(pg.Objects)
+	}
+	for _, o := range c.OSDs() {
+		fp.chunks += o.Store.Chunks()
+	}
+	return fp
+}
+
 func TestSnapshotFreezesParentStores(t *testing.T) {
 	parent := populateSmall(t, nil)
+	before := footprint(t, parent)
 	parent.Snapshot()
-	objs, _ := workload.Spec{Count: 1, ObjectSize: 1 << 20, NamePrefix: "late"}.Objects()
+	objs, _ := workload.Spec{Count: 64, ObjectSize: 1 << 20, NamePrefix: "late"}.Objects()
 	if err := parent.BulkLoad("ecpool", objs); err == nil {
 		t.Fatal("bulk load into frozen parent should fail")
 	}
+	if after := footprint(t, parent); after != before {
+		t.Fatalf("failed bulk load left state behind: %+v -> %+v", before, after)
+	}
 }
 
-// TestForksShareCodeInstance: the parent pool and every fork receive the
-// same registry code for the spec, so forks stop paying construction and
-// share warm plan/program caches. ECFAULT_NOCODECACHE restores private
-// instances per fork.
+// A store that refuses in the middle of the OSD order must not leave the
+// stores before it loaded, nor phantom objects in the pool; once the
+// obstacle is gone the same pool takes a further load.
+func TestBulkLoadIsAllOrNothing(t *testing.T) {
+	c := populateSmall(t, nil)
+	before := footprint(t, c)
+	bad := c.OSD(len(c.OSDs()) / 2)
+	bad.Store.Device().Remove()
+	objs, _ := workload.Spec{Count: 256, ObjectSize: 1 << 20, NamePrefix: "late"}.Objects()
+	if err := c.BulkLoad("ecpool", objs); err == nil {
+		t.Fatal("bulk load onto a removed device should fail")
+	}
+	if after := footprint(t, c); after != before {
+		t.Fatalf("failed bulk load left state behind: %+v -> %+v", before, after)
+	}
+
+	healthy := populateSmall(t, nil)
+	if err := healthy.BulkLoad("ecpool", objs); err != nil {
+		t.Fatal(err)
+	}
+	after := footprint(t, healthy)
+	pool, _ := healthy.Pool("ecpool")
+	if after.objects != before.objects+256 || after.chunks != before.chunks+256*pool.Code.N() || after.used <= before.used {
+		t.Fatalf("second bulk load: %+v -> %+v", before, after)
+	}
+	res := runHostFailure(t, healthy)
+	if res.ObjectRepairs == 0 {
+		t.Fatal("recovery after two bulk loads repaired nothing")
+	}
+}
+
 func TestForksShareCodeInstance(t *testing.T) {
 	parent := populateSmall(t, nil)
 	snap := parent.Snapshot()

@@ -234,8 +234,11 @@ func (m *Map) Select(seed uint64, n int, failureDomain string) ([]int, error) {
 		weight    float64
 	}
 	// Enumerate live OSDs with their domain keys. Item keys and weights
-	// are hoisted here so the draw loop below touches no maps.
-	var cands []candidate
+	// are hoisted here so the draw loop below touches no maps. Select runs
+	// once per PG at pool creation and again after every failure; the
+	// array keeps clusters of up to 128 OSDs off the heap.
+	var buf [128]candidate
+	cands := buf[:0]
 	uniform := true
 	for id, node := range m.osds {
 		if node == nil || node.out || node.Weight <= 0 {

@@ -10,8 +10,10 @@ import (
 
 // defaultSnapshotBound caps how many populated-cluster snapshots are kept
 // alive at once. Each snapshot pins the frozen stores of one cluster
-// image (tens of MB at bench scales), and campaign sweeps rarely use more
-// than a handful of distinct layouts, so a small bound loses nothing.
+// image (its object records and base run tables: about 1 MB for the paper
+// default workload; payload-mode images also pin their device blocks),
+// and campaign sweeps rarely use more than a handful of distinct layouts,
+// so a small bound loses nothing.
 const defaultSnapshotBound = 16
 
 // snapshotEntry is one cached populate, guarded by a sync.Once so that

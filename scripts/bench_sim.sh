@@ -20,8 +20,7 @@
 #   before = ECFAULT_SIM_WORKERS=1 (serial Run)
 #   after  = ECFAULT_SIM_WORKERS=$(nproc) (RunParallel, byte-identical)
 # The parallel engine only wins on real cores: on a single-core host the
-# mode prints a skip notice instead of a meaningless ratio. Its labels
-# avoid the "speedup" prefix CI's bench-smoke gate parses.
+# mode prints a skip notice instead of a meaningless ratio.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -94,8 +93,7 @@ awk -v b="$BEFORE" -v a="$AFTER" \
 # the shared code registry off (every fork rebuilds its erasure code and
 # recompiles plans) versus on. One fork iteration is ~2 ms, so this
 # section pins its own iteration count instead of inheriting -n (sized
-# for the heavyweight campaign benchmark). Labels deliberately avoid the
-# "speedup" prefix CI's bench-smoke gate parses.
+# for the heavyweight campaign benchmark).
 if [ "$STASH_MODE" = 0 ]; then
   BENCHTIME=300x
   for plugin in jerasure_reed_sol_van clay; do

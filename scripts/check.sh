@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Repo-wide check: vet + build + tier-1 tests + race audit of the
-# concurrent packages. Run from the repo root: ./scripts/check.sh
+# concurrent packages + the benchmark module's self-test and smoke runs.
+# Run from the repo root: ./scripts/check.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -17,6 +18,7 @@ echo "== go test -race (concurrent packages + kernels) =="
 go test -race -count=1 \
     ./internal/gf256 \
     ./internal/erasure/... \
+    ./internal/bluestore \
     ./internal/cluster \
     ./internal/experiments \
     ./internal/core \
@@ -33,5 +35,16 @@ ECFAULT_SIM_WORKERS=4 go test -race -count=1 \
 echo "== go build/test (purego: portable word kernels, no asm) =="
 go build -tags purego ./...
 go test -tags purego -count=1 ./internal/gf256 ./internal/erasure/...
+
+# bench/ is a module of its own, so the root commands above neither build
+# nor test it; it calls exported cluster/core/workload functions, which an
+# internal refactor can break unseen.
+echo "== bench module: vet + self-test + ecperf smoke runs =="
+(cd bench && go vet ./... && go test ./...)
+smoke=$(mktemp -d)
+trap 'rm -rf "$smoke"' EXIT
+for w in single_run fork_sweep; do
+    bash bench/ecperf.sh -smoke -workload "$w" -seed 1 -trace 1 -out "$smoke" >/dev/null
+done
 
 echo "OK"
