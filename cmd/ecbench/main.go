@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	ecbench [-scale N] [-workers N] [-only fig2a,fig2b,fig2c,fig2d,fig3,table3,wa]
+//	ecbench [-scale N] [-workers N] [-only fig2a,fig2b,fig2c,fig2d,fig3,table3,wa,plugins]
 //
 // Scale divides the 10,000-object workload; the normalized shapes are
 // stable across scales, so -scale 20 gives a fast faithful run.
@@ -14,10 +14,13 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
+	"slices"
 	"strings"
 
 	"repro/internal/erasure/kernel"
@@ -28,33 +31,70 @@ import (
 	"repro/internal/report"
 )
 
+// figureIDs are the ids -only accepts, in output order.
+var figureIDs = []string{"fig2a", "fig2b", "fig2c", "fig2d", "fig3", "table3", "wa", "plugins"}
+
+// parseOnly turns the -only value into the set of ids to run; an empty
+// value selects every id.
+func parseOnly(only string) (map[string]bool, error) {
+	ids := figureIDs
+	if only != "" {
+		ids = strings.Split(only, ",")
+	}
+	want := map[string]bool{}
+	for _, id := range ids {
+		id = strings.TrimSpace(id)
+		if !slices.Contains(figureIDs, id) {
+			return nil, fmt.Errorf("ecbench: -only: unknown id %q (valid: %s)", id, strings.Join(figureIDs, ","))
+		}
+		want[id] = true
+	}
+	return want, nil
+}
+
 func main() {
-	scale := flag.Int("scale", 10, "divide the paper workload by this factor")
-	workers := flag.Int("workers", 0, "concurrent experiment cells (0 = ECFAULT_WORKERS or NumCPU)")
-	only := flag.String("only", "", "comma-separated subset: fig2a,fig2b,fig2c,fig2d,fig3,table3,wa,plugins")
-	bars := flag.Bool("bars", false, "render figures as ASCII bar charts")
-	compare := flag.Bool("compare", false, "append paper-vs-measured deltas to each figure")
-	jsonOut := flag.Bool("json", false, "emit all results as JSON instead of text")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	backends := flag.Bool("backends", false, "print the active GF(2^8) backend, the dispatch chain, and CPU features, then exit")
-	flag.Parse()
+	log.SetFlags(0)
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is main's body: it returns instead of exiting, so the deferred
+// profile stop also runs when a figure fails.
+func run(args []string, stdout io.Writer) (err error) {
+	fs := flag.NewFlagSet("ecbench", flag.ExitOnError)
+	scale := fs.Int("scale", 10, "divide the paper workload by this factor")
+	workers := fs.Int("workers", 0, "concurrent experiment cells (0 = ECFAULT_WORKERS or NumCPU)")
+	only := fs.String("only", "", "comma-separated subset: "+strings.Join(figureIDs, ","))
+	bars := fs.Bool("bars", false, "render figures as ASCII bar charts")
+	compare := fs.Bool("compare", false, "append paper-vs-measured deltas to each figure")
+	jsonOut := fs.Bool("json", false, "emit all results as JSON instead of text")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
+	memProfile := fs.String("memprofile", "", "write a heap profile to this file on exit")
+	backends := fs.Bool("backends", false, "print the active GF(2^8) backend, the dispatch chain, and CPU features, then exit")
+	_ = fs.Parse(args) // ExitOnError: a bad flag exits inside Parse
 	if *backends {
-		fmt.Printf("backend: %s\n", gf256.Backend())
-		fmt.Printf("available: %s\n", strings.Join(gf256.Backends(), " "))
-		fmt.Printf("cpu_features: %s\n", strings.Join(gf256.CPUFeatures(), " "))
+		fmt.Fprintf(stdout, "backend: %s\n", gf256.Backend())
+		fmt.Fprintf(stdout, "available: %s\n", strings.Join(gf256.Backends(), " "))
+		fmt.Fprintf(stdout, "cpu_features: %s\n", strings.Join(gf256.CPUFeatures(), " "))
 		chunk, parThresh, stridedThresh := kernel.Tuning()
-		fmt.Printf("tuning: chunk_bytes=%d parallel_threshold=%d strided_threshold=%d kernel_workers=%d\n",
+		fmt.Fprintf(stdout, "tuning: chunk_bytes=%d parallel_threshold=%d strided_threshold=%d kernel_workers=%d\n",
 			chunk, parThresh, stridedThresh, parallel.KernelWorkers())
-		return
+		return nil
+	}
+	want, err := parseOnly(*only)
+	if err != nil {
+		return err
 	}
 	if *workers > 0 {
 		parallel.SetWorkers(*workers)
 	}
 
 	stopProf, err := profutil.Start(*cpuProfile, *memProfile)
-	exitOn(err)
-	defer func() { exitOn(stopProf()) }()
+	if err != nil {
+		return err
+	}
+	defer func() { err = errors.Join(err, stopProf()) }()
 
 	var collected = map[string]any{}
 	emitFigure := func(fig *experiments.Figure) {
@@ -63,94 +103,85 @@ func main() {
 			return
 		}
 		if *bars {
-			fmt.Println(report.FigureBars(fig))
+			fmt.Fprintln(stdout, report.FigureBars(fig))
 		} else {
-			fmt.Println(report.Figure(fig))
+			fmt.Fprintln(stdout, report.Figure(fig))
 		}
 		if *compare {
 			if cmp := report.Comparison(fig); cmp != "" {
-				fmt.Println(cmp)
+				fmt.Fprintln(stdout, cmp)
 			}
 		}
 	}
 
-	want := map[string]bool{}
-	if *only != "" {
-		for _, k := range strings.Split(*only, ",") {
-			want[strings.TrimSpace(k)] = true
+	for _, f := range []struct {
+		id string
+		fn func(scale int) (*experiments.Figure, error)
+	}{
+		{"fig2a", experiments.Fig2aBackendCache},
+		{"fig2b", experiments.Fig2bPlacementGroups},
+		{"fig2c", experiments.Fig2cStripeUnit},
+		{"fig2d", experiments.Fig2dFailureMode},
+	} {
+		if !want[f.id] {
+			continue
 		}
-	}
-	run := func(id string) bool { return len(want) == 0 || want[id] }
-
-	if run("fig2a") {
-		fig, err := experiments.Fig2aBackendCache(*scale)
-		exitOn(err)
+		fig, err := f.fn(*scale)
+		if err != nil {
+			return err
+		}
 		emitFigure(fig)
 	}
-	if run("fig2b") {
-		fig, err := experiments.Fig2bPlacementGroups(*scale)
-		exitOn(err)
-		emitFigure(fig)
-	}
-	if run("fig2c") {
-		fig, err := experiments.Fig2cStripeUnit(*scale)
-		exitOn(err)
-		emitFigure(fig)
-	}
-	if run("fig2d") {
-		fig, err := experiments.Fig2dFailureMode(*scale)
-		exitOn(err)
-		emitFigure(fig)
-	}
-	if run("fig3") {
+	if want["fig3"] {
 		tl, err := experiments.Fig3Timeline(*scale)
-		exitOn(err)
+		if err != nil {
+			return err
+		}
 		if *jsonOut {
 			tl.Events = nil // keep the JSON compact
 			collected["fig3"] = tl
 		} else {
-			fmt.Println(report.Timeline(tl))
-			fmt.Println(report.TimelineEvents(tl.Events, tl.Events[0].Time))
+			fmt.Fprintln(stdout, report.Timeline(tl))
+			fmt.Fprintln(stdout, report.TimelineEvents(tl.Events, tl.Events[0].Time))
 		}
 	}
-	if run("table3") {
+	if want["table3"] {
 		rows, err := experiments.Table3WriteAmplification(*scale)
-		exitOn(err)
+		if err != nil {
+			return err
+		}
 		if *jsonOut {
 			collected["table3"] = rows
 		} else {
-			fmt.Println(report.Table3(rows))
+			fmt.Fprintln(stdout, report.Table3(rows))
 		}
 	}
-	if run("wa") {
+	if want["wa"] {
 		rows, err := experiments.WAFormulaValidation(*scale)
-		exitOn(err)
+		if err != nil {
+			return err
+		}
 		if *jsonOut {
 			collected["wa_validation"] = rows
 		} else {
-			fmt.Println(report.WAValidation(rows))
+			fmt.Fprintln(stdout, report.WAValidation(rows))
 		}
 	}
-	if run("plugins") {
+	if want["plugins"] {
 		rows, err := experiments.PluginComparison(*scale)
-		exitOn(err)
+		if err != nil {
+			return err
+		}
 		if *jsonOut {
 			collected["plugins"] = rows
 		} else {
-			fmt.Println(report.Plugins(rows))
+			fmt.Fprintln(stdout, report.Plugins(rows))
 		}
 	}
 	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
-		exitOn(enc.Encode(collected))
+		return enc.Encode(collected)
 	}
-}
-
-func exitOn(err error) {
-	if err != nil {
-		log.SetFlags(0)
-		log.Print(err)
-		os.Exit(1)
-	}
+	return nil
 }

@@ -29,7 +29,6 @@ import (
 	_ "repro/internal/erasure/reedsolomon"
 	_ "repro/internal/erasure/shec"
 
-	"repro/internal/parallel"
 	"repro/internal/simclock"
 	"repro/internal/simnet"
 	"repro/internal/wamodel"
@@ -60,12 +59,6 @@ type Config struct {
 	Cost  CostModel
 	// Log, if set, receives all node log lines.
 	Log LogFunc
-	// SimWorkers selects the event-engine execution mode RunSim uses:
-	// > 1 drives the simulation through the conservative time-partitioned
-	// parallel engine (byte-identical to serial execution), 1 stays on
-	// the serial engine, and 0 resolves to parallel.SimWorkers()
-	// (ECFAULT_SIM_WORKERS, default 1).
-	SimWorkers int
 }
 
 // DefaultConfig mirrors the paper's testbed shape: 30 OSD hosts with two
@@ -184,9 +177,6 @@ func normalizeClusterConfig(cfg Config) (Config, error) {
 	if cfg.Cost == (CostModel{}) {
 		cfg.Cost = DefaultCostModel()
 	}
-	if cfg.SimWorkers == 0 {
-		cfg.SimWorkers = parallel.SimWorkers()
-	}
 	return cfg, nil
 }
 
@@ -268,16 +258,8 @@ func build(cfg Config, mkStore func(cfg Config, id, hostIdx, devIdx int) (*blues
 func (c *Cluster) Sim() *simclock.Sim { return c.sim }
 
 // RunSim drives the simulation to completion and returns the final
-// simulated time. With a configured worker budget above one it uses the
-// conservative time-partitioned parallel engine, with the lookahead
-// window derived from the minimum simnet link latency; results are
-// byte-identical to the serial engine either way.
-func (c *Cluster) RunSim() simclock.Time {
-	if w := c.cfg.SimWorkers; w > 1 {
-		return c.sim.RunParallel(w, c.net.Lookahead())
-	}
-	return c.sim.Run()
-}
+// simulated time.
+func (c *Cluster) RunSim() simclock.Time { return c.sim.Run() }
 
 // Net exposes the network fabric.
 func (c *Cluster) Net() *simnet.Network { return c.net }

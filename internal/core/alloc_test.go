@@ -3,8 +3,6 @@ package core
 import (
 	"runtime"
 	"testing"
-
-	"repro/internal/parallel"
 )
 
 // allocated runs f three times and returns the smallest heap allocation
@@ -31,12 +29,8 @@ func allocated(t *testing.T, f func() error) (mallocs, bytes uint64) {
 // cold run made 250,381 allocations totalling 63.8 MB. With bulk-loaded
 // chunks held as base runs the figures are 3,850 allocations / 1.7 MB for
 // Populate and 19,760 / 4.6 MB for a cold Run; the budgets sit about 25%
-// above those, far below what one allocation per chunk would cost. The
-// figures are the serial engine's; the parallel one stages events in
-// per-window batches on top.
+// above those, far below what one allocation per chunk would cost.
 func TestAllocationBudget(t *testing.T) {
-	prev := parallel.SetSimWorkers(1)
-	defer parallel.SetSimWorkers(prev)
 	p := DefaultProfile()
 	for _, tc := range []struct {
 		name            string

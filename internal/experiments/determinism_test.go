@@ -32,16 +32,20 @@ type timelineGolden struct {
 	DegradedPGs int
 }
 
+// goldenScale is the workload divisor engineGoldens was recorded at: 200
+// objects, every code path, sub-second cells.
+const goldenScale = 50
+
 func goldenProfiles() []struct {
 	Name string
 	P    core.Profile
 } {
-	return goldenProfilesAt(50) // 200 objects: every code path, sub-second cells
+	return goldenProfilesAt(goldenScale)
 }
 
 // goldenProfilesAt builds the golden shapes at an arbitrary workload
-// scale divisor; the differential parallel-engine suite uses it to cover
-// scales the stored goldens do not pin.
+// scale divisor; TestEngineDeterminismForked uses it to cover a scale
+// the stored goldens do not pin.
 func goldenProfilesAt(scale int) []struct {
 	Name string
 	P    core.Profile

@@ -20,11 +20,10 @@ import (
 // of the order the simulation happened to produce the lines. This
 // regression test pins that contract by producing colliding timestamps
 // across nodes in adversarial (reversed, rotated) schedule order through
-// a real Sim, on the serial engine and the time-partitioned parallel
-// engine, and asserting the merged stream has the same tie pattern at
-// every instant and is byte-identical across engines.
+// a real Sim and asserting the merged stream has the same tie pattern at
+// every instant.
 
-func runFlushOrder(t *testing.T, workers int) []Entry {
+func runFlushOrder(t *testing.T) []Entry {
 	t.Helper()
 	sim := simclock.New()
 	broker := msgbus.NewBroker()
@@ -61,11 +60,7 @@ func runFlushOrder(t *testing.T, workers int) []Entry {
 			})
 		}
 	}
-	if workers <= 1 {
-		sim.Run()
-	} else {
-		sim.RunParallel(workers, 25*time.Microsecond)
-	}
+	sim.Run()
 
 	// Flush in sorted node-name order, exactly as the coordinator does.
 	names := make([]string, 0, len(loggers))
@@ -86,9 +81,9 @@ func runFlushOrder(t *testing.T, workers int) []Entry {
 }
 
 func TestFlushOrderBreaksTimestampTies(t *testing.T) {
-	serial := runFlushOrder(t, 1)
-	if len(serial) != 16*4*2 {
-		t.Fatalf("merged %d entries, want %d", len(serial), 16*4*2)
+	merged := runFlushOrder(t)
+	if len(merged) != 16*4*2 {
+		t.Fatalf("merged %d entries, want %d", len(merged), 16*4*2)
 	}
 
 	// Every instant resolves its ties to the SAME node pattern: the tie
@@ -97,12 +92,12 @@ func TestFlushOrderBreaksTimestampTies(t *testing.T) {
 	// through. Each tick logged two lines per node, back to back.
 	var pattern []string
 	perInstant := map[simclock.Time][]string{}
-	for i := 1; i < len(serial); i++ {
-		if serial[i].Time < serial[i-1].Time {
-			t.Fatalf("entry %d out of time order: %+v after %+v", i, serial[i], serial[i-1])
+	for i := 1; i < len(merged); i++ {
+		if merged[i].Time < merged[i-1].Time {
+			t.Fatalf("entry %d out of time order: %+v after %+v", i, merged[i], merged[i-1])
 		}
 	}
-	for _, e := range serial {
+	for _, e := range merged {
 		perInstant[e.Time] = append(perInstant[e.Time], e.Node)
 	}
 	for at, nodes := range perInstant {
@@ -127,25 +122,11 @@ func TestFlushOrderBreaksTimestampTies(t *testing.T) {
 		}
 	}
 	// Per-node production order within an instant survives the merge.
-	for i := 1; i < len(serial); i++ {
-		prev, cur := serial[i-1], serial[i]
+	for i := 1; i < len(merged); i++ {
+		prev, cur := merged[i-1], merged[i]
 		if cur.Time == prev.Time && cur.Node == prev.Node {
 			if fmt.Sprintf("%s b", prev.Message) != cur.Message {
 				t.Fatalf("per-node order lost at %v: %q then %q", cur.Time, prev.Message, cur.Message)
-			}
-		}
-	}
-
-	// The parallel engine must reproduce the stream byte-for-byte.
-	for _, workers := range []int{2, 4} {
-		par := runFlushOrder(t, workers)
-		if len(par) != len(serial) {
-			t.Fatalf("workers=%d: %d entries, serial %d", workers, len(par), len(serial))
-		}
-		for i := range serial {
-			if serial[i] != par[i] {
-				t.Fatalf("workers=%d: entry %d diverged\nserial   %+v\nparallel %+v",
-					workers, i, serial[i], par[i])
 			}
 		}
 	}

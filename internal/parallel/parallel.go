@@ -2,17 +2,17 @@
 // fan-out helper, backed by a persistent worker pool, shared by the
 // coding kernels and the experiment runner.
 //
-// Three budgets live here. Workers (ECFAULT_WORKERS, or the -workers
+// Two budgets live here. Workers (ECFAULT_WORKERS, or the -workers
 // flags in cmd/ecbench and cmd/ectuner) governs coarse fan-out:
 // experiment cells, tuner grid search, durability Monte Carlo.
 // KernelWorkers (ECFAULT_KERNEL_WORKERS) governs the erasure-kernel
 // layer — stripe chunking in kernel.Program and the parallel
 // strided/segment entries in gf256 — and falls back to Workers when
 // unset, so pinning ECFAULT_WORKERS=1 still serializes the whole
-// process. SimWorkers (ECFAULT_SIM_WORKERS) governs the discrete-event
-// engine's time-partitioned parallel execution and defaults to 1 (the
-// serial engine). A budget of 1 makes every helper run inline, which
-// keeps single-core machines and tests deterministic by default.
+// process. A budget of 1 makes every helper run inline, which keeps
+// single-core machines and tests deterministic by default. The
+// discrete-event engine (simclock) and the cluster model are
+// single-goroutine and use neither.
 package parallel
 
 import (
@@ -30,10 +30,6 @@ var override atomic.Int32
 // none.
 var kernelOverride atomic.Int32
 
-// simOverride holds the programmatic simulation-engine worker override;
-// 0 means none.
-var simOverride atomic.Int32
-
 // envWorkers caches the ECFAULT_WORKERS parse. Read once: the environment
 // is not expected to change mid-process.
 var envWorkers = sync.OnceValue(func() int {
@@ -43,11 +39,6 @@ var envWorkers = sync.OnceValue(func() int {
 // envKernelWorkers caches the ECFAULT_KERNEL_WORKERS parse.
 var envKernelWorkers = sync.OnceValue(func() int {
 	return envCount("ECFAULT_KERNEL_WORKERS")
-})
-
-// envSimWorkers caches the ECFAULT_SIM_WORKERS parse.
-var envSimWorkers = sync.OnceValue(func() int {
-	return envCount("ECFAULT_SIM_WORKERS")
 })
 
 func envCount(key string) int {
@@ -107,33 +98,6 @@ func SetKernelWorkers(n int) int {
 		n = 0
 	}
 	return int(kernelOverride.Swap(int32(n)))
-}
-
-// SimWorkers returns the discrete-event engine's worker budget: the
-// programmatic override if set, else ECFAULT_SIM_WORKERS if set and
-// valid, else 1. Unlike Workers and KernelWorkers this budget does NOT
-// fall back to NumCPU: 1 keeps the engine on the untouched serial path,
-// and the time-partitioned parallel engine (simclock.RunParallel) is
-// byte-identical but opt-in, so campaigns choose between cell-level and
-// intra-run parallelism explicitly.
-func SimWorkers() int {
-	if n := simOverride.Load(); n > 0 {
-		return int(n)
-	}
-	if n := envSimWorkers(); n > 0 {
-		return n
-	}
-	return 1
-}
-
-// SetSimWorkers overrides the simulation-engine worker budget
-// process-wide. n <= 0 removes the override. It returns the previous
-// override (0 if none) so callers can restore it.
-func SetSimWorkers(n int) int {
-	if n < 0 {
-		n = 0
-	}
-	return int(simOverride.Swap(int32(n)))
 }
 
 // The worker pool. ForEach used to spawn fresh goroutines per call; for

@@ -26,21 +26,15 @@ import (
 // Time is simulated time since the start of the run.
 type Time = time.Duration
 
-// Sim is a discrete-event simulator. It is not safe for concurrent use;
-// everything runs on the caller's goroutine inside Run. RunParallel keeps
-// the same contract: callbacks always execute on the committing goroutine,
-// one at a time, in the exact order Run would fire them.
+// Sim is a discrete-event simulator. It is not safe for concurrent use:
+// everything, callbacks included, runs on the caller's goroutine inside
+// Run or RunUntil, one event at a time in (time, seq) order.
 type Sim struct {
 	now    Time
 	events []event // implicit 4-ary min-heap on (at, seq)
 	seq    uint64
 
 	freeJobs *job // freelist of in-service Queue job nodes
-
-	// par is non-nil while RunParallel is draining the simulation; it
-	// redirects schedule calls for beyond-window times to the sharded
-	// event streams (see parallel.go).
-	par *parRun
 }
 
 // event is one scheduled callback. fn and arg are stored separately so
@@ -95,17 +89,7 @@ func (s *Sim) schedule(t Time, fn func(any), arg any) {
 		panic(fmt.Sprintf("simclock: scheduling into the past (%v < %v)", t, s.now))
 	}
 	s.seq++
-	e := event{at: t, seq: s.seq, fn: fn, arg: arg}
-	if p := s.par; p != nil && t > p.windowEnd {
-		// Parallel mode: events beyond the committing window are staged
-		// on a sharded stream, to be drained and pre-sorted by the
-		// worker pool at a later window boundary. Events inside the
-		// window fall through to s.events, which doubles as the
-		// window's overflow heap (see parallel.go).
-		p.route(e)
-		return
-	}
-	s.events = append(s.events, e)
+	s.events = append(s.events, event{at: t, seq: s.seq, fn: fn, arg: arg})
 	heapUp(s.events, len(s.events)-1)
 }
 
@@ -154,10 +138,11 @@ func heapDown(h []event, i int) {
 	h[i] = e
 }
 
-// heapPop removes and returns the earliest event of heap h. The vacated
-// tail slot is zeroed so pooled arguments do not leak through the heap's
-// spare capacity.
-func heapPop(h []event) (event, []event) {
+// pop removes and returns the earliest event. The vacated tail slot is
+// zeroed so pooled arguments do not leak through the heap's spare
+// capacity.
+func (s *Sim) pop() event {
+	h := s.events
 	e := h[0]
 	n := len(h) - 1
 	h[0] = h[n]
@@ -166,12 +151,6 @@ func heapPop(h []event) (event, []event) {
 	if n > 0 {
 		heapDown(h, 0)
 	}
-	return e, h
-}
-
-// pop removes and returns the earliest event.
-func (s *Sim) pop() event {
-	e, h := heapPop(s.events)
 	s.events = h
 	return e
 }
@@ -198,17 +177,8 @@ func (s *Sim) RunUntil(t Time) {
 	}
 }
 
-// Pending reports the number of queued events, including events staged on
-// RunParallel's sharded streams.
-func (s *Sim) Pending() int {
-	n := len(s.events)
-	if p := s.par; p != nil {
-		for i := range p.shards {
-			n += len(p.shards[i].events) + len(p.shards[i].batch) - p.shards[i].cursor
-		}
-	}
-	return n
-}
+// Pending reports the number of queued events.
+func (s *Sim) Pending() int { return len(s.events) }
 
 // job is a pooled in-service Queue entry: it is the heap-event argument
 // for the job's completion, so running a job allocates nothing after the

@@ -159,16 +159,6 @@ func (n *Network) TransferArg(from, to string, bytes int64, fn func(any), arg an
 	src.egress.SubmitArg(wire, egressDone, t)
 }
 
-// Lookahead returns the minimum scheduling delay any network delivery
-// incurs: the intra-host loopback latency (latency/4), the smallest
-// increment Transfer ever schedules at. It is the conservative-PDES
-// lookahead bound the cluster hands to simclock.RunParallel — no
-// transfer completion can land closer to the present than this, so it
-// is the natural base window for staging future events.
-func (n *Network) Lookahead() simclock.Time {
-	return n.latency / 4
-}
-
 // HostUtilization returns cumulative egress and ingress busy time for a
 // host, used by the breakdown analysis.
 func (n *Network) HostUtilization(host string) (egress, ingress simclock.Time) {

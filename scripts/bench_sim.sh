@@ -3,7 +3,7 @@
 # (BenchmarkSimEngine, the single-worker Figure-2 suite).
 #
 # Usage:
-#   scripts/bench_sim.sh [-b bench-regex] [-n benchtime] [-g|-w]
+#   scripts/bench_sim.sh [-b bench-regex] [-n benchtime] [-g]
 #
 # Default mode compares the snapshot layer on the current tree:
 #   before = ECFAULT_NOSNAPSHOT=1 (every cell builds its cluster fresh)
@@ -14,26 +14,17 @@
 # as "before", then the stash is restored and the working tree benched
 # as "after". The working tree must be dirty, otherwise there is
 # nothing to compare.
-#
-# -w compares the event engine serial vs time-partitioned parallel on
-# the full-fidelity scale=1 suite:
-#   before = ECFAULT_SIM_WORKERS=1 (serial Run)
-#   after  = ECFAULT_SIM_WORKERS=$(nproc) (RunParallel, byte-identical)
-# The parallel engine only wins on real cores: on a single-core host the
-# mode prints a skip notice instead of a meaningless ratio.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BENCH='BenchmarkSimEngine/fig2suite/scale=50$'
 BENCHTIME=3x
 STASH_MODE=0
-SIMPAR_MODE=0
-while getopts "b:n:gw" opt; do
+while getopts "b:n:g" opt; do
   case "$opt" in
     b) BENCH="$OPTARG" ;;
     n) BENCHTIME="$OPTARG" ;;
     g) STASH_MODE=1 ;;
-    w) SIMPAR_MODE=1 ;;
     *) exit 2 ;;
   esac
 done
@@ -45,24 +36,6 @@ bench() { # bench <regex> <env...> -- runs the benchmark, prints ns/op
     -benchtime "$BENCHTIME" -count=1 2>/dev/null |
     awk '/^Benchmark/ { print $3; exit }'
 }
-
-if [ "$SIMPAR_MODE" = 1 ]; then
-  CORES=$(nproc)
-  SIMBENCH='BenchmarkSimEngine/fig2suite/scale=1$'
-  echo "== sim engine: serial (ECFAULT_SIM_WORKERS=1) =="
-  SB=$(bench "$SIMBENCH" ECFAULT_SIM_WORKERS=1)
-  echo "sim serial:   ${SB} ns/op"
-  if [ "$CORES" -lt 2 ]; then
-    echo "notice: single-core host (nproc=${CORES}); the parallel engine cannot win here — skipping the parallel leg"
-    exit 0
-  fi
-  echo "== sim engine: parallel (ECFAULT_SIM_WORKERS=${CORES}) =="
-  SP=$(bench "$SIMBENCH" ECFAULT_SIM_WORKERS="$CORES")
-  echo "sim parallel: ${SP} ns/op"
-  awk -v b="$SB" -v a="$SP" \
-    'BEGIN { printf "sim engine ratio: %.2fx\n", b / a }'
-  exit 0
-fi
 
 if [ "$STASH_MODE" = 1 ]; then
   if git diff --quiet && git diff --cached --quiet; then

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Repo-wide check: vet + build + tier-1 tests + race audit of the
-# concurrent packages + the benchmark module's self-test and smoke runs.
+# concurrent packages + the simclock ordering fuzz smokes + the benchmark
+# module's self-test and smoke runs.
 # Run from the repo root: ./scripts/check.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -25,12 +26,9 @@ go test -race -count=1 \
     ./internal/parallel \
     ./internal/tuner
 
-echo "== go test -race (parallel sim engine, ECFAULT_SIM_WORKERS=4) =="
-ECFAULT_SIM_WORKERS=4 go test -race -count=1 \
-    ./internal/simclock \
-    ./internal/simnet \
-    ./internal/core \
-    ./internal/experiments
+echo "== fuzz smoke (simclock: same-instant FIFO, RunUntil slicing) =="
+go test ./internal/simclock -run xxx -fuzz FuzzSimclockFIFO -fuzztime 10s
+go test ./internal/simclock -run xxx -fuzz FuzzRunUntilSlicing -fuzztime 10s
 
 echo "== go build/test (purego: portable word kernels, no asm) =="
 go build -tags purego ./...
