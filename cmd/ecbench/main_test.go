@@ -1,9 +1,41 @@
 package main
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"strings"
 	"testing"
 )
+
+// TestScale1Golden pins the full-scale evaluation to the byte. The
+// goldens in internal/experiments run at scale 50, where few events share
+// an instant; a change that reorders same-instant events (say, drawing a
+// delivery's sequence number at egress instead of at ingress completion)
+// passes all of them and still moves Fig. 2a and 2d at scale 1. The
+// hashes were recorded at commit b4a9cbd and must only change together
+// with an explanation of which simulated value moved and why.
+func TestScale1Golden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the paper's full campaign twice (about 2 s)")
+	}
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-scale", "1"}, "d7fc21617ebea203938ed757dddbe8f9e1b1057c123b842b17ac9e6714139691"},
+		{[]string{"-scale", "1", "-json"}, "466d6eb472e8de7758c54753b96fc26f825ef464f2bedfc4a6556801d122f21a"},
+	} {
+		var buf bytes.Buffer
+		if err := run(tc.args, &buf); err != nil {
+			t.Fatalf("ecbench %v: %v", tc.args, err)
+		}
+		sum := sha256.Sum256(buf.Bytes())
+		if got := hex.EncodeToString(sum[:]); got != tc.want {
+			t.Errorf("ecbench %v: sha256 %s, want %s (%d bytes)", tc.args, got, tc.want, buf.Len())
+		}
+	}
+}
 
 func TestParseOnly(t *testing.T) {
 	for _, tc := range []struct {

@@ -214,6 +214,14 @@ type Store struct {
 	ecMetaBytes int64
 
 	dataWorkingSet int64 // set by the experiment runner; see SetDataWorkingSet
+
+	// profile memoises AccessProfile. Everything it reads — the KV
+	// footprint, accountedMeta, ecMetaBytes, count, dataWorkingSet and the
+	// config — changes only in WriteChunk, WriteChunksBulk, dropLocked and
+	// SetDataWorkingSet, which clear profileValid; recovery asks once per
+	// helper per repaired object in between.
+	profile      [3]float64
+	profileValid bool
 }
 
 // normalizeConfig applies the zero-value defaults Open documents.
@@ -339,6 +347,7 @@ func (s *Store) WriteChunk(id ChunkID, size, objectShare int64, payload []byte) 
 	if old, ok := s.lookupLocked(id); ok {
 		s.dropLocked(id, old)
 	}
+	s.profileValid = false
 	info := chunkInfo{size: size, share: objectShare}
 	allocated := roundUp(size, s.cfg.MinAllocSize)
 
@@ -423,6 +432,7 @@ func (s *Store) WriteChunksBulk(pg *BulkPG, shard int) error {
 	if err := s.dev.AccountWrites(devBytes, n); err != nil {
 		return fmt.Errorf("bluestore: %w", err)
 	}
+	s.profileValid = false
 	s.kv.PutAccountedN(keyBytes, n*s.cfg.OnodeBytes, n)
 	s.dataAllocated += allocSum
 	s.accountedMeta += metaSum
@@ -582,6 +592,7 @@ func (s *Store) DeleteChunk(id ChunkID) error {
 // the base runs hold is tombstoned in the overlay, any other just leaves
 // it. Callers must hold s.mu.
 func (s *Store) dropLocked(id ChunkID, info chunkInfo) {
+	s.profileValid = false
 	s.dataAllocated -= roundUp(info.size, s.cfg.MinAllocSize)
 	s.accountedMeta -= s.metaRecordBytes(info.size)
 	s.ecMetaBytes -= s.ecMeta(info.share)
@@ -639,6 +650,7 @@ func (s *Store) SetDataWorkingSet(bytes int64) {
 		panic("bluestore: SetDataWorkingSet on frozen store")
 	}
 	s.dataWorkingSet = bytes
+	s.profileValid = false
 }
 
 // Freeze makes the store and its device and KV store immutable so they
@@ -703,10 +715,19 @@ func (s *Store) Fork(cfg Config) (*Store, error) {
 // lookups, KV reads, and data reads, under the configured cache scheme.
 // Autotune performs a water-filling allocation across the three pools in
 // proportion to their demand, which is what BlueStore's cache autotuner
-// converges to.
+// converges to. The fractions are computed when the store's contents or
+// working set have changed since the last call and remembered otherwise.
 func (s *Store) AccessProfile() (metaHit, kvHit, dataHit float64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if !s.profileValid {
+		s.profile = s.accessProfileLocked()
+		s.profileValid = true
+	}
+	return s.profile[0], s.profile[1], s.profile[2]
+}
+
+func (s *Store) accessProfileLocked() [3]float64 {
 	kvNeed := float64(s.kv.Footprint()) + s.cfg.KVSpaceAmp*float64(s.accountedMeta) + float64(s.ecMetaBytes)
 	metaNeed := float64(int64(s.count) * s.cfg.OnodeBytes)
 	dataNeed := float64(s.dataWorkingSet)
@@ -736,12 +757,12 @@ func (s *Store) AccessProfile() (metaHit, kvHit, dataHit float64) {
 		}
 		return f
 	}
-	return hit(metaCache, metaNeed), hit(kvCache, kvNeed), hit(dataCache, dataNeed)
+	return [3]float64{hit(metaCache, metaNeed), hit(kvCache, kvNeed), hit(dataCache, dataNeed)}
 }
 
 // waterFill splits cache across pools proportionally to demand, never
 // granting a pool more than it needs, and redistributing the surplus.
-// It runs once per helper per repaired object, so it works on arrays.
+// It works on arrays: no call allocates.
 func waterFill(total float64, needs [3]float64) (grant [3]float64) {
 	remaining := total
 	for iter := 0; iter < 4; iter++ {

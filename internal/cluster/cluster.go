@@ -83,6 +83,8 @@ type OSD struct {
 	up bool // process alive
 	in bool // in the CRUSH map
 
+	nic *simnet.Host // the host's NIC, resolved once at construction
+
 	disk    *simclock.Queue     // device service queue
 	cpu     *simclock.Queue     // decode/peering CPU
 	reserve *simclock.Semaphore // recovery/backfill reservations (osd_max_backfills)
@@ -203,7 +205,7 @@ func build(cfg Config, mkStore func(cfg Config, id, hostIdx, devIdx int) (*blues
 		pools: map[string]*Pool{},
 		log:   log,
 	}
-	if err := net.AddHost("mon0"); err != nil {
+	if _, err := net.AddHost("mon0"); err != nil {
 		return nil, err
 	}
 	for r := 0; r < cfg.Racks; r++ {
@@ -220,7 +222,8 @@ func build(cfg Config, mkStore func(cfg Config, id, hostIdx, devIdx int) (*blues
 		if err := b.AddHost(host, rack); err != nil {
 			return nil, err
 		}
-		if err := net.AddHost(host); err != nil {
+		nic, err := net.AddHost(host)
+		if err != nil {
 			return nil, err
 		}
 		for d := 0; d < cfg.OSDsPerHost; d++ {
@@ -242,6 +245,7 @@ func build(cfg Config, mkStore func(cfg Config, id, hostIdx, devIdx int) (*blues
 				Store:   store,
 				up:      true,
 				in:      true,
+				nic:     nic,
 				disk:    sim.NewQueue(1),
 				cpu:     sim.NewQueue(1),
 				reserve: sim.NewSemaphore(backfills),

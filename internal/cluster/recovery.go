@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/erasure"
 	"repro/internal/simclock"
+	"repro/internal/simnet"
 )
 
 // monitor is the MON/MGR node: it tracks heartbeats, marks OSDs down and
@@ -467,13 +468,13 @@ type pgRecovery struct {
 // its per-helper and per-lost-chunk legs. All three recycle through
 // cluster-level freelists.
 type objRepair struct {
-	pr          *pgRecovery
-	obj         *ObjectRecord
-	units       int64
-	srcBytes    int64
-	helpersLeft int
-	writesLeft  int
-	next        *objRepair
+	pr         *pgRecovery
+	obj        *ObjectRecord
+	units      int64
+	srcBytes   int64
+	helpers    simnet.Gather // the helper ships converging on the primary
+	writesLeft int
+	next       *objRepair
 }
 
 type helperRead struct {
@@ -578,14 +579,17 @@ func (pr *pgRecovery) repair(obj *ObjectRecord) {
 	hios := pr.hiosFor(obj.ChunkSize)
 	or := c.newObjRepair()
 	or.pr, or.obj, or.units = pr, obj, pr.units
-	or.helpersLeft = len(hios)
 	if len(hios) == 0 {
 		or.decode()
 		return
 	}
+	// Every helper is announced to the gather here; the first ships from
+	// helperReadDone, an event later at the earliest.
+	or.helpers.Reset(pr.primary.nic, helpersArrived, or)
 	for i := range hios {
 		hio := &hios[i]
 		helper := c.osds[hio.osd]
+		or.helpers.Expect(helper.nic)
 		hMetaHit, hKVHit, hDataHit := helper.Store.AccessProfile()
 		missFrac := 1 - (hMetaHit+hKVHit)/2
 		effBytes := int64(float64(hio.diskBytes) * (1 - hDataHit*cm.ColdDataFraction))
@@ -603,32 +607,29 @@ func (pr *pgRecovery) repair(obj *ObjectRecord) {
 }
 
 // helperReadDone fires when a helper's disk read completes: account the
-// device traffic and ship the planned bytes to the primary.
+// device traffic and ship the planned bytes to the primary. The ship is a
+// member of the object's gather, so nothing of the helper's leg outlives
+// this event and NetworkBytes, which is read only after the run, is
+// charged here.
 func helperReadDone(a any) {
 	hr := a.(*helperRead)
 	or := hr.or
 	pr := or.pr
 	hio := hr.hio
+	pr.c.freeHelperRead(hr)
 	helper := pr.c.osds[hio.osd]
 	// Device-level accounting of the sub-chunk reads (what ReadSubChunks
 	// did, minus building a chunk name only to discard it).
 	_ = helper.Store.Device().AccountRead(hio.diskBytes)
 	pr.res.HelperDiskBytes += hio.diskBytes
+	pr.res.NetworkBytes += hio.netBytes
 	or.srcBytes += hio.netBytes
-	pr.c.net.TransferArg(helper.Host, pr.primary.Host, hio.netBytes, helperShipDone, hr)
+	pr.c.net.Ship(&or.helpers, helper.nic, hio.netBytes)
 }
 
-func helperShipDone(a any) {
-	hr := a.(*helperRead)
-	or := hr.or
-	pr := or.pr
-	pr.res.NetworkBytes += hr.hio.netBytes
-	pr.c.freeHelperRead(hr)
-	or.helpersLeft--
-	if or.helpersLeft == 0 {
-		or.decode()
-	}
-}
+// helpersArrived fires once per object, when the last helper's bytes
+// have reached the primary.
+func helpersArrived(a any) { a.(*objRepair).decode() }
 
 // decode schedules the primary's reconstruction once every helper's bytes
 // have arrived. Sub-chunk transforms per decode: the plan's pattern
@@ -656,7 +657,7 @@ func decodeDone(a any) {
 		target := c.osds[pr.targets[li]]
 		w := c.newChunkWrite()
 		w.or, w.li = or, li
-		c.net.TransferArg(pr.primary.Host, target.Host, obj.ChunkSize, writeShipDone, w)
+		c.net.Send(pr.primary.nic, target.nic, obj.ChunkSize, writeShipDone, w)
 	}
 }
 

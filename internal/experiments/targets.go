@@ -1,6 +1,9 @@
 package experiments
 
-import "math"
+import (
+	"math"
+	"sort"
+)
 
 // PaperTargets holds the values read from the paper's figures and tables,
 // used to report paper-vs-measured deltas. Figure bars are normalized
@@ -83,8 +86,9 @@ func (d Delta) RelErr() float64 {
 	return d.AbsErr() / d.Paper
 }
 
-// CompareFigure lines a measured figure up against the paper's bars.
-// Bars the paper does not publish are skipped.
+// CompareFigure lines a measured figure up against the paper's bars,
+// sorted by key so every rendering and every sum over them repeats. Bars
+// the paper does not publish are skipped.
 func CompareFigure(fig *Figure) []Delta {
 	targets := Targets().Figures[fig.ID]
 	var out []Delta
@@ -96,6 +100,7 @@ func CompareFigure(fig *Figure) []Delta {
 			}
 		}
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out
 }
 

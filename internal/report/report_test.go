@@ -35,6 +35,30 @@ func TestFigureRendering(t *testing.T) {
 	}
 }
 
+// TestComparisonRepeats renders one figure's paper comparison many times:
+// the rows come from a map per cell, and used to print in map order.
+func TestComparisonRepeats(t *testing.T) {
+	fig := &experiments.Figure{ID: "fig2c", Baseline: time.Second}
+	for _, cfg := range []string{"64MB", "4KB", "4MB"} {
+		fig.Cells = append(fig.Cells, experiments.Cell{Config: cfg, Values: map[string]float64{"RS(12,9)": 1.0, "Clay(12,9,11)": 1.5}})
+	}
+	first := Comparison(fig)
+	if strings.Count(first, "\n") != 7 {
+		t.Fatalf("want a heading and six rows, got:\n%s", first)
+	}
+	for i := 0; i < 50; i++ {
+		if again := Comparison(fig); again != first {
+			t.Fatalf("render %d differs:\n%s\nvs\n%s", i, again, first)
+		}
+	}
+	deltas := experiments.CompareFigure(fig)
+	for i := 1; i < len(deltas); i++ {
+		if deltas[i-1].Key >= deltas[i].Key {
+			t.Fatalf("deltas not sorted by key: %q before %q", deltas[i-1].Key, deltas[i].Key)
+		}
+	}
+}
+
 func TestFigureBars(t *testing.T) {
 	out := FigureBars(sampleFigure())
 	if !strings.Contains(out, "█") {

@@ -204,7 +204,7 @@ func TestArgVariantsDeliverArg(t *testing.T) {
 }
 
 // TestSteadyStateAllocFree verifies the hot path stays allocation-free
-// once the heap slice, ring and job freelist are warm: scheduling through
+// once the heap, slot slab and ring are warm: scheduling through
 // the *Arg variants and running to empty must not allocate.
 func TestSteadyStateAllocFree(t *testing.T) {
 	s := New()
@@ -219,7 +219,7 @@ func TestSteadyStateAllocFree(t *testing.T) {
 		}
 		s.Run()
 	}
-	load() // warm the heap capacity, ring and freelist
+	load() // warm the heap, slot slab and ring
 	allocs := testing.AllocsPerRun(10, load)
 	if allocs != 0 {
 		t.Fatalf("steady-state run allocated %.1f times per cycle", allocs)

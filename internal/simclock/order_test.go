@@ -62,7 +62,7 @@ func runNode(a any) {
 	}
 	switch {
 	case h&0xf == 0 && tr.budget > 0:
-		// Ride the pooled-job Queue path: service time from the hash,
+		// Ride the Queue path: service time from the hash,
 		// completion records a tagged entry.
 		tr.budget--
 		tr.q.SubmitArg(Time(h%uint64(50*time.Microsecond)), queueDone, &node{tr: tr, id: h ^ 0xabcdef})

@@ -1,0 +1,132 @@
+package simclock
+
+import (
+	"reflect"
+	"testing"
+	"time"
+	"unsafe"
+)
+
+// pointerBearing reports whether a value of type t holds anything the
+// garbage collector has to trace.
+func pointerBearing(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Bool,
+		reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return false
+	case reflect.Array:
+		return t.Len() > 0 && pointerBearing(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if pointerBearing(t.Field(i).Type) {
+				return true
+			}
+		}
+		return false
+	}
+	return true // pointers, strings, slices, maps, chans, funcs, interfaces
+}
+
+// TestHeapEntryIsPointerFree guards the reason the heap is cheap to sift:
+// an entry the collector never scans, moved without a write barrier, three
+// words long. A callback or argument stored in the entry again would
+// compile, pass every ordering test and bring the barriers back.
+func TestHeapEntryIsPointerFree(t *testing.T) {
+	typ := reflect.TypeOf(entry{})
+	for i := 0; i < typ.NumField(); i++ {
+		if f := typ.Field(i); pointerBearing(f.Type) {
+			t.Errorf("entry.%s (%s) carries a pointer", f.Name, f.Type)
+		}
+	}
+	if size := unsafe.Sizeof(entry{}); size != 24 {
+		t.Errorf("entry is %d bytes, want 24", size)
+	}
+	if !pointerBearing(reflect.TypeOf(slot{})) {
+		t.Error("pointerBearing finds no pointer in slot, which holds a func, an any and a *Queue")
+	}
+}
+
+// TestSlotSlabTracksPending runs random spawn trees through At, After and
+// a Queue and checks, inside every callback, that the slots in use are
+// exactly the pending events — the firing event's slot is already cleared,
+// so it no longer references its callback or argument — and, at the end,
+// that the slab grew to the peak number of pending events and no further,
+// that every slot is empty, and that the census adds up.
+func TestSlotSlabTracksPending(t *testing.T) {
+	for seed := uint64(1); seed <= 8; seed++ {
+		s := New()
+		q := s.NewQueue(2)
+		budget, fired, peak := 1500, 0, 0
+		inUse := func() (n int) {
+			for i := range s.slots {
+				if sl := &s.slots[i]; sl.fn != nil || sl.arg != nil || sl.q != nil {
+					n++
+				}
+			}
+			return n
+		}
+		var visit func(a any)
+		visit = func(a any) {
+			fired++
+			if got := inUse(); got != s.Pending() {
+				t.Fatalf("seed %d at %v: %d slots in use, %d events pending", seed, s.Now(), got, s.Pending())
+			}
+			peak = max(peak, s.Pending()) // a promoted Queue job may just have been scheduled
+			h := mix(*a.(*uint64))
+			for i := 0; i < int(h&3) && budget > 0; i++ {
+				budget--
+				h = mix(h + uint64(i) + 1)
+				d, child := Time(h%uint64(200*time.Microsecond)), h
+				if h&8 == 0 {
+					q.SubmitArg(d, visit, &child)
+				} else {
+					s.AfterArg(d, visit, &child)
+				}
+				peak = max(peak, s.Pending())
+			}
+		}
+		r := seed
+		for i := 0; i < 16; i++ {
+			r = mix(r + uint64(i))
+			id := mix(r)
+			s.AtArg(Time(r%uint64(2*time.Millisecond)), visit, &id)
+		}
+		peak = max(peak, s.Pending())
+		s.Run()
+
+		st := s.Stats()
+		if fired < 1000 {
+			t.Fatalf("seed %d: only %d events fired", seed, fired)
+		}
+		if st.HeapPeak != peak || st.SlotPeak != peak {
+			t.Errorf("seed %d: heap peak %d, slab %d slots, for at most %d pending events", seed, st.HeapPeak, st.SlotPeak, peak)
+		}
+		if n := inUse(); n != 0 {
+			t.Errorf("seed %d: %d slots still hold a callback after the run", seed, n)
+		}
+		if st.Scheduled != uint64(fired) || st.Fired != uint64(fired) {
+			t.Errorf("seed %d: scheduled %d, fired %d, callbacks run %d", seed, st.Scheduled, st.Fired, fired)
+		}
+	}
+}
+
+// TestStatsMidRun reads the census with events still pending.
+func TestStatsMidRun(t *testing.T) {
+	s := New()
+	q := s.NewQueue(1)
+	for i := 1; i <= 5; i++ {
+		s.At(Time(i)*time.Second, func() {})
+	}
+	q.Submit(10*time.Second, nil) // in service: scheduled
+	q.Submit(10*time.Second, nil) // waiting: not scheduled until promoted
+	s.RunUntil(3 * time.Second)
+	if st := s.Stats(); st != (Stats{Scheduled: 6, Fired: 3, HeapPeak: 6, SlotPeak: 6}) {
+		t.Fatalf("mid-run stats %+v", st)
+	}
+	s.Run()
+	if st := s.Stats(); st != (Stats{Scheduled: 7, Fired: 7, HeapPeak: 6, SlotPeak: 6}) {
+		t.Fatalf("final stats %+v", st)
+	}
+}

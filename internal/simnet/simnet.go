@@ -17,7 +17,7 @@ type Network struct {
 	sim       *simclock.Sim
 	bandwidth float64 // NIC bandwidth in bytes/sec, full duplex
 	latency   simclock.Time
-	hosts     map[string]*hostNIC
+	hosts     map[string]*Host
 
 	freeTransfers *transfer // pooled in-flight transfer state
 
@@ -26,7 +26,9 @@ type Network struct {
 	BytesMoved int64
 }
 
-type hostNIC struct {
+// Host is a registered host's NIC. Callers that transfer often keep the
+// handle AddHost returned, so the hot path never looks a name up.
+type Host struct {
 	egress  *simclock.Queue
 	ingress *simclock.Queue
 }
@@ -53,20 +55,22 @@ func New(sim *simclock.Sim, cfg Config) *Network {
 		sim:       sim,
 		bandwidth: cfg.BandwidthBytesPerSec,
 		latency:   cfg.Latency,
-		hosts:     map[string]*hostNIC{},
+		hosts:     map[string]*Host{},
 	}
 }
 
-// AddHost registers a host NIC. Duplicate names are rejected.
-func (n *Network) AddHost(name string) error {
+// AddHost registers a host NIC and returns its handle. Duplicate names
+// are rejected.
+func (n *Network) AddHost(name string) (*Host, error) {
 	if _, ok := n.hosts[name]; ok {
-		return fmt.Errorf("simnet: duplicate host %q", name)
+		return nil, fmt.Errorf("simnet: duplicate host %q", name)
 	}
-	n.hosts[name] = &hostNIC{
+	h := &Host{
 		egress:  n.sim.NewQueue(1),
 		ingress: n.sim.NewQueue(1),
 	}
-	return nil
+	n.hosts[name] = h
+	return h, nil
 }
 
 // serviceTime converts a payload size to wire time at NIC speed.
@@ -77,13 +81,15 @@ func (n *Network) serviceTime(bytes int64) simclock.Time {
 
 // transfer is the pooled in-flight state of one inter-host transfer: it
 // rides the egress and ingress completion events as their fixed argument,
-// so a transfer allocates nothing once the freelist warms up.
+// so a transfer allocates nothing once the freelist warms up. A transfer
+// delivers either to its own callback or, as a member of a Gather, to g.
 type transfer struct {
 	n    *Network
-	dst  *hostNIC
+	dst  *Host
 	wire simclock.Time
 	fn   func(any)
 	arg  any
+	g    *Gather
 	next *transfer
 }
 
@@ -106,10 +112,24 @@ func egressDone(a any) {
 	t.dst.ingress.SubmitArg(t.wire, ingressDone, t)
 }
 
+// ingressDone fires when a payload has cleared the receiver's NIC; the
+// receiver sees it one latency later. A Gather member that is not the
+// last of its gather through this NIC is counted as arrived here, without
+// an event of its own: the NIC is a single FIFO server and the latency is
+// one constant, so the last member through arrives after every earlier
+// one, nothing can complete the gather before it does, and nothing else
+// reads an earlier member's arrival time.
 func ingressDone(a any) {
 	t := a.(*transfer)
-	n, fn, arg := t.n, t.fn, t.arg
+	n, fn, arg, g := t.n, t.fn, t.arg, t.g
 	n.freeTransfer(t)
+	if g != nil {
+		g.remote--
+		if g.remote > 0 {
+			g.left--
+			return
+		}
+	}
 	n.sim.AfterArg(n.latency, fn, arg)
 }
 
@@ -119,44 +139,93 @@ func noop(any) {}
 // payload has fully arrived. Intra-host transfers skip the NIC and incur
 // only loopback latency.
 func (n *Network) Transfer(from, to string, bytes int64, done func()) {
-	if done == nil {
-		n.TransferArg(from, to, bytes, nil, nil)
-		return
+	fn, arg := noop, any(nil)
+	if done != nil {
+		fn, arg = callThunk, done
 	}
-	n.TransferArg(from, to, bytes, callThunk, done)
+	n.Send(n.host("source", from), n.host("destination", to), bytes, fn, arg)
 }
 
 func callThunk(a any) { a.(func())() }
 
-// TransferArg is the allocation-free form of Transfer: fn(arg) fires when
-// the payload has fully arrived (fn may be nil).
-func (n *Network) TransferArg(from, to string, bytes int64, fn func(any), arg any) {
+func (n *Network) host(role, name string) *Host {
+	h, ok := n.hosts[name]
+	if !ok {
+		panic("simnet: unknown " + role + " host " + name)
+	}
+	return h
+}
+
+// Send is the allocation-free, pre-resolved form of Transfer: fn(arg)
+// fires when the payload has fully arrived at to.
+func (n *Network) Send(from, to *Host, bytes int64, fn func(any), arg any) {
+	n.send(from, to, bytes, fn, arg, nil)
+}
+
+// send is the one transfer implementation: a plain transfer delivers to
+// fn(arg), a gather member (g != nil) to its gather.
+func (n *Network) send(from, to *Host, bytes int64, fn func(any), arg any, g *Gather) {
 	if bytes < 0 {
 		panic("simnet: negative transfer")
-	}
-	if fn == nil {
-		fn = noop
 	}
 	if from == to {
 		n.sim.AfterArg(n.latency/4, fn, arg)
 		return
 	}
-	src, ok := n.hosts[from]
-	if !ok {
-		panic("simnet: unknown source host " + from)
-	}
-	dst, ok := n.hosts[to]
-	if !ok {
-		panic("simnet: unknown destination host " + to)
-	}
 	n.BytesMoved += bytes
 	wire := n.serviceTime(bytes)
 	t := n.newTransfer()
-	t.n, t.dst, t.wire, t.fn, t.arg = n, dst, wire, fn, arg
+	t.n, t.dst, t.wire, t.fn, t.arg, t.g = n, to, wire, fn, arg, g
 	// Store-and-forward through sender egress then receiver ingress: both
 	// NICs are occupied for the payload's wire time, so concurrent flows
 	// sharing either end contend there.
-	src.egress.SubmitArg(wire, egressDone, t)
+	from.egress.SubmitArg(wire, egressDone, t)
+}
+
+// Gather is a fan-in: several payloads converging on one host whose
+// owner acts once, when the last has arrived, and never asks when any
+// other one did. That lets the network deliver all of a gather's remote
+// members with a single latency event (see ingressDone) instead of one
+// each. The zero value is ready for Reset; a Gather is reusable once it
+// has fired.
+type Gather struct {
+	to     *Host
+	remote int // remote members that have not cleared to's NIC yet
+	left   int // members that have not arrived yet
+	fn     func(any)
+	arg    any
+}
+
+// Reset arms g to call fn(arg) when every member announced by Expect has
+// arrived at to.
+func (g *Gather) Reset(to *Host, fn func(any), arg any) {
+	*g = Gather{to: to, fn: fn, arg: arg}
+}
+
+// Expect announces one member that Ship will later send from the given
+// host. Every member must be announced before the first is shipped: the
+// network tells the last remote member by counting the outstanding ones.
+func (g *Gather) Expect(from *Host) {
+	g.left++
+	if from != g.to {
+		g.remote++
+	}
+}
+
+// Ship sends one announced member of g. Members from the receiving host
+// itself skip the NIC and arrive after the loopback latency, as in Send.
+func (n *Network) Ship(g *Gather, from *Host, bytes int64) {
+	n.send(from, g.to, bytes, gatherArrive, g, g)
+}
+
+// gatherArrive is the arrival of a member that kept its delivery event:
+// an intra-host member, or the last remote member through the NIC.
+func gatherArrive(a any) {
+	g := a.(*Gather)
+	g.left--
+	if g.left == 0 {
+		g.fn(g.arg)
+	}
 }
 
 // HostUtilization returns cumulative egress and ingress busy time for a

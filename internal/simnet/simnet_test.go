@@ -13,7 +13,7 @@ func newNet(t *testing.T, hosts ...string) (*simclock.Sim, *Network) {
 	// 1 MB/s and zero latency make arithmetic exact in tests.
 	net := New(sim, Config{BandwidthBytesPerSec: 1e6, Latency: 0})
 	for _, h := range hosts {
-		if err := net.AddHost(h); err != nil {
+		if _, err := net.AddHost(h); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -58,7 +58,7 @@ func TestIngressContention(t *testing.T) {
 func TestIntraHostBypassesNIC(t *testing.T) {
 	sim := simclock.New()
 	net := New(sim, Config{BandwidthBytesPerSec: 1e6, Latency: 400 * time.Microsecond})
-	if err := net.AddHost("a"); err != nil {
+	if _, err := net.AddHost("a"); err != nil {
 		t.Fatal(err)
 	}
 	var done simclock.Time
@@ -88,7 +88,7 @@ func TestBytesMovedAccounting(t *testing.T) {
 
 func TestDuplicateHostRejected(t *testing.T) {
 	_, net := newNet(t, "a")
-	if err := net.AddHost("a"); err == nil {
+	if _, err := net.AddHost("a"); err == nil {
 		t.Fatal("duplicate host accepted")
 	}
 }
@@ -106,8 +106,8 @@ func TestUnknownHostPanics(t *testing.T) {
 func TestLatencyApplied(t *testing.T) {
 	sim := simclock.New()
 	net := New(sim, Config{BandwidthBytesPerSec: 1e6, Latency: time.Millisecond})
-	_ = net.AddHost("a")
-	_ = net.AddHost("b")
+	_, _ = net.AddHost("a")
+	_, _ = net.AddHost("b")
 	var done simclock.Time
 	net.Transfer("a", "b", 1_000_000, func() { done = sim.Now() })
 	sim.Run()

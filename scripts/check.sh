@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Repo-wide check: vet + build + tier-1 tests + race audit of the
-# concurrent packages + the simclock ordering fuzz smokes + the benchmark
-# module's self-test and smoke runs.
+# Repo-wide check: vet + build + tier-1 tests (the scale-1 golden of
+# cmd/ecbench included) + race audit of the concurrent packages + the
+# engine's ordering and gather fuzz smokes + the benchmark module's
+# self-test and smoke runs.
 # Run from the repo root: ./scripts/check.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -12,7 +13,9 @@ go vet ./...
 echo "== go build =="
 go build ./...
 
-echo "== go test (tier 1) =="
+# No -short here: cmd/ecbench's TestScale1Golden hashes the full-scale
+# evaluation (about 2 s) and -short would skip it.
+echo "== go test (tier 1, with the scale-1 golden) =="
 go test ./...
 
 echo "== go test -race (concurrent packages + kernels) =="
@@ -26,9 +29,10 @@ go test -race -count=1 \
     ./internal/parallel \
     ./internal/tuner
 
-echo "== fuzz smoke (simclock: same-instant FIFO, RunUntil slicing) =="
+echo "== fuzz smoke (simclock: same-instant FIFO, RunUntil slicing; simnet: gather == per-ship) =="
 go test ./internal/simclock -run xxx -fuzz FuzzSimclockFIFO -fuzztime 10s
 go test ./internal/simclock -run xxx -fuzz FuzzRunUntilSlicing -fuzztime 10s
+go test ./internal/simnet -run xxx -fuzz FuzzGatherMatchesPerShip -fuzztime 10s
 
 echo "== go build/test (purego: portable word kernels, no asm) =="
 go build -tags purego ./...
