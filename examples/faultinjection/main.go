@@ -1,7 +1,8 @@
 // Fault injection: drives the ECFault Worker/NVMe-oF path directly — the
-// §3.1/§3.2 machinery. It provisions virtual NVMe disks over TCP, writes
-// real objects through the cluster, removes a subsystem with the worker
-// (the nvmetcli-style device fault), and shows the system recovering the
+// §3.1/§3.2 machinery. It writes real objects through the cluster, takes
+// control of the fault targets' devices by exporting them as virtual NVMe
+// disks over TCP, removes their subsystems with the worker (the
+// nvmetcli-style device fault), and shows the system recovering the
 // payload bit-exact.
 package main
 
@@ -36,15 +37,6 @@ func main() {
 	defer co.Close()
 	cl := co.Cluster()
 
-	fmt.Printf("provisioned %d hosts; each OSD device exported via the NVMe-oF worker:\n", len(co.Workers()))
-	shown := 0
-	for host, w := range co.Workers() {
-		if shown < 3 {
-			fmt.Printf("  worker %s target at %s, %d namespaces\n", host, w.Addr(), len(w.Provisioned()))
-			shown++
-		}
-	}
-
 	// Create the pool and store real objects.
 	if _, err := cl.CreatePool(co.PoolConfig()); err != nil {
 		log.Fatal(err)
@@ -74,11 +66,15 @@ func main() {
 	// Apply the device fault through the worker's remote-storage control
 	// path, then let the cluster detect and recover.
 	for _, id := range plan.OSDs {
-		host := cl.Crush().HostOf(id)
-		if err := co.Workers()[host].FailDevice(id); err != nil {
+		w, err := co.DeviceWorker(id)
+		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("  removed NVMe subsystem of osd.%d on %s — device now errors\n", id, host)
+		fmt.Printf("  osd.%d exported by worker %s, target at %s, %d namespace(s)\n", id, w.Host(), w.Addr(), len(w.Provisioned()))
+		if err := w.FailDevice(id); err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("  removed NVMe subsystem of osd.%d on %s — device now errors\n", id, w.Host())
 	}
 	inj.Inject(plan)
 	res, err := cl.RecoverPool(p.Pool.Name)

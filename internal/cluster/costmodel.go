@@ -35,13 +35,14 @@ type CostModel struct {
 	DecodeBW float64
 	// ClaySubChunkCPU is the pure transform CPU per processed sub-chunk
 	// of Clay's plane-by-plane repair (pairwise transforms, per-plane
-	// solves), calibrated against BENCH_CODEC.json.
+	// solves), calibrated against the codec micro-benchmarks (CHANGES.md,
+	// PR 2/3; numbers at DefaultCostModel).
 	ClaySubChunkCPU simclock.Time
 	// ClaySubChunkOp is the per-sub-chunk operation overhead beyond the
 	// transform itself — fragmented sub-chunk read handling, RPC
-	// batching, plane bookkeeping in the OSD — which BENCH_CODEC's pure
-	// codec benchmark cannot see but the paper's Fig. 2c blowup at tiny
-	// stripe units requires. Together the two terms keep the calibrated
+	// batching, plane bookkeeping in the OSD — which a pure codec
+	// benchmark cannot see but the paper's Fig. 2c blowup at tiny stripe
+	// units requires. Together the two terms keep the calibrated
 	// 10us/sub-chunk the figures were validated against.
 	ClaySubChunkOp simclock.Time
 
@@ -107,7 +108,8 @@ func DefaultCostModel() CostModel {
 		PerIOOverhead: 16 * time.Microsecond,
 		MetaLookup:    30 * time.Millisecond,
 
-		// Recalibrated against BENCH_CODEC.json (post word-kernel numbers):
+		// Calibrated against BenchmarkKernel* after the word kernels
+		// landed (CHANGES.md, PR 2/3):
 		// RS(12,9) repair of a 64 KiB shard consumes ~11 source shards in
 		// ~273 µs => ~2.1 GB/s of source data through one core; Clay repair
 		// at the same size (297 sub-chunk transform/solve ops, 466 µs total)

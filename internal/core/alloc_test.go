@@ -28,8 +28,9 @@ func allocated(t *testing.T, f func() error) (mallocs, bytes uint64) {
 // default stores 120,000 chunks; when each cost a map entry and a name, a
 // cold run made 250,381 allocations totalling 63.8 MB. With bulk-loaded
 // chunks held as base runs the figures are 3,850 allocations / 1.7 MB for
-// Populate and 19,760 / 4.6 MB for a cold Run; the budgets sit about 25%
-// above those, far below what one allocation per chunk would cost.
+// Populate and 17,660 / 4.7 MB for a Run (Populate, then one fork); the
+// budgets sit 25-40% above those, far below what one allocation per chunk
+// would cost.
 func TestAllocationBudget(t *testing.T) {
 	p := DefaultProfile()
 	for _, tc := range []struct {

@@ -2,9 +2,11 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
+	"repro/internal/blockdev"
 	"repro/internal/cluster"
 	"repro/internal/iostat"
 	"repro/internal/logsys"
@@ -53,27 +55,30 @@ type Result struct {
 type Coordinator struct {
 	mgr     *ECManager
 	cluster *cluster.Cluster
-	workers map[string]*Worker
+	workers map[string]*Worker // started by DeviceWorker, on first use
 	loggers map[string]*logsys.NodeLogger
 	broker  *msgbus.Broker
 	sampler *iostat.Sampler
 
 	classifier *Classifier
-
-	// lazyProvision marks environments built on a cluster snapshot fork:
-	// NVMe-oF provisioning is skipped up front and paid only for the
-	// devices a device-level fault actually targets.
-	lazyProvision bool
-	provisioned   map[int]bool
 }
 
 // Classifier aliases the log classifier type for the public API.
 type Classifier = logsys.Classifier
 
-// NewCoordinator builds the full experiment environment for a profile:
-// the simulated cluster, one Worker per host with NVMe-oF-provisioned
-// devices, per-node Loggers and the message bus.
+// NewCoordinator builds the experiment environment for a profile on a
+// freshly built root cluster: per-node Loggers, the message bus and the
+// iostat sampler. Workers start, and devices are exported over NVMe-oF,
+// when DeviceWorker first asks for them.
 func NewCoordinator(p Profile) (*Coordinator, error) {
+	return newCoordinator(p, cluster.New)
+}
+
+// newCoordinator is the one constructor of the environment around a
+// cluster. build turns the profile's cluster config, whose log sink feeds
+// the coordinator's per-node loggers, into the cluster under test:
+// cluster.New for a root cluster, a snapshot's Fork for a forked one.
+func newCoordinator(p Profile, build func(cluster.Config) (*cluster.Cluster, error)) (*Coordinator, error) {
 	mgr, err := NewECManager(p)
 	if err != nil {
 		return nil, err
@@ -89,36 +94,19 @@ func NewCoordinator(p Profile) (*Coordinator, error) {
 	if err := co.broker.CreateTopic(logsys.Topic, 8); err != nil {
 		return nil, err
 	}
-	logFn := func(t simclock.Time, node, msg string) {
+	cfg, err := mgr.ClusterConfig(func(t simclock.Time, node, msg string) {
 		co.nodeLogger(node).Log(t, msg)
-	}
-	cfg, err := mgr.ClusterConfig(logFn)
+	})
 	if err != nil {
 		return nil, err
 	}
-	cl, err := cluster.New(cfg)
-	if err != nil {
+	if co.cluster, err = build(cfg); err != nil {
 		return nil, err
 	}
-	co.cluster = cl
-
-	// Provision every OSD's device through its host's worker.
-	for _, osd := range cl.OSDs() {
-		w, ok := co.workers[osd.Host]
-		if !ok {
-			w, err = NewWorker(osd.Host)
-			if err != nil {
-				co.Close()
-				return nil, err
-			}
-			co.workers[osd.Host] = w
-		}
-		if err := w.Provision(osd.ID, osd.Store.Device()); err != nil {
-			co.Close()
-			return nil, fmt.Errorf("core: provisioning osd.%d on %s: %w", osd.ID, osd.Host, err)
-		}
-		if err := co.sampler.Track(fmt.Sprintf("osd.%d", osd.ID), osd.Store.Device()); err != nil {
-			co.Close()
+	// Track devices from a zero baseline: a fork's counters carry the
+	// populate traffic, exactly like a root device tracked from birth.
+	for _, osd := range co.cluster.OSDs() {
+		if err := co.sampler.TrackFrom(fmt.Sprintf("osd.%d", osd.ID), osd.Store.Device(), blockdev.Stats{}); err != nil {
 			return nil, err
 		}
 	}
@@ -137,9 +125,6 @@ func (co *Coordinator) nodeLogger(node string) *logsys.NodeLogger {
 // Cluster exposes the cluster under test.
 func (co *Coordinator) Cluster() *cluster.Cluster { return co.cluster }
 
-// Workers returns the per-host workers.
-func (co *Coordinator) Workers() map[string]*Worker { return co.workers }
-
 // PoolConfig returns the pool configuration resolved from the profile,
 // for callers driving the cluster manually.
 func (co *Coordinator) PoolConfig() cluster.PoolConfig { return co.mgr.PoolConfig() }
@@ -151,7 +136,9 @@ func (co *Coordinator) Close() {
 	}
 }
 
-// Run executes the whole experiment cycle and returns its measurements.
+// Run executes the whole experiment cycle on the coordinator's own
+// cluster, unforked, and returns its measurements. It is the reference
+// the fork tests compare against; profiles run through core.Run.
 func (co *Coordinator) Run() (*Result, error) {
 	defer co.Close()
 	res, contents, err := co.populate()
@@ -242,14 +229,12 @@ func (co *Coordinator) finish(res *Result, contents map[string][]byte) (*Result,
 				// Device faults go through the worker's NVMe-oF control
 				// path, exactly like nvmetcli removing a subsystem.
 				for _, id := range pf.OSDs {
-					w, err := co.deviceWorker(id)
+					w, err := co.DeviceWorker(id)
 					if err != nil {
 						return nil, fmt.Errorf("core: provisioning fault target osd.%d: %w", id, err)
 					}
-					if w != nil {
-						if err := w.FailDevice(id); err != nil {
-							return nil, fmt.Errorf("core: failing device osd.%d: %w", id, err)
-						}
+					if err := w.FailDevice(id); err != nil {
+						return nil, fmt.Errorf("core: failing device osd.%d: %w", id, err)
 					}
 				}
 			}
@@ -331,30 +316,28 @@ func (co *Coordinator) finish(res *Result, contents map[string][]byte) (*Result,
 	return res, nil
 }
 
-// deviceWorker returns the worker that owns an OSD's device. In a fresh
-// environment every device was provisioned eagerly in NewCoordinator; in
-// a forked environment the worker is created and the device provisioned
-// on demand, so only the handful of fault-target devices pay the NVMe-oF
-// round trips.
-func (co *Coordinator) deviceWorker(id int) (*Worker, error) {
-	host := co.cluster.Crush().HostOf(id)
-	w := co.workers[host]
-	if w == nil {
-		if !co.lazyProvision {
-			return nil, nil
-		}
-		var err error
-		w, err = NewWorker(host)
-		if err != nil {
-			return nil, err
-		}
-		co.workers[host] = w
+// DeviceWorker returns the worker on the OSD's host with the OSD's device
+// exported through it, starting the worker and provisioning the device
+// the first time either is asked for. The paper routes devices over
+// NVMe-oF to control their state from outside the DSS; only the devices a
+// caller or a device-level fault takes control of pay the round trips.
+func (co *Coordinator) DeviceWorker(id int) (*Worker, error) {
+	if id < 0 || id >= len(co.cluster.OSDs()) {
+		return nil, fmt.Errorf("core: no osd.%d", id)
 	}
-	if co.lazyProvision && !co.provisioned[id] {
-		if err := w.Provision(id, co.cluster.OSD(id).Store.Device()); err != nil {
+	osd := co.cluster.OSD(id)
+	w := co.workers[osd.Host]
+	if w == nil {
+		var err error
+		if w, err = NewWorker(osd.Host); err != nil {
 			return nil, err
 		}
-		co.provisioned[id] = true
+		co.workers[osd.Host] = w
+	}
+	if !slices.Contains(w.Provisioned(), id) {
+		if err := w.Provision(id, osd.Store.Device()); err != nil {
+			return nil, err
+		}
 	}
 	return w, nil
 }
@@ -369,14 +352,15 @@ func hasCorruption(faults []FaultSpec) bool {
 	return false
 }
 
-// Run is the one-call entry point: build the environment for a profile,
-// execute it, and return the result.
+// Run is the one-call entry point: populate a cluster for the profile,
+// then run the profile's recovery side on a fork of it — the path every
+// campaign cell takes.
 func Run(p Profile) (*Result, error) {
-	co, err := NewCoordinator(p)
+	s, err := Populate(p)
 	if err != nil {
 		return nil, err
 	}
-	return co.Run()
+	return s.Run(p)
 }
 
 // payloadRNG generates deterministic payload bytes without pulling

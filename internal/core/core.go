@@ -5,7 +5,10 @@
 // classified log entries to the Coordinator for global analysis.
 //
 // An experiment is described by a Profile; the Coordinator builds the
-// target DSS, provisions storage, runs the workload, injects the profiled
-// faults, measures the recovery cycle, and returns a Result holding the
-// recovery timeline, storage-overhead measurements and merged logs.
+// target DSS, runs the workload, injects the profiled faults — exporting
+// a device over NVMe-oF when a fault first takes control of its state —
+// measures the recovery cycle, and returns a Result holding the recovery
+// timeline, storage-overhead measurements and merged logs. Run executes a
+// profile: it populates a cluster once and runs the recovery side on a
+// copy-on-write fork of it.
 package core

@@ -3,11 +3,11 @@ package core
 import (
 	"errors"
 	"path/filepath"
+	"runtime"
 	"testing"
+	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/logsys"
-	"repro/internal/workload"
 )
 
 // fastProfile is a scaled-down paper profile for quick tests.
@@ -218,11 +218,7 @@ func TestFaultInjectorLocalities(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer co.Close()
-	if _, err := co.Cluster().CreatePool(coPoolCfg(co)); err != nil {
-		t.Fatal(err)
-	}
-	objs := mustObjects(t, p)
-	if err := co.Cluster().BulkLoad(p.Pool.Name, objs); err != nil {
+	if _, _, err := co.populate(); err != nil {
 		t.Fatal(err)
 	}
 	inj := NewFaultInjector(co.Cluster(), p.Pool.Name)
@@ -273,10 +269,7 @@ func TestFaultInjectorWhiteBoxGuard(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer co.Close()
-	if _, err := co.Cluster().CreatePool(coPoolCfg(co)); err != nil {
-		t.Fatal(err)
-	}
-	if err := co.Cluster().BulkLoad(p.Pool.Name, mustObjects(t, p)); err != nil {
+	if _, _, err := co.populate(); err != nil {
 		t.Fatal(err)
 	}
 	inj := NewFaultInjector(co.Cluster(), p.Pool.Name)
@@ -294,6 +287,10 @@ func TestFaultInjectorWhiteBoxGuard(t *testing.T) {
 	}
 }
 
+// TestWorkerProvisioningAndDeviceFault pins provisioning on demand: a
+// worker starts and a device is exported over NVMe-oF when DeviceWorker
+// first asks, once, and a run starts exactly the workers its device
+// faults target.
 func TestWorkerProvisioningAndDeviceFault(t *testing.T) {
 	p := fastProfile()
 	co, err := NewCoordinator(p)
@@ -301,13 +298,26 @@ func TestWorkerProvisioningAndDeviceFault(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer co.Close()
-	if len(co.Workers()) != p.Cluster.Hosts {
-		t.Fatalf("workers = %d", len(co.Workers()))
+	if len(co.workers) != 0 {
+		t.Fatalf("fresh coordinator started %d workers", len(co.workers))
 	}
 	osd := co.Cluster().OSD(0)
-	w := co.Workers()[osd.Host]
-	if w == nil {
-		t.Fatal("no worker for osd.0's host")
+	w, err := co.DeviceWorker(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := co.DeviceWorker(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != w || co.workers[osd.Host] != w || len(co.workers) != 1 {
+		t.Fatalf("second DeviceWorker(0) gave %p, first %p, %d workers", again, w, len(co.workers))
+	}
+	if ids := w.Provisioned(); len(ids) != 1 || ids[0] != 0 {
+		t.Fatalf("provisioned = %v, want [0]", ids)
+	}
+	if _, err := co.DeviceWorker(len(co.Cluster().OSDs())); err == nil {
+		t.Fatal("DeviceWorker accepted an OSD id outside the cluster")
 	}
 	if !w.DeviceAlive(0) {
 		t.Fatal("device should be alive after provisioning")
@@ -321,25 +331,55 @@ func TestWorkerProvisioningAndDeviceFault(t *testing.T) {
 	if !osd.Store.Device().Removed() {
 		t.Fatal("backing device not removed")
 	}
-}
 
-func coPoolCfg(co *Coordinator) cluster.PoolConfig { return co.mgr.PoolConfig() }
-
-func workloadSpecOf(p Profile) workload.Spec {
-	return workload.Spec{
-		NamePrefix: "obj",
-		Count:      p.Workload.Objects,
-		ObjectSize: p.Workload.ObjectSize,
-		SizeJitter: p.Workload.SizeJitter,
-		Seed:       p.Workload.Seed,
+	// What a run starts: one worker per device-fault target, none for a
+	// node-level fault or a fault-free profile.
+	devFaults := []FaultSpec{{Level: FaultLevelDevice, Count: 2, Locality: LocalityDiffHosts, AtSeconds: 10}}
+	for _, tc := range []struct {
+		name    string
+		faults  []FaultSpec
+		workers int
+	}{
+		{"two device faults", devFaults, 2},
+		{"node fault", fastProfile().Faults, 0},
+		{"fault-free", nil, 0},
+	} {
+		p := fastProfile()
+		p.Faults = tc.faults
+		run, err := NewCoordinator(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, contents, err := run.populate()
+		if err == nil {
+			_, err = run.finish(res, contents)
+		}
+		if err != nil {
+			run.Close()
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if len(run.workers) != tc.workers {
+			t.Errorf("%s: run started %d workers, want %d", tc.name, len(run.workers), tc.workers)
+		}
+		for host, w := range run.workers {
+			if ids := w.Provisioned(); len(ids) != 1 || !run.Cluster().OSD(ids[0]).Store.Device().Removed() {
+				t.Errorf("%s: worker %s exports %v, want its one failed device", tc.name, host, ids)
+			}
+		}
+		run.Close()
 	}
-}
 
-func mustObjects(t *testing.T, p Profile) []workload.Object {
-	t.Helper()
-	objs, err := workloadSpecOf(p).Objects()
-	if err != nil {
+	// No listener, association or serving goroutine outlives a Run.
+	baseline := runtime.NumGoroutine()
+	p.Faults = devFaults
+	if _, err := Run(p); err != nil {
 		t.Fatal(err)
 	}
-	return objs
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > baseline {
+		t.Errorf("%d goroutines after Run, %d before", n, baseline)
+	}
 }

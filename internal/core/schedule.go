@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/workload"
 )
 
 // Schedule describes a multi-round fault campaign: the failure modes
@@ -55,17 +54,10 @@ func RunSchedule(p Profile, sched Schedule) (*ScheduleResult, error) {
 		return nil, err
 	}
 	defer co.Close()
+	if _, _, err := co.populate(); err != nil {
+		return nil, err
+	}
 	cl := co.Cluster()
-	if _, err := cl.CreatePool(co.PoolConfig()); err != nil {
-		return nil, err
-	}
-	objs, err := workloadSpecFor(p).Objects()
-	if err != nil {
-		return nil, err
-	}
-	if err := cl.BulkLoad(p.Pool.Name, objs); err != nil {
-		return nil, err
-	}
 
 	out := &ScheduleResult{}
 	inj := NewFaultInjector(cl, p.Pool.Name)
@@ -104,16 +96,4 @@ func RunSchedule(p Profile, sched Schedule) (*ScheduleResult, error) {
 	}
 	out.Health = cl.Health().String()
 	return out, nil
-}
-
-// workloadSpecFor builds the workload spec from a profile (shared with
-// the Coordinator's Run path).
-func workloadSpecFor(p Profile) workload.Spec {
-	return workload.Spec{
-		NamePrefix: "obj",
-		Count:      p.Workload.Objects,
-		ObjectSize: p.Workload.ObjectSize,
-		SizeJitter: p.Workload.SizeJitter,
-		Seed:       p.Workload.Seed,
-	}
 }

@@ -3,14 +3,9 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/blockdev"
 	"repro/internal/cluster"
-	"repro/internal/logsys"
-	"repro/internal/msgbus"
 	"repro/internal/simclock"
 	"repro/internal/wamodel"
-
-	"repro/internal/iostat"
 )
 
 // replayLine is one framework log line recorded during the populate
@@ -82,56 +77,23 @@ func Populate(p Profile) (*Snapshot, error) {
 // Run executes the recovery side of a profile on a copy-on-write fork of
 // the snapshot. The profile's LayoutKey must match the snapshot's; its
 // recovery-side fields (cache scheme, network, faults, tuning) are
-// applied to the fork. Results are bit-identical to core.Run on a
-// freshly built cluster.
+// applied to the fork. Results are bit-identical to Coordinator.Run on
+// a freshly built, unforked cluster.
 func (s *Snapshot) Run(p Profile) (*Result, error) {
 	if key := p.LayoutKey(); key != s.layoutKey {
 		return nil, fmt.Errorf("core: profile %q layout %s does not match snapshot layout %s", p.Name, key[:12], s.layoutKey[:12])
 	}
-	mgr, err := NewECManager(p)
+	co, err := newCoordinator(p, s.snap.Fork)
 	if err != nil {
 		return nil, err
 	}
-	co := &Coordinator{
-		mgr:           mgr,
-		workers:       map[string]*Worker{},
-		loggers:       map[string]*logsys.NodeLogger{},
-		broker:        msgbus.NewBroker(),
-		sampler:       iostat.NewSampler(),
-		classifier:    logsys.DefaultClassifier(),
-		lazyProvision: true,
-		provisioned:   map[int]bool{},
-	}
-	if err := co.broker.CreateTopic(logsys.Topic, 8); err != nil {
-		return nil, err
-	}
-	logFn := func(t simclock.Time, node, msg string) {
-		co.nodeLogger(node).Log(t, msg)
-	}
-	cfg, err := mgr.ClusterConfig(logFn)
-	if err != nil {
-		return nil, err
-	}
-	cl, err := s.snap.Fork(cfg)
-	if err != nil {
-		return nil, err
-	}
-	co.cluster = cl
 	defer co.Close()
 
 	// Replay the populate-phase log lines so the fork's shipped timeline
-	// matches a fresh run's.
+	// matches an unforked run's.
 	for _, rl := range s.logs {
 		co.nodeLogger(rl.node).Log(rl.t, rl.msg)
 	}
-	// Track devices from a zero baseline: the forked counters carry the
-	// populate traffic, exactly like a fresh device tracked from birth.
-	for _, osd := range cl.OSDs() {
-		if err := co.sampler.TrackFrom(fmt.Sprintf("osd.%d", osd.ID), osd.Store.Device(), blockdev.Stats{}); err != nil {
-			return nil, err
-		}
-	}
-
 	res := &Result{Profile: p, WrittenBytes: s.written, UsedBytes: s.used, WA: s.wa}
 	return co.finish(res, s.contents)
 }

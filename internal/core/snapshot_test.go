@@ -73,50 +73,95 @@ func TestLayoutKeyGroupsCells(t *testing.T) {
 	}
 }
 
-// TestSnapshotRunMatchesFreshRun is the core bit-identity check: running
-// a cell on a snapshot fork must produce exactly the measurements a
-// fresh build produces, including recovery timeline, WA, logs, iostat
-// samples and timeline entries.
-func TestSnapshotRunMatchesFreshRun(t *testing.T) {
-	p := fastProfile()
+// coldRun runs a profile on its own freshly built root cluster, with no
+// snapshot and no fork in between: the oracle forked runs are compared
+// with, now that Run itself forks.
+func coldRun(t *testing.T, p Profile) *Result {
+	t.Helper()
+	co, err := NewCoordinator(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := co.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
 
-	fresh, err := Run(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap, err := Populate(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	forked, err := snap.Run(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if *fresh.Recovery != *forked.Recovery {
-		t.Fatalf("recovery diverged:\nfresh %+v\nfork  %+v", fresh.Recovery, forked.Recovery)
-	}
-	if fresh.WA != forked.WA {
-		t.Fatalf("WA diverged: %+v vs %+v", fresh.WA, forked.WA)
-	}
-	if fresh.UsedBytes != forked.UsedBytes || fresh.WrittenBytes != forked.WrittenBytes {
-		t.Fatalf("bytes diverged: used %d/%d written %d/%d",
-			fresh.UsedBytes, forked.UsedBytes, fresh.WrittenBytes, forked.WrittenBytes)
-	}
-	if fresh.LogLinesShipped != forked.LogLinesShipped || fresh.LogLinesDropped != forked.LogLinesDropped {
-		t.Fatalf("log counts diverged: shipped %d/%d dropped %d/%d",
-			fresh.LogLinesShipped, forked.LogLinesShipped, fresh.LogLinesDropped, forked.LogLinesDropped)
-	}
-	if !reflect.DeepEqual(fresh.IOSamples, forked.IOSamples) {
-		t.Fatalf("iostat samples diverged (%d vs %d)", len(fresh.IOSamples), len(forked.IOSamples))
-	}
-	if len(fresh.Timeline) != len(forked.Timeline) {
-		t.Fatalf("timeline length %d vs %d", len(fresh.Timeline), len(forked.Timeline))
-	}
-	for i := range fresh.Timeline {
-		if fresh.Timeline[i] != forked.Timeline[i] {
-			t.Fatalf("timeline[%d] %+v vs %+v", i, fresh.Timeline[i], forked.Timeline[i])
+// compareResults fails the test for every observable of a result that
+// differs from its cold twin's.
+func compareResults(t *testing.T, cold, got *Result) {
+	t.Helper()
+	for _, f := range []struct {
+		name      string
+		cold, got any
+	}{
+		{"Recovery", cold.Recovery, got.Recovery},
+		{"WA", cold.WA, got.WA},
+		{"UsedBytes", cold.UsedBytes, got.UsedBytes},
+		{"WrittenBytes", cold.WrittenBytes, got.WrittenBytes},
+		{"LogLinesShipped", cold.LogLinesShipped, got.LogLinesShipped},
+		{"LogLinesDropped", cold.LogLinesDropped, got.LogLinesDropped},
+		{"IOSamples", cold.IOSamples, got.IOSamples},
+		{"Timeline", cold.Timeline, got.Timeline},
+		{"PayloadVerified", cold.PayloadVerified, got.PayloadVerified},
+		{"PayloadErrors", cold.PayloadErrors, got.PayloadErrors},
+		{"Scrub", cold.Scrub, got.Scrub},
+		{"RepairedInconsistent", cold.RepairedInconsistent, got.RepairedInconsistent},
+	} {
+		if !reflect.DeepEqual(f.cold, f.got) {
+			t.Errorf("%s diverged:\ncold %+v\ngot  %+v", f.name, f.cold, f.got)
 		}
+	}
+}
+
+// TestSnapshotRunMatchesFreshRun is the core bit-identity check: Run,
+// which populates and then forks, must produce exactly what an unforked
+// run on a root cluster produces — recovery result, WA, byte and log
+// counts, iostat samples, merged timeline, payload verdict and scrub
+// report — on every kind of profile.
+func TestSnapshotRunMatchesFreshRun(t *testing.T) {
+	payload := func(p *Profile) {
+		p.Workload.Objects = 16
+		p.Workload.ObjectSize = 256 << 10
+		p.Pool.StripeUnit = 64 << 10 // keep padded chunks small for real bytes
+		p.Workload.Payload = true
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Profile)
+	}{
+		{"node fault", func(*Profile) {}},
+		{"device faults", func(p *Profile) {
+			p.Faults = []FaultSpec{{Level: FaultLevelDevice, Count: 2, Locality: LocalityDiffHosts, AtSeconds: 10}}
+		}},
+		{"fault-free WA only", func(p *Profile) { p.Faults = nil }},
+		{"payload, device fault", func(p *Profile) {
+			payload(p)
+			p.Faults = []FaultSpec{{Level: FaultLevelDevice, Count: 1, AtSeconds: 5}}
+		}},
+		{"payload, corruption repaired in place", func(p *Profile) {
+			payload(p)
+			p.Faults = []FaultSpec{{Level: FaultLevelCorruption, Count: 5, AtSeconds: 1}}
+		}},
+		{"corruption + device fault", func(p *Profile) {
+			p.Workload.Objects = 24
+			p.Faults = []FaultSpec{
+				{Level: FaultLevelCorruption, Count: 3, AtSeconds: 1},
+				{Level: FaultLevelDevice, Count: 1, AtSeconds: 5},
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := fastProfile()
+			tc.mutate(&p)
+			got, err := Run(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			compareResults(t, coldRun(t, p), got)
+		})
 	}
 }
 
@@ -140,11 +185,7 @@ func TestSnapshotSharedAcrossCacheSchemes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh, err := Run(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if *fresh.Recovery != *forked.Recovery {
+		if fresh := coldRun(t, p); *fresh.Recovery != *forked.Recovery {
 			t.Fatalf("scheme %s diverged:\nfresh %+v\nfork  %+v", scheme, fresh.Recovery, forked.Recovery)
 		}
 	}
@@ -199,11 +240,7 @@ func TestSnapshotRunDeviceFaultProvisionsLazily(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := Run(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *fresh.Recovery != *forked.Recovery {
+	if fresh := coldRun(t, p); *fresh.Recovery != *forked.Recovery {
 		t.Fatalf("device-fault cell diverged:\nfresh %+v\nfork  %+v", fresh.Recovery, forked.Recovery)
 	}
 }

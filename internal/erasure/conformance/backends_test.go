@@ -200,7 +200,7 @@ func TestBackendsDecodeIdentity(t *testing.T) {
 }
 
 // BenchmarkBackendsEncode reports encode throughput per backend for the
-// paper's RS(12,9) at 64 KiB (the BENCH_CODEC.json headline shape).
+// paper's RS(12,9) at 64 KiB.
 func BenchmarkBackendsEncode(b *testing.B) {
 	code, err := erasure.New("jerasure_reed_sol_van", 9, 3, 0)
 	if err != nil {

@@ -168,8 +168,7 @@ func FuzzClayBatchIdentity(f *testing.F) {
 }
 
 // BenchmarkClayBatchAB reports the paper's headline Clay shape at 4 KiB
-// and 64 KiB with the batched paths on and off; scripts/bench_codec.sh
-// parses these names for the CI ratio guard.
+// and 64 KiB with the batched paths on and off.
 func BenchmarkClayBatchAB(b *testing.B) {
 	code, err := erasure.New("clay", 9, 3, 11)
 	if err != nil {
@@ -233,8 +232,7 @@ func BenchmarkClayBatchAB(b *testing.B) {
 // batched gate is lifted so both paths cover the full range and the
 // crossover (if any) is visible in the numbers rather than hidden by the
 // gate. Run with ECFAULT_KERNEL_WORKERS=1 to A/B the parallel strided
-// execution against a serial kernel (scripts/bench_codec.sh -p records
-// that comparison into BENCH_CODEC.json).
+// execution against a serial kernel.
 func BenchmarkKernelClayRepairSweep(b *testing.B) {
 	code, err := erasure.New("clay", 9, 3, 11)
 	if err != nil {

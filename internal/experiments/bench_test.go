@@ -16,7 +16,7 @@ import (
 // Figure-2 suite with a single worker, so wall-clock tracks the event
 // loop rather than the experiment fan-out. scale=50 is the quick
 // regression guard; scale=1 is the paper's full 10,000-object workload
-// (the full-fidelity mode) and is the number recorded in BENCH_SIM.json.
+// (the full-fidelity mode).
 func BenchmarkSimEngine(b *testing.B) {
 	for _, scale := range []int{50, 1} {
 		b.Run(fmt.Sprintf("fig2suite/scale=%d", scale), func(b *testing.B) {

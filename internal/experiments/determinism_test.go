@@ -106,11 +106,7 @@ var engineGoldens = map[string]timelineGolden{
 func TestEngineDeterminism(t *testing.T) {
 	capture := os.Getenv("ECFAULT_CAPTURE_GOLDEN") != ""
 	for _, cfg := range goldenProfiles() {
-		res, err := core.Run(cfg.P)
-		if err != nil {
-			t.Fatalf("%s: %v", cfg.Name, err)
-		}
-		r := res.Recovery
+		r := coldRun(t, cfg.P).Recovery
 		if r == nil {
 			t.Fatalf("%s: no recovery result", cfg.Name)
 		}

@@ -47,18 +47,9 @@ type Figure struct {
 	Raw      map[string]time.Duration // "<config>/<code>" -> absolute time
 }
 
-// runCell executes one experiment cell, through the snapshot cache unless
-// ECFAULT_NOSNAPSHOT disables it.
-func runCell(p core.Profile) (*core.Result, error) {
-	if snapshotsDisabled() {
-		return core.Run(p)
-	}
-	return engineCache.Run(p)
-}
-
 // runRecovery executes a profile and returns the system recovery time.
 func runRecovery(p core.Profile) (time.Duration, *core.Result, error) {
-	res, err := runCell(p)
+	res, err := engineCache.Run(p)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -77,14 +68,12 @@ func runRecovery(p core.Profile) (time.Duration, *core.Result, error) {
 //
 // Cells sharing a layout (same Profile.LayoutKey) populate one cluster
 // between them through the snapshot cache and each run on a
-// copy-on-write fork, which amortizes the dominant setup cost of a
-// campaign. ECFAULT_NOSNAPSHOT reverts to building every cell from
-// scratch.
+// copy-on-write fork.
 func runProfiles(ps []core.Profile) ([]*core.Result, error) {
 	results := make([]*core.Result, len(ps))
 	errs := make([]error, len(ps))
 	parallel.ForEach(len(ps), parallel.Workers(), func(i int) {
-		results[i], errs[i] = runCell(ps[i])
+		results[i], errs[i] = engineCache.Run(ps[i])
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -310,7 +299,7 @@ func Fig2dFailureMode(scale int) (*Figure, error) {
 // Fig2Suite runs all four Figure-2 experiments at the given scale and
 // returns the figures in order (2a, 2b, 2c, 2d). Scale 1 is the paper's
 // full 10,000-object workload — the full-fidelity mode exercised by
-// BenchmarkSimEngine and recorded in BENCH_SIM.json.
+// BenchmarkSimEngine.
 func Fig2Suite(scale int) ([]*Figure, error) {
 	figs := make([]*Figure, 0, 4)
 	for _, fn := range []func(int) (*Figure, error){

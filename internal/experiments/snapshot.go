@@ -1,20 +1,20 @@
 package experiments
 
 import (
-	"os"
-	"strconv"
 	"sync"
 
 	"repro/internal/core"
 )
 
-// defaultSnapshotBound caps how many populated-cluster snapshots are kept
-// alive at once. Each snapshot pins the frozen stores of one cluster
-// image (its object records and base run tables: about 1 MB for the paper
-// default workload; payload-mode images also pin their device blocks),
-// and campaign sweeps rarely use more than a handful of distinct layouts,
-// so a small bound loses nothing.
-const defaultSnapshotBound = 16
+// snapshotBound caps how many populated-cluster snapshots are kept alive
+// at once. Each pins the frozen stores of one cluster image (about
+// 1.25 MB live for the paper default workload; payload-mode images also
+// pin their device blocks). The 73-cell campaign has 53 distinct layouts:
+// at 16 slots it skips 18 populates and bench/ecperf's campaign peaks at
+// 97-104 MB RSS; unbounded it skips 20 and peaks at 149-155 MB, against a
+// 10% bound on that metric. The bound is the cheaper side of that trade,
+// so it is a constant.
+const snapshotBound = 16
 
 // snapshotEntry is one cached populate, guarded by a sync.Once so that
 // concurrent cells sharing a layout populate exactly one cluster between
@@ -42,29 +42,7 @@ type snapshotCache struct {
 }
 
 func newSnapshotCache() *snapshotCache {
-	return &snapshotCache{bound: snapshotBound(), entries: map[string]*snapshotEntry{}}
-}
-
-// snapshotBound resolves the cache bound: ECFAULT_SNAPSHOTS overrides the
-// default (values < 1 are clamped to 1 — disabling is ECFAULT_NOSNAPSHOT's
-// job).
-func snapshotBound() int {
-	if v := os.Getenv("ECFAULT_SNAPSHOTS"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil {
-			if n < 1 {
-				n = 1
-			}
-			return n
-		}
-	}
-	return defaultSnapshotBound
-}
-
-// snapshotsDisabled reports whether the snapshot layer is switched off
-// (ECFAULT_NOSNAPSHOT set): every cell then builds its cluster from
-// scratch, the pre-snapshot behavior.
-func snapshotsDisabled() bool {
-	return os.Getenv("ECFAULT_NOSNAPSHOT") != ""
+	return &snapshotCache{bound: snapshotBound, entries: map[string]*snapshotEntry{}}
 }
 
 // entry returns the cache slot for a layout key, creating and LRU-bumping
@@ -104,7 +82,7 @@ func (c *snapshotCache) bump(key string) {
 
 // Run executes one cell: fetch (or populate exactly once) the snapshot
 // for the profile's layout, then run the recovery side on a copy-on-write
-// fork. Results are bit-identical to core.Run on a fresh cluster.
+// fork.
 func (c *snapshotCache) Run(p core.Profile) (*core.Result, error) {
 	e := c.entry(p.LayoutKey())
 	e.once.Do(func() {
@@ -116,13 +94,11 @@ func (c *snapshotCache) Run(p core.Profile) (*core.Result, error) {
 	return e.snap.Run(p)
 }
 
-// Reset drops every cached snapshot and re-reads the bound from the
-// environment. Benchmarks use it to measure cold-cache behavior and to
-// flip ECFAULT_SNAPSHOTS/ECFAULT_NOSNAPSHOT between runs.
+// Reset drops every cached snapshot and zeroes the counters. Benchmarks
+// use it to measure cold-cache behavior.
 func (c *snapshotCache) Reset() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.bound = snapshotBound()
 	c.entries = map[string]*snapshotEntry{}
 	c.order = nil
 	c.hits, c.misses, c.evictions = 0, 0, 0
@@ -138,8 +114,8 @@ func (c *snapshotCache) Stats() (int64, int64, int64) {
 // engineCache is the process-wide snapshot cache behind runProfiles.
 var engineCache = newSnapshotCache()
 
-// ResetSnapshotCache clears the process-wide snapshot cache and re-reads
-// the ECFAULT_SNAPSHOTS bound. Exposed for benchmarks and tests.
+// ResetSnapshotCache clears the process-wide snapshot cache. Exposed for
+// benchmarks and tests.
 func ResetSnapshotCache() { engineCache.Reset() }
 
 // SnapshotCacheStats returns (hits, misses, evictions) of the process-wide

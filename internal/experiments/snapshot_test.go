@@ -48,6 +48,22 @@ func renderIOSamples(res *core.Result) string {
 	return b.String()
 }
 
+// coldRun runs a profile on its own freshly built root cluster, with no
+// snapshot and no fork in between: the oracle forked runs are compared
+// with, now that core.Run itself forks.
+func coldRun(t *testing.T, p core.Profile) *core.Result {
+	t.Helper()
+	co, err := core.NewCoordinator(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := co.Run()
+	if err != nil {
+		t.Fatalf("%s: cold run: %v", p.Name, err)
+	}
+	return res
+}
+
 // compareRuns asserts every observable of a cold run and its forked twin
 // is identical.
 func compareRuns(t *testing.T, label string, cold, forked *core.Result) {
@@ -113,33 +129,7 @@ func TestEngineDeterminismForked(t *testing.T) {
 					t.Errorf("%s: forked run diverged from golden\n got %+v\nwant %+v", label, got, want)
 				}
 			}
-			cold, err := core.Run(cfg.P)
-			if err != nil {
-				t.Fatalf("%s: cold run: %v", label, err)
-			}
-			compareRuns(t, label, cold, res)
-		}
-	}
-}
-
-// TestEngineDeterminismNoSnapshot drives the goldens through runProfiles
-// with the snapshot layer disabled, covering the ECFAULT_NOSNAPSHOT
-// escape hatch end to end.
-func TestEngineDeterminismNoSnapshot(t *testing.T) {
-	t.Setenv("ECFAULT_NOSNAPSHOT", "1")
-	cfgs := goldenProfiles()
-	ps := make([]core.Profile, len(cfgs))
-	for i, cfg := range cfgs {
-		ps[i] = cfg.P
-	}
-	results, err := runProfiles(ps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, res := range results {
-		want := engineGoldens[cfgs[i].Name]
-		if got := recoveryGolden(res); got != want {
-			t.Errorf("%s: no-snapshot run diverged from golden\n got %+v\nwant %+v", cfgs[i].Name, got, want)
+			compareRuns(t, label, coldRun(t, cfg.P), res)
 		}
 	}
 }
@@ -158,11 +148,7 @@ func TestForkMutationsDoNotLeakAcrossParallelCells(t *testing.T) {
 	for i, s := range schemes {
 		p := base
 		p.Backend.CacheScheme = s
-		var err error
-		fresh[i], err = core.Run(p)
-		if err != nil {
-			t.Fatalf("fresh %s: %v", s, err)
-		}
+		fresh[i] = coldRun(t, p)
 	}
 
 	cache := newSnapshotCache()
@@ -199,14 +185,11 @@ func TestForkMutationsDoNotLeakAcrossParallelCells(t *testing.T) {
 	}
 }
 
-// TestSnapshotCacheBoundAndReset pins the LRU bound behavior and the
-// ECFAULT_SNAPSHOTS override.
+// TestSnapshotCacheBoundAndReset pins the LRU bound behavior on a cache
+// shrunk to one slot.
 func TestSnapshotCacheBoundAndReset(t *testing.T) {
-	t.Setenv("ECFAULT_SNAPSHOTS", "1")
 	c := newSnapshotCache()
-	if c.bound != 1 {
-		t.Fatalf("bound = %d, want 1", c.bound)
-	}
+	c.bound = 1
 
 	a := goldenProfiles()[0].P // rs layout
 	b := a
