@@ -73,21 +73,21 @@ func run(args []string, stdout io.Writer) (err error) {
 	memProfile := fs.String("memprofile", "", "write a heap profile to this file on exit")
 	backends := fs.Bool("backends", false, "print the active GF(2^8) backend, the dispatch chain, and CPU features, then exit")
 	_ = fs.Parse(args) // ExitOnError: a bad flag exits inside Parse
+	if *workers > 0 {
+		parallel.SetWorkers(*workers)
+	}
 	if *backends {
 		fmt.Fprintf(stdout, "backend: %s\n", gf256.Backend())
 		fmt.Fprintf(stdout, "available: %s\n", strings.Join(gf256.Backends(), " "))
 		fmt.Fprintf(stdout, "cpu_features: %s\n", strings.Join(gf256.CPUFeatures(), " "))
-		chunk, parThresh, stridedThresh := kernel.Tuning()
-		fmt.Fprintf(stdout, "tuning: chunk_bytes=%d parallel_threshold=%d strided_threshold=%d kernel_workers=%d\n",
-			chunk, parThresh, stridedThresh, parallel.KernelWorkers())
+		chunk, parThresh, _ := kernel.Tuning()
+		fmt.Fprintf(stdout, "tuning: chunk_bytes=%d parallel_threshold=%d workers=%d\n",
+			chunk, parThresh, parallel.Workers())
 		return nil
 	}
 	want, err := parseOnly(*only)
 	if err != nil {
 		return err
-	}
-	if *workers > 0 {
-		parallel.SetWorkers(*workers)
 	}
 
 	stopProf, err := profutil.Start(*cpuProfile, *memProfile)

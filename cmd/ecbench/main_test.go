@@ -6,6 +6,8 @@ import (
 	"encoding/hex"
 	"strings"
 	"testing"
+
+	"repro/internal/parallel"
 )
 
 // TestScale1Golden pins the full-scale evaluation to the byte. The
@@ -34,6 +36,24 @@ func TestScale1Golden(t *testing.T) {
 		if got := hex.EncodeToString(sum[:]); got != tc.want {
 			t.Errorf("ecbench %v: sha256 %s, want %s (%d bytes)", tc.args, got, tc.want, buf.Len())
 		}
+	}
+}
+
+// TestBackendsReportsWorkers: -workers applies before -backends returns,
+// and the "backend:" line stays first, where CI's backend-matrix awk
+// reads the active tier.
+func TestBackendsReportsWorkers(t *testing.T) {
+	defer parallel.SetWorkers(parallel.SetWorkers(0)) // run leaves -workers set
+	var buf bytes.Buffer
+	if err := run([]string{"-workers", "1", "-backends"}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if !strings.HasPrefix(lines[0], "backend: ") {
+		t.Errorf("first line %q, want the backend: line", lines[0])
+	}
+	if last := lines[len(lines)-1]; !strings.HasPrefix(last, "tuning: ") || !strings.HasSuffix(last, " workers=1") {
+		t.Errorf("tuning line %q, want workers=1", last)
 	}
 }
 

@@ -101,7 +101,7 @@ func (s *Snapshot) Fork(cfg Config) (*Cluster, error) {
 		// construction is immutable and its plan/program caches are
 		// concurrency-safe with singleflight fill, so the parallel
 		// fan-out shares compiled state instead of rebuilding it per
-		// fork. ECFAULT_NOCODECACHE restores private per-fork codes.
+		// fork.
 		code, err := codecache.Get(sp.cfg.Plugin, sp.cfg.K, sp.cfg.M, sp.cfg.D)
 		if err != nil {
 			return nil, err

@@ -250,17 +250,4 @@ func TestForksShareCodeInstance(t *testing.T) {
 	if pp.Code != p1.Code || p1.Code != p2.Code {
 		t.Fatal("parent and forks should share one registry code instance")
 	}
-
-	t.Setenv("ECFAULT_NOCODECACHE", "1")
-	private := populateSmall(t, nil)
-	psnap := private.Snapshot()
-	pf, err := psnap.Fork(psnap.Config())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ppPool, _ := private.Pool("ecpool")
-	pfPool, _ := pf.Pool("ecpool")
-	if ppPool.Code == pfPool.Code {
-		t.Fatal("ECFAULT_NOCODECACHE set but fork shares the parent code")
-	}
 }

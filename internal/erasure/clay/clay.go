@@ -30,14 +30,6 @@ import (
 	"repro/internal/gfmat"
 )
 
-// smallSubChunk is the sub-chunk size below which the per-plane solves use
-// the direct row path (plain coefficient-slice ops) instead of the
-// compiled kernel.Program, and below which odd sizes skip the 8-byte
-// padding detour: at ~50 B sub-chunks (4 KiB shards, alpha=81) the program
-// chunking, padding copies, and cache bookkeeping cost more than the
-// arithmetic they accelerate.
-const smallSubChunk = 256
-
 // gamma is the coupling coefficient of the pairwise transforms. Any value
 // outside {0, 1} yields an invertible transform; 2 matches the generator
 // of the field.
@@ -118,7 +110,7 @@ func New(k, m, d int) (*Clay, error) {
 		pairRow:     gf256.CompileRow([]byte{invG2, gf256.Mul(invG2, gamma)}),
 		coupleRow:   gf256.CompileRow([]byte{1, gamma}),
 		uncoupleRow: gf256.CompileRow([]byte{invG, invG}),
-		decodeLRU:   kernel.NewSharded[*planeSolver](kernel.DecodeCacheSize()),
+		decodeLRU:   kernel.NewSharded[*planeSolver](kernel.DecodeCacheSize),
 		plans:       erasure.NewPlanCache(n),
 	}
 	// Planes with digit(z, y) == x form q^y runs of q^(t-1-y) consecutive
@@ -292,8 +284,7 @@ func (c *Clay) Decode(shards [][]byte) error {
 		// padding from the recovered shards: GF arithmetic is elementwise,
 		// so the real bytes are identical either way, and the two extra
 		// memmoves are far cheaper than byte-path transforms over every
-		// plane. The SIMD backends load unaligned, and below smallSubChunk
-		// the copies outweigh the arithmetic, so both skip the detour.
+		// plane. The SIMD backends load unaligned, so they skip the detour.
 		scsPad := (scs + 7) &^ 7
 		work := make([][]byte, len(shards))
 		for i, s := range shards {
@@ -442,46 +433,26 @@ func (c *Clay) planeDecoder(erased []bool) (*planeSolver, error) {
 // planeSolver recovers erased uncoupled symbols within one plane from the
 // first kInt surviving symbols. Only the inverted reconstruction rows are
 // built eagerly (that is the expensive, always-needed part); the
-// kernel.Program is compiled on first use with a sub-chunk size worth
-// program chunking, so small-sub-chunk workloads never pay for it.
+// kernel.Program (decode, per-plane repair) and the row plans
+// (repairStrided) are each compiled on first use.
 type planeSolver struct {
 	survivors []int    // kInt surviving node indices used as inputs
 	lost      []int    // erased node indices
 	rows      [][]byte // reconstruction rows, survivor symbols -> lost symbol
 
 	planOnce sync.Once
-	plans    []*gf256.RowPlan // direct row path for small sub-chunks
+	plans    []*gf256.RowPlan // per-lost-symbol rows for repairStrided
 
 	progOnce sync.Once
 	prog     *kernel.Program
 }
 
-// solve runs the plane's MDS reconstruction: for each lost node, its U
-// sub-slice (select(lost node)) is overwritten with the combination of the
+// solve runs one plane's MDS reconstruction: for each lost node, its U
+// sub-slice (sel(lost node)) is overwritten with the combination of the
 // survivor sub-slices. srcs/dsts are caller scratch of lengths
-// len(survivors) and len(lost). Sub-chunks below smallSubChunk apply the
-// reconstruction rows directly with coefficient-slice ops; the result is
-// byte-identical either way because GF arithmetic is elementwise.
+// len(survivors) and len(lost).
 func (dec *planeSolver) solve(srcs, dsts [][]byte, sel func(u int) []byte) {
-	if len(dec.lost) == 0 {
-		return
-	}
-	for si, sv := range dec.survivors {
-		srcs[si] = sel(sv)
-	}
-	for li, l := range dec.lost {
-		dsts[li] = sel(l)
-	}
-	if len(dsts[0]) < smallSubChunk {
-		// Direct row path: one fused row kernel per lost symbol, no
-		// program chunking or worker dispatch.
-		for li, plan := range dec.rowPlans() {
-			plan.Mul(srcs, dsts[li])
-		}
-		return
-	}
-	dec.progOnce.Do(func() { dec.prog = kernel.Compile(dec.rows) })
-	dec.prog.Run(srcs, dsts, true)
+	dec.solveBatch(srcs, dsts, sel, nil, 0, true)
 }
 
 // rowPlans returns the compiled per-lost-symbol row kernels, building them

@@ -1,13 +1,11 @@
 package clay
 
 import (
-	"os"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/erasure/kernel"
 	"repro/internal/gf256"
-	"repro/internal/parallel"
 )
 
 // Multi-plane batched transforms.
@@ -32,9 +30,8 @@ import (
 //
 // Both paths compute the exact same GF(2^8) operations on the same bytes
 // as the per-plane code, so outputs are byte-identical; the conformance
-// suite enforces that across backends with batching toggled. Set
-// ECFAULT_NOBATCH=1 (or SetBatching(false)) to force the per-plane
-// baseline for A/B comparisons.
+// suite enforces that across backends with batching toggled
+// (SetBatching(false) forces the per-plane formulation).
 
 // batchOff disables the batched paths when set. Stored inverted so the
 // zero value means "batching on".
@@ -45,88 +42,35 @@ var batchOff atomic.Bool
 // streams enough bytes to amortize itself. Decode reaches parity near
 // scs≈1600 on the ymm tiers and rides the wider zmm strided kernels to
 // 4 KiB; zero-copy repair (no gather/scatter to degrade into memcpy)
-// wins through 1 KiB sub-chunks on every measured tier with a single
-// worker, with the per-plane path pulling ahead from 2 KiB
-// (BenchmarkKernelClayRepairSweep tracks the crossover). With a kernel
-// worker budget above 1 the strided calls themselves fan out across the
-// pool (stridedPar below), so the batched path stays ahead to larger
-// sub-chunks: the gate moves to 4 KiB on the ymm tiers and 8 KiB on the
-// zmm tier, where the wide strided kernels keep whole runs in one call.
-// The per-plane alternative at those sizes parallelizes only across
-// planes through kernel.Program, paying alpha small dispatches where the
-// strided path pays a handful of large ones. The gates are vars
-// overridable by SetBatchLimits (identity tests push arbitrarily large
-// sub-chunks through the batched paths); 0 means "derive the measured
-// default".
+// wins through 1 KiB sub-chunks on every measured tier, with the
+// per-plane path pulling ahead from 2 KiB
+// (BenchmarkKernelClayRepairSweep tracks the crossover). The gates are
+// vars overridable by SetBatchLimits (identity tests push arbitrarily
+// large sub-chunks through the batched paths); 0 means "derive the
+// measured default".
 var (
 	batchMaxSubChunk       = 0
 	batchRepairMaxSubChunk = 0
 )
 
 // batchDecodeLimit returns the sub-chunk size gate for batched decode.
-// Like the repair gate it doubles when the kernel worker budget lets the
-// segment batches fan out: the batched formulation pays a handful of
-// large dispatches where the per-plane one pays alpha small ones, so the
-// parallel crossover sits one size class higher.
 func batchDecodeLimit() int {
 	if batchMaxSubChunk != 0 {
 		return batchMaxSubChunk
 	}
-	lim := 2048
 	if gf256.StridedRunCap() >= 4096 {
-		lim = 4096
-	}
-	if parallel.KernelWorkers() > 1 {
-		lim *= 2
-	}
-	return lim
-}
-
-// batchRepairLimit returns the sub-chunk size gate for zero-copy batched
-// repair. With parallel strided execution available (kernel worker budget
-// above 1) the batched path amortizes across workers and the gate rises;
-// on a single worker the serial crossover at 2 KiB still holds.
-func batchRepairLimit() int {
-	if batchRepairMaxSubChunk != 0 {
-		return batchRepairMaxSubChunk
-	}
-	if parallel.KernelWorkers() > 1 {
-		if gf256.StridedRunCap() >= 4096 {
-			return 8192
-		}
 		return 4096
 	}
 	return 2048
 }
 
-// stridedPar routes one strided batch through the parallel gf256 entry
-// when the calibrated policy (kernel.StridedWorkers) says the total bytes
-// clear the strided threshold; smaller calls stay serial on the calling
-// goroutine. Argument-buffer reuse across call sites is safe because the
-// parallel entry returns only after the whole fan-out drains.
-func stridedPar(rp *gf256.RowPlan, srcs [][]byte, dst []byte, dstBase, dstStride int, srcBase, srcStride []int, segn, count int, overwrite bool) {
-	if w := kernel.StridedWorkers(segn * count); w > 1 {
-		rp.ApplyStridedParallel(srcs, dst, dstBase, dstStride, srcBase, srcStride, segn, count, overwrite, w)
-		return
+// batchRepairLimit returns the sub-chunk size gate for zero-copy batched
+// repair.
+func batchRepairLimit() int {
+	if batchRepairMaxSubChunk != 0 {
+		return batchRepairMaxSubChunk
 	}
-	rp.ApplyStrided(srcs, dst, dstBase, dstStride, srcBase, srcStride, segn, count, overwrite)
-}
-
-// segsPar is stridedPar for segment batches (MulSegs call sites): the
-// index list splits into contiguous per-worker sub-lists when the batch
-// clears the strided threshold.
-func segsPar(rp *gf256.RowPlan, srcs [][]byte, dst []byte, idx []int32, delta []int32, segLen int) {
-	if w := kernel.StridedWorkers(len(idx) * segLen); w > 1 {
-		rp.ApplySegsParallel(srcs, dst, idx, delta, segLen, true, w)
-		return
-	}
-	rp.MulSegs(srcs, dst, idx, delta, segLen)
-}
-
-func init() {
-	if os.Getenv("ECFAULT_NOBATCH") != "" {
-		batchOff.Store(true)
-	}
+	return 2048
 }
 
 // Batching reports whether the multi-plane batched decode/repair paths are
@@ -259,10 +203,10 @@ func (c *Clay) decodeGroupBatched(group []int32, erased []bool, C, U [][]byte, d
 				pair[0] = C[u]
 				if !erased[comp] {
 					pair[1] = C[comp]
-					segsPar(c.pairRow, pair, U[u], idx, delta, scs)
+					c.pairRow.MulSegs(pair, U[u], idx, delta, scs)
 				} else {
 					pair[1] = U[comp]
-					segsPar(c.coupleRow, pair, U[u], idx, delta, scs)
+					c.coupleRow.MulSegs(pair, U[u], idx, delta, scs)
 				}
 			}
 		}
@@ -291,7 +235,7 @@ func (c *Clay) convertUCBatched(erased []bool, C, U [][]byte, scs int) {
 			comp := xp + y*c.q
 			delta[0], delta[1] = 0, int32((x-xp)*c.pow[c.t-1-y])
 			pair[0], pair[1] = U[u], U[comp]
-			segsPar(c.coupleRow, pair, C[u], idx, delta, scs)
+			c.coupleRow.MulSegs(pair, C[u], idx, delta, scs)
 		}
 	}
 }
@@ -305,23 +249,13 @@ func (c *Clay) convertUCBatched(erased []bool, C, U [][]byte, scs int) {
 // companion-plane recovery address those sub-chunks in place through
 // gf256.ApplyStrided's per-operand base/stride geometry (shard space:
 // stride runStride*scs per run; compact scratch: stride runLen*scs), so
-// helper bytes are never gathered through an arena and recovered bytes
+// helper bytes are never gathered into scratch and recovered bytes
 // are written straight into the output shard. Only the uncoupled symbols
 // live in compact rank-ordered scratch — rank p = a*runLen + i maps to
 // plane z = a*runStride + first + i. Scratch is a pooled slab held
 // exclusively for the duration of the call — nothing hangs off the code
 // instance, so concurrent repairs on a shared registry instance stay
 // independent.
-//
-// Every strided call routes through stridedPar, fanning out across the
-// kernel worker pool when it clears the calibrated threshold. The slab is
-// shared across those workers without per-worker copies because each
-// parallel call's writes are disjoint by construction (workers own
-// distinct segment/byte ranges of the one destination) and the shared
-// reads are immutable for the duration of the call: zeroRun is read-only,
-// and uComp/u2 regions read by one call were fully written by earlier
-// calls that drained before this one started (the fan-out blocks until
-// complete).
 func (c *Clay) repairStrided(shards [][]byte, failedExt int, scs int, out []byte) error {
 	u0 := c.internalIndex(failedExt)
 	x0, y0 := c.nodeXY(u0)
@@ -430,7 +364,7 @@ func (c *Clay) repairStrided(shards [][]byte, failedExt int, scs int, out []byte
 					if realC {
 						pb[1], ps[1] = (a+(x-xp)*aRL)*rs+first*scs, rs
 					}
-					stridedPar(c.pairRow, pair, uComp[u], a*rl, rl, pb, ps, rl, aRL, true)
+					c.pairRow.ApplyStrided(pair, uComp[u], a*rl, rl, pb, ps, rl, aRL, true)
 				}
 			}
 		} else {
@@ -472,7 +406,7 @@ func (c *Clay) repairStrided(shards [][]byte, failedExt int, scs int, out []byte
 					if realC {
 						pb[1], ps[1] = srcZ+shift, iStr
 					}
-					stridedPar(c.pairRow, pair, uComp[u], dstBase, iStr, pb, ps, iRL, nI, true)
+					c.pairRow.ApplyStrided(pair, uComp[u], dstBase, iStr, pb, ps, iRL, nI, true)
 				}
 			}
 		}
@@ -493,12 +427,11 @@ func (c *Clay) repairStrided(shards [][]byte, failedExt int, scs int, out []byte
 	for li, plan := range dec.rowPlans() {
 		l := dec.lost[li]
 		if l == u0 {
-			stridedPar(plan, srcs, out, first*scs, rs, sb, st, rl, nRuns, true)
+			plan.ApplyStrided(srcs, out, first*scs, rs, sb, st, rl, nRuns, true)
 		} else {
 			// Compact rows are contiguous, so the full-buffer multiply is
-			// one strided call with a single bb-byte segment; the parallel
-			// entry byte-splits it across workers when it is large enough.
-			stridedPar(plan, srcs, uComp[l], 0, bb, sb, st, bb, 1, true)
+			// one strided call with a single bb-byte segment.
+			plan.ApplyStrided(srcs, uComp[l], 0, bb, sb, st, bb, 1, true)
 		}
 	}
 
@@ -521,12 +454,12 @@ func (c *Clay) repairStrided(shards [][]byte, failedExt int, scs int, out []byte
 			pb[0], ps[0] = first*scs, rs
 		}
 		pb[1], ps[1] = 0, rl
-		stridedPar(c.uncoupleRow, pair, u2, 0, rl, pb, ps, rl, nRuns, true)
+		c.uncoupleRow.ApplyStrided(pair, u2, 0, rl, pb, ps, rl, nRuns, true)
 		// C(x0,y0,w) = U2 + gamma * U(x,y0)
 		pair[0], pair[1] = u2, uComp[us]
 		pb[0], ps[0] = 0, rl
 		pb[1], ps[1] = 0, rl
-		stridedPar(c.coupleRow, pair, out, x*rl, rs, pb, ps, rl, nRuns, true)
+		c.coupleRow.ApplyStrided(pair, out, x*rl, rs, pb, ps, rl, nRuns, true)
 	}
 	shards[failedExt] = out
 	return nil

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
+
+	"repro/internal/parallel"
 )
 
 // encodeWith runs a fresh encode of the given data shards under the given
@@ -25,7 +27,7 @@ func encodeWith(t *testing.T, c *Clay, data [][]byte, batched bool) [][]byte {
 // TestBatchedEncodeDecodeRepairIdentity checks that the batched paths are
 // byte-identical to the per-plane baseline for encode, every decode
 // pattern up to m erasures, and every single repair, across shapes and
-// sub-chunk sizes covering the gather, strided, and per-run kernel routes.
+// sub-chunk sizes covering the strided and per-run kernel routes.
 func TestBatchedEncodeDecodeRepairIdentity(t *testing.T) {
 	// Lift the size gates so every sub-chunk size below exercises the
 	// batched code paths, not the gated fallbacks.
@@ -100,7 +102,7 @@ func TestBatchedEncodeDecodeRepairIdentity(t *testing.T) {
 // TestBatchingToggle checks the gate plumbing.
 func TestBatchingToggle(t *testing.T) {
 	if !Batching() {
-		t.Skip("ECFAULT_NOBATCH set in environment")
+		t.Fatal("batching is off by default")
 	}
 	restore := SetBatching(false)
 	if Batching() {
@@ -109,5 +111,18 @@ func TestBatchingToggle(t *testing.T) {
 	restore()
 	if !Batching() {
 		t.Fatal("restore did not re-enable batching")
+	}
+}
+
+// TestBatchLimitsIgnoreWorkerBudget: the batched/per-plane choice depends
+// on the backend tier and the sub-chunk size only, never on how many
+// workers the process may use.
+func TestBatchLimitsIgnoreWorkerBudget(t *testing.T) {
+	prev := parallel.SetWorkers(1)
+	defer parallel.SetWorkers(prev)
+	dec, rep := batchDecodeLimit(), batchRepairLimit()
+	parallel.SetWorkers(8)
+	if d, r := batchDecodeLimit(), batchRepairLimit(); d != dec || r != rep {
+		t.Fatalf("limits moved with the worker budget: decode %d -> %d, repair %d -> %d", dec, d, rep, r)
 	}
 }

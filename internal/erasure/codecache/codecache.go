@@ -10,16 +10,11 @@
 // Ownership rules: everything a code builds in New is frozen there;
 // everything derived afterwards is cached inside the instance; nothing
 // is ever invalidated, so the registry itself is append-only and
-// unbounded (the spec space a process touches is tiny). Set
-// ECFAULT_NOCODECACHE to bypass sharing and hand every caller a private
-// instance, e.g. to A/B the construction cost.
+// unbounded (the spec space a process touches is tiny). A caller that
+// wants a private instance calls erasure.New.
 package codecache
 
 import (
-	"fmt"
-	"os"
-	"sort"
-	"strings"
 	"sync"
 
 	"repro/internal/erasure"
@@ -27,47 +22,9 @@ import (
 
 // Spec identifies one code configuration. D is the plugin-specific extra
 // parameter (Clay's repair degree, LRC's locality, SHEC's durability).
-// Params carries any construction parameters beyond that tuple in the
-// canonical encoding produced by EncodeParams; it is part of the registry
-// key so configurations differing only in such parameters can never alias
-// to one shared instance. No current plugin accepts extra parameters, so
-// Get rejects non-empty Params with a clear error instead of silently
-// dropping them (see GetSpec).
 type Spec struct {
 	Plugin  string
 	K, M, D int
-	Params  string
-}
-
-// EncodeParams canonicalizes construction parameters beyond
-// (plugin, k, m, d) into the comparable Spec.Params form: keys sorted,
-// "key=value" pairs joined with commas. Keys and values must not contain
-// '=' or ',' and keys must be non-empty, so the encoding stays injective.
-func EncodeParams(params map[string]string) (string, error) {
-	if len(params) == 0 {
-		return "", nil
-	}
-	keys := make([]string, 0, len(params))
-	for k := range params {
-		if k == "" || strings.ContainsAny(k, "=,") {
-			return "", fmt.Errorf("codecache: invalid parameter key %q (must be non-empty, without '=' or ',')", k)
-		}
-		if v := params[k]; strings.ContainsAny(v, "=,") {
-			return "", fmt.Errorf("codecache: invalid value %q for parameter %q (must not contain '=' or ',')", v, k)
-		}
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	for i, k := range keys {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(k)
-		b.WriteByte('=')
-		b.WriteString(params[k])
-	}
-	return b.String(), nil
 }
 
 // Normalize resolves the plugins' d-defaults so that callers passing 0
@@ -103,34 +60,11 @@ var (
 	hits, misses int64
 )
 
-// Enabled reports whether the registry shares instances; it is off when
-// ECFAULT_NOCODECACHE is set.
-func Enabled() bool { return os.Getenv("ECFAULT_NOCODECACHE") == "" }
-
 // Get returns the shared code instance for the spec, constructing it on
 // first use. Construction errors are cached too: the plugin set and spec
-// are fixed at init/config time, so a failing spec keeps failing. With
-// sharing disabled it returns a fresh private instance per call.
+// are fixed at init/config time, so a failing spec keeps failing.
 func Get(plugin string, k, m, d int) (erasure.Code, error) {
-	return GetSpec(Spec{Plugin: plugin, K: k, M: m, D: d})
-}
-
-// GetSpec is Get for callers holding a full Spec, including construction
-// parameters outside the (plugin, k, m, d) tuple. Such parameters are
-// part of the registry key, so they can never alias distinct
-// configurations onto one instance — but no registered plugin consumes
-// them yet, so rather than construct a code that silently ignores them,
-// GetSpec rejects non-empty Params before touching the registry.
-func GetSpec(s Spec) (erasure.Code, error) {
-	if s.Params != "" {
-		return nil, fmt.Errorf(
-			"codecache: spec %s(k=%d,m=%d,d=%d) carries construction parameters %q outside the (plugin, k, m, d) tuple; no registered plugin accepts them — construct the code directly instead of through the registry",
-			s.Plugin, s.K, s.M, s.D, s.Params)
-	}
-	if !Enabled() {
-		return erasure.New(s.Plugin, s.K, s.M, s.D)
-	}
-	spec := Normalize(s)
+	spec := Normalize(Spec{Plugin: plugin, K: k, M: m, D: d})
 	mu.Lock()
 	e, ok := entries[spec]
 	if ok {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
 
@@ -81,26 +80,6 @@ func TestNormalizeMatchesPluginDefaults(t *testing.T) {
 		if a != b {
 			t.Errorf("%s: d=0 and normalized d map to different registry entries", g.plugin)
 		}
-	}
-}
-
-func TestDisabledViaEnv(t *testing.T) {
-	t.Setenv("ECFAULT_NOCODECACHE", "1")
-	Reset()
-	defer Reset()
-	a, err := Get("jerasure_reed_sol_van", 4, 2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Get("jerasure_reed_sol_van", 4, 2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a == b {
-		t.Error("ECFAULT_NOCODECACHE set but Get returned a shared instance")
-	}
-	if Len() != 0 {
-		t.Errorf("registry grew (%d entries) while disabled", Len())
 	}
 }
 
@@ -238,57 +217,4 @@ func checkPattern(shared, cold erasure.Code, golden [][]byte, failed []int) erro
 		}
 	}
 	return nil
-}
-
-// TestEncodeParamsCanonical checks the Params encoding is order-free and
-// injective-by-construction, and that malformed keys/values are rejected.
-func TestEncodeParamsCanonical(t *testing.T) {
-	got, err := EncodeParams(map[string]string{"scheme": "opt", "groups": "2"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := "groups=2,scheme=opt"; got != want {
-		t.Errorf("EncodeParams = %q, want %q", got, want)
-	}
-	if s, err := EncodeParams(nil); err != nil || s != "" {
-		t.Errorf("EncodeParams(nil) = (%q, %v), want empty", s, err)
-	}
-	for _, bad := range []map[string]string{
-		{"": "v"},
-		{"a=b": "v"},
-		{"a": "x,y"},
-	} {
-		if _, err := EncodeParams(bad); err == nil {
-			t.Errorf("EncodeParams(%v) succeeded, want error", bad)
-		}
-	}
-}
-
-// TestGetSpecRejectsExtraParams: construction parameters outside the
-// (plugin, k, m, d) tuple must fail loudly instead of aliasing onto a
-// shared instance that silently ignored them — no registered plugin
-// consumes such parameters.
-func TestGetSpecRejectsExtraParams(t *testing.T) {
-	Reset()
-	defer Reset()
-	params, err := EncodeParams(map[string]string{"groupmap": "custom"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = GetSpec(Spec{Plugin: "lrc", K: 8, M: 2, D: 2, Params: params})
-	if err == nil {
-		t.Fatal("GetSpec with extra params succeeded, want error")
-	}
-	for _, frag := range []string{"groupmap=custom", "lrc", "(plugin, k, m, d)"} {
-		if !strings.Contains(err.Error(), frag) {
-			t.Errorf("error %q does not mention %q", err, frag)
-		}
-	}
-	if Len() != 0 {
-		t.Errorf("rejected spec polluted the registry: Len = %d", Len())
-	}
-	// The plain tuple spec still resolves through GetSpec.
-	if _, err := GetSpec(Spec{Plugin: "lrc", K: 8, M: 2, D: 2}); err != nil {
-		t.Fatalf("GetSpec without params: %v", err)
-	}
 }

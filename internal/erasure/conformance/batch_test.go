@@ -101,7 +101,7 @@ func clayBatchScan(t testing.TB, code erasure.Code, scs, align int, rng *rand.Ra
 }
 
 // TestClayBatchIdentity sweeps sub-chunk sizes across 1-513 (covering the
-// gather, strided-SIMD, and per-run window routes plus every tail width)
+// strided-SIMD and per-run window routes plus every tail width)
 // and operand alignments 0-7 on every available gf256 backend, requiring
 // the batched multi-plane Clay paths to be byte-identical to the
 // per-plane baseline for encode, decode, and repair. The size gates are
@@ -145,7 +145,7 @@ func TestClayBatchIdentity(t *testing.T) {
 
 // FuzzClayBatchIdentity fuzzes shape, sub-chunk size, alignment, and data
 // seed through the batched/per-plane identity check on the current
-// backend. The seed corpus pins the kernel route boundaries (gather cap,
+// backend. The seed corpus pins the kernel route boundaries (one vector,
 // strided window width, tail remainders).
 func FuzzClayBatchIdentity(f *testing.F) {
 	f.Add(uint8(4), uint8(2), uint16(1), uint8(0), int64(1))
@@ -226,13 +226,12 @@ func BenchmarkClayBatchAB(b *testing.B) {
 
 // BenchmarkKernelClayRepairSweep sweeps the single-repair sub-chunk size
 // from 128 B to 8 KiB — the operating region the zero-copy strided repair
-// claims, extended one size class past the worker-aware gate — with the
+// claims, extended two size classes past its 2 KiB gate — with the
 // batched and per-plane formulations at every point. Shard size is
 // scs * alpha, so the sweep drives the size gate's own axis directly; the
 // batched gate is lifted so both paths cover the full range and the
 // crossover (if any) is visible in the numbers rather than hidden by the
-// gate. Run with ECFAULT_KERNEL_WORKERS=1 to A/B the parallel strided
-// execution against a serial kernel.
+// gate.
 func BenchmarkKernelClayRepairSweep(b *testing.B) {
 	code, err := erasure.New("clay", 9, 3, 11)
 	if err != nil {

@@ -58,7 +58,7 @@ func (s *Solver) Apply(shards [][]byte, size int) {
 
 // Cache memoizes solvers per erasure pattern for one generator. Fills
 // are singleflight and the cache is bounded by the shared
-// derived-artifact size (ECFAULT_DECODE_CACHE), so one Cache serves
+// derived-artifact size (kernel.DecodeCacheSize), so one Cache serves
 // concurrent goroutines without duplicate solves.
 type Cache struct {
 	gen *gfmat.Matrix
@@ -69,7 +69,7 @@ type Cache struct {
 
 // NewCache wraps a generator matrix (n rows, k columns).
 func NewCache(gen *gfmat.Matrix) *Cache {
-	return &Cache{gen: gen, k: gen.Cols, lru: kernel.NewSharded[*Solver](kernel.DecodeCacheSize())}
+	return &Cache{gen: gen, k: gen.Cols, lru: kernel.NewSharded[*Solver](kernel.DecodeCacheSize)}
 }
 
 // Solver returns the decode solution for the given erasure flags (length

@@ -1,9 +1,7 @@
 package kernel
 
 import (
-	"os"
 	"runtime"
-	"strconv"
 	"sync"
 	"time"
 
@@ -12,119 +10,46 @@ import (
 )
 
 // Program chunking was originally tuned by hand for one core (16 KiB
-// chunks, 64 KiB parallel threshold). Those numbers are now only the
-// fallback: the first Run derives them from the machine — a one-shot
-// microprobe times the active gf256 backend at candidate chunk sizes and
-// measures worker-pool handoff, and runtime.NumCPU scales the parallel
-// threshold. The same probe prices the strided parallel threshold: the
-// minimum total bytes a strided/segment batch (RunSegs, the clay repair
-// calls) must carry before fanning out across the pool. Strided batches
-// fan out per call rather than per stripe, so their threshold is a
-// handoff multiple without the NumCPU scaling. Environment overrides pin
-// the values for reproducible benchmarking:
-//
-//	ECFAULT_CHUNK=bytes     stripe chunk processed per pass over all rows
-//	ECFAULT_PARALLEL=bytes  min rows*stripe work before fanning out; also
-//	                        pins the strided threshold (each clamped into
-//	                        its own range)
-//
-// The choice never affects output bytes — every chunking or split of a
-// run is byte-identical by construction — only throughput.
+// chunks, 64 KiB parallel threshold). The first Run now derives both
+// from the machine — a one-shot microprobe times the active gf256 backend
+// at candidate chunk sizes and measures worker-pool handoff, and
+// runtime.NumCPU scales the parallel threshold. The choice never affects
+// output bytes — every chunking or split of a run is byte-identical by
+// construction — only throughput.
 const (
-	defaultChunkBytes        = 16 << 10
-	defaultParallelThreshold = 64 << 10
+	defaultChunkBytes = 16 << 10
 
 	minChunkBytes = 4 << 10
 	maxChunkBytes = 256 << 10
 
 	minParallelThreshold = 32 << 10
 	maxParallelThreshold = 8 << 20
-
-	minStridedThreshold = 16 << 10
-	maxStridedThreshold = 96 << 10
 )
 
-var tuningOnce = sync.OnceValue(func() tuned {
-	return computeTuning(runtime.NumCPU(), os.Getenv("ECFAULT_CHUNK"), os.Getenv("ECFAULT_PARALLEL"))
-})
-
-// tuned is the calibrated tuple: stripe chunk bytes, the rows*stripe
-// work floor for Program.Run fan-out, and the total-bytes floor for
-// strided/segment fan-out.
+// tuned is the calibrated pair: stripe chunk bytes and the rows*stripe
+// work floor for Program.Run fan-out.
 type tuned struct {
 	chunkBytes        int
 	parallelThreshold int
-	stridedThreshold  int
 }
 
-// tuning returns the calibrated tuple, probing on first use.
-func tuning() tuned { return tuningOnce() }
+// tuning returns the calibrated pair, probing on first use.
+var tuning = sync.OnceValue(func() tuned { return probeTuning(runtime.NumCPU()) })
 
-// Tuning exposes the calibrated chunk size and thresholds (tests,
-// benchmarks, and `ecbench -backends` diagnostics; the hot path uses the
-// internal accessor).
-func Tuning() (chunkBytes, parallelThreshold, stridedThreshold int) {
+// Tuning exposes the calibrated chunk size and threshold (tests and
+// `ecbench -backends` diagnostics; the hot path uses the internal
+// accessor). The third value is always 0: bench/ecperf/host.go still reads
+// three, and the next benchmark PR (ROADMAP 1a) removes it.
+func Tuning() (chunkBytes, parallelThreshold, _ int) {
 	t := tuning()
-	return t.chunkBytes, t.parallelThreshold, t.stridedThreshold
-}
-
-// StridedWorkers returns the worker count a strided/segment batch of
-// total output-side bytes should fan out across: 1 (stay serial) below
-// the calibrated strided threshold, else the kernel worker budget capped
-// so every worker keeps at least half a threshold of work. Callers pass
-// the result to the gf256 *Parallel entries.
-func StridedWorkers(total int) int {
-	t := tuning()
-	if total < t.stridedThreshold {
-		return 1
-	}
-	w := parallel.KernelWorkers()
-	if most := total / (t.stridedThreshold / 2); w > most {
-		w = most
-	}
-	return w
-}
-
-// computeTuning resolves the tuple from the env overrides, running the
-// microprobe only when something is left unpinned.
-func computeTuning(ncpu int, chunkEnv, parEnv string) tuned {
-	chunk := clampEnvBytes(chunkEnv, minChunkBytes, maxChunkBytes)
-	thresh := clampEnvBytes(parEnv, minParallelThreshold, maxParallelThreshold)
-	strided := clampEnvBytes(parEnv, minStridedThreshold, maxStridedThreshold)
-	if chunk > 0 && thresh > 0 {
-		return tuned{chunk, thresh, strided}
-	}
-	pc, pt, ps := probeTuning(ncpu)
-	if chunk <= 0 {
-		chunk = pc
-	}
-	if thresh <= 0 {
-		thresh = pt
-	}
-	if strided <= 0 {
-		strided = ps
-	}
-	return tuned{chunk, thresh, strided}
-}
-
-// clampEnvBytes parses an integer byte count from an env value, clamping
-// into [lo, hi]. Empty or invalid values return 0 (not set).
-func clampEnvBytes(v string, lo, hi int) int {
-	if v == "" {
-		return 0
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil || n <= 0 {
-		return 0
-	}
-	return min(max(n, lo), hi)
+	return t.chunkBytes, t.parallelThreshold, 0
 }
 
 // probeTuning times a representative program (three parity rows over nine
 // sources, the paper's RS(12,9) shape) across candidate chunk sizes and
-// picks the fastest, then prices worker handoff to place both parallel
-// thresholds. Total budget is a few milliseconds, paid once per process.
-func probeTuning(ncpu int) (chunk, thresh, strided int) {
+// picks the fastest, then prices worker handoff to place the parallel
+// threshold. Total budget is a few milliseconds, paid once per process.
+func probeTuning(ncpu int) tuned {
 	const stripe = 128 << 10
 	const width, rows = 9, 3
 	srcs := make([][]byte, width)
@@ -146,7 +71,7 @@ func probeTuning(ncpu int) (chunk, thresh, strided int) {
 	}
 	prog := Compile(rowCoeffs)
 
-	chunk = defaultChunkBytes
+	chunk := defaultChunkBytes
 	best := time.Duration(1<<63 - 1)
 	var bestBytesPerNs float64
 	for _, cand := range []int{8 << 10, 16 << 10, 32 << 10, 64 << 10} {
@@ -178,10 +103,6 @@ func probeTuning(ncpu int) (chunk, thresh, strided int) {
 		parallel.ForEach(2, 2, func(int) {})
 	}
 	handoffNs := float64(time.Since(start).Nanoseconds()) / dispatches
-	thresh = int(handoffNs * bestBytesPerNs * 8 * float64(max(ncpu, 1)))
-	// Strided batches dispatch once per kernel call, so the floor is a
-	// plain handoff multiple: eight handoffs' worth of serial work.
-	strided = int(handoffNs * bestBytesPerNs * 8)
-	return chunk, min(max(thresh, minParallelThreshold), maxParallelThreshold),
-		min(max(strided, minStridedThreshold), maxStridedThreshold)
+	thresh := int(handoffNs * bestBytesPerNs * 8 * float64(max(ncpu, 1)))
+	return tuned{chunk, min(max(thresh, minParallelThreshold), maxParallelThreshold)}
 }

@@ -2,81 +2,27 @@ package kernel
 
 import "testing"
 
-func TestComputeTuningEnvOverrides(t *testing.T) {
-	tu := computeTuning(4, "32768", "1048576")
-	if tu.chunkBytes != 32768 {
-		t.Fatalf("chunk override: got %d, want 32768", tu.chunkBytes)
-	}
-	if tu.parallelThreshold != 1048576 {
-		t.Fatalf("threshold override: got %d, want 1048576", tu.parallelThreshold)
-	}
-	// ECFAULT_PARALLEL also pins the strided threshold, clamped into its
-	// own (narrower) range.
-	if tu.stridedThreshold != maxStridedThreshold {
-		t.Fatalf("strided override: got %d, want clamp to %d", tu.stridedThreshold, maxStridedThreshold)
-	}
-	tu = computeTuning(4, "32768", "65536")
-	if tu.stridedThreshold != 65536 {
-		t.Fatalf("strided override in range: got %d, want 65536", tu.stridedThreshold)
-	}
-}
-
-func TestComputeTuningClampsEnv(t *testing.T) {
-	tu := computeTuning(1, "64", "1")
-	if tu.chunkBytes != minChunkBytes {
-		t.Fatalf("tiny chunk not clamped: got %d, want %d", tu.chunkBytes, minChunkBytes)
-	}
-	if tu.parallelThreshold != minParallelThreshold {
-		t.Fatalf("tiny threshold not clamped: got %d, want %d", tu.parallelThreshold, minParallelThreshold)
-	}
-	if tu.stridedThreshold != minStridedThreshold {
-		t.Fatalf("tiny strided threshold not clamped: got %d, want %d", tu.stridedThreshold, minStridedThreshold)
-	}
-	tu = computeTuning(1, "99999999", "999999999999")
-	if tu.chunkBytes != maxChunkBytes {
-		t.Fatalf("huge chunk not clamped: got %d, want %d", tu.chunkBytes, maxChunkBytes)
-	}
-	if tu.parallelThreshold != maxParallelThreshold {
-		t.Fatalf("huge threshold not clamped: got %d, want %d", tu.parallelThreshold, maxParallelThreshold)
-	}
-	if tu.stridedThreshold != maxStridedThreshold {
-		t.Fatalf("huge strided threshold not clamped: got %d, want %d", tu.stridedThreshold, maxStridedThreshold)
-	}
-}
-
-func TestComputeTuningInvalidEnvFallsBackToProbe(t *testing.T) {
-	tu := computeTuning(2, "not-a-number", "")
-	if tu.chunkBytes < minChunkBytes || tu.chunkBytes > maxChunkBytes {
-		t.Fatalf("probed chunk %d outside [%d, %d]", tu.chunkBytes, minChunkBytes, maxChunkBytes)
-	}
-	if tu.parallelThreshold < minParallelThreshold || tu.parallelThreshold > maxParallelThreshold {
-		t.Fatalf("probed threshold %d outside [%d, %d]", tu.parallelThreshold, minParallelThreshold, maxParallelThreshold)
-	}
-	if tu.stridedThreshold < minStridedThreshold || tu.stridedThreshold > maxStridedThreshold {
-		t.Fatalf("probed strided threshold %d outside [%d, %d]", tu.stridedThreshold, minStridedThreshold, maxStridedThreshold)
+// TestProbeTuningRanges: whatever the microprobe measures, on however
+// many CPUs, lands inside the clamps Program.run relies on.
+func TestProbeTuningRanges(t *testing.T) {
+	for _, ncpu := range []int{1, 2, 64} {
+		tu := probeTuning(ncpu)
+		if tu.chunkBytes < minChunkBytes || tu.chunkBytes > maxChunkBytes {
+			t.Errorf("ncpu %d: probed chunk %d outside [%d, %d]", ncpu, tu.chunkBytes, minChunkBytes, maxChunkBytes)
+		}
+		if tu.parallelThreshold < minParallelThreshold || tu.parallelThreshold > maxParallelThreshold {
+			t.Errorf("ncpu %d: probed threshold %d outside [%d, %d]", ncpu, tu.parallelThreshold, minParallelThreshold, maxParallelThreshold)
+		}
 	}
 }
 
 func TestTuningStable(t *testing.T) {
-	c1, t1, s1 := Tuning()
-	c2, t2, s2 := Tuning()
-	if c1 != c2 || t1 != t2 || s1 != s2 {
-		t.Fatalf("tuning not stable across calls: (%d,%d,%d) then (%d,%d,%d)", c1, t1, s1, c2, t2, s2)
+	c1, t1, _ := Tuning()
+	c2, t2, _ := Tuning()
+	if c1 != c2 || t1 != t2 {
+		t.Fatalf("tuning not stable across calls: (%d,%d) then (%d,%d)", c1, t1, c2, t2)
 	}
-	if c1 < minChunkBytes || t1 < minParallelThreshold || s1 < minStridedThreshold {
-		t.Fatalf("tuning out of range: chunk=%d threshold=%d strided=%d", c1, t1, s1)
-	}
-}
-
-func TestStridedWorkersGating(t *testing.T) {
-	_, _, strided := Tuning()
-	if got := StridedWorkers(strided - 1); got != 1 {
-		t.Fatalf("below-threshold batch got %d workers, want 1", got)
-	}
-	// Above threshold the count is the kernel budget capped by total work;
-	// with total exactly one threshold the per-worker-minimum cap allows at
-	// most 2 workers.
-	if got := StridedWorkers(strided); got < 1 || got > 2 {
-		t.Fatalf("at-threshold batch got %d workers, want 1 or 2", got)
+	if c1 < minChunkBytes || t1 < minParallelThreshold {
+		t.Fatalf("tuning out of range: chunk=%d threshold=%d", c1, t1)
 	}
 }

@@ -263,21 +263,3 @@ func TestShardedConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 }
-
-func TestDecodeCacheSizeEnv(t *testing.T) {
-	if got := DecodeCacheSize(); got != DefaultDecodeCacheSize {
-		t.Fatalf("default = %d, want %d", got, DefaultDecodeCacheSize)
-	}
-	t.Setenv("ECFAULT_DECODE_CACHE", "32")
-	if got := DecodeCacheSize(); got != 32 {
-		t.Fatalf("override = %d, want 32", got)
-	}
-	t.Setenv("ECFAULT_DECODE_CACHE", "-5")
-	if got := DecodeCacheSize(); got != 1 {
-		t.Fatalf("clamp = %d, want 1", got)
-	}
-	t.Setenv("ECFAULT_DECODE_CACHE", "not-a-number")
-	if got := DecodeCacheSize(); got != DefaultDecodeCacheSize {
-		t.Fatalf("garbage = %d, want default %d", got, DefaultDecodeCacheSize)
-	}
-}

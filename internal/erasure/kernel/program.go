@@ -68,7 +68,7 @@ func (p *Program) Plan(i int) *gf256.RowPlan { return p.plans[i] }
 // the serial pass because every output byte depends only on the same byte
 // offset of the sources.
 func (p *Program) Run(srcs, dsts [][]byte, overwrite bool) {
-	p.run(srcs, dsts, overwrite, parallel.KernelWorkers())
+	p.run(srcs, dsts, overwrite, parallel.Workers())
 }
 
 // RunSerial executes the program on the calling goroutine regardless of
@@ -134,23 +134,9 @@ func (p *Program) run(srcs, dsts [][]byte, overwrite bool, workers int) {
 // layer coalesces adjacent planes and dispatches the strided SIMD kernels
 // (runs up to 1 KiB on the ymm tiers, 4 KiB on the zmm tier, longer runs
 // as windowed calls), so callers need no layout knowledge. Output is
-// byte-identical to one Run per segment. Batches whose total output bytes
-// (rows x segments x segLen) clear the calibrated strided parallel
-// threshold fan out across the worker pool on a (row, index-range) grid —
-// every grid cell writes a disjoint destination region, so the split is
-// byte-identical to the serial pass; smaller batches stay on the calling
+// byte-identical to one Run per segment. The batch runs on the calling
 // goroutine.
 func (p *Program) RunSegs(srcs, dsts [][]byte, idx []int32, segLen int, overwrite bool) {
-	p.runSegs(srcs, dsts, idx, segLen, overwrite, parallel.KernelWorkers())
-}
-
-// RunSegsParallel executes the segment batch with an explicit worker
-// count (tests use this to force the pool on single-core machines).
-func (p *Program) RunSegsParallel(srcs, dsts [][]byte, idx []int32, segLen int, overwrite bool, workers int) {
-	p.runSegs(srcs, dsts, idx, segLen, overwrite, workers)
-}
-
-func (p *Program) runSegs(srcs, dsts [][]byte, idx []int32, segLen int, overwrite bool, workers int) {
 	if len(dsts) != len(p.plans) {
 		panic("kernel: destination count does not match program rows")
 	}
@@ -160,42 +146,9 @@ func (p *Program) runSegs(srcs, dsts [][]byte, idx []int32, segLen int, overwrit
 	if len(srcs) != p.width {
 		panic("kernel: source count does not match program width")
 	}
-	rows := len(p.plans)
-	if workers > 1 && rows*len(idx)*segLen >= tuning().stridedThreshold &&
-		p.runSegsGrid(srcs, dsts, idx, segLen, overwrite, workers) {
-		return
-	}
 	for i, plan := range p.plans {
 		plan.ApplySegs(srcs, dsts[i], idx, nil, segLen, overwrite)
 	}
-}
-
-// runSegsGrid fans the segment batch out on a flattened (row,
-// index-range) grid: rows alone are often fewer than the workers
-// available (q lost nodes), so the index list splits into nc contiguous
-// ranges per row. Returns false when the geometry leaves nothing to fan
-// out (a single grid cell).
-func (p *Program) runSegsGrid(srcs, dsts [][]byte, idx []int32, segLen int, overwrite bool, workers int) bool {
-	rows := len(p.plans)
-	nc := (workers + rows - 1) / rows
-	if nc > len(idx) {
-		nc = len(idx)
-	}
-	if nc < 1 {
-		return false
-	}
-	per := (len(idx) + nc - 1) / nc
-	nc = (len(idx) + per - 1) / per
-	if rows*nc <= 1 {
-		return false
-	}
-	parallel.ForEach(rows*nc, workers, func(t int) {
-		i, c := t/nc, t%nc
-		lo := c * per
-		hi := min(lo+per, len(idx))
-		p.plans[i].ApplySegs(srcs, dsts[i], idx[lo:hi], nil, segLen, overwrite)
-	})
-	return true
 }
 
 // runRange processes dst bytes [off, end) chunk by chunk, all rows per

@@ -127,47 +127,6 @@ func TestProgramRunSegs(t *testing.T) {
 	}
 }
 
-// TestProgramRunSegsParallelIdentical forces the (row, index-range) grid
-// split and requires byte-identical output to the serial segment batch,
-// including index lists that do not divide evenly across workers.
-func TestProgramRunSegsParallelIdentical(t *testing.T) {
-	idxCases := [][]int32{
-		{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15},
-		{0, 2, 3, 4, 11, 17, 18, 23, 24, 29, 30, 31, 37},
-		{5},
-	}
-	for _, segLen := range []int{64, 1024, 4097} {
-		for _, idx := range idxCases {
-			const nSegs = 40
-			rows, srcs, serial, par := randomCase(t, 3, 9, nSegs*segLen, int64(segLen)*13+int64(len(idx)))
-			p := Compile(rows)
-			// serial and par start byte-identical (randomCase clones); keep
-			// the pristine content so unlisted segments compare equal too.
-			orig := make([][]byte, len(par))
-			for i := range par {
-				orig[i] = append([]byte(nil), par[i]...)
-			}
-			p.runSegs(srcs, serial, idx, segLen, true, 1)
-			for _, workers := range []int{2, 3, 7, 16} {
-				for i := range par {
-					copy(par[i], orig[i])
-				}
-				// Call the grid split directly: the public entries gate on
-				// total bytes, which the smaller cases here may not clear.
-				if !p.runSegsGrid(srcs, par, idx, segLen, true, workers) {
-					p.runSegs(srcs, par, idx, segLen, true, 1)
-				}
-				for i := range par {
-					if !bytes.Equal(par[i], serial[i]) {
-						t.Fatalf("segLen=%d idx=%d workers=%d: row %d parallel segment batch differs from serial",
-							segLen, len(idx), workers, i)
-					}
-				}
-			}
-		}
-	}
-}
-
 func TestProgramZeroColumnsAllowNilSources(t *testing.T) {
 	rows := [][]byte{{0, 2, 0, 3}}
 	srcs := make([][]byte, 4)

@@ -1,34 +1,11 @@
 package kernel
 
-import (
-	"os"
-	"strconv"
-)
-
-// DefaultDecodeCacheSize bounds the per-code derived-artifact caches
-// (decode programs, Clay plane solvers, gensolve pattern solvers, repair
-// plans). Patterns repeat heavily in practice — a cluster has few
-// concurrent failure sets — so a modest bound with real LRU eviction
-// keeps the hit rate high. Override with ECFAULT_DECODE_CACHE for
-// memory-constrained runs.
-const DefaultDecodeCacheSize = 1024
-
-// DecodeCacheSize returns the bound for derived-artifact caches:
-// DefaultDecodeCacheSize, or the value of ECFAULT_DECODE_CACHE when set
-// to a positive integer (values below 1 clamp to 1). It is read at code
-// construction time, so changing the variable mid-process only affects
-// codes built afterwards.
-func DecodeCacheSize() int {
-	if v := os.Getenv("ECFAULT_DECODE_CACHE"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil {
-			if n < 1 {
-				n = 1
-			}
-			return n
-		}
-	}
-	return DefaultDecodeCacheSize
-}
+// DecodeCacheSize bounds the per-code derived-artifact caches (decode
+// programs, Clay plane solvers, gensolve pattern solvers, repair plans).
+// Patterns repeat heavily in practice — a cluster has few concurrent
+// failure sets — so a modest bound with real LRU eviction keeps the hit
+// rate high.
+const DecodeCacheSize = 1024
 
 // shardCount is the number of LRU shards in a Sharded cache. Power of two
 // so shard selection is a mask. Eight shards keeps lock hold times short

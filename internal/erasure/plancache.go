@@ -17,9 +17,9 @@ type PlanCache struct {
 }
 
 // NewPlanCache returns a plan cache for a code with n shards, bounded by
-// the shared derived-artifact cache size (ECFAULT_DECODE_CACHE).
+// the shared derived-artifact cache size (kernel.DecodeCacheSize).
 func NewPlanCache(n int) *PlanCache {
-	return &PlanCache{n: n, lru: kernel.NewSharded[*Plan](kernel.DecodeCacheSize())}
+	return &PlanCache{n: n, lru: kernel.NewSharded[*Plan](kernel.DecodeCacheSize)}
 }
 
 // Get returns the memoized plan for the failed set, building it

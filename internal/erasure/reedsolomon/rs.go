@@ -75,7 +75,7 @@ func New(k, m int, technique Technique) (*RS, error) {
 	return &RS{
 		k: k, m: m, technique: technique, gen: gen,
 		enc:       kernel.Compile(parity),
-		decodeLRU: kernel.NewSharded[*decProgram](kernel.DecodeCacheSize()),
+		decodeLRU: kernel.NewSharded[*decProgram](kernel.DecodeCacheSize),
 		plans:     erasure.NewPlanCache(k + m),
 	}, nil
 }

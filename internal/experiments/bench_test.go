@@ -37,11 +37,8 @@ func BenchmarkSimEngine(b *testing.B) {
 
 // BenchmarkSnapshotFork measures the per-cell setup cost a campaign pays
 // after the one-time populate: one copy-on-write fork plus a full (tiny)
-// recovery, so the fork-side construction and first-plan compilation
-// dominate the iteration. The A/B lever is the shared code registry:
-// with ECFAULT_NOCODECACHE=1 every fork rebuilds its erasure code and
-// recompiles plans/programs; with the registry on (default) forks share
-// one instance and its warm caches.
+// recovery, so the fork-side set-up dominates the iteration; forks share
+// one registry code instance and its warm plan/program caches.
 func BenchmarkSnapshotFork(b *testing.B) {
 	const scale = 400 // 25 objects: recovery is small, setup dominates
 	for _, c := range Codes {

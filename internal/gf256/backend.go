@@ -28,9 +28,7 @@ import (
 // Unrecognised values fail safe to the portable word kernels. A tier above
 // what the hardware supports is a no-op (the hardware cap wins), so
 // Backends() under ECFAULT_BACKEND enumerates exactly the forced tier and
-// its fallbacks. ECFAULT_NOSIMD is kept as a legacy alias with the same
-// value syntax (ECFAULT_NOSIMD=1 means "word"); ECFAULT_BACKEND wins when
-// both are set.
+// its fallbacks.
 const (
 	backendScalar int32 = iota
 	backendWord
@@ -42,8 +40,8 @@ const (
 var backendNames = [...]string{"scalar", "word", "avx2", "gfni", "gfni512"}
 
 // activeBackend is the backend RowPlan.Apply dispatches on. It is set in
-// init from the hardware cap and ECFAULT_BACKEND/ECFAULT_NOSIMD, and
-// mutated only by SetBackend (tests and benchmarks).
+// init from the hardware cap and ECFAULT_BACKEND, and mutated only by
+// SetBackend (tests and benchmarks).
 var activeBackend atomic.Int32
 
 // maxBackend is the strongest backend this process may select: the
@@ -53,17 +51,8 @@ var activeBackend atomic.Int32
 var maxBackend int32
 
 func init() {
-	maxBackend = capBackend(hwBackend(), backendEnv())
+	maxBackend = capBackend(hwBackend(), os.Getenv("ECFAULT_BACKEND"))
 	activeBackend.Store(maxBackend)
-}
-
-// backendEnv resolves the environment override: ECFAULT_BACKEND first,
-// then the legacy ECFAULT_NOSIMD alias.
-func backendEnv() string {
-	if v := os.Getenv("ECFAULT_BACKEND"); v != "" {
-		return v
-	}
-	return os.Getenv("ECFAULT_NOSIMD")
 }
 
 // backendLevel maps a backend name to its dispatch level.
@@ -83,8 +72,8 @@ func capBackend(hw int32, env string) int32 {
 		if lvl, ok := backendLevel(env); ok {
 			cap = lvl
 		} else {
-			// "1", "true", and anything unrecognised all mean "no SIMD":
-			// fail safe to the portable word kernels.
+			// Anything unrecognised fails safe to the portable word
+			// kernels.
 			cap = backendWord
 		}
 	}

@@ -184,8 +184,8 @@ func gfniMatrix(c byte) uint64 {
 
 // simdCompile attaches the per-coefficient kernel constants for the plan's
 // non-zero coefficients. Constants are built from the hardware cap, not
-// the active backend, so plans compiled while ECFAULT_NOSIMD (or a test
-// override) lowers the chain still work after SetBackend raises it.
+// the active backend, so plans compiled while a test override lowers the
+// chain still work after SetBackend raises it.
 func simdCompile(rp *RowPlan) {
 	if hwBackend() < backendAVX2 {
 		return

@@ -18,9 +18,16 @@ func forceBackend(t *testing.T, name string) {
 }
 
 func TestBackendReporting(t *testing.T) {
+	// Strongest first, and every tier below the cap down to scalar: the
+	// reverse of a prefix of backendNames, whatever ECFAULT_BACKEND says.
 	avail := Backends()
-	if len(avail) < 2 || avail[len(avail)-1] != "scalar" || avail[len(avail)-2] != "word" {
-		t.Fatalf("fallback chain missing from Backends(): %v", avail)
+	if len(avail) < 1 || len(avail) > len(backendNames) {
+		t.Fatalf("Backends() = %v", avail)
+	}
+	for i, b := range avail {
+		if want := backendNames[len(avail)-1-i]; b != want {
+			t.Fatalf("Backends() = %v: entry %d is %q, want %q", avail, i, b, want)
+		}
 	}
 	found := false
 	for _, b := range avail {
@@ -38,12 +45,14 @@ func TestBackendReporting(t *testing.T) {
 
 func TestSetBackendRestores(t *testing.T) {
 	was := Backend()
-	restore, err := SetBackend("word")
+	avail := Backends()
+	weakest := avail[len(avail)-1]
+	restore, err := SetBackend(weakest)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if Backend() != "word" {
-		t.Fatalf("SetBackend(word) left backend %q", Backend())
+	if Backend() != weakest {
+		t.Fatalf("SetBackend(%s) left backend %q", weakest, Backend())
 	}
 	restore()
 	if Backend() != was {
@@ -81,18 +90,6 @@ func TestCapBackend(t *testing.T) {
 			t.Errorf("capBackend(%s, %q) = %s, want %s",
 				backendNames[c.hw], c.env, backendNames[got], backendNames[c.want])
 		}
-	}
-}
-
-func TestBackendEnvPrecedence(t *testing.T) {
-	t.Setenv("ECFAULT_BACKEND", "avx2")
-	t.Setenv("ECFAULT_NOSIMD", "scalar")
-	if got := backendEnv(); got != "avx2" {
-		t.Fatalf("ECFAULT_BACKEND should win over ECFAULT_NOSIMD, got %q", got)
-	}
-	t.Setenv("ECFAULT_BACKEND", "")
-	if got := backendEnv(); got != "scalar" {
-		t.Fatalf("ECFAULT_NOSIMD alias not honoured, got %q", got)
 	}
 }
 

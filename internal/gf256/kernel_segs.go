@@ -1,7 +1,5 @@
 package gf256
 
-import "sync"
-
 // Segment-batched row kernels.
 //
 // Sub-packetized codes (Clay) apply the same short coefficient row to many
@@ -17,10 +15,6 @@ import "sync"
 //   - Uniformly strided runs below stridedMaxRun bytes go to a dedicated
 //     strided assembly kernel (one call walks every segment, masked-store
 //     tails included), so even stride-q plane sets stay fully vectorized.
-//   - Runs shorter than one vector are gathered into a pooled scratch
-//     arena, transformed contiguously at full SIMD width, and scattered
-//     back — converting what would be per-byte scalar tails into one
-//     vector pass at the cost of extra memmoves.
 //
 // Segment offsets are expressed in segment-index units (Clay plane
 // numbers), with an optional per-source index delta (the coupling
@@ -59,29 +53,6 @@ func stridedMinRun(b int32) int {
 // segRun is a coalesced run of consecutive segments: segment indices
 // [start, start+n).
 type segRun struct{ start, n int32 }
-
-// segArena pools gather/scatter scratch for the sub-vector segment path.
-var segArena = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
-
-func arenaGet(n int) *[]byte {
-	bp := segArena.Get().(*[]byte)
-	if cap(*bp) < n {
-		*bp = make([]byte, n)
-	}
-	*bp = (*bp)[:n]
-	return bp
-}
-
-// MulAddSegs is ApplySegs with accumulate semantics, the batched analogue
-// of MulAdd: for every segment index s in idx,
-//
-//	dst[s*segLen+i] ^= Σ_j coeffs[j] * srcs[j][(s+delta[j])*segLen+i]
-//
-// over i in [0, segLen). delta may be nil (all zero); sources under zero
-// coefficients may be nil and their delta is ignored.
-func (rp *RowPlan) MulAddSegs(srcs [][]byte, dst []byte, idx []int32, delta []int32, segLen int) {
-	rp.ApplySegs(srcs, dst, idx, delta, segLen, false)
-}
 
 // MulSegs is ApplySegs with overwrite semantics.
 func (rp *RowPlan) MulSegs(srcs [][]byte, dst []byte, idx []int32, delta []int32, segLen int) {
@@ -145,53 +116,9 @@ func (rp *RowPlan) ApplySegs(srcs [][]byte, dst []byte, idx []int32, delta []int
 			rp.stridedSIMD(srcs, dst, int(runs[0].start)*segLen, delta, segLen, rb, stride, len(runs), overwrite, b)
 			return
 		}
-		maxRun := int32(0)
-		for _, r := range runs {
-			if r.n > maxRun {
-				maxRun = r.n
-			}
-		}
-		// The ymm tiers gather sub-vector runs into the arena; the zmm
-		// kernel's masked tails make per-run windows cheaper than the
-		// gather's three memcpy passes at any run size.
-		if int(maxRun)*segLen < 32 && b < backendGFNI512 {
-			rp.applyGather(srcs, dst, runs, delta, segLen, overwrite)
-			return
-		}
 	}
 	for _, r := range runs {
 		rp.applyWindow(srcs, dst, int(r.start)*segLen, delta, segLen, int(r.n)*segLen, overwrite)
-	}
-}
-
-// MulAddStrided accumulates the row across count segments of segLen bytes
-// placed stride bytes apart: for s in [0, count),
-//
-//	dst[base+s*stride+i] ^= Σ_j coeffs[j] * srcs[j][base+s*stride+i]
-//
-// with base, stride and segLen in bytes and stride >= segLen. It is the
-// uniform-layout entry for callers that know their segment geometry
-// directly instead of holding an index list.
-func (rp *RowPlan) MulAddStrided(srcs [][]byte, dst []byte, base, segLen, stride, count int) {
-	if len(srcs) != len(rp.coeffs) {
-		panic("gf256: RowPlan source count mismatch")
-	}
-	if segLen <= 0 || count <= 0 || rp.maxBit < 0 {
-		return
-	}
-	if stride < segLen {
-		panic("gf256: strided segments overlap")
-	}
-	if stride == segLen { // contiguous
-		rp.applyWindow(srcs, dst, base, nil, segLen, segLen*count, false)
-		return
-	}
-	if b := currentBackend(); b >= backendAVX2 && count > 1 && segLen >= stridedMinRun(b) && segLen < stridedRunCap(b) {
-		rp.stridedSIMD(srcs, dst, base, nil, segLen, segLen, stride, count, false, b)
-		return
-	}
-	for s := 0; s < count; s++ {
-		rp.applyWindow(srcs, dst, base+s*stride, nil, segLen, segLen, false)
 	}
 }
 
@@ -299,58 +226,4 @@ func (rp *RowPlan) applyWindow(srcs [][]byte, dst []byte, off int, delta []int32
 		wins[j] = srcs[j][so : so+n : so+n]
 	}
 	rp.Apply(wins, dst[off:off+n:off+n], 0, n, overwrite)
-}
-
-// applyGather handles batches whose runs are all shorter than one vector:
-// gather every non-zero source's segments into a contiguous arena, run the
-// row once at full width, scatter the result back to the destination
-// segments.
-func (rp *RowPlan) applyGather(srcs [][]byte, dst []byte, runs []segRun, delta []int32, segLen int, overwrite bool) {
-	total := 0
-	for _, r := range runs {
-		total += int(r.n) * segLen
-	}
-	nnz := len(rp.nzSrc)
-	bp := arenaGet((nnz + 1) * total)
-	defer segArena.Put(bp)
-	scratch := *bp
-
-	var gatherBuf [16][]byte
-	var gsrcs [][]byte
-	if len(srcs) <= len(gatherBuf) {
-		gsrcs = gatherBuf[:len(srcs)]
-	} else {
-		gsrcs = make([][]byte, len(srcs))
-	}
-	for i := range gsrcs {
-		gsrcs[i] = nil
-	}
-	for i, j := range rp.nzSrc {
-		buf := scratch[i*total : (i+1)*total]
-		d := 0
-		if delta != nil {
-			d = int(delta[j]) * segLen
-		}
-		cur := 0
-		for _, r := range runs {
-			rb := int(r.n) * segLen
-			so := int(r.start)*segLen + d
-			copy(buf[cur:cur+rb], srcs[j][so:so+rb])
-			cur += rb
-		}
-		gsrcs[j] = buf
-	}
-	res := scratch[nnz*total : (nnz+1)*total]
-	rp.Apply(gsrcs, res, 0, total, true)
-	cur := 0
-	for _, r := range runs {
-		rb := int(r.n) * segLen
-		off := int(r.start) * segLen
-		if overwrite {
-			copy(dst[off:off+rb], res[cur:cur+rb])
-		} else {
-			XorSlice(res[cur:cur+rb], dst[off:off+rb])
-		}
-		cur += rb
-	}
 }

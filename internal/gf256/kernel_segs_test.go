@@ -148,57 +148,6 @@ func TestApplySegsAlignments(t *testing.T) {
 	}
 }
 
-func TestMulAddStrided(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	coeffs := []byte{0x03, 0x00, 0xfe, 0x35}
-	rp := CompileRow(coeffs)
-	for _, segLen := range segLens {
-		for _, layout := range []struct{ base, strideMul, count int }{
-			{0, 1, 5},  // contiguous
-			{0, 3, 4},  // strided from origin
-			{2, 2, 7},  // strided with base offset
-			{1, 5, 1},  // single segment
-			{0, 2, 40}, // many segments
-			{3, 30, 3}, // sparse
-		} {
-			stride := layout.strideMul * segLen
-			extent := layout.base + (layout.count-1)*stride + segLen
-			srcs := make([][]byte, len(coeffs))
-			for j, c := range coeffs {
-				if c == 0 {
-					continue
-				}
-				srcs[j] = make([]byte, extent)
-				rng.Read(srcs[j])
-			}
-			dst := make([]byte, extent)
-			rng.Read(dst)
-			want := append([]byte(nil), dst...)
-			for s := 0; s < layout.count; s++ {
-				off := layout.base + s*stride
-				for i := 0; i < segLen; i++ {
-					var acc byte
-					for j, c := range coeffs {
-						if c == 0 {
-							continue
-						}
-						acc ^= mulTable[c][srcs[j][off+i]]
-					}
-					want[off+i] ^= acc
-				}
-			}
-			eachBackend(t, func(t *testing.T) {
-				got := append([]byte(nil), dst...)
-				rp.MulAddStrided(srcs, got, layout.base, segLen, stride, layout.count)
-				if !bytes.Equal(got, want) {
-					t.Fatalf("MulAddStrided mismatch: segLen=%d stride=%d count=%d backend=%s",
-						segLen, stride, layout.count, Backend())
-				}
-			})
-		}
-	}
-}
-
 func TestApplySegsZeroRow(t *testing.T) {
 	coeffs := []byte{0, 0, 0}
 	rp := CompileRow(coeffs)

@@ -1,18 +1,14 @@
-// Package parallel provides the process-wide worker budgets and a small
+// Package parallel provides the process-wide worker budget and a small
 // fan-out helper, backed by a persistent worker pool, shared by the
-// coding kernels and the experiment runner.
+// experiment runner and the coding kernels.
 //
-// Two budgets live here. Workers (ECFAULT_WORKERS, or the -workers
-// flags in cmd/ecbench and cmd/ectuner) governs coarse fan-out:
-// experiment cells, tuner grid search, durability Monte Carlo.
-// KernelWorkers (ECFAULT_KERNEL_WORKERS) governs the erasure-kernel
-// layer — stripe chunking in kernel.Program and the parallel
-// strided/segment entries in gf256 — and falls back to Workers when
-// unset, so pinning ECFAULT_WORKERS=1 still serializes the whole
-// process. A budget of 1 makes every helper run inline, which keeps
+// Workers (ECFAULT_WORKERS, or the -workers flags in cmd/ecbench and
+// cmd/ectuner) is the one budget: experiment cells, tuner grid search,
+// durability Monte Carlo and stripe chunking in kernel.Program all read
+// it. A budget of 1 makes every helper run inline, which keeps
 // single-core machines and tests deterministic by default. The
 // discrete-event engine (simclock) and the cluster model are
-// single-goroutine and use neither.
+// single-goroutine and do not use it.
 package parallel
 
 import (
@@ -26,32 +22,15 @@ import (
 // override holds a programmatic worker-count override; 0 means none.
 var override atomic.Int32
 
-// kernelOverride holds the programmatic kernel-worker override; 0 means
-// none.
-var kernelOverride atomic.Int32
-
 // envWorkers caches the ECFAULT_WORKERS parse. Read once: the environment
 // is not expected to change mid-process.
 var envWorkers = sync.OnceValue(func() int {
-	return envCount("ECFAULT_WORKERS")
-})
-
-// envKernelWorkers caches the ECFAULT_KERNEL_WORKERS parse.
-var envKernelWorkers = sync.OnceValue(func() int {
-	return envCount("ECFAULT_KERNEL_WORKERS")
-})
-
-func envCount(key string) int {
-	v := os.Getenv(key)
-	if v == "" {
-		return 0
-	}
-	n, err := strconv.Atoi(v)
+	n, err := strconv.Atoi(os.Getenv("ECFAULT_WORKERS"))
 	if err != nil || n < 1 {
 		return 0
 	}
 	return n
-}
+})
 
 // Workers returns the current worker budget: the programmatic override if
 // set, else ECFAULT_WORKERS if set and valid, else runtime.NumCPU.
@@ -75,30 +54,8 @@ func SetWorkers(n int) int {
 	return int(override.Swap(int32(n)))
 }
 
-// KernelWorkers returns the kernel-layer worker budget: the programmatic
-// override if set, else ECFAULT_KERNEL_WORKERS if set and valid, else
-// Workers. The kernel budget exists so benchmarks and deployments can pin
-// the codec fan-out (ECFAULT_KERNEL_WORKERS=1 for a serial-kernel A/B)
-// without also serializing experiment cells, and vice versa.
-func KernelWorkers() int {
-	if n := kernelOverride.Load(); n > 0 {
-		return int(n)
-	}
-	if n := envKernelWorkers(); n > 0 {
-		return n
-	}
-	return Workers()
-}
-
-// SetKernelWorkers overrides the kernel-layer worker budget process-wide.
-// n <= 0 removes the override. It returns the previous override (0 if
-// none) so callers can restore it.
-func SetKernelWorkers(n int) int {
-	if n < 0 {
-		n = 0
-	}
-	return int(kernelOverride.Swap(int32(n)))
-}
+// Workers under the name bench/ecperf/host.go reads; ROADMAP 1a removes it.
+func KernelWorkers() int { return Workers() }
 
 // The worker pool. ForEach used to spawn fresh goroutines per call; for
 // the experiment layer (tasks of milliseconds to seconds) that was in the

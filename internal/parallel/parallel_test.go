@@ -75,27 +75,6 @@ func TestForEachPanicPropagates(t *testing.T) {
 	})
 }
 
-func TestKernelWorkersPrecedence(t *testing.T) {
-	prevW := SetWorkers(3)
-	prevK := SetKernelWorkers(0)
-	defer func() { SetWorkers(prevW); SetKernelWorkers(prevK) }()
-	// No kernel override: falls back to Workers.
-	if got := KernelWorkers(); got != 3 {
-		t.Fatalf("KernelWorkers fallback = %d, want Workers()=3", got)
-	}
-	// Kernel override wins without disturbing Workers.
-	SetKernelWorkers(5)
-	if got := KernelWorkers(); got != 5 {
-		t.Fatalf("KernelWorkers with override = %d, want 5", got)
-	}
-	if got := Workers(); got != 3 {
-		t.Fatalf("Workers disturbed by kernel override: %d, want 3", got)
-	}
-	if got := SetKernelWorkers(0); got != 5 {
-		t.Fatalf("SetKernelWorkers returned previous %d, want 5", got)
-	}
-}
-
 // TestPoolReuse checks the pool is persistent: many fan-outs reuse the
 // same parked workers instead of spawning per call, and the pool never
 // exceeds its cap.
