@@ -31,10 +31,8 @@ func shardSizes(code erasure.Code) []int {
 	alpha := code.SubChunks()
 	if alpha == 1 {
 		// 37 and 1003 are deliberately not multiples of 8. The big one is
-		// sized from this host's calibration so that the m-row encode
-		// program clears kernel.Program's fan-out threshold whatever it
-		// calibrated to (3 x 64 KiB does not where it reads 118-462 KB,
-		// as on the 2-vCPU reference host); +5 keeps the tail unaligned.
+		// sized so that the m-row encode program clears kernel.Program's
+		// fan-out threshold; +5 keeps the tail unaligned.
 		_, threshold, _ := kernel.Tuning()
 		return []int{37, 1003, threshold/code.M() + 5}
 	}
@@ -70,7 +68,7 @@ func compareShards(t *testing.T, what string, serial, par [][]byte) {
 // TestSerialParallelIdentical requires, for every plugin, that encode,
 // decode, and repair through the kernel produce byte-identical shards
 // whether the stripe runs serially or fanned out over a forced worker
-// pool — including shard sizes with non-8-byte-aligned tails.
+// count — including shard sizes with non-8-byte-aligned tails.
 func TestSerialParallelIdentical(t *testing.T) {
 	for _, tc := range serialParallelCases {
 		code, err := erasure.New(tc.plugin, tc.k, tc.m, tc.d)

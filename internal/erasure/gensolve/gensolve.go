@@ -64,12 +64,12 @@ type Cache struct {
 	gen *gfmat.Matrix
 	k   int
 
-	lru *kernel.Sharded[*Solver]
+	lru *kernel.LRU[*Solver]
 }
 
 // NewCache wraps a generator matrix (n rows, k columns).
 func NewCache(gen *gfmat.Matrix) *Cache {
-	return &Cache{gen: gen, k: gen.Cols, lru: kernel.NewSharded[*Solver](kernel.DecodeCacheSize)}
+	return &Cache{gen: gen, k: gen.Cols, lru: kernel.NewLRU[*Solver](kernel.DecodeCacheSize)}
 }
 
 // Solver returns the decode solution for the given erasure flags (length

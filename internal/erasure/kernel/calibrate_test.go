@@ -2,27 +2,18 @@ package kernel
 
 import "testing"
 
-// TestProbeTuningRanges: whatever the microprobe measures, on however
-// many CPUs, lands inside the clamps Program.run relies on.
-func TestProbeTuningRanges(t *testing.T) {
-	for _, ncpu := range []int{1, 2, 64} {
-		tu := probeTuning(ncpu)
-		if tu.chunkBytes < minChunkBytes || tu.chunkBytes > maxChunkBytes {
-			t.Errorf("ncpu %d: probed chunk %d outside [%d, %d]", ncpu, tu.chunkBytes, minChunkBytes, maxChunkBytes)
-		}
-		if tu.parallelThreshold < minParallelThreshold || tu.parallelThreshold > maxParallelThreshold {
-			t.Errorf("ncpu %d: probed threshold %d outside [%d, %d]", ncpu, tu.parallelThreshold, minParallelThreshold, maxParallelThreshold)
-		}
+// TestTuningConstants pins what the threshold is for: the benchmark's
+// rs_12_9.64KiB series (3 output rows x 64 KiB) always runs serially and
+// rs_12_9.1MiB always fans out, in every process.
+func TestTuningConstants(t *testing.T) {
+	chunk, threshold, _ := Tuning()
+	if chunk != chunkBytes || threshold != parallelThreshold {
+		t.Fatalf("Tuning() = (%d, %d), want the constants (%d, %d)", chunk, threshold, chunkBytes, parallelThreshold)
 	}
-}
-
-func TestTuningStable(t *testing.T) {
-	c1, t1, _ := Tuning()
-	c2, t2, _ := Tuning()
-	if c1 != c2 || t1 != t2 {
-		t.Fatalf("tuning not stable across calls: (%d,%d) then (%d,%d)", c1, t1, c2, t2)
+	if !(3*64<<10 < parallelThreshold && parallelThreshold <= 3<<20) {
+		t.Errorf("parallelThreshold %d does not separate 3x64 KiB (serial) from 3x1 MiB (fan-out)", parallelThreshold)
 	}
-	if c1 < minChunkBytes || t1 < minParallelThreshold {
-		t.Fatalf("tuning out of range: chunk=%d threshold=%d", c1, t1)
+	if chunkBytes <= 0 || chunkBytes%64 != 0 {
+		t.Errorf("chunkBytes %d is not a positive multiple of 64: worker ranges would split vector words", chunkBytes)
 	}
 }

@@ -4,8 +4,8 @@
 //
 // A Program is a set of gf256 row plans compiled once from a generator or
 // decode matrix; Run executes it over stripe shards in cache-friendly
-// bands, optionally fanning contiguous shard ranges out to a bounded
-// worker pool. The LRU replaces the ad-hoc "wipe the map when it gets
+// bands, optionally fanning contiguous shard ranges out over
+// parallel.ForEach. The LRU replaces the ad-hoc "wipe the map when it gets
 // big" pseudo-caches that previously lived in each codec: it has real
 // eviction order, a hard capacity, and an allocation-free lookup path
 // keyed by survivor bitmask.
@@ -66,6 +66,13 @@ func (m Mask) Count() int {
 	return bits.OnesCount64(m[0]) + bits.OnesCount64(m[1]) +
 		bits.OnesCount64(m[2]) + bits.OnesCount64(m[3])
 }
+
+// DecodeCacheSize bounds the per-code derived-artifact caches (decode
+// programs, Clay plane solvers, gensolve pattern solvers, repair plans).
+// Patterns repeat heavily in practice — a cluster has few concurrent
+// failure sets — so a modest bound with real LRU eviction keeps the hit
+// rate high.
+const DecodeCacheSize = 1024
 
 // lruEntry is an intrusive doubly-linked node in recency order.
 type lruEntry[V any] struct {

@@ -204,46 +204,10 @@ func TestLRUGetOrComputePanic(t *testing.T) {
 	}
 }
 
-func TestShardedBasics(t *testing.T) {
-	s := NewSharded[int](64)
-	for i := 0; i < 32; i++ {
-		s.Put(MaskOf(i), i)
-	}
-	for i := 0; i < 32; i++ {
-		if v, ok := s.Get(MaskOf(i)); !ok || v != i {
-			t.Fatalf("Get(%d) = %d, %v", i, v, ok)
-		}
-	}
-	if s.Len() != 32 {
-		t.Fatalf("Len = %d, want 32", s.Len())
-	}
-	calls := 0
-	v, err := s.GetOrCompute(MaskOf(100), func() (int, error) { calls++; return 7, nil })
-	if err != nil || v != 7 {
-		t.Fatalf("GetOrCompute = %d, %v", v, err)
-	}
-	s.GetOrCompute(MaskOf(100), func() (int, error) { calls++; return 7, nil })
-	if calls != 1 {
-		t.Fatalf("compute ran %d times, want 1", calls)
-	}
-}
-
-// TestShardedTinyCapacity: capacities below the shard count collapse to
-// one shard so the bound stays exact.
-func TestShardedTinyCapacity(t *testing.T) {
-	s := NewSharded[int](2)
-	s.Put(MaskOf(1), 1)
-	s.Put(MaskOf(2), 2)
-	s.Put(MaskOf(3), 3)
-	if s.Len() != 2 {
-		t.Fatalf("Len = %d, want 2 (strict bound for tiny caches)", s.Len())
-	}
-}
-
-// TestShardedConcurrent drives mixed hits/misses from many goroutines;
-// meaningful mostly under -race.
-func TestShardedConcurrent(t *testing.T) {
-	s := NewSharded[int](128)
+// TestLRUConcurrent drives mixed hits, misses and evictions (64 keys, 32
+// slots) from many goroutines; meaningful mostly under -race.
+func TestLRUConcurrent(t *testing.T) {
+	s := NewLRU[int](32)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		w := w

@@ -5,13 +5,6 @@ import (
 	"repro/internal/parallel"
 )
 
-// The stripe range a worker (or the serial loop) processes per pass over
-// all output rows — within one chunk every output row reads the same
-// source window, so for multi-parity codes the sources are fetched from
-// memory once per chunk instead of once per row — and the minimum total
-// output work (rows x bytes) worth fanning out to the worker pool are
-// both machine-calibrated on first use; see calibrate.go.
-
 // Program is a coding matrix compiled into executable row plans: one plan
 // per output row, each mapping the same source shard slots to one
 // destination. Programs are immutable after Compile and safe for
@@ -63,10 +56,10 @@ func (p *Program) Plan(i int) *gf256.RowPlan { return p.plans[i] }
 // Sources under all-zero columns may be nil; every other slice must have
 // equal length. The stripe is processed in chunks, all rows per chunk, so
 // source windows are fetched once per chunk. When the worker budget
-// (parallel.Workers) allows and the stripe is large enough, contiguous
-// chunk ranges fan out to a bounded pool; the output is byte-identical to
-// the serial pass because every output byte depends only on the same byte
-// offset of the sources.
+// (parallel.Workers) allows and the output work reaches parallelThreshold,
+// contiguous chunk ranges fan out over parallel.ForEach; the output is
+// byte-identical to the serial pass because every output byte depends
+// only on the same byte offset of the sources.
 func (p *Program) Run(srcs, dsts [][]byte, overwrite bool) {
 	p.run(srcs, dsts, overwrite, parallel.Workers())
 }
@@ -78,7 +71,7 @@ func (p *Program) RunSerial(srcs, dsts [][]byte, overwrite bool) {
 }
 
 // RunParallel executes the program with an explicit worker count (tests
-// use this to force the pool on single-core machines).
+// use this to force the fan-out on single-core machines).
 func (p *Program) RunParallel(srcs, dsts [][]byte, overwrite bool, workers int) {
 	p.run(srcs, dsts, overwrite, workers)
 }
@@ -94,9 +87,7 @@ func (p *Program) run(srcs, dsts [][]byte, overwrite bool, workers int) {
 		panic("kernel: source count does not match program width")
 	}
 	size := len(dsts[0])
-	t := tuning()
-	chunkBytes := t.chunkBytes
-	if workers > 1 && len(p.plans)*size >= t.parallelThreshold {
+	if workers > 1 && len(p.plans)*size >= parallelThreshold {
 		nChunks := (size + chunkBytes - 1) / chunkBytes
 		if workers > nChunks {
 			workers = nChunks
@@ -116,11 +107,11 @@ func (p *Program) run(srcs, dsts [][]byte, overwrite bool, workers int) {
 			if end > size {
 				end = size
 			}
-			p.runRange(srcs, dsts, off, end, overwrite, chunkBytes)
+			p.runRange(srcs, dsts, off, end, overwrite)
 		})
 		return
 	}
-	p.runRange(srcs, dsts, 0, size, overwrite, chunkBytes)
+	p.runRange(srcs, dsts, 0, size, overwrite)
 }
 
 // RunSegs executes the program over a batch of equal-length segments
@@ -153,7 +144,7 @@ func (p *Program) RunSegs(srcs, dsts [][]byte, idx []int32, segLen int, overwrit
 
 // runRange processes dst bytes [off, end) chunk by chunk, all rows per
 // chunk.
-func (p *Program) runRange(srcs, dsts [][]byte, off, end int, overwrite bool, chunkBytes int) {
+func (p *Program) runRange(srcs, dsts [][]byte, off, end int, overwrite bool) {
 	for off < end {
 		n := end - off
 		if n > chunkBytes {

@@ -58,13 +58,14 @@ func TestProgramMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestProgramParallelIdentical forces the worker pool (this repo's CI
+// TestProgramParallelIdentical forces the fan-out (this repo's CI
 // machine may have a single CPU) and requires byte-identical output to
 // the serial pass across worker counts and sizes, including sizes that
 // do not divide evenly into chunks or words.
 func TestProgramParallelIdentical(t *testing.T) {
-	_, parallelThreshold, _ := Tuning()
-	for _, size := range []int{parallelThreshold, 64<<10 + 5, 256<<10 + 1} {
+	// Three rows: every size is at or above the fan-out threshold.
+	_, threshold, _ := Tuning()
+	for _, size := range []int{threshold, threshold/3 + 5, 256<<10 + 1} {
 		rows, srcs, serial, par := randomCase(t, 3, 9, size, int64(size)*7)
 		p := Compile(rows)
 		p.RunSerial(srcs, serial, true)

@@ -13,13 +13,13 @@ import "repro/internal/erasure/kernel"
 // the first builder's, which no consumer depends on.
 type PlanCache struct {
 	n   int // shard count; indices outside [0, n) bypass the cache
-	lru *kernel.Sharded[*Plan]
+	lru *kernel.LRU[*Plan]
 }
 
 // NewPlanCache returns a plan cache for a code with n shards, bounded by
 // the shared derived-artifact cache size (kernel.DecodeCacheSize).
 func NewPlanCache(n int) *PlanCache {
-	return &PlanCache{n: n, lru: kernel.NewSharded[*Plan](kernel.DecodeCacheSize)}
+	return &PlanCache{n: n, lru: kernel.NewLRU[*Plan](kernel.DecodeCacheSize)}
 }
 
 // Get returns the memoized plan for the failed set, building it

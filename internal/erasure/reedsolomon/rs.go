@@ -50,8 +50,8 @@ type RS struct {
 	gen       *gfmat.Matrix   // n x k systematic generator
 	enc       *kernel.Program // parity rows of gen, compiled once
 
-	decodeLRU *kernel.Sharded[*decProgram] // survivor mask -> compiled decode
-	plans     *erasure.PlanCache           // failed mask -> repair plan
+	decodeLRU *kernel.LRU[*decProgram] // survivor mask -> compiled decode
+	plans     *erasure.PlanCache       // failed mask -> repair plan
 }
 
 // New constructs an RS(k+m, k) code.
@@ -75,7 +75,7 @@ func New(k, m int, technique Technique) (*RS, error) {
 	return &RS{
 		k: k, m: m, technique: technique, gen: gen,
 		enc:       kernel.Compile(parity),
-		decodeLRU: kernel.NewSharded[*decProgram](kernel.DecodeCacheSize),
+		decodeLRU: kernel.NewLRU[*decProgram](kernel.DecodeCacheSize),
 		plans:     erasure.NewPlanCache(k + m),
 	}, nil
 }

@@ -382,56 +382,3 @@ func (rp *RowPlan) applyStridedSIMD(srcs [][]byte, dst []byte, dstBase, dstStrid
 	}
 	return true
 }
-
-// simdMulAddSlice is the single-coefficient entry used by MulAddSlice and
-// MulSlice for c outside {0, 1}: one source, the shared per-coefficient
-// constants. Returns false when the active backend has no SIMD.
-func simdMulAddSlice(c byte, src, dst []byte, overwrite bool) bool {
-	b := currentBackend()
-	if b == backendGFNI512 && len(dst) >= 16 {
-		// Masked tails make a single zmm call worthwhile down to one
-		// vector's worth of work; shorter slices stay on the word path.
-		simdTablesOnce.Do(buildSIMDTables)
-		ptr := &src[0]
-		xor := 1
-		if overwrite {
-			xor = 0
-		}
-		gfni512RowAsm(&gfniMats[c], &ptr, 1, &dst[0], len(dst), xor)
-		return true
-	}
-	if b < backendAVX2 || len(dst) < 32 {
-		return false
-	}
-	simdTablesOnce.Do(buildSIMDTables)
-	n := len(dst) &^ 31
-	ptr := &src[0]
-	xor := 1
-	if overwrite {
-		xor = 0
-	}
-	if b == backendGFNI {
-		gfniRowAsm(&gfniMats[c], &ptr, 1, &dst[0], n, xor)
-	} else {
-		avx2RowAsm(&nibTables[c][0], &ptr, 1, &dst[0], n, xor)
-	}
-	if rem := len(dst) - n; rem > 0 {
-		// Same overlapping-window trick as applySIMD for the remainder.
-		var tmp [32]byte
-		wptr := &src[len(src)-32]
-		if b == backendGFNI {
-			gfniRowAsm(&gfniMats[c], &wptr, 1, &tmp[0], 32, 0)
-		} else {
-			avx2RowAsm(&nibTables[c][0], &wptr, 1, &tmp[0], 32, 0)
-		}
-		tail := dst[n:]
-		if overwrite {
-			copy(tail, tmp[32-rem:])
-		} else {
-			for i, v := range tmp[32-rem:] {
-				tail[i] ^= v
-			}
-		}
-	}
-	return true
-}

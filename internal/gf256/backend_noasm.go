@@ -33,6 +33,3 @@ func (rp *RowPlan) stridedSIMD(srcs [][]byte, dst []byte, base int, delta []int3
 func (rp *RowPlan) applyStridedSIMD(srcs [][]byte, dst []byte, dstBase, dstStride int, srcBase, srcStride []int, segn, count int, overwrite bool, backend int32) bool {
 	return false
 }
-
-// simdMulAddSlice reports that no SIMD single-coefficient kernel exists.
-func simdMulAddSlice(c byte, src, dst []byte, overwrite bool) bool { return false }

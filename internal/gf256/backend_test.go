@@ -168,7 +168,7 @@ func checkRowIdentity(t *testing.T, rp *RowPlan, coeffs []byte, n, align int, ov
 }
 
 // TestBackendsSliceIdentity covers the single-coefficient MulSlice /
-// MulAddSlice entries (used by LRC locals and Clay's direct path) across
+// MulAddSlice entries (gfmat and gensolve row operations) across
 // backends, lengths, and alignments.
 func TestBackendsSliceIdentity(t *testing.T) {
 	lengths := []int{0, 1, 31, 32, 33, 50, 64, 100, 1000}

@@ -113,8 +113,9 @@ func MulSlice(c byte, src, dst []byte) {
 	case 1:
 		copy(dst, src)
 	default:
-		if !simdMulAddSlice(c, src, dst, true) {
-			mulSliceRef(c, src, dst)
+		mt := &mulTable[c]
+		for i, s := range src {
+			dst[i] = mt[s]
 		}
 	}
 }
@@ -130,8 +131,9 @@ func MulAddSlice(c byte, src, dst []byte) {
 	case 1:
 		xorWords(src, dst)
 	default:
-		if !simdMulAddSlice(c, src, dst, false) {
-			mulAddSliceRef(c, src, dst)
+		mt := &mulTable[c]
+		for i, s := range src {
+			dst[i] ^= mt[s]
 		}
 	}
 }

@@ -1,9 +1,6 @@
 package gf256
 
-import (
-	"encoding/binary"
-	"unsafe"
-)
+import "unsafe"
 
 // Word-wide row kernels.
 //
@@ -35,9 +32,11 @@ import (
 // When every operand is 8-byte aligned the kernels run over []uint64
 // views of the shard buffers (the same technique crypto/subtle.XORBytes
 // uses); equal-length guards ahead of the loops let the compiler drop the
-// per-word bounds checks. Unaligned operands take an equivalent
-// byte-slice path. The SWAR doubling only moves bits within byte lanes,
-// so the word view is correct for either endianness.
+// per-word bounds checks. Unaligned operands take the scalar table loop:
+// product shards come from make, which aligns them, and Clay pads odd
+// sub-chunks on this tier, so only tests pass misaligned buffers. The
+// SWAR doubling only moves bits within byte lanes, so the word view is
+// correct for either endianness.
 //
 // CompileRow turns a coefficient row into its bit-plane lists once;
 // MulAddRow is the convenience entry that compiles and runs in one call.
@@ -47,8 +46,6 @@ import (
 // bandWords is the accumulator band size in 64-bit words (2 KiB), chosen
 // so the accumulator plus a dozen source bands stay L1-resident.
 const bandWords = 256
-
-const bandBytes = bandWords * 8
 
 // mul2x8 multiplies each of the eight packed GF(2^8) elements in v by 2:
 // shift every byte left one bit and fold the carry bits back with the
@@ -157,9 +154,8 @@ func (rp *RowPlan) Apply(srcs [][]byte, dst []byte, off, end int, overwrite bool
 		rp.tail(srcs, dst, off, end, overwrite)
 		return
 	}
-	// Word path: all operands must be 8-byte aligned. Shard buffers come
-	// from make([]byte, ...), which the allocator aligns, so in practice
-	// only odd sub-chunk offsets (e.g. Clay sub-slices) fall back.
+	// Word path: all operands must be 8-byte aligned; anything else is
+	// finished by the scalar tail below.
 	dw := wordView(dst)
 	if dw != nil && end-off >= 8 {
 		// Keep the view table on the stack for typical row widths.
@@ -192,7 +188,7 @@ func (rp *RowPlan) Apply(srcs [][]byte, dst []byte, off, end int, overwrite bool
 			return
 		}
 	}
-	rp.applySlices(srcs, dst, off, end, overwrite)
+	rp.tail(srcs, dst, off, end, overwrite)
 }
 
 // applyWords runs the banded Horner descent over word views, covering
@@ -341,161 +337,8 @@ func mergeWords(acc []uint64, dst []uint64, overwrite bool) {
 	}
 }
 
-// applySlices is the byte-slice fallback for unaligned operands: the same
-// banded Horner descent reading sources through encoding/binary.
-func (rp *RowPlan) applySlices(srcs [][]byte, dst []byte, off, end int, overwrite bool) {
-	var acc [bandWords]uint64
-	for off+8 <= end {
-		n := end - off
-		if n > bandBytes {
-			n = bandBytes
-		}
-		nw := n / 8
-		first := true
-		for b := rp.maxBit; b >= 0; b-- {
-			list := rp.bits[b]
-			i := 0
-			for i == 0 || i < len(list) {
-				g := len(list) - i
-				if g > 4 {
-					g = 4
-				}
-				stepSlices(&acc, srcs, list[i:i+g], off, nw, i == 0 && !first, first && i == 0)
-				if g == 0 {
-					break
-				}
-				i += g
-				first = false
-			}
-		}
-		mergeSlices(&acc, dst[off:off+nw*8], overwrite)
-		off += nw * 8
-	}
-	rp.tail(srcs, dst, off, end, overwrite)
-}
-
-// stepSlices is stepWords reading byte slices via encoding/binary.
-func stepSlices(acc *[bandWords]uint64, srcs [][]byte, list []int32, off, nw int, double, init bool) {
-	switch len(list) {
-	case 0:
-		if init {
-			clear(acc[:nw])
-			return
-		}
-		if double {
-			for w := range acc[:nw] {
-				acc[w] = mul2x8(acc[w])
-			}
-		}
-	case 1:
-		a := srcs[list[0]][off : off+nw*8 : off+nw*8]
-		w := 0
-		switch {
-		case init:
-			for i := 0; i+8 <= len(a); i += 8 {
-				acc[w] = binary.LittleEndian.Uint64(a[i:])
-				w++
-			}
-		case double:
-			for i := 0; i+8 <= len(a); i += 8 {
-				acc[w] = mul2x8(acc[w]) ^ binary.LittleEndian.Uint64(a[i:])
-				w++
-			}
-		default:
-			for i := 0; i+8 <= len(a); i += 8 {
-				acc[w] ^= binary.LittleEndian.Uint64(a[i:])
-				w++
-			}
-		}
-	case 2:
-		a := srcs[list[0]][off : off+nw*8 : off+nw*8]
-		b := srcs[list[1]][off : off+nw*8 : off+nw*8]
-		w := 0
-		switch {
-		case init:
-			for i := 0; i+8 <= len(a); i += 8 {
-				acc[w] = binary.LittleEndian.Uint64(a[i:]) ^ binary.LittleEndian.Uint64(b[i:])
-				w++
-			}
-		case double:
-			for i := 0; i+8 <= len(a); i += 8 {
-				acc[w] = mul2x8(acc[w]) ^ binary.LittleEndian.Uint64(a[i:]) ^ binary.LittleEndian.Uint64(b[i:])
-				w++
-			}
-		default:
-			for i := 0; i+8 <= len(a); i += 8 {
-				acc[w] ^= binary.LittleEndian.Uint64(a[i:]) ^ binary.LittleEndian.Uint64(b[i:])
-				w++
-			}
-		}
-	case 3:
-		a := srcs[list[0]][off : off+nw*8 : off+nw*8]
-		b := srcs[list[1]][off : off+nw*8 : off+nw*8]
-		c := srcs[list[2]][off : off+nw*8 : off+nw*8]
-		w := 0
-		switch {
-		case init:
-			for i := 0; i+8 <= len(a); i += 8 {
-				acc[w] = binary.LittleEndian.Uint64(a[i:]) ^ binary.LittleEndian.Uint64(b[i:]) ^ binary.LittleEndian.Uint64(c[i:])
-				w++
-			}
-		case double:
-			for i := 0; i+8 <= len(a); i += 8 {
-				acc[w] = mul2x8(acc[w]) ^ binary.LittleEndian.Uint64(a[i:]) ^ binary.LittleEndian.Uint64(b[i:]) ^ binary.LittleEndian.Uint64(c[i:])
-				w++
-			}
-		default:
-			for i := 0; i+8 <= len(a); i += 8 {
-				acc[w] ^= binary.LittleEndian.Uint64(a[i:]) ^ binary.LittleEndian.Uint64(b[i:]) ^ binary.LittleEndian.Uint64(c[i:])
-				w++
-			}
-		}
-	default:
-		a := srcs[list[0]][off : off+nw*8 : off+nw*8]
-		b := srcs[list[1]][off : off+nw*8 : off+nw*8]
-		c := srcs[list[2]][off : off+nw*8 : off+nw*8]
-		d := srcs[list[3]][off : off+nw*8 : off+nw*8]
-		w := 0
-		switch {
-		case init:
-			for i := 0; i+8 <= len(a); i += 8 {
-				acc[w] = binary.LittleEndian.Uint64(a[i:]) ^ binary.LittleEndian.Uint64(b[i:]) ^
-					binary.LittleEndian.Uint64(c[i:]) ^ binary.LittleEndian.Uint64(d[i:])
-				w++
-			}
-		case double:
-			for i := 0; i+8 <= len(a); i += 8 {
-				acc[w] = mul2x8(acc[w]) ^ binary.LittleEndian.Uint64(a[i:]) ^ binary.LittleEndian.Uint64(b[i:]) ^
-					binary.LittleEndian.Uint64(c[i:]) ^ binary.LittleEndian.Uint64(d[i:])
-				w++
-			}
-		default:
-			for i := 0; i+8 <= len(a); i += 8 {
-				acc[w] ^= binary.LittleEndian.Uint64(a[i:]) ^ binary.LittleEndian.Uint64(b[i:]) ^
-					binary.LittleEndian.Uint64(c[i:]) ^ binary.LittleEndian.Uint64(d[i:])
-				w++
-			}
-		}
-	}
-}
-
-// mergeSlices moves the finished accumulator band into the destination.
-func mergeSlices(acc *[bandWords]uint64, dst []byte, overwrite bool) {
-	w := 0
-	if overwrite {
-		for i := 0; i+8 <= len(dst); i += 8 {
-			binary.LittleEndian.PutUint64(dst[i:], acc[w])
-			w++
-		}
-		return
-	}
-	for i := 0; i+8 <= len(dst); i += 8 {
-		binary.LittleEndian.PutUint64(dst[i:], binary.LittleEndian.Uint64(dst[i:])^acc[w])
-		w++
-	}
-}
-
-// tail finishes sub-word ranges with the scalar table.
+// tail is the scalar table loop: the scalar tier, sub-word ranges and
+// unaligned operands on the word tier.
 func (rp *RowPlan) tail(srcs [][]byte, dst []byte, off, end int, overwrite bool) {
 	for i := off; i < end; i++ {
 		var acc byte
@@ -523,20 +366,4 @@ func MulAddRow(coeffs []byte, srcs [][]byte, dst []byte) {
 		panic("gf256: coeffs/srcs length mismatch")
 	}
 	CompileRow(coeffs).MulAdd(srcs, dst)
-}
-
-// mulAddSliceRef is the scalar byte-at-a-time loop behind MulAddSlice.
-func mulAddSliceRef(c byte, src, dst []byte) {
-	mt := &mulTable[c]
-	for i, s := range src {
-		dst[i] ^= mt[s]
-	}
-}
-
-// mulSliceRef is the scalar byte-at-a-time loop behind MulSlice.
-func mulSliceRef(c byte, src, dst []byte) {
-	mt := &mulTable[c]
-	for i, s := range src {
-		dst[i] = mt[s]
-	}
 }

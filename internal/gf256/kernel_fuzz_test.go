@@ -153,34 +153,41 @@ func FuzzRowPlanRanges(f *testing.F) {
 	})
 }
 
-// TestRowPlanUnalignedOperands drives Apply through the byte-slice
-// fallback and the head/tail alignment fixups: sources and destination
-// offset by every sub-word amount, at lengths around band boundaries.
+// TestRowPlanUnalignedOperands drives Apply through the head/tail
+// alignment fixups and, on the word tier, the scalar fallback that
+// misaligned operands take: sources offset by every sub-word amount, the
+// destination offset with them or left aligned (one misaligned source is
+// enough to leave the word kernels), at lengths around band boundaries
+// and between 1 and 2 KiB, on every backend.
 func TestRowPlanUnalignedOperands(t *testing.T) {
 	coeffs := []byte{2, 0, 1, 0x8e, 0xfd}
-	for _, n := range []int{0, 1, 7, 8, 9, 63, 2048, 2055, 4096 + 5} {
-		for shift := 0; shift < 8; shift++ {
-			srcs := make([][]byte, len(coeffs))
-			for j := range srcs {
-				backing := make([]byte, n+shift)
-				for i := range backing {
-					backing[i] = byte(i*13 + j*7 + 5)
+	eachBackend(t, func(t *testing.T) {
+		for _, n := range []int{0, 1, 7, 8, 9, 63, 1024, 1500, 2048, 2055, 4096 + 5} {
+			for shift := 0; shift < 8; shift++ {
+				for _, dstShift := range []int{shift, 0} {
+					srcs := make([][]byte, len(coeffs))
+					for j := range srcs {
+						backing := make([]byte, n+shift)
+						for i := range backing {
+							backing[i] = byte(i*13 + j*7 + 5)
+						}
+						srcs[j] = backing[shift:]
+					}
+					backing := make([]byte, n+dstShift)
+					for i := range backing {
+						backing[i] = byte(i * 29)
+					}
+					dst := backing[dstShift:]
+					want := append([]byte(nil), dst...)
+					for j, c := range coeffs {
+						refMulAdd(c, srcs[j], want)
+					}
+					MulAddRow(coeffs, srcs, dst)
+					if !bytes.Equal(dst, want) {
+						t.Fatalf("backend=%s n=%d shift=%d dstShift=%d: MulAddRow diverges from reference", Backend(), n, shift, dstShift)
+					}
 				}
-				srcs[j] = backing[shift:]
-			}
-			backing := make([]byte, n+shift)
-			for i := range backing {
-				backing[i] = byte(i * 29)
-			}
-			dst := backing[shift:]
-			want := append([]byte(nil), dst...)
-			for j, c := range coeffs {
-				refMulAdd(c, srcs[j], want)
-			}
-			MulAddRow(coeffs, srcs, dst)
-			if !bytes.Equal(dst, want) {
-				t.Fatalf("n=%d shift=%d: MulAddRow diverges from reference", n, shift)
 			}
 		}
-	}
+	})
 }

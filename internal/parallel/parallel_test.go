@@ -1,8 +1,10 @@
 package parallel
 
 import (
+	"errors"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestWorkersOverridePrecedence(t *testing.T) {
@@ -75,35 +77,9 @@ func TestForEachPanicPropagates(t *testing.T) {
 	})
 }
 
-// TestPoolReuse checks the pool is persistent: many fan-outs reuse the
-// same parked workers instead of spawning per call, and the pool never
-// exceeds its cap.
-func TestPoolReuse(t *testing.T) {
-	// Warm the pool.
-	ForEach(8, 4, func(int) {})
-	started := PoolWorkers()
-	if started < 1 {
-		t.Fatalf("no pool workers started after a parallel ForEach")
-	}
-	var n atomic.Int32
-	for rep := 0; rep < 200; rep++ {
-		ForEach(16, 4, func(int) { n.Add(1) })
-	}
-	if got := n.Load(); got != 200*16 {
-		t.Fatalf("ran %d of %d indices", got, 200*16)
-	}
-	if grown := PoolWorkers() - started; grown > int(poolCap) {
-		t.Fatalf("pool grew past cap: %d workers after reuse loop (cap %d)", PoolWorkers(), poolCap)
-	}
-	if PoolWorkers() > int(poolCap) {
-		t.Fatalf("pool size %d exceeds cap %d", PoolWorkers(), poolCap)
-	}
-}
-
-// TestPoolSurvivesPanic checks a panic in one batch neither kills pool
-// workers nor poisons later batches: full coverage still holds after the
-// panic propagated.
-func TestPoolSurvivesPanic(t *testing.T) {
+// TestForEachUsableAfterPanic checks a panic in one call does not poison
+// later ones: full coverage still holds after the panic propagated.
+func TestForEachUsableAfterPanic(t *testing.T) {
 	func() {
 		defer func() { recover() }()
 		ForEach(64, 8, func(i int) {
@@ -112,9 +88,37 @@ func TestPoolSurvivesPanic(t *testing.T) {
 			}
 		})
 	}()
+	checkCoverage(t, 8)
+}
+
+// TestForEachPanicTypesDiffer: two indices of one call panic with values
+// of different dynamic types. The caller must recover the first, and the
+// second must not escape on a goroutine the caller cannot recover from
+// (an atomic.Value holding the first would itself panic on the second).
+func TestForEachPanicTypesDiffer(t *testing.T) {
+	func() {
+		defer func() {
+			if r := recover(); r != "a string" {
+				t.Errorf("recovered %v, want the first panic", r)
+			}
+		}()
+		ForEach(2, 2, func(i int) {
+			if i == 0 {
+				time.Sleep(5 * time.Millisecond)
+				panic("a string")
+			}
+			time.Sleep(20 * time.Millisecond)
+			panic(errors.New("an error"))
+		})
+	}()
+	checkCoverage(t, 2)
+}
+
+func checkCoverage(t *testing.T, workers int) {
+	t.Helper()
 	const n = 500
 	var counts [n]atomic.Int32
-	ForEach(n, 8, func(i int) { counts[i].Add(1) })
+	ForEach(n, workers, func(i int) { counts[i].Add(1) })
 	for i := range counts {
 		if c := counts[i].Load(); c != 1 {
 			t.Fatalf("after panic: index %d ran %d times", i, c)
@@ -123,8 +127,8 @@ func TestPoolSurvivesPanic(t *testing.T) {
 }
 
 // TestForEachNested checks nested fan-out completes (the caller always
-// participates in its own batch, so completion never depends on pool
-// pickup even when every worker is busy).
+// participates in its own call, so completion never depends on another
+// goroutine being scheduled).
 func TestForEachNested(t *testing.T) {
 	var n atomic.Int32
 	ForEach(8, 8, func(int) {
