@@ -2,6 +2,7 @@ package durability
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/erasure"
@@ -46,6 +47,31 @@ func TestFatalityProfileMDS(t *testing.T) {
 	}
 	if prof[4] != 1 {
 		t.Fatalf("MDS fatality at m+1 = %f", prof[4])
+	}
+}
+
+// TestOnlyNonMDSCodesArePatternCheckers guards the MDS fast path: RS
+// embeds gensolve.Code, whose exact decodability answer must not be
+// promoted to a CanRecover method, or FatalityProfile, cluster
+// recovery/health and the fault injector would invert a matrix per
+// pattern where an integer compare is exact.
+func TestOnlyNonMDSCodesArePatternCheckers(t *testing.T) {
+	for _, tc := range []struct {
+		plugin string
+		d      int
+		want   bool
+	}{
+		{"jerasure_reed_sol_van", 0, false}, {"jerasure_cauchy_orig", 0, false}, {"isa_reed_sol_van", 0, false},
+		{"clay", 11, false}, {"lrc", 3, true}, {"shec", 2, true},
+	} {
+		_, got := mustCode(t, tc.plugin, 9, 3, tc.d).(erasure.PatternChecker)
+		if got != tc.want {
+			t.Errorf("%s implements erasure.PatternChecker = %v, want %v", tc.plugin, got, tc.want)
+		}
+	}
+	prof := FatalityProfile(mustCode(t, "jerasure_reed_sol_van", 9, 3, 0), 1, 1)
+	if want := []float64{0, 0, 0, 0, 1}; !reflect.DeepEqual(prof, want) {
+		t.Errorf("rs(12,9) fatality profile = %v, want %v", prof, want)
 	}
 }
 

@@ -232,25 +232,10 @@ func mulPair(plan *gf256.RowPlan, pair [][]byte, a, b, dst []byte) {
 // the m parity chunks treated as erasures, the same strategy the Ceph
 // plugin uses.
 func (c *Clay) Encode(shards [][]byte) error {
-	n := c.N()
-	if len(shards) != n {
-		return fmt.Errorf("%w: got %d, want %d", erasure.ErrShardCount, len(shards), n)
+	if _, err := erasure.CheckDataShards(shards, c.k, c.N(), c.alpha); err != nil {
+		return err
 	}
-	size := -1
-	for i := 0; i < c.k; i++ {
-		if shards[i] == nil {
-			return fmt.Errorf("%w: data shard %d is nil", erasure.ErrShardSize, i)
-		}
-		if size == -1 {
-			size = len(shards[i])
-		} else if len(shards[i]) != size {
-			return fmt.Errorf("%w: shard %d has %d bytes, want %d", erasure.ErrShardSize, i, len(shards[i]), size)
-		}
-	}
-	if size%c.alpha != 0 {
-		return fmt.Errorf("%w: shard size %d not divisible by alpha=%d", erasure.ErrShardSize, size, c.alpha)
-	}
-	for i := c.k; i < n; i++ {
+	for i := c.k; i < len(shards); i++ {
 		shards[i] = nil
 	}
 	return c.Decode(shards)
@@ -596,6 +581,9 @@ func (c *Clay) Repair(shards [][]byte, failed []int) error {
 func (c *Clay) repairSingle(shards [][]byte, failedExt int) error {
 	if len(shards) != c.N() {
 		return fmt.Errorf("%w: got %d, want %d", erasure.ErrShardCount, len(shards), c.N())
+	}
+	if failedExt < 0 || failedExt >= c.N() {
+		return fmt.Errorf("clay: invalid shard index %d", failedExt)
 	}
 	size := -1
 	for i, s := range shards {

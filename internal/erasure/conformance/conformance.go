@@ -54,6 +54,7 @@ func Run(t TB, code erasure.Code, opts Options) {
 	checkSingleFailures(t, code, original)
 	checkMultiFailures(t, code, original, rng, opts.MaxPatterns)
 	checkPlans(t, code)
+	checkInvalidIndices(t, code, original)
 	checkPoisonedRepair(t, code, original, size)
 }
 
@@ -232,15 +233,36 @@ func checkPlans(t TB, code erasure.Code) {
 			t.Fatalf("%s: plan %d reads %.2f chunks", code.Name(), f, plan.ReadFraction())
 		}
 	}
-	// Empty and invalid plans.
 	if _, err := code.RepairPlan(nil); err != nil {
 		t.Fatalf("%s: empty plan: %v", code.Name(), err)
 	}
-	if _, err := code.RepairPlan([]int{-1}); err == nil {
-		t.Fatalf("%s: negative shard accepted", code.Name())
-	}
-	if _, err := code.RepairPlan([]int{code.N()}); err == nil {
-		t.Fatalf("%s: out-of-range shard accepted", code.Name())
+}
+
+// checkInvalidIndices verifies that a failed list naming a shard outside
+// [0, N) is an error from RepairPlan and from Repair — never a panic —
+// and that the refused Repair leaves the shards as passed in.
+func checkInvalidIndices(t TB, code erasure.Code, original [][]byte) {
+	t.Helper()
+	for _, failed := range [][]int{{-1}, {code.N()}, {99}, {0, 99}} {
+		work := cloneShards(original)
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("%s: failed=%v panicked: %v", code.Name(), failed, r)
+				}
+			}()
+			if _, err := code.RepairPlan(failed); err == nil {
+				t.Fatalf("%s: RepairPlan accepted failed=%v", code.Name(), failed)
+			}
+			if err := code.Repair(work, failed); err == nil {
+				t.Fatalf("%s: Repair accepted failed=%v", code.Name(), failed)
+			}
+		}()
+		for i := range work {
+			if !bytes.Equal(work[i], original[i]) {
+				t.Fatalf("%s: refused Repair of %v changed shard %d", code.Name(), failed, i)
+			}
+		}
 	}
 }
 

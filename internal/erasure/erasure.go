@@ -1,5 +1,6 @@
 // Package erasure defines the common interface implemented by the erasure
-// codes in this repository (Reed-Solomon and Clay), along with repair-plan
+// codes in this repository (the generator-matrix codes Reed-Solomon, LRC
+// and SHEC, which share the gensolve core, and Clay), along with repair-plan
 // types that describe the I/O a reconstruction requires. The plan types are
 // what the cluster simulator uses to charge network and disk costs, so they
 // carry not just byte counts but also the contiguity of sub-chunk reads,
@@ -153,6 +154,30 @@ func CheckShards(shards [][]byte, n, alpha int) (int, error) {
 	}
 	if size == 0 {
 		return 0, fmt.Errorf("%w: all shards nil", ErrShardSize)
+	}
+	if size%alpha != 0 {
+		return 0, fmt.Errorf("%w: shard size %d not divisible by sub-chunk count %d", ErrShardSize, size, alpha)
+	}
+	return size, nil
+}
+
+// CheckDataShards validates Encode's input: n shards whose first k are
+// non-nil, equal-sized and divisible by alpha (parity entries may be
+// anything; Encode replaces them). It returns the shard size.
+func CheckDataShards(shards [][]byte, k, n, alpha int) (int, error) {
+	if len(shards) != n {
+		return 0, fmt.Errorf("%w: got %d, want %d", ErrShardCount, len(shards), n)
+	}
+	size := -1
+	for i, s := range shards[:k] {
+		if s == nil {
+			return 0, fmt.Errorf("%w: data shard %d is nil", ErrShardSize, i)
+		}
+		if size == -1 {
+			size = len(s)
+		} else if len(s) != size {
+			return 0, fmt.Errorf("%w: shard %d has %d bytes, want %d", ErrShardSize, i, len(s), size)
+		}
 	}
 	if size%alpha != 0 {
 		return 0, fmt.Errorf("%w: shard size %d not divisible by sub-chunk count %d", ErrShardSize, size, alpha)

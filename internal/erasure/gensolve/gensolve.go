@@ -1,119 +1,237 @@
-// Package gensolve provides erasure decoding for arbitrary
-// generator-matrix codes (LRC, SHEC, ...): given the code's n x k
-// generator and an erasure pattern, it selects k linearly independent
-// surviving rows and expresses every lost symbol as a combination of
-// them. Codes whose decodability is pattern-dependent (non-MDS) use the
-// same machinery to answer "is this pattern recoverable" exactly.
+// Package gensolve is the core shared by the systematic generator-matrix
+// codes of this repository (Reed-Solomon, LRC, SHEC; sub-packetization
+// 1). Everything such a code does follows from its n x k generator:
+// encoding runs the parity rows over the data shards, and every erasure
+// pattern is answered by one solver that expresses each lost shard as a
+// combination of surviving ones. A solver comes from the code's
+// local-repair rule when it has a cheaper form for the pattern and from
+// inverting k linearly independent surviving rows otherwise; the same
+// solver is the pattern's repair plan, its repair, its decode and the
+// exact answer to "is this pattern recoverable" for non-MDS codes.
 package gensolve
 
 import (
-	"errors"
 	"fmt"
 
+	"repro/internal/erasure"
 	"repro/internal/erasure/kernel"
 	"repro/internal/gf256"
 	"repro/internal/gfmat"
 )
 
-// ErrUndecodable is returned when the surviving rows do not span the data.
-var ErrUndecodable = errors.New("gensolve: erasure pattern not decodable")
-
-// Solver expresses lost shards over a set of surviving input shards. The
-// reconstruction rows are compiled into a kernel program at build time, so
-// Apply is a single program execution per stripe.
-type Solver struct {
-	// Inputs are the surviving shard indices the solution reads.
-	Inputs []int
-	// Lost are the erased shard indices, in ascending order.
-	Lost []int
-	// LostRows[i] are the coefficients over Inputs reconstructing Lost[i].
-	LostRows [][]byte
-
+// solver reconstructs one erasure pattern: row i of prog rebuilds shard
+// plan.Failed[i] (ascending) from the shards plan.Helpers lists, in that
+// order. Solvers are immutable and shared by every caller.
+type solver struct {
+	plan *erasure.Plan
 	prog *kernel.Program
 }
 
-// Apply reconstructs the lost shards in place. Input shards must be
-// non-nil and equally sized.
-func (s *Solver) Apply(shards [][]byte, size int) {
-	if len(s.Lost) == 0 {
-		return
+// apply reconstructs the lost shards in place from the plan's helpers,
+// which must be non-nil and size bytes long. No other shard is read.
+func (s *solver) apply(shards [][]byte, size int) {
+	srcs := make([][]byte, len(s.plan.Helpers))
+	for j, h := range s.plan.Helpers {
+		srcs[j] = shards[h.Shard]
 	}
-	if s.prog == nil {
-		// Solvers built by hand in tests compile on first use.
-		s.prog = kernel.Compile(s.LostRows)
-	}
-	srcs := make([][]byte, len(s.Inputs))
-	for j, src := range s.Inputs {
-		srcs[j] = shards[src]
-	}
-	dsts := make([][]byte, len(s.Lost))
+	dsts := make([][]byte, len(s.plan.Failed))
 	for i := range dsts {
 		dsts[i] = make([]byte, size)
 	}
 	s.prog.Run(srcs, dsts, true)
-	for i, lost := range s.Lost {
+	for i, lost := range s.plan.Failed {
 		shards[lost] = dsts[i]
 	}
 }
 
-// Cache memoizes solvers per erasure pattern for one generator. Fills
-// are singleflight and the cache is bounded by the shared
-// derived-artifact size (kernel.DecodeCacheSize), so one Cache serves
-// concurrent goroutines without duplicate solves.
-type Cache struct {
-	gen *gfmat.Matrix
-	k   int
-
-	lru *kernel.LRU[*Solver]
+// Code is a systematic generator-matrix code: the erasure.Code methods
+// that follow from the generator alone. A concrete code embeds it and
+// adds its name and, when not MDS, CanRecover over Decodable. The
+// construction is immutable; solvers are memoized per erasure pattern
+// in a bounded singleflight LRU (kernel.DecodeCacheSize), so one
+// instance is safe to share across goroutines and snapshot forks.
+type Code struct {
+	k       int
+	gen     *gfmat.Matrix   // n x k, identity on the first k rows
+	enc     *kernel.Program // parity rows of gen, compiled once
+	local   func(lost []int) (helpers []int, rows [][]byte)
+	solvers *kernel.LRU[*solver] // erased mask -> solver
 }
 
-// NewCache wraps a generator matrix (n rows, k columns).
-func NewCache(gen *gfmat.Matrix) *Cache {
-	return &Cache{gen: gen, k: gen.Cols, lru: kernel.NewLRU[*Solver](kernel.DecodeCacheSize)}
-}
-
-// Solver returns the decode solution for the given erasure flags (length
-// n), or ErrUndecodable.
-func (c *Cache) Solver(erased []bool) (*Solver, error) {
-	if len(erased) != c.gen.Rows {
-		return nil, fmt.Errorf("gensolve: erased mask has %d entries, want %d", len(erased), c.gen.Rows)
+// NewCode wraps a systematic generator (n rows, k columns, n <= 256).
+// local is the code's local-repair rule, nil for codes without one:
+// given the lost shards in ascending order it returns the surviving
+// shards a cheaper-than-decode repair reads and one coefficient row over
+// them per lost shard, or nil helpers when the pattern has no local form.
+func NewCode(gen *gfmat.Matrix, local func(lost []int) (helpers []int, rows [][]byte)) *Code {
+	k := gen.Cols
+	parity := make([][]byte, gen.Rows-k)
+	for i := range parity {
+		parity[i] = gen.Row(k + i)
 	}
-	return c.lru.GetOrCompute(kernel.MaskOfBools(erased), func() (*Solver, error) {
+	return &Code{
+		k: k, gen: gen, local: local,
+		enc:     kernel.Compile(parity),
+		solvers: kernel.NewLRU[*solver](kernel.DecodeCacheSize),
+	}
+}
+
+// K implements erasure.Code.
+func (c *Code) K() int { return c.k }
+
+// M implements erasure.Code: the parity count. For a non-MDS code not
+// every pattern of M erasures is decodable; see Decodable.
+func (c *Code) M() int { return c.gen.Rows - c.k }
+
+// N implements erasure.Code.
+func (c *Code) N() int { return c.gen.Rows }
+
+// SubChunks implements erasure.Code: matrix codes have no
+// sub-packetization.
+func (c *Code) SubChunks() int { return 1 }
+
+// Encode implements erasure.Code.
+func (c *Code) Encode(shards [][]byte) error {
+	size, err := erasure.CheckDataShards(shards, c.k, c.N(), 1)
+	if err != nil {
+		return err
+	}
+	for i := c.k; i < len(shards); i++ {
+		if shards[i] == nil || len(shards[i]) != size {
+			shards[i] = make([]byte, size)
+		}
+	}
+	c.enc.Run(shards[:c.k], shards[c.k:], true)
+	return nil
+}
+
+// Decode implements erasure.Code: the solver for the nil-shard pattern
+// rebuilds every missing shard, data and parity, in one program run.
+func (c *Code) Decode(shards [][]byte) error {
+	size, err := erasure.CheckShards(shards, c.N(), 1)
+	if err != nil {
+		return err
+	}
+	var erased kernel.Mask
+	for i, s := range shards {
+		if s == nil {
+			erased.Set(i)
+		}
+	}
+	s, err := c.solver(erased)
+	if err != nil {
+		return err
+	}
+	s.apply(shards, size)
+	return nil
+}
+
+// RepairPlan implements erasure.Code: the helpers are the local-repair
+// rule's when it covers the pattern and otherwise the first k linearly
+// independent survivors (for an MDS code, the first k survivors). Plans
+// are memoized and shared; callers must not mutate them.
+func (c *Code) RepairPlan(failed []int) (*erasure.Plan, error) {
+	s, err := c.solverFor(failed)
+	if err != nil {
+		return nil, err
+	}
+	return s.plan, nil
+}
+
+// Repair implements erasure.Code: it reads exactly the shards
+// RepairPlan(failed) lists and computes only the failed rows.
+func (c *Code) Repair(shards [][]byte, failed []int) error {
+	if len(shards) != c.N() {
+		return fmt.Errorf("%w: got %d, want %d", erasure.ErrShardCount, len(shards), c.N())
+	}
+	s, err := c.solverFor(failed)
+	if err != nil {
+		return err
+	}
+	size := -1
+	for _, h := range s.plan.Helpers {
+		switch helper := shards[h.Shard]; {
+		case helper == nil:
+			return fmt.Errorf("%w: helper shard %d is nil", erasure.ErrShardSize, h.Shard)
+		case size == -1:
+			size = len(helper)
+		case len(helper) != size:
+			return fmt.Errorf("%w: shard %d has %d bytes, want %d", erasure.ErrShardSize, h.Shard, len(helper), size)
+		}
+	}
+	s.apply(shards, size)
+	return nil
+}
+
+// Decodable reports whether the failed shard indices are recoverable
+// from the survivors, exactly (by generator rank). Non-MDS codes export
+// it as erasure.PatternChecker's CanRecover; MDS codes must not, so that
+// erasure.CanRecover keeps answering them with an integer compare.
+func (c *Code) Decodable(failed []int) bool {
+	_, err := c.solverFor(failed)
+	return err == nil
+}
+
+// solverFor returns the solver for a failed-index list, in any order and
+// with duplicates allowed.
+func (c *Code) solverFor(failed []int) (*solver, error) {
+	for _, f := range failed {
+		if f < 0 || f >= c.N() {
+			return nil, fmt.Errorf("gensolve: invalid shard index %d", f)
+		}
+	}
+	return c.solver(kernel.MaskOf(failed...))
+}
+
+func (c *Code) solver(erased kernel.Mask) (*solver, error) {
+	return c.solvers.GetOrCompute(erased, func() (*solver, error) {
 		return c.build(erased)
 	})
 }
 
-func (c *Cache) build(erased []bool) (*Solver, error) {
+func (c *Code) build(erased kernel.Mask) (*solver, error) {
 	var surviving, lost []int
-	for i := 0; i < c.gen.Rows; i++ {
-		if erased[i] {
+	for i := 0; i < c.N(); i++ {
+		if erased.Has(i) {
 			lost = append(lost, i)
 		} else {
 			surviving = append(surviving, i)
 		}
 	}
-	basis, inputs := IndependentRows(c.gen, surviving, c.k)
-	if len(inputs) < c.k {
-		return nil, fmt.Errorf("%w: lost %v", ErrUndecodable, lost)
+	if len(lost) == 0 {
+		// Nothing erased: the empty plan and the empty program.
+		return &solver{plan: &erasure.Plan{SubChunkTotal: 1}, prog: kernel.Compile(nil)}, nil
 	}
-	inv, err := basis.Invert()
-	if err != nil {
-		return nil, fmt.Errorf("gensolve: selected rows not invertible: %w", err)
+	var helpers []int
+	var rows [][]byte
+	if c.local != nil {
+		helpers, rows = c.local(lost)
 	}
-	s := &Solver{Inputs: inputs, Lost: lost}
-	for _, li := range lost {
-		row := c.gen.SubMatrix([]int{li}).Mul(inv)
-		s.LostRows = append(s.LostRows, row.Row(0))
+	if helpers == nil {
+		basis, inputs := IndependentRows(c.gen, surviving, c.k)
+		if len(inputs) < c.k {
+			return nil, fmt.Errorf("%w: lost %v", erasure.ErrTooManyErasures, lost)
+		}
+		inv, err := basis.Invert()
+		if err != nil {
+			return nil, fmt.Errorf("gensolve: selected rows not invertible: %w", err)
+		}
+		helpers = inputs
+		solved := c.gen.SubMatrix(lost).Mul(inv)
+		for i := range lost {
+			rows = append(rows, solved.Row(i))
+		}
 	}
-	s.prog = kernel.Compile(s.LostRows)
-	return s, nil
+	plan := &erasure.Plan{Failed: lost, Helpers: make([]erasure.HelperRead, len(helpers)), SubChunkTotal: 1}
+	for i, h := range helpers {
+		plan.Helpers[i] = erasure.HelperRead{Shard: h, SubChunks: wholeChunk, Runs: 1}
+	}
+	return &solver{plan: plan, prog: kernel.Compile(rows)}, nil
 }
 
-// CanRecover reports whether the erasure flags are decodable.
-func (c *Cache) CanRecover(erased []bool) bool {
-	_, err := c.Solver(erased)
-	return err == nil
-}
+// wholeChunk is every helper's read: the one sub-chunk of an alpha = 1
+// shard. Plans are immutable, so all of them share it.
+var wholeChunk = []int{0}
 
 // IndependentRows selects up to want linearly independent rows (in
 // candidate order) from m, returning the selected square matrix and the

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/erasure"
 	"repro/internal/gfmat"
 )
 
@@ -14,7 +15,7 @@ func rsGen(n, k int) *gfmat.Matrix { return gfmat.Cauchy(n, k) }
 
 func TestSolverRecoversMDS(t *testing.T) {
 	gen := rsGen(8, 5)
-	cache := NewCache(gen)
+	code := NewCode(gen, nil)
 	rng := rand.New(rand.NewSource(1))
 	data := make([][]byte, 5)
 	for i := range data {
@@ -36,14 +37,10 @@ func TestSolverRecoversMDS(t *testing.T) {
 	for i := range shards {
 		orig[i] = append([]byte(nil), shards[i]...)
 	}
-	erased := make([]bool, 8)
-	erased[1], erased[4], erased[7] = true, true, true
-	sol, err := cache.Solver(erased)
-	if err != nil {
+	shards[1], shards[4], shards[7] = nil, nil, nil
+	if err := code.Decode(shards); err != nil {
 		t.Fatal(err)
 	}
-	shards[1], shards[4], shards[7] = nil, nil, nil
-	sol.Apply(shards, 32)
 	for _, i := range []int{1, 4, 7} {
 		if !bytes.Equal(shards[i], orig[i]) {
 			t.Fatalf("shard %d wrong", i)
@@ -76,40 +73,32 @@ func TestUndecodablePattern(t *testing.T) {
 	gen.Set(2, 1, 1)
 	gen.Set(3, 0, 1)
 	gen.Set(3, 1, 1) // duplicate of row 2
-	cache := NewCache(gen)
+	code := NewCode(gen, nil)
 	// Losing both data shards leaves two dependent rows.
-	if _, err := cache.Solver([]bool{true, true, false, false}); !errors.Is(err, ErrUndecodable) {
+	if _, err := code.RepairPlan([]int{0, 1}); !errors.Is(err, erasure.ErrTooManyErasures) {
 		t.Fatalf("got %v", err)
 	}
-	if cache.CanRecover([]bool{true, true, false, false}) {
-		t.Fatal("CanRecover should be false")
+	if code.Decodable([]int{0, 1}) {
+		t.Fatal("Decodable should be false")
 	}
 	// Losing one data shard is fine.
-	if !cache.CanRecover([]bool{true, false, false, false}) {
+	if !code.Decodable([]int{0}) {
 		t.Fatal("single loss should recover")
 	}
 }
 
 func TestSolverCacheReuse(t *testing.T) {
-	cache := NewCache(rsGen(6, 4))
-	erased := []bool{false, true, false, false, false, false}
-	a, err := cache.Solver(erased)
+	code := NewCode(rsGen(6, 4), nil)
+	a, err := code.RepairPlan([]int{1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := cache.Solver(erased)
+	b, err := code.RepairPlan([]int{1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != b {
 		t.Fatal("solver not memoized")
-	}
-}
-
-func TestSolverMaskLengthValidation(t *testing.T) {
-	cache := NewCache(rsGen(6, 4))
-	if _, err := cache.Solver([]bool{true}); err == nil {
-		t.Fatal("short mask accepted")
 	}
 }
 

@@ -29,24 +29,11 @@ func Compile(rows [][]byte) *Program {
 	return p
 }
 
-// CompileMatrix is Compile for callers holding a flat row accessor.
-func CompileMatrix(n int, row func(i int) []byte) *Program {
-	rows := make([][]byte, n)
-	for i := range rows {
-		rows[i] = row(i)
-	}
-	return Compile(rows)
-}
-
 // Rows returns the number of output rows.
 func (p *Program) Rows() int { return len(p.plans) }
 
 // Width returns the number of source slots per row.
 func (p *Program) Width() int { return p.width }
-
-// Plan returns the compiled plan for output row i (for single-row
-// callers such as repair paths).
-func (p *Program) Plan(i int) *gf256.RowPlan { return p.plans[i] }
 
 // Run executes the program: for every output row i,
 //

@@ -16,25 +16,17 @@ import (
 
 	"repro/internal/erasure"
 	"repro/internal/erasure/gensolve"
-	"repro/internal/erasure/kernel"
 	"repro/internal/gf256"
 	"repro/internal/gfmat"
 )
 
-// LRC is an LRC(k, l, g) code instance. Chunk order: k data, then l local
-// parities (one per group), then g global parities. The construction
-// (generator, group structure, encode program) is immutable after New;
-// pattern solvers and repair plans live in concurrency-safe singleflight
-// caches, so one instance is safe to share across goroutines and
-// snapshot forks.
+// LRC is an LRC(k, l, g) code instance: gensolve.Code over the layered
+// generator, with localRepair as its local-repair rule. Chunk order: k
+// data, then l local parities (one per group), then g global parities.
 type LRC struct {
+	*gensolve.Code
 	k, l, g   int
 	groupSize int
-	gen       *gfmat.Matrix   // n x k generator
-	enc       *kernel.Program // parity rows of gen, compiled once
-
-	solvers *gensolve.Cache
-	plans   *erasure.PlanCache // failed mask -> repair plan
 }
 
 // New constructs an LRC with k data chunks in l local groups (l must
@@ -70,12 +62,9 @@ func New(k, l, g int) (*LRC, error) {
 			gen.Set(row, j, gf256.Inv(x^byte(j)^0x80))
 		}
 	}
-	return &LRC{
-		k: k, l: l, g: g, groupSize: groupSize, gen: gen,
-		enc:     kernel.CompileMatrix(l+g, func(i int) []byte { return gen.Row(k + i) }),
-		solvers: gensolve.NewCache(gen),
-		plans:   erasure.NewPlanCache(n),
-	}, nil
+	c := &LRC{k: k, l: l, g: g, groupSize: groupSize}
+	c.Code = gensolve.NewCode(gen, c.localRepair)
+	return c, nil
 }
 
 func init() {
@@ -93,19 +82,6 @@ func init() {
 
 // Name implements erasure.Code.
 func (c *LRC) Name() string { return "lrc" }
-
-// K implements erasure.Code.
-func (c *LRC) K() int { return c.k }
-
-// M implements erasure.Code: the total parity count. Note that unlike MDS
-// codes not every pattern of M erasures is decodable; see CanRecover.
-func (c *LRC) M() int { return c.l + c.g }
-
-// N implements erasure.Code.
-func (c *LRC) N() int { return c.k + c.l + c.g }
-
-// SubChunks implements erasure.Code.
-func (c *LRC) SubChunks() int { return 1 }
 
 // Groups returns the number of local groups.
 func (c *LRC) Groups() int { return c.l }
@@ -135,198 +111,34 @@ func (c *LRC) groupMembers(grp int) []int {
 	return append(out, c.k+grp)
 }
 
-// Encode implements erasure.Code.
-func (c *LRC) Encode(shards [][]byte) error {
-	n := c.N()
-	if len(shards) != n {
-		return fmt.Errorf("%w: got %d, want %d", erasure.ErrShardCount, len(shards), n)
-	}
-	size := -1
-	for i := 0; i < c.k; i++ {
-		if shards[i] == nil {
-			return fmt.Errorf("%w: data shard %d is nil", erasure.ErrShardSize, i)
-		}
-		if size == -1 {
-			size = len(shards[i])
-		} else if len(shards[i]) != size {
-			return fmt.Errorf("%w: shard %d", erasure.ErrShardSize, i)
-		}
-	}
-	for i := c.k; i < n; i++ {
-		if shards[i] == nil || len(shards[i]) != size {
-			shards[i] = make([]byte, size)
-		}
-	}
-	c.enc.Run(shards[:c.k], shards[c.k:], true)
-	return nil
-}
+// CanRecover implements erasure.PatternChecker: unlike an MDS code, not
+// every pattern of M erasures is decodable.
+func (c *LRC) CanRecover(failed []int) bool { return c.Decodable(failed) }
 
-// CanRecover reports whether the erasure pattern is decodable.
-func (c *LRC) CanRecover(failed []int) bool {
-	erased := make([]bool, c.N())
-	for _, f := range failed {
-		if f < 0 || f >= c.N() {
-			return false
-		}
-		erased[f] = true
-	}
-	return c.solvers.CanRecover(erased)
-}
-
-// Decode implements erasure.Code.
-func (c *LRC) Decode(shards [][]byte) error {
-	size, err := erasure.CheckShards(shards, c.N(), 1)
-	if err != nil {
-		return err
-	}
-	erased := make([]bool, c.N())
-	any := false
-	for i, s := range shards {
-		if s == nil {
-			erased[i] = true
-			any = true
-		}
-	}
-	if !any {
-		return nil
-	}
-	sol, err := c.solvers.Solver(erased)
-	if err != nil {
-		return fmt.Errorf("%w: %v", erasure.ErrTooManyErasures, err)
-	}
-	sol.Apply(shards, size)
-	return nil
-}
-
-// RepairPlan implements erasure.Code. Single failures within a group read
-// only that group (the locality win); other patterns fall back to the
-// full decode's input set. Plans are memoized per failed set and shared;
-// callers must not mutate them.
-func (c *LRC) RepairPlan(failed []int) (*erasure.Plan, error) {
-	return c.plans.Get(failed, func() (*erasure.Plan, error) {
-		return c.buildRepairPlan(failed)
-	})
-}
-
-func (c *LRC) buildRepairPlan(failed []int) (*erasure.Plan, error) {
-	if len(failed) == 0 {
-		return &erasure.Plan{SubChunkTotal: 1}, nil
-	}
-	erased := make([]bool, c.N())
-	for _, f := range failed {
-		if f < 0 || f >= c.N() {
-			return nil, fmt.Errorf("lrc: invalid shard index %d", f)
-		}
-		erased[f] = true
-	}
-	plan := &erasure.Plan{Failed: append([]int(nil), failed...), SubChunkTotal: 1}
-	if len(failed) == 1 {
-		if grp := c.groupOf(failed[0]); grp >= 0 {
-			for _, m := range c.groupMembers(grp) {
-				if m != failed[0] {
-					plan.Helpers = append(plan.Helpers, erasure.NewHelperRead(m, []int{0}))
-				}
-			}
-			return plan, nil
-		}
-		// A global parity rebuilds from all data chunks.
-		for j := 0; j < c.k; j++ {
-			plan.Helpers = append(plan.Helpers, erasure.NewHelperRead(j, []int{0}))
-		}
-		return plan, nil
-	}
-	// Multiple failures in distinct groups, one each: per-group local
-	// repairs.
-	if c.allSinglePerGroup(failed) {
-		seen := map[int]bool{}
-		for _, f := range failed {
-			for _, m := range c.groupMembers(c.groupOf(f)) {
-				if !erased[m] && !seen[m] {
-					seen[m] = true
-					plan.Helpers = append(plan.Helpers, erasure.NewHelperRead(m, []int{0}))
-				}
-			}
-		}
-		return plan, nil
-	}
-	sol, err := c.solvers.Solver(erased)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", erasure.ErrTooManyErasures, err)
-	}
-	for _, in := range sol.Inputs {
-		plan.Helpers = append(plan.Helpers, erasure.NewHelperRead(in, []int{0}))
-	}
-	return plan, nil
-}
-
-// allSinglePerGroup reports whether every failure is in a distinct local
-// group (and none is a global parity).
-func (c *LRC) allSinglePerGroup(failed []int) bool {
+// localRepair is the local-repair rule: when every lost chunk is the only
+// loss in its local group (and none is a global parity), each is the XOR
+// of its group's other members, so the repair reads groupSize chunks per
+// loss — the locality win — instead of a full decode's k.
+func (c *LRC) localRepair(lost []int) (helpers []int, rows [][]byte) {
 	seen := map[int]bool{}
-	for _, f := range failed {
+	for _, f := range lost {
 		grp := c.groupOf(f)
 		if grp < 0 || seen[grp] {
-			return false
+			return nil, nil
 		}
 		seen[grp] = true
-	}
-	return true
-}
-
-// Repair implements erasure.Code, reading only the shards the plan lists.
-func (c *LRC) Repair(shards [][]byte, failed []int) error {
-	if len(failed) == 0 {
-		return nil
-	}
-	plan, err := c.RepairPlan(failed)
-	if err != nil {
-		return err
-	}
-	lost := map[int]bool{}
-	for _, f := range failed {
-		lost[f] = true
-	}
-	// Local repairs: reconstruct each failed chunk by XOR-solving within
-	// its group when the plan is group-local.
-	if len(failed) == 1 || c.allSinglePerGroup(failed) {
-		size := -1
-		for _, h := range plan.Helpers {
-			if shards[h.Shard] == nil {
-				return fmt.Errorf("lrc: helper shard %d is nil", h.Shard)
-			}
-			if size == -1 {
-				size = len(shards[h.Shard])
+		for _, m := range c.groupMembers(grp) {
+			if m != f {
+				helpers = append(helpers, m)
 			}
 		}
-		for _, f := range failed {
-			grp := c.groupOf(f)
-			if grp < 0 {
-				// Global parity: re-encode from data.
-				buf := make([]byte, size)
-				c.enc.Plan(f-c.k).Mul(shards[:c.k], buf)
-				shards[f] = buf
-				continue
-			}
-			buf := make([]byte, size)
-			for _, m := range c.groupMembers(grp) {
-				if m != f {
-					gf256.XorSlice(shards[m], buf)
-				}
-			}
-			shards[f] = buf
+	}
+	for i := range lost {
+		row := make([]byte, len(helpers))
+		for j := i * c.groupSize; j < (i+1)*c.groupSize; j++ {
+			row[j] = 1
 		}
-		return nil
+		rows = append(rows, row)
 	}
-	// General pattern: decode over the plan's inputs only.
-	work := make([][]byte, c.N())
-	for _, h := range plan.Helpers {
-		work[h.Shard] = shards[h.Shard]
-	}
-	if err := c.Decode(work); err != nil {
-		return err
-	}
-	for _, f := range failed {
-		shards[f] = work[f]
-	}
-	return nil
+	return helpers, rows
 }

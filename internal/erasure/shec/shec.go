@@ -15,25 +15,19 @@ import (
 
 	"repro/internal/erasure"
 	"repro/internal/erasure/gensolve"
-	"repro/internal/erasure/kernel"
 	"repro/internal/gf256"
 	"repro/internal/gfmat"
 )
 
-// SHEC is a SHEC(k, m, c) instance. Chunk order: k data then m parities.
-// The construction (generator, window layout, encode program) is
-// immutable after New; pattern solvers and repair plans live in
-// concurrency-safe singleflight caches, so one instance is safe to share
-// across goroutines and snapshot forks.
+// SHEC is a SHEC(k, m, c) instance: gensolve.Code over the shingled
+// generator, with windowRepair as its local-repair rule. Chunk order: k
+// data then m parities.
 type SHEC struct {
-	k, m, c int
-	window  int
-	starts  []int // window start (data index) per parity
-	gen     *gfmat.Matrix
-	enc     *kernel.Program // parity rows of gen, compiled once
-
-	solvers *gensolve.Cache
-	plans   *erasure.PlanCache // failed mask -> repair plan
+	*gensolve.Code
+	k, c   int
+	window int
+	starts []int // window start (data index) per parity
+	gen    *gfmat.Matrix
 }
 
 // New constructs SHEC(k, m, c): m shingled parities with target
@@ -57,8 +51,8 @@ func New(k, m, c int) (*SHEC, error) {
 	if w > k {
 		w = k
 	}
-	s := &SHEC{k: k, m: m, c: c, window: w}
 	gen := gfmat.New(k+m, k)
+	s := &SHEC{k: k, c: c, window: w, gen: gen}
 	for i := 0; i < k; i++ {
 		gen.Set(i, i, 1)
 	}
@@ -73,10 +67,7 @@ func New(k, m, c int) (*SHEC, error) {
 			gen.Set(row, col, gf256.Inv(byte(k+j)^byte(col)^0x80))
 		}
 	}
-	s.gen = gen
-	s.enc = kernel.CompileMatrix(m, func(i int) []byte { return gen.Row(k + i) })
-	s.solvers = gensolve.NewCache(gen)
-	s.plans = erasure.NewPlanCache(k + m)
+	s.Code = gensolve.NewCode(gen, s.windowRepair)
 	return s, nil
 }
 
@@ -95,24 +86,11 @@ func init() {
 // Name implements erasure.Code.
 func (s *SHEC) Name() string { return "shec" }
 
-// K implements erasure.Code.
-func (s *SHEC) K() int { return s.k }
-
-// M implements erasure.Code. Patterns of up to C failures are always
-// recoverable; wider patterns may or may not be (see CanRecover).
-func (s *SHEC) M() int { return s.m }
-
-// N implements erasure.Code.
-func (s *SHEC) N() int { return s.k + s.m }
-
 // C is the designed durability (guaranteed recoverable failures).
 func (s *SHEC) C() int { return s.c }
 
 // Window is the data-chunk span of each parity.
 func (s *SHEC) Window() int { return s.window }
-
-// SubChunks implements erasure.Code.
-func (s *SHEC) SubChunks() int { return 1 }
 
 // coveredBy lists the parities whose window contains data chunk d.
 func (s *SHEC) coveredBy(d int) []int {
@@ -137,177 +115,44 @@ func (s *SHEC) windowMembers(j int) []int {
 	return out
 }
 
-// Encode implements erasure.Code.
-func (s *SHEC) Encode(shards [][]byte) error {
-	n := s.N()
-	if len(shards) != n {
-		return fmt.Errorf("%w: got %d, want %d", erasure.ErrShardCount, len(shards), n)
-	}
-	size := -1
-	for i := 0; i < s.k; i++ {
-		if shards[i] == nil {
-			return fmt.Errorf("%w: data shard %d is nil", erasure.ErrShardSize, i)
-		}
-		if size == -1 {
-			size = len(shards[i])
-		} else if len(shards[i]) != size {
-			return fmt.Errorf("%w: shard %d", erasure.ErrShardSize, i)
-		}
-	}
-	for i := s.k; i < n; i++ {
-		if shards[i] == nil || len(shards[i]) != size {
-			shards[i] = make([]byte, size)
-		}
-	}
-	s.enc.Run(shards[:s.k], shards[s.k:], true)
-	return nil
-}
+// CanRecover implements erasure.PatternChecker: patterns of up to C
+// failures are always recoverable; wider ones may or may not be.
+func (s *SHEC) CanRecover(failed []int) bool { return s.Decodable(failed) }
 
-// CanRecover reports whether the erasure pattern is decodable.
-func (s *SHEC) CanRecover(failed []int) bool {
-	erased := make([]bool, s.N())
-	for _, f := range failed {
-		if f < 0 || f >= s.N() {
-			return false
+// windowRepair is the local-repair rule: a single lost chunk is solved
+// from one parity equation, reading that parity's window (fewer than
+// Reed-Solomon's k) instead of a full decode's inputs.
+func (s *SHEC) windowRepair(lost []int) (helpers []int, rows [][]byte) {
+	if len(lost) != 1 {
+		return nil, nil
+	}
+	f := lost[0]
+	if f >= s.k {
+		// A parity re-encodes from its own window.
+		helpers = s.windowMembers(f - s.k)
+		row := make([]byte, len(helpers))
+		for i, d := range helpers {
+			row[i] = s.gen.At(f, d)
 		}
-		erased[f] = true
+		return helpers, [][]byte{row}
 	}
-	return s.solvers.CanRecover(erased)
-}
-
-// Decode implements erasure.Code.
-func (s *SHEC) Decode(shards [][]byte) error {
-	size, err := erasure.CheckShards(shards, s.N(), 1)
-	if err != nil {
-		return err
+	cover := s.coveredBy(f)
+	if len(cover) == 0 {
+		return nil, nil
 	}
-	erased := make([]bool, s.N())
-	any := false
-	for i, sh := range shards {
-		if sh == nil {
-			erased[i] = true
-			any = true
-		}
-	}
-	if !any {
-		return nil
-	}
-	sol, err := s.solvers.Solver(erased)
-	if err != nil {
-		return fmt.Errorf("%w: %v", erasure.ErrTooManyErasures, err)
-	}
-	sol.Apply(shards, size)
-	return nil
-}
-
-// RepairPlan implements erasure.Code. A single data failure reads one
-// covering parity's window (window-1 data chunks plus the parity, fewer
-// than Reed-Solomon's k); other patterns use the decode input set. Plans
-// are memoized per failed set and shared; callers must not mutate them.
-func (s *SHEC) RepairPlan(failed []int) (*erasure.Plan, error) {
-	return s.plans.Get(failed, func() (*erasure.Plan, error) {
-		return s.buildRepairPlan(failed)
-	})
-}
-
-func (s *SHEC) buildRepairPlan(failed []int) (*erasure.Plan, error) {
-	if len(failed) == 0 {
-		return &erasure.Plan{SubChunkTotal: 1}, nil
-	}
-	erased := make([]bool, s.N())
-	for _, f := range failed {
-		if f < 0 || f >= s.N() {
-			return nil, fmt.Errorf("shec: invalid shard index %d", f)
-		}
-		erased[f] = true
-	}
-	plan := &erasure.Plan{Failed: append([]int(nil), failed...), SubChunkTotal: 1}
-	if len(failed) == 1 && failed[0] < s.k {
-		if cover := s.coveredBy(failed[0]); len(cover) > 0 {
-			j := cover[0]
-			for _, d := range s.windowMembers(j) {
-				if d != failed[0] {
-					plan.Helpers = append(plan.Helpers, erasure.NewHelperRead(d, []int{0}))
-				}
-			}
-			plan.Helpers = append(plan.Helpers, erasure.NewHelperRead(s.k+j, []int{0}))
-			return plan, nil
+	// Solve the first covering parity's equation for the lost chunk,
+	// folding the 1/row[f] scaling into the coefficients.
+	j := cover[0]
+	eq := s.gen.Row(s.k + j)
+	inv := gf256.Inv(eq[f])
+	var row []byte
+	for _, d := range s.windowMembers(j) {
+		if d != f {
+			helpers = append(helpers, d)
+			row = append(row, gf256.Mul(inv, eq[d]))
 		}
 	}
-	if len(failed) == 1 && failed[0] >= s.k {
-		// A parity rebuilds from its own window.
-		for _, d := range s.windowMembers(failed[0] - s.k) {
-			plan.Helpers = append(plan.Helpers, erasure.NewHelperRead(d, []int{0}))
-		}
-		return plan, nil
-	}
-	sol, err := s.solvers.Solver(erased)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", erasure.ErrTooManyErasures, err)
-	}
-	for _, in := range sol.Inputs {
-		plan.Helpers = append(plan.Helpers, erasure.NewHelperRead(in, []int{0}))
-	}
-	return plan, nil
-}
-
-// Repair implements erasure.Code, reading only the plan's shards.
-func (s *SHEC) Repair(shards [][]byte, failed []int) error {
-	if len(failed) == 0 {
-		return nil
-	}
-	plan, err := s.RepairPlan(failed)
-	if err != nil {
-		return err
-	}
-	size := -1
-	for _, h := range plan.Helpers {
-		if shards[h.Shard] == nil {
-			return fmt.Errorf("shec: helper shard %d is nil", h.Shard)
-		}
-		if size == -1 {
-			size = len(shards[h.Shard])
-		}
-	}
-	if len(failed) == 1 {
-		f := failed[0]
-		if f >= s.k {
-			// Re-encode the parity from its window (the compiled row skips
-			// the zero columns outside it).
-			buf := make([]byte, size)
-			s.enc.Plan(f-s.k).Mul(shards[:s.k], buf)
-			shards[f] = buf
-			return nil
-		}
-		if cover := s.coveredBy(f); len(cover) > 0 {
-			// Solve the covering parity's equation for the lost chunk in a
-			// single kernel pass: fold the 1/row[f] scaling into the
-			// coefficients instead of rescaling the result.
-			j := cover[0]
-			row := s.gen.Row(s.k + j)
-			inv := gf256.Inv(row[f])
-			coeffs := make([]byte, s.k+1)
-			for _, d := range s.windowMembers(j) {
-				if d != f {
-					coeffs[d] = gf256.Mul(inv, row[d])
-				}
-			}
-			coeffs[s.k] = inv // the parity shard itself
-			buf := make([]byte, size)
-			gf256.MulAddRow(coeffs, append(shards[:s.k:s.k], shards[s.k+j]), buf)
-			shards[f] = buf
-			return nil
-		}
-	}
-	work := make([][]byte, s.N())
-	for _, h := range plan.Helpers {
-		work[h.Shard] = shards[h.Shard]
-	}
-	if err := s.Decode(work); err != nil {
-		return err
-	}
-	for _, f := range failed {
-		shards[f] = work[f]
-	}
-	return nil
+	helpers = append(helpers, s.k+j) // the parity shard itself
+	row = append(row, inv)
+	return helpers, [][]byte{row}
 }

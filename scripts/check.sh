@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Repo-wide check: vet + build + tier-1 tests (the scale-1 golden of
 # cmd/ecbench included) + race audit of the concurrent packages + the
-# engine's ordering and gather fuzz smokes + the benchmark module's
-# self-test and smoke runs.
+# engine's ordering and gather fuzz smokes + the matrix codes' round-trip
+# fuzz smoke + the benchmark module's self-test and smoke runs.
 # Run from the repo root: ./scripts/check.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -29,10 +29,11 @@ go test -race -count=1 \
     ./internal/parallel \
     ./internal/tuner
 
-echo "== fuzz smoke (simclock: same-instant FIFO, RunUntil slicing; simnet: gather == per-ship) =="
+echo "== fuzz smoke (simclock: same-instant FIFO, RunUntil slicing; simnet: gather == per-ship; matrix codes: decode/repair == CanRecover) =="
 go test ./internal/simclock -run xxx -fuzz FuzzSimclockFIFO -fuzztime 10s
 go test ./internal/simclock -run xxx -fuzz FuzzRunUntilSlicing -fuzztime 10s
 go test ./internal/simnet -run xxx -fuzz FuzzGatherMatchesPerShip -fuzztime 10s
+go test ./internal/erasure/conformance -run xxx -fuzz FuzzMatrixCodeRoundTrip -fuzztime 10s
 
 echo "== go build/test (purego: portable word kernels, no asm) =="
 go build -tags purego ./...
