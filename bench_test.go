@@ -254,9 +254,12 @@ func BenchmarkAblationRecoveryThrottle(b *testing.B) {
 
 // BenchmarkAblationClientLoad measures how foreground client traffic
 // lengthens the EC recovery phase — the contention Ceph's mclock
-// recovery reservation exists to bound.
+// recovery reservation exists to bound — and what the clients see
+// meanwhile: every op is the cluster's one read model (degraded objects
+// decode; the object ships to the single client host, whose NIC bounds
+// the load the cluster admits).
 func BenchmarkAblationClientLoad(b *testing.B) {
-	run := func(ops float64) time.Duration {
+	run := func(ops float64) (time.Duration, *cluster.ClientLoad) {
 		cfg := cluster.DefaultConfig()
 		c, err := cluster.New(cfg)
 		if err != nil {
@@ -303,11 +306,16 @@ func BenchmarkAblationClientLoad(b *testing.B) {
 		}
 		c.Sim().After(5*time.Second, watch)
 		c.Sim().Run()
-		return res.ECRecoveryPeriod()
+		return res.ECRecoveryPeriod(), load
 	}
 	for i := 0; i < b.N; i++ {
-		b.ReportMetric(run(0).Seconds(), "ec_s_idle")
-		b.ReportMetric(run(40).Seconds(), "ec_s_40ops")
+		idle, _ := run(0)
+		busy, load := run(40)
+		b.ReportMetric(idle.Seconds(), "ec_s_idle")
+		b.ReportMetric(busy.Seconds(), "ec_s_40ops")
+		b.ReportMetric(float64(load.OpsCompleted), "client_ops_done")
+		b.ReportMetric(float64(load.OpsShed), "client_ops_shed")
+		b.ReportMetric(load.MeanLatency().Seconds(), "client_mean_s")
 	}
 }
 

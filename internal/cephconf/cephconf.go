@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -149,6 +150,9 @@ func ParseSize(s string) (int64, error) {
 	v, err := strconv.ParseInt(strings.TrimSpace(s), 10, 64)
 	if err != nil {
 		return 0, fmt.Errorf("cephconf: bad size %q: %w", s, err)
+	}
+	if v < 0 || v > math.MaxInt64/mult {
+		return 0, fmt.Errorf("cephconf: size %q is negative or overflows int64", s)
 	}
 	return v * mult, nil
 }

@@ -87,7 +87,9 @@ func TestParseSize(t *testing.T) {
 			t.Errorf("ParseSize(%q) = %d, %v; want %d", in, got, err, want)
 		}
 	}
-	for _, bad := range []string{"", "x", "4X4", "M"} {
+	// Negative sizes and products past int64 used to come back as
+	// (-4096, nil) and (-7709325834783293440, nil).
+	for _, bad := range []string{"", "x", "4X4", "M", "-4K", "-1", "9999999999G", "9223372036854775807K"} {
 		if _, err := ParseSize(bad); err == nil {
 			t.Errorf("ParseSize(%q) accepted", bad)
 		}
@@ -151,4 +153,33 @@ func TestLoadMissingFile(t *testing.T) {
 	if _, err := Load("/nonexistent/ceph.conf"); err == nil {
 		t.Fatal("missing file accepted")
 	}
+}
+
+// FuzzParseApply drives the whole INI input surface — Parse, then the
+// overlay onto the paper-default profile with its validation — with
+// arbitrary text: a configuration is rejected or accepted, never a panic,
+// and an accepted one is a valid profile whose sizes are non-negative.
+func FuzzParseApply(f *testing.F) {
+	f.Add(sample)
+	// The package comment's example.
+	f.Add("[global]\nosd_pool_default_pg_num = 256\nbluestore_cache_kv_ratio = 0.45\n\n[osd]\nosd_max_backfills = 1\n")
+	for _, size := range []string{"9999999999G", "-4K", "4M"} {
+		f.Add("[global]\nosd_pool_erasure_code_stripe_unit = " + size + "\nbluestore_min_alloc_size = " + size + "\n")
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		cfg, err := Parse(strings.NewReader(text))
+		if err != nil {
+			return
+		}
+		p, err := cfg.ApplyProfile(core.DefaultProfile())
+		if err != nil {
+			return
+		}
+		if err := p.Validate(); err != nil {
+			t.Fatalf("ApplyProfile accepted a profile Validate rejects: %v", err)
+		}
+		if p.Pool.StripeUnit <= 0 || p.Backend.MinAllocSize < 0 {
+			t.Fatalf("accepted sizes: stripe_unit=%d min_alloc_size=%d", p.Pool.StripeUnit, p.Backend.MinAllocSize)
+		}
+	})
 }

@@ -73,32 +73,19 @@ func (l *ClientLoad) MeanLatency() simclock.Time {
 	return l.TotalLatency / simclock.Time(l.OpsCompleted)
 }
 
-// issueRead performs one client read: the k data chunks of a
-// deterministically chosen object are fetched to the primary and shipped
-// to the client, charged at full (non-recovery) rates.
+// issueRead performs one client read of a deterministically chosen
+// object through the cluster's one read model (scheduleRead): degraded
+// objects fetch their repair helpers and decode, charged at full
+// (non-recovery) rates.
 func (l *ClientLoad) issueRead(seq uint64) {
 	c := l.c
-	pool := l.pool
 	// Deterministic object choice.
 	h := seq*0x9e3779b97f4a7c15 + 0x1234567
-	pg := pool.PGs[h%uint64(len(pool.PGs))]
+	pg := l.pool.PGs[h%uint64(len(l.pool.PGs))]
 	if len(pg.Objects) == 0 {
 		return
 	}
 	obj := pg.Objects[(h>>16)%uint64(len(pg.Objects))]
-	code := pool.Code
-	cm := &c.cfg.Cost
-
-	primary := -1
-	for _, id := range pg.Acting {
-		if c.osds[id].up {
-			primary = id
-			break
-		}
-	}
-	if primary == -1 {
-		return // unreadable right now
-	}
 	// Admission control: real clients are closed loops with bounded
 	// in-flight requests, so an over-provisioned rate self-clamps to
 	// cluster capacity instead of growing queues without bound.
@@ -106,34 +93,14 @@ func (l *ClientLoad) issueRead(seq uint64) {
 		l.OpsShed++
 		return
 	}
-	l.outstanding++
 	start := c.sim.Now()
-	reads := 0
-	for shard := 0; shard < code.K() && shard < len(pg.Acting); shard++ {
-		if !c.osds[pg.Acting[shard]].up {
-			continue
-		}
-		reads++
-	}
-	if reads == 0 {
-		l.outstanding--
-		return
-	}
-	// The op completes when the primary has assembled the object; client
-	// machines are plentiful, so their own NICs are not modeled.
-	join := simclock.NewJoin(reads, func() {
+	err := c.scheduleRead(l.pool, pg, obj, func() {
 		l.outstanding--
 		l.OpsCompleted++
 		l.TotalLatency += c.sim.Now() - start
 	})
-	for shard := 0; shard < code.K() && shard < len(pg.Acting); shard++ {
-		osd := c.osds[pg.Acting[shard]]
-		if !osd.up {
-			continue
-		}
-		service := simclock.Time(float64(obj.ChunkSize) / cm.DiskReadBW * float64(time.Second))
-		osd.disk.Submit(service, func() {
-			c.net.Transfer(osd.Host, c.osds[primary].Host, obj.ChunkSize, join.Done)
-		})
+	if err != nil {
+		return // unreadable right now
 	}
+	l.outstanding++
 }

@@ -14,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/blockdev"
 	"repro/internal/bluestore"
@@ -235,10 +234,6 @@ func build(cfg Config, mkStore func(cfg Config, id, hostIdx, devIdx int) (*blues
 			if err != nil {
 				return nil, err
 			}
-			backfills := cfg.Cost.MaxBackfills
-			if backfills < 1 {
-				backfills = 1
-			}
 			osd := &OSD{
 				ID:      id,
 				Host:    host,
@@ -248,7 +243,7 @@ func build(cfg Config, mkStore func(cfg Config, id, hostIdx, devIdx int) (*blues
 				nic:     nic,
 				disk:    sim.NewQueue(1),
 				cpu:     sim.NewQueue(1),
-				reserve: sim.NewSemaphore(backfills),
+				reserve: sim.NewSemaphore(max(cfg.Cost.MaxBackfills, 1)),
 			}
 			c.osds = append(c.osds, osd)
 		}
@@ -541,14 +536,7 @@ func (c *Cluster) ReadObject(poolName, name string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	pg := pool.pgOf(name)
-	var rec *ObjectRecord
-	for _, o := range pg.Objects {
-		if o.Name == name {
-			rec = o
-			break
-		}
-	}
+	pg, rec, _ := pool.findObject(name)
 	if rec == nil {
 		return nil, fmt.Errorf("%w: %s/%s", ErrNoObject, poolName, name)
 	}
@@ -556,20 +544,7 @@ func (c *Cluster) ReadObject(poolName, name string) ([]byte, error) {
 		return nil, fmt.Errorf("cluster: object %s has no payload (accounting mode)", name)
 	}
 	code := pool.Code
-	shards := make([][]byte, code.N())
-	available := 0
-	for shard, osdID := range pg.Acting {
-		osd := c.osds[osdID]
-		if !osd.up {
-			continue
-		}
-		_, buf, err := osd.Store.ReadChunk(pool.chunkID(pg, name, shard))
-		if err != nil {
-			continue
-		}
-		shards[shard] = buf
-		available++
-	}
+	shards, available := c.survivingShards(pool, pg, name, nil)
 	if available < code.K() {
 		return nil, fmt.Errorf("cluster: object %s unreadable: %d of %d shards available", name, available, code.K())
 	}
@@ -587,6 +562,28 @@ func (c *Cluster) ReadObject(poolName, name string) ([]byte, error) {
 		out = append(out, shards[i][:need]...)
 	}
 	return out, nil
+}
+
+// survivingShards reads an object's shards from the up OSDs of its acting
+// set, skipping the given shard positions and any chunk a store cannot
+// serve; missing shards stay nil. It returns the shards and how many it
+// read.
+func (c *Cluster) survivingShards(pool *Pool, pg *PG, object string, skip []int) ([][]byte, int) {
+	shards := make([][]byte, pool.Code.N())
+	available := 0
+	for shard, osdID := range pg.Acting {
+		osd := c.osds[osdID]
+		if !osd.up || slices.Contains(skip, shard) {
+			continue
+		}
+		_, buf, err := osd.Store.ReadChunk(pool.chunkID(pg, object, shard))
+		if err != nil || buf == nil {
+			continue
+		}
+		shards[shard] = buf
+		available++
+	}
+	return shards, available
 }
 
 // UsedBytes sums OSD-level storage usage across the cluster, the quantity
@@ -617,11 +614,8 @@ func (c *Cluster) DegradedPGs(poolName string) ([]*PG, error) {
 	}
 	var out []*PG
 	for _, pg := range pool.PGs {
-		for _, id := range pg.Acting {
-			if !c.osds[id].up {
-				out = append(out, pg)
-				break
-			}
+		if len(c.lostShards(pg)) > 0 {
+			out = append(out, pg)
 		}
 	}
 	return out, nil
@@ -637,22 +631,14 @@ func (c *Cluster) HostWithMostChunks(poolName string) (string, error) {
 	}
 	counts := map[string]int{}
 	for _, pg := range pool.PGs {
-		if len(pg.Objects) == 0 {
-			continue
-		}
 		for _, id := range pg.Acting {
 			counts[c.crush.HostOf(id)] += len(pg.Objects)
 		}
 	}
-	best, bestCount := "", -1
-	hosts := make([]string, 0, len(counts))
-	for h := range counts {
-		hosts = append(hosts, h)
-	}
-	sort.Strings(hosts)
-	for _, h := range hosts {
-		if counts[h] > bestCount {
-			best, bestCount = h, counts[h]
+	best := "" // ties go to the first host by name
+	for h, n := range counts {
+		if n > 0 && (best == "" || n > counts[best] || n == counts[best] && h < best) {
+			best = h
 		}
 	}
 	if best == "" {

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/erasure"
@@ -38,14 +39,20 @@ func (h Health) String() string {
 		h.Status, h.CleanPGs, h.TotalPGs, h.DegradedPGs, h.IncompletePGs, len(h.DownOSDs))
 }
 
-// PGStateOf classifies one placement group given the current OSD states.
-func (c *Cluster) PGStateOf(pool *Pool, pg *PG) string {
+// lostShards returns the shard positions of a PG whose OSD is down.
+func (c *Cluster) lostShards(pg *PG) []int {
 	var lost []int
 	for shard, id := range pg.Acting {
 		if !c.osds[id].up {
 			lost = append(lost, shard)
 		}
 	}
+	return lost
+}
+
+// PGStateOf classifies one placement group given the current OSD states.
+func (c *Cluster) PGStateOf(pool *Pool, pg *PG) string {
+	lost := c.lostShards(pg)
 	switch {
 	case len(lost) == 0:
 		return PGActiveClean
@@ -94,9 +101,7 @@ func (c *Cluster) Health() Health {
 }
 
 // ReadLatency measures the simulated client latency of reading one object
-// in the cluster's current state: a healthy read fetches the k data
-// chunks; a degraded read fetches k surviving chunks and decodes. Client
-// I/O runs at full device bandwidth (it is not recovery-throttled). The
+// in the cluster's current state (see scheduleRead for the model). The
 // simulation is driven to completion.
 func (c *Cluster) ReadLatency(poolName, objectName string) (simclock.Time, error) {
 	pool, err := c.Pool(poolName)
@@ -107,85 +112,10 @@ func (c *Cluster) ReadLatency(poolName, objectName string) (simclock.Time, error
 	if rec == nil {
 		return 0, fmt.Errorf("%w: %s/%s", ErrNoObject, poolName, objectName)
 	}
-	code := pool.Code
-	var lost []int
-	for shard, id := range pg.Acting {
-		if !c.osds[id].up {
-			lost = append(lost, shard)
-		}
-	}
-	if len(lost) > 0 && !erasure.CanRecover(code, lost) {
-		return 0, fmt.Errorf("cluster: object %s unreadable: shards %v lost", objectName, lost)
-	}
-	// Primary assembles the object: data shards read directly, lost data
-	// shards decoded from a repair plan's helpers.
-	primary := -1
-	for _, id := range pg.Acting {
-		if c.osds[id].up {
-			primary = id
-			break
-		}
-	}
-	if primary == -1 {
-		return 0, fmt.Errorf("cluster: no surviving member for %s", objectName)
-	}
-	cm := &c.cfg.Cost
-
-	// Choose the shards to read: all live data shards, plus (degraded)
-	// the repair plan's helpers.
-	reads := map[int]bool{} // shard index -> read
-	lostData := false
-	for shard := 0; shard < code.K(); shard++ {
-		if contains(lost, shard) {
-			lostData = true
-			continue
-		}
-		reads[shard] = true
-	}
-	if lostData {
-		var lostDataShards []int
-		for _, l := range lost {
-			if l < code.K() {
-				lostDataShards = append(lostDataShards, l)
-			}
-		}
-		plan, err := code.RepairPlan(lostDataShards)
-		if err != nil {
-			return 0, err
-		}
-		for _, h := range plan.Helpers {
-			reads[h.Shard] = true
-		}
-	}
-
-	var start = c.sim.Now()
+	start := c.sim.Now()
 	var finish simclock.Time
-	shards := make([]int, 0, len(reads))
-	for s := range reads {
-		shards = append(shards, s)
-	}
-	sort.Ints(shards)
-	join := simclock.NewJoin(len(shards), func() {
-		pOSD := c.osds[primary]
-		var decode simclock.Time
-		if lostData {
-			decode = cm.decodeTime(rec.ChunkSize*int64(code.K()), int64(code.SubChunks()))
-		}
-		pOSD.cpu.Submit(decode, func() {
-			c.net.Transfer(pOSD.Host, "mon0", rec.Size, func() {
-				finish = c.sim.Now()
-			})
-		})
-	})
-	for _, shard := range shards {
-		osd := c.osds[pg.Acting[shard]]
-		metaHit, kvHit, _ := osd.Store.AccessProfile()
-		miss := 1 - (metaHit+kvHit)/2
-		service := simclock.Time(float64(cm.MetaLookup)*miss) +
-			simclock.Time(float64(rec.ChunkSize)/cm.DiskReadBW*1e9)
-		osd.disk.Submit(service, func() {
-			c.net.Transfer(osd.Host, c.osds[primary].Host, rec.ChunkSize, join.Done)
-		})
+	if err := c.scheduleRead(pool, pg, rec, func() { finish = c.sim.Now() }); err != nil {
+		return 0, err
 	}
 	c.RunSim()
 	if finish == 0 {
@@ -194,11 +124,83 @@ func (c *Cluster) ReadLatency(poolName, objectName string) (simclock.Time, error
 	return finish - start, nil
 }
 
-func contains(xs []int, v int) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
+// primaryOf returns the first member of the PG's acting set that is up
+// and not in down (failures injected but not yet fired), or -1.
+func (c *Cluster) primaryOf(pg *PG, down map[int]bool) int {
+	for _, id := range pg.Acting {
+		if c.osds[id].up && !down[id] {
+			return id
 		}
 	}
-	return false
+	return -1
+}
+
+// scheduleRead schedules one client read of an object in the cluster's
+// current state and calls done when its last byte reaches the client: a
+// healthy read fetches the k data chunks; a degraded read fetches the
+// live data chunks plus the repair plan's helpers and decodes on the
+// primary. Client I/O runs at full device bandwidth (it is not
+// recovery-throttled) through the same disk, CPU and NIC queues recovery
+// uses. It fails, scheduling nothing, when the object is unreadable.
+func (c *Cluster) scheduleRead(pool *Pool, pg *PG, rec *ObjectRecord, done func()) error {
+	code := pool.Code
+	lost := c.lostShards(pg)
+	lostData := lost[:sort.SearchInts(lost, code.K())] // lost is ascending
+	if len(lost) > 0 && !erasure.CanRecover(code, lost) {
+		return fmt.Errorf("cluster: object %s unreadable: shards %v lost", rec.Name, lost)
+	}
+	primaryID := c.primaryOf(pg, nil)
+	if primaryID == -1 {
+		return fmt.Errorf("cluster: no surviving member for %s", rec.Name)
+	}
+	primary := c.osds[primaryID]
+	cm := &c.cfg.Cost
+
+	// The shards to read, in shard order: all live data shards, plus
+	// (degraded) the helpers of the lost data shards' repair plan.
+	read := make([]bool, code.N())
+	for shard := 0; shard < code.K(); shard++ {
+		read[shard] = !slices.Contains(lostData, shard)
+	}
+	if len(lostData) > 0 {
+		plan, err := code.RepairPlan(lostData)
+		if err != nil {
+			return err
+		}
+		for _, h := range plan.Helpers {
+			read[h.Shard] = true
+		}
+	}
+	reads := 0
+	for _, r := range read {
+		if r {
+			reads++
+		}
+	}
+
+	// The primary assembles the object, decoding when a data shard is
+	// lost, and ships it to the client.
+	join := simclock.NewJoin(reads, func() {
+		var decode simclock.Time
+		if len(lostData) > 0 {
+			decode = cm.decodeTime(rec.ChunkSize*int64(code.K()), int64(code.SubChunks()))
+		}
+		primary.cpu.Submit(decode, func() {
+			c.net.Transfer(primary.Host, "mon0", rec.Size, done)
+		})
+	})
+	for shard, r := range read {
+		if !r {
+			continue
+		}
+		osd := c.osds[pg.Acting[shard]]
+		metaHit, kvHit, _ := osd.Store.AccessProfile()
+		miss := 1 - (metaHit+kvHit)/2
+		service := simclock.Time(float64(cm.MetaLookup)*miss) +
+			simclock.Time(float64(rec.ChunkSize)/cm.DiskReadBW*1e9)
+		osd.disk.Submit(service, func() {
+			c.net.Transfer(osd.Host, primary.Host, rec.ChunkSize, join.Done)
+		})
+	}
+	return nil
 }

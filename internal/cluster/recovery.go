@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -148,10 +149,7 @@ func (c *Cluster) ScheduleRecovery(poolName string) (*RecoveryResult, error) {
 	// The checking period: mark-out countdown plus per-extra-host
 	// coordination, during which the MGR exchanges heartbeats and OSDs
 	// peer and compute missing sets.
-	extraHosts := len(mon.failedHosts) - 1
-	if extraHosts < 0 {
-		extraHosts = 0
-	}
+	extraHosts := max(len(mon.failedHosts)-1, 0)
 	res.RecoveryStartAt = mon.detectedAt + cm.MarkOutInterval + simclock.Time(extraHosts)*cm.HostCoordination
 
 	// Heartbeat chatter during the checking window (Figure 3's "MGR log:
@@ -197,13 +195,7 @@ func (c *Cluster) ScheduleRecovery(poolName string) (*RecoveryResult, error) {
 		if !erasure.CanRecover(pool.Code, lost) {
 			return nil, fmt.Errorf("cluster: pg %d lost chunks %v, beyond the code's fault tolerance", pg.ID, lost)
 		}
-		primary := -1
-		for _, id := range pg.Acting {
-			if !down[id] {
-				primary = id
-				break
-			}
-		}
+		primary := c.primaryOf(pg, down)
 		if primary == -1 {
 			return nil, fmt.Errorf("cluster: pg %d has no surviving member", pg.ID)
 		}
@@ -233,13 +225,9 @@ func (c *Cluster) ScheduleRecovery(poolName string) (*RecoveryResult, error) {
 		if err != nil {
 			newActing = nil
 		}
-		inOld := map[int]bool{}
-		for _, id := range w.pg.Acting {
-			inOld[id] = true
-		}
 		var candidates []int
 		for _, id := range newActing {
-			if !inOld[id] && !down[id] {
+			if !slices.Contains(w.pg.Acting, id) && !down[id] {
 				candidates = append(candidates, id)
 			}
 		}
@@ -248,16 +236,8 @@ func (c *Cluster) ScheduleRecovery(poolName string) (*RecoveryResult, error) {
 			if ci >= len(c.osds) {
 				return nil, fmt.Errorf("cluster: no recovery target for pg %d", w.pg.ID)
 			}
-			if !inOld[ci] && !down[ci] {
-				dup := false
-				for _, id := range candidates {
-					if id == ci {
-						dup = true
-					}
-				}
-				if !dup {
-					candidates = append(candidates, ci)
-				}
+			if !slices.Contains(w.pg.Acting, ci) && !down[ci] && !slices.Contains(candidates, ci) {
+				candidates = append(candidates, ci)
 			}
 		}
 		w.targets = candidates[:len(w.lostIdx)]
@@ -393,14 +373,8 @@ func (c *Cluster) planHelperIO(pool *Pool, pg *PG, plan *erasure.Plan, chunkSize
 	cm := &c.cfg.Cost
 	alpha := int64(plan.SubChunkTotal)
 	unit := pool.StripeUnit
-	units := (chunkSize + unit - 1) / unit
-	if units < 1 {
-		units = 1
-	}
-	subBytes := unit / alpha
-	if subBytes < 1 {
-		subBytes = 1
-	}
+	units := max((chunkSize+unit-1)/unit, 1)
+	subBytes := max(unit/alpha, 1)
 	out := make([]helperIO, 0, len(plan.Helpers))
 	for _, h := range plan.Helpers {
 		perUnitNet := int64(len(h.SubChunks)) * unit / alpha
@@ -418,10 +392,7 @@ func (c *Cluster) planHelperIO(pool *Pool, pg *PG, plan *erasure.Plan, chunkSize
 			// whole-range read: the device moves the full chunk even
 			// though the network ships only the planned bytes.
 			hio.diskBytes = chunkSize
-			hio.ios = int((chunkSize + cm.DiskBlock - 1) / cm.DiskBlock / 64) // batched requests
-			if hio.ios < 1 {
-				hio.ios = 1
-			}
+			hio.ios = max(int((chunkSize+cm.DiskBlock-1)/cm.DiskBlock/64), 1) // batched requests
 			hio.runs = 1
 		default:
 			hio.diskBytes = hio.netBytes
@@ -566,10 +537,7 @@ func (pr *pgRecovery) hiosFor(chunkSize int64) []helperIO {
 	if pr.hios == nil || chunkSize != pr.hioChunkSize {
 		pr.hios = pr.c.planHelperIO(pr.pool, pr.pg, pr.plan, chunkSize)
 		pr.hioChunkSize = chunkSize
-		pr.units = (chunkSize + pr.pool.StripeUnit - 1) / pr.pool.StripeUnit
-		if pr.units < 1 {
-			pr.units = 1
-		}
+		pr.units = max((chunkSize+pr.pool.StripeUnit-1)/pr.pool.StripeUnit, 1)
 	}
 	return pr.hios
 }
@@ -719,39 +687,11 @@ func reservationOrder(primary int, targets []int) []int {
 	return out
 }
 
-// shardOf returns the acting-set position of an OSD in a PG.
-func (c *Cluster) shardOf(pg *PG, osd int) int {
-	for i, id := range pg.Acting {
-		if id == osd {
-			return i
-		}
-	}
-	return -1
-}
-
 // repairPayload reconstructs the real bytes of an object's lost chunks and
 // stores them on the target OSDs.
 func (c *Cluster) repairPayload(pool *Pool, pg *PG, obj *ObjectRecord, lostIdx []int, targets []int) error {
 	code := pool.Code
-	shards := make([][]byte, code.N())
-	lost := map[int]bool{}
-	for _, l := range lostIdx {
-		lost[l] = true
-	}
-	for shard, osdID := range pg.Acting {
-		if lost[shard] {
-			continue
-		}
-		osd := c.osds[osdID]
-		if !osd.up {
-			continue
-		}
-		_, buf, err := osd.Store.ReadChunk(pool.chunkID(pg, obj.Name, shard))
-		if err != nil || buf == nil {
-			continue
-		}
-		shards[shard] = buf
-	}
+	shards, _ := c.survivingShards(pool, pg, obj.Name, lostIdx)
 	if err := code.Repair(shards, lostIdx); err != nil {
 		return err
 	}

@@ -107,15 +107,8 @@ func (c *Cluster) RepairInconsistent(poolName string, report *ScrubReport) (int,
 	repaired := 0
 	for _, k := range keys {
 		shards := damaged[k]
-		pg := pool.PGs[k.pg]
-		var rec *ObjectRecord
-		for _, o := range pg.Objects {
-			if o.Name == k.object {
-				rec = o
-				break
-			}
-		}
-		if rec == nil {
+		pg, rec, _ := pool.findObject(k.object)
+		if rec == nil || pg.ID != k.pg {
 			return repaired, fmt.Errorf("cluster: scrubbed object %s vanished", k.object)
 		}
 		if rec.Payload {

@@ -206,94 +206,107 @@ func (co *Coordinator) populate() (*Result, map[string][]byte, error) {
 	return res, contents, nil
 }
 
-// finish runs the recovery-side half of an experiment — fault injection,
-// recovery, scrubbing, log collection — on top of a populated cluster,
-// whether freshly built or forked from a snapshot.
+// finish runs the recovery-side half of an experiment — the profile's
+// fault round, payload verification, log collection — on top of a
+// populated cluster, whether freshly built or forked from a snapshot.
 func (co *Coordinator) finish(res *Result, contents map[string][]byte) (*Result, error) {
 	p := co.mgr.Profile()
+	if _, err := co.round(p.Faults, res); err != nil {
+		return nil, err
+	}
+	if res.Recovery != nil && p.Workload.Payload {
+		res.PayloadVerified = true
+		for name, want := range contents {
+			got, err := co.cluster.ReadObject(p.Pool.Name, name)
+			if err != nil || string(got) != string(want) {
+				res.PayloadVerified = false
+				res.PayloadErrors++
+			}
+		}
+	}
+	if err := co.collect(res); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// round is the one fault round: it plans every spec against the cluster
+// as it stands, injects the plans, and measures what follows into res.
+// Corruption faults are latent: they are applied, then detected by a deep
+// scrub and repaired in place; availability faults go through detection
+// and EC recovery, sampled by iostat every 30 simulated seconds, with the
+// simulation driven to completion.
+func (co *Coordinator) round(specs []FaultSpec, res *Result) ([]PlannedFault, error) {
+	pool := co.mgr.Profile().Pool.Name
 	cl := co.cluster
-
-	// 4. Inject faults and run recovery, if profiled. Corruption faults
-	// are latent: they are applied, then detected by a deep scrub and
-	// repaired in place; availability faults go through detection and
-	// EC recovery.
-	availabilityFaults := 0
-	if len(p.Faults) > 0 {
-		inj := NewFaultInjector(cl, p.Pool.Name)
-		plans, err := inj.PlanAll(p.Faults)
-		if err != nil {
-			return nil, err
-		}
-		for _, pf := range plans {
-			if pf.Spec.Level == FaultLevelDevice {
-				// Device faults go through the worker's NVMe-oF control
-				// path, exactly like nvmetcli removing a subsystem.
-				for _, id := range pf.OSDs {
-					w, err := co.DeviceWorker(id)
-					if err != nil {
-						return nil, fmt.Errorf("core: provisioning fault target osd.%d: %w", id, err)
-					}
-					if err := w.FailDevice(id); err != nil {
-						return nil, fmt.Errorf("core: failing device osd.%d: %w", id, err)
-					}
+	inj := NewFaultInjector(cl, pool)
+	plans, err := inj.PlanAll(specs)
+	if err != nil {
+		return nil, err
+	}
+	corruption, availability := false, false
+	for _, pf := range plans {
+		if pf.Spec.Level == FaultLevelDevice {
+			// Device faults go through the worker's NVMe-oF control
+			// path, exactly like nvmetcli removing a subsystem.
+			for _, id := range pf.OSDs {
+				w, err := co.DeviceWorker(id)
+				if err != nil {
+					return nil, fmt.Errorf("core: provisioning fault target osd.%d: %w", id, err)
+				}
+				if err := w.FailDevice(id); err != nil {
+					return nil, fmt.Errorf("core: failing device osd.%d: %w", id, err)
 				}
 			}
-			if pf.Spec.Level != FaultLevelCorruption {
-				availabilityFaults++
-			}
-			if err := inj.Inject(pf); err != nil {
-				return nil, err
-			}
 		}
-		if hasCorruption(p.Faults) {
-			scrub, err := cl.ScrubPool(p.Pool.Name)
-			if err != nil {
-				return nil, err
-			}
-			res.Scrub = scrub
-			res.RepairedInconsistent, err = cl.RepairInconsistent(p.Pool.Name, scrub)
-			if err != nil {
-				return nil, err
-			}
+		if pf.Spec.Level == FaultLevelCorruption {
+			corruption = true
+		} else {
+			availability = true
 		}
-	}
-	if availabilityFaults > 0 {
-		rec, err := cl.ScheduleRecovery(p.Pool.Name)
-		if err != nil {
+		if err := inj.Inject(pf); err != nil {
 			return nil, err
 		}
-		res.Recovery = rec
-
-		// iostat sampling every 30 simulated seconds until recovery ends.
-		var sample func()
-		sample = func() {
-			co.sampler.Sample(cl.Sim().Now())
-			if !rec.Done() {
-				cl.Sim().After(30*time.Second, sample)
-			}
+	}
+	if corruption {
+		if res.Scrub, err = cl.ScrubPool(pool); err != nil {
+			return nil, err
 		}
-		cl.Sim().At(rec.DetectedAt, sample)
+		if res.RepairedInconsistent, err = cl.RepairInconsistent(pool, res.Scrub); err != nil {
+			return nil, err
+		}
+	}
+	if !availability {
+		return plans, nil
+	}
+	rec, err := cl.ScheduleRecovery(pool)
+	if err != nil {
+		return nil, err
+	}
+	res.Recovery = rec
 
-		cl.RunSim()
+	// iostat sampling every 30 simulated seconds until recovery ends.
+	var sample func()
+	sample = func() {
+		co.sampler.Sample(cl.Sim().Now())
 		if !rec.Done() {
-			return nil, fmt.Errorf("core: recovery did not complete")
-		}
-
-		if p.Workload.Payload {
-			res.PayloadVerified = true
-			for name, want := range contents {
-				got, err := cl.ReadObject(p.Pool.Name, name)
-				if err != nil || string(got) != string(want) {
-					res.PayloadVerified = false
-					res.PayloadErrors++
-				}
-			}
+			cl.Sim().After(30*time.Second, sample)
 		}
 	}
+	cl.Sim().At(rec.DetectedAt, sample)
 
-	// 5. Collect and merge logs. Loggers flush in node-name order so the
-	// collector's stable time-sort breaks same-timestamp ties the same way
-	// on every run (and identically for fresh and forked clusters).
+	cl.RunSim()
+	if !rec.Done() {
+		return nil, fmt.Errorf("core: recovery did not complete")
+	}
+	return plans, nil
+}
+
+// collect flushes every node's logger and merges what the bus has not yet
+// delivered into res.Timeline. Loggers flush in node-name order so the
+// collector's stable time-sort breaks same-timestamp ties the same way on
+// every run (and identically for fresh and forked clusters).
+func (co *Coordinator) collect(res *Result) error {
 	nodes := make([]string, 0, len(co.loggers))
 	for n := range co.loggers {
 		nodes = append(nodes, n)
@@ -302,18 +315,18 @@ func (co *Coordinator) finish(res *Result, contents map[string][]byte) (*Result,
 	for _, n := range nodes {
 		l := co.loggers[n]
 		if err := l.Flush(); err != nil {
-			return nil, err
+			return err
 		}
 		res.LogLinesShipped += l.ShippedLines
 		res.LogLinesDropped += l.DroppedLines
 	}
 	collector := logsys.NewCollector(co.broker, "coordinator")
 	if _, err := collector.Collect(); err != nil {
-		return nil, err
+		return err
 	}
 	res.Timeline = collector.Entries()
 	res.IOSamples = co.sampler.Samples()
-	return res, nil
+	return nil
 }
 
 // DeviceWorker returns the worker on the OSD's host with the OSD's device
@@ -340,16 +353,6 @@ func (co *Coordinator) DeviceWorker(id int) (*Worker, error) {
 		}
 	}
 	return w, nil
-}
-
-// hasCorruption reports whether any fault spec is corruption-level.
-func hasCorruption(faults []FaultSpec) bool {
-	for _, f := range faults {
-		if f.Level == FaultLevelCorruption {
-			return true
-		}
-	}
-	return false
 }
 
 // Run is the one-call entry point: populate a cluster for the profile,

@@ -10,5 +10,8 @@
 // measures the recovery cycle, and returns a Result holding the recovery
 // timeline, storage-overhead measurements and merged logs. Run executes a
 // profile: it populates a cluster once and runs the recovery side on a
-// copy-on-write fork of it.
+// copy-on-write fork of it. RunSchedule runs a multi-round fault campaign
+// the same way — one populate, one fork, and per round the fault round a
+// one-shot Run performs — and returns each round's recovery, timeline
+// and iostat samples.
 package core

@@ -45,55 +45,49 @@ type PlannedFault struct {
 	Corruptions []Corruption
 }
 
-// chunkCounts returns per-OSD chunk counts for the pool.
-func (f *FaultInjector) chunkCounts() (map[int]int, error) {
+// chunkCounts returns the pool's chunk count per OSD, leaving out the OSDs
+// earlier specs of the same fault list have taken, and the hosts of those
+// OSDs ordered by chunk count descending, ties broken by name.
+func (f *FaultInjector) chunkCounts(taken map[int]bool) (map[int]int, []string, error) {
 	pool, err := f.c.Pool(f.pool)
-	if err != nil {
-		return nil, err
-	}
-	counts := map[int]int{}
-	for _, pg := range pool.PGs {
-		if len(pg.Objects) == 0 {
-			continue
-		}
-		for _, id := range pg.Acting {
-			counts[id] += len(pg.Objects)
-		}
-	}
-	return counts, nil
-}
-
-// hostsByChunkCount returns hosts ordered by how many chunks of the pool
-// they hold, descending, ties broken by name.
-func (f *FaultInjector) hostsByChunkCount() ([]string, map[string]int, error) {
-	osdCounts, err := f.chunkCounts()
 	if err != nil {
 		return nil, nil, err
 	}
-	counts := map[string]int{}
-	for id, n := range osdCounts {
-		counts[f.c.Crush().HostOf(id)] += n
+	osdCounts, hostCounts := map[int]int{}, map[string]int{}
+	for _, pg := range pool.PGs {
+		for _, id := range pg.Acting {
+			if len(pg.Objects) > 0 && !taken[id] {
+				osdCounts[id] += len(pg.Objects)
+				hostCounts[f.c.Crush().HostOf(id)] += len(pg.Objects)
+			}
+		}
 	}
-	hosts := make([]string, 0, len(counts))
-	for h := range counts {
+	if len(hostCounts) == 0 {
+		return nil, nil, fmt.Errorf("core: pool %q holds no data to fault", f.pool)
+	}
+	hosts := make([]string, 0, len(hostCounts))
+	for h := range hostCounts {
 		hosts = append(hosts, h)
 	}
 	sort.Slice(hosts, func(i, j int) bool {
-		if counts[hosts[i]] != counts[hosts[j]] {
-			return counts[hosts[i]] > counts[hosts[j]]
+		if hostCounts[hosts[i]] != hostCounts[hosts[j]] {
+			return hostCounts[hosts[i]] > hostCounts[hosts[j]]
 		}
 		return hosts[i] < hosts[j]
 	})
-	if len(hosts) == 0 {
-		return nil, nil, fmt.Errorf("core: pool %q holds no data to fault", f.pool)
-	}
-	return hosts, counts, nil
+	return osdCounts, hosts, nil
 }
 
-// heaviestOSDs returns a host's OSD ids ordered by chunk count descending
-// (ties by id), so device faults hit data-bearing devices first.
-func (f *FaultInjector) heaviestOSDs(host string, osdCounts map[int]int) []int {
-	ids := append([]int(nil), f.c.Crush().OSDsOnHost(host)...)
+// heaviestOSDs returns a host's untaken OSD ids ordered by chunk count
+// descending (ties by id), so device faults hit data-bearing devices
+// first.
+func (f *FaultInjector) heaviestOSDs(host string, osdCounts map[int]int, taken map[int]bool) []int {
+	var ids []int
+	for _, id := range f.c.Crush().OSDsOnHost(host) {
+		if !taken[id] {
+			ids = append(ids, id)
+		}
+	}
 	sort.Slice(ids, func(i, j int) bool {
 		if osdCounts[ids[i]] != osdCounts[ids[j]] {
 			return osdCounts[ids[i]] > osdCounts[ids[j]]
@@ -105,49 +99,106 @@ func (f *FaultInjector) heaviestOSDs(host string, osdCounts map[int]int) []int {
 
 // Plan resolves a fault spec into concrete targets.
 func (f *FaultInjector) Plan(spec FaultSpec) (PlannedFault, error) {
-	at := simclock.Time(spec.AtSeconds * float64(time.Second))
-	pf := PlannedFault{Spec: spec, At: at}
-	if len(spec.OSDs) > 0 {
-		pf.OSDs = append([]int(nil), spec.OSDs...)
-		return pf, f.guard(pf.OSDs)
-	}
-	hosts, _, err := f.hostsByChunkCount()
-	if err != nil {
-		return pf, err
-	}
-	osdCounts, err := f.chunkCounts()
-	if err != nil {
-		return pf, err
-	}
-	switch spec.Level {
-	case FaultLevelCorruption:
-		pool, err := f.c.Pool(f.pool)
+	return f.plan(spec, map[int]bool{})
+}
+
+// PlanAll plans a fault list cumulatively: a later spec never selects an
+// OSD an earlier one took, and the white-box guard runs over the union of
+// what the list takes down.
+func (f *FaultInjector) PlanAll(specs []FaultSpec) ([]PlannedFault, error) {
+	out := make([]PlannedFault, 0, len(specs))
+	taken := map[int]bool{}
+	for i, s := range specs {
+		pf, err := f.plan(s, taken)
 		if err != nil {
+			return nil, fmt.Errorf("core: fault %d: %w", i, err)
+		}
+		out = append(out, pf)
+	}
+	return out, nil
+}
+
+// plan resolves one spec given the OSDs already taken, adds its targets
+// to taken and guards the union.
+func (f *FaultInjector) plan(spec FaultSpec, taken map[int]bool) (PlannedFault, error) {
+	at, err := injectionTime(spec.AtSeconds)
+	pf := PlannedFault{Spec: spec, At: at}
+	if err != nil {
+		return pf, err
+	}
+	switch {
+	case len(spec.OSDs) > 0:
+		pf.OSDs = append([]int(nil), spec.OSDs...)
+	case spec.Level == FaultLevelCorruption:
+		return pf, f.planCorruption(&pf)
+	default:
+		if err := f.pickOSDs(&pf, taken); err != nil {
 			return pf, err
 		}
-		// One corrupted shard per object, spread over PGs and shard
-		// positions deterministically — never exceeding what one scrub
-		// repair can fix per object.
-		shard := 0
-		for _, pg := range pool.PGs {
-			for _, obj := range pg.Objects {
-				if len(pf.Corruptions) == spec.Count {
-					return pf, nil
-				}
-				pf.Corruptions = append(pf.Corruptions, Corruption{Object: obj.Name, Shard: shard % len(pg.Acting)})
-				shard++
+	}
+	for _, id := range pf.OSDs {
+		if id < 0 || id >= len(f.c.OSDs()) {
+			return pf, fmt.Errorf("%w: fault targets osd.%d, the cluster has %d osds", ErrInvalidProfile, id, len(f.c.OSDs()))
+		}
+		if taken[id] {
+			return pf, fmt.Errorf("%w: osd.%d is a fault target twice", ErrInvalidProfile, id)
+		}
+		taken[id] = true
+	}
+	return pf, f.guard(taken)
+}
+
+// injectionTime converts a spec's AtSeconds to simulated time. A century
+// is the bound: the simulator's clock is int64 nanoseconds (292 years),
+// and detection, checking and recovery are added on top of this.
+func injectionTime(seconds float64) (simclock.Time, error) {
+	const century = 100 * 365 * 24 * 3600
+	if !(seconds >= 0 && seconds <= century) {
+		return 0, fmt.Errorf("%w: injection time %g s is outside [0, %g]", ErrInvalidProfile, seconds, float64(century))
+	}
+	return simclock.Time(seconds * float64(time.Second)), nil
+}
+
+// planCorruption picks one corrupted shard per object, spread over PGs
+// and shard positions deterministically — never exceeding what one scrub
+// repair can fix per object.
+func (f *FaultInjector) planCorruption(pf *PlannedFault) error {
+	pool, err := f.c.Pool(f.pool)
+	if err != nil {
+		return err
+	}
+	shard := 0
+	for _, pg := range pool.PGs {
+		for _, obj := range pg.Objects {
+			if len(pf.Corruptions) == pf.Spec.Count {
+				return nil
 			}
+			pf.Corruptions = append(pf.Corruptions, Corruption{Object: obj.Name, Shard: shard % len(pg.Acting)})
+			shard++
 		}
-		if len(pf.Corruptions) < spec.Count {
-			return pf, fmt.Errorf("core: pool has %d objects, cannot corrupt %d chunks", len(pf.Corruptions), spec.Count)
-		}
-		return pf, nil
+	}
+	if len(pf.Corruptions) < pf.Spec.Count {
+		return fmt.Errorf("core: pool has %d objects, cannot corrupt %d chunks", len(pf.Corruptions), pf.Spec.Count)
+	}
+	return nil
+}
+
+// pickOSDs chooses a node- or device-level spec's targets among the OSDs
+// not yet taken, using placement knowledge to hit stored data.
+func (f *FaultInjector) pickOSDs(pf *PlannedFault, taken map[int]bool) error {
+	spec := pf.Spec
+	osdCounts, hosts, err := f.chunkCounts(taken)
+	if err != nil {
+		return err
+	}
+	switch spec.Level {
 	case FaultLevelNode:
 		if spec.Count > len(hosts) {
-			return pf, fmt.Errorf("core: cannot fail %d nodes, only %d hold data", spec.Count, len(hosts))
+			return fmt.Errorf("core: cannot fail %d nodes, only %d hold data", spec.Count, len(hosts))
 		}
 		for _, h := range hosts[:spec.Count] {
-			pf.OSDs = append(pf.OSDs, f.c.Crush().OSDsOnHost(h)...)
+			// Every OSD of the host, in id order.
+			pf.OSDs = append(pf.OSDs, f.heaviestOSDs(h, nil, taken)...)
 		}
 	case FaultLevelDevice:
 		switch spec.Locality {
@@ -155,49 +206,45 @@ func (f *FaultInjector) Plan(spec FaultSpec) (PlannedFault, error) {
 			// All failed devices on the data-heaviest host with enough
 			// OSDs.
 			for _, h := range hosts {
-				ids := f.heaviestOSDs(h, osdCounts)
+				ids := f.heaviestOSDs(h, osdCounts, taken)
 				if len(ids) >= spec.Count {
 					pf.OSDs = ids[:spec.Count]
 					break
 				}
 			}
 			if len(pf.OSDs) == 0 {
-				return pf, fmt.Errorf("core: no host has %d devices", spec.Count)
+				return fmt.Errorf("core: no host has %d devices", spec.Count)
 			}
 		case LocalityDiffHosts:
 			if spec.Count > len(hosts) {
-				return pf, fmt.Errorf("core: cannot spread %d device failures over %d data hosts", spec.Count, len(hosts))
+				return fmt.Errorf("core: cannot spread %d device failures over %d data hosts", spec.Count, len(hosts))
 			}
 			// The chunk-heaviest device on each of the data-heaviest
 			// hosts, so same-host and diff-hosts plans lose comparable
 			// chunk volumes.
 			for _, h := range hosts[:spec.Count] {
-				pf.OSDs = append(pf.OSDs, f.heaviestOSDs(h, osdCounts)[0])
+				pf.OSDs = append(pf.OSDs, f.heaviestOSDs(h, osdCounts, taken)[0])
 			}
 		default:
 			// The N chunk-heaviest devices on the data-heaviest host.
-			ids := f.heaviestOSDs(hosts[0], osdCounts)
+			ids := f.heaviestOSDs(hosts[0], osdCounts, taken)
 			if spec.Count > len(ids) {
-				return pf, fmt.Errorf("core: host %s has %d devices, need %d", hosts[0], len(ids), spec.Count)
+				return fmt.Errorf("core: host %s has %d devices, need %d", hosts[0], len(ids), spec.Count)
 			}
 			pf.OSDs = ids[:spec.Count]
 		}
 	default:
-		return pf, fmt.Errorf("%w: fault level %q", ErrInvalidProfile, spec.Level)
+		return fmt.Errorf("%w: fault level %q", ErrInvalidProfile, spec.Level)
 	}
-	return pf, f.guard(pf.OSDs)
+	return nil
 }
 
 // guard enforces the white-box fault-tolerance rule: no placement group
-// may lose more chunks than the code's parity count.
-func (f *FaultInjector) guard(osds []int) error {
+// may lose more chunks than the code can repair.
+func (f *FaultInjector) guard(down map[int]bool) error {
 	pool, err := f.c.Pool(f.pool)
 	if err != nil {
 		return err
-	}
-	down := map[int]bool{}
-	for _, id := range osds {
-		down[id] = true
 	}
 	for _, pg := range pool.PGs {
 		var lost []int
@@ -232,17 +279,4 @@ func (f *FaultInjector) Inject(pf PlannedFault) error {
 	}
 	f.c.InjectOSDFailures(pf.At, pf.OSDs...)
 	return nil
-}
-
-// PlanAll plans every fault of a profile.
-func (f *FaultInjector) PlanAll(specs []FaultSpec) ([]PlannedFault, error) {
-	out := make([]PlannedFault, 0, len(specs))
-	for i, s := range specs {
-		pf, err := f.Plan(s)
-		if err != nil {
-			return nil, fmt.Errorf("core: fault %d: %w", i, err)
-		}
-		out = append(out, pf)
-	}
-	return out, nil
 }

@@ -200,10 +200,7 @@ func (p Profile) LayoutKey() string {
 // normalized figures depend on — is preserved at any scale.
 func (p Profile) ScaleWorkload(factor int) Profile {
 	if factor > 1 {
-		p.Workload.Objects /= factor
-		if p.Workload.Objects < 1 {
-			p.Workload.Objects = 1
-		}
+		p.Workload.Objects = max(p.Workload.Objects/factor, 1)
 		base := p.Tuning.MarkOutIntervalSeconds
 		if base == 0 {
 			base = 600
@@ -283,8 +280,8 @@ func (p *Profile) Validate() error {
 		if f.Level == FaultLevelNode && f.Count > p.Pool.M {
 			return bad("fault %d: %d node failures exceed m=%d", i, f.Count, p.Pool.M)
 		}
-		if f.AtSeconds < 0 {
-			return bad("fault %d: negative injection time", i)
+		if _, err := injectionTime(f.AtSeconds); err != nil {
+			return fmt.Errorf("fault %d: %w", i, err)
 		}
 	}
 	return nil

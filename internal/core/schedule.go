@@ -5,6 +5,8 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/iostat"
+	"repro/internal/logsys"
 )
 
 // Schedule describes a multi-round fault campaign: the failure modes
@@ -27,6 +29,11 @@ type RoundResult struct {
 	Fault    FaultSpec
 	Plan     PlannedFault
 	Recovery *cluster.RecoveryResult
+	// Timeline and IOSamples are the log entries shipped and the iostat
+	// samples taken during this round (round 0 includes the populate
+	// phase's log lines).
+	Timeline  []logsys.Entry
+	IOSamples []iostat.Sample
 }
 
 // ScheduleResult aggregates a campaign.
@@ -38,60 +45,60 @@ type ScheduleResult struct {
 	TotalRepairedChunks int
 }
 
-// RunSchedule executes a multi-round fault campaign against a fresh
-// environment built from the profile (whose own Faults list is ignored in
-// favor of the schedule).
+// RunSchedule executes a multi-round fault campaign on a fork of a
+// cluster populated for the profile (whose own Faults list is ignored in
+// favor of the schedule). Every round is the fault round a one-shot Run
+// performs, on the state the previous rounds left behind.
 func RunSchedule(p Profile, sched Schedule) (*ScheduleResult, error) {
 	if len(sched.Rounds) == 0 {
 		return nil, fmt.Errorf("core: schedule has no rounds")
 	}
-	p.Faults = nil
+	// The rounds are checked the way a profile's own fault list is.
+	p.Faults = sched.Rounds
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	co, err := NewCoordinator(p)
+	p.Faults = nil
+	s, err := Populate(p)
+	if err != nil {
+		return nil, err
+	}
+	co, err := s.coordinator(p)
 	if err != nil {
 		return nil, err
 	}
 	defer co.Close()
-	if _, _, err := co.populate(); err != nil {
-		return nil, err
-	}
-	cl := co.Cluster()
+	return co.runSchedule(sched)
+}
 
+// runSchedule runs the schedule's rounds, one after the other, on the
+// coordinator's cluster.
+func (co *Coordinator) runSchedule(sched Schedule) (*ScheduleResult, error) {
+	cl := co.cluster
 	out := &ScheduleResult{}
-	inj := NewFaultInjector(cl, p.Pool.Name)
 	gap := time.Duration(sched.GapSeconds * float64(time.Second))
+	sampled := 0
 	for round, spec := range sched.Rounds {
 		// Inject relative to the current simulated time.
 		at := cl.Sim().Now() + gap + time.Duration(spec.AtSeconds*float64(time.Second))
 		spec.AtSeconds = at.Seconds()
-		pf, err := inj.Plan(spec)
+		res := &Result{}
+		plans, err := co.round([]FaultSpec{spec}, res)
 		if err != nil {
 			return nil, fmt.Errorf("core: round %d: %w", round, err)
 		}
-		if err := inj.Inject(pf); err != nil {
-			return nil, fmt.Errorf("core: round %d: %w", round, err)
+		if err := co.collect(res); err != nil {
+			return nil, err
 		}
-		if spec.Level == FaultLevelCorruption {
-			report, err := cl.ScrubPool(p.Pool.Name)
-			if err != nil {
-				return nil, err
-			}
-			repaired, err := cl.RepairInconsistent(p.Pool.Name, report)
-			if err != nil {
-				return nil, err
-			}
-			out.TotalRepairedChunks += repaired
-			out.Rounds = append(out.Rounds, RoundResult{Round: round, Fault: spec, Plan: pf})
-			continue
+		out.TotalRepairedChunks += res.RepairedInconsistent
+		if res.Recovery != nil {
+			out.TotalRepairedChunks += res.Recovery.RepairedChunks
 		}
-		rec, err := cl.RecoverPool(p.Pool.Name)
-		if err != nil {
-			return nil, fmt.Errorf("core: round %d recovery: %w", round, err)
-		}
-		out.TotalRepairedChunks += rec.RepairedChunks
-		out.Rounds = append(out.Rounds, RoundResult{Round: round, Fault: spec, Plan: pf, Recovery: rec})
+		out.Rounds = append(out.Rounds, RoundResult{
+			Round: round, Fault: spec, Plan: plans[0], Recovery: res.Recovery,
+			Timeline: res.Timeline, IOSamples: res.IOSamples[sampled:],
+		})
+		sampled = len(res.IOSamples)
 		cl.ResetFailureState()
 	}
 	out.Health = cl.Health().String()

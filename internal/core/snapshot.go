@@ -80,6 +80,19 @@ func Populate(p Profile) (*Snapshot, error) {
 // applied to the fork. Results are bit-identical to Coordinator.Run on
 // a freshly built, unforked cluster.
 func (s *Snapshot) Run(p Profile) (*Result, error) {
+	co, err := s.coordinator(p)
+	if err != nil {
+		return nil, err
+	}
+	defer co.Close()
+	res := &Result{Profile: p, WrittenBytes: s.written, UsedBytes: s.used, WA: s.wa}
+	return co.finish(res, s.contents)
+}
+
+// coordinator builds the experiment environment around a fresh fork of
+// the snapshot, with the populate-phase log lines replayed so the fork's
+// shipped timeline matches an unforked run's.
+func (s *Snapshot) coordinator(p Profile) (*Coordinator, error) {
 	if key := p.LayoutKey(); key != s.layoutKey {
 		return nil, fmt.Errorf("core: profile %q layout %s does not match snapshot layout %s", p.Name, key[:12], s.layoutKey[:12])
 	}
@@ -87,13 +100,8 @@ func (s *Snapshot) Run(p Profile) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer co.Close()
-
-	// Replay the populate-phase log lines so the fork's shipped timeline
-	// matches an unforked run's.
 	for _, rl := range s.logs {
 		co.nodeLogger(rl.node).Log(rl.t, rl.msg)
 	}
-	res := &Result{Profile: p, WrittenBytes: s.written, UsedBytes: s.used, WA: s.wa}
-	return co.finish(res, s.contents)
+	return co, nil
 }

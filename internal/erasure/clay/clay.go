@@ -66,8 +66,8 @@ type Clay struct {
 	//	uncoupleRow: U2 = C1/gamma + U1/gamma
 	pairRow, coupleRow, uncoupleRow *gf256.RowPlan
 
-	decodeLRU *kernel.LRU[*planeSolver] // erased-node mask -> compiled plane solver
-	plans     *erasure.PlanCache        // failed mask -> repair plan
+	decodeLRU *kernel.LRU[*planeSolver]  // erased-node mask -> compiled plane solver
+	plans     *kernel.LRU[*erasure.Plan] // failed mask -> repair plan
 }
 
 // New constructs a Clay(k+m, k, d) code. Only the repair-optimal
@@ -111,7 +111,7 @@ func New(k, m, d int) (*Clay, error) {
 		coupleRow:   gf256.CompileRow([]byte{1, gamma}),
 		uncoupleRow: gf256.CompileRow([]byte{invG, invG}),
 		decodeLRU:   kernel.NewLRU[*planeSolver](kernel.DecodeCacheSize),
-		plans:       erasure.NewPlanCache(n),
+		plans:       kernel.NewLRU[*erasure.Plan](kernel.DecodeCacheSize),
 	}
 	// Planes with digit(z, y) == x form q^y runs of q^(t-1-y) consecutive
 	// planes, q^(t-y) apart.
@@ -503,12 +503,20 @@ func (c *Clay) repairPlanes(u0 int) []int {
 // RepairPlan implements erasure.Code. A single failure uses the
 // repair-optimal plan (beta sub-chunks from each of the d = n-1 helpers);
 // multiple failures fall back to reading all sub-chunks from every
-// survivor, as the Ceph plugin does. Plans are memoized per failed set
-// and shared; callers must not mutate them.
+// survivor, as the Ceph plugin does. Plans are pure functions of the
+// immutable construction, so they are memoized per failed set — keyed by
+// its bitmask, so permutations and duplicates share one entry whose
+// Failed order is the first builder's — and shared by every caller,
+// concurrent cells and snapshot forks included; callers must not mutate
+// them.
 func (c *Clay) RepairPlan(failed []int) (*erasure.Plan, error) {
-	return c.plans.Get(failed, func() (*erasure.Plan, error) {
-		return c.buildRepairPlan(failed)
-	})
+	build := func() (*erasure.Plan, error) { return c.buildRepairPlan(failed) }
+	for _, f := range failed {
+		if f < 0 || f >= c.N() {
+			return build() // reports the index; a mask would panic on it
+		}
+	}
+	return c.plans.GetOrCompute(kernel.MaskOf(failed...), build)
 }
 
 func (c *Clay) buildRepairPlan(failed []int) (*erasure.Plan, error) {

@@ -12,6 +12,7 @@ package gensolve
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/erasure"
 	"repro/internal/erasure/kernel"
@@ -164,12 +165,26 @@ func (c *Code) Repair(shards [][]byte, failed []int) error {
 }
 
 // Decodable reports whether the failed shard indices are recoverable
-// from the survivors, exactly (by generator rank). Non-MDS codes export
-// it as erasure.PatternChecker's CanRecover; MDS codes must not, so that
-// erasure.CanRecover keeps answering them with an integer compare.
+// from the survivors, exactly: the surviving generator rows have rank k
+// iff every lost row is in their span, local-repair patterns included.
+// It answers by elimination alone — no inversion, no compiled program, no
+// solver-cache entry — so sampling many patterns (durability's fatality
+// profile) leaves the solvers the repair path shares alone. Non-MDS codes
+// export it as erasure.PatternChecker's CanRecover; MDS codes must not, so
+// that erasure.CanRecover keeps answering them with an integer compare.
 func (c *Code) Decodable(failed []int) bool {
-	_, err := c.solverFor(failed)
-	return err == nil
+	for _, f := range failed {
+		if f < 0 || f >= c.N() {
+			return false
+		}
+	}
+	surviving := make([]int, 0, c.N())
+	for i := 0; i < c.N(); i++ {
+		if !slices.Contains(failed, i) {
+			surviving = append(surviving, i)
+		}
+	}
+	return len(independent(c.gen, surviving, c.k)) == c.k
 }
 
 // solverFor returns the solver for a failed-index list, in any order and
@@ -238,37 +253,42 @@ var wholeChunk = []int{0}
 // chosen indices. When fewer than want independent rows exist the matrix
 // is nil and the short index list is returned.
 func IndependentRows(m *gfmat.Matrix, candidates []int, want int) (*gfmat.Matrix, []int) {
-	cols := m.Cols
-	echelon := make([][]byte, 0, want)
-	pivots := make([]int, 0, want)
-	chosen := make([]int, 0, want)
-	for _, r := range candidates {
-		row := append([]byte(nil), m.Row(r)...)
-		for i, p := range pivots {
-			if row[p] != 0 {
-				gf256.MulAddSlice(row[p], echelon[i], row)
-			}
-		}
-		pivot := -1
-		for j := 0; j < cols; j++ {
-			if row[j] != 0 {
-				pivot = j
-				break
-			}
-		}
-		if pivot == -1 {
-			continue
-		}
-		gf256.MulSlice(gf256.Inv(row[pivot]), row, row)
-		echelon = append(echelon, row)
-		pivots = append(pivots, pivot)
-		chosen = append(chosen, r)
-		if len(chosen) == want {
-			break
-		}
-	}
+	chosen := independent(m, candidates, want)
 	if len(chosen) < want {
 		return nil, chosen
 	}
 	return m.SubMatrix(chosen), chosen
+}
+
+// independent is the row-echelon elimination behind IndependentRows and
+// Decodable: the first want candidates, in order, that are linearly
+// independent of the ones chosen before them.
+func independent(m *gfmat.Matrix, candidates []int, want int) []int {
+	cols := m.Cols
+	// Row i of echelon is chosen[i]'s row reduced by the rows before it
+	// and scaled to a leading 1 at pivots[i]; the row past the last chosen
+	// one is scratch for the candidate under test.
+	echelon := make([]byte, want*cols)
+	pivots := make([]int, 0, want)
+	chosen := make([]int, 0, want)
+	for _, r := range candidates {
+		if len(chosen) == want {
+			break
+		}
+		row := echelon[len(chosen)*cols:][:cols]
+		copy(row, m.Row(r))
+		for i, p := range pivots {
+			if row[p] != 0 {
+				gf256.MulAddSlice(row[p], echelon[i*cols:][:cols], row)
+			}
+		}
+		pivot := slices.IndexFunc(row, func(b byte) bool { return b != 0 })
+		if pivot == -1 {
+			continue
+		}
+		gf256.MulSlice(gf256.Inv(row[pivot]), row, row)
+		pivots = append(pivots, pivot)
+		chosen = append(chosen, r)
+	}
+	return chosen
 }

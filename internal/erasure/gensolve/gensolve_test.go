@@ -102,6 +102,72 @@ func TestSolverCacheReuse(t *testing.T) {
 	}
 }
 
+// lrcLike builds an LRC(6, 2, 2)-shaped code: two XOR local groups of
+// three, two Cauchy global parities, and the group XOR as its
+// local-repair rule for a single lost data or local-parity shard.
+func lrcLike() *Code {
+	const k, groupSize = 6, 3
+	gen := gfmat.New(10, k)
+	for i := 0; i < k; i++ {
+		gen.Set(i, i, 1)
+		gen.Set(k+i/groupSize, i, 1)
+	}
+	cauchy := gfmat.Cauchy(k+2, k)
+	for g := 0; g < 2; g++ {
+		for j := 0; j < k; j++ {
+			gen.Set(8+g, j, cauchy.At(k+g, j))
+		}
+	}
+	group := func(s int) []int {
+		grp := s / groupSize
+		if s >= k {
+			grp = s - k
+		}
+		return []int{grp * groupSize, grp*groupSize + 1, grp*groupSize + 2, k + grp}
+	}
+	return NewCode(gen, func(lost []int) ([]int, [][]byte) {
+		if len(lost) != 1 || lost[0] >= 8 {
+			return nil, nil
+		}
+		var helpers []int
+		for _, s := range group(lost[0]) {
+			if s != lost[0] {
+				helpers = append(helpers, s)
+			}
+		}
+		return helpers, [][]byte{{1, 1, 1}}
+	})
+}
+
+// TestDecodableBuildsNoSolver pins Decodable as a rank-only answer: it
+// agrees with "a solver exists" on every sampled pattern, local-repair
+// patterns included, and leaves the solver cache the repair path shares
+// empty.
+func TestDecodableBuildsNoSolver(t *testing.T) {
+	code, oracle := lrcLike(), lrcLike()
+	rng := rand.New(rand.NewSource(23))
+	fatal := 0
+	for i := 0; i < 100; i++ {
+		lost := rng.Perm(code.N())[:1+rng.Intn(5)]
+		_, err := oracle.RepairPlan(lost)
+		if got := code.Decodable(lost); got != (err == nil) {
+			t.Fatalf("Decodable(%v) = %v, solver says %v", lost, got, err)
+		}
+		if err != nil {
+			fatal++
+		}
+	}
+	if fatal == 0 || fatal == 100 {
+		t.Fatalf("sample is one-sided: %d of 100 patterns fatal", fatal)
+	}
+	if n := code.solvers.Len(); n != 0 {
+		t.Fatalf("Decodable left %d solvers in the cache", n)
+	}
+	if code.Decodable([]int{-1}) || code.Decodable([]int{code.N()}) {
+		t.Fatal("out-of-range index reported decodable")
+	}
+}
+
 func TestIndependentRowsSelection(t *testing.T) {
 	gen := rsGen(8, 5)
 	basis, chosen := IndependentRows(gen, []int{0, 1, 2, 3, 4}, 5)

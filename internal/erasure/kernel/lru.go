@@ -82,9 +82,9 @@ type lruEntry[V any] struct {
 }
 
 // LRU is a bounded map from Mask keys to values with least-recently-used
-// eviction. It is safe for concurrent use. Get performs no allocations,
-// so cache hits on the decode hot path cost a mutex and a map lookup.
-// GetOrCompute fills misses singleflight-style: one goroutine computes
+// eviction. It is safe for concurrent use. A GetOrCompute hit performs no
+// allocations, so cache hits on the decode hot path cost a mutex and a
+// map lookup. Misses fill singleflight-style: one goroutine computes
 // while concurrent callers for the same key wait for its result, so a
 // shared code instance never compiles the same program twice.
 type LRU[V any] struct {
@@ -118,35 +118,10 @@ func NewLRU[V any](capacity int) *LRU[V] {
 	}
 }
 
-// Get returns the value for key and promotes it to most recently used.
-func (l *LRU[V]) Get(key Mask) (V, bool) {
-	l.mu.Lock()
-	e, ok := l.entries[key]
-	if !ok {
-		l.mu.Unlock()
-		var zero V
-		return zero, false
-	}
-	l.moveToFront(e)
-	v := e.val
-	l.mu.Unlock()
-	return v, true
-}
-
-// Put inserts or updates key, promoting it to most recently used, and
+// insertLocked adds a key GetOrCompute has just filled — the fill it held
+// kept every other caller from inserting it — as most recently used, and
 // evicts the least recently used entry when over capacity.
-func (l *LRU[V]) Put(key Mask, val V) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.putLocked(key, val)
-}
-
-func (l *LRU[V]) putLocked(key Mask, val V) {
-	if e, ok := l.entries[key]; ok {
-		e.val = val
-		l.moveToFront(e)
-		return
-	}
+func (l *LRU[V]) insertLocked(key Mask, val V) {
 	e := &lruEntry[V]{key: key, val: val}
 	l.entries[key] = e
 	l.pushFront(e)
@@ -194,7 +169,7 @@ func (l *LRU[V]) GetOrCompute(key Mask, compute func() (V, error)) (V, error) {
 		l.mu.Lock()
 		delete(l.fills, key)
 		if f.err == nil {
-			l.putLocked(key, f.val)
+			l.insertLocked(key, f.val)
 		}
 		l.mu.Unlock()
 		close(f.done)
@@ -213,17 +188,6 @@ func (l *LRU[V]) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return len(l.entries)
-}
-
-// Keys returns the keys from most to least recently used (for tests).
-func (l *LRU[V]) Keys() []Mask {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	keys := make([]Mask, 0, len(l.entries))
-	for e := l.head; e != nil; e = e.next {
-		keys = append(keys, e.key)
-	}
-	return keys
 }
 
 func (l *LRU[V]) pushFront(e *lruEntry[V]) {

@@ -36,73 +36,65 @@ func TestMaskOutOfRangePanics(t *testing.T) {
 	m.Set(256)
 }
 
-// TestLRUEvictionOrder checks true least-recently-used behavior: Get
-// promotes, Put evicts from the cold end, and the eviction order reflects
-// accesses rather than insertion alone.
+// TestLRUEvictionOrder checks true least-recently-used behavior through
+// the one entry point: a hit promotes, a fill evicts from the cold end,
+// and the eviction order reflects accesses rather than insertion alone.
 func TestLRUEvictionOrder(t *testing.T) {
 	l := NewLRU[int](3)
-	k := func(i int) Mask { return MaskOf(i) }
-	l.Put(k(1), 1)
-	l.Put(k(2), 2)
-	l.Put(k(3), 3)
-
-	// Touch 1 so 2 becomes the coldest entry.
-	if v, ok := l.Get(k(1)); !ok || v != 1 {
-		t.Fatalf("Get(1) = %d, %v", v, ok)
+	// touch returns whether key i was cached, filling it when it was not.
+	touch := func(i int) bool {
+		hit := true
+		v, err := l.GetOrCompute(MaskOf(i), func() (int, error) { hit = false; return i, nil })
+		if err != nil || v != i {
+			t.Fatalf("GetOrCompute(%d) = %d, %v", i, v, err)
+		}
+		return hit
 	}
-	l.Put(k(4), 4) // evicts 2
-	if _, ok := l.Get(k(2)); ok {
-		t.Fatal("2 should have been evicted")
-	}
-	for _, i := range []int{1, 3, 4} {
-		if _, ok := l.Get(k(i)); !ok {
-			t.Fatalf("%d should still be cached", i)
+	for i := 1; i <= 3; i++ {
+		if touch(i) {
+			t.Fatalf("%d cached before its first fill", i)
 		}
 	}
+	// Touch 1 so 2 becomes the coldest entry; filling 4 evicts it.
+	if !touch(1) {
+		t.Fatal("1 should be cached")
+	}
+	touch(4)
 	if l.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", l.Len())
 	}
-
-	// Recency order after the gets above: 4 was inserted, then 1, 3, 4
-	// were touched in that order -> head is 4, tail is 1.
-	keys := l.Keys()
-	if keys[0] != k(4) || keys[2] != k(1) {
-		t.Fatalf("unexpected recency order: %v", keys)
+	for _, i := range []int{1, 3, 4} {
+		if !touch(i) {
+			t.Fatalf("%d should still be cached", i)
+		}
 	}
-
-	// Updating an existing key must not evict.
-	l.Put(k(3), 33)
-	if l.Len() != 3 {
-		t.Fatalf("Len after update = %d, want 3", l.Len())
+	// Recency is now 4, 3, 1 from hot to cold: refilling 2 evicts 1 and
+	// nothing else.
+	if touch(2) {
+		t.Fatal("2 should have been evicted")
 	}
-	if v, _ := l.Get(k(3)); v != 33 {
-		t.Fatalf("update lost: %d", v)
+	if !touch(3) || !touch(4) || touch(1) {
+		t.Fatal("refilling 2 should have evicted 1, the coldest entry")
 	}
 }
 
-// TestLRUGetAllocs locks in the allocation-free lookup path: neither hits
-// nor misses may allocate, in particular the Mask key must not escape to
-// the heap the way the old fmt.Sprint keys did.
+// TestLRUGetAllocs locks in the allocation-free lookup path: a hit may
+// not allocate, in particular the Mask key must not escape to the heap
+// the way the old fmt.Sprint keys did.
 func TestLRUGetAllocs(t *testing.T) {
 	l := NewLRU[*int](8)
 	v := 42
 	hit := MaskOf(1, 9, 17)
-	miss := MaskOf(2, 200)
-	l.Put(hit, &v)
-
+	fill := func() (*int, error) { return &v, nil }
+	if _, err := l.GetOrCompute(hit, fill); err != nil {
+		t.Fatal(err)
+	}
 	if n := testing.AllocsPerRun(200, func() {
-		if _, ok := l.Get(hit); !ok {
+		if got, _ := l.GetOrCompute(hit, fill); got != &v {
 			t.Fatal("expected hit")
 		}
 	}); n != 0 {
-		t.Fatalf("Get (hit) allocates %v times per call, want 0", n)
-	}
-	if n := testing.AllocsPerRun(200, func() {
-		if _, ok := l.Get(miss); ok {
-			t.Fatal("expected miss")
-		}
-	}); n != 0 {
-		t.Fatalf("Get (miss) allocates %v times per call, want 0", n)
+		t.Fatalf("GetOrCompute (hit) allocates %v times per call, want 0", n)
 	}
 }
 

@@ -27,8 +27,12 @@ func BenchmarkSimEngine(b *testing.B) {
 				// populated-cluster snapshots within it, never across
 				// iterations.
 				ResetSnapshotCache()
-				if _, err := Fig2Suite(scale); err != nil {
-					b.Fatal(err)
+				for _, fig := range []func(int) (*Figure, error){
+					Fig2aBackendCache, Fig2bPlacementGroups, Fig2cStripeUnit, Fig2dFailureMode,
+				} {
+					if _, err := fig(scale); err != nil {
+						b.Fatal(err)
+					}
 				}
 			}
 		})

@@ -47,18 +47,6 @@ type Figure struct {
 	Raw      map[string]time.Duration // "<config>/<code>" -> absolute time
 }
 
-// runRecovery executes a profile and returns the system recovery time.
-func runRecovery(p core.Profile) (time.Duration, *core.Result, error) {
-	res, err := engineCache.Run(p)
-	if err != nil {
-		return 0, nil, err
-	}
-	if res.Recovery == nil {
-		return 0, nil, fmt.Errorf("experiments: profile %q ran no recovery", p.Name)
-	}
-	return res.Recovery.SystemRecoveryTime(), res, nil
-}
-
 // runProfiles executes independent experiment cells concurrently under the
 // worker budget (parallel.Workers: ECFAULT_WORKERS, the -workers flag, or
 // NumCPU). Every cell builds its own coordinator, simulated cluster, and
@@ -296,24 +284,6 @@ func Fig2dFailureMode(scale int) (*Figure, error) {
 	return fig, nil
 }
 
-// Fig2Suite runs all four Figure-2 experiments at the given scale and
-// returns the figures in order (2a, 2b, 2c, 2d). Scale 1 is the paper's
-// full 10,000-object workload — the full-fidelity mode exercised by
-// BenchmarkSimEngine.
-func Fig2Suite(scale int) ([]*Figure, error) {
-	figs := make([]*Figure, 0, 4)
-	for _, fn := range []func(int) (*Figure, error){
-		Fig2aBackendCache, Fig2bPlacementGroups, Fig2cStripeUnit, Fig2dFailureMode,
-	} {
-		fig, err := fn(scale)
-		if err != nil {
-			return nil, err
-		}
-		figs = append(figs, fig)
-	}
-	return figs, nil
-}
-
 // TimelineResult is the Figure 3 reproduction.
 type TimelineResult struct {
 	Detected         time.Duration // 0 by construction
@@ -339,10 +309,7 @@ func Fig3Timeline(scale int) (*TimelineResult, error) {
 	for _, mult := range []float64{0.8, 1, 1.6} {
 		q := baseProfile(scale)
 		q.Name = fmt.Sprintf("fig3-sweep-%gx", mult)
-		q.Workload.Objects = int(float64(q.Workload.Objects) * mult)
-		if q.Workload.Objects < 1 {
-			q.Workload.Objects = 1
-		}
+		q.Workload.Objects = max(int(float64(q.Workload.Objects)*mult), 1)
 		ps = append(ps, q)
 	}
 	_, results, err := runRecoveries(ps)
@@ -432,7 +399,7 @@ func WAFormulaValidation(scale int) ([]WAValidationRow, error) {
 				p.Pool.M = g.m
 				p.Pool.StripeUnit = unit
 				p.Workload.ObjectSize = size
-				p.Workload.Objects = maxInt(p.Workload.Objects/4, 8)
+				p.Workload.Objects = max(p.Workload.Objects/4, 8)
 				p.Faults = nil
 				ps = append(ps, p)
 				rows = append(rows, WAValidationRow{
@@ -453,13 +420,6 @@ func WAFormulaValidation(scale int) ([]WAValidationRow, error) {
 		rows[i].Holds = res.WA.Measured >= res.WA.FormulaBound-1e-9
 	}
 	return rows, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // PluginRow compares one erasure-code plugin on the paper's baseline

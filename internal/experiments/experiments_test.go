@@ -3,6 +3,8 @@ package experiments
 import (
 	"testing"
 	"time"
+
+	"repro/internal/core"
 )
 
 // All experiment tests run at a high scale factor so the suite stays
@@ -200,8 +202,8 @@ func TestWAFormulaValidationHolds(t *testing.T) {
 func TestRunRecoveryRejectsFaultFreeProfile(t *testing.T) {
 	p := baseProfile(testScale)
 	p.Faults = nil
-	if _, _, err := runRecovery(p); err == nil {
-		t.Fatal("fault-free profile accepted by runRecovery")
+	if _, _, err := runRecoveries([]core.Profile{p}); err == nil {
+		t.Fatal("fault-free profile accepted by runRecoveries")
 	}
 }
 

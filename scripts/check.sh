@@ -2,7 +2,8 @@
 # Repo-wide check: vet + build + tier-1 tests (the scale-1 golden of
 # cmd/ecbench included) + race audit of the concurrent packages + the
 # engine's ordering and gather fuzz smokes + the matrix codes' round-trip
-# fuzz smoke + the benchmark module's self-test and smoke runs.
+# fuzz smoke + the two input-surface fuzz smokes (fault lists, ceph.conf
+# text) + the benchmark module's self-test and smoke runs.
 # Run from the repo root: ./scripts/check.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -29,19 +30,28 @@ go test -race -count=1 \
     ./internal/parallel \
     ./internal/tuner
 
-echo "== fuzz smoke (simclock: same-instant FIFO, RunUntil slicing; simnet: gather == per-ship; matrix codes: decode/repair == CanRecover) =="
+echo "== fuzz smoke (simclock: same-instant FIFO, RunUntil slicing; simnet: gather == per-ship; matrix codes: decode/repair == CanRecover; inputs: fault lists and ceph.conf text are run or rejected, never a panic) =="
 go test ./internal/simclock -run xxx -fuzz FuzzSimclockFIFO -fuzztime 10s
 go test ./internal/simclock -run xxx -fuzz FuzzRunUntilSlicing -fuzztime 10s
 go test ./internal/simnet -run xxx -fuzz FuzzGatherMatchesPerShip -fuzztime 10s
 go test ./internal/erasure/conformance -run xxx -fuzz FuzzMatrixCodeRoundTrip -fuzztime 10s
+go test ./internal/core -run xxx -fuzz FuzzFaultSpecs -fuzztime 10s
+go test ./internal/cephconf -run xxx -fuzz FuzzParseApply -fuzztime 10s
 
 echo "== go build/test (purego: portable word kernels, no asm) =="
 go build -tags purego ./...
 go test -tags purego -count=1 ./internal/gf256 ./internal/erasure/...
 
-# bench/ is a module of its own, so the root commands above neither build
-# nor test it; it calls exported cluster/core/workload functions, which an
-# internal refactor can break unseen.
+# bench/ is a module of its own (repro/bench), so the root commands above
+# neither build nor test it; it calls exported cluster/core/workload
+# functions, which an internal refactor can break unseen. This step vets
+# it, runs its self-test (every workload, traced and untraced, at -smoke
+# size, plus the layer probe rebuilt from exported cluster/core/workload
+# calls) and then drives the benchmark's one command, bench/ecperf.sh, for
+# the two workloads that lean on populate and on forks. It checks that the
+# benchmark builds and its correctness gates hold, not speed: speed is
+# compared between commits with bench/run.sh and `ecperf -compare`. CI runs
+# this in its `check` job; a separate `bench` job would repeat it line for line.
 echo "== bench module: vet + self-test + ecperf smoke runs =="
 (cd bench && go vet ./... && go test ./...)
 smoke=$(mktemp -d)
