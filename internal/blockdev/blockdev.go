@@ -8,6 +8,7 @@ package blockdev
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sync"
 )
 
@@ -16,7 +17,6 @@ var (
 	ErrRemoved     = errors.New("blockdev: device removed")
 	ErrOutOfRange  = errors.New("blockdev: I/O beyond device capacity")
 	ErrInvalidArgs = errors.New("blockdev: invalid arguments")
-	ErrFrozen      = errors.New("blockdev: device is frozen (snapshot parent)")
 )
 
 // Stats are cumulative I/O counters, in the spirit of /proc/diskstats.
@@ -35,20 +35,12 @@ type Device struct {
 	capacity  int64
 	blockSize int64
 
-	mu      sync.Mutex
+	mu sync.Mutex
+	// blocks may share their byte slices with forks of this device, so a
+	// block is never written in place: WriteAt replaces it.
 	blocks  map[int64][]byte
 	stats   Stats
 	removed bool
-
-	// Copy-on-write fork state: base holds the frozen parent's blocks
-	// (shared, never written through), masked marks base blocks hidden by
-	// an overlay write or a trim. For root devices base is nil and every
-	// access takes the short path. Invariants: masked keys are a subset of
-	// base keys, and every overlay block whose key exists in base is
-	// masked, so the visible set is blocks ∪ (base − masked).
-	base   map[int64][]byte
-	masked map[int64]bool
-	frozen bool
 }
 
 // New creates a device. blockSize must divide capacity.
@@ -103,7 +95,7 @@ func (d *Device) ReadAt(p []byte, off int64) (int, error) {
 		if chunk > len(p)-n {
 			chunk = len(p) - n
 		}
-		if b, ok := d.visibleLocked(blk); ok {
+		if b, ok := d.blocks[blk]; ok {
 			copy(p[n:n+chunk], b[inOff:inOff+int64(chunk)])
 		} else {
 			for i := n; i < n+chunk; i++ {
@@ -115,29 +107,12 @@ func (d *Device) ReadAt(p []byte, off int64) (int, error) {
 	return len(p), nil
 }
 
-// visibleLocked resolves a block through the overlay, then the unmasked
-// base. Callers must hold d.mu.
-func (d *Device) visibleLocked(blk int64) ([]byte, bool) {
-	if b, ok := d.blocks[blk]; ok {
-		return b, true
-	}
-	if d.base != nil && !d.masked[blk] {
-		if b, ok := d.base[blk]; ok {
-			return b, true
-		}
-	}
-	return nil, false
-}
-
 // WriteAt implements io.WriterAt semantics, allocating blocks lazily.
 func (d *Device) WriteAt(p []byte, off int64) (int, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.removed {
 		return 0, ErrRemoved
-	}
-	if d.frozen {
-		return 0, ErrFrozen
 	}
 	if err := d.checkRange(off, len(p)); err != nil {
 		return 0, err
@@ -151,35 +126,13 @@ func (d *Device) WriteAt(p []byte, off int64) (int, error) {
 		if chunk > len(p)-n {
 			chunk = len(p) - n
 		}
-		b, ok := d.blocks[blk]
-		if !ok {
-			b = make([]byte, d.blockSize)
-			// Copy-on-write: pull the shared base block into the
-			// overlay before mutating it.
-			if d.base != nil && !d.masked[blk] {
-				if pb, okBase := d.base[blk]; okBase {
-					copy(b, pb)
-				}
-				d.maskLocked(blk)
-			}
-			d.blocks[blk] = b
-		}
+		b := make([]byte, d.blockSize)
+		copy(b, d.blocks[blk])
 		copy(b[inOff:inOff+int64(chunk)], p[n:n+chunk])
+		d.blocks[blk] = b
 		n += chunk
 	}
 	return len(p), nil
-}
-
-// maskLocked hides a base-resident block from future lookups. Callers
-// must hold d.mu and have base != nil.
-func (d *Device) maskLocked(blk int64) {
-	if _, ok := d.base[blk]; !ok {
-		return
-	}
-	if d.masked == nil {
-		d.masked = map[int64]bool{}
-	}
-	d.masked[blk] = true
 }
 
 // Trim discards whole blocks covered by the range and counts a trim op.
@@ -189,9 +142,6 @@ func (d *Device) Trim(off, length int64) error {
 	if d.removed {
 		return ErrRemoved
 	}
-	if d.frozen {
-		return ErrFrozen
-	}
 	if err := d.checkRange(off, int(length)); err != nil {
 		return err
 	}
@@ -200,9 +150,6 @@ func (d *Device) Trim(off, length int64) error {
 	last := (off + length) / d.blockSize
 	for blk := first; blk < last; blk++ {
 		delete(d.blocks, blk)
-		if d.base != nil {
-			d.maskLocked(blk)
-		}
 	}
 	return nil
 }
@@ -227,9 +174,6 @@ func (d *Device) AccountWrite(n int64) error {
 	if d.removed {
 		return ErrRemoved
 	}
-	if d.frozen {
-		return ErrFrozen
-	}
 	d.stats.WriteOps++
 	d.stats.WriteBytes += n
 	return nil
@@ -243,39 +187,25 @@ func (d *Device) AccountWrites(bytes, n int64) error {
 	if d.removed {
 		return ErrRemoved
 	}
-	if d.frozen {
-		return ErrFrozen
-	}
 	d.stats.WriteOps += n
 	d.stats.WriteBytes += bytes
 	return nil
 }
 
-// Used reports allocated bytes (whole blocks) across overlay and
-// visible base.
+// Used reports allocated bytes (whole blocks).
 func (d *Device) Used() int64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	n := int64(len(d.blocks))
-	if d.base != nil {
-		n += int64(len(d.base) - len(d.masked))
-	}
-	return n * d.blockSize
+	return int64(len(d.blocks)) * d.blockSize
 }
 
 // Remove simulates pulling the device: every subsequent operation fails
-// with ErrRemoved. Contents are dropped. Removing a frozen snapshot
-// parent would invalidate its forks, so that is a programming error.
+// with ErrRemoved. Contents are dropped.
 func (d *Device) Remove() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.frozen {
-		panic("blockdev: Remove on frozen device " + d.name)
-	}
 	d.removed = true
 	d.blocks = map[int64][]byte{}
-	d.base = nil
-	d.masked = nil
 }
 
 // Removed reports whether the device has been removed.
@@ -292,39 +222,19 @@ func (d *Device) Snapshot() Stats {
 	return d.stats
 }
 
-// Freeze makes the device immutable so it can serve as a shared
-// copy-on-write base for forks. All subsequent writes fail with
-// ErrFrozen; reads keep working. Freeze is idempotent.
-func (d *Device) Freeze() {
+// Fork returns an independent copy of the device: its blocks and a copy
+// of its counters, so iostat deltas line up with a fresh-built device that
+// replayed the same history. The copies share block slices, which neither
+// side writes in place. A removed device forks to a removed device.
+func (d *Device) Fork() *Device {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.frozen = true
-}
-
-// Fork returns a writable copy-on-write child of a frozen device. The
-// child shares the parent's blocks until it writes or trims them and
-// starts from a copy of the parent's counters, so iostat deltas line up
-// with a fresh-built device that replayed the same history. Only
-// single-level forking is supported: the parent must be a root device
-// (not itself a fork).
-func (d *Device) Fork() (*Device, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.removed {
-		return nil, ErrRemoved
-	}
-	if !d.frozen {
-		return nil, fmt.Errorf("blockdev: Fork of unfrozen device %s", d.name)
-	}
-	if d.base != nil {
-		return nil, fmt.Errorf("blockdev: Fork of forked device %s", d.name)
-	}
 	return &Device{
 		name:      d.name,
 		capacity:  d.capacity,
 		blockSize: d.blockSize,
-		blocks:    map[int64][]byte{},
-		base:      d.blocks,
+		blocks:    maps.Clone(d.blocks),
 		stats:     d.stats,
-	}, nil
+		removed:   d.removed,
+	}
 }

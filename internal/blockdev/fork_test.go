@@ -2,48 +2,17 @@ package blockdev
 
 import (
 	"bytes"
-	"errors"
 	"testing"
 )
 
-func TestForkRequiresFreeze(t *testing.T) {
-	d, _ := New("dev", 1<<20, 4096)
-	if _, err := d.Fork(); err == nil {
-		t.Fatal("Fork of unfrozen device should fail")
-	}
-	d.Freeze()
-	f, err := d.Fork()
-	if err != nil {
+// readByte reads one byte of dev at off.
+func readByte(t *testing.T, dev *Device, off int64) byte {
+	t.Helper()
+	b := make([]byte, 1)
+	if _, err := dev.ReadAt(b, off); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Fork(); err == nil {
-		t.Fatal("Fork of a fork should fail")
-	}
-}
-
-func TestFrozenDeviceRejectsWrites(t *testing.T) {
-	d, _ := New("dev", 1<<20, 4096)
-	if _, err := d.WriteAt([]byte("hello"), 0); err != nil {
-		t.Fatal(err)
-	}
-	d.Freeze()
-	if _, err := d.WriteAt([]byte("x"), 0); !errors.Is(err, ErrFrozen) {
-		t.Fatalf("WriteAt on frozen device: %v", err)
-	}
-	if err := d.Trim(0, 4096); !errors.Is(err, ErrFrozen) {
-		t.Fatalf("Trim on frozen device: %v", err)
-	}
-	if err := d.AccountWrite(1); !errors.Is(err, ErrFrozen) {
-		t.Fatalf("AccountWrite on frozen device: %v", err)
-	}
-	// Reads still work.
-	buf := make([]byte, 5)
-	if _, err := d.ReadAt(buf, 0); err != nil {
-		t.Fatal(err)
-	}
-	if string(buf) != "hello" {
-		t.Fatalf("read %q", buf)
-	}
+	return b[0]
 }
 
 func TestForkCopyOnWriteIsolation(t *testing.T) {
@@ -51,15 +20,7 @@ func TestForkCopyOnWriteIsolation(t *testing.T) {
 	if _, err := d.WriteAt(bytes.Repeat([]byte{0xAA}, 8192), 0); err != nil {
 		t.Fatal(err)
 	}
-	d.Freeze()
-	f1, err := d.Fork()
-	if err != nil {
-		t.Fatal(err)
-	}
-	f2, err := d.Fork()
-	if err != nil {
-		t.Fatal(err)
-	}
+	f1, f2 := d.Fork(), d.Fork()
 
 	// f1 overwrites part of a shared block; f2 trims the other block.
 	if _, err := f1.WriteAt([]byte{0xBB}, 100); err != nil {
@@ -69,30 +30,73 @@ func TestForkCopyOnWriteIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	read := func(dev *Device, off int64) byte {
-		b := make([]byte, 1)
-		if _, err := dev.ReadAt(b, off); err != nil {
-			t.Fatal(err)
-		}
-		return b[0]
-	}
-	if got := read(f1, 100); got != 0xBB {
+	if got := readByte(t, f1, 100); got != 0xBB {
 		t.Fatalf("f1[100]=%x", got)
 	}
-	if got := read(d, 100); got != 0xAA {
+	if got := readByte(t, d, 100); got != 0xAA {
 		t.Fatalf("parent[100]=%x, fork write leaked", got)
 	}
-	if got := read(f2, 100); got != 0xAA {
+	if got := readByte(t, f2, 100); got != 0xAA {
 		t.Fatalf("f2[100]=%x, sibling write leaked", got)
 	}
-	if got := read(f2, 5000); got != 0 {
+	if got := readByte(t, f2, 5000); got != 0 {
 		t.Fatalf("f2[5000]=%x after trim", got)
 	}
-	if got := read(d, 5000); got != 0xAA {
+	if got := readByte(t, d, 5000); got != 0xAA {
 		t.Fatalf("parent[5000]=%x, fork trim leaked", got)
 	}
-	if got := read(f1, 101); got != 0xAA {
-		t.Fatalf("f1[101]=%x, CoW lost base bytes", got)
+	if got := readByte(t, f1, 101); got != 0xAA {
+		t.Fatalf("f1[101]=%x, partial write lost the block's other bytes", got)
+	}
+}
+
+// TestForkOfForkIsolation: a fork and a fork of that fork each keep the
+// contents they were taken with while the parent, the fork and a sibling
+// go on writing, trimming and removing.
+func TestForkOfForkIsolation(t *testing.T) {
+	d, _ := New("dev", 1<<20, 4096)
+	if _, err := d.WriteAt(bytes.Repeat([]byte{1}, 3*4096), 0); err != nil {
+		t.Fatal(err)
+	}
+	f := d.Fork()
+	if _, err := f.WriteAt([]byte{2}, 4096); err != nil {
+		t.Fatal(err)
+	}
+	ff, sibling := f.Fork(), d.Fork()
+
+	// Every later mutation lands on someone else.
+	if _, err := d.WriteAt([]byte{9}, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Trim(8192, 4096); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte{8}, 4096); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Trim(0, 4096); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sibling.WriteAt([]byte{7}, 8192); err != nil {
+		t.Fatal(err)
+	}
+	sibling.Remove()
+
+	for off, want := range map[int64]byte{0: 1, 4096: 2, 8192: 1} {
+		if got := readByte(t, ff, off); got != want {
+			t.Fatalf("fork of fork [%d]=%d, want %d", off, got, want)
+		}
+	}
+	for off, want := range map[int64]byte{0: 0, 4096: 8, 8192: 1} {
+		if got := readByte(t, f, off); got != want {
+			t.Fatalf("fork [%d]=%d, want %d", off, got, want)
+		}
+	}
+	if ff.Used() != 3*4096 || f.Used() != 2*4096 || d.Used() != 2*4096 {
+		t.Fatalf("Used: fork of fork %d, fork %d, parent %d", ff.Used(), f.Used(), d.Used())
+	}
+	if !sibling.Fork().Removed() {
+		t.Fatal("a removed device must fork to a removed device")
 	}
 }
 
@@ -101,11 +105,7 @@ func TestForkUsedAndStats(t *testing.T) {
 	if _, err := d.WriteAt(make([]byte, 8192), 0); err != nil {
 		t.Fatal(err)
 	}
-	d.Freeze()
-	f, err := d.Fork()
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := d.Fork()
 	if f.Used() != d.Used() {
 		t.Fatalf("fork Used %d != parent %d", f.Used(), d.Used())
 	}
@@ -117,7 +117,7 @@ func TestForkUsedAndStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	if f.Used() != d.Used() {
-		t.Fatalf("fork Used %d != parent %d after CoW overwrite", f.Used(), d.Used())
+		t.Fatalf("fork Used %d != parent %d after overwrite", f.Used(), d.Used())
 	}
 	// Trimming a shared block shrinks only the fork.
 	if err := f.Trim(4096, 4096); err != nil {
@@ -133,8 +133,7 @@ func TestForkRemoveIndependent(t *testing.T) {
 	if _, err := d.WriteAt([]byte("hello"), 0); err != nil {
 		t.Fatal(err)
 	}
-	d.Freeze()
-	f, _ := d.Fork()
+	f := d.Fork()
 	f.Remove()
 	if !f.Removed() {
 		t.Fatal("fork not removed")

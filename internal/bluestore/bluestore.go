@@ -193,7 +193,7 @@ type Store struct {
 
 	// runs is the bulk base: one entry per (pool, PG, shard) ingested
 	// through WriteChunksBulk. Entries are immutable and the slice is
-	// append-only, so a fork shares its frozen parent's table as is.
+	// append-only, so a fork shares its parent's table as is.
 	runs []baseRun
 	// chunks is the overlay over runs: chunks written, overwritten or
 	// corrupted one at a time, plus tombstones for base chunks deleted or
@@ -488,15 +488,6 @@ func (s *Store) ReadChunk(id ChunkID) (int64, []byte, error) {
 	return size, nil, nil
 }
 
-// ReadSubChunks accounts a partial read of the chunk (count sub-chunk
-// reads totalling bytes), used by Clay repair I/O accounting.
-func (s *Store) ReadSubChunks(id ChunkID, bytes int64) error {
-	if !s.HasChunk(id) {
-		return fmt.Errorf("%w: %s", ErrNoSuchChunk, id)
-	}
-	return s.dev.AccountRead(bytes)
-}
-
 // CorruptChunk simulates silent data corruption (bit rot) in a stored
 // chunk: payload-mode chunks get their on-device bytes flipped, and
 // accounting-mode chunks are marked corrupt. The stored checksum is left
@@ -653,23 +644,20 @@ func (s *Store) SetDataWorkingSet(bytes int64) {
 	s.profileValid = false
 }
 
-// Freeze makes the store and its device and KV store immutable so they
-// can serve as shared copy-on-write bases for Fork. Idempotent.
+// Freeze makes the store refuse every write, so a snapshot parent that
+// leaks back into use fails loudly instead of drifting from the image its
+// forks were taken from. Reads and Fork keep working. Idempotent.
 func (s *Store) Freeze() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.frozen = true
-	s.kv.Freeze()
-	s.dev.Freeze()
 }
 
-// Fork returns a writable copy-on-write child of a frozen store. cfg may
-// change only recovery-side knobs (cache scheme and size); every field
-// that shaped the on-disk layout during populate must match the parent,
-// because the child shares the parent's base runs, device blocks and KV
-// entries and starts from a copy of its overlay and accounting. Only
-// single-level forking is supported (the device and KV store refuse to
-// fork a fork).
+// Fork returns an independent writable copy of the store. cfg may change
+// only recovery-side knobs (cache scheme and size); every field that
+// shaped the on-disk layout during populate must match the parent,
+// because the copy shares the parent's base runs and starts from copies
+// of its overlay, device, KV store and accounting.
 func (s *Store) Fork(cfg Config) (*Store, error) {
 	cfg, err := normalizeConfig(cfg)
 	if err != nil {
@@ -677,9 +665,6 @@ func (s *Store) Fork(cfg Config) (*Store, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.frozen {
-		return nil, errors.New("bluestore: Fork of unfrozen store")
-	}
 	layout := func(c Config) Config {
 		c.Cache = CacheConfig{}
 		c.CacheBytes = 0
@@ -688,18 +673,10 @@ func (s *Store) Fork(cfg Config) (*Store, error) {
 	if layout(cfg) != layout(s.cfg) {
 		return nil, fmt.Errorf("bluestore: Fork config changes layout-relevant fields (%+v vs %+v)", layout(cfg), layout(s.cfg))
 	}
-	dev, err := s.dev.Fork()
-	if err != nil {
-		return nil, err
-	}
-	kv, err := s.kv.Fork()
-	if err != nil {
-		return nil, err
-	}
 	return &Store{
 		cfg:            cfg,
-		dev:            dev,
-		kv:             kv,
+		dev:            s.dev.Fork(),
+		kv:             s.kv.Fork(),
 		runs:           s.runs[:len(s.runs):len(s.runs)],
 		chunks:         maps.Clone(s.chunks),
 		count:          s.count,

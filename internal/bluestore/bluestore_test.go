@@ -123,20 +123,6 @@ func TestReadMissingChunk(t *testing.T) {
 	if _, _, err := s.ReadChunk(cid("nope")); !errors.Is(err, ErrNoSuchChunk) {
 		t.Fatalf("got %v", err)
 	}
-	if err := s.ReadSubChunks(cid("nope"), 10); !errors.Is(err, ErrNoSuchChunk) {
-		t.Fatalf("got %v", err)
-	}
-}
-
-func TestReadSubChunksAccounts(t *testing.T) {
-	s := newStore(t, Config{})
-	_ = s.WriteChunk(cid("c"), 81*100, 81*100, nil)
-	if err := s.ReadSubChunks(cid("c"), 27*100); err != nil {
-		t.Fatal(err)
-	}
-	if s.Device().Snapshot().ReadBytes != 27*100 {
-		t.Fatal("sub-chunk read not accounted")
-	}
 }
 
 func TestWriteFailsOnRemovedDevice(t *testing.T) {

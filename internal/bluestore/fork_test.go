@@ -20,22 +20,34 @@ func newTestStore(t *testing.T) *Store {
 	return s
 }
 
-func TestStoreForkRequiresFreeze(t *testing.T) {
+// TestStoreForkOfFork: any store forks, frozen or not and fork or not,
+// and a fork of a fork keeps what it was taken with.
+func TestStoreForkOfFork(t *testing.T) {
 	s := newTestStore(t)
-	if _, err := s.Fork(s.Config()); err == nil {
-		t.Fatal("Fork of unfrozen store should fail")
+	if err := s.WriteChunk(cid("a"), 4096, 4096, bytes.Repeat([]byte{1}, 4096)); err != nil {
+		t.Fatal(err)
 	}
-	s.Freeze()
 	f, err := s.Fork(s.Config())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Fork(f.Config()); err == nil {
-		t.Fatal("Fork of an unfrozen fork should fail")
-	}
 	f.Freeze()
-	if _, err := f.Fork(f.Config()); err == nil {
-		t.Fatal("Fork of a frozen fork should fail")
+	ff, err := f.Fork(f.Config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Corruption rewrites the chunk's device block in place.
+	if err := s.CorruptChunk(cid("a")); err != nil {
+		t.Fatal(err)
+	}
+	if err := ff.DeleteChunk(cid("a")); err != nil {
+		t.Fatal(err)
+	}
+	if _, got, err := f.ReadChunk(cid("a")); err != nil || !bytes.Equal(got, bytes.Repeat([]byte{1}, 4096)) {
+		t.Fatalf("frozen fork's chunk changed by its parent or its fork: %v", err)
+	}
+	if ff.HasChunk(cid("a")) || !s.HasChunk(cid("a")) {
+		t.Fatal("fork of fork delete leaked")
 	}
 }
 
@@ -157,7 +169,7 @@ func TestStoreForkAccountingMatchesFresh(t *testing.T) {
 		if err := s.WriteChunk(cid("obja0"), 16384, 18204, nil); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.ReadSubChunks(cid("objb0"), 2048); err != nil {
+		if err := s.Device().AccountRead(2048); err != nil {
 			t.Fatal(err)
 		}
 		if _, _, err := s.ReadChunk(cid("objc0")); err != nil {

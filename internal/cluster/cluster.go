@@ -485,6 +485,9 @@ func (c *Cluster) WriteObject(poolName, name string, data []byte) error {
 	}
 	rec := &ObjectRecord{Name: name, Size: int64(len(data)), ChunkSize: cs, Payload: true}
 	if _, existing, idx := pool.findObject(name); existing != nil {
+		// Replace the slice, not the element: forks share it with the
+		// snapshot.
+		pg.Objects = slices.Clone(pg.Objects)
 		pg.Objects[idx] = rec
 		return nil
 	}
@@ -512,7 +515,8 @@ func (c *Cluster) DeleteObject(poolName, name string) error {
 		// write; ignore not-found.
 		_ = osd.Store.DeleteChunk(pool.chunkID(pg, name, shard))
 	}
-	pg.Objects = append(pg.Objects[:idx], pg.Objects[idx+1:]...)
+	// A new slice, not an in-place delete: forks share it with the snapshot.
+	pg.Objects = slices.Concat(pg.Objects[:idx], pg.Objects[idx+1:])
 	return nil
 }
 

@@ -586,8 +586,7 @@ func helperReadDone(a any) {
 	hio := hr.hio
 	pr.c.freeHelperRead(hr)
 	helper := pr.c.osds[hio.osd]
-	// Device-level accounting of the sub-chunk reads (what ReadSubChunks
-	// did, minus building a chunk name only to discard it).
+	// Device-level accounting of the sub-chunk reads.
 	_ = helper.Store.Device().AccountRead(hio.diskBytes)
 	pr.res.HelperDiskBytes += hio.diskBytes
 	pr.res.NetworkBytes += hio.netBytes

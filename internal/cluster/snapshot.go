@@ -11,7 +11,8 @@ import (
 // snapPG captures one placement group's post-populate state. The acting
 // set is copied per fork (recovery remaps it in place); the object
 // records are shared read-only across forks — recovery only reads their
-// fields — with the slice capacity clamped so a fork appending to its
+// fields, WriteObject and DeleteObject replace the slice rather than
+// write into it, and its capacity is clamped so a fork appending to its
 // own PG reallocates instead of scribbling over shared backing memory.
 type snapPG struct {
 	id      int
@@ -28,10 +29,8 @@ type snapPool struct {
 }
 
 // Snapshot is an immutable populated-cluster image. It holds the frozen
-// per-OSD stores (shared copy-on-write bases) plus the logical pool/PG
-// state, and can be forked any number of times, concurrently, into
-// independent clusters that each pay only for the state they mutate
-// during recovery.
+// per-OSD stores plus the logical pool/PG state, and can be forked any
+// number of times, concurrently, into independent clusters.
 type Snapshot struct {
 	cfg    Config             // normalized parent config, Log stripped
 	stores []*bluestore.Store // frozen, indexed by OSD id
@@ -40,8 +39,8 @@ type Snapshot struct {
 
 // Snapshot freezes the cluster's stores and captures its logical state.
 // The cluster must be quiescent (no scheduled simulator events); after
-// the call its stores reject writes, so the parent is only good for
-// reads and further forks.
+// the call its stores reject writes, so a parent that leaks back into use
+// fails loudly and is only good for reads and further forks.
 func (c *Cluster) Snapshot() *Snapshot {
 	s := &Snapshot{cfg: c.cfg}
 	s.cfg.Log = nil
@@ -74,11 +73,11 @@ func (c *Cluster) Snapshot() *Snapshot {
 func (s *Snapshot) Config() Config { return s.cfg }
 
 // Fork builds a fresh cluster — new simulator, network, CRUSH map,
-// monitor, queues — whose stores are copy-on-write forks of the
-// snapshot and whose pools carry the captured PG placements and shared
-// object records. cfg may change recovery-side knobs (Net, Cost, cache
-// scheme, Log); geometry must match the snapshot, and bluestore rejects
-// any layout-relevant store field change.
+// monitor, queues — whose stores are forks of the snapshot's and whose
+// pools carry the captured PG placements and shared object records. cfg
+// may change recovery-side knobs (Net, Cost, cache scheme, Log); geometry
+// must match the snapshot, and bluestore rejects any layout-relevant
+// store field change.
 func (s *Snapshot) Fork(cfg Config) (*Cluster, error) {
 	norm, err := normalizeClusterConfig(cfg)
 	if err != nil {

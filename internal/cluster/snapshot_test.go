@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -149,6 +150,54 @@ func TestForkPayloadRecoveryIsolated(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("parent %s corrupted by fork recovery", name)
 		}
+	}
+}
+
+// TestForkObjectMutationsStayInFork: a fork that deletes one object and
+// overwrites another leaves the snapshot's object records alone, so the
+// next fork still sees the populated image.
+func TestForkObjectMutationsStayInFork(t *testing.T) {
+	snap := populateSmall(t, nil).Snapshot()
+	fork := func() *Cluster {
+		c, err := snap.Fork(snap.Config())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	records := func(c *Cluster) [][]ObjectRecord {
+		pool, _ := c.Pool("ecpool")
+		var out [][]ObjectRecord
+		for _, pg := range pool.PGs {
+			var recs []ObjectRecord
+			for _, o := range pg.Objects {
+				recs = append(recs, *o)
+			}
+			out = append(out, recs)
+		}
+		return out
+	}
+	want := records(fork())
+
+	f1 := fork()
+	pool, _ := f1.Pool("ecpool")
+	deleted, overwritten := pool.PGs[0].Objects[0], pool.PGs[1].Objects[0]
+	if err := f1.DeleteObject("ecpool", deleted.Name); err != nil {
+		t.Fatal(err)
+	}
+	if err := f1.WriteObject("ecpool", overwritten.Name, []byte("tiny")); err != nil {
+		t.Fatal(err)
+	}
+
+	f2 := fork()
+	if got := records(f2); !reflect.DeepEqual(got, want) {
+		t.Fatalf("next fork's object records changed by a sibling:\n got %v\nwant %v", got[:2], want[:2])
+	}
+	if size, err := f2.StatObject("ecpool", overwritten.Name); err != nil || size != 4<<20 {
+		t.Fatalf("next fork stats %s at %d bytes, %v; want the bulk-loaded 4 MiB", overwritten.Name, size, err)
+	}
+	if _, err := f1.StatObject("ecpool", deleted.Name); err == nil {
+		t.Fatal("the deleting fork still lists its deleted object")
 	}
 }
 

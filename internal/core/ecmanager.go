@@ -102,16 +102,12 @@ func (m *ECManager) Code() (erasure.Code, error) {
 // PoolConfig builds the pool configuration for the profile.
 func (m *ECManager) PoolConfig() cluster.PoolConfig {
 	p := m.profile.Pool
-	d := p.D
-	if p.Plugin == "clay" && d == 0 {
-		d = p.K + p.M - 1
-	}
 	return cluster.PoolConfig{
 		Name:          p.Name,
 		Plugin:        p.Plugin,
 		K:             p.K,
 		M:             p.M,
-		D:             d,
+		D:             p.D,
 		PGNum:         p.PGNum,
 		StripeUnit:    p.StripeUnit,
 		FailureDomain: p.FailureDomain,

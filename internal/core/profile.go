@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/bluestore"
 	"repro/internal/erasure"
+	"repro/internal/erasure/codecache"
 )
 
 // Fault levels and localities (§3.2). Corruption extends the prototype's
@@ -163,18 +164,15 @@ func ClayProfile() Profile {
 // produce byte-identical clusters after the populate phase, so one can
 // run on a copy-on-write fork of the other's snapshot. Recovery-side
 // knobs — cache scheme and size, network bandwidth, faults, tuning — are
-// deliberately excluded. Fields are normalized the same way the EC
-// manager and cluster resolve them, so e.g. Clay with D=0 and D=k+m-1
-// share a key.
+// deliberately excluded. Fields are normalized the same way the cluster
+// and the code registry resolve them (D through codecache.Normalize), so
+// e.g. Clay with D=0 and D=k+m-1 share a key.
 func (p Profile) LayoutKey() string {
 	capGB := p.Cluster.DeviceCapacityGB
 	if capGB <= 0 {
 		capGB = 100
 	}
-	d := p.Pool.D
-	if p.Pool.Plugin == "clay" && d == 0 {
-		d = p.Pool.K + p.Pool.M - 1
-	}
+	d := codecache.Normalize(codecache.Spec{Plugin: p.Pool.Plugin, K: p.Pool.K, M: p.Pool.M, D: p.Pool.D}).D
 	fd := p.Pool.FailureDomain
 	if fd == "" {
 		fd = "host"

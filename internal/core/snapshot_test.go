@@ -55,13 +55,23 @@ func TestLayoutKeyGroupsCells(t *testing.T) {
 		}
 	}
 
-	// Normalization: Clay D=0 and D=k+m-1 share a key.
-	c1 := fastProfile()
-	c1.Pool.Plugin = "clay"
-	c2 := c1
-	c2.Pool.D = c2.Pool.K + c2.Pool.M - 1
-	if c1.LayoutKey() != c2.LayoutKey() {
-		t.Error("clay D normalization broken")
+	// Normalization: an implied D and its spelled-out default share a key
+	// (Clay k+m-1, LRC two groups, SHEC ceil(m/2)).
+	for _, pc := range []struct {
+		plugin  string
+		k, m, d int
+	}{
+		{"clay", base.Pool.K, base.Pool.M, base.Pool.K + base.Pool.M - 1},
+		{"lrc", base.Pool.K, base.Pool.M, 2},
+		{"shec", 9, 5, 3},
+	} {
+		c1 := fastProfile()
+		c1.Pool.Plugin, c1.Pool.K, c1.Pool.M = pc.plugin, pc.k, pc.m
+		c2 := c1
+		c2.Pool.D = pc.d
+		if c1.LayoutKey() != c2.LayoutKey() {
+			t.Errorf("%s D normalization broken: D=0 and D=%d differ", pc.plugin, pc.d)
+		}
 	}
 	// Failure domain "" and "host" share a key.
 	f1 := fastProfile()

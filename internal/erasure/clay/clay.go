@@ -66,8 +66,8 @@ type Clay struct {
 	//	uncoupleRow: U2 = C1/gamma + U1/gamma
 	pairRow, coupleRow, uncoupleRow *gf256.RowPlan
 
-	decodeLRU *kernel.LRU[*planeSolver]  // erased-node mask -> compiled plane solver
-	plans     *kernel.LRU[*erasure.Plan] // failed mask -> repair plan
+	decodeLRU *kernel.LRU[kernel.Mask, *planeSolver]  // erased-node mask -> compiled plane solver
+	plans     *kernel.LRU[kernel.Mask, *erasure.Plan] // failed mask -> repair plan
 }
 
 // New constructs a Clay(k+m, k, d) code. Only the repair-optimal
@@ -110,8 +110,8 @@ func New(k, m, d int) (*Clay, error) {
 		pairRow:     gf256.CompileRow([]byte{invG2, gf256.Mul(invG2, gamma)}),
 		coupleRow:   gf256.CompileRow([]byte{1, gamma}),
 		uncoupleRow: gf256.CompileRow([]byte{invG, invG}),
-		decodeLRU:   kernel.NewLRU[*planeSolver](kernel.DecodeCacheSize),
-		plans:       kernel.NewLRU[*erasure.Plan](kernel.DecodeCacheSize),
+		decodeLRU:   kernel.NewLRU[kernel.Mask, *planeSolver](kernel.DecodeCacheSize),
+		plans:       kernel.NewLRU[kernel.Mask, *erasure.Plan](kernel.DecodeCacheSize),
 	}
 	// Planes with digit(z, y) == x form q^y runs of q^(t-1-y) consecutive
 	// planes, q^(t-y) apart.

@@ -56,7 +56,7 @@ type Code struct {
 	gen     *gfmat.Matrix   // n x k, identity on the first k rows
 	enc     *kernel.Program // parity rows of gen, compiled once
 	local   func(lost []int) (helpers []int, rows [][]byte)
-	solvers *kernel.LRU[*solver] // erased mask -> solver
+	solvers *kernel.LRU[kernel.Mask, *solver] // erased mask -> solver
 }
 
 // NewCode wraps a systematic generator (n rows, k columns, n <= 256).
@@ -73,7 +73,7 @@ func NewCode(gen *gfmat.Matrix, local func(lost []int) (helpers []int, rows [][]
 	return &Code{
 		k: k, gen: gen, local: local,
 		enc:     kernel.Compile(parity),
-		solvers: kernel.NewLRU[*solver](kernel.DecodeCacheSize),
+		solvers: kernel.NewLRU[kernel.Mask, *solver](kernel.DecodeCacheSize),
 	}
 }
 

@@ -1,14 +1,12 @@
 // Package kernel compiles erasure-code matrices into executable coding
-// programs and provides the shared survivor-pattern cache used by the
-// matrix codecs.
+// programs and provides the repo's one bounded singleflight cache, LRU.
 //
 // A Program is a set of gf256 row plans compiled once from a generator or
 // decode matrix; Run executes it over stripe shards in cache-friendly
 // bands, optionally fanning contiguous shard ranges out over
-// parallel.ForEach. The LRU replaces the ad-hoc "wipe the map when it gets
-// big" pseudo-caches that previously lived in each codec: it has real
-// eviction order, a hard capacity, and an allocation-free lookup path
-// keyed by survivor bitmask.
+// parallel.ForEach. The LRU has real eviction order, a hard capacity, and
+// an allocation-free lookup path: the matrix codecs key it by survivor
+// bitmask (Mask), the experiments' snapshot cache by layout key.
 package kernel
 
 import (
@@ -75,26 +73,27 @@ func (m Mask) Count() int {
 const DecodeCacheSize = 1024
 
 // lruEntry is an intrusive doubly-linked node in recency order.
-type lruEntry[V any] struct {
-	key        Mask
+type lruEntry[K comparable, V any] struct {
+	key        K
 	val        V
-	prev, next *lruEntry[V]
+	prev, next *lruEntry[K, V]
 }
 
-// LRU is a bounded map from Mask keys to values with least-recently-used
-// eviction. It is safe for concurrent use. A GetOrCompute hit performs no
-// allocations, so cache hits on the decode hot path cost a mutex and a
-// map lookup. Misses fill singleflight-style: one goroutine computes
-// while concurrent callers for the same key wait for its result, so a
-// shared code instance never compiles the same program twice.
-type LRU[V any] struct {
+// LRU is a bounded map with least-recently-used eviction. It is safe for
+// concurrent use. A GetOrCompute hit performs no allocations, so cache
+// hits on the decode hot path (keyed by Mask) cost a mutex and a map
+// lookup. Misses fill singleflight-style: one goroutine computes while
+// concurrent callers for the same key wait for its result, so a shared
+// code instance never compiles the same program twice and concurrent
+// experiment cells never populate the same snapshot twice.
+type LRU[K comparable, V any] struct {
 	mu       sync.Mutex
 	capacity int
-	entries  map[Mask]*lruEntry[V]
-	head     *lruEntry[V] // most recently used
-	tail     *lruEntry[V] // least recently used
+	entries  map[K]*lruEntry[K, V]
+	head     *lruEntry[K, V] // most recently used
+	tail     *lruEntry[K, V] // least recently used
 
-	fills map[Mask]*fill[V] // in-flight GetOrCompute computations
+	fills map[K]*fill[V] // in-flight GetOrCompute computations
 }
 
 // fill tracks one in-flight computation. Waiters block on done; the
@@ -107,22 +106,22 @@ type fill[V any] struct {
 
 // NewLRU returns an LRU holding at most capacity entries. capacity < 1
 // panics.
-func NewLRU[V any](capacity int) *LRU[V] {
+func NewLRU[K comparable, V any](capacity int) *LRU[K, V] {
 	if capacity < 1 {
 		panic("kernel: LRU capacity must be positive")
 	}
-	return &LRU[V]{
+	return &LRU[K, V]{
 		capacity: capacity,
-		entries:  make(map[Mask]*lruEntry[V], capacity),
-		fills:    make(map[Mask]*fill[V]),
+		entries:  make(map[K]*lruEntry[K, V], capacity),
+		fills:    make(map[K]*fill[V]),
 	}
 }
 
 // insertLocked adds a key GetOrCompute has just filled — the fill it held
 // kept every other caller from inserting it — as most recently used, and
 // evicts the least recently used entry when over capacity.
-func (l *LRU[V]) insertLocked(key Mask, val V) {
-	e := &lruEntry[V]{key: key, val: val}
+func (l *LRU[K, V]) insertLocked(key K, val V) {
+	e := &lruEntry[K, V]{key: key, val: val}
 	l.entries[key] = e
 	l.pushFront(e)
 	if len(l.entries) > l.capacity {
@@ -142,7 +141,7 @@ var errComputePanicked = errors.New("kernel: cache fill panicked")
 // until it finishes, then share its result. Errors are not cached — a
 // later caller retries the computation. Values must be immutable, as one
 // value is returned to every caller.
-func (l *LRU[V]) GetOrCompute(key Mask, compute func() (V, error)) (V, error) {
+func (l *LRU[K, V]) GetOrCompute(key K, compute func() (V, error)) (V, error) {
 	l.mu.Lock()
 	if e, ok := l.entries[key]; ok {
 		l.moveToFront(e)
@@ -184,13 +183,13 @@ func (l *LRU[V]) GetOrCompute(key Mask, compute func() (V, error)) (V, error) {
 }
 
 // Len returns the current entry count.
-func (l *LRU[V]) Len() int {
+func (l *LRU[K, V]) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return len(l.entries)
 }
 
-func (l *LRU[V]) pushFront(e *lruEntry[V]) {
+func (l *LRU[K, V]) pushFront(e *lruEntry[K, V]) {
 	e.prev = nil
 	e.next = l.head
 	if l.head != nil {
@@ -202,7 +201,7 @@ func (l *LRU[V]) pushFront(e *lruEntry[V]) {
 	}
 }
 
-func (l *LRU[V]) unlink(e *lruEntry[V]) {
+func (l *LRU[K, V]) unlink(e *lruEntry[K, V]) {
 	if e.prev != nil {
 		e.prev.next = e.next
 	} else {
@@ -216,7 +215,7 @@ func (l *LRU[V]) unlink(e *lruEntry[V]) {
 	e.prev, e.next = nil, nil
 }
 
-func (l *LRU[V]) moveToFront(e *lruEntry[V]) {
+func (l *LRU[K, V]) moveToFront(e *lruEntry[K, V]) {
 	if l.head == e {
 		return
 	}

@@ -40,7 +40,7 @@ func TestMaskOutOfRangePanics(t *testing.T) {
 // the one entry point: a hit promotes, a fill evicts from the cold end,
 // and the eviction order reflects accesses rather than insertion alone.
 func TestLRUEvictionOrder(t *testing.T) {
-	l := NewLRU[int](3)
+	l := NewLRU[Mask, int](3)
 	// touch returns whether key i was cached, filling it when it was not.
 	touch := func(i int) bool {
 		hit := true
@@ -82,7 +82,7 @@ func TestLRUEvictionOrder(t *testing.T) {
 // not allocate, in particular the Mask key must not escape to the heap
 // the way the old fmt.Sprint keys did.
 func TestLRUGetAllocs(t *testing.T) {
-	l := NewLRU[*int](8)
+	l := NewLRU[Mask, *int](8)
 	v := 42
 	hit := MaskOf(1, 9, 17)
 	fill := func() (*int, error) { return &v, nil }
@@ -99,7 +99,7 @@ func TestLRUGetAllocs(t *testing.T) {
 }
 
 func TestLRUGetOrCompute(t *testing.T) {
-	l := NewLRU[int](2)
+	l := NewLRU[Mask, int](2)
 	calls := 0
 	f := func() (int, error) { calls++; return 7, nil }
 	for i := 0; i < 3; i++ {
@@ -116,7 +116,7 @@ func TestLRUGetOrCompute(t *testing.T) {
 // TestLRUGetOrComputeSingleflight: concurrent misses on one key run the
 // compute function exactly once; every caller receives the same value.
 func TestLRUGetOrComputeSingleflight(t *testing.T) {
-	l := NewLRU[*int](4)
+	l := NewLRU[Mask, *int](4)
 	var calls int32
 	started := make(chan struct{})
 	release := make(chan struct{})
@@ -160,7 +160,7 @@ func TestLRUGetOrComputeSingleflight(t *testing.T) {
 // TestLRUGetOrComputeErrorNotCached: a failed fill is retried by the next
 // caller rather than poisoning the key.
 func TestLRUGetOrComputeError(t *testing.T) {
-	l := NewLRU[int](2)
+	l := NewLRU[Mask, int](2)
 	calls := 0
 	boom := errors.New("boom")
 	fail := func() (int, error) { calls++; return 0, boom }
@@ -181,7 +181,7 @@ func TestLRUGetOrComputeError(t *testing.T) {
 // TestLRUGetOrComputePanic: a panicking fill propagates on the leader,
 // unblocks waiters with an error, and leaves the cache usable.
 func TestLRUGetOrComputePanic(t *testing.T) {
-	l := NewLRU[int](2)
+	l := NewLRU[Mask, int](2)
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -199,7 +199,7 @@ func TestLRUGetOrComputePanic(t *testing.T) {
 // TestLRUConcurrent drives mixed hits, misses and evictions (64 keys, 32
 // slots) from many goroutines; meaningful mostly under -race.
 func TestLRUConcurrent(t *testing.T) {
-	s := NewLRU[int](32)
+	s := NewLRU[Mask, int](32)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		w := w

@@ -61,7 +61,7 @@ func runProfiles(ps []core.Profile) ([]*core.Result, error) {
 	results := make([]*core.Result, len(ps))
 	errs := make([]error, len(ps))
 	parallel.ForEach(len(ps), parallel.Workers(), func(i int) {
-		results[i], errs[i] = engineCache.Run(ps[i])
+		results[i], errs[i] = engineCache.Load().Run(ps[i])
 	})
 	for _, err := range errs {
 		if err != nil {

@@ -1,9 +1,10 @@
 package experiments
 
 import (
-	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
+	"repro/internal/erasure/kernel"
 )
 
 // snapshotBound caps how many populated-cluster snapshots are kept alive
@@ -16,108 +17,59 @@ import (
 // so it is a constant.
 const snapshotBound = 16
 
-// snapshotEntry is one cached populate, guarded by a sync.Once so that
-// concurrent cells sharing a layout populate exactly one cluster between
-// them (singleflight) while the cache lock stays uncontended.
-type snapshotEntry struct {
-	once sync.Once
-	snap *core.Snapshot
-	err  error
-}
-
 // snapshotCache is a bounded LRU of populated-cluster snapshots keyed by
-// core.Profile.LayoutKey. It is shared across the parallel cell fan-out
-// of every experiment in the process. Snapshots carry no erasure codes:
-// forks look their pool's code up in the process-wide codecache registry,
-// so evicting a snapshot never discards compiled plans or programs.
+// core.Profile.LayoutKey, shared across the parallel cell fan-out of every
+// experiment in the process; the LRU's singleflight fill makes concurrent
+// cells sharing a layout populate exactly one cluster between them.
+// Snapshots carry no erasure codes: forks look their pool's code up in the
+// process-wide codecache registry, so evicting a snapshot never discards
+// compiled plans or programs.
 type snapshotCache struct {
-	mu      sync.Mutex
-	bound   int
-	entries map[string]*snapshotEntry
-	order   []string // LRU order: least recently used first
-
-	hits      int64
-	misses    int64
-	evictions int64
+	lru *kernel.LRU[string, *core.Snapshot]
+	// requests counts Run calls, populates the fills among them and
+	// failed the fills that returned an error (the LRU does not keep
+	// those); Stats derives everything else.
+	requests, populates, failed atomic.Int64
 }
 
-func newSnapshotCache() *snapshotCache {
-	return &snapshotCache{bound: snapshotBound, entries: map[string]*snapshotEntry{}}
-}
-
-// entry returns the cache slot for a layout key, creating and LRU-bumping
-// it under the lock. Population happens outside the lock via the entry's
-// once.
-func (c *snapshotCache) entry(key string) *snapshotEntry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[key]
-	if ok {
-		c.hits++
-		c.bump(key)
-		return e
-	}
-	c.misses++
-	e = &snapshotEntry{}
-	c.entries[key] = e
-	c.order = append(c.order, key)
-	for len(c.entries) > c.bound {
-		victim := c.order[0]
-		c.order = c.order[1:]
-		delete(c.entries, victim)
-		c.evictions++
-	}
-	return e
-}
-
-// bump moves a key to the most-recently-used end.
-func (c *snapshotCache) bump(key string) {
-	for i, k := range c.order {
-		if k == key {
-			c.order = append(append(c.order[:i:i], c.order[i+1:]...), key)
-			return
-		}
-	}
+func newSnapshotCache(bound int) *snapshotCache {
+	return &snapshotCache{lru: kernel.NewLRU[string, *core.Snapshot](bound)}
 }
 
 // Run executes one cell: fetch (or populate exactly once) the snapshot
-// for the profile's layout, then run the recovery side on a copy-on-write
-// fork.
+// for the profile's layout, then run the recovery side on a fork.
 func (c *snapshotCache) Run(p core.Profile) (*core.Result, error) {
-	e := c.entry(p.LayoutKey())
-	e.once.Do(func() {
-		e.snap, e.err = core.Populate(p)
+	c.requests.Add(1)
+	snap, err := c.lru.GetOrCompute(p.LayoutKey(), func() (*core.Snapshot, error) {
+		c.populates.Add(1)
+		s, err := core.Populate(p)
+		if err != nil {
+			c.failed.Add(1)
+		}
+		return s, err
 	})
-	if e.err != nil {
-		return nil, e.err
+	if err != nil {
+		return nil, err
 	}
-	return e.snap.Run(p)
+	return snap.Run(p)
 }
 
-// Reset drops every cached snapshot and zeroes the counters. Benchmarks
-// use it to measure cold-cache behavior.
-func (c *snapshotCache) Reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.entries = map[string]*snapshotEntry{}
-	c.order = nil
-	c.hits, c.misses, c.evictions = 0, 0, 0
-}
-
-// Stats returns (hits, misses, evictions) since the last Reset.
+// Stats returns (hits, misses, evictions): every populate is a miss, and
+// every successful one is either still cached or was evicted.
 func (c *snapshotCache) Stats() (int64, int64, int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses, c.evictions
+	misses := c.populates.Load()
+	return c.requests.Load() - misses, misses, misses - c.failed.Load() - int64(c.lru.Len())
 }
 
 // engineCache is the process-wide snapshot cache behind runProfiles.
-var engineCache = newSnapshotCache()
+var engineCache atomic.Pointer[snapshotCache]
 
-// ResetSnapshotCache clears the process-wide snapshot cache. Exposed for
-// benchmarks and tests.
-func ResetSnapshotCache() { engineCache.Reset() }
+func init() { ResetSnapshotCache() }
+
+// ResetSnapshotCache replaces the process-wide snapshot cache with an
+// empty one. Exposed for benchmarks and tests.
+func ResetSnapshotCache() { engineCache.Store(newSnapshotCache(snapshotBound)) }
 
 // SnapshotCacheStats returns (hits, misses, evictions) of the process-wide
 // snapshot cache since the last reset.
-func SnapshotCacheStats() (int64, int64, int64) { return engineCache.Stats() }
+func SnapshotCacheStats() (int64, int64, int64) { return engineCache.Load().Stats() }

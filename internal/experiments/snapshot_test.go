@@ -151,7 +151,7 @@ func TestForkMutationsDoNotLeakAcrossParallelCells(t *testing.T) {
 		fresh[i] = coldRun(t, p)
 	}
 
-	cache := newSnapshotCache()
+	cache := newSnapshotCache(snapshotBound)
 	const replicas = 4
 	n := len(schemes) * replicas
 	results := make([]*core.Result, n)
@@ -188,8 +188,7 @@ func TestForkMutationsDoNotLeakAcrossParallelCells(t *testing.T) {
 // TestSnapshotCacheBoundAndReset pins the LRU bound behavior on a cache
 // shrunk to one slot.
 func TestSnapshotCacheBoundAndReset(t *testing.T) {
-	c := newSnapshotCache()
-	c.bound = 1
+	c := newSnapshotCache(1)
 
 	a := goldenProfiles()[0].P // rs layout
 	b := a
@@ -212,12 +211,14 @@ func TestSnapshotCacheBoundAndReset(t *testing.T) {
 		t.Errorf("stats = %d/%d/%d hits/misses/evictions, want 1/3/2", hits, misses, evictions)
 	}
 
-	c.Reset()
-	hits, misses, evictions = c.Stats()
+	defer engineCache.Store(engineCache.Load())
+	engineCache.Store(c)
+	ResetSnapshotCache()
+	hits, misses, evictions = SnapshotCacheStats()
 	if hits != 0 || misses != 0 || evictions != 0 {
 		t.Error("reset did not clear stats")
 	}
-	if len(c.entries) != 0 || len(c.order) != 0 {
+	if engineCache.Load().lru.Len() != 0 {
 		t.Error("reset did not clear entries")
 	}
 }

@@ -2,30 +2,41 @@ package kvstore
 
 import "testing"
 
-func TestForkRequiresFreeze(t *testing.T) {
-	db := Open(1.3)
-	if _, err := db.Fork(); err == nil {
-		t.Fatal("Fork of unfrozen store should fail")
-	}
-	db.Freeze()
-	f, err := db.Fork()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Fork(); err == nil {
-		t.Fatal("Fork of a fork should fail")
-	}
-}
+// TestForkOfForkIsolation: a fork and a fork of that fork each keep the
+// entries and accounting they were taken with while the parent, the fork
+// and a sibling go on putting and deleting.
+func TestForkOfForkIsolation(t *testing.T) {
+	db := Open(1.35)
+	db.Put("a", []byte("alpha"))
+	db.Put("b", []byte("beta"))
+	f := db.Fork()
+	f.Put("c", []byte("gamma"))
+	ff, sibling := f.Fork(), db.Fork()
+	wal, logical := ff.WALBytes(), ff.LogicalBytes()
 
-func TestFrozenStorePanicsOnMutation(t *testing.T) {
-	db := Open(1)
-	db.Freeze()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Put on frozen store should panic")
+	// Every later mutation lands on someone else.
+	db.Put("a", []byte("ALPHA"))
+	db.Delete("b")
+	f.Put("c", []byte("GAMMA"))
+	f.Delete("a")
+	sibling.Put("b", []byte("BETA"))
+	sibling.Delete("a")
+
+	for k, want := range map[string]string{"a": "alpha", "b": "beta", "c": "gamma"} {
+		if v, ok := ff.Get(k); !ok || string(v) != want {
+			t.Fatalf("fork of fork %s=%q %v, want %q", k, v, ok, want)
 		}
-	}()
-	db.Put("k", []byte("v"))
+	}
+	if ff.Len() != 3 || ff.WALBytes() != wal || ff.LogicalBytes() != logical {
+		t.Fatalf("fork of fork accounting moved: Len %d WAL %d->%d logical %d->%d",
+			ff.Len(), wal, ff.WALBytes(), logical, ff.LogicalBytes())
+	}
+	if _, ok := f.Get("a"); ok {
+		t.Fatal("fork still sees its deleted a")
+	}
+	if v, _ := f.Get("b"); string(v) != "beta" {
+		t.Fatalf("fork b=%q, parent or sibling write leaked", v)
+	}
 }
 
 func TestForkIsolationAndAccounting(t *testing.T) {
@@ -33,16 +44,8 @@ func TestForkIsolationAndAccounting(t *testing.T) {
 	db.Put("a", []byte("alpha"))
 	db.Put("b", []byte("beta"))
 	db.PutAccounted(3, 100)
-	db.Freeze()
 
-	f1, err := db.Fork()
-	if err != nil {
-		t.Fatal(err)
-	}
-	f2, err := db.Fork()
-	if err != nil {
-		t.Fatal(err)
-	}
+	f1, f2 := db.Fork(), db.Fork()
 	if f1.Len() != db.Len() || f1.LogicalBytes() != db.LogicalBytes() ||
 		f1.WALBytes() != db.WALBytes() || f1.Footprint() != db.Footprint() {
 		t.Fatalf("fork accounting differs from parent")
@@ -75,42 +78,6 @@ func TestForkIsolationAndAccounting(t *testing.T) {
 	}
 }
 
-func TestForkScanMergesBase(t *testing.T) {
-	db := Open(1)
-	db.Put("p/1", []byte("one"))
-	db.Put("p/2", []byte("two"))
-	db.Put("q/1", []byte("other"))
-	db.Freeze()
-	f, _ := db.Fork()
-	f.Put("p/3", []byte("three"))
-	f.Put("p/1", []byte("ONE"))
-	f.Delete("p/2")
-
-	got := map[string]string{}
-	f.Scan("p/", func(k string, v []byte) bool {
-		if _, dup := got[k]; dup {
-			t.Fatalf("duplicate key %s in scan", k)
-		}
-		got[k] = string(v)
-		return true
-	})
-	want := map[string]string{"p/1": "ONE", "p/3": "three"}
-	if len(got) != len(want) {
-		t.Fatalf("scan got %v", got)
-	}
-	for k, v := range want {
-		if got[k] != v {
-			t.Fatalf("scan[%s]=%q want %q", k, got[k], v)
-		}
-	}
-	// Parent scan unchanged.
-	n := 0
-	db.Scan("p/", func(k string, v []byte) bool { n++; return true })
-	if n != 2 {
-		t.Fatalf("parent scan saw %d keys", n)
-	}
-}
-
 func TestForkReplayMatchesFresh(t *testing.T) {
 	// The same mutation history applied to a fork and to a fresh store
 	// that already contains the base entries must produce identical
@@ -123,12 +90,7 @@ func TestForkReplayMatchesFresh(t *testing.T) {
 	}
 	fresh := build()
 
-	parent := build()
-	parent.Freeze()
-	fork, err := parent.Fork()
-	if err != nil {
-		t.Fatal(err)
-	}
+	fork := build().Fork()
 
 	mutate := func(db *DB) {
 		db.Put("o/x", make([]byte, 600)) // overwrite

@@ -1,5 +1,5 @@
-// Package kvstore is a small ordered key-value store standing in for the
-// RocksDB instance embedded in BlueStore. Besides Get/Put/Delete/Scan it
+// Package kvstore is a small key-value store standing in for the
+// RocksDB instance embedded in BlueStore. Besides Get/Put/Delete it
 // tracks the quantities the write-amplification study needs: logical entry
 // bytes, cumulative WAL bytes (every mutation is journaled), and an
 // on-disk footprint that applies a configurable space-amplification factor
@@ -7,9 +7,7 @@
 package kvstore
 
 import (
-	"errors"
-	"sort"
-	"strings"
+	"maps"
 	"sync"
 )
 
@@ -17,20 +15,13 @@ import (
 // (sequence number, CRC, lengths).
 const perEntryOverhead = 24
 
-// DB is an ordered in-memory KV store with accounting.
+// DB is an in-memory KV store with accounting.
 type DB struct {
 	mu sync.RWMutex
 
+	// data may share its values with forks of this store; Put stores a
+	// private copy and nothing writes a stored value in place.
 	data map[string][]byte
-
-	// Copy-on-write fork state: base is the frozen parent's data map
-	// (shared, read-only), baseDeleted tombstones base keys that this
-	// fork deleted or shadowed with an overlay entry. Invariant:
-	// data ∩ base ⊆ baseDeleted, so Scan can merge the two maps without
-	// seeing a key twice. Nil base means a root store.
-	base        map[string][]byte
-	baseDeleted map[string]bool
-	frozen      bool
 
 	spaceAmp float64 // on-disk footprint multiplier, >= 1
 
@@ -49,53 +40,16 @@ func Open(spaceAmp float64) *DB {
 	return &DB{data: map[string][]byte{}, spaceAmp: spaceAmp}
 }
 
-// visibleLocked resolves a key through the overlay, then the
-// untombstoned base. Callers must hold db.mu (read or write).
-func (db *DB) visibleLocked(key string) ([]byte, bool) {
-	if v, ok := db.data[key]; ok {
-		return v, true
-	}
-	if db.base != nil && !db.baseDeleted[key] {
-		if v, ok := db.base[key]; ok {
-			return v, true
-		}
-	}
-	return nil, false
-}
-
-// tombstoneLocked hides a base-resident key from future lookups.
-// Callers must hold db.mu for writing.
-func (db *DB) tombstoneLocked(key string) {
-	if db.base == nil {
-		return
-	}
-	if _, ok := db.base[key]; !ok {
-		return
-	}
-	if db.baseDeleted == nil {
-		db.baseDeleted = map[string]bool{}
-	}
-	db.baseDeleted[key] = true
-}
-
-func (db *DB) mutableLocked(op string) {
-	if db.frozen {
-		panic("kvstore: " + op + " on frozen store (snapshot parent)")
-	}
-}
-
 // Put inserts or replaces a key.
 func (db *DB) Put(key string, value []byte) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	db.mutableLocked("Put")
 	entry := int64(len(key)+len(value)) + perEntryOverhead
 	db.walBytes += entry
-	if old, ok := db.visibleLocked(key); ok {
+	if old, ok := db.data[key]; ok {
 		db.logicalBytes -= int64(len(key)+len(old)) + perEntryOverhead
 	}
 	db.data[key] = append([]byte(nil), value...)
-	db.tombstoneLocked(key)
 	db.logicalBytes += entry
 	db.puts++
 }
@@ -104,7 +58,7 @@ func (db *DB) Put(key string, value []byte) {
 // lengths without materializing it. Bulk synthetic workloads store
 // millions of onode records whose bytes nobody ever reads back; this
 // keeps their WAL/logical/footprint arithmetic identical to Put at zero
-// allocation. The entry is invisible to Get/Scan/Len, so callers must
+// allocation. The entry is invisible to Get/Len, so callers must
 // pair it with DeleteAccounted rather than Delete.
 func (db *DB) PutAccounted(keyLen, valueLen int) {
 	db.PutAccountedN(int64(keyLen), int64(valueLen), 1)
@@ -115,7 +69,6 @@ func (db *DB) PutAccounted(keyLen, valueLen int) {
 func (db *DB) PutAccountedN(keyBytes, valueBytes, n int64) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	db.mutableLocked("PutAccountedN")
 	entry := keyBytes + valueBytes + n*perEntryOverhead
 	db.walBytes += entry
 	db.logicalBytes += entry
@@ -127,7 +80,6 @@ func (db *DB) PutAccountedN(keyBytes, valueBytes, n int64) {
 func (db *DB) DeleteAccounted(keyLen, valueLen int) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	db.mutableLocked("DeleteAccounted")
 	db.walBytes += int64(keyLen) + perEntryOverhead
 	db.logicalBytes -= int64(keyLen+valueLen) + perEntryOverhead
 	db.deletes++
@@ -137,7 +89,7 @@ func (db *DB) DeleteAccounted(keyLen, valueLen int) {
 func (db *DB) Get(key string) ([]byte, bool) {
 	db.mu.Lock()
 	db.gets++
-	v, ok := db.visibleLocked(key)
+	v, ok := db.data[key]
 	var out []byte
 	if ok {
 		out = append([]byte(nil), v...)
@@ -150,57 +102,19 @@ func (db *DB) Get(key string) ([]byte, bool) {
 func (db *DB) Delete(key string) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	db.mutableLocked("Delete")
 	db.walBytes += int64(len(key)) + perEntryOverhead
-	if old, ok := db.visibleLocked(key); ok {
+	if old, ok := db.data[key]; ok {
 		db.logicalBytes -= int64(len(key)+len(old)) + perEntryOverhead
 		delete(db.data, key)
-		db.tombstoneLocked(key)
 	}
 	db.deletes++
-}
-
-// Scan returns keys with the given prefix, sorted, calling fn for each.
-// Returning false from fn stops the scan.
-func (db *DB) Scan(prefix string, fn func(key string, value []byte) bool) {
-	db.mu.RLock()
-	keys := make([]string, 0, 16)
-	for k := range db.data {
-		if strings.HasPrefix(k, prefix) {
-			keys = append(keys, k)
-		}
-	}
-	// The overlay invariant guarantees base keys visible here are not
-	// also in data, so the merge cannot duplicate.
-	for k := range db.base {
-		if strings.HasPrefix(k, prefix) && !db.baseDeleted[k] {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	// Copy values under the lock, then release before the callbacks.
-	vals := make([][]byte, len(keys))
-	for i, k := range keys {
-		v, _ := db.visibleLocked(k)
-		vals[i] = append([]byte(nil), v...)
-	}
-	db.mu.RUnlock()
-	for i, k := range keys {
-		if !fn(k, vals[i]) {
-			return
-		}
-	}
 }
 
 // Len returns the number of live keys.
 func (db *DB) Len() int {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	n := len(db.data)
-	if db.base != nil {
-		n += len(db.base) - len(db.baseDeleted)
-	}
-	return n
+	return len(db.data)
 }
 
 // LogicalBytes is the size of live entries (keys + values + framing).
@@ -232,37 +146,19 @@ func (db *DB) Ops() (puts, gets, deletes int64) {
 	return db.puts, db.gets, db.deletes
 }
 
-// Freeze makes the store immutable so it can serve as a shared
-// copy-on-write base for forks. Mutations after Freeze panic (they
-// would corrupt every fork); reads keep working. Idempotent.
-func (db *DB) Freeze() {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.frozen = true
-}
-
-// Fork returns a writable copy-on-write child of a frozen store. The
-// child shares the parent's entries until it overwrites or deletes
-// them, and starts from a copy of the parent's accounting so WAL and
-// footprint deltas match a fresh store that replayed the same history.
-// Only single-level forking is supported.
-func (db *DB) Fork() (*DB, error) {
+// Fork returns an independent copy of the store: its entries and a copy
+// of its accounting, so WAL and footprint deltas match a fresh store that
+// replayed the same history.
+func (db *DB) Fork() *DB {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	if !db.frozen {
-		return nil, errors.New("kvstore: Fork of unfrozen store")
-	}
-	if db.base != nil {
-		return nil, errors.New("kvstore: Fork of forked store")
-	}
 	return &DB{
-		data:         map[string][]byte{},
-		base:         db.data,
+		data:         maps.Clone(db.data),
 		spaceAmp:     db.spaceAmp,
 		logicalBytes: db.logicalBytes,
 		walBytes:     db.walBytes,
 		puts:         db.puts,
 		deletes:      db.deletes,
 		gets:         db.gets,
-	}, nil
+	}
 }

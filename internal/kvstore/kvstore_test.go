@@ -35,37 +35,6 @@ func TestGetReturnsCopy(t *testing.T) {
 	}
 }
 
-func TestScanSortedPrefix(t *testing.T) {
-	db := Open(1)
-	db.Put("obj/3", []byte("c"))
-	db.Put("obj/1", []byte("a"))
-	db.Put("obj/2", []byte("b"))
-	db.Put("other/x", []byte("x"))
-	var keys []string
-	db.Scan("obj/", func(k string, v []byte) bool {
-		keys = append(keys, k)
-		return true
-	})
-	if len(keys) != 3 || keys[0] != "obj/1" || keys[1] != "obj/2" || keys[2] != "obj/3" {
-		t.Fatalf("keys = %v", keys)
-	}
-}
-
-func TestScanEarlyStop(t *testing.T) {
-	db := Open(1)
-	for i := 0; i < 10; i++ {
-		db.Put(fmt.Sprintf("k%02d", i), nil)
-	}
-	count := 0
-	db.Scan("k", func(string, []byte) bool {
-		count++
-		return count < 3
-	})
-	if count != 3 {
-		t.Fatalf("count = %d", count)
-	}
-}
-
 func TestAccounting(t *testing.T) {
 	db := Open(2.0)
 	db.Put("key", make([]byte, 100)) // 3 + 100 + 24 = 127

@@ -2,8 +2,9 @@
 # Repo-wide check: vet + build + tier-1 tests (the scale-1 golden of
 # cmd/ecbench included) + race audit of the concurrent packages + the
 # engine's ordering and gather fuzz smokes + the matrix codes' round-trip
-# fuzz smoke + the two input-surface fuzz smokes (fault lists, ceph.conf
-# text) + the benchmark module's self-test and smoke runs.
+# fuzz smoke + the store's naive-model fuzz smoke + the two input-surface
+# fuzz smokes (fault lists, ceph.conf text) + the benchmark module's
+# self-test and smoke runs.
 # Run from the repo root: ./scripts/check.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -19,10 +20,14 @@ go build ./...
 echo "== go test (tier 1, with the scale-1 golden) =="
 go test ./...
 
+# blockdev and kvstore are here because concurrent forks of one snapshot
+# clone their maps under the parent's lock.
 echo "== go test -race (concurrent packages + kernels) =="
 go test -race -count=1 \
     ./internal/gf256 \
     ./internal/erasure/... \
+    ./internal/blockdev \
+    ./internal/kvstore \
     ./internal/bluestore \
     ./internal/cluster \
     ./internal/experiments \
@@ -30,11 +35,12 @@ go test -race -count=1 \
     ./internal/parallel \
     ./internal/tuner
 
-echo "== fuzz smoke (simclock: same-instant FIFO, RunUntil slicing; simnet: gather == per-ship; matrix codes: decode/repair == CanRecover; inputs: fault lists and ceph.conf text are run or rejected, never a panic) =="
+echo "== fuzz smoke (simclock: same-instant FIFO, RunUntil slicing; simnet: gather == per-ship; matrix codes: decode/repair == CanRecover; bluestore: store == naive per-chunk model across forks; inputs: fault lists and ceph.conf text are run or rejected, never a panic) =="
 go test ./internal/simclock -run xxx -fuzz FuzzSimclockFIFO -fuzztime 10s
 go test ./internal/simclock -run xxx -fuzz FuzzRunUntilSlicing -fuzztime 10s
 go test ./internal/simnet -run xxx -fuzz FuzzGatherMatchesPerShip -fuzztime 10s
 go test ./internal/erasure/conformance -run xxx -fuzz FuzzMatrixCodeRoundTrip -fuzztime 10s
+go test ./internal/bluestore -run xxx -fuzz FuzzStoreMatchesNaiveModel -fuzztime 10s
 go test ./internal/core -run xxx -fuzz FuzzFaultSpecs -fuzztime 10s
 go test ./internal/cephconf -run xxx -fuzz FuzzParseApply -fuzztime 10s
 
