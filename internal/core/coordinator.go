@@ -1,16 +1,15 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"repro/internal/blockdev"
 	"repro/internal/cluster"
 	"repro/internal/iostat"
 	"repro/internal/logsys"
-	"repro/internal/msgbus"
 	"repro/internal/simclock"
 	"repro/internal/wamodel"
 	"repro/internal/workload"
@@ -50,53 +49,38 @@ type Result struct {
 }
 
 // Coordinator orchestrates all the activities in the target DSS:
-// configuration, virtual-disk provisioning, workload execution, fault
-// injection, and log collection (§3, Coordinator).
+// configuration, workload execution, fault injection, and log collection
+// (§3, Coordinator).
 type Coordinator struct {
 	mgr     *ECManager
 	cluster *cluster.Cluster
-	workers map[string]*Worker // started by DeviceWorker, on first use
-	loggers map[string]*logsys.NodeLogger
-	broker  *msgbus.Broker
 	sampler *iostat.Sampler
 
-	classifier *Classifier
+	// pending holds the classified log lines not yet collected, in the
+	// order the cluster logged them; dropped counts the lines since the
+	// last collect that matched no category.
+	pending []logsys.Entry
+	dropped int
 }
 
-// Classifier aliases the log classifier type for the public API.
-type Classifier = logsys.Classifier
-
 // NewCoordinator builds the experiment environment for a profile on a
-// freshly built root cluster: per-node Loggers, the message bus and the
-// iostat sampler. Workers start, and devices are exported over NVMe-oF,
-// when DeviceWorker first asks for them.
+// freshly built root cluster. Profiles run through core.Run, which forks;
+// this unforked path is the cold reference the fork tests compare with.
 func NewCoordinator(p Profile) (*Coordinator, error) {
 	return newCoordinator(p, cluster.New)
 }
 
 // newCoordinator is the one constructor of the environment around a
-// cluster. build turns the profile's cluster config, whose log sink feeds
-// the coordinator's per-node loggers, into the cluster under test:
-// cluster.New for a root cluster, a snapshot's Fork for a forked one.
+// cluster. build turns the profile's cluster config, whose log sink is
+// the coordinator's log, into the cluster under test: cluster.New for a
+// root cluster, a snapshot's Fork for a forked one.
 func newCoordinator(p Profile, build func(cluster.Config) (*cluster.Cluster, error)) (*Coordinator, error) {
 	mgr, err := NewECManager(p)
 	if err != nil {
 		return nil, err
 	}
-	co := &Coordinator{
-		mgr:        mgr,
-		workers:    map[string]*Worker{},
-		loggers:    map[string]*logsys.NodeLogger{},
-		broker:     msgbus.NewBroker(),
-		sampler:    iostat.NewSampler(),
-		classifier: logsys.DefaultClassifier(),
-	}
-	if err := co.broker.CreateTopic(logsys.Topic, 8); err != nil {
-		return nil, err
-	}
-	cfg, err := mgr.ClusterConfig(func(t simclock.Time, node, msg string) {
-		co.nodeLogger(node).Log(t, msg)
-	})
+	co := &Coordinator{mgr: mgr, sampler: iostat.NewSampler()}
+	cfg, err := mgr.ClusterConfig(co.log)
 	if err != nil {
 		return nil, err
 	}
@@ -113,34 +97,24 @@ func newCoordinator(p Profile, build func(cluster.Config) (*cluster.Cluster, err
 	return co, nil
 }
 
-func (co *Coordinator) nodeLogger(node string) *logsys.NodeLogger {
-	l, ok := co.loggers[node]
-	if !ok {
-		l = logsys.NewNodeLogger(node, co.classifier, co.broker)
-		co.loggers[node] = l
+// log is the cluster's log sink: it classifies a line where it is
+// emitted and keeps it for the timeline, or counts it as dropped.
+func (co *Coordinator) log(t simclock.Time, node, msg string) {
+	cat := logsys.Classify(msg)
+	if cat == logsys.CatOther {
+		co.dropped++
+		return
 	}
-	return l
+	co.pending = append(co.pending, logsys.Entry{Time: t, Node: node, Category: cat, Message: msg})
 }
 
 // Cluster exposes the cluster under test.
 func (co *Coordinator) Cluster() *cluster.Cluster { return co.cluster }
 
-// PoolConfig returns the pool configuration resolved from the profile,
-// for callers driving the cluster manually.
-func (co *Coordinator) PoolConfig() cluster.PoolConfig { return co.mgr.PoolConfig() }
-
-// Close releases worker resources.
-func (co *Coordinator) Close() {
-	for _, w := range co.workers {
-		_ = w.Close()
-	}
-}
-
 // Run executes the whole experiment cycle on the coordinator's own
-// cluster, unforked, and returns its measurements. It is the reference
-// the fork tests compare against; profiles run through core.Run.
+// cluster, unforked, and returns its measurements. It is the cold
+// reference the fork tests compare with; profiles run through core.Run.
 func (co *Coordinator) Run() (*Result, error) {
-	defer co.Close()
 	res, contents, err := co.populate()
 	if err != nil {
 		return nil, err
@@ -224,9 +198,7 @@ func (co *Coordinator) finish(res *Result, contents map[string][]byte) (*Result,
 			}
 		}
 	}
-	if err := co.collect(res); err != nil {
-		return nil, err
-	}
+	co.collect(res)
 	return res, nil
 }
 
@@ -246,19 +218,6 @@ func (co *Coordinator) round(specs []FaultSpec, res *Result) ([]PlannedFault, er
 	}
 	corruption, availability := false, false
 	for _, pf := range plans {
-		if pf.Spec.Level == FaultLevelDevice {
-			// Device faults go through the worker's NVMe-oF control
-			// path, exactly like nvmetcli removing a subsystem.
-			for _, id := range pf.OSDs {
-				w, err := co.DeviceWorker(id)
-				if err != nil {
-					return nil, fmt.Errorf("core: provisioning fault target osd.%d: %w", id, err)
-				}
-				if err := w.FailDevice(id); err != nil {
-					return nil, fmt.Errorf("core: failing device osd.%d: %w", id, err)
-				}
-			}
-		}
 		if pf.Spec.Level == FaultLevelCorruption {
 			corruption = true
 		} else {
@@ -302,57 +261,18 @@ func (co *Coordinator) round(specs []FaultSpec, res *Result) ([]PlannedFault, er
 	return plans, nil
 }
 
-// collect flushes every node's logger and merges what the bus has not yet
-// delivered into res.Timeline. Loggers flush in node-name order so the
-// collector's stable time-sort breaks same-timestamp ties the same way on
-// every run (and identically for fresh and forked clusters).
-func (co *Coordinator) collect(res *Result) error {
-	nodes := make([]string, 0, len(co.loggers))
-	for n := range co.loggers {
-		nodes = append(nodes, n)
-	}
-	sort.Strings(nodes)
-	for _, n := range nodes {
-		l := co.loggers[n]
-		if err := l.Flush(); err != nil {
-			return err
-		}
-		res.LogLinesShipped += l.ShippedLines
-		res.LogLinesDropped += l.DroppedLines
-	}
-	collector := logsys.NewCollector(co.broker, "coordinator")
-	if _, err := collector.Collect(); err != nil {
-		return err
-	}
-	res.Timeline = collector.Entries()
+// collect moves the log lines kept since the last collect into
+// res.Timeline, stable-sorted by time: same-instant entries stay in the
+// order the cluster logged them, which the deterministic engine fixes, so
+// fresh and forked clusters produce the same timeline.
+func (co *Coordinator) collect(res *Result) {
+	slices.SortStableFunc(co.pending, func(a, b logsys.Entry) int { return cmp.Compare(a.Time, b.Time) })
+	res.Timeline = co.pending
+	res.LogLinesShipped, res.LogLinesDropped = len(co.pending), co.dropped
+	// A fresh slice, not pending[:0]: the caller keeps res.Timeline (every
+	// schedule round holds its own).
+	co.pending, co.dropped = nil, 0
 	res.IOSamples = co.sampler.Samples()
-	return nil
-}
-
-// DeviceWorker returns the worker on the OSD's host with the OSD's device
-// exported through it, starting the worker and provisioning the device
-// the first time either is asked for. The paper routes devices over
-// NVMe-oF to control their state from outside the DSS; only the devices a
-// caller or a device-level fault takes control of pay the round trips.
-func (co *Coordinator) DeviceWorker(id int) (*Worker, error) {
-	if id < 0 || id >= len(co.cluster.OSDs()) {
-		return nil, fmt.Errorf("core: no osd.%d", id)
-	}
-	osd := co.cluster.OSD(id)
-	w := co.workers[osd.Host]
-	if w == nil {
-		var err error
-		if w, err = NewWorker(osd.Host); err != nil {
-			return nil, err
-		}
-		co.workers[osd.Host] = w
-	}
-	if !slices.Contains(w.Provisioned(), id) {
-		if err := w.Provision(id, osd.Store.Device()); err != nil {
-			return nil, err
-		}
-	}
-	return w, nil
 }
 
 // Run is the one-call entry point: populate a cluster for the profile,

@@ -3,9 +3,8 @@ package core
 import (
 	"errors"
 	"path/filepath"
-	"runtime"
+	"slices"
 	"testing"
-	"time"
 
 	"repro/internal/logsys"
 )
@@ -217,7 +216,6 @@ func TestFaultInjectorLocalities(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer co.Close()
 	if _, _, err := co.populate(); err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +266,6 @@ func TestFaultInjectorWhiteBoxGuard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer co.Close()
 	if _, _, err := co.populate(); err != nil {
 		t.Fatal(err)
 	}
@@ -287,99 +284,77 @@ func TestFaultInjectorWhiteBoxGuard(t *testing.T) {
 	}
 }
 
-// TestWorkerProvisioningAndDeviceFault pins provisioning on demand: a
-// worker starts and a device is exported over NVMe-oF when DeviceWorker
-// first asks, once, and a run starts exactly the workers its device
-// faults target.
-func TestWorkerProvisioningAndDeviceFault(t *testing.T) {
-	p := fastProfile()
-	co, err := NewCoordinator(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer co.Close()
-	if len(co.workers) != 0 {
-		t.Fatalf("fresh coordinator started %d workers", len(co.workers))
-	}
-	osd := co.Cluster().OSD(0)
-	w, err := co.DeviceWorker(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	again, err := co.DeviceWorker(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again != w || co.workers[osd.Host] != w || len(co.workers) != 1 {
-		t.Fatalf("second DeviceWorker(0) gave %p, first %p, %d workers", again, w, len(co.workers))
-	}
-	if ids := w.Provisioned(); len(ids) != 1 || ids[0] != 0 {
-		t.Fatalf("provisioned = %v, want [0]", ids)
-	}
-	if _, err := co.DeviceWorker(len(co.Cluster().OSDs())); err == nil {
-		t.Fatal("DeviceWorker accepted an OSD id outside the cluster")
-	}
-	if !w.DeviceAlive(0) {
-		t.Fatal("device should be alive after provisioning")
-	}
-	if err := w.FailDevice(0); err != nil {
-		t.Fatal(err)
-	}
-	if w.DeviceAlive(0) {
-		t.Fatal("device alive after subsystem removal")
-	}
-	if !osd.Store.Device().Removed() {
-		t.Fatal("backing device not removed")
-	}
-
-	// What a run starts: one worker per device-fault target, none for a
-	// node-level fault or a fault-free profile.
-	devFaults := []FaultSpec{{Level: FaultLevelDevice, Count: 2, Locality: LocalityDiffHosts, AtSeconds: 10}}
+// TestDeviceFaultRemovesItsTargets: a fault removes exactly the devices
+// it plans to, through the injector alone: a device-level fault its
+// targets, a node-level fault every device of the host, a fault-free run
+// none.
+func TestDeviceFaultRemovesItsTargets(t *testing.T) {
 	for _, tc := range []struct {
-		name    string
-		faults  []FaultSpec
-		workers int
+		name   string
+		faults []FaultSpec
 	}{
-		{"two device faults", devFaults, 2},
-		{"node fault", fastProfile().Faults, 0},
-		{"fault-free", nil, 0},
+		{"two device faults", []FaultSpec{{Level: FaultLevelDevice, Count: 2, Locality: LocalityDiffHosts, AtSeconds: 10}}},
+		{"node fault", fastProfile().Faults},
+		{"fault-free", nil},
 	} {
 		p := fastProfile()
 		p.Faults = tc.faults
-		run, err := NewCoordinator(p)
+		co, err := NewCoordinator(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, contents, err := run.populate()
-		if err == nil {
-			_, err = run.finish(res, contents)
-		}
+		res, contents, err := co.populate()
 		if err != nil {
-			run.Close()
+			t.Fatal(err)
+		}
+		plans, err := NewFaultInjector(co.Cluster(), p.Pool.Name).PlanAll(p.Faults)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := co.finish(res, contents); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if len(run.workers) != tc.workers {
-			t.Errorf("%s: run started %d workers, want %d", tc.name, len(run.workers), tc.workers)
+		var want, removed []int
+		for _, pf := range plans {
+			want = append(want, pf.OSDs...)
 		}
-		for host, w := range run.workers {
-			if ids := w.Provisioned(); len(ids) != 1 || !run.Cluster().OSD(ids[0]).Store.Device().Removed() {
-				t.Errorf("%s: worker %s exports %v, want its one failed device", tc.name, host, ids)
+		slices.Sort(want)
+		for _, osd := range co.Cluster().OSDs() {
+			if osd.Store.Device().Removed() {
+				removed = append(removed, osd.ID)
 			}
 		}
-		run.Close()
+		if !slices.Equal(removed, want) {
+			t.Fatalf("%s: removed devices %v, planned %v", tc.name, removed, want)
+		}
+		crush := co.Cluster().Crush()
+		switch tc.name {
+		case "two device faults":
+			if len(want) != 2 || crush.HostOf(want[0]) == crush.HostOf(want[1]) {
+				t.Fatalf("diff-hosts plan %v", want)
+			}
+		case "node fault":
+			host := slices.Clone(crush.OSDsOnHost(crush.HostOf(want[0])))
+			slices.Sort(host)
+			if !slices.Equal(want, host) {
+				t.Fatalf("node plan %v, the host holds %v", want, host)
+			}
+		}
 	}
+}
 
-	// No listener, association or serving goroutine outlives a Run.
-	baseline := runtime.NumGoroutine()
-	p.Faults = devFaults
-	if _, err := Run(p); err != nil {
-		t.Fatal(err)
+func TestECManagerRejectsInvalidProfile(t *testing.T) {
+	p := DefaultProfile()
+	p.Pool.K = 0
+	if _, err := NewECManager(p); err == nil {
+		t.Fatal("invalid profile accepted")
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > baseline {
-		t.Errorf("%d goroutines after Run, %d before", n, baseline)
+}
+
+func TestNewCoordinatorRejectsInvalidProfile(t *testing.T) {
+	p := DefaultProfile()
+	p.Workload.Objects = 0
+	if _, err := NewCoordinator(p); err == nil {
+		t.Fatal("invalid profile accepted")
 	}
 }

@@ -53,7 +53,6 @@ func TestFaultListPlansCumulatively(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer co.Close()
 	inj := NewFaultInjector(co.Cluster(), p.Pool.Name)
 	alone, err := inj.Plan(specs[0])
 	if err != nil {
@@ -103,7 +102,6 @@ func TestFaultListGuardedAsAWhole(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer co.Close()
 	pool, _ := co.Cluster().Pool(p.Pool.Name)
 	var acting []int
 	for _, pg := range pool.PGs {
@@ -131,11 +129,10 @@ func TestFaultListGuardedAsAWhole(t *testing.T) {
 	}
 }
 
-// TestRunScheduleDeviceRoundUsesWorker: a device-level schedule round is
-// the round a one-shot run performs, so it goes through the NVMe-oF
-// control path — a worker on the target's host, the device exported, the
-// subsystem removed — instead of flipping cluster state directly.
-func TestRunScheduleDeviceRoundUsesWorker(t *testing.T) {
+// TestRunScheduleDeviceRound: a device-level schedule round is the round
+// a one-shot run performs, so its target's device is removed, and each
+// round reports its own slice of the timeline and of iostat.
+func TestRunScheduleDeviceRound(t *testing.T) {
 	p := fastProfile()
 	p.Faults = nil
 	s, err := Populate(p)
@@ -146,7 +143,6 @@ func TestRunScheduleDeviceRoundUsesWorker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer co.Close()
 	res, err := co.runSchedule(Schedule{
 		GapSeconds: 30,
 		Rounds: []FaultSpec{
@@ -158,16 +154,8 @@ func TestRunScheduleDeviceRoundUsesWorker(t *testing.T) {
 		t.Fatal(err)
 	}
 	target := res.Rounds[0].Plan.OSDs[0]
-	host := co.Cluster().OSD(target).Host
-	w := co.workers[host]
-	if w == nil || len(co.workers) != 1 {
-		t.Fatalf("workers after a device round and a node round: %d, on %s: %v", len(co.workers), host, w)
-	}
-	if !slices.Contains(w.Provisioned(), target) {
-		t.Fatalf("osd.%d not provisioned through its worker: %v", target, w.Provisioned())
-	}
-	if w.DeviceAlive(target) || len(w.target.Subsystems()) != 0 {
-		t.Fatalf("osd.%d's subsystem still exported: %v", target, w.target.Subsystems())
+	if !co.Cluster().OSD(target).Store.Device().Removed() {
+		t.Fatalf("osd.%d's device not removed by its device round", target)
 	}
 	// Each round reports its own slice of the timeline and of iostat.
 	for i, r := range res.Rounds {

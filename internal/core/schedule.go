@@ -67,7 +67,6 @@ func RunSchedule(p Profile, sched Schedule) (*ScheduleResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer co.Close()
 	return co.runSchedule(sched)
 }
 
@@ -87,9 +86,7 @@ func (co *Coordinator) runSchedule(sched Schedule) (*ScheduleResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: round %d: %w", round, err)
 		}
-		if err := co.collect(res); err != nil {
-			return nil, err
-		}
+		co.collect(res)
 		out.TotalRepairedChunks += res.RepairedInconsistent
 		if res.Recovery != nil {
 			out.TotalRepairedChunks += res.Recovery.RepairedChunks

@@ -2,20 +2,12 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cluster"
-	"repro/internal/simclock"
+	"repro/internal/logsys"
 	"repro/internal/wamodel"
 )
-
-// replayLine is one framework log line recorded during the populate
-// phase, replayed into every fork's log pipeline so forked runs ship the
-// same timeline a fresh run would.
-type replayLine struct {
-	t    simclock.Time
-	node string
-	msg  string
-}
 
 // Snapshot is a populated experiment environment captured after the
 // workload phase: the frozen cluster image plus the populate-phase
@@ -31,7 +23,8 @@ type Snapshot struct {
 	used     int64
 	wa       wamodel.Report
 	contents map[string][]byte // payload bytes, read-only
-	logs     []replayLine
+	logs     []logsys.Entry    // populate-phase log lines, classified
+	dropped  int
 }
 
 // LayoutKey returns the layout hash of the profile the snapshot was
@@ -49,28 +42,25 @@ func Populate(p Profile) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Snapshot{profile: p, layoutKey: p.LayoutKey()}
-	recorder := func(t simclock.Time, node, msg string) {
-		s.logs = append(s.logs, replayLine{t: t, node: node, msg: msg})
-	}
-	cfg, err := mgr.ClusterConfig(recorder)
+	co := &Coordinator{mgr: mgr}
+	cfg, err := mgr.ClusterConfig(co.log)
 	if err != nil {
 		return nil, err
 	}
-	cl, err := cluster.New(cfg)
-	if err != nil {
+	if co.cluster, err = cluster.New(cfg); err != nil {
 		return nil, err
 	}
-	co := &Coordinator{mgr: mgr, cluster: cl}
 	res, contents, err := co.populate()
 	if err != nil {
 		return nil, err
 	}
-	s.snap = cl.Snapshot()
+	s := &Snapshot{profile: p, layoutKey: p.LayoutKey()}
+	s.snap = co.cluster.Snapshot()
 	s.written = res.WrittenBytes
 	s.used = res.UsedBytes
 	s.wa = res.WA
 	s.contents = contents
+	s.logs, s.dropped = co.pending, co.dropped
 	return s, nil
 }
 
@@ -84,14 +74,13 @@ func (s *Snapshot) Run(p Profile) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer co.Close()
 	res := &Result{Profile: p, WrittenBytes: s.written, UsedBytes: s.used, WA: s.wa}
 	return co.finish(res, s.contents)
 }
 
 // coordinator builds the experiment environment around a fresh fork of
-// the snapshot, with the populate-phase log lines replayed so the fork's
-// shipped timeline matches an unforked run's.
+// the snapshot, holding a copy of the populate-phase log lines so the
+// fork's timeline matches an unforked run's.
 func (s *Snapshot) coordinator(p Profile) (*Coordinator, error) {
 	if key := p.LayoutKey(); key != s.layoutKey {
 		return nil, fmt.Errorf("core: profile %q layout %s does not match snapshot layout %s", p.Name, key[:12], s.layoutKey[:12])
@@ -100,8 +89,6 @@ func (s *Snapshot) coordinator(p Profile) (*Coordinator, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, rl := range s.logs {
-		co.nodeLogger(rl.node).Log(rl.t, rl.msg)
-	}
+	co.pending, co.dropped = slices.Clone(s.logs), s.dropped
 	return co, nil
 }

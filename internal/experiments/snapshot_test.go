@@ -32,8 +32,7 @@ func recoveryGolden(res *core.Result) timelineGolden {
 func renderTimeline(entries []logsys.Entry) string {
 	var b strings.Builder
 	for _, e := range entries {
-		b.WriteString(logsys.FormatLine(e.Time, e.Node, e.Category+" "+e.Message))
-		b.WriteByte('\n')
+		fmt.Fprintf(&b, "%d %s %s %s\n", int64(e.Time), e.Node, e.Category, e.Message)
 	}
 	return b.String()
 }

@@ -1,23 +1,15 @@
-// Package logsys implements ECFault's Logger component (§3.3): per-node
-// loggers parse raw log lines locally, classify entries by keyword, ship
-// only the relevant ones to the Coordinator over the message bus, and the
-// Coordinator merges them into a globally time-sorted stream for
-// fine-grained analysis such as the recovery timeline of Figure 3.
+// Package logsys is ECFault's log classification (§3.3): every framework
+// log line is classified by keyword the moment the cluster emits it, lines
+// matching no keyword are dropped, and the rest become the entries of the
+// Coordinator's time-sorted timeline, such as the recovery timeline of
+// Figure 3.
 package logsys
 
 import (
-	"fmt"
-	"sort"
-	"strconv"
 	"strings"
-	"time"
 
-	"repro/internal/msgbus"
 	"repro/internal/simclock"
 )
-
-// Topic is the bus topic classified entries are shipped on.
-const Topic = "ecfault-logs"
 
 // Entry is one classified log event.
 type Entry struct {
@@ -25,12 +17,6 @@ type Entry struct {
 	Node     string
 	Category string
 	Message  string
-}
-
-// Classifier maps keywords to categories; lines matching no keyword are
-// classified as "other" and not shipped.
-type Classifier struct {
-	keywords map[string]string // lowercase keyword -> category
 }
 
 // Categories used across the framework.
@@ -44,206 +30,32 @@ const (
 	CatOther     = "other"
 )
 
-// DefaultClassifier covers the keyword set the paper lists (decoding,
-// failure, recovery, ...) plus the checking-period events of Figure 3.
-func DefaultClassifier() *Classifier {
-	return &Classifier{keywords: map[string]string{
-		"decode":    CatDecoding,
-		"decoding":  CatDecoding,
-		"failure":   CatFailure,
-		"failed":    CatFailure,
-		"down":      CatFailure,
-		"recovery":  CatRecovery,
-		"recovered": CatRecovery,
-		"backfill":  CatRecovery,
-		"heartbeat": CatHeartbeat,
-		"peering":   CatPeering,
-		"missing":   CatPeering,
-		"queueing":  CatPeering,
-		"iostat":    CatIO,
-		"read":      CatIO,
-		"write":     CatIO,
-	}}
+// keywords covers the keyword set the paper lists (decoding, failure,
+// recovery, ...) plus the checking-period events of Figure 3, in priority
+// order: a line takes the category of the first row with a keyword it
+// contains, so the more specific category wins when several match.
+var keywords = []struct {
+	cat   string
+	words []string
+}{
+	{CatRecovery, []string{"recovery", "recovered", "backfill"}},
+	{CatDecoding, []string{"decode", "decoding"}},
+	{CatFailure, []string{"failure", "failed", "down"}},
+	{CatPeering, []string{"peering", "missing", "queueing"}},
+	{CatHeartbeat, []string{"heartbeat"}},
+	{CatIO, []string{"iostat", "read", "write"}},
 }
 
-// Classify returns the category of a log line.
-func (c *Classifier) Classify(line string) string {
+// Classify returns the category of a log line, CatOther if no keyword
+// matches.
+func Classify(line string) string {
 	lower := strings.ToLower(line)
-	// Prefer more specific categories when several keywords match, in a
-	// fixed priority order.
-	priority := []string{CatRecovery, CatDecoding, CatFailure, CatPeering, CatHeartbeat, CatIO}
-	matched := map[string]bool{}
-	for kw, cat := range c.keywords {
-		if strings.Contains(lower, kw) {
-			matched[cat] = true
-		}
-	}
-	for _, cat := range priority {
-		if matched[cat] {
-			return cat
+	for _, row := range keywords {
+		for _, kw := range row.words {
+			if strings.Contains(lower, kw) {
+				return row.cat
+			}
 		}
 	}
 	return CatOther
-}
-
-// FormatLine renders an entry as the raw on-node log format.
-func FormatLine(t simclock.Time, node, msg string) string {
-	return fmt.Sprintf("%d %s %s", int64(t), node, msg)
-}
-
-// ParseLine parses the raw on-node log format.
-func ParseLine(line string) (simclock.Time, string, string, error) {
-	parts := strings.SplitN(line, " ", 3)
-	if len(parts) != 3 {
-		return 0, "", "", fmt.Errorf("logsys: malformed line %q", line)
-	}
-	ns, err := strconv.ParseInt(parts[0], 10, 64)
-	if err != nil {
-		return 0, "", "", fmt.Errorf("logsys: bad timestamp in %q: %w", line, err)
-	}
-	return simclock.Time(ns), parts[1], parts[2], nil
-}
-
-// NodeLogger accumulates raw lines on one node and ships classified
-// entries to the broker on Flush, mirroring the local parse-first design
-// that reduces log network traffic.
-type NodeLogger struct {
-	node       string
-	classifier *Classifier
-	broker     *msgbus.Broker
-	raw        []string
-
-	// ShippedLines and DroppedLines count the traffic reduction.
-	ShippedLines int
-	DroppedLines int
-}
-
-// NewNodeLogger creates a logger for one node.
-func NewNodeLogger(node string, classifier *Classifier, broker *msgbus.Broker) *NodeLogger {
-	return &NodeLogger{node: node, classifier: classifier, broker: broker}
-}
-
-// Log records a raw line at the given simulated time.
-func (l *NodeLogger) Log(t simclock.Time, msg string) {
-	l.raw = append(l.raw, FormatLine(t, l.node, msg))
-}
-
-// Logf records a formatted raw line.
-func (l *NodeLogger) Logf(t simclock.Time, format string, args ...any) {
-	l.Log(t, fmt.Sprintf(format, args...))
-}
-
-// Flush classifies buffered lines and produces the relevant ones to the
-// bus, keyed by node so one node's entries stay ordered in a partition.
-func (l *NodeLogger) Flush() error {
-	for _, line := range l.raw {
-		_, _, msg, err := ParseLine(line)
-		if err != nil {
-			return err
-		}
-		cat := l.classifier.Classify(msg)
-		if cat == CatOther {
-			l.DroppedLines++
-			continue
-		}
-		value := cat + "\x00" + line
-		if _, _, err := l.broker.Produce(Topic, []byte(l.node), []byte(value)); err != nil {
-			return err
-		}
-		l.ShippedLines++
-	}
-	l.raw = l.raw[:0]
-	return nil
-}
-
-// Collector is the Coordinator-side consumer that merges entries from all
-// partitions into one time-sorted stream.
-type Collector struct {
-	broker *msgbus.Broker
-	group  string
-	merged []Entry
-}
-
-// NewCollector creates a collector consuming as the given group.
-func NewCollector(broker *msgbus.Broker, group string) *Collector {
-	return &Collector{broker: broker, group: group}
-}
-
-// Collect drains all partitions and merges new entries into the sorted
-// stream. It returns the number of new entries.
-func (c *Collector) Collect() (int, error) {
-	parts, err := c.broker.Partitions(Topic)
-	if err != nil {
-		return 0, err
-	}
-	added := 0
-	for p := 0; p < parts; p++ {
-		for {
-			recs, err := c.broker.ConsumeGroup(c.group, Topic, p, 1024)
-			if err != nil {
-				return added, err
-			}
-			if len(recs) == 0 {
-				break
-			}
-			for _, r := range recs {
-				cat, line, ok := strings.Cut(string(r.Value), "\x00")
-				if !ok {
-					return added, fmt.Errorf("logsys: malformed bus record %q", r.Value)
-				}
-				ts, node, msg, err := ParseLine(line)
-				if err != nil {
-					return added, err
-				}
-				c.merged = append(c.merged, Entry{Time: ts, Node: node, Category: cat, Message: msg})
-				added++
-			}
-		}
-	}
-	sort.SliceStable(c.merged, func(i, j int) bool { return c.merged[i].Time < c.merged[j].Time })
-	return added, nil
-}
-
-// Entries returns the merged, time-sorted entries.
-func (c *Collector) Entries() []Entry { return c.merged }
-
-// First returns the earliest entry whose message contains substr
-// (any category if cat == "").
-func (c *Collector) First(cat, substr string) (Entry, bool) {
-	for _, e := range c.merged {
-		if cat != "" && e.Category != cat {
-			continue
-		}
-		if substr != "" && !strings.Contains(e.Message, substr) {
-			continue
-		}
-		return e, true
-	}
-	return Entry{}, false
-}
-
-// Last returns the latest matching entry.
-func (c *Collector) Last(cat, substr string) (Entry, bool) {
-	for i := len(c.merged) - 1; i >= 0; i-- {
-		e := c.merged[i]
-		if cat != "" && e.Category != cat {
-			continue
-		}
-		if substr != "" && !strings.Contains(e.Message, substr) {
-			continue
-		}
-		return e, true
-	}
-	return Entry{}, false
-}
-
-// Duration between the first match of (catA, subA) and the last match of
-// (catB, subB); ok is false if either end is missing.
-func (c *Collector) Duration(catA, subA, catB, subB string) (time.Duration, bool) {
-	a, okA := c.First(catA, subA)
-	b, okB := c.Last(catB, subB)
-	if !okA || !okB || b.Time < a.Time {
-		return 0, false
-	}
-	return b.Time - a.Time, true
 }

@@ -1,23 +1,8 @@
 package logsys
 
-import (
-	"testing"
-	"time"
-
-	"repro/internal/msgbus"
-)
-
-func setup(t *testing.T) (*msgbus.Broker, *Classifier) {
-	t.Helper()
-	b := msgbus.NewBroker()
-	if err := b.CreateTopic(Topic, 4); err != nil {
-		t.Fatal(err)
-	}
-	return b, DefaultClassifier()
-}
+import "testing"
 
 func TestClassify(t *testing.T) {
-	c := DefaultClassifier()
 	cases := []struct{ line, want string }{
 		{"osd.3 start recovery I/O", CatRecovery},
 		{"decoding stripe 17", CatDecoding},
@@ -30,120 +15,8 @@ func TestClassify(t *testing.T) {
 		{"heartbeat during recovery window", CatRecovery},
 	}
 	for _, tc := range cases {
-		if got := c.Classify(tc.line); got != tc.want {
+		if got := Classify(tc.line); got != tc.want {
 			t.Errorf("Classify(%q) = %s, want %s", tc.line, got, tc.want)
 		}
-	}
-}
-
-func TestFormatParseRoundTrip(t *testing.T) {
-	line := FormatLine(1500*time.Millisecond, "osd.7", "start recovery now")
-	ts, node, msg, err := ParseLine(line)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ts != 1500*time.Millisecond || node != "osd.7" || msg != "start recovery now" {
-		t.Fatalf("parsed %v %q %q", ts, node, msg)
-	}
-	if _, _, _, err := ParseLine("garbage"); err == nil {
-		t.Fatal("malformed line accepted")
-	}
-	if _, _, _, err := ParseLine("notanumber node msg"); err == nil {
-		t.Fatal("bad timestamp accepted")
-	}
-}
-
-func TestFlushShipsOnlyRelevant(t *testing.T) {
-	b, cls := setup(t)
-	l := NewNodeLogger("osd.1", cls, b)
-	l.Log(time.Second, "start recovery")
-	l.Log(2*time.Second, "totally irrelevant noise")
-	l.Log(3*time.Second, "decoding chunk")
-	if err := l.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if l.ShippedLines != 2 || l.DroppedLines != 1 {
-		t.Fatalf("shipped=%d dropped=%d", l.ShippedLines, l.DroppedLines)
-	}
-	// Second flush ships nothing (buffer cleared).
-	if err := l.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if l.ShippedLines != 2 {
-		t.Fatal("flush re-shipped lines")
-	}
-}
-
-func TestCollectorMergesAndSorts(t *testing.T) {
-	b, cls := setup(t)
-	l1 := NewNodeLogger("osd.1", cls, b)
-	l2 := NewNodeLogger("mgr", cls, b)
-	l1.Log(5*time.Second, "recovery completed")
-	l2.Log(1*time.Second, "osd.1 failure detected")
-	l2.Log(3*time.Second, "receiving heartbeats")
-	_ = l1.Flush()
-	_ = l2.Flush()
-
-	col := NewCollector(b, "coord")
-	n, err := col.Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 3 {
-		t.Fatalf("collected %d", n)
-	}
-	es := col.Entries()
-	if es[0].Time != time.Second || es[1].Time != 3*time.Second || es[2].Time != 5*time.Second {
-		t.Fatalf("not time-sorted: %+v", es)
-	}
-	if es[0].Category != CatFailure || es[2].Category != CatRecovery {
-		t.Fatalf("categories: %+v", es)
-	}
-}
-
-func TestCollectorIncremental(t *testing.T) {
-	b, cls := setup(t)
-	l := NewNodeLogger("osd.1", cls, b)
-	l.Log(time.Second, "failure on device")
-	_ = l.Flush()
-	col := NewCollector(b, "g")
-	if n, _ := col.Collect(); n != 1 {
-		t.Fatalf("first collect = %d", n)
-	}
-	l.Log(2*time.Second, "recovery started")
-	_ = l.Flush()
-	if n, _ := col.Collect(); n != 1 {
-		t.Fatal("incremental collect wrong")
-	}
-	if len(col.Entries()) != 2 {
-		t.Fatal("merged stream wrong length")
-	}
-}
-
-func TestFirstLastDuration(t *testing.T) {
-	b, cls := setup(t)
-	l := NewNodeLogger("mgr", cls, b)
-	l.Log(0, "osd.2 failure detected")
-	l.Log(602*time.Second, "start recovery I/O")
-	l.Log(1128*time.Second, "recovery completed")
-	_ = l.Flush()
-	col := NewCollector(b, "g")
-	if _, err := col.Collect(); err != nil {
-		t.Fatal(err)
-	}
-	first, ok := col.First(CatFailure, "")
-	if !ok || first.Time != 0 {
-		t.Fatalf("first failure: %+v ok=%v", first, ok)
-	}
-	last, ok := col.Last(CatRecovery, "completed")
-	if !ok || last.Time != 1128*time.Second {
-		t.Fatalf("last recovery: %+v", last)
-	}
-	d, ok := col.Duration(CatFailure, "", CatRecovery, "completed")
-	if !ok || d != 1128*time.Second {
-		t.Fatalf("duration = %v ok=%v", d, ok)
-	}
-	if _, ok := col.First("nope", ""); ok {
-		t.Fatal("found entry for unknown category")
 	}
 }

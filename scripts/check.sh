@@ -3,8 +3,8 @@
 # cmd/ecbench included) + race audit of the concurrent packages + the
 # engine's ordering and gather fuzz smokes + the matrix codes' round-trip
 # fuzz smoke + the store's naive-model fuzz smoke + the two input-surface
-# fuzz smokes (fault lists, ceph.conf text) + the benchmark module's
-# self-test and smoke runs.
+# fuzz smokes (fault lists, ceph.conf text) + a run of every example, each
+# of which must exit 0 + the benchmark module's self-test and smoke runs.
 # Run from the repo root: ./scripts/check.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -14,6 +14,14 @@ go vet ./...
 
 echo "== go build =="
 go build ./...
+
+# An example that is only compiled can silently lie. Each one runs in well
+# under a second and exits non-zero when a step or one of its own checks
+# fails (a bit-exact decode, a verified payload).
+echo "== examples (each must exit 0) =="
+for e in examples/*/; do
+    go run "./$e" >/dev/null
+done
 
 # No -short here: cmd/ecbench's TestScale1Golden hashes the full-scale
 # evaluation (about 2 s) and -short would skip it.
