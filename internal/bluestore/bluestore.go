@@ -393,6 +393,21 @@ func (s *Store) WriteChunk(id ChunkID, size, objectShare int64, payload []byte) 
 	return nil
 }
 
+// Reserve sizes the overlay for n more chunks written one at a time, so a
+// store that is about to receive them — a recovery target — does not
+// regrow the map on the way. It changes no visible state.
+func (s *Store) Reserve(n int) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.mutableLocked("Reserve"); err != nil {
+		return err
+	}
+	chunks := make(map[ChunkID]chunkInfo, len(s.chunks)+n)
+	maps.Copy(chunks, s.chunks)
+	s.chunks = chunks
+	return nil
+}
+
 // WriteChunksBulk ingests shard `shard` of every object of a bulk-loaded
 // PG as one base run: byte-for-byte the same device, KV and metadata
 // accounting as calling WriteChunk(id, ChunkSize, Size/shards, nil) per

@@ -2,6 +2,7 @@ package bluestore
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"repro/internal/blockdev"
@@ -84,8 +85,11 @@ func TestFrozenStoreRejectsWrites(t *testing.T) {
 	if err := s.DeleteChunk(cid("c1")); err == nil {
 		t.Fatal("DeleteChunk on frozen store should fail")
 	}
+	if err := s.Reserve(100); err == nil || !strings.Contains(err.Error(), "Reserve on frozen store") {
+		t.Fatalf("Reserve on frozen store: %v, want the frozen-store error", err)
+	}
 	// Reads still work.
-	if !s.HasChunk(cid("c1")) {
+	if s.Chunks() != 1 || !s.HasChunk(cid("c1")) {
 		t.Fatal("frozen store lost c1")
 	}
 	if _, _, err := s.ReadChunk(cid("c1")); err != nil {

@@ -173,7 +173,7 @@ func (w *modelWorld) step(op, a, b byte) {
 	refuses := w.frozen() && target == 0
 	sizes := []int64{100, 4096, 5000, 600 << 10}
 
-	switch op % 9 {
+	switch op % 10 {
 	case 0: // bulk load: a few new objects into one (PG, shard), runs pile up
 		pg, shard := 9+int(a)%2, int(a>>1)%2
 		var recs []ObjectRecord
@@ -292,6 +292,10 @@ func (w *modelWorld) step(op, a, b byte) {
 			w.oracles = append(w.oracles, o.fork())
 		}
 		s.Freeze() // idempotent
+	case 9: // size the overlay ahead of writes: invisible, so the oracle ignores it
+		if err := s.Reserve(int(b)); (err != nil) != refuses {
+			t.Fatalf("Reserve(%d): err %v, frozen %v", b, err, refuses)
+		}
 	}
 }
 
@@ -360,7 +364,9 @@ var modelSeedPrograms = [][]byte{
 	{0, 0, 0, 4, 0, 0, 3, 1, 1, 5, 1, 1, 2, 2, 1, 3, 3, 5, 4, 5, 7, 5, 5, 7, 6, 6, 3, 7, 0, 9,
 		8, 0, 0, 1, 65, 1, 2, 66, 2, 3, 67, 3, 4, 69, 5, 5, 69, 5, 0, 64, 2,
 		1, 129, 1, 2, 130, 2, 3, 131, 3, 4, 133, 5, 5, 133, 5, 0, 128, 2, 1, 1, 1, 3, 2, 2},
-	{1, 8, 0, 0, 0, 64, 3, 0, 128, 4, 3, 65, 0, 3, 129, 0},
+	// freeze, load and delete on both forks, then Reserve on the parent
+	// (refused) and on fork 1 ahead of a write
+	{1, 8, 0, 0, 0, 64, 3, 0, 128, 4, 3, 65, 0, 3, 129, 0, 9, 0, 7, 9, 65, 200, 1, 65, 9},
 	{2, 0, 3, 4, 2, 4, 9, 3, 1, 0, 1, 1, 0, 8, 0, 0, 2, 65, 0, 2, 130, 0, 6, 65, 0, 6, 130, 0},
 }
 

@@ -268,6 +268,22 @@ func (c *Cluster) ScheduleRecovery(poolName string) (*RecoveryResult, error) {
 	for id, bytes := range readPerOSD {
 		c.osds[id].Store.SetDataWorkingSet(bytes)
 	}
+	// Each target receives one chunk per object of every PG it repairs:
+	// size its overlay for them once instead of growing it write by write.
+	targetChunks := make([]int, len(c.osds))
+	for _, w := range work {
+		for _, id := range w.targets {
+			targetChunks[id] += len(w.pg.Objects)
+		}
+	}
+	for id, n := range targetChunks {
+		if n == 0 {
+			continue
+		}
+		if err := c.osds[id].Store.Reserve(n); err != nil {
+			return nil, fmt.Errorf("cluster: recovery target osd.%d: %w", id, err)
+		}
+	}
 
 	// Peering during the checking window: each degraded PG's primary
 	// exchanges infos and scans for missing objects.

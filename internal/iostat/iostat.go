@@ -6,7 +6,8 @@ package iostat
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"repro/internal/blockdev"
@@ -26,15 +27,19 @@ type Sample struct {
 // Sampler tracks a set of devices and records counter deltas.
 type Sampler struct {
 	mu      sync.Mutex
-	devices map[string]*blockdev.Device
-	last    map[string]blockdev.Stats
+	devs    []tracked // sorted by name: the order a tick records them in
 	samples []Sample
 }
 
-// NewSampler creates an empty sampler.
-func NewSampler() *Sampler {
-	return &Sampler{devices: map[string]*blockdev.Device{}, last: map[string]blockdev.Stats{}}
+// tracked is one device and its counters at the previous sample.
+type tracked struct {
+	name string
+	dev  *blockdev.Device
+	last blockdev.Stats
 }
+
+// NewSampler creates an empty sampler.
+func NewSampler() *Sampler { return &Sampler{} }
 
 // Track registers a device under a unique name. The first sample deltas
 // against the device's counters at track time.
@@ -49,11 +54,11 @@ func (s *Sampler) Track(name string, dev *blockdev.Device) error {
 func (s *Sampler) TrackFrom(name string, dev *blockdev.Device, baseline blockdev.Stats) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, dup := s.devices[name]; dup {
+	i, dup := slices.BinarySearchFunc(s.devs, name, func(d tracked, n string) int { return strings.Compare(d.name, n) })
+	if dup {
 		return fmt.Errorf("iostat: device %q already tracked", name)
 	}
-	s.devices[name] = dev
-	s.last[name] = baseline
+	s.devs = slices.Insert(s.devs, i, tracked{name: name, dev: dev, last: baseline})
 	return nil
 }
 
@@ -61,58 +66,33 @@ func (s *Sampler) TrackFrom(name string, dev *blockdev.Device, baseline blockdev
 func (s *Sampler) Sample(t simclock.Time) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	names := make([]string, 0, len(s.devices))
-	for n := range s.devices {
-		names = append(names, n)
+	// Grow by doubling when a tick does not fit: append alone grows a large
+	// slice by about 1.25x a time, which allocates several times the final
+	// size over a run.
+	if cap(s.samples)-len(s.samples) < len(s.devs) {
+		s.samples = slices.Grow(s.samples, max(len(s.devs), len(s.samples)))
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		cur := s.devices[name].Snapshot()
-		prev := s.last[name]
+	for i := range s.devs {
+		d := &s.devs[i]
+		cur := d.dev.Snapshot()
 		s.samples = append(s.samples, Sample{
 			Time:       t,
-			Device:     name,
-			ReadOps:    cur.ReadOps - prev.ReadOps,
-			WriteOps:   cur.WriteOps - prev.WriteOps,
-			ReadBytes:  cur.ReadBytes - prev.ReadBytes,
-			WriteBytes: cur.WriteBytes - prev.WriteBytes,
+			Device:     d.name,
+			ReadOps:    cur.ReadOps - d.last.ReadOps,
+			WriteOps:   cur.WriteOps - d.last.WriteOps,
+			ReadBytes:  cur.ReadBytes - d.last.ReadBytes,
+			WriteBytes: cur.WriteBytes - d.last.WriteBytes,
 		})
-		s.last[name] = cur
+		d.last = cur
 	}
 }
 
-// Samples returns all recorded samples in time order.
+// Samples returns all recorded samples in time order. The slice is the
+// sampler's own, clipped to its length: recorded samples are never written
+// again, and an append by the caller reallocates instead of reaching the
+// sampler.
 func (s *Sampler) Samples() []Sample {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]Sample, len(s.samples))
-	copy(out, s.samples)
-	return out
-}
-
-// Busy returns, per device, the total bytes moved in [from, to].
-func (s *Sampler) Busy(from, to simclock.Time) map[string]int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := map[string]int64{}
-	for _, smp := range s.samples {
-		if smp.Time < from || smp.Time > to {
-			continue
-		}
-		out[smp.Device] += smp.ReadBytes + smp.WriteBytes
-	}
-	return out
-}
-
-// FirstActivity returns the earliest sample time at which the device moved
-// any bytes, or false if it never did.
-func (s *Sampler) FirstActivity(device string) (simclock.Time, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, smp := range s.samples {
-		if smp.Device == device && (smp.ReadBytes > 0 || smp.WriteBytes > 0) {
-			return smp.Time, true
-		}
-	}
-	return 0, false
+	return slices.Clip(s.samples)
 }

@@ -1,6 +1,7 @@
 package iostat
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -33,36 +34,40 @@ func TestSampleDeltas(t *testing.T) {
 	}
 }
 
-func TestBusyWindow(t *testing.T) {
+// TestSamplesStableAfterMoreSamples: Samples hands out the sampler's own
+// slice, so a returned slice must keep its contents while later ticks
+// append, and an append by the caller must not show up in the sampler.
+func TestSamplesStableAfterMoreSamples(t *testing.T) {
 	s := NewSampler()
 	dev, _ := blockdev.New("d", 1<<20, 4096)
 	_ = s.Track("osd0", dev)
-	_ = dev.AccountWrite(10)
-	s.Sample(time.Second)
-	_ = dev.AccountWrite(20)
-	s.Sample(2 * time.Second)
-	_ = dev.AccountRead(5)
-	s.Sample(3 * time.Second)
-
-	busy := s.Busy(2*time.Second, 3*time.Second)
-	if busy["osd0"] != 25 {
-		t.Fatalf("busy = %v", busy)
+	tick := func(i int) {
+		_ = dev.AccountWrite(int64(i))
+		s.Sample(time.Duration(i) * time.Second)
 	}
-}
-
-func TestFirstActivity(t *testing.T) {
-	s := NewSampler()
-	dev, _ := blockdev.New("d", 1<<20, 4096)
-	_ = s.Track("osd0", dev)
-	s.Sample(time.Second) // idle
-	_ = dev.AccountRead(1)
-	s.Sample(2 * time.Second)
-	ts, ok := s.FirstActivity("osd0")
-	if !ok || ts != 2*time.Second {
-		t.Fatalf("first activity = %v ok=%v", ts, ok)
+	// Three ticks leave the sampler room for a fourth in place, which is
+	// where a caller's append would land if Samples did not clip.
+	for i := 1; i <= 3; i++ {
+		tick(i)
 	}
-	if _, ok := s.FirstActivity("missing"); ok {
-		t.Fatal("activity for untracked device")
+	first := s.Samples()
+	kept := slices.Clone(first)
+	mine := append(first, Sample{Device: "caller"})
+	for i := 4; i <= 40; i++ { // and enough to regrow the sampler's slice
+		tick(i)
+	}
+	if !slices.Equal(first, kept) {
+		t.Fatalf("returned samples changed under later ticks: %+v, want %+v", first, kept)
+	}
+	if mine[3].Device != "caller" {
+		t.Fatalf("a later tick overwrote the caller's appended sample: %+v", mine[3])
+	}
+	all := s.Samples()
+	if len(all) != 40 || !slices.Equal(all[:3], kept) {
+		t.Fatalf("sampler holds %d samples, first three %+v, want 40 starting %+v", len(all), all[:3], kept)
+	}
+	if all[3].Device != "osd0" || all[3].Time != 4*time.Second || all[3].WriteBytes != 4 {
+		t.Fatalf("the caller's append reached the sampler: fourth sample %+v", all[3])
 	}
 }
 

@@ -1,6 +1,7 @@
 package simclock
 
 import (
+	"runtime"
 	"testing"
 	"time"
 )
@@ -145,6 +146,48 @@ func TestQueueRingGrowthWhileWrapped(t *testing.T) {
 	}
 	if len(finish) != 22 {
 		t.Fatalf("served %d", len(finish))
+	}
+}
+
+// TestOutgrownRingsAreReused: the rings a queue outgrows stay with its
+// Sim, so a second queue backing up later grows through them without
+// allocating, and still serves FIFO.
+func TestOutgrownRingsAreReused(t *testing.T) {
+	s := New()
+	a := s.NewQueue(1)
+	for i := 0; i <= 64; i++ { // one in service, 64 waiting: rings of 8, 16, 32 outgrown
+		a.SubmitArg(time.Second, nil, nil)
+	}
+	s.Run()
+
+	b := s.NewQueue(1)
+	var served []int
+	record := func(x any) { served = append(served, *x.(*int)) }
+	ids := make([]int, 33)
+	for i := range ids {
+		ids[i] = i
+	}
+	b.SubmitArg(time.Second, record, &ids[0]) // in service: no ring yet
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 1; i < len(ids); i++ { // 32 waiting: grows 8 -> 16 -> 32
+		b.SubmitArg(time.Second, record, &ids[i])
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Errorf("backing up a second queue to 32 waiters allocated %d objects, want 0", n)
+	}
+	if len(b.waiting) != 32 || b.QueueLen() != 32 {
+		t.Fatalf("ring %d, %d waiting; want 32, 32", len(b.waiting), b.QueueLen())
+	}
+	s.Run()
+	if len(served) != len(ids) || b.JobsServed != len(ids) {
+		t.Fatalf("served %d jobs (JobsServed %d), want %d", len(served), b.JobsServed, len(ids))
+	}
+	for i, v := range served {
+		if v != i {
+			t.Fatalf("reused ring broke FIFO order: %v", served)
+		}
 	}
 }
 

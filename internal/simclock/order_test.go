@@ -1,6 +1,7 @@
 package simclock
 
 import (
+	"math/bits"
 	"slices"
 	"testing"
 	"time"
@@ -35,7 +36,7 @@ type traceEntry struct {
 // the shared counter never masks a failure.
 type tracer struct {
 	s      *Sim
-	q      *Queue
+	qs     [2]*Queue // one Sim's queues: a ring one outgrows serves the other
 	sem    *Semaphore
 	trace  []traceEntry
 	budget int
@@ -65,7 +66,7 @@ func runNode(a any) {
 		// Ride the Queue path: service time from the hash,
 		// completion records a tagged entry.
 		tr.budget--
-		tr.q.SubmitArg(Time(h%uint64(50*time.Microsecond)), queueDone, &node{tr: tr, id: h ^ 0xabcdef})
+		tr.qs[h>>4&1].SubmitArg(Time(h%uint64(50*time.Microsecond)), queueDone, &node{tr: tr, id: h ^ 0xabcdef})
 	case h&0xf == 1 && tr.budget > 0:
 		tr.budget--
 		id := h ^ 0x123456
@@ -86,20 +87,40 @@ func semDone(a any) {
 }
 
 // runProgram executes the seeded program. step == 0 drives it with one
-// Run; otherwise see runSliced.
-func runProgram(seed uint64, step Time) ([]traceEntry, Time) {
+// Run; otherwise see runSliced. It also reports how many wait rings the
+// two queues took from each other (see handedOver).
+func runProgram(seed uint64, step Time) ([]traceEntry, Time, int) {
 	s := New()
-	tr := &tracer{s: s, q: s.NewQueue(2), sem: s.NewSemaphore(2), budget: 1500}
+	tr := &tracer{s: s, qs: [2]*Queue{s.NewQueue(2), s.NewQueue(1)}, sem: s.NewSemaphore(2), budget: 1500}
 	r := seed
 	for i := 0; i < 16; i++ {
 		r = mix(r + uint64(i))
 		at := Time(r % uint64(2*time.Millisecond))
 		s.AtArg(at, runNode, &node{tr: tr, id: mix(r)})
 	}
+	var end Time
 	if step == 0 {
-		return tr.trace, s.Run()
+		end = s.Run()
+	} else {
+		end = runSliced(s, func(int) Time { return step })
 	}
-	return tr.trace, runSliced(s, func(int) Time { return step })
+	return tr.trace, end, handedOver(s, tr.qs[:]...)
+}
+
+// handedOver counts the wait rings the queues took from their Sim's free
+// list: every ring a queue outgrew (all it held before its current one,
+// from 8 up) went to the list, and what is still there was never taken.
+func handedOver(s *Sim, qs ...*Queue) int {
+	n := 0
+	for _, q := range qs {
+		if len(q.waiting) > 0 {
+			n += bits.TrailingZeros(uint(len(q.waiting) / 8))
+		}
+	}
+	for _, free := range s.freeRings {
+		n -= len(free)
+	}
+	return n
 }
 
 // runSliced drives s the way a stepping caller does: RunUntil(t += cut(i))
@@ -131,13 +152,15 @@ func slicedEnd(end Time, cut func(i int) Time) Time {
 // covering the whole program (10ms).
 func TestRunUntilSlicingProperty(t *testing.T) {
 	steps := []Time{1, 137, 50 * time.Microsecond, 10 * time.Millisecond}
+	handed := 0
 	for seed := uint64(1); seed <= 8; seed++ {
-		want, wantEnd := runProgram(seed, 0)
+		want, wantEnd, n := runProgram(seed, 0)
 		if len(want) == 0 {
 			t.Fatalf("seed %d: empty trace", seed)
 		}
+		handed += n
 		for _, step := range steps {
-			got, gotEnd := runProgram(seed, step)
+			got, gotEnd, _ := runProgram(seed, step)
 			if end := slicedEnd(wantEnd, func(int) Time { return step }); gotEnd != end {
 				t.Errorf("seed %d step %v: end %v, want %v (one Run ends at %v)",
 					seed, step, gotEnd, end, wantEnd)
@@ -151,6 +174,9 @@ func TestRunUntilSlicingProperty(t *testing.T) {
 					seed, step, i, len(want), at(want, i), at(got, i))
 			}
 		}
+	}
+	if handed == 0 {
+		t.Error("no queue took a ring another had outgrown: the programs no longer reach the hand-off")
 	}
 }
 
@@ -211,9 +237,11 @@ func FuzzSimclockFIFO(f *testing.F) {
 
 // FuzzRunUntilSlicing is the fuzz form of TestRunUntilSlicingProperty:
 // each byte schedules a root on a coarse timestamp grid with optional
-// Queue traffic and delayed children, and the same bytes give the cut
-// points (slice i is data[i%len]*20ns+1 long, so cuts fall on, between
-// and past event times). The sliced trace must equal the single-Run trace.
+// traffic on one of two Queues (picked by the byte's position, so wait
+// rings change hands between them) and delayed children, and the same
+// bytes give the cut points (slice i is data[i%len]*20ns+1 long, so cuts
+// fall on, between and past event times). The sliced trace must equal the
+// single-Run trace.
 func FuzzRunUntilSlicing(f *testing.F) {
 	f.Add([]byte{0x00, 0x41, 0x82, 0xc3, 0x24, 0x65, 0xa6, 0xe7})
 	f.Add([]byte{0xff, 0xfe, 0xfd, 0x01, 0x02, 0x03})
@@ -225,7 +253,7 @@ func FuzzRunUntilSlicing(f *testing.F) {
 		cut := func(i int) Time { return Time(data[i%len(data)])*20*time.Nanosecond + 1 }
 		run := func(sliced bool) ([]traceEntry, Time) {
 			s := New()
-			q := s.NewQueue(1)
+			qs := [2]*Queue{s.NewQueue(1), s.NewQueue(1)}
 			var trace []traceEntry
 			record := func(a any) {
 				trace = append(trace, traceEntry{s.Now(), a.(uint64)})
@@ -236,7 +264,7 @@ func FuzzRunUntilSlicing(f *testing.F) {
 				s.AtArg(Time(b&0x3f)*100*time.Nanosecond, func(any) {
 					trace = append(trace, traceEntry{s.Now(), id})
 					if b&0x40 != 0 {
-						q.SubmitArg(Time(b)*10*time.Nanosecond, record, id|1<<32)
+						qs[id&1].SubmitArg(Time(b)*10*time.Nanosecond, record, id|1<<32)
 					}
 					if b&0x80 != 0 {
 						s.AfterArg(Time(b&0xf)*50*time.Nanosecond, record, id|1<<33)

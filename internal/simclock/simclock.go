@@ -24,6 +24,7 @@ package simclock
 
 import (
 	"fmt"
+	"math/bits"
 	"time"
 )
 
@@ -51,6 +52,12 @@ type Sim struct {
 	slots []slot // callbacks of pending events, indexed by entry.slot
 
 	heapPeak int
+
+	// freeRings holds the cleared wait rings that queues outgrew, indexed
+	// by size class (log2 of the length). A recovery's disk backlogs grow
+	// one queue after another through the same sizes, so a queue that
+	// grows takes a ring of the new size here before it allocates one.
+	freeRings [][][]queuedJob
 }
 
 // entry is one scheduled event as the heap sees it. It must stay free of
@@ -349,16 +356,42 @@ func (q *Queue) popWait() queuedJob {
 }
 
 func (q *Queue) growWait() {
-	size := len(q.waiting) * 2
-	if size == 0 {
-		size = 8
-	}
-	next := make([]queuedJob, size)
+	s := q.sim
+	next := s.takeRing(max(len(q.waiting)*2, 8))
 	for i := 0; i < q.count; i++ {
 		next[i] = q.waiting[(q.head+i)&(len(q.waiting)-1)]
 	}
+	if q.waiting != nil {
+		clear(q.waiting)
+		s.putRing(q.waiting)
+	}
 	q.waiting = next
 	q.head = 0
+}
+
+// takeRing returns an empty wait ring of the given power-of-two size, one
+// a queue outgrew if there is one.
+func (s *Sim) takeRing(size int) []queuedJob {
+	c := bits.TrailingZeros(uint(size))
+	if c < len(s.freeRings) {
+		if free := s.freeRings[c]; len(free) > 0 {
+			s.freeRings[c] = free[:len(free)-1]
+			return free[len(free)-1]
+		}
+	}
+	return make([]queuedJob, size)
+}
+
+// putRing keeps a cleared ring for the next queue that grows to its size.
+// Rings come back only when outgrown, never when a queue drains: a queue
+// that flips between empty and busy would clear and refill its ring on
+// every flip.
+func (s *Sim) putRing(r []queuedJob) {
+	c := bits.TrailingZeros(uint(len(r)))
+	for len(s.freeRings) <= c {
+		s.freeRings = append(s.freeRings, nil)
+	}
+	s.freeRings[c] = append(s.freeRings[c], r)
 }
 
 // InFlight reports currently executing jobs.

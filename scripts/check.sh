@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
 # Repo-wide check: vet + build + tier-1 tests (the scale-1 golden of
 # cmd/ecbench included) + race audit of the concurrent packages + the
-# engine's ordering and gather fuzz smokes + the matrix codes' round-trip
-# fuzz smoke + the store's naive-model fuzz smoke + the two input-surface
-# fuzz smokes (fault lists, ceph.conf text) + a run of every example, each
-# of which must exit 0 + the benchmark module's self-test and smoke runs.
+# engine's ordering and gather fuzz smokes (the slicing one on two queues
+# that hand outgrown wait rings to each other) + the matrix codes'
+# round-trip fuzz smoke + the store's naive-model fuzz smoke (overlay
+# Reserve included) + the two input-surface fuzz smokes (fault lists,
+# ceph.conf text) + a run of every example, each of which must exit 0 +
+# the benchmark module's self-test and smoke runs.
 # Run from the repo root: ./scripts/check.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -43,7 +45,7 @@ go test -race -count=1 \
     ./internal/parallel \
     ./internal/tuner
 
-echo "== fuzz smoke (simclock: same-instant FIFO, RunUntil slicing; simnet: gather == per-ship; matrix codes: decode/repair == CanRecover; bluestore: store == naive per-chunk model across forks; inputs: fault lists and ceph.conf text are run or rejected, never a panic) =="
+echo "== fuzz smoke (simclock: same-instant FIFO, RunUntil slicing with wait rings changing queues; simnet: gather == per-ship; matrix codes: decode/repair == CanRecover; bluestore: store == naive per-chunk model across forks, Reserve included; inputs: fault lists and ceph.conf text are run or rejected, never a panic) =="
 go test ./internal/simclock -run xxx -fuzz FuzzSimclockFIFO -fuzztime 10s
 go test ./internal/simclock -run xxx -fuzz FuzzRunUntilSlicing -fuzztime 10s
 go test ./internal/simnet -run xxx -fuzz FuzzGatherMatchesPerShip -fuzztime 10s
