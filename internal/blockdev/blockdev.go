@@ -3,13 +3,16 @@
 // iostat-style counters and can be "removed" at runtime, after which all
 // I/O fails — the device-level fault the paper injects by deleting NVMe
 // subsystems with nvmetcli.
+//
+// A Device has one owner, the goroutine driving its cluster, and takes no
+// lock. Fork only reads, so a device no one writes any more — one under a
+// frozen snapshot store — may be forked by several goroutines at once.
 package blockdev
 
 import (
 	"errors"
 	"fmt"
 	"maps"
-	"sync"
 )
 
 // Errors returned by device I/O.
@@ -28,14 +31,13 @@ type Stats struct {
 	TrimOps    int64
 }
 
-// Device is a sparse in-memory block device. All methods are safe for
-// concurrent use.
+// Device is a sparse in-memory block device. It is not safe for
+// concurrent use; concurrent Forks of a device nobody writes are.
 type Device struct {
 	name      string
 	capacity  int64
 	blockSize int64
 
-	mu sync.Mutex
 	// blocks may share their byte slices with forks of this device, so a
 	// block is never written in place: WriteAt replaces it.
 	blocks  map[int64][]byte
@@ -78,8 +80,6 @@ func (d *Device) checkRange(off int64, n int) error {
 // ReadAt implements io.ReaderAt semantics over the sparse store;
 // unwritten regions read as zero.
 func (d *Device) ReadAt(p []byte, off int64) (int, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if d.removed {
 		return 0, ErrRemoved
 	}
@@ -109,8 +109,6 @@ func (d *Device) ReadAt(p []byte, off int64) (int, error) {
 
 // WriteAt implements io.WriterAt semantics, allocating blocks lazily.
 func (d *Device) WriteAt(p []byte, off int64) (int, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if d.removed {
 		return 0, ErrRemoved
 	}
@@ -137,8 +135,6 @@ func (d *Device) WriteAt(p []byte, off int64) (int, error) {
 
 // Trim discards whole blocks covered by the range and counts a trim op.
 func (d *Device) Trim(off, length int64) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if d.removed {
 		return ErrRemoved
 	}
@@ -157,8 +153,6 @@ func (d *Device) Trim(off, length int64) error {
 // AccountRead records a read of n bytes without moving data, used by the
 // accounting-only simulation path for large synthetic workloads.
 func (d *Device) AccountRead(n int64) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if d.removed {
 		return ErrRemoved
 	}
@@ -169,8 +163,6 @@ func (d *Device) AccountRead(n int64) error {
 
 // AccountWrite records a write of n bytes without moving data.
 func (d *Device) AccountWrite(n int64) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if d.removed {
 		return ErrRemoved
 	}
@@ -180,10 +172,8 @@ func (d *Device) AccountWrite(n int64) error {
 }
 
 // AccountWrites records n writes totalling bytes without moving data,
-// one locked step for a whole bulk ingest.
+// one step for a whole bulk ingest.
 func (d *Device) AccountWrites(bytes, n int64) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if d.removed {
 		return ErrRemoved
 	}
@@ -194,31 +184,23 @@ func (d *Device) AccountWrites(bytes, n int64) error {
 
 // Used reports allocated bytes (whole blocks).
 func (d *Device) Used() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	return int64(len(d.blocks)) * d.blockSize
 }
 
 // Remove simulates pulling the device: every subsequent operation fails
 // with ErrRemoved. Contents are dropped.
 func (d *Device) Remove() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	d.removed = true
 	d.blocks = map[int64][]byte{}
 }
 
 // Removed reports whether the device has been removed.
 func (d *Device) Removed() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	return d.removed
 }
 
 // Snapshot returns a copy of the cumulative counters.
 func (d *Device) Snapshot() Stats {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	return d.stats
 }
 
@@ -227,8 +209,6 @@ func (d *Device) Snapshot() Stats {
 // replayed the same history. The copies share block slices, which neither
 // side writes in place. A removed device forks to a removed device.
 func (d *Device) Fork() *Device {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	return &Device{
 		name:      d.name,
 		capacity:  d.capacity,

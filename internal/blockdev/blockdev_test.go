@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
-	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -138,27 +137,6 @@ func TestTrim(t *testing.T) {
 	}
 	if d.Snapshot().TrimOps != 1 {
 		t.Fatal("trim not counted")
-	}
-}
-
-func TestConcurrentAccess(t *testing.T) {
-	d := newDev(t)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			buf := []byte{byte(g)}
-			for i := 0; i < 100; i++ {
-				_, _ = d.WriteAt(buf, int64(g*4096))
-				_, _ = d.ReadAt(buf, int64(g*4096))
-			}
-		}(g)
-	}
-	wg.Wait()
-	s := d.Snapshot()
-	if s.WriteOps != 800 || s.ReadOps != 800 {
-		t.Fatalf("stats: %+v", s)
 	}
 }
 

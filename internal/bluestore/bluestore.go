@@ -8,6 +8,13 @@
 // min_alloc-rounded space, record onode/extent/checksum metadata in the KV
 // store, and account the EC-related metadata whose aggregate size the
 // paper observes but does not decompose (see Config.ECMetaFraction).
+//
+// A Store has one owner: the goroutine driving its cluster. It takes no
+// lock. The one store several goroutines share is a frozen one, a
+// snapshot parent: nothing writes it, so any number of them may Fork it
+// at once. Reads that count — ReadChunk and ScrubChunk bump device and KV
+// counters, AccessProfile writes its memo — stay owner operations, even
+// on a frozen store.
 package bluestore
 
 import (
@@ -17,7 +24,6 @@ import (
 	"hash/crc32"
 	"maps"
 	"strconv"
-	"sync"
 
 	"repro/internal/blockdev"
 	"repro/internal/kvstore"
@@ -184,9 +190,9 @@ type chunkInfo struct {
 	deleted   bool // tombstone over a base-run chunk
 }
 
-// Store is one OSD's object store.
+// Store is one OSD's object store. It is not safe for concurrent use,
+// except that a frozen store may be forked by several goroutines at once.
 type Store struct {
-	mu  sync.Mutex
 	cfg Config
 	dev *blockdev.Device
 	kv  *kvstore.DB
@@ -217,7 +223,7 @@ type Store struct {
 
 	// profile memoises AccessProfile. Everything it reads — the KV
 	// footprint, accountedMeta, ecMetaBytes, count, dataWorkingSet and the
-	// config — changes only in WriteChunk, WriteChunksBulk, dropLocked and
+	// config — changes only in WriteChunk, WriteChunksBulk, drop and
 	// SetDataWorkingSet, which clear profileValid; recovery asks once per
 	// helper per repaired object in between.
 	profile      [3]float64
@@ -281,19 +287,18 @@ func roundUp(v, to int64) int64 { return (v + to - 1) / to * to }
 
 func ceilDiv(a, b int64) int64 { return (a + b - 1) / b }
 
-// lookupLocked resolves a chunk through the overlay, then the base runs.
-// Callers must hold s.mu.
-func (s *Store) lookupLocked(id ChunkID) (chunkInfo, bool) {
+// lookup resolves a chunk through the overlay, then the base runs.
+func (s *Store) lookup(id ChunkID) (chunkInfo, bool) {
 	if info, ok := s.chunks[id]; ok {
 		return info, !info.deleted
 	}
-	return s.baseLocked(id)
+	return s.lookupBase(id)
 }
 
-// baseLocked resolves a chunk in the base runs, ignoring the overlay. A
+// lookupBase resolves a chunk in the base runs, ignoring the overlay. A
 // store that holds no run of the chunk's (pool, PG, shard) — every
 // recovery target — misses on integer compares alone.
-func (s *Store) baseLocked(id ChunkID) (chunkInfo, bool) {
+func (s *Store) lookupBase(id ChunkID) (chunkInfo, bool) {
 	for i := range s.runs {
 		r := &s.runs[i]
 		if r.pg.pg != id.PG || r.shard != id.Shard || r.pg.pool != id.Pool {
@@ -309,9 +314,7 @@ func (s *Store) baseLocked(id ChunkID) (chunkInfo, bool) {
 
 // Writable reports why the store would refuse a write, or nil.
 func (s *Store) Writable() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.mutableLocked("write"); err != nil {
+	if err := s.checkMutable("write"); err != nil {
 		return err
 	}
 	if s.dev.Removed() {
@@ -320,7 +323,7 @@ func (s *Store) Writable() error {
 	return nil
 }
 
-func (s *Store) mutableLocked(op string) error {
+func (s *Store) checkMutable(op string) error {
 	if s.frozen {
 		return fmt.Errorf("bluestore: %s on frozen store (snapshot parent)", op)
 	}
@@ -339,13 +342,11 @@ func (s *Store) WriteChunk(id ChunkID, size, objectShare int64, payload []byte) 
 	if payload != nil && int64(len(payload)) != size {
 		return fmt.Errorf("bluestore: payload length %d != size %d", len(payload), size)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.mutableLocked("WriteChunk"); err != nil {
+	if err := s.checkMutable("WriteChunk"); err != nil {
 		return err
 	}
-	if old, ok := s.lookupLocked(id); ok {
-		s.dropLocked(id, old)
+	if old, ok := s.lookup(id); ok {
+		s.drop(id, old)
 	}
 	s.profileValid = false
 	info := chunkInfo{size: size, share: objectShare}
@@ -397,9 +398,7 @@ func (s *Store) WriteChunk(id ChunkID, size, objectShare int64, payload []byte) 
 // store that is about to receive them — a recovery target — does not
 // regrow the map on the way. It changes no visible state.
 func (s *Store) Reserve(n int) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.mutableLocked("Reserve"); err != nil {
+	if err := s.checkMutable("Reserve"); err != nil {
 		return err
 	}
 	chunks := make(map[ChunkID]chunkInfo, len(s.chunks)+n)
@@ -439,9 +438,7 @@ func (s *Store) WriteChunksBulk(pg *BulkPG, shard int) error {
 	}
 	keyBytes := n*int64(ChunkID{Pool: pg.pool, PG: pg.pg, Shard: shard}.kvKeyLen()) + pg.nameBytes
 
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.mutableLocked("WriteChunksBulk"); err != nil {
+	if err := s.checkMutable("WriteChunksBulk"); err != nil {
 		return err
 	}
 	if err := s.dev.AccountWrites(devBytes, n); err != nil {
@@ -472,35 +469,29 @@ func (s *Store) ecMeta(share int64) int64 {
 // ReadChunk returns the chunk size and, for payload-mode chunks, its
 // bytes. Device read counters are bumped either way.
 func (s *Store) ReadChunk(id ChunkID) (int64, []byte, error) {
-	s.mu.Lock()
-	info, ok := s.lookupLocked(id)
+	info, ok := s.lookup(id)
 	if !ok {
-		s.mu.Unlock()
 		return 0, nil, fmt.Errorf("%w: %s", ErrNoSuchChunk, id)
 	}
 	var off int64
 	if info.hasData {
 		onode, ok := s.kv.Get("o/" + id.String())
 		if !ok {
-			s.mu.Unlock()
 			return 0, nil, fmt.Errorf("%w: onode for %s", ErrNoSuchChunk, id)
 		}
 		off = int64(binary.BigEndian.Uint64(onode[0:8]))
 	}
-	size, hasData := info.size, info.hasData
-	s.mu.Unlock()
-
-	if hasData {
-		buf := make([]byte, size)
+	if info.hasData {
+		buf := make([]byte, info.size)
 		if _, err := s.dev.ReadAt(buf, off); err != nil {
 			return 0, nil, fmt.Errorf("bluestore: %w", err)
 		}
-		return size, buf, nil
+		return info.size, buf, nil
 	}
-	if err := s.dev.AccountRead(size); err != nil {
+	if err := s.dev.AccountRead(info.size); err != nil {
 		return 0, nil, fmt.Errorf("bluestore: %w", err)
 	}
-	return size, nil, nil
+	return info.size, nil, nil
 }
 
 // CorruptChunk simulates silent data corruption (bit rot) in a stored
@@ -508,12 +499,10 @@ func (s *Store) ReadChunk(id ChunkID) (int64, []byte, error) {
 // accounting-mode chunks are marked corrupt. The stored checksum is left
 // intact, so only a scrub can tell.
 func (s *Store) CorruptChunk(id ChunkID) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.mutableLocked("CorruptChunk"); err != nil {
+	if err := s.checkMutable("CorruptChunk"); err != nil {
 		return err
 	}
-	info, ok := s.lookupLocked(id)
+	info, ok := s.lookup(id)
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNoSuchChunk, id)
 	}
@@ -544,9 +533,7 @@ func (s *Store) CorruptChunk(id ChunkID) error {
 // chunks report their corruption marker. It returns true when the chunk
 // is consistent.
 func (s *Store) ScrubChunk(id ChunkID) (bool, error) {
-	s.mu.Lock()
-	info, ok := s.lookupLocked(id)
-	s.mu.Unlock()
+	info, ok := s.lookup(id)
 	if !ok {
 		return false, fmt.Errorf("%w: %s", ErrNoSuchChunk, id)
 	}
@@ -562,17 +549,13 @@ func (s *Store) ScrubChunk(id ChunkID) (bool, error) {
 
 // HasChunk reports whether the chunk exists.
 func (s *Store) HasChunk(id ChunkID) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.lookupLocked(id)
+	_, ok := s.lookup(id)
 	return ok
 }
 
 // ChunkSize returns the stored (padded) size of a chunk.
 func (s *Store) ChunkSize(id ChunkID) (int64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	info, ok := s.lookupLocked(id)
+	info, ok := s.lookup(id)
 	if !ok {
 		return 0, fmt.Errorf("%w: %s", ErrNoSuchChunk, id)
 	}
@@ -581,23 +564,21 @@ func (s *Store) ChunkSize(id ChunkID) (int64, error) {
 
 // DeleteChunk removes a chunk and its metadata.
 func (s *Store) DeleteChunk(id ChunkID) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.mutableLocked("DeleteChunk"); err != nil {
+	if err := s.checkMutable("DeleteChunk"); err != nil {
 		return err
 	}
-	info, ok := s.lookupLocked(id)
+	info, ok := s.lookup(id)
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNoSuchChunk, id)
 	}
-	s.dropLocked(id, info)
+	s.drop(id, info)
 	return nil
 }
 
-// dropLocked releases a visible chunk's accounting and hides it: a chunk
+// drop releases a visible chunk's accounting and hides it: a chunk
 // the base runs hold is tombstoned in the overlay, any other just leaves
-// it. Callers must hold s.mu.
-func (s *Store) dropLocked(id ChunkID, info chunkInfo) {
+// it.
+func (s *Store) drop(id ChunkID, info chunkInfo) {
 	s.profileValid = false
 	s.dataAllocated -= roundUp(info.size, s.cfg.MinAllocSize)
 	s.accountedMeta -= s.metaRecordBytes(info.size)
@@ -608,7 +589,7 @@ func (s *Store) dropLocked(id ChunkID, info chunkInfo) {
 		s.kv.DeleteAccounted(id.kvKeyLen(), int(s.cfg.OnodeBytes))
 	}
 	s.count--
-	if _, inBase := s.baseLocked(id); inBase {
+	if _, inBase := s.lookupBase(id); inBase {
 		s.chunks[id] = chunkInfo{deleted: true}
 	} else {
 		delete(s.chunks, id)
@@ -617,15 +598,11 @@ func (s *Store) dropLocked(id ChunkID, info chunkInfo) {
 
 // Chunks returns the number of stored chunks.
 func (s *Store) Chunks() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.count
 }
 
 // DataBytes is the allocated payload space (min_alloc rounded).
 func (s *Store) DataBytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.dataAllocated
 }
 
@@ -634,11 +611,7 @@ func (s *Store) DataBytes() int64 {
 // aggregate, which is calibrated directly against Table 3 and therefore
 // not amplified again.
 func (s *Store) MetaBytes() int64 {
-	s.mu.Lock()
-	acc := s.accountedMeta
-	ec := s.ecMetaBytes
-	s.mu.Unlock()
-	return s.kv.Footprint() + int64(s.cfg.KVSpaceAmp*float64(acc)) + ec
+	return s.kv.Footprint() + int64(s.cfg.KVSpaceAmp*float64(s.accountedMeta)) + s.ecMetaBytes
 }
 
 // UsedBytes is the OSD-level storage usage the paper measures for its
@@ -650,8 +623,6 @@ func (s *Store) UsedBytes() int64 {
 // SetDataWorkingSet tells the cache model how much data is hot (e.g. the
 // bytes a recovery will read on this OSD).
 func (s *Store) SetDataWorkingSet(bytes int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.frozen {
 		panic("bluestore: SetDataWorkingSet on frozen store")
 	}
@@ -661,10 +632,9 @@ func (s *Store) SetDataWorkingSet(bytes int64) {
 
 // Freeze makes the store refuse every write, so a snapshot parent that
 // leaks back into use fails loudly instead of drifting from the image its
-// forks were taken from. Reads and Fork keep working. Idempotent.
+// forks were taken from. Reads and Fork keep working. Idempotent. Freeze
+// must happen before the store is shared: Fork reads without a lock.
 func (s *Store) Freeze() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.frozen = true
 }
 
@@ -678,8 +648,6 @@ func (s *Store) Fork(cfg Config) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	layout := func(c Config) Config {
 		c.Cache = CacheConfig{}
 		c.CacheBytes = 0
@@ -710,16 +678,14 @@ func (s *Store) Fork(cfg Config) (*Store, error) {
 // converges to. The fractions are computed when the store's contents or
 // working set have changed since the last call and remembered otherwise.
 func (s *Store) AccessProfile() (metaHit, kvHit, dataHit float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if !s.profileValid {
-		s.profile = s.accessProfileLocked()
+		s.profile = s.computeProfile()
 		s.profileValid = true
 	}
 	return s.profile[0], s.profile[1], s.profile[2]
 }
 
-func (s *Store) accessProfileLocked() [3]float64 {
+func (s *Store) computeProfile() [3]float64 {
 	kvNeed := float64(s.kv.Footprint()) + s.cfg.KVSpaceAmp*float64(s.accountedMeta) + float64(s.ecMetaBytes)
 	metaNeed := float64(int64(s.count) * s.cfg.OnodeBytes)
 	dataNeed := float64(s.dataWorkingSet)

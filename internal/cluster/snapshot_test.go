@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
+	"repro/internal/blockdev"
+	"repro/internal/parallel"
 	"repro/internal/workload"
 )
 
@@ -298,5 +301,102 @@ func TestForksShareCodeInstance(t *testing.T) {
 	p2, _ := f2.Pool("ecpool")
 	if pp.Code != p1.Code || p1.Code != p2.Code {
 		t.Fatal("parent and forks should share one registry code instance")
+	}
+}
+
+// storePrint is everything a frozen store shows through its read methods.
+type storePrint struct {
+	chunks              int
+	data, meta          int64
+	dev                 blockdev.Stats
+	removed             bool
+	wal, logical        int64
+	puts, gets, deletes int64
+}
+
+// pgPrint is one snapshot PG: its acting set and its object records.
+type pgPrint struct {
+	acting  []int
+	records []ObjectRecord
+}
+
+func snapshotPrint(s *Snapshot) ([]storePrint, [][]pgPrint) {
+	var stores []storePrint
+	for _, st := range s.stores {
+		p := storePrint{
+			chunks:  st.Chunks(),
+			data:    st.DataBytes(),
+			meta:    st.MetaBytes(),
+			dev:     st.Device().Snapshot(),
+			removed: st.Device().Removed(),
+			wal:     st.KV().WALBytes(),
+			logical: st.KV().LogicalBytes(),
+		}
+		p.puts, p.gets, p.deletes = st.KV().Ops()
+		stores = append(stores, p)
+	}
+	var pools [][]pgPrint
+	for _, sp := range s.pools {
+		var pgs []pgPrint
+		for _, pg := range sp.pgs {
+			p := pgPrint{acting: slices.Clone(pg.acting)}
+			for _, o := range pg.objects {
+				p.records = append(p.records, *o)
+			}
+			pgs = append(pgs, p)
+		}
+		pools = append(pools, pgs)
+	}
+	return stores, pools
+}
+
+// TestConcurrentForksLeaveSnapshotUnchanged is the contract the stores'
+// missing locks rest on: a frozen snapshot is only read by its forks, so
+// eight of them running at once — each writing a payload object, failing
+// an OSD and recovering the pool — leave every store, device, KV store and
+// PG of the snapshot as it was. Under -race it also shows that no fork
+// writes anything the snapshot shares with its siblings.
+func TestConcurrentForksLeaveSnapshotUnchanged(t *testing.T) {
+	snap := populateSmall(t, nil).Snapshot()
+	wantStores, wantPGs := snapshotPrint(snap)
+
+	const forks = 8
+	errs := make([]error, forks)
+	parallel.ForEach(forks, forks, func(i int) {
+		errs[i] = func() error {
+			c, err := snap.Fork(snap.Config())
+			if err != nil {
+				return err
+			}
+			if err := c.WriteObject("ecpool", fmt.Sprintf("late-%d", i), bytes.Repeat([]byte{byte(i + 1)}, 30_000)); err != nil {
+				return err
+			}
+			pool, err := c.Pool("ecpool")
+			if err != nil {
+				return err
+			}
+			pg := pool.PGs[i%len(pool.PGs)]
+			c.InjectOSDFailures(time.Second, pg.Acting[i%len(pg.Acting)])
+			res, err := c.RecoverPool("ecpool")
+			if err == nil && res.RepairedChunks == 0 {
+				err = fmt.Errorf("repaired nothing")
+			}
+			return err
+		}()
+	})
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("fork %d: %v", i, err)
+		}
+	}
+
+	gotStores, gotPGs := snapshotPrint(snap)
+	for id := range wantStores {
+		if gotStores[id] != wantStores[id] {
+			t.Errorf("snapshot store of osd.%d changed by its forks:\n got %+v\nwant %+v", id, gotStores[id], wantStores[id])
+		}
+	}
+	if !reflect.DeepEqual(gotPGs, wantPGs) {
+		t.Error("snapshot PGs (acting sets or object records) changed by its forks")
 	}
 }

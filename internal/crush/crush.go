@@ -3,6 +3,12 @@
 // failure-domain constraints. Placement groups map to ordered sets of OSDs
 // without any central lookup table, exactly the property the cluster
 // simulator needs to distribute EC chunks the way Ceph does.
+//
+// Build does once what every draw would otherwise redo: each OSD's straw2
+// item key and its host and rack as bucket numbers, so Select hashes one
+// round per candidate per draw and compares failure domains as integers.
+// A Map is owned by one cluster and not safe for concurrent use: SetOut
+// writes it.
 package crush
 
 import (
@@ -36,13 +42,25 @@ type Node struct {
 	out      bool
 }
 
-// Map is a CRUSH map: a tree rooted at a single root node.
+// Map is a CRUSH map: a tree rooted at a single root node. OSD ids are
+// dense, 0 to NumOSDs()-1, so every per-OSD table is a slice.
 type Map struct {
 	Root   *Node
-	osds   []*Node        // by OSD id
-	hostOf map[int]string // osd id -> host name
-	rackOf map[int]string // osd id -> rack name
+	osds   []*Node   // by OSD id
+	items  []osdItem // by OSD id
+	hostOf []string  // by OSD id: host name
+	rackOf []string  // by OSD id: rack name, "" for a host under the root
 	byName map[string]*Node
+}
+
+// osdItem is what Select reads of an OSD besides its node: the straw2 item
+// key and the OSD's host and rack as bucket numbers. Buckets are numbered
+// in walk order from one counter, and a host directly under the root is
+// its own rack, so two OSDs share a number exactly when they share the
+// host (or rack) name the domain stands for.
+type osdItem struct {
+	key        uint64 // nameKey of the OSD's name
+	host, rack int32
 }
 
 // Builder assembles a map.
@@ -100,51 +118,69 @@ func (b *Builder) AddOSD(host string, weight float64) (int, error) {
 	return id, nil
 }
 
-// Build finalizes the map, computing subtree weights.
+// Build finalizes the map, computing subtree weights and the per-OSD
+// tables.
 func (b *Builder) Build() *Map {
 	m := &Map{
 		Root:   b.root,
-		hostOf: map[int]string{},
-		rackOf: map[int]string{},
+		osds:   make([]*Node, b.nextID),
+		items:  make([]osdItem, b.nextID),
+		hostOf: make([]string, b.nextID),
+		rackOf: make([]string, b.nextID),
 		byName: b.byName,
 	}
-	var walk func(n *Node, host, rack string) float64
-	walk = func(n *Node, host, rack string) float64 {
+	var bucket int32
+	var walk func(n *Node, host, rack string, hostB, rackB int32) float64
+	walk = func(n *Node, host, rack string, hostB, rackB int32) float64 {
 		switch n.Type {
 		case TypeHost:
-			host = n.Name
-		case TypeRack:
-			rack = n.Name
-		case TypeOSD:
-			for len(m.osds) <= n.OSDID {
-				m.osds = append(m.osds, nil)
+			host, hostB = n.Name, bucket
+			if rack == "" {
+				rackB = bucket // flat maps: host acts as rack
 			}
+			bucket++
+		case TypeRack:
+			rack, rackB = n.Name, bucket
+			bucket++
+		case TypeOSD:
 			m.osds[n.OSDID] = n
+			m.items[n.OSDID] = osdItem{key: nameKey(n.Name), host: hostB, rack: rackB}
 			m.hostOf[n.OSDID] = host
 			m.rackOf[n.OSDID] = rack
 			return n.Weight
 		}
 		total := 0.0
 		for _, c := range n.Children {
-			total += walk(c, host, rack)
+			total += walk(c, host, rack, hostB, rackB)
 		}
 		n.Weight = total
 		return total
 	}
-	walk(b.root, "", "")
+	walk(b.root, "", "", -1, -1)
 	return m
 }
 
 // NumOSDs returns the number of OSDs in the map.
 func (m *Map) NumOSDs() int { return len(m.osds) }
 
-// HostOf returns the host name of an OSD.
-func (m *Map) HostOf(osd int) string { return m.hostOf[osd] }
+// HostOf returns the host name of an OSD ("" for an unknown id).
+func (m *Map) HostOf(osd int) string {
+	if osd < 0 || osd >= len(m.hostOf) {
+		return ""
+	}
+	return m.hostOf[osd]
+}
 
-// RackOf returns the rack name of an OSD ("" if none).
-func (m *Map) RackOf(osd int) string { return m.rackOf[osd] }
+// RackOf returns the rack name of an OSD ("" if none, or for an unknown
+// id).
+func (m *Map) RackOf(osd int) string {
+	if osd < 0 || osd >= len(m.rackOf) {
+		return ""
+	}
+	return m.rackOf[osd]
+}
 
-// Hosts returns all host names, sorted.
+// Hosts returns all host names that hold an OSD, sorted.
 func (m *Map) Hosts() []string {
 	seen := map[string]bool{}
 	var hosts []string
@@ -166,14 +202,13 @@ func (m *Map) OSDsOnHost(host string) []int {
 			ids = append(ids, id)
 		}
 	}
-	sort.Ints(ids)
 	return ids
 }
 
 // SetOut marks an OSD in or out of the map; out OSDs are skipped by
 // Select, which is how the cluster recomputes placement after a failure.
 func (m *Map) SetOut(osd int, out bool) {
-	if osd >= 0 && osd < len(m.osds) && m.osds[osd] != nil {
+	if osd >= 0 && osd < len(m.osds) {
 		m.osds[osd].out = out
 	}
 }
@@ -184,29 +219,6 @@ func splitmix64(x uint64) uint64 {
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)
-}
-
-func hash3(a, b, c uint64) uint64 {
-	return splitmix64(splitmix64(splitmix64(a)^b) ^ c)
-}
-
-// strawDraw computes the straw2 "length" for an item: higher wins.
-// Following straw2, draw = ln(u)/weight with u uniform in (0,1]; items
-// with larger weight win proportionally more often.
-func strawDraw(seed uint64, itemKey uint64, r int, weight float64) float64 {
-	if weight <= 0 {
-		return math.Inf(-1)
-	}
-	return math.Log(strawU(seed, itemKey, r)) / weight
-}
-
-// strawU is the uniform variate behind strawDraw. ln is strictly
-// monotonic, so when every candidate has the same weight,
-// argmax ln(u)/w == argmax u and Select can skip the (expensive) log —
-// the chosen item is bit-identical either way.
-func strawU(seed uint64, itemKey uint64, r int) float64 {
-	h := hash3(seed, itemKey, uint64(r))
-	return (float64(h>>11) + 1) / float64(1<<53) // (0, 1]
 }
 
 func nameKey(s string) uint64 {
@@ -221,75 +233,86 @@ func nameKey(s string) uint64 {
 // Select maps a placement seed to n distinct OSDs with at most one OSD per
 // failure domain ("osd", "host", or "rack"). It is deterministic in
 // (seed, n, failureDomain) and skips out-marked OSDs.
+//
+// Each round is a straw2 draw over the candidates left: the item with the
+// longest straw ln(u)/weight wins, u uniform in (0, 1] from the hash
+// splitmix64(splitmix64(splitmix64(seed) ^ itemKey) ^ round). The first two
+// rounds of that hash do not depend on the round, so they are computed
+// once per candidate and a draw costs one more. With equal weights the
+// winner is the largest u, and u = (h>>11 + 1) / 2^53 is exact and
+// strictly increasing in h>>11, so that case compares integers and takes
+// no log. Ties keep the earliest candidate.
 func (m *Map) Select(seed uint64, n int, failureDomain string) ([]int, error) {
+	var level int // the osdItem field a domain is: 0 the OSD itself, 1 host, 2 rack
 	switch failureDomain {
-	case TypeOSD, TypeHost, TypeRack:
+	case TypeOSD:
+	case TypeHost:
+		level = 1
+	case TypeRack:
+		level = 2
 	default:
 		return nil, fmt.Errorf("%w: %q", ErrUnknownDomain, failureDomain)
 	}
 	type candidate struct {
-		domainKey string
-		osd       int
-		itemKey   uint64
-		weight    float64
+		pre    uint64 // the hash's first two rounds
+		weight float64
+		osd    int32
+		domain int32
 	}
-	// Enumerate live OSDs with their domain keys. Item keys and weights
-	// are hoisted here so the draw loop below touches no maps. Select runs
-	// once per PG at pool creation and again after every failure; the
-	// array keeps clusters of up to 128 OSDs off the heap.
+	// Select runs once per PG at pool creation and again after every
+	// failure; the array keeps clusters of up to 128 OSDs off the heap.
 	var buf [128]candidate
 	cands := buf[:0]
 	uniform := true
+	s0 := splitmix64(seed)
 	for id, node := range m.osds {
-		if node == nil || node.out || node.Weight <= 0 {
+		if node.out || node.Weight <= 0 {
 			continue
 		}
-		var key string
-		switch failureDomain {
-		case TypeOSD:
-			key = node.Name
-		case TypeHost:
-			key = m.hostOf[id]
-		case TypeRack:
-			key = m.rackOf[id]
-			if key == "" {
-				key = m.hostOf[id] // flat maps: host acts as rack
-			}
+		it := &m.items[id]
+		domain := int32(id)
+		switch level {
+		case 1:
+			domain = it.host
+		case 2:
+			domain = it.rack
 		}
 		if len(cands) > 0 && node.Weight != cands[0].weight {
 			uniform = false
 		}
-		cands = append(cands, candidate{domainKey: key, osd: id, itemKey: nameKey(node.Name), weight: node.Weight})
+		cands = append(cands, candidate{pre: splitmix64(s0 ^ it.key), weight: node.Weight, osd: int32(id), domain: domain})
 	}
 	chosen := make([]int, 0, n)
-	for r := 0; len(chosen) < n; r++ {
-		if r > 16*n+64 {
-			return nil, fmt.Errorf("%w: placed %d of %d", ErrNotEnoughDomains, len(chosen), n)
-		}
+	for r := uint64(0); len(chosen) < n; r++ {
 		best := -1
-		bestDraw := math.Inf(-1)
-		for i, c := range cands {
-			var d float64
-			if uniform {
-				d = strawU(seed, c.itemKey, r)
-			} else {
-				d = strawDraw(seed, c.itemKey, r, c.weight)
+		if uniform && len(cands) > 0 {
+			best = 0
+			bestU := splitmix64(cands[0].pre^r) >> 11
+			for i := 1; i < len(cands); i++ {
+				if u := splitmix64(cands[i].pre^r) >> 11; u > bestU {
+					best, bestU = i, u
+				}
 			}
-			if d > bestDraw {
-				bestDraw = d
-				best = i
+		} else {
+			bestDraw := math.Inf(-1)
+			for i := range cands {
+				c := &cands[i]
+				u := (float64(splitmix64(c.pre^r)>>11) + 1) / float64(1<<53) // (0, 1]
+				if d := math.Log(u) / c.weight; d > bestDraw {
+					best, bestDraw = i, d
+				}
 			}
 		}
 		if best == -1 {
 			return nil, fmt.Errorf("%w: placed %d of %d", ErrNotEnoughDomains, len(chosen), n)
 		}
-		chosen = append(chosen, cands[best].osd)
+		chosen = append(chosen, int(cands[best].osd))
 		// Drop the winning domain's candidates in place: later rounds
-		// could never pick them, exactly as the old used-domain skip.
-		usedKey := cands[best].domainKey
+		// could never pick them.
+		used := cands[best].domain
 		kept := cands[:0]
 		for _, c := range cands {
-			if c.domainKey != usedKey {
+			if c.domain != used {
 				kept = append(kept, c)
 			}
 		}

@@ -2,6 +2,9 @@ package crush
 
 import (
 	"errors"
+	"fmt"
+	"math"
+	"slices"
 	"testing"
 )
 
@@ -237,4 +240,222 @@ func TestBuilderErrors(t *testing.T) {
 	if _, err := b.AddOSD("nohost", 1); err == nil {
 		t.Fatal("unknown host accepted")
 	}
+}
+
+// referenceSelect is straw2 selection written the direct way: every draw
+// hashes all three rounds, turns the hash into a float and, with unequal
+// weights, takes its log; failure domains are compared by name. Select
+// must pick exactly what it picks.
+func referenceSelect(m *Map, seed uint64, n int, failureDomain string) ([]int, error) {
+	switch failureDomain {
+	case TypeOSD, TypeHost, TypeRack:
+	default:
+		return nil, fmt.Errorf("%w: %q", ErrUnknownDomain, failureDomain)
+	}
+	type candidate struct {
+		domainKey string
+		osd       int
+		itemKey   uint64
+		weight    float64
+	}
+	var cands []candidate
+	uniform := true
+	for id, node := range m.osds {
+		if node == nil || node.out || node.Weight <= 0 {
+			continue
+		}
+		var key string
+		switch failureDomain {
+		case TypeOSD:
+			key = node.Name
+		case TypeHost:
+			key = m.hostOf[id]
+		case TypeRack:
+			key = m.rackOf[id]
+			if key == "" {
+				key = m.hostOf[id] // flat maps: host acts as rack
+			}
+		}
+		if len(cands) > 0 && node.Weight != cands[0].weight {
+			uniform = false
+		}
+		cands = append(cands, candidate{domainKey: key, osd: id, itemKey: nameKey(node.Name), weight: node.Weight})
+	}
+	chosen := make([]int, 0, n)
+	for r := 0; len(chosen) < n; r++ {
+		if r > 16*n+64 {
+			return nil, fmt.Errorf("%w: placed %d of %d", ErrNotEnoughDomains, len(chosen), n)
+		}
+		best := -1
+		bestDraw := math.Inf(-1)
+		for i, c := range cands {
+			var d float64
+			if uniform {
+				d = strawU(seed, c.itemKey, r)
+			} else {
+				d = strawDraw(seed, c.itemKey, r, c.weight)
+			}
+			if d > bestDraw {
+				bestDraw = d
+				best = i
+			}
+		}
+		if best == -1 {
+			return nil, fmt.Errorf("%w: placed %d of %d", ErrNotEnoughDomains, len(chosen), n)
+		}
+		chosen = append(chosen, cands[best].osd)
+		usedKey := cands[best].domainKey
+		kept := cands[:0]
+		for _, c := range cands {
+			if c.domainKey != usedKey {
+				kept = append(kept, c)
+			}
+		}
+		cands = kept
+	}
+	return chosen, nil
+}
+
+func hash3(a, b, c uint64) uint64 {
+	return splitmix64(splitmix64(splitmix64(a)^b) ^ c)
+}
+
+// strawDraw is the straw2 "length" for an item: higher wins. draw =
+// ln(u)/weight with u uniform in (0,1]; items with larger weight win
+// proportionally more often.
+func strawDraw(seed uint64, itemKey uint64, r int, weight float64) float64 {
+	if weight <= 0 {
+		return math.Inf(-1)
+	}
+	return math.Log(strawU(seed, itemKey, r)) / weight
+}
+
+// strawU is the uniform variate behind strawDraw. ln is strictly
+// monotonic, so with equal weights argmax ln(u)/w == argmax u.
+func strawU(seed uint64, itemKey uint64, r int) float64 {
+	h := hash3(seed, itemKey, uint64(r))
+	return (float64(h>>11) + 1) / float64(1<<53) // (0, 1]
+}
+
+// shapeMap builds racks × hostsPerRack hosts under racks plus flatHosts
+// hosts under the root, osdsPerHost OSDs each. weight(i) gives OSD i's
+// weight.
+func shapeMap(t testing.TB, racks, hostsPerRack, flatHosts, osdsPerHost int, weight func(i int) float64) *Map {
+	t.Helper()
+	b := NewBuilder()
+	osd := 0
+	addHost := func(name, rack string) {
+		if err := b.AddHost(name, rack); err != nil {
+			t.Fatal(err)
+		}
+		for d := 0; d < osdsPerHost; d++ {
+			if _, err := b.AddOSD(name, weight(osd)); err != nil {
+				t.Fatal(err)
+			}
+			osd++
+		}
+	}
+	// Flat hosts first and last, so rack and flat buckets interleave.
+	for h := 0; h < flatHosts/2; h++ {
+		addHost(fmt.Sprintf("flat%d", h), "")
+	}
+	for r := 0; r < racks; r++ {
+		rack := fmt.Sprintf("rack%d", r)
+		if err := b.AddRack(rack); err != nil {
+			t.Fatal(err)
+		}
+		for h := 0; h < hostsPerRack; h++ {
+			addHost(fmt.Sprintf("r%dh%d", r, h), rack)
+		}
+	}
+	for h := flatHosts / 2; h < flatHosts; h++ {
+		addHost(fmt.Sprintf("flat%d", h), "")
+	}
+	return b.Build()
+}
+
+// errKind names the sentinel an error wraps, so selections that fail can
+// be compared by kind.
+func errKind(err error) string {
+	switch {
+	case err == nil:
+		return "nil"
+	case errors.Is(err, ErrNotEnoughDomains):
+		return "not-enough-domains"
+	case errors.Is(err, ErrUnknownDomain):
+		return "unknown-domain"
+	}
+	return "other: " + err.Error()
+}
+
+func checkAgainstReference(t testing.TB, m *Map, seed uint64, n int, domain string) {
+	t.Helper()
+	got, gotErr := m.Select(seed, n, domain)
+	want, wantErr := referenceSelect(m, seed, n, domain)
+	if errKind(gotErr) != errKind(wantErr) || !slices.Equal(got, want) {
+		t.Fatalf("Select(%d, %d, %q) = %v, %v; reference %v, %v", seed, n, domain, got, gotErr, want, wantErr)
+	}
+}
+
+func TestSelectMatchesReference(t *testing.T) {
+	one := func(int) float64 { return 1 }
+	shapes := []struct {
+		name string
+		m    *Map
+	}{
+		{"flat 30x2", shapeMap(t, 0, 0, 30, 2, one)},
+		{"flat 20x3", shapeMap(t, 0, 0, 20, 3, one)},
+		{"4 racks", shapeMap(t, 4, 3, 0, 2, one)},
+		{"mixed rack/flat", shapeMap(t, 2, 3, 4, 2, one)},
+		// Weights 0 to 3.5; weight-0 OSDs never place.
+		{"weighted flat", shapeMap(t, 0, 0, 10, 3, func(i int) float64 { return float64(i%8) / 2 })},
+		{"weighted racks", shapeMap(t, 3, 2, 2, 3, func(i int) float64 { return 1 + float64(i%3) })},
+	}
+	seeds := uint64(300)
+	if testing.Short() {
+		seeds = 30
+	}
+	for _, sh := range shapes {
+		for out := 0; out <= 3; out++ {
+			ids := make([]int, out)
+			for j := range ids {
+				ids[j] = (j*13 + out) % sh.m.NumOSDs()
+				sh.m.SetOut(ids[j], true)
+			}
+			for _, domain := range []string{TypeOSD, TypeHost, TypeRack, "datacenter"} {
+				for _, n := range []int{1, 3, 6, 12, 14} {
+					for seed := uint64(0); seed < seeds; seed++ {
+						checkAgainstReference(t, sh.m, seed*0x9e3779b97f4a7c15, n, domain)
+					}
+				}
+			}
+			for _, id := range ids {
+				sh.m.SetOut(id, false)
+			}
+		}
+	}
+}
+
+// FuzzSelectMatchesReference draws the map shape, the weights, the out
+// mask, the domain, n and the seed from the input; up to 36 hosts of 4
+// OSDs, so the candidate list also outgrows Select's stack buffer.
+func FuzzSelectMatchesReference(f *testing.F) {
+	f.Add(uint8(0), uint8(0), uint8(15), uint8(1), []byte(nil), uint64(0), uint8(1), uint8(12), uint64(42))
+	f.Add(uint8(4), uint8(2), uint8(0), uint8(1), []byte(nil), uint64(0b1011), uint8(2), uint8(4), uint64(7))
+	f.Add(uint8(2), uint8(3), uint8(4), uint8(2), []byte{16, 32, 0, 8}, uint64(1<<40|3), uint8(0), uint8(14), uint64(9))
+	f.Add(uint8(3), uint8(7), uint8(7), uint8(3), []byte{255, 1}, uint64(0), uint8(3), uint8(6), uint64(1))
+	f.Fuzz(func(t *testing.T, racks, hostsPerRack, flatHosts, osdsPerHost uint8, weights []byte, outMask uint64, domain, n uint8, seed uint64) {
+		weight := func(int) float64 { return 1 }
+		if len(weights) > 0 {
+			weight = func(i int) float64 { return float64(weights[i%len(weights)]) / 16 }
+		}
+		m := shapeMap(t, int(racks%4), int(hostsPerRack%8), int(flatHosts%16), 1+int(osdsPerHost%4), weight)
+		for id := 0; id < m.NumOSDs(); id++ {
+			if outMask>>(id%64)&1 != 0 {
+				m.SetOut(id, true)
+			}
+		}
+		domains := []string{TypeOSD, TypeHost, TypeRack, "datacenter"}
+		checkAgainstReference(t, m, seed, int(n%16), domains[domain%4])
+	})
 }

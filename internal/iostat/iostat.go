@@ -2,13 +2,15 @@
 // role iostat plays on each DSS server in the paper's methodology. The
 // samples feed the breakdown analysis (when did recovery I/O actually
 // start and stop on each device).
+//
+// A Sampler belongs to one run and is driven from its simulator's
+// goroutine, like the devices it reads; it takes no lock.
 package iostat
 
 import (
 	"fmt"
 	"slices"
 	"strings"
-	"sync"
 
 	"repro/internal/blockdev"
 	"repro/internal/simclock"
@@ -24,9 +26,9 @@ type Sample struct {
 	WriteBytes int64
 }
 
-// Sampler tracks a set of devices and records counter deltas.
+// Sampler tracks a set of devices and records counter deltas. It is not
+// safe for concurrent use.
 type Sampler struct {
-	mu      sync.Mutex
 	devs    []tracked // sorted by name: the order a tick records them in
 	samples []Sample
 }
@@ -52,8 +54,6 @@ func (s *Sampler) Track(name string, dev *blockdev.Device) error {
 // so tracking them from a zero baseline reports the same first-sample
 // deltas a fresh cluster tracked from birth would.
 func (s *Sampler) TrackFrom(name string, dev *blockdev.Device, baseline blockdev.Stats) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	i, dup := slices.BinarySearchFunc(s.devs, name, func(d tracked, n string) int { return strings.Compare(d.name, n) })
 	if dup {
 		return fmt.Errorf("iostat: device %q already tracked", name)
@@ -64,8 +64,6 @@ func (s *Sampler) TrackFrom(name string, dev *blockdev.Device, baseline blockdev
 
 // Sample records deltas for all tracked devices at simulated time t.
 func (s *Sampler) Sample(t simclock.Time) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	// Grow by doubling when a tick does not fit: append alone grows a large
 	// slice by about 1.25x a time, which allocates several times the final
 	// size over a run.
@@ -92,7 +90,5 @@ func (s *Sampler) Sample(t simclock.Time) {
 // again, and an append by the caller reallocates instead of reaching the
 // sampler.
 func (s *Sampler) Samples() []Sample {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return slices.Clip(s.samples)
 }

@@ -4,21 +4,22 @@
 // bytes, cumulative WAL bytes (every mutation is journaled), and an
 // on-disk footprint that applies a configurable space-amplification factor
 // representing LSM compaction overhead.
+//
+// A DB has one owner, the goroutine driving its cluster, and takes no
+// lock; Get counts, so even a read is an owner operation. Fork only
+// reads, so a store no one writes any more — one under a frozen snapshot
+// store — may be forked by several goroutines at once.
 package kvstore
 
-import (
-	"maps"
-	"sync"
-)
+import "maps"
 
 // perEntryOverhead approximates per-record framing in the WAL and SSTs
 // (sequence number, CRC, lengths).
 const perEntryOverhead = 24
 
-// DB is an in-memory KV store with accounting.
+// DB is an in-memory KV store with accounting. It is not safe for
+// concurrent use; concurrent Forks of a store nobody writes are.
 type DB struct {
-	mu sync.RWMutex
-
 	// data may share its values with forks of this store; Put stores a
 	// private copy and nothing writes a stored value in place.
 	data map[string][]byte
@@ -42,8 +43,6 @@ func Open(spaceAmp float64) *DB {
 
 // Put inserts or replaces a key.
 func (db *DB) Put(key string, value []byte) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
 	entry := int64(len(key)+len(value)) + perEntryOverhead
 	db.walBytes += entry
 	if old, ok := db.data[key]; ok {
@@ -65,10 +64,8 @@ func (db *DB) PutAccounted(keyLen, valueLen int) {
 }
 
 // PutAccountedN accounts n invisible entries totalling keyBytes of keys
-// and valueBytes of values in one locked step.
+// and valueBytes of values in one step.
 func (db *DB) PutAccountedN(keyBytes, valueBytes, n int64) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
 	entry := keyBytes + valueBytes + n*perEntryOverhead
 	db.walBytes += entry
 	db.logicalBytes += entry
@@ -78,8 +75,6 @@ func (db *DB) PutAccountedN(keyBytes, valueBytes, n int64) {
 // DeleteAccounted reverses a PutAccounted entry, journaling the tombstone
 // exactly as Delete would.
 func (db *DB) DeleteAccounted(keyLen, valueLen int) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
 	db.walBytes += int64(keyLen) + perEntryOverhead
 	db.logicalBytes -= int64(keyLen+valueLen) + perEntryOverhead
 	db.deletes++
@@ -87,21 +82,17 @@ func (db *DB) DeleteAccounted(keyLen, valueLen int) {
 
 // Get fetches a key, returning a copy.
 func (db *DB) Get(key string) ([]byte, bool) {
-	db.mu.Lock()
 	db.gets++
 	v, ok := db.data[key]
 	var out []byte
 	if ok {
 		out = append([]byte(nil), v...)
 	}
-	db.mu.Unlock()
 	return out, ok
 }
 
 // Delete removes a key; the tombstone is journaled.
 func (db *DB) Delete(key string) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
 	db.walBytes += int64(len(key)) + perEntryOverhead
 	if old, ok := db.data[key]; ok {
 		db.logicalBytes -= int64(len(key)+len(old)) + perEntryOverhead
@@ -112,37 +103,27 @@ func (db *DB) Delete(key string) {
 
 // Len returns the number of live keys.
 func (db *DB) Len() int {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
 	return len(db.data)
 }
 
 // LogicalBytes is the size of live entries (keys + values + framing).
 func (db *DB) LogicalBytes() int64 {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
 	return db.logicalBytes
 }
 
 // Footprint is the modeled on-disk size: live bytes times the LSM
 // space-amplification factor.
 func (db *DB) Footprint() int64 {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
 	return int64(float64(db.logicalBytes) * db.spaceAmp)
 }
 
 // WALBytes is the cumulative journaled byte count (device write traffic).
 func (db *DB) WALBytes() int64 {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
 	return db.walBytes
 }
 
 // Ops reports operation counts (puts, gets, deletes).
 func (db *DB) Ops() (puts, gets, deletes int64) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
 	return db.puts, db.gets, db.deletes
 }
 
@@ -150,8 +131,6 @@ func (db *DB) Ops() (puts, gets, deletes int64) {
 // of its accounting, so WAL and footprint deltas match a fresh store that
 // replayed the same history.
 func (db *DB) Fork() *DB {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
 	return &DB{
 		data:         maps.Clone(db.data),
 		spaceAmp:     db.spaceAmp,

@@ -3,7 +3,6 @@ package kvstore
 import (
 	"bytes"
 	"fmt"
-	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -82,30 +81,6 @@ func TestOpsCounters(t *testing.T) {
 	p, g, d := db.Ops()
 	if p != 1 || g != 2 || d != 1 {
 		t.Fatalf("ops = %d %d %d", p, g, d)
-	}
-}
-
-func TestConcurrent(t *testing.T) {
-	db := Open(1.5)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				k := fmt.Sprintf("g%d/k%d", g, i%10)
-				db.Put(k, []byte{byte(i)})
-				db.Get(k)
-				if i%5 == 0 {
-					db.Delete(k)
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	// Each goroutine leaves keys i%10 in {6..9} plus any not deleted.
-	if db.Len() == 0 {
-		t.Fatal("expected surviving keys")
 	}
 }
 

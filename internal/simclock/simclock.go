@@ -13,13 +13,16 @@
 // entry is three scalars — (at, seq) and the index of a callback slot —
 // in an implicit 4-ary min-heap (no container/heap interface boxing), so
 // sifting moves 24-byte records the garbage collector never has to look
-// at and never crosses a write barrier. The callback itself, a fixed-arg
-// pair (fn func(any), arg any) plus the Queue whose server it occupies,
-// if any, waits in a slab of slots that is written when the event is
-// scheduled and cleared when it fires. Func values and pointers are
-// pointer-shaped, so storing them in an `any` does not allocate. The
-// closure-based At/After/Submit signatures remain for cold paths; hot
-// callers use the *Arg variants with a pooled or long-lived argument.
+// at and never crosses a write barrier. A sift down picks the least of
+// four children without branching on the data, from the borrow of a
+// 128-bit subtraction; that is exact because no pending event's time is
+// negative. The callback itself, a fixed-arg pair (fn func(any), arg any)
+// plus the Queue whose server it occupies, if any, waits in a slab of
+// slots that is written when the event is scheduled and cleared when it
+// fires. Func values and pointers are pointer-shaped, so storing them in
+// an `any` does not allocate. The closure-based At/After/Submit
+// signatures remain for cold paths; hot callers use the *Arg variants
+// with a pooled or long-lived argument.
 package simclock
 
 import (
@@ -62,6 +65,9 @@ type Sim struct {
 
 // entry is one scheduled event as the heap sees it. It must stay free of
 // pointers: that is what keeps sifts out of the write barrier.
+//
+// Invariant: at >= 0 for every pending entry. schedule refuses t < now,
+// and now starts at 0 and never decreases. lessBits relies on it.
 type entry struct {
 	at   Time
 	seq  uint64
@@ -70,6 +76,15 @@ type entry struct {
 
 func (e *entry) before(o *entry) bool {
 	return e.at < o.at || (e.at == o.at && e.seq < o.seq)
+}
+
+// lessBits is before as 1 or 0, computed without a branch: the borrow out
+// of the 128-bit subtraction (a.at, a.seq) − (b.at, b.seq). Comparing at
+// unsigned is exact because it is never negative (see entry).
+func lessBits(a, b *entry) int {
+	_, borrow := bits.Sub64(a.seq, b.seq, 0)
+	_, borrow = bits.Sub64(uint64(a.at), uint64(b.at), borrow)
+	return int(borrow)
 }
 
 // slot holds a pending event's callback. fn and arg are stored separately
@@ -142,6 +157,8 @@ func (s *Sim) schedule(t Time, fn func(any), arg any, q *Queue) {
 
 // heapUp restores the heap property from leaf i toward the root. The
 // moving entry is held in registers and written once at its final place.
+// It compares with before: there is one compare per level, and a new
+// event usually stops within a level or two, so the branch predicts well.
 func heapUp(h []entry, i int) {
 	e := h[i]
 	for i > 0 {
@@ -158,23 +175,33 @@ func heapUp(h []entry, i int) {
 // heapDown restores the heap property from place i toward the leaves. With
 // four children per node the tree is half as deep as a binary heap, which
 // pays off on the pop-heavy event loop.
+//
+// A full family picks its least child in a branch-free tournament: two
+// pairs, then their winners. The heap holds a few dozen events, so a sift
+// is short and the compares of a scan mispredict often; the tournament
+// trades those branches for lessBits' borrows. Sequence numbers are
+// unique, so the least child is unique and the pop order is the one a
+// scan gives. The last, partial family (at most one per sift) and the
+// stop test keep before.
 func heapDown(h []entry, i int) {
 	n := len(h)
 	e := h[i]
 	for {
 		c := i<<2 + 1
-		if c >= n {
-			break
-		}
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		m := c
-		for k := c + 1; k < end; k++ {
-			if h[k].before(&h[m]) {
-				m = k
+		var m int
+		if c+3 < n {
+			x := c + lessBits(&h[c+1], &h[c])
+			y := c + 2 + lessBits(&h[c+3], &h[c+2])
+			m = x + (y-x)*lessBits(&h[y], &h[x])
+		} else if c < n {
+			m = c
+			for k := c + 1; k < n; k++ {
+				if h[k].before(&h[m]) {
+					m = k
+				}
 			}
+		} else {
+			break
 		}
 		if !h[m].before(&e) {
 			break

@@ -1,6 +1,7 @@
 package simclock
 
 import (
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -45,6 +46,33 @@ func TestHeapEntryIsPointerFree(t *testing.T) {
 	}
 	if !pointerBearing(reflect.TypeOf(slot{})) {
 		t.Error("pointerBearing finds no pointer in slot, which holds a func, an any and a *Queue")
+	}
+}
+
+// TestLessBitsMatchesBefore pins the branch-free compare heapDown's
+// tournament uses to before, over every pair from a table of times (0 up
+// to the largest Time, the domain the at >= 0 invariant leaves) and
+// sequence numbers, equal ones included.
+func TestLessBitsMatchesBefore(t *testing.T) {
+	ats := []Time{0, 1, 2, time.Second, 1<<32 - 1, 1 << 32, 1<<62 + 5, math.MaxInt64 - 1, math.MaxInt64}
+	seqs := []uint64{0, 1, 2, 1<<32 - 1, 1 << 32, 1 << 63, math.MaxUint64 - 1, math.MaxUint64}
+	var es []entry
+	for _, at := range ats {
+		for _, seq := range seqs {
+			es = append(es, entry{at: at, seq: seq})
+		}
+	}
+	for i := range es {
+		for j := range es {
+			a, b := &es[i], &es[j]
+			want := 0
+			if a.before(b) {
+				want = 1
+			}
+			if got := lessBits(a, b); got != want {
+				t.Errorf("lessBits(%v/%d, %v/%d) = %d, before says %d", a.at, a.seq, b.at, b.seq, got, want)
+			}
+		}
 	}
 }
 

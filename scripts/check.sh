@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # Repo-wide check: vet + build + tier-1 tests (the scale-1 golden of
-# cmd/ecbench included) + race audit of the concurrent packages + the
-# engine's ordering and gather fuzz smokes (the slicing one on two queues
-# that hand outgrown wait rings to each other) + the matrix codes'
-# round-trip fuzz smoke + the store's naive-model fuzz smoke (overlay
-# Reserve included) + the two input-surface fuzz smokes (fault lists,
-# ceph.conf text) + a run of every example, each of which must exit 0 +
-# the benchmark module's self-test and smoke runs.
+# cmd/ecbench included) + race audit of the concurrent packages and of the
+# lock-free snapshot forks + the engine's ordering and gather fuzz smokes
+# (the slicing one on two queues that hand outgrown wait rings to each
+# other) + the placement fuzz smoke (Select against its straw2 reference)
+# + the matrix codes' round-trip fuzz smoke + the store's naive-model fuzz
+# smoke (overlay Reserve included) + the two input-surface fuzz smokes
+# (fault lists, ceph.conf text) + a run of every example, each of which
+# must exit 0 + the benchmark module's self-test and smoke runs.
 # Run from the repo root: ./scripts/check.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -30,8 +31,10 @@ done
 echo "== go test (tier 1, with the scale-1 golden) =="
 go test ./...
 
-# blockdev and kvstore are here because concurrent forks of one snapshot
-# clone their maps under the parent's lock.
+# blockdev, kvstore, bluestore and cluster are here because concurrent
+# forks of one snapshot read a frozen parent that has no lock
+# (cluster.TestConcurrentForksLeaveSnapshotUnchanged): a fork that wrote
+# into it would be a race.
 echo "== go test -race (concurrent packages + kernels) =="
 go test -race -count=1 \
     ./internal/gf256 \
@@ -45,10 +48,11 @@ go test -race -count=1 \
     ./internal/parallel \
     ./internal/tuner
 
-echo "== fuzz smoke (simclock: same-instant FIFO, RunUntil slicing with wait rings changing queues; simnet: gather == per-ship; matrix codes: decode/repair == CanRecover; bluestore: store == naive per-chunk model across forks, Reserve included; inputs: fault lists and ceph.conf text are run or rejected, never a panic) =="
+echo "== fuzz smoke (simclock: same-instant FIFO, RunUntil slicing with wait rings changing queues; simnet: gather == per-ship; crush: Select == straw2 reference; matrix codes: decode/repair == CanRecover; bluestore: store == naive per-chunk model across forks, Reserve included; inputs: fault lists and ceph.conf text are run or rejected, never a panic) =="
 go test ./internal/simclock -run xxx -fuzz FuzzSimclockFIFO -fuzztime 10s
 go test ./internal/simclock -run xxx -fuzz FuzzRunUntilSlicing -fuzztime 10s
 go test ./internal/simnet -run xxx -fuzz FuzzGatherMatchesPerShip -fuzztime 10s
+go test ./internal/crush -run xxx -fuzz FuzzSelectMatchesReference -fuzztime 10s
 go test ./internal/erasure/conformance -run xxx -fuzz FuzzMatrixCodeRoundTrip -fuzztime 10s
 go test ./internal/bluestore -run xxx -fuzz FuzzStoreMatchesNaiveModel -fuzztime 10s
 go test ./internal/core -run xxx -fuzz FuzzFaultSpecs -fuzztime 10s
