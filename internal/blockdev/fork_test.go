@@ -1,99 +1,49 @@
 package blockdev
 
-import (
-	"bytes"
-	"testing"
-)
+import "testing"
 
-// readByte reads one byte of dev at off.
-func readByte(t *testing.T, dev *Device, off int64) byte {
-	t.Helper()
-	b := make([]byte, 1)
-	if _, err := dev.ReadAt(b, off); err != nil {
-		t.Fatal(err)
-	}
-	return b[0]
-}
-
+// TestForkCopyOnWriteIsolation: I/O charged to one fork shows in neither
+// its parent nor its sibling.
 func TestForkCopyOnWriteIsolation(t *testing.T) {
-	d, _ := New("dev", 1<<20, 4096)
-	if _, err := d.WriteAt(bytes.Repeat([]byte{0xAA}, 8192), 0); err != nil {
-		t.Fatal(err)
-	}
+	d := newDev(t)
+	_ = d.AccountWrite(8192)
 	f1, f2 := d.Fork(), d.Fork()
 
-	// f1 overwrites part of a shared block; f2 trims the other block.
-	if _, err := f1.WriteAt([]byte{0xBB}, 100); err != nil {
-		t.Fatal(err)
-	}
-	if err := f2.Trim(4096, 4096); err != nil {
-		t.Fatal(err)
-	}
+	_ = f1.AccountWrite(1)
+	_ = f2.AccountRead(4096)
 
-	if got := readByte(t, f1, 100); got != 0xBB {
-		t.Fatalf("f1[100]=%x", got)
+	if got, want := f1.Snapshot(), (Stats{WriteOps: 2, WriteBytes: 8193}); got != want {
+		t.Fatalf("f1 %+v, want %+v", got, want)
 	}
-	if got := readByte(t, d, 100); got != 0xAA {
-		t.Fatalf("parent[100]=%x, fork write leaked", got)
+	if got, want := f2.Snapshot(), (Stats{ReadOps: 1, ReadBytes: 4096, WriteOps: 1, WriteBytes: 8192}); got != want {
+		t.Fatalf("f2 %+v, want %+v", got, want)
 	}
-	if got := readByte(t, f2, 100); got != 0xAA {
-		t.Fatalf("f2[100]=%x, sibling write leaked", got)
-	}
-	if got := readByte(t, f2, 5000); got != 0 {
-		t.Fatalf("f2[5000]=%x after trim", got)
-	}
-	if got := readByte(t, d, 5000); got != 0xAA {
-		t.Fatalf("parent[5000]=%x, fork trim leaked", got)
-	}
-	if got := readByte(t, f1, 101); got != 0xAA {
-		t.Fatalf("f1[101]=%x, partial write lost the block's other bytes", got)
+	if got, want := d.Snapshot(), (Stats{WriteOps: 1, WriteBytes: 8192}); got != want {
+		t.Fatalf("parent %+v, want %+v: a fork's I/O leaked", got, want)
 	}
 }
 
 // TestForkOfForkIsolation: a fork and a fork of that fork each keep the
-// contents they were taken with while the parent, the fork and a sibling
-// go on writing, trimming and removing.
+// counters they were taken with while the parent, the fork and a sibling
+// go on charging I/O and removing.
 func TestForkOfForkIsolation(t *testing.T) {
-	d, _ := New("dev", 1<<20, 4096)
-	if _, err := d.WriteAt(bytes.Repeat([]byte{1}, 3*4096), 0); err != nil {
-		t.Fatal(err)
-	}
+	d := newDev(t)
+	_ = d.AccountWrite(3 * 4096)
 	f := d.Fork()
-	if _, err := f.WriteAt([]byte{2}, 4096); err != nil {
-		t.Fatal(err)
-	}
+	_ = f.AccountWrite(1)
 	ff, sibling := f.Fork(), d.Fork()
 
 	// Every later mutation lands on someone else.
-	if _, err := d.WriteAt([]byte{9}, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Trim(8192, 4096); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteAt([]byte{8}, 4096); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Trim(0, 4096); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sibling.WriteAt([]byte{7}, 8192); err != nil {
-		t.Fatal(err)
-	}
+	_ = d.AccountWrite(1)
+	_ = f.AccountRead(4096)
+	_ = sibling.AccountWrite(1)
 	sibling.Remove()
 
-	for off, want := range map[int64]byte{0: 1, 4096: 2, 8192: 1} {
-		if got := readByte(t, ff, off); got != want {
-			t.Fatalf("fork of fork [%d]=%d, want %d", off, got, want)
-		}
+	if got, want := ff.Snapshot(), (Stats{WriteOps: 2, WriteBytes: 3*4096 + 1}); got != want || ff.Removed() {
+		t.Fatalf("fork of fork %+v removed %v, want %+v", got, ff.Removed(), want)
 	}
-	for off, want := range map[int64]byte{0: 0, 4096: 8, 8192: 1} {
-		if got := readByte(t, f, off); got != want {
-			t.Fatalf("fork [%d]=%d, want %d", off, got, want)
-		}
-	}
-	if ff.Used() != 3*4096 || f.Used() != 2*4096 || d.Used() != 2*4096 {
-		t.Fatalf("Used: fork of fork %d, fork %d, parent %d", ff.Used(), f.Used(), d.Used())
+	if got, want := f.Snapshot(), (Stats{ReadOps: 1, ReadBytes: 4096, WriteOps: 2, WriteBytes: 3*4096 + 1}); got != want {
+		t.Fatalf("fork %+v, want %+v", got, want)
 	}
 	if !sibling.Fork().Removed() {
 		t.Fatal("a removed device must fork to a removed device")
@@ -101,45 +51,22 @@ func TestForkOfForkIsolation(t *testing.T) {
 }
 
 func TestForkUsedAndStats(t *testing.T) {
-	d, _ := New("dev", 1<<20, 4096)
-	if _, err := d.WriteAt(make([]byte, 8192), 0); err != nil {
-		t.Fatal(err)
-	}
+	d := newDev(t)
+	_ = d.AccountWrite(8192)
 	f := d.Fork()
-	if f.Used() != d.Used() {
-		t.Fatalf("fork Used %d != parent %d", f.Used(), d.Used())
-	}
-	if f.Snapshot() != d.Snapshot() {
-		t.Fatalf("fork stats %+v != parent %+v", f.Snapshot(), d.Snapshot())
-	}
-	// Overwriting a shared block must not double-count it.
-	if _, err := f.WriteAt([]byte{1}, 0); err != nil {
-		t.Fatal(err)
-	}
-	if f.Used() != d.Used() {
-		t.Fatalf("fork Used %d != parent %d after overwrite", f.Used(), d.Used())
-	}
-	// Trimming a shared block shrinks only the fork.
-	if err := f.Trim(4096, 4096); err != nil {
-		t.Fatal(err)
-	}
-	if f.Used() != d.Used()-4096 {
-		t.Fatalf("fork Used %d after trim, parent %d", f.Used(), d.Used())
+	if f.Snapshot() != d.Snapshot() || f.Capacity() != d.Capacity() {
+		t.Fatalf("fork %+v of %d bytes != parent %+v of %d", f.Snapshot(), f.Capacity(), d.Snapshot(), d.Capacity())
 	}
 }
 
 func TestForkRemoveIndependent(t *testing.T) {
-	d, _ := New("dev", 1<<20, 4096)
-	if _, err := d.WriteAt([]byte("hello"), 0); err != nil {
-		t.Fatal(err)
-	}
+	d := newDev(t)
 	f := d.Fork()
 	f.Remove()
 	if !f.Removed() {
 		t.Fatal("fork not removed")
 	}
-	buf := make([]byte, 5)
-	if _, err := d.ReadAt(buf, 0); err != nil || string(buf) != "hello" {
-		t.Fatalf("parent affected by fork removal: %q %v", buf, err)
+	if d.Removed() || d.AccountRead(5) != nil {
+		t.Fatal("parent affected by fork removal")
 	}
 }

@@ -3,22 +3,24 @@
 // KV/metadata/data cache ratios on recovery time (Fig. 2a) and OSD-level
 // write amplification (Table 3, §4.4).
 //
-// Each OSD owns one Store sitting on a virtual block device plus an
-// embedded key-value store (the RocksDB stand-in). Chunk writes allocate
-// min_alloc-rounded space, record onode/extent/checksum metadata in the KV
-// store, and account the EC-related metadata whose aggregate size the
-// paper observes but does not decompose (see Config.ECMetaFraction).
+// Each OSD owns one Store sitting on a virtual block device. Chunk writes
+// allocate min_alloc-rounded space, account one onode record per chunk in
+// the embedded key-value store (the RocksDB stand-in, kept as its live byte
+// count), account extent/checksum metadata, and account the EC-related
+// metadata whose aggregate size the paper observes but does not decompose
+// (see ecMetaFraction). Payload-mode chunks keep their bytes in the store;
+// every byte read or written is charged to the device's counters.
 //
 // A Store has one owner: the goroutine driving its cluster. It takes no
 // lock. The one store several goroutines share is a frozen one, a
 // snapshot parent: nothing writes it, so any number of them may Fork it
-// at once. Reads that count — ReadChunk and ScrubChunk bump device and KV
+// at once. Reads that count — ReadChunk and ScrubChunk bump device
 // counters, AccessProfile writes its memo — stay owner operations, even
 // on a frozen store.
 package bluestore
 
 import (
-	"encoding/binary"
+	"bytes"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -26,7 +28,6 @@ import (
 	"strconv"
 
 	"repro/internal/blockdev"
-	"repro/internal/kvstore"
 )
 
 // ErrNoSuchChunk is returned when reading or deleting an unknown chunk.
@@ -48,29 +49,37 @@ var (
 	CacheAutotune      = CacheConfig{KVRatio: 0.45, MetaRatio: 0.45, DataRatio: 0.10, Autotune: true}
 )
 
-// Config parameterizes the store. Zero values take defaults.
-type Config struct {
-	// MinAllocSize is the allocation granularity (bluestore_min_alloc_size).
-	MinAllocSize int64
-	// BlobSize caps a single blob; one extent-map entry is recorded per
+// The on-disk layout of a Quincy-era SSD OSD. Nothing sets these: they are
+// the calibration every experiment shares.
+const (
+	// blobSize caps a single blob; one extent-map entry is recorded per
 	// blob of a chunk write.
-	BlobSize int64
-	// CsumChunkSize is the checksum granularity; CsumEntryBytes are stored
+	blobSize = 512 << 10
+	// csumChunkSize is the checksum granularity; csumEntryBytes are stored
 	// per checksum chunk.
-	CsumChunkSize  int64
-	CsumEntryBytes int64
-	// OnodeBytes is the serialized onode record size per chunk object.
-	OnodeBytes int64
-	// ExtentEntryBytes is the extent-map entry size per blob.
-	ExtentEntryBytes int64
-	// ECMetaFraction models the EC-related metadata the paper's S_meta
+	csumChunkSize  = 4096
+	csumEntryBytes = 4
+	// onodeBytes is the serialized onode record size per chunk object.
+	onodeBytes = 520
+	// extentEntryBytes is the extent-map entry size per blob.
+	extentEntryBytes = 48
+	// ecMetaFraction models the EC-related metadata the paper's S_meta
 	// term aggregates (hash_info attributes, PG-log dup entries, LSM
 	// overhead attributable to the object). It is charged as a fraction
 	// of the chunk's logical share of the object and calibrated once
 	// against Table 3 (see EXPERIMENTS.md).
-	ECMetaFraction float64
-	// KVSpaceAmp is the RocksDB space-amplification factor.
-	KVSpaceAmp float64
+	ecMetaFraction = 0.26
+	// kvSpaceAmp is the RocksDB space-amplification factor.
+	kvSpaceAmp = 1.35
+	// kvEntryOverhead approximates per-record framing in the RocksDB WAL
+	// and SSTs (sequence number, CRC, lengths).
+	kvEntryOverhead = 24
+)
+
+// Config parameterizes the store. Zero values take defaults.
+type Config struct {
+	// MinAllocSize is the allocation granularity (bluestore_min_alloc_size).
+	MinAllocSize int64
 	// CacheBytes is the total cache available to the three pools.
 	CacheBytes int64
 	Cache      CacheConfig
@@ -78,24 +87,13 @@ type Config struct {
 
 // DefaultConfig mirrors a Quincy-era SSD OSD.
 func DefaultConfig() Config {
-	return Config{
-		MinAllocSize:     4096,
-		BlobSize:         512 << 10,
-		CsumChunkSize:    4096,
-		CsumEntryBytes:   4,
-		OnodeBytes:       520,
-		ExtentEntryBytes: 48,
-		ECMetaFraction:   0.26,
-		KVSpaceAmp:       1.35,
-		CacheBytes:       3 << 30,
-		Cache:            CacheAutotune,
-	}
+	return Config{MinAllocSize: 4096, CacheBytes: 3 << 30, Cache: CacheAutotune}
 }
 
 // ChunkID names one EC shard of one object. It is the identity chunks
 // carry across the cluster/bluestore boundary: comparable, so it keys the
-// overlay map directly, and only rendered as a string where one is
-// needed (payload-mode KV keys, log and error text).
+// overlay map directly, and only rendered as a string for log and error
+// text.
 type ChunkID struct {
 	Pool   string
 	PG     int
@@ -120,6 +118,12 @@ func (id ChunkID) String() string {
 // computed without building the key.
 func (id ChunkID) kvKeyLen() int {
 	return len("o/") + len(id.Pool) + 1 + decLen(id.PG) + 1 + len(id.Object) + len("/s") + decLen(id.Shard)
+}
+
+// onodeEntry is the KV bytes of the chunk's onode record: key, value and
+// framing.
+func (id ChunkID) onodeEntry() int64 {
+	return int64(id.kvKeyLen()) + onodeBytes + kvEntryOverhead
 }
 
 // decLen is the length of v in decimal, sign included.
@@ -183,11 +187,16 @@ type baseRun struct {
 
 type chunkInfo struct {
 	size      int64
-	share     int64  // logical object share used for EC metadata accounting
-	checksum  uint32 // crc32 of the payload at write time (payload mode)
-	hasData   bool
-	corrupted bool // accounting-mode corruption marker
-	deleted   bool // tombstone over a base-run chunk
+	share     int64 // logical object share used for EC metadata accounting
+	hasData   bool  // payload mode: the bytes are in Store.payloads
+	corrupted bool  // accounting-mode corruption marker
+	deleted   bool  // tombstone over a base-run chunk
+}
+
+// chunkData is a payload-mode chunk's bytes and their crc32 at write time.
+type chunkData struct {
+	bytes []byte
+	crc   uint32
 }
 
 // Store is one OSD's object store. It is not safe for concurrent use,
@@ -195,7 +204,6 @@ type chunkInfo struct {
 type Store struct {
 	cfg Config
 	dev *blockdev.Device
-	kv  *kvstore.DB
 
 	// runs is the bulk base: one entry per (pool, PG, shard) ingested
 	// through WriteChunksBulk. Entries are immutable and the slice is
@@ -208,15 +216,23 @@ type Store struct {
 	chunks map[ChunkID]chunkInfo
 	count  int // visible chunks: runs + overlay - tombstones and shadows
 	frozen bool
+	// payloads holds the bytes of payload-mode chunks, nil until the first
+	// payload write. A fork starts from a copy of the map that shares the
+	// byte slices, so a stored slice is never written in place: a write or
+	// a corruption stores a new one.
+	payloads map[ChunkID]chunkData
 
 	dataAllocated int64
-	nextOffset    int64 // bump allocator for payload placement
+	nextOffset    int64 // bump allocator for payload placement: device-full check
+	// kvBytes is the KV store's live bytes: one onode record per visible
+	// chunk (see onodeEntry). Its footprint is kvBytes × kvSpaceAmp.
+	kvBytes int64
 
 	// accountedMeta tracks extent-map and checksum record bytes, which are
 	// accounted rather than materialized to keep large synthetic workloads
 	// cheap.
 	accountedMeta int64
-	// ecMetaBytes is the accounted EC metadata (see Config.ECMetaFraction).
+	// ecMetaBytes is the accounted EC metadata (see ecMetaFraction).
 	ecMetaBytes int64
 
 	dataWorkingSet int64 // set by the experiment runner; see SetDataWorkingSet
@@ -230,29 +246,11 @@ type Store struct {
 	profileValid bool
 }
 
-// normalizeConfig applies the zero-value defaults Open documents.
-func normalizeConfig(cfg Config) (Config, error) {
+// normalizeConfig applies the zero-value defaults Config documents.
+func normalizeConfig(cfg Config) Config {
 	def := DefaultConfig()
 	if cfg.MinAllocSize <= 0 {
 		cfg.MinAllocSize = def.MinAllocSize
-	}
-	if cfg.BlobSize <= 0 {
-		cfg.BlobSize = def.BlobSize
-	}
-	if cfg.CsumChunkSize <= 0 {
-		cfg.CsumChunkSize = def.CsumChunkSize
-	}
-	if cfg.CsumEntryBytes <= 0 {
-		cfg.CsumEntryBytes = def.CsumEntryBytes
-	}
-	if cfg.OnodeBytes <= 0 {
-		cfg.OnodeBytes = def.OnodeBytes
-	}
-	if cfg.ExtentEntryBytes <= 0 {
-		cfg.ExtentEntryBytes = def.ExtentEntryBytes
-	}
-	if cfg.KVSpaceAmp <= 0 {
-		cfg.KVSpaceAmp = def.KVSpaceAmp
 	}
 	if cfg.CacheBytes <= 0 {
 		cfg.CacheBytes = def.CacheBytes
@@ -260,24 +258,12 @@ func normalizeConfig(cfg Config) (Config, error) {
 	if cfg.Cache == (CacheConfig{}) {
 		cfg.Cache = def.Cache
 	}
-	if cfg.ECMetaFraction < 0 {
-		return cfg, fmt.Errorf("bluestore: negative ECMetaFraction")
-	}
-	return cfg, nil
+	return cfg
 }
 
 // Open creates a store over a device.
-func Open(dev *blockdev.Device, cfg Config) (*Store, error) {
-	cfg, err := normalizeConfig(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &Store{
-		cfg:    cfg,
-		dev:    dev,
-		kv:     kvstore.Open(cfg.KVSpaceAmp),
-		chunks: map[ChunkID]chunkInfo{},
-	}, nil
+func Open(dev *blockdev.Device, cfg Config) *Store {
+	return &Store{cfg: normalizeConfig(cfg), dev: dev, chunks: map[ChunkID]chunkInfo{}}
 }
 
 // Config returns the effective configuration.
@@ -349,44 +335,24 @@ func (s *Store) WriteChunk(id ChunkID, size, objectShare int64, payload []byte) 
 		s.drop(id, old)
 	}
 	s.profileValid = false
-	info := chunkInfo{size: size, share: objectShare}
+	info := chunkInfo{size: size, share: objectShare, hasData: payload != nil}
 	allocated := roundUp(size, s.cfg.MinAllocSize)
 
-	var off int64
-	if payload != nil {
-		info.checksum = crc32.ChecksumIEEE(payload)
-		off = s.nextOffset
-		if off+allocated > s.dev.Capacity() {
-			return fmt.Errorf("bluestore: device full (%d + %d > %d)", off, allocated, s.dev.Capacity())
+	if info.hasData && s.nextOffset+allocated > s.dev.Capacity() {
+		return fmt.Errorf("bluestore: device full (%d + %d > %d)", s.nextOffset, allocated, s.dev.Capacity())
+	}
+	if err := s.dev.AccountWrite(size); err != nil {
+		return fmt.Errorf("bluestore: %w", err)
+	}
+	if info.hasData {
+		s.nextOffset += allocated
+		if s.payloads == nil {
+			s.payloads = map[ChunkID]chunkData{}
 		}
-		if _, err := s.dev.WriteAt(payload, off); err != nil {
-			return fmt.Errorf("bluestore: %w", err)
-		}
-		s.nextOffset = off + allocated
-		info.hasData = true
-	} else {
-		if err := s.dev.AccountWrite(size); err != nil {
-			return fmt.Errorf("bluestore: %w", err)
-		}
+		s.payloads[id] = chunkData{bytes: bytes.Clone(payload), crc: crc32.ChecksumIEEE(payload)}
 	}
 	s.dataAllocated += allocated
-
-	if info.hasData {
-		// Onode record: placement offset + sizes, padded to the modeled
-		// onode size. Only payload-mode chunks ever read it back.
-		onode := make([]byte, s.cfg.OnodeBytes)
-		binary.BigEndian.PutUint64(onode[0:8], uint64(off))
-		binary.BigEndian.PutUint64(onode[8:16], uint64(size))
-		binary.BigEndian.PutUint64(onode[16:24], uint64(objectShare))
-		onode[24] = 1
-		s.kv.Put("o/"+id.String(), onode)
-	} else {
-		// Accounting-mode chunks account the identical KV entry without
-		// materializing the key or the onode bytes (the synthetic-workload
-		// hot path: millions of onodes nobody reads).
-		s.kv.PutAccounted(id.kvKeyLen(), int(s.cfg.OnodeBytes))
-	}
-
+	s.kvBytes += id.onodeEntry()
 	s.accountedMeta += s.metaRecordBytes(size)
 	s.ecMetaBytes += s.ecMeta(objectShare)
 	s.chunks[id] = info
@@ -410,9 +376,9 @@ func (s *Store) Reserve(n int) error {
 // WriteChunksBulk ingests shard `shard` of every object of a bulk-loaded
 // PG as one base run: byte-for-byte the same device, KV and metadata
 // accounting as calling WriteChunk(id, ChunkSize, Size/shards, nil) per
-// object, in one device and one KV accounting call and without any
-// per-chunk state. Chunks must be new to the store — bulk ingest targets
-// objects the pool does not hold yet.
+// object, in one device accounting call and without any per-chunk state.
+// Chunks must be new to the store — bulk ingest targets objects the pool
+// does not hold yet.
 func (s *Store) WriteChunksBulk(pg *BulkPG, shard int) error {
 	n := int64(len(pg.objects))
 	var devBytes, allocSum, metaSum, ecSum int64
@@ -445,7 +411,7 @@ func (s *Store) WriteChunksBulk(pg *BulkPG, shard int) error {
 		return fmt.Errorf("bluestore: %w", err)
 	}
 	s.profileValid = false
-	s.kv.PutAccountedN(keyBytes, n*s.cfg.OnodeBytes, n)
+	s.kvBytes += keyBytes + n*(onodeBytes+kvEntryOverhead)
 	s.dataAllocated += allocSum
 	s.accountedMeta += metaSum
 	s.ecMetaBytes += ecSum
@@ -456,48 +422,36 @@ func (s *Store) WriteChunksBulk(pg *BulkPG, shard int) error {
 
 // metaRecordBytes is the extent-map plus checksum record size for a chunk.
 func (s *Store) metaRecordBytes(size int64) int64 {
-	extents := ceilDiv(size, s.cfg.BlobSize)
-	csums := ceilDiv(size, s.cfg.CsumChunkSize)
-	return extents*s.cfg.ExtentEntryBytes + csums*s.cfg.CsumEntryBytes
+	extents := ceilDiv(size, blobSize)
+	csums := ceilDiv(size, csumChunkSize)
+	return extents*extentEntryBytes + csums*csumEntryBytes
 }
 
 // ecMeta is the accounted EC metadata for a chunk of the given share.
 func (s *Store) ecMeta(share int64) int64 {
-	return int64(s.cfg.ECMetaFraction * float64(share))
+	return int64(ecMetaFraction * float64(share))
 }
 
-// ReadChunk returns the chunk size and, for payload-mode chunks, its
-// bytes. Device read counters are bumped either way.
+// ReadChunk returns the chunk size and, for payload-mode chunks, a copy of
+// its bytes. Device read counters are bumped either way.
 func (s *Store) ReadChunk(id ChunkID) (int64, []byte, error) {
 	info, ok := s.lookup(id)
 	if !ok {
 		return 0, nil, fmt.Errorf("%w: %s", ErrNoSuchChunk, id)
 	}
-	var off int64
-	if info.hasData {
-		onode, ok := s.kv.Get("o/" + id.String())
-		if !ok {
-			return 0, nil, fmt.Errorf("%w: onode for %s", ErrNoSuchChunk, id)
-		}
-		off = int64(binary.BigEndian.Uint64(onode[0:8]))
-	}
-	if info.hasData {
-		buf := make([]byte, info.size)
-		if _, err := s.dev.ReadAt(buf, off); err != nil {
-			return 0, nil, fmt.Errorf("bluestore: %w", err)
-		}
-		return info.size, buf, nil
-	}
 	if err := s.dev.AccountRead(info.size); err != nil {
 		return 0, nil, fmt.Errorf("bluestore: %w", err)
 	}
-	return info.size, nil, nil
+	if !info.hasData {
+		return info.size, nil, nil
+	}
+	return info.size, bytes.Clone(s.payloads[id].bytes), nil
 }
 
 // CorruptChunk simulates silent data corruption (bit rot) in a stored
-// chunk: payload-mode chunks get their on-device bytes flipped, and
-// accounting-mode chunks are marked corrupt. The stored checksum is left
-// intact, so only a scrub can tell.
+// chunk: payload-mode chunks get a byte in the middle flipped, read and
+// written back through the device, and accounting-mode chunks are marked
+// corrupt. The stored checksum is left intact, so only a scrub can tell.
 func (s *Store) CorruptChunk(id ChunkID) error {
 	if err := s.checkMutable("CorruptChunk"); err != nil {
 		return err
@@ -508,23 +462,21 @@ func (s *Store) CorruptChunk(id ChunkID) error {
 	}
 	info.corrupted = true
 	s.chunks[id] = info
-	if info.hasData {
-		onode, ok := s.kv.Get("o/" + id.String())
-		if !ok {
-			return fmt.Errorf("%w: onode for %s", ErrNoSuchChunk, id)
-		}
-		off := int64(binary.BigEndian.Uint64(onode[0:8]))
-		// Flip a byte somewhere in the middle of the chunk.
-		pos := off + info.size/2
-		buf := make([]byte, 1)
-		if _, err := s.dev.ReadAt(buf, pos); err != nil {
-			return err
-		}
-		buf[0] ^= 0xFF
-		if _, err := s.dev.WriteAt(buf, pos); err != nil {
-			return err
-		}
+	if !info.hasData {
+		return nil
 	}
+	if err := s.dev.AccountRead(1); err != nil {
+		return err
+	}
+	if err := s.dev.AccountWrite(1); err != nil {
+		return err
+	}
+	d := s.payloads[id]
+	d.bytes = bytes.Clone(d.bytes)
+	if len(d.bytes) > 0 {
+		d.bytes[len(d.bytes)/2] ^= 0xFF
+	}
+	s.payloads[id] = d
 	return nil
 }
 
@@ -540,11 +492,11 @@ func (s *Store) ScrubChunk(id ChunkID) (bool, error) {
 	if !info.hasData {
 		return !info.corrupted, nil
 	}
-	_, payload, err := s.ReadChunk(id)
-	if err != nil {
-		return false, err
+	if err := s.dev.AccountRead(info.size); err != nil {
+		return false, fmt.Errorf("bluestore: %w", err)
 	}
-	return crc32.ChecksumIEEE(payload) == info.checksum, nil
+	d := s.payloads[id]
+	return crc32.ChecksumIEEE(d.bytes) == d.crc, nil
 }
 
 // HasChunk reports whether the chunk exists.
@@ -583,10 +535,9 @@ func (s *Store) drop(id ChunkID, info chunkInfo) {
 	s.dataAllocated -= roundUp(info.size, s.cfg.MinAllocSize)
 	s.accountedMeta -= s.metaRecordBytes(info.size)
 	s.ecMetaBytes -= s.ecMeta(info.share)
+	s.kvBytes -= id.onodeEntry()
 	if info.hasData {
-		s.kv.Delete("o/" + id.String())
-	} else {
-		s.kv.DeleteAccounted(id.kvKeyLen(), int(s.cfg.OnodeBytes))
+		delete(s.payloads, id)
 	}
 	s.count--
 	if _, inBase := s.lookupBase(id); inBase {
@@ -611,7 +562,13 @@ func (s *Store) DataBytes() int64 {
 // aggregate, which is calibrated directly against Table 3 and therefore
 // not amplified again.
 func (s *Store) MetaBytes() int64 {
-	return s.kv.Footprint() + int64(s.cfg.KVSpaceAmp*float64(s.accountedMeta)) + s.ecMetaBytes
+	return s.kvFootprint() + int64(kvSpaceAmp*float64(s.accountedMeta)) + s.ecMetaBytes
+}
+
+// kvFootprint is the KV store's modeled on-disk size: live bytes times the
+// LSM space amplification.
+func (s *Store) kvFootprint() int64 {
+	return int64(float64(s.kvBytes) * kvSpaceAmp)
 }
 
 // UsedBytes is the OSD-level storage usage the paper measures for its
@@ -639,32 +596,25 @@ func (s *Store) Freeze() {
 }
 
 // Fork returns an independent writable copy of the store. cfg may change
-// only recovery-side knobs (cache scheme and size); every field that
-// shaped the on-disk layout during populate must match the parent,
-// because the copy shares the parent's base runs and starts from copies
-// of its overlay, device, KV store and accounting.
+// only recovery-side knobs (cache scheme and size); MinAllocSize shaped the
+// on-disk layout during populate and must match the parent, because the
+// copy shares the parent's base runs and payload bytes and starts from
+// copies of its overlay, device and accounting.
 func (s *Store) Fork(cfg Config) (*Store, error) {
-	cfg, err := normalizeConfig(cfg)
-	if err != nil {
-		return nil, err
-	}
-	layout := func(c Config) Config {
-		c.Cache = CacheConfig{}
-		c.CacheBytes = 0
-		return c
-	}
-	if layout(cfg) != layout(s.cfg) {
-		return nil, fmt.Errorf("bluestore: Fork config changes layout-relevant fields (%+v vs %+v)", layout(cfg), layout(s.cfg))
+	cfg = normalizeConfig(cfg)
+	if cfg.MinAllocSize != s.cfg.MinAllocSize {
+		return nil, fmt.Errorf("bluestore: Fork changes MinAllocSize (%d vs %d)", cfg.MinAllocSize, s.cfg.MinAllocSize)
 	}
 	return &Store{
 		cfg:            cfg,
 		dev:            s.dev.Fork(),
-		kv:             s.kv.Fork(),
 		runs:           s.runs[:len(s.runs):len(s.runs)],
 		chunks:         maps.Clone(s.chunks),
 		count:          s.count,
+		payloads:       maps.Clone(s.payloads),
 		dataAllocated:  s.dataAllocated,
 		nextOffset:     s.nextOffset,
+		kvBytes:        s.kvBytes,
 		accountedMeta:  s.accountedMeta,
 		ecMetaBytes:    s.ecMetaBytes,
 		dataWorkingSet: s.dataWorkingSet,
@@ -686,8 +636,8 @@ func (s *Store) AccessProfile() (metaHit, kvHit, dataHit float64) {
 }
 
 func (s *Store) computeProfile() [3]float64 {
-	kvNeed := float64(s.kv.Footprint()) + s.cfg.KVSpaceAmp*float64(s.accountedMeta) + float64(s.ecMetaBytes)
-	metaNeed := float64(int64(s.count) * s.cfg.OnodeBytes)
+	kvNeed := float64(s.kvFootprint()) + kvSpaceAmp*float64(s.accountedMeta) + float64(s.ecMetaBytes)
+	metaNeed := float64(int64(s.count) * onodeBytes)
 	dataNeed := float64(s.dataWorkingSet)
 	total := float64(s.cfg.CacheBytes)
 
@@ -750,9 +700,6 @@ func waterFill(total float64, needs [3]float64) (grant [3]float64) {
 	}
 	return grant
 }
-
-// KV exposes the embedded KV store (for tests and the logger).
-func (s *Store) KV() *kvstore.DB { return s.kv }
 
 // Device exposes the backing device.
 func (s *Store) Device() *blockdev.Device { return s.dev }

@@ -3,6 +3,7 @@ package bluestore
 import (
 	"bytes"
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -11,15 +12,11 @@ import (
 
 func newStore(t *testing.T, cfg Config) *Store {
 	t.Helper()
-	dev, err := blockdev.New("nvme0n1", 1<<30, 4096)
+	dev, err := blockdev.New(1 << 30)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := Open(dev, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
+	return Open(dev, cfg)
 }
 
 // cid names a chunk of pool "", PG 0, shard 0.
@@ -70,22 +67,27 @@ func TestMinAllocRounding(t *testing.T) {
 }
 
 func TestUsedBytesGrowsWithMetadata(t *testing.T) {
-	s := newStore(t, Config{ECMetaFraction: 0.25, KVSpaceAmp: 1})
-	if err := s.WriteChunk(cid("c"), 1<<20, 1<<20, nil); err != nil {
+	s := newStore(t, Config{})
+	size := int64(1 << 20)
+	if err := s.WriteChunk(cid("c"), size, size, nil); err != nil {
 		t.Fatal(err)
 	}
-	used := s.UsedBytes()
-	if used <= 1<<20 {
-		t.Fatalf("UsedBytes = %d, must exceed data bytes", used)
+	// One onode record, two blobs' extent entries and 256 checksums, all
+	// space-amplified, plus the EC metadata share of the object.
+	onode := int64(float64(cid("c").onodeEntry()) * kvSpaceAmp)
+	recordBytes := size/blobSize*extentEntryBytes + size/csumChunkSize*csumEntryBytes
+	records := int64(kvSpaceAmp * float64(recordBytes))
+	ec := int64(ecMetaFraction * float64(size))
+	if got, want := s.MetaBytes(), onode+records+ec; got != want {
+		t.Fatalf("MetaBytes = %d, want %d", got, want)
 	}
-	// EC metadata should be ~25% of the object share.
-	if s.MetaBytes() < 1<<18 {
-		t.Fatalf("MetaBytes = %d, want >= %d", s.MetaBytes(), 1<<18)
+	if got, want := s.UsedBytes(), size+onode+records+ec; got != want {
+		t.Fatalf("UsedBytes = %d, want %d", got, want)
 	}
 }
 
 func TestDeleteChunkReleasesEverything(t *testing.T) {
-	s := newStore(t, Config{ECMetaFraction: 0.26})
+	s := newStore(t, Config{})
 	if err := s.WriteChunk(cid("c"), 4096, 4096, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +137,7 @@ func TestWriteFailsOnRemovedDevice(t *testing.T) {
 
 func TestCacheProfileSchemes(t *testing.T) {
 	mk := func(cache CacheConfig) *Store {
-		s := newStore(t, Config{CacheBytes: 1 << 20, Cache: cache, ECMetaFraction: 0.26})
+		s := newStore(t, Config{CacheBytes: 1 << 20, Cache: cache})
 		// Populate: KV-need ends up well above 1 MiB so ratios matter.
 		for i := 0; i < 50; i++ {
 			_ = s.WriteChunk(cid(string(rune('a'+i%26))+string(rune('0'+i/26))), 1<<20, 1<<20, nil)
@@ -176,8 +178,8 @@ func TestAutotuneWaterFillsSmallNeeds(t *testing.T) {
 }
 
 func TestDeviceFull(t *testing.T) {
-	dev, _ := blockdev.New("d", 1<<20, 4096)
-	s, _ := Open(dev, Config{})
+	dev, _ := blockdev.New(1 << 20)
+	s := Open(dev, Config{})
 	big := make([]byte, 1<<20)
 	if err := s.WriteChunk(cid("a"), 1<<20, 1<<20, big); err != nil {
 		t.Fatal(err)
@@ -189,8 +191,10 @@ func TestDeviceFull(t *testing.T) {
 
 func TestWAExampleMatchesFormulaPlusMeta(t *testing.T) {
 	// A 64 MiB object under RS(12,9) with 4 MiB stripe unit: each chunk is
-	// padded to 8 MiB; usage must be n*chunk + meta.
-	s := newStore(t, Config{ECMetaFraction: 0.26, KVSpaceAmp: 1, MinAllocSize: 4096})
+	// padded to 8 MiB; usage must be n*chunk + meta, where the EC metadata
+	// is ecMetaFraction of the object and the onode, extent and checksum
+	// records add well under 1%.
+	s := newStore(t, Config{MinAllocSize: 4096})
 	object := int64(64 << 20)
 	n := int64(12)
 	chunk := int64(8 << 20)
@@ -204,15 +208,21 @@ func TestWAExampleMatchesFormulaPlusMeta(t *testing.T) {
 		t.Fatalf("DataBytes = %d, want %d", s.DataBytes(), n*chunk)
 	}
 	wa := float64(s.UsedBytes()) / float64(object)
-	if wa < 1.70 || wa > 1.85 {
-		t.Fatalf("WA = %.3f, want ~1.76 (Table 3 calibration)", wa)
+	if want := float64(n*chunk)/float64(object) + ecMetaFraction; math.Abs(wa-want) > 0.005 {
+		t.Fatalf("WA = %.4f, want %.4f (Table 3 calibration)", wa, want)
 	}
 }
 
+// TestOpenValidation: Open fills every zero field of a Config with the
+// default, and keeps the fields that are set.
 func TestOpenValidation(t *testing.T) {
-	dev, _ := blockdev.New("d", 4096, 4096)
-	if _, err := Open(dev, Config{ECMetaFraction: -1}); err == nil {
-		t.Fatal("negative ECMetaFraction accepted")
+	dev, _ := blockdev.New(4096)
+	if got := Open(dev, Config{}).Config(); got != DefaultConfig() {
+		t.Fatalf("zero Config opened as %+v, want %+v", got, DefaultConfig())
+	}
+	set := Config{MinAllocSize: 65536, CacheBytes: 1 << 20, Cache: CacheKVOptimized}
+	if got := Open(dev, set).Config(); got != set {
+		t.Fatalf("Config %+v opened as %+v", set, got)
 	}
 }
 
@@ -276,9 +286,6 @@ func TestAccessors(t *testing.T) {
 	s := newStore(t, Config{MinAllocSize: 8192})
 	if s.Config().MinAllocSize != 8192 {
 		t.Fatal("Config not reflecting options")
-	}
-	if s.KV() == nil {
-		t.Fatal("KV accessor nil")
 	}
 	if s.HasChunk(cid("x")) {
 		t.Fatal("phantom chunk")

@@ -2,6 +2,7 @@ package bluestore
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -10,15 +11,11 @@ import (
 
 func newTestStore(t *testing.T) *Store {
 	t.Helper()
-	dev, err := blockdev.New("dev", 64<<20, 4096)
+	dev, err := blockdev.New(64 << 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := Open(dev, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
+	return Open(dev, Config{})
 }
 
 // TestStoreForkOfFork: any store forks, frozen or not and fork or not,
@@ -37,7 +34,7 @@ func TestStoreForkOfFork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Corruption rewrites the chunk's device block in place.
+	// Corruption replaces the parent's copy of the chunk's bytes.
 	if err := s.CorruptChunk(cid("a")); err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +201,74 @@ func TestStoreForkAccountingMatchesFresh(t *testing.T) {
 	if fresh.Device().Snapshot() != fork.Device().Snapshot() {
 		t.Fatalf("device stats %+v vs %+v", fresh.Device().Snapshot(), fork.Device().Snapshot())
 	}
-	if fresh.KV().WALBytes() != fork.KV().WALBytes() {
-		t.Fatalf("WAL %d vs %d", fresh.KV().WALBytes(), fork.KV().WALBytes())
+}
+
+// bulkLoaded is a store holding one bulk-loaded PG of 100 objects.
+func bulkLoaded(t *testing.T) *Store {
+	t.Helper()
+	objs := make([]ObjectRecord, 100)
+	for i := range objs {
+		objs[i] = ObjectRecord{Name: fmt.Sprintf("obj%03d", i), Size: 18204, ChunkSize: 16384}
+	}
+	pg, err := NewBulkPG("p", 0, 1, objs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newTestStore(t)
+	if err := s.WriteChunksBulk(pg, 0); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestForkAllocations: a fork of a bulk-loaded snapshot store is the store,
+// its device and its overlay map. The chunks, the KV store and the payload
+// bytes cost nothing until the fork writes.
+func TestForkAllocations(t *testing.T) {
+	s := bulkLoaded(t)
+	s.Freeze()
+	cfg := s.Config()
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := s.Fork(cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 3 {
+		t.Fatalf("Fork made %v allocations, want at most 3", allocs)
+	}
+}
+
+// TestForkCorruptionStaysInFork: a fork shares its frozen parent's payload
+// bytes, so corrupting or overwriting a chunk in the fork must leave the
+// parent's bytes and scrub verdict as they were.
+func TestForkCorruptionStaysInFork(t *testing.T) {
+	s := newTestStore(t)
+	pay := bytes.Repeat([]byte{3}, 8192)
+	for _, name := range []string{"corrupted", "overwritten"} {
+		if err := s.WriteChunk(cid(name), 8192, 8192, pay); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Freeze()
+	f, err := s.Fork(s.Config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.CorruptChunk(cid("corrupted")); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.WriteChunk(cid("overwritten"), 8192, 8192, bytes.Repeat([]byte{4}, 8192)); err != nil {
+		t.Fatal(err)
+	}
+	if clean, err := f.ScrubChunk(cid("corrupted")); err != nil || clean {
+		t.Fatalf("fork's corrupted chunk scrubs clean=%v, %v", clean, err)
+	}
+	for _, name := range []string{"corrupted", "overwritten"} {
+		if _, got, err := s.ReadChunk(cid(name)); err != nil || !bytes.Equal(got, pay) {
+			t.Fatalf("parent's %s bytes changed by its fork: %v", name, err)
+		}
+		if clean, err := s.ScrubChunk(cid(name)); err != nil || !clean {
+			t.Fatalf("parent's %s scrubs clean=%v, %v after its fork wrote", name, clean, err)
+		}
 	}
 }

@@ -40,34 +40,34 @@ func (o *oracle) dataBytes(cfg Config) (total int64) {
 func (o *oracle) kvFootprint(cfg Config) int64 {
 	var logical int64
 	for name := range o.chunks {
-		logical += int64(len("o/"+name)) + cfg.OnodeBytes + 24
+		logical += int64(len("o/"+name)) + onodeBytes + 24
 	}
-	return int64(float64(logical) * cfg.KVSpaceAmp)
+	return int64(float64(logical) * kvSpaceAmp)
 }
 
 func (o *oracle) recordBytes(cfg Config) (total int64) {
 	for _, c := range o.chunks {
-		extents := (c.size + cfg.BlobSize - 1) / cfg.BlobSize
-		csums := (c.size + cfg.CsumChunkSize - 1) / cfg.CsumChunkSize
-		total += extents*cfg.ExtentEntryBytes + csums*cfg.CsumEntryBytes
+		extents := (c.size + blobSize - 1) / blobSize
+		csums := (c.size + csumChunkSize - 1) / csumChunkSize
+		total += extents*extentEntryBytes + csums*csumEntryBytes
 	}
 	return total
 }
 
 func (o *oracle) ecBytes(cfg Config) (total int64) {
 	for _, c := range o.chunks {
-		total += int64(cfg.ECMetaFraction * float64(c.share))
+		total += int64(ecMetaFraction * float64(c.share))
 	}
 	return total
 }
 
 func (o *oracle) metaBytes(cfg Config) int64 {
-	return o.kvFootprint(cfg) + int64(cfg.KVSpaceAmp*float64(o.recordBytes(cfg))) + o.ecBytes(cfg)
+	return o.kvFootprint(cfg) + int64(kvSpaceAmp*float64(o.recordBytes(cfg))) + o.ecBytes(cfg)
 }
 
 func (o *oracle) accessProfile(cfg Config) (metaHit, kvHit, dataHit float64) {
-	kvNeed := float64(o.kvFootprint(cfg)) + cfg.KVSpaceAmp*float64(o.recordBytes(cfg)) + float64(o.ecBytes(cfg))
-	metaNeed := float64(int64(len(o.chunks)) * cfg.OnodeBytes)
+	kvNeed := float64(o.kvFootprint(cfg)) + kvSpaceAmp*float64(o.recordBytes(cfg)) + float64(o.ecBytes(cfg))
+	metaNeed := float64(int64(len(o.chunks)) * onodeBytes)
 	dataNeed := float64(o.workingSet)
 	total := float64(cfg.CacheBytes)
 	var kvCache, metaCache, dataCache float64
@@ -135,16 +135,13 @@ type modelWorld struct {
 var modelSchemes = []CacheConfig{CacheAutotune, CacheKVOptimized, CacheDataOptimized}
 
 func newModelWorld(t *testing.T, scheme byte) *modelWorld {
-	dev, err := blockdev.New("dev", 64<<20, 4096)
+	dev, err := blockdev.New(64 << 20)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A cache far smaller than the needs, so every hit fraction is < 1
 	// and depends on the chunk count and the accounting.
-	s, err := Open(dev, Config{CacheBytes: 8 << 10, Cache: modelSchemes[int(scheme)%len(modelSchemes)]})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := Open(dev, Config{CacheBytes: 8 << 10, Cache: modelSchemes[int(scheme)%len(modelSchemes)]})
 	return &modelWorld{t: t, stores: []*Store{s}, oracles: []*oracle{{chunks: map[string]oracleChunk{}}}}
 }
 
@@ -240,8 +237,8 @@ func (w *modelWorld) step(op, a, b byte) {
 		case had != (err == nil):
 			t.Fatalf("CorruptChunk(%s): had %v, err %v", id, had, err)
 		case had:
-			// Payload corruption flips one byte in place, so a second
-			// corruption of the same chunk restores it.
+			// Payload corruption flips one byte, so a second corruption
+			// of the same chunk restores it.
 			c.corrupted = c.payload == nil || !c.corrupted
 			o.chunks[id.String()] = c
 		}

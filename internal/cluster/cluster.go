@@ -155,12 +155,12 @@ type Cluster struct {
 
 // New builds the cluster topology with fresh empty stores.
 func New(cfg Config) (*Cluster, error) {
-	return build(cfg, func(cfg Config, id, hostIdx, devIdx int) (*bluestore.Store, error) {
-		dev, err := blockdev.New(fmt.Sprintf("host%02d-nvme%dn1", hostIdx, devIdx), cfg.DeviceCapacity, 4096)
+	return build(cfg, func(cfg Config, id int) (*bluestore.Store, error) {
+		dev, err := blockdev.New(cfg.DeviceCapacity)
 		if err != nil {
 			return nil, err
 		}
-		return bluestore.Open(dev, cfg.Store)
+		return bluestore.Open(dev, cfg.Store), nil
 	})
 }
 
@@ -184,7 +184,7 @@ func normalizeClusterConfig(cfg Config) (Config, error) {
 // build constructs the cluster skeleton — simulator, network, CRUSH map,
 // OSD queues — and asks mkStore for each OSD's object store, so New can
 // create empty stores and Snapshot.Fork can supply copy-on-write forks.
-func build(cfg Config, mkStore func(cfg Config, id, hostIdx, devIdx int) (*bluestore.Store, error)) (*Cluster, error) {
+func build(cfg Config, mkStore func(cfg Config, id int) (*bluestore.Store, error)) (*Cluster, error) {
 	cfg, err := normalizeClusterConfig(cfg)
 	if err != nil {
 		return nil, err
@@ -230,7 +230,7 @@ func build(cfg Config, mkStore func(cfg Config, id, hostIdx, devIdx int) (*blues
 			if err != nil {
 				return nil, err
 			}
-			store, err := mkStore(cfg, id, h, d)
+			store, err := mkStore(cfg, id)
 			if err != nil {
 				return nil, err
 			}

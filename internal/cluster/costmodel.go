@@ -157,9 +157,6 @@ func (cm *CostModel) recoveryFraction(deviceIdle bool) float64 {
 	return f
 }
 
-// diskReadTime models one helper-side recovery read: ios discrete
-// operations over a total of diskBytes, with runs discontiguous extents,
-// at the deprioritized recovery bandwidth.
 // throttledTime charges bytes at the recovery-priority rate, capped at
 // RecoveryOpCap plus the full-bandwidth transfer time (the per-op mclock
 // charge saturating for very large ops).
@@ -174,6 +171,9 @@ func (cm *CostModel) throttledTime(bytes int64, fullBW float64, deviceIdle bool)
 	return throttled
 }
 
+// diskReadTime models one helper-side recovery read: ios discrete
+// operations over a total of diskBytes, with runs discontiguous extents,
+// at the deprioritized recovery bandwidth.
 func (cm *CostModel) diskReadTime(diskBytes int64, ios, runs int, deviceIdle bool) simclock.Time {
 	t := cm.throttledTime(diskBytes, cm.DiskReadBW, deviceIdle)
 	t += simclock.Time(ios) * cm.PerIOOverhead

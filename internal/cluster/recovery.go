@@ -61,9 +61,6 @@ func (c *Cluster) InjectOSDFailures(at simclock.Time, ids ...int) {
 	}
 }
 
-// OSDMapEpoch returns the monitor's current osdmap epoch.
-func (c *Cluster) OSDMapEpoch() int { return c.mon.epoch }
-
 // FailHost fails every OSD on a host at time at (node-level fault).
 func (c *Cluster) FailHost(at simclock.Time, host string) {
 	c.InjectOSDFailures(at, c.crush.OSDsOnHost(host)...)

@@ -89,7 +89,7 @@ func (s *Snapshot) Fork(cfg Config) (*Cluster, error) {
 			ErrBadGeometry, norm.Hosts, norm.OSDsPerHost, norm.DeviceCapacity, norm.Racks,
 			s.cfg.Hosts, s.cfg.OSDsPerHost, s.cfg.DeviceCapacity, s.cfg.Racks)
 	}
-	c, err := build(cfg, func(cfg Config, id, hostIdx, devIdx int) (*bluestore.Store, error) {
+	c, err := build(cfg, func(cfg Config, id int) (*bluestore.Store, error) {
 		return s.stores[id].Fork(cfg.Store)
 	})
 	if err != nil {

@@ -3,12 +3,14 @@ package cluster
 import (
 	"bytes"
 	"fmt"
+	"hash/crc32"
 	"reflect"
 	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/blockdev"
+	"repro/internal/bluestore"
 	"repro/internal/parallel"
 	"repro/internal/workload"
 )
@@ -304,14 +306,14 @@ func TestForksShareCodeInstance(t *testing.T) {
 	}
 }
 
-// storePrint is everything a frozen store shows through its read methods.
+// storePrint is everything a frozen store shows through its read methods,
+// the bytes of its payload chunks included.
 type storePrint struct {
-	chunks              int
-	data, meta          int64
-	dev                 blockdev.Stats
-	removed             bool
-	wal, logical        int64
-	puts, gets, deletes int64
+	chunks     int
+	data, meta int64
+	dev        blockdev.Stats
+	removed    bool
+	payload    uint32 // crc32 over the store's payload chunks, in PG order
 }
 
 // pgPrint is one snapshot PG: its acting set and its object records.
@@ -320,20 +322,17 @@ type pgPrint struct {
 	records []ObjectRecord
 }
 
-func snapshotPrint(s *Snapshot) ([]storePrint, [][]pgPrint) {
+func snapshotPrint(t *testing.T, s *Snapshot) ([]storePrint, [][]pgPrint) {
+	t.Helper()
 	var stores []storePrint
 	for _, st := range s.stores {
-		p := storePrint{
+		stores = append(stores, storePrint{
 			chunks:  st.Chunks(),
 			data:    st.DataBytes(),
 			meta:    st.MetaBytes(),
 			dev:     st.Device().Snapshot(),
 			removed: st.Device().Removed(),
-			wal:     st.KV().WALBytes(),
-			logical: st.KV().LogicalBytes(),
-		}
-		p.puts, p.gets, p.deletes = st.KV().Ops()
-		stores = append(stores, p)
+		})
 	}
 	var pools [][]pgPrint
 	for _, sp := range s.pools {
@@ -342,6 +341,9 @@ func snapshotPrint(s *Snapshot) ([]storePrint, [][]pgPrint) {
 			p := pgPrint{acting: slices.Clone(pg.acting)}
 			for _, o := range pg.objects {
 				p.records = append(p.records, *o)
+				if o.Payload {
+					payloadPrint(t, s, stores, sp.cfg.Name, pg, o.Name)
+				}
 			}
 			pgs = append(pgs, p)
 		}
@@ -350,15 +352,40 @@ func snapshotPrint(s *Snapshot) ([]storePrint, [][]pgPrint) {
 	return stores, pools
 }
 
+// payloadPrint folds the bytes of every shard of a payload object into its
+// store's print. It reads through a fork of the store, so the snapshot's
+// own device counters do not move.
+func payloadPrint(t *testing.T, s *Snapshot, stores []storePrint, pool string, pg snapPG, object string) {
+	t.Helper()
+	for shard, osd := range pg.acting {
+		f, err := s.stores[osd].Fork(s.stores[osd].Config())
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, b, err := f.ReadChunk(bluestore.ChunkID{Pool: pool, PG: pg.id, Object: object, Shard: shard})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stores[osd].payload = crc32.Update(stores[osd].payload, crc32.IEEETable, b)
+	}
+}
+
 // TestConcurrentForksLeaveSnapshotUnchanged is the contract the stores'
 // missing locks rest on: a frozen snapshot is only read by its forks, so
-// eight of them running at once — each writing a payload object, failing
-// an OSD and recovering the pool — leave every store, device, KV store and
-// PG of the snapshot as it was. Under -race it also shows that no fork
-// writes anything the snapshot shares with its siblings.
+// eight of them running at once — each writing a payload object, corrupting
+// and overwriting snapshot payload chunks, failing an OSD and recovering
+// the pool — leave every store, device, payload byte and PG of the
+// snapshot as it was. Under -race it also shows that no fork writes
+// anything the snapshot shares with its siblings.
 func TestConcurrentForksLeaveSnapshotUnchanged(t *testing.T) {
-	snap := populateSmall(t, nil).Snapshot()
-	wantStores, wantPGs := snapshotPrint(snap)
+	parent := populateSmall(t, nil)
+	for i := 0; i < 4; i++ {
+		if err := parent.WriteObject("ecpool", fmt.Sprintf("early-%d", i), bytes.Repeat([]byte{byte(0x10 + i)}, 30_000)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := parent.Snapshot()
+	wantStores, wantPGs := snapshotPrint(t, snap)
 
 	const forks = 8
 	errs := make([]error, forks)
@@ -369,6 +396,12 @@ func TestConcurrentForksLeaveSnapshotUnchanged(t *testing.T) {
 				return err
 			}
 			if err := c.WriteObject("ecpool", fmt.Sprintf("late-%d", i), bytes.Repeat([]byte{byte(i + 1)}, 30_000)); err != nil {
+				return err
+			}
+			if err := c.CorruptChunk("ecpool", fmt.Sprintf("early-%d", i%4), i%3); err != nil {
+				return err
+			}
+			if err := c.WriteObject("ecpool", fmt.Sprintf("early-%d", (i+1)%4), bytes.Repeat([]byte{byte(0x80 + i)}, 30_000)); err != nil {
 				return err
 			}
 			pool, err := c.Pool("ecpool")
@@ -390,7 +423,7 @@ func TestConcurrentForksLeaveSnapshotUnchanged(t *testing.T) {
 		}
 	}
 
-	gotStores, gotPGs := snapshotPrint(snap)
+	gotStores, gotPGs := snapshotPrint(t, snap)
 	for id := range wantStores {
 		if gotStores[id] != wantStores[id] {
 			t.Errorf("snapshot store of osd.%d changed by its forks:\n got %+v\nwant %+v", id, gotStores[id], wantStores[id])

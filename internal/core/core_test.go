@@ -110,6 +110,10 @@ func TestProfileCoversTable1(t *testing.T) {
 	if !hasClay || !hasRS {
 		t.Fatalf("plugins missing: %v", plugins)
 	}
+	// The fault levels are exactly the ones Validate accepts.
+	if got, want := surface["fault level"], []string{FaultLevelNode, FaultLevelDevice, FaultLevelCorruption}; !slices.Equal(got, want) {
+		t.Fatalf("fault levels %v, want %v", got, want)
+	}
 }
 
 func TestECManagerCacheSchemes(t *testing.T) {

@@ -323,9 +323,9 @@ func ConfigSurface() map[string][]string {
 		"ec plugin":       erasure.Plugins(),
 		"ec technique":    {"reed_sol_van", "cauchy_orig", "clay"},
 		"failure domain":  {"osd", "host", "rack"},
-		"device class":    {"nvme-of virtual"},
+		"device class":    {"virtual nvme"},
 		"ec parameters":   {"k", "m", "d", "stripe_unit"},
-		"fault level":     {FaultLevelNode, FaultLevelDevice},
+		"fault level":     {FaultLevelNode, FaultLevelDevice, FaultLevelCorruption},
 		"fault locality":  {LocalitySameHost, LocalityDiffHosts},
 	}
 }

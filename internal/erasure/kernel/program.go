@@ -32,9 +32,6 @@ func Compile(rows [][]byte) *Program {
 // Rows returns the number of output rows.
 func (p *Program) Rows() int { return len(p.plans) }
 
-// Width returns the number of source slots per row.
-func (p *Program) Width() int { return p.width }
-
 // Run executes the program: for every output row i,
 //
 //	dsts[i] = Σ_j rows[i][j] * srcs[j]   (overwrite)

@@ -107,9 +107,6 @@ func CompileRow(coeffs []byte) *RowPlan {
 	return rp
 }
 
-// Width returns the number of source slots the plan was compiled for.
-func (rp *RowPlan) Width() int { return len(rp.coeffs) }
-
 // MulAdd computes dst[i] ^= Σ_j coeffs[j]*srcs[j][i] over the whole
 // destination. Sources under zero coefficients may be nil; all others must
 // match len(dst).

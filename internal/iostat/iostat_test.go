@@ -10,16 +10,16 @@ import (
 
 func TestSampleDeltas(t *testing.T) {
 	s := NewSampler()
-	dev, _ := blockdev.New("nvme0n1", 1<<20, 4096)
+	dev, _ := blockdev.New(1 << 20)
 	if err := s.Track("osd0", dev); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Track("osd0", dev); err == nil {
 		t.Fatal("duplicate track accepted")
 	}
-	_, _ = dev.WriteAt(make([]byte, 100), 0)
+	_ = dev.AccountWrite(100)
 	s.Sample(time.Second)
-	_, _ = dev.ReadAt(make([]byte, 40), 0)
+	_ = dev.AccountRead(40)
 	s.Sample(2 * time.Second)
 
 	samples := s.Samples()
@@ -39,7 +39,7 @@ func TestSampleDeltas(t *testing.T) {
 // append, and an append by the caller must not show up in the sampler.
 func TestSamplesStableAfterMoreSamples(t *testing.T) {
 	s := NewSampler()
-	dev, _ := blockdev.New("d", 1<<20, 4096)
+	dev, _ := blockdev.New(1 << 20)
 	_ = s.Track("osd0", dev)
 	tick := func(i int) {
 		_ = dev.AccountWrite(int64(i))
@@ -73,8 +73,8 @@ func TestSamplesStableAfterMoreSamples(t *testing.T) {
 
 func TestMultipleDevicesSortedInSample(t *testing.T) {
 	s := NewSampler()
-	d1, _ := blockdev.New("a", 1<<20, 4096)
-	d2, _ := blockdev.New("b", 1<<20, 4096)
+	d1, _ := blockdev.New(1 << 20)
+	d2, _ := blockdev.New(1 << 20)
 	_ = s.Track("osd1", d1)
 	_ = s.Track("osd0", d2)
 	s.Sample(time.Second)

@@ -31,7 +31,7 @@ done
 echo "== go test (tier 1, with the scale-1 golden) =="
 go test ./...
 
-# blockdev, kvstore, bluestore and cluster are here because concurrent
+# blockdev, bluestore and cluster are here because concurrent
 # forks of one snapshot read a frozen parent that has no lock
 # (cluster.TestConcurrentForksLeaveSnapshotUnchanged): a fork that wrote
 # into it would be a race.
@@ -40,7 +40,6 @@ go test -race -count=1 \
     ./internal/gf256 \
     ./internal/erasure/... \
     ./internal/blockdev \
-    ./internal/kvstore \
     ./internal/bluestore \
     ./internal/cluster \
     ./internal/experiments \
