@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
@@ -23,20 +24,31 @@ import (
 
 func main() {
 	log.SetFlags(0)
-	objective := flag.String("objective", "balanced", "min-recovery-time | min-write-amplification | max-durability | balanced")
-	greedy := flag.Bool("greedy", false, "coordinate descent instead of full grid")
-	scale := flag.Int("scale", 50, "workload scale divisor")
-	workers := flag.Int("workers", 0, "concurrent candidate evaluations (0 = ECFAULT_WORKERS or NumCPU)")
-	top := flag.Int("top", 10, "ranked candidates to print")
-	jsonOut := flag.Bool("json", false, "emit results as JSON")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is main's body, writing to stdout and returning its error.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("ectuner", flag.ExitOnError)
+	objective := fs.String("objective", "balanced", "min-recovery-time | min-write-amplification | max-durability | balanced")
+	greedy := fs.Bool("greedy", false, "coordinate descent instead of full grid")
+	scale := fs.Int("scale", 50, "workload scale divisor")
+	workers := fs.Int("workers", 0, "concurrent candidate evaluations (0 = ECFAULT_WORKERS or NumCPU)")
+	top := fs.Int("top", 10, "ranked candidates to print")
+	jsonOut := fs.Bool("json", false, "emit results as JSON")
+	_ = fs.Parse(args) // ExitOnError: a bad flag exits inside Parse
 	if *workers > 0 {
 		parallel.SetWorkers(*workers)
+	}
+	if *top < 1 {
+		return fmt.Errorf("ectuner: -top must be at least 1, got %d", *top)
 	}
 
 	obj, err := parseObjective(*objective)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	base := core.DefaultProfile().ScaleWorkload(*scale)
 	space := tuner.Space{
@@ -54,38 +66,37 @@ func main() {
 	if *greedy {
 		best, runs, err := tuner.GreedySearch(base, space, obj)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if *jsonOut {
-			emitJSON(map[string]any{"evaluations": runs, "best": candidateView(best)})
-			return
+			return emitJSON(stdout, map[string]any{"evaluations": runs, "best": candidateView(best)})
 		}
-		fmt.Printf("greedy search (%s): %d evaluations\n", obj, runs)
-		printCandidate(1, best)
-		return
+		fmt.Fprintf(stdout, "greedy search (%s): %d evaluations\n", obj, runs)
+		printCandidate(stdout, 1, best)
+		return nil
 	}
 
 	ranked, err := tuner.GridSearch(base, space, obj)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if *jsonOut {
 		views := make([]map[string]any, 0, len(ranked))
 		for _, c := range ranked {
 			views = append(views, candidateView(c))
 		}
-		emitJSON(map[string]any{"objective": obj.String(), "candidates": views})
-		return
+		return emitJSON(stdout, map[string]any{"objective": obj.String(), "candidates": views})
 	}
-	fmt.Printf("grid search (%s): %d candidates\n", obj, len(ranked))
-	fmt.Println("rank  score   recovery      WA   nines  configuration")
+	fmt.Fprintf(stdout, "grid search (%s): %d candidates\n", obj, len(ranked))
+	fmt.Fprintln(stdout, "rank  score   recovery      WA   nines  configuration")
 	for i, c := range ranked {
 		if i >= *top {
-			fmt.Printf("      ... %d more\n", len(ranked)-*top)
+			fmt.Fprintf(stdout, "      ... %d more\n", len(ranked)-*top)
 			break
 		}
-		printCandidate(i+1, c)
+		printCandidate(stdout, i+1, c)
 	}
+	return nil
 }
 
 func parseObjective(s string) (tuner.Objective, error) {
@@ -102,12 +113,12 @@ func parseObjective(s string) (tuner.Objective, error) {
 	return 0, fmt.Errorf("ectuner: unknown objective %q", s)
 }
 
-func printCandidate(rank int, c tuner.Candidate) {
+func printCandidate(w io.Writer, rank int, c tuner.Candidate) {
 	if c.Err != nil {
-		fmt.Printf("%4d      —          —       —       —  %s (failed: %v)\n", rank, c.Describe(), c.Err)
+		fmt.Fprintf(w, "%4d      —          —       —       —  %s (failed: %v)\n", rank, c.Describe(), c.Err)
 		return
 	}
-	fmt.Printf("%4d  %5.2f  %7.1fs  %6.3f  %6.1f  %s\n",
+	fmt.Fprintf(w, "%4d  %5.2f  %7.1fs  %6.3f  %6.1f  %s\n",
 		rank, c.Score, c.RecoveryTime.Seconds(), c.WA, c.DurabilityNines, c.Describe())
 }
 
@@ -126,10 +137,8 @@ func candidateView(c tuner.Candidate) map[string]any {
 	return v
 }
 
-func emitJSON(v any) {
-	enc := json.NewEncoder(os.Stdout)
+func emitJSON(w io.Writer, v any) error {
+	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		log.Fatal(err)
-	}
+	return enc.Encode(v)
 }

@@ -276,8 +276,8 @@ func (co *Coordinator) collect(res *Result) {
 }
 
 // Run is the one-call entry point: populate a cluster for the profile,
-// then run the profile's recovery side on a fork of it — the path every
-// campaign cell takes.
+// then run the profile's recovery side on a fork of it. A batch of
+// profiles runs on a Sweep instead, which populates each layout once.
 func Run(p Profile) (*Result, error) {
 	s, err := Populate(p)
 	if err != nil {

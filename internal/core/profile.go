@@ -54,7 +54,7 @@ type PoolSpec struct {
 	Plugin        string `json:"plugin"` // e.g. jerasure_reed_sol_van, jerasure_cauchy_orig, isa_reed_sol_van, clay
 	K             int    `json:"k"`
 	M             int    `json:"m"`
-	D             int    `json:"d,omitempty"` // Clay helpers; 0 defaults to k+m-1
+	D             int    `json:"d,omitempty"` // Clay helpers, LRC locality or SHEC c; 0 takes codecache.Normalize's default
 	PGNum         int    `json:"pg_num"`
 	StripeUnit    int64  `json:"stripe_unit"`
 	FailureDomain string `json:"failure_domain"` // osd, host, rack
@@ -84,16 +84,17 @@ type WorkloadSpec struct {
 
 // FaultSpec describes one fault-injection action.
 type FaultSpec struct {
-	Level     string  `json:"level"`              // node or device
-	Count     int     `json:"count"`              // nodes or devices to fail
+	Level     string  `json:"level"`              // node, device or corruption
+	Count     int     `json:"count"`              // nodes or devices to fail, or chunks to corrupt
 	Locality  string  `json:"locality,omitempty"` // same-host or diff-hosts (device level)
 	AtSeconds float64 `json:"at_seconds"`         // injection time
 	OSDs      []int   `json:"osds,omitempty"`     // explicit targets override planning
 }
 
 // TuningSpec overrides selected Ceph-style daemon settings. Zero values
-// keep the defaults (600 s mon_osd_down_out_interval, osd_max_backfills=1,
-// ~20% recovery bandwidth share).
+// keep cluster.DefaultCostModel's defaults (600 s
+// mon_osd_down_out_interval, osd_max_backfills=1, a 0.13 recovery
+// bandwidth share, osd_recovery_max_active=10).
 type TuningSpec struct {
 	MarkOutIntervalSeconds float64 `json:"mark_out_interval_seconds,omitempty"`
 	MaxBackfills           int     `json:"max_backfills,omitempty"`

@@ -96,13 +96,20 @@ func FatalityProfile(code erasure.Code, samples int, seed int64) []float64 {
 // numerically stable at the ~1e20-hour magnitudes MDS codes reach, where
 // a direct linear-system solve loses to cancellation.
 func MTTDLHours(code erasure.Code, p Params) (float64, error) {
+	return MTTDLHoursWith(code, FatalityProfile(code, p.Samples, p.Seed), p)
+}
+
+// MTTDLHoursWith is MTTDLHours over a fatality profile the caller already
+// sampled, FatalityProfile(code, p.Samples, p.Seed). The profile does not
+// depend on the repair time, so a caller scoring one code at many repair
+// times samples it once.
+func MTTDLHoursWith(code erasure.Code, prof []float64, p Params) (float64, error) {
 	if err := p.defaults(); err != nil {
 		return 0, err
 	}
 	lambda := p.DeviceAFR / hoursPerYear // per-device hourly failure rate
 	mu := 1 / p.MTTRHours
 
-	prof := FatalityProfile(code, p.Samples, p.Seed)
 	// Conditional fatality of the transition into state i: fraction of
 	// newly-fatal patterns among those survivable at i-1.
 	q := make([]float64, len(prof))

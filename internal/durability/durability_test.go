@@ -116,6 +116,23 @@ func TestFasterRepairMoreDurability(t *testing.T) {
 	}
 }
 
+// TestMTTDLWithSampledProfile: one sampled fatality profile serves every
+// repair time, giving exactly what MTTDLHours samples for each.
+func TestMTTDLWithSampledProfile(t *testing.T) {
+	code := mustCode(t, "lrc", 9, 3, 3)
+	prof := FatalityProfile(code, 800, 1)
+	for _, mttr := range []float64{0.01, 1, 24} {
+		p := Params{DeviceAFR: 0.02, MTTRHours: mttr, Samples: 800, Seed: 1}
+		want, err := MTTDLHours(code, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := MTTDLHoursWith(code, prof, p); err != nil || got != want {
+			t.Errorf("MTTR %gh: MTTDLHoursWith = (%e, %v), want %e", mttr, got, err, want)
+		}
+	}
+}
+
 func TestLRCLessDurableThanMDSSameParityCount(t *testing.T) {
 	// Same n and parity count: LRC(8,2,2) has 4 parities like RS(12,8);
 	// locality costs durability (some quadruples are fatal).

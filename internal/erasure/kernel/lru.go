@@ -6,7 +6,7 @@
 // bands, optionally fanning contiguous shard ranges out over
 // parallel.ForEach. The LRU has real eviction order, a hard capacity, and
 // an allocation-free lookup path: the matrix codecs key it by survivor
-// bitmask (Mask), the experiments' snapshot cache by layout key.
+// bitmask (Mask), core.Sweep's snapshot cache by layout key.
 package kernel
 
 import (

@@ -47,22 +47,14 @@ type Figure struct {
 	Raw      map[string]time.Duration // "<config>/<code>" -> absolute time
 }
 
-// runProfiles executes independent experiment cells concurrently under the
-// worker budget (parallel.Workers: ECFAULT_WORKERS, the -workers flag, or
-// NumCPU). Every cell builds its own coordinator, simulated cluster, and
-// message bus, so cells share no mutable state; results come back in input
-// order and the first failing cell (by input order) decides the error, the
-// same error the old serial loops would have hit first.
-//
-// Cells sharing a layout (same Profile.LayoutKey) populate one cluster
-// between them through the snapshot cache and each run on a
-// copy-on-write fork.
+// runProfiles runs independent experiment cells on the process-wide
+// sweep: concurrently under the worker budget, cells sharing a layout
+// forking one populated snapshot. Every cell builds its own coordinator
+// and forked cluster, so cells share no mutable state; results come back
+// in input order and the first failing cell (by input order) decides the
+// error, the same error a serial loop would hit first.
 func runProfiles(ps []core.Profile) ([]*core.Result, error) {
-	results := make([]*core.Result, len(ps))
-	errs := make([]error, len(ps))
-	parallel.ForEach(len(ps), parallel.Workers(), func(i int) {
-		results[i], errs[i] = engineCache.Load().Run(ps[i])
-	})
+	results, errs := cells.Load().Run(ps)
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

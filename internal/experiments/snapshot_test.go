@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/logsys"
-	"repro/internal/parallel"
 )
 
 // recoveryGolden extracts the golden-comparable fields from a result.
@@ -133,91 +132,21 @@ func TestEngineDeterminismForked(t *testing.T) {
 	}
 }
 
-// TestForkMutationsDoNotLeakAcrossParallelCells runs many cells off one
-// snapshot concurrently (run under -race): several recovery-side variants,
-// each replicated, all forking the same frozen image at once. Every
-// replica must match its serially computed fresh twin bit-identically —
-// any cross-fork leak (shared chunk map, shared acting set, shared
-// decode state) shows up as a divergent replica or a race report.
-func TestForkMutationsDoNotLeakAcrossParallelCells(t *testing.T) {
-	base := goldenProfiles()[0].P
-	schemes := []string{core.SchemeKVOptimized, core.SchemeDataOptimized, core.SchemeAutotune}
-
-	fresh := make([]*core.Result, len(schemes))
-	for i, s := range schemes {
-		p := base
-		p.Backend.CacheScheme = s
-		fresh[i] = coldRun(t, p)
-	}
-
-	cache := newSnapshotCache(snapshotBound)
-	const replicas = 4
-	n := len(schemes) * replicas
-	results := make([]*core.Result, n)
-	errs := make([]error, n)
-	parallel.ForEach(n, n, func(i int) {
-		p := base
-		p.Name = fmt.Sprintf("%s-fork-%d", base.Name, i)
-		p.Backend.CacheScheme = schemes[i%len(schemes)]
-		results[i], errs[i] = cache.Run(p)
-	})
-	for i := 0; i < n; i++ {
-		if errs[i] != nil {
-			t.Fatalf("cell %d: %v", i, errs[i])
-		}
-		twin := fresh[i%len(schemes)]
-		res := results[i]
-		if *res.Recovery != *twin.Recovery {
-			t.Errorf("cell %d (%s): recovery diverged\nfork  %+v\nfresh %+v",
-				i, schemes[i%len(schemes)], res.Recovery, twin.Recovery)
-		}
-		if res.WA != twin.WA || res.UsedBytes != twin.UsedBytes || res.WrittenBytes != twin.WrittenBytes {
-			t.Errorf("cell %d: accounting diverged", i)
-		}
-		if res.LogLinesShipped != twin.LogLinesShipped || res.LogLinesDropped != twin.LogLinesDropped {
-			t.Errorf("cell %d: log counts diverged", i)
-		}
-	}
-	hits, misses, _ := cache.Stats()
-	if misses != 1 || hits != int64(n-1) {
-		t.Errorf("cache stats: %d hits %d misses, want %d hits 1 miss", hits, misses, n-1)
-	}
-}
-
-// TestSnapshotCacheBoundAndReset pins the LRU bound behavior on a cache
-// shrunk to one slot.
-func TestSnapshotCacheBoundAndReset(t *testing.T) {
-	c := newSnapshotCache(1)
-
-	a := goldenProfiles()[0].P // rs layout
-	b := a
-	b.Workload.Seed++ // layout-relevant: different snapshot
-
-	if _, err := c.Run(a); err != nil {
+// TestResetSnapshotCache: a reset empties the process-wide sweep, so its
+// stats restart from zero and a layout populated before it misses again.
+func TestResetSnapshotCache(t *testing.T) {
+	p := goldenProfiles()[0].P
+	if _, err := runProfiles([]core.Profile{p}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Run(a); err != nil { // hit
-		t.Fatal(err)
-	}
-	if _, err := c.Run(b); err != nil { // miss, evicts a
-		t.Fatal(err)
-	}
-	if _, err := c.Run(a); err != nil { // miss again: a was evicted
-		t.Fatal(err)
-	}
-	hits, misses, evictions := c.Stats()
-	if hits != 1 || misses != 3 || evictions != 2 {
-		t.Errorf("stats = %d/%d/%d hits/misses/evictions, want 1/3/2", hits, misses, evictions)
-	}
-
-	defer engineCache.Store(engineCache.Load())
-	engineCache.Store(c)
 	ResetSnapshotCache()
-	hits, misses, evictions = SnapshotCacheStats()
-	if hits != 0 || misses != 0 || evictions != 0 {
-		t.Error("reset did not clear stats")
+	if hits, misses, evictions := SnapshotCacheStats(); hits != 0 || misses != 0 || evictions != 0 {
+		t.Errorf("stats after reset = %d/%d/%d, want 0/0/0", hits, misses, evictions)
 	}
-	if engineCache.Load().lru.Len() != 0 {
-		t.Error("reset did not clear entries")
+	if _, err := runProfiles([]core.Profile{p}); err != nil {
+		t.Fatal(err)
+	}
+	if hits, misses, _ := SnapshotCacheStats(); hits != 0 || misses != 1 {
+		t.Errorf("after reset: %d hits %d misses, want the layout populated again", hits, misses)
 	}
 }

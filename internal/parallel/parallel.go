@@ -2,9 +2,9 @@
 // fan-out helper shared by the experiment runner and the coding kernels.
 //
 // Workers (ECFAULT_WORKERS, or the -workers flags in cmd/ecbench and
-// cmd/ectuner) is the one budget: experiment cells, tuner grid search,
-// durability Monte Carlo and stripe chunking in kernel.Program all read
-// it. A budget of 1 makes every helper run inline, which keeps
+// cmd/ectuner) is the one budget: core.Sweep's profile fan-out (experiment
+// cells, tuner searches), the plugin comparison's durability Monte Carlo
+// and stripe chunking in kernel.Program all read it. A budget of 1 makes every helper run inline, which keeps
 // single-core machines and tests deterministic by default. The
 // discrete-event engine (simclock) and the cluster model are
 // single-goroutine and do not use it.

@@ -20,7 +20,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/durability"
 	"repro/internal/erasure/codecache"
-	"repro/internal/parallel"
 )
 
 // Objective scores a candidate; lower is better.
@@ -136,16 +135,34 @@ func (c Candidate) Describe() string {
 // ErrEmptySpace is returned when the space yields no runnable candidate.
 var ErrEmptySpace = errors.New("tuner: no candidate could be evaluated")
 
-// evaluate runs one profile and extracts the raw metrics.
-func evaluate(p core.Profile) Candidate {
-	cand := Candidate{Profile: p}
-	if err := p.Validate(); err != nil {
-		cand.Err = err
-		return cand
+// search holds what the batches of one search share: the sweep every
+// profile runs on, and each code's sampled fatality profile, which
+// depends on the code alone and not on the repair time.
+type search struct {
+	sw       *core.Sweep
+	fatality map[codecache.Spec][]float64
+}
+
+func newSearch() *search {
+	return &search{sw: core.NewSweep(), fatality: map[codecache.Spec][]float64{}}
+}
+
+// evaluate runs the profiles as one batch on the sweep, which populates
+// each layout once and forks it per profile, and returns their candidates
+// by input index.
+func (s *search) evaluate(ps []core.Profile) []Candidate {
+	results, errs := s.sw.Run(ps)
+	cands := make([]Candidate, len(ps))
+	for i, p := range ps {
+		cands[i] = s.candidate(p, results[i], errs[i])
 	}
-	res, err := core.Run(p)
+	return cands
+}
+
+// candidate turns one profile's run into a candidate's raw metrics.
+func (s *search) candidate(p core.Profile, res *core.Result, err error) Candidate {
+	cand := Candidate{Profile: p, Err: err}
 	if err != nil {
-		cand.Err = err
 		return cand
 	}
 	if res.Recovery != nil {
@@ -154,19 +171,19 @@ func evaluate(p core.Profile) Candidate {
 	cand.WA = res.WA.Measured
 
 	// Durability: the measured recovery time is the repair MTTR.
-	if cand.RecoveryTime > 0 {
-		code, err := codecache.Get(p.Pool.Plugin, p.Pool.K, p.Pool.M, p.Pool.D)
-		if err == nil {
-			rep, derr := durability.Evaluate(code, durability.Params{
-				DeviceAFR: 0.02,
-				MTTRHours: cand.RecoveryTime.Hours(),
-				Samples:   800,
-				Seed:      1,
-			})
-			if derr == nil {
-				cand.DurabilityNines = rep.DurabilityNines
-			}
-		}
+	spec := codecache.Spec{Plugin: p.Pool.Plugin, K: p.Pool.K, M: p.Pool.M, D: p.Pool.D}
+	code, err := codecache.Get(spec.Plugin, spec.K, spec.M, spec.D)
+	if cand.RecoveryTime <= 0 || err != nil {
+		return cand
+	}
+	params := durability.Params{DeviceAFR: 0.02, MTTRHours: cand.RecoveryTime.Hours(), Samples: 800, Seed: 1}
+	prof, ok := s.fatality[spec]
+	if !ok {
+		prof = durability.FatalityProfile(code, params.Samples, params.Seed)
+		s.fatality[spec] = prof
+	}
+	if mttdl, err := durability.MTTDLHoursWith(code, prof, params); err == nil {
+		cand.DurabilityNines = durability.Nines(mttdl)
 	}
 	return cand
 }
@@ -228,17 +245,11 @@ func rank(obj Objective, cands []Candidate) []Candidate {
 	return cands
 }
 
-// GridSearch evaluates every candidate in the space and returns them
-// ranked best-first. Candidates run concurrently (each experiment is an
-// independent simulated cluster), bounded by the shared worker budget
-// (parallel.Workers: ECFAULT_WORKERS, the -workers flag, or NumCPU).
+// GridSearch evaluates every candidate in the space as one batch on a
+// core.Sweep (each code's durability sampled once) and returns them
+// ranked best-first.
 func GridSearch(base core.Profile, space Space, obj Objective) ([]Candidate, error) {
-	profiles := space.Candidates(base)
-	cands := make([]Candidate, len(profiles))
-	parallel.ForEach(len(profiles), parallel.Workers(), func(i int) {
-		cands[i] = evaluate(profiles[i])
-	})
-	ranked := rank(obj, cands)
+	ranked := rank(obj, newSearch().evaluate(space.Candidates(base)))
 	if ranked == nil {
 		return nil, ErrEmptySpace
 	}
@@ -247,10 +258,11 @@ func GridSearch(base core.Profile, space Space, obj Objective) ([]Candidate, err
 
 // GreedySearch tunes one knob at a time in a fixed order (plugin, pg_num,
 // stripe_unit, cache scheme), keeping the best value of each before
-// moving on — O(sum of knob sizes) runs instead of the product.
+// moving on — O(sum of knob sizes) runs instead of the product. All runs
+// share one core.Sweep, and each knob's values run as one batch.
 func GreedySearch(base core.Profile, space Space, obj Objective) (Candidate, int, error) {
+	s := newSearch()
 	current := base
-	runs := 0
 	better := func(a, b Candidate) bool {
 		if b.Err != nil {
 			return true
@@ -261,20 +273,34 @@ func GreedySearch(base core.Profile, space Space, obj Objective) (Candidate, int
 		return score(obj, a, minDur(a.RecoveryTime, b.RecoveryTime), math.Min(orInf(a.WA), orInf(b.WA))) <=
 			score(obj, b, minDur(a.RecoveryTime, b.RecoveryTime), math.Min(orInf(a.WA), orInf(b.WA)))
 	}
-	best := evaluate(current)
-	runs++
+	same := func(p, q core.Profile) bool { return p.Pool == q.Pool && p.Backend == q.Backend }
+	best := s.evaluate([]core.Profile{base})[0]
+	runs := 1
 	tryAll := func(apply func(*core.Profile, int), count int) {
-		for v := 0; v < count; v++ {
-			p := current
-			apply(&p, v)
-			if p.Pool == current.Pool && p.Backend == current.Backend {
-				continue // same as current, skip duplicate run
+		// A value sets this knob alone, so the profile it yields does not
+		// depend on which earlier value the chain below kept: run every
+		// value that differs from the knob's starting profile as one batch,
+		// then compare them in order. A value equal to the starting
+		// profile is the best the knob started from.
+		start, startBest := current, best
+		ps := make([]core.Profile, count)
+		var batch []core.Profile
+		for v := range ps {
+			ps[v] = start
+			apply(&ps[v], v)
+			if !same(ps[v], start) {
+				batch = append(batch, ps[v])
 			}
-			cand := evaluate(p)
-			runs++
-			if better(cand, best) {
-				best = cand
-				current = p
+		}
+		ran := s.evaluate(batch)
+		runs += len(batch)
+		for _, p := range ps {
+			cand := startBest
+			if !same(p, start) {
+				cand, ran = ran[0], ran[1:]
+			}
+			if !same(p, current) && better(cand, best) {
+				best, current = cand, p
 			}
 		}
 	}

@@ -1,10 +1,12 @@
 package tuner
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/parallel"
 )
 
 // fastBase is a small profile so searches stay quick.
@@ -115,6 +117,68 @@ func TestGreedySearchConverges(t *testing.T) {
 	}
 	if best.RecoveryTime <= 0 {
 		t.Fatal("metrics missing")
+	}
+}
+
+// TestGreedyRunsEachValueOnce: a knob's values run as one batch against
+// the knob's starting profile, so the base's own pg_num, listed after the
+// value that beats it, is compared from the first run instead of run
+// again.
+func TestGreedyRunsEachValueOnce(t *testing.T) {
+	base := fastBase() // pg_num 32
+	best, runs, err := GreedySearch(base, Space{PGNums: []int{64, 1, 32}}, MinRecoveryTime)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if best.Profile.Pool.PGNum != 64 {
+		t.Fatalf("greedy picked pg_num=%d, want 64", best.Profile.Pool.PGNum)
+	}
+	if runs != 3 {
+		t.Fatalf("greedy ran %d evaluations, want 3: the base and pg_num 64 and 1", runs)
+	}
+	grid, err := GridSearch(base, Space{PGNums: []int{64}}, MinRecoveryTime)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if best.RecoveryTime != grid[0].RecoveryTime || best.WA != grid[0].WA {
+		t.Fatalf("greedy's winner %+v differs from its own grid run %+v", best, grid[0])
+	}
+}
+
+// TestSearchesMatchAcrossWorkerCounts forces the sweep's worker pool off
+// and on and requires identical candidates from both searches: the
+// fan-out may change wall-clock time only, never a ranking, a metric or
+// greedy's path.
+func TestSearchesMatchAcrossWorkerCounts(t *testing.T) {
+	space := Space{
+		Plugins: []PluginChoice{
+			{Plugin: "jerasure_reed_sol_van", K: 9, M: 3},
+			{Plugin: "lrc", K: 9, M: 3, D: 3},
+		},
+		PGNums:       []int{16, 64},
+		CacheSchemes: []string{core.SchemeKVOptimized, core.SchemeAutotune},
+	}
+	search := func(workers int) ([]Candidate, Candidate, int) {
+		prev := parallel.SetWorkers(workers)
+		defer parallel.SetWorkers(prev)
+		ranked, err := GridSearch(fastBase(), space, Balanced)
+		if err != nil {
+			t.Fatal(err)
+		}
+		best, runs, err := GreedySearch(fastBase(), space, Balanced)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ranked, best, runs
+	}
+	serialGrid, serialBest, serialRuns := search(1)
+	parGrid, parBest, parRuns := search(4)
+	if !reflect.DeepEqual(serialGrid, parGrid) {
+		t.Errorf("grid differs across worker counts:\nserial   %+v\nparallel %+v", serialGrid, parGrid)
+	}
+	if !reflect.DeepEqual(serialBest, parBest) || serialRuns != parRuns {
+		t.Errorf("greedy differs across worker counts: %d runs %+v vs %d runs %+v",
+			serialRuns, serialBest, parRuns, parBest)
 	}
 }
 

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Repo-wide check: vet + build + tier-1 tests (the scale-1 golden of
+# Repo-wide check: gofmt + vet + build + tier-1 tests (the scale-1 golden of
 # cmd/ecbench included) + race audit of the concurrent packages and of the
 # lock-free snapshot forks + the engine's ordering and gather fuzz smokes
 # (the slicing one on two queues that hand outgrown wait rings to each
@@ -11,6 +11,12 @@
 # Run from the repo root: ./scripts/check.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+# gofmt -l walks the whole tree, the bench module included, and lists
+# every unformatted file; one is a failure.
+echo "== gofmt =="
+unformatted=$(gofmt -l .)
+test -z "$unformatted" || { echo "gofmt -l: $unformatted" >&2; exit 1; }
 
 echo "== go vet =="
 go vet ./...
