@@ -73,6 +73,9 @@ func run(args []string, stdout io.Writer) (err error) {
 	memProfile := fs.String("memprofile", "", "write a heap profile to this file on exit")
 	backends := fs.Bool("backends", false, "print the active GF(2^8) backend, the dispatch chain, and CPU features, then exit")
 	_ = fs.Parse(args) // ExitOnError: a bad flag exits inside Parse
+	if *scale < 1 {
+		return fmt.Errorf("ecbench: -scale must be at least 1, got %d", *scale)
+	}
 	if *workers > 0 {
 		parallel.SetWorkers(*workers)
 	}

@@ -57,6 +57,21 @@ func TestBackendsReportsWorkers(t *testing.T) {
 	}
 }
 
+// TestScaleMustBePositive: a -scale below 1 is an error that names the
+// flag, not the full 10,000-object campaign run silently.
+func TestScaleMustBePositive(t *testing.T) {
+	for _, scale := range []string{"0", "-2"} {
+		var buf bytes.Buffer
+		err := run([]string{"-scale", scale}, &buf)
+		if err == nil || !strings.Contains(err.Error(), "-scale") {
+			t.Errorf("-scale %s: error %v, want one naming -scale", scale, err)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("-scale %s printed %q", scale, buf.String())
+		}
+	}
+}
+
 func TestParseOnly(t *testing.T) {
 	for _, tc := range []struct {
 		only    string

@@ -44,6 +44,9 @@ func run(args []string, stdout io.Writer) (err error) {
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this file on exit")
 	_ = fs.Parse(args) // ExitOnError: a bad flag exits inside Parse
+	if *scale < 1 {
+		return fmt.Errorf("ecfault: -scale must be at least 1, got %d", *scale)
+	}
 
 	stopProf, err := profutil.Start(*cpuProfile, *memProfile)
 	if err != nil {

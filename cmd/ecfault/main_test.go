@@ -1,9 +1,11 @@
 package main
 
 import (
+	"bytes"
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -22,5 +24,29 @@ func TestFailedRunKeepsProfile(t *testing.T) {
 	}
 	if st.Size() == 0 {
 		t.Fatalf("%s is empty: the profile was not stopped before run returned", cpu)
+	}
+}
+
+// TestScaleMustBePositive: a -scale below 1 is an error that names the
+// flag, not the unscaled profile run silently.
+func TestScaleMustBePositive(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "profile.json")
+	var profile bytes.Buffer
+	if err := run([]string{"-default"}, &profile); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, profile.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, scale := range []string{"0", "-2"} {
+		var buf bytes.Buffer
+		err := run([]string{"-profile", path, "-scale", scale}, &buf)
+		if err == nil || !strings.Contains(err.Error(), "-scale") {
+			t.Errorf("-scale %s: error %v, want one naming -scale", scale, err)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("-scale %s printed %q", scale, buf.String())
+		}
 	}
 }

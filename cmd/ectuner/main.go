@@ -45,6 +45,9 @@ func run(args []string, stdout io.Writer) error {
 	if *top < 1 {
 		return fmt.Errorf("ectuner: -top must be at least 1, got %d", *top)
 	}
+	if *scale < 1 {
+		return fmt.Errorf("ectuner: -scale must be at least 1, got %d", *scale)
+	}
 
 	obj, err := parseObjective(*objective)
 	if err != nil {

@@ -58,6 +58,21 @@ func TestTopMustBePositive(t *testing.T) {
 	}
 }
 
+// TestScaleMustBePositive: a -scale below 1 is an error that names the
+// flag, not the unscaled workload run silently.
+func TestScaleMustBePositive(t *testing.T) {
+	for _, scale := range []string{"0", "-2"} {
+		var buf bytes.Buffer
+		err := run([]string{"-scale", scale}, &buf)
+		if err == nil || !strings.Contains(err.Error(), "-scale") {
+			t.Errorf("-scale %s: error %v, want one naming -scale", scale, err)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("-scale %s printed %q", scale, buf.String())
+		}
+	}
+}
+
 func TestUnknownObjective(t *testing.T) {
 	if err := run([]string{"-objective", "fastest"}, &bytes.Buffer{}); err == nil || !strings.Contains(err.Error(), `"fastest"`) {
 		t.Errorf("error %v, want one naming the objective", err)

@@ -305,11 +305,16 @@ func (c *Cluster) ScheduleRecovery(poolName string) (*RecoveryResult, error) {
 		})
 	}
 
-	// The EC recovery phase.
-	allDone := simclock.NewJoin(len(work), func() {
+	// The EC recovery phase. With no degraded PG there is nothing to wait
+	// for: the cycle completes the instant the failure is detected (a Join
+	// of zero would fire now, before the clock starts).
+	allDone := simclock.NewJoin(max(len(work), 1), func() {
 		res.FinishedAt = c.sim.Now()
 		c.log(c.sim.Now(), "mon0", "recovery completed: all placement groups active+clean")
 	})
+	if len(work) == 0 {
+		c.sim.At(mon.detectedAt, allDone.Done)
+	}
 	c.sim.At(res.RecoveryStartAt, func() {
 		mon.epoch++
 		c.log(c.sim.Now(), "mon0", fmt.Sprintf("osdmap e%d: marking %d osds out, start recovery I/O", mon.epoch, len(mon.failedOSDs)))

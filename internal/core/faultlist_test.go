@@ -129,6 +129,50 @@ func TestFaultListGuardedAsAWhole(t *testing.T) {
 	}
 }
 
+// TestNoDegradedPGCompletesAtDetection: a fault on an OSD that holds no
+// chunk degrades no PG, so recovery completes the instant the failure is
+// detected, and the timeline's completion line carries that instant, not
+// the moment recovery was scheduled.
+func TestNoDegradedPGCompletesAtDetection(t *testing.T) {
+	p := fastProfile()
+	p.Pool.PGNum = 1
+	p.Workload.Objects = 50
+	s, err := Populate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	co, err := s.coordinator(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool, _ := co.Cluster().Pool(p.Pool.Name)
+	idle := 0
+	for slices.Contains(pool.PGs[0].Acting, idle) {
+		idle++
+	}
+	p.Faults = []FaultSpec{{Level: FaultLevelDevice, OSDs: []int{idle}, AtSeconds: 5}}
+	res, err := s.Run(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := res.Recovery
+	if r == nil || r.DegradedPGs != 0 || r.FinishedAt != r.DetectedAt {
+		t.Fatalf("recovery %+v, want no degraded PG, finished at detection", r)
+	}
+	found := false
+	for _, e := range res.Timeline {
+		if strings.Contains(e.Message, "recovery completed") {
+			found = true
+			if e.Time != r.DetectedAt {
+				t.Errorf("%q logged at t=%v, detection was at %v", e.Message, e.Time, r.DetectedAt)
+			}
+		}
+	}
+	if !found {
+		t.Fatalf("no completion line in the timeline (%d entries)", len(res.Timeline))
+	}
+}
+
 // TestRunScheduleDeviceRound: a device-level schedule round is the round
 // a one-shot run performs, so its target's device is removed, and each
 // round reports its own slice of the timeline and of iostat.

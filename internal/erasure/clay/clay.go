@@ -51,12 +51,6 @@ type Clay struct {
 
 	base *gfmat.Matrix // nt x kInt MDS generator for the uncoupled planes
 
-	// digitPlanes[y*q+x] lists the planes z with digit(z, y) == x, in
-	// ascending order: the segment-index sets the batched transforms hand
-	// to the gf256 segment kernels when a group spans the whole plane
-	// space. Built once in New; immutable.
-	digitPlanes [][]int32
-
 	// The pairwise coupling transforms, compiled once into two-source row
 	// kernels (both inputs stream through the word-wide gf256 kernel
 	// instead of per-byte table lookups):
@@ -101,7 +95,7 @@ func New(k, m, d int) (*Clay, error) {
 	}
 	invG2 := gf256.Inv(gf256.Mul(gamma, gamma) ^ 1)
 	invG := gf256.Inv(gamma)
-	c := &Clay{
+	return &Clay{
 		k: k, m: m, d: d,
 		q: q, t: t, nt: nt, kInt: nt - q,
 		alpha: alpha, beta: alpha / q,
@@ -112,24 +106,7 @@ func New(k, m, d int) (*Clay, error) {
 		uncoupleRow: gf256.CompileRow([]byte{invG, invG}),
 		decodeLRU:   kernel.NewLRU[kernel.Mask, *planeSolver](kernel.DecodeCacheSize),
 		plans:       kernel.NewLRU[kernel.Mask, *erasure.Plan](kernel.DecodeCacheSize),
-	}
-	// Planes with digit(z, y) == x form q^y runs of q^(t-1-y) consecutive
-	// planes, q^(t-y) apart.
-	c.digitPlanes = make([][]int32, t*q)
-	slab := make([]int32, 0, t*alpha)
-	for y := 0; y < t; y++ {
-		runLen, stride := pow[t-1-y], pow[t-y]
-		for x := 0; x < q; x++ {
-			start := len(slab)
-			for base := x * runLen; base < alpha; base += stride {
-				for i := 0; i < runLen; i++ {
-					slab = append(slab, int32(base+i))
-				}
-			}
-			c.digitPlanes[y*q+x] = slab[start:len(slab):len(slab)]
-		}
-	}
-	return c, nil
+	}, nil
 }
 
 func init() {
@@ -316,10 +293,10 @@ func (c *Clay) Decode(shards [][]byte) error {
 	}
 
 	// Group planes by intersection score.
-	byScore := make([][]int32, c.t+1)
+	byScore := make([][]int, c.t+1)
 	for z := 0; z < c.alpha; z++ {
 		s := c.intersectionScore(z, erased)
-		byScore[s] = append(byScore[s], int32(z))
+		byScore[s] = append(byScore[s], z)
 	}
 
 	dec, err := c.planeDecoder(erased)
@@ -329,42 +306,18 @@ func (c *Clay) Decode(shards [][]byte) error {
 
 	srcs := make([][]byte, len(dec.survivors))
 	dsts := make([][]byte, len(dec.lost))
-	if Batching() && scs < batchDecodeLimit() {
-		for s := 0; s <= c.t; s++ {
-			if len(byScore[s]) == 0 {
-				continue
-			}
-			c.decodeGroupBatched(byScore[s], erased, C, U, dec, scs, srcs, dsts)
+	for _, group := range byScore {
+		if Batching() && len(group) == c.alpha {
+			c.decodeWhole(erased, C, U, dec, scs, srcs, dsts)
+			continue
 		}
-		c.convertUCBatched(erased, C, U, scs)
-		return nil
-	}
-	for s := 0; s <= c.t; s++ {
-		for _, z := range byScore[s] {
-			c.decodePlane(int(z), erased, C, U, dec, scs, srcs, dsts)
+		for _, z := range group {
+			c.decodePlane(z, erased, C, U, dec, scs, srcs, dsts)
 		}
 	}
 
 	// All U known everywhere; convert U -> C for the erased nodes.
-	pair := make([][]byte, 2)
-	for u := 0; u < c.nt; u++ {
-		if !erased[u] {
-			continue
-		}
-		x, y := c.nodeXY(u)
-		for z := 0; z < c.alpha; z++ {
-			off := z * scs
-			dst := C[u][off : off+scs]
-			if c.digit(z, y) == x {
-				copy(dst, U[u][off:off+scs])
-				continue
-			}
-			comp := c.digit(z, y) + y*c.q // companion node (z_y, y)
-			zc := c.setDigit(z, y, x)
-			co := zc * scs
-			mulPair(c.coupleRow, pair, U[u][off:off+scs], U[comp][co:co+scs], dst)
-		}
-	}
+	c.convertUC(erased, C, U, scs)
 	return nil
 }
 
@@ -415,9 +368,9 @@ func (c *Clay) planeDecoder(erased []bool) (*planeSolver, error) {
 	})
 }
 
-// planeSolver recovers erased uncoupled symbols within one plane from the
-// first kInt surviving symbols. Only the inverted reconstruction rows are
-// built eagerly (that is the expensive, always-needed part); the
+// planeSolver recovers erased uncoupled symbols from the first kInt
+// surviving symbols of the same plane. Only the inverted reconstruction
+// rows are built eagerly (that is the expensive, always-needed part); the
 // kernel.Program (decode, per-plane repair) and the row plans
 // (repairStrided) are each compiled on first use.
 type planeSolver struct {
@@ -432,12 +385,21 @@ type planeSolver struct {
 	prog     *kernel.Program
 }
 
-// solve runs one plane's MDS reconstruction: for each lost node, its U
-// sub-slice (sel(lost node)) is overwritten with the combination of the
-// survivor sub-slices. srcs/dsts are caller scratch of lengths
-// len(survivors) and len(lost).
+// solve runs the MDS reconstruction as one Program.Run: for each lost
+// node, sel(lost node) is overwritten with the combination of the
+// survivors' sel slices. sel returns one plane's sub-chunk (per-plane
+// decode and repair) or a node's whole buffer (decodeWhole: the arithmetic
+// is elementwise, so one call solves every plane). srcs/dsts are
+// caller scratch of lengths len(survivors) and len(lost).
 func (dec *planeSolver) solve(srcs, dsts [][]byte, sel func(u int) []byte) {
-	dec.solveBatch(srcs, dsts, sel, nil, 0, true)
+	for si, sv := range dec.survivors {
+		srcs[si] = sel(sv)
+	}
+	for li, l := range dec.lost {
+		dsts[li] = sel(l)
+	}
+	dec.progOnce.Do(func() { dec.prog = kernel.Compile(dec.rows) })
+	dec.prog.Run(srcs, dsts, true)
 }
 
 // rowPlans returns the compiled per-lost-symbol row kernels, building them

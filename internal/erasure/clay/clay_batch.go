@@ -4,7 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/erasure/kernel"
 	"repro/internal/gf256"
 )
 
@@ -14,13 +13,18 @@ import (
 // only the sub-chunk offsets differ. The per-plane formulation therefore
 // issues alpha tiny kernel calls per pairwise transform pass — at 4 KiB
 // shards (~50 B sub-chunks) the call overhead dwarfs the arithmetic. The
-// batched paths here gather all planes sharing a coefficient pair into
-// one gf256.ApplySegs / kernel.Program.RunSegs invocation:
+// batched paths here run whole plane sets through single
+// gf256.ApplyStrided calls, wherever the planes form a regular geometry:
 //
-//   - Decode processes each intersection-score group with one segment
-//     batch per (node, companion-column) pair plus one batched MDS solve;
-//     for encode (every parity erased) the single group covers all alpha
-//     planes, so the solve collapses to full-buffer Program.Run calls.
+//   - The planes z with digit(z, y) == x are q^y runs of q^(t-1-y)
+//     consecutive planes, q^(t-y) apart, and each one's companion plane
+//     setDigit(z, y, x') sits at the same shift. A decode score group that
+//     covers every plane (encode, or erasures that fill whole grid
+//     columns) runs each (node, companion-column) pair as one strided call
+//     and its MDS solve as one full-buffer Program.Run; every other group
+//     runs per plane (decodePlane). The erased nodes' final U -> C
+//     conversion always spans the whole plane space, so it always runs in
+//     this strided form.
 //   - Single repair solves directly over the shard layout: the pairwise
 //     transforms, the failed node's row of the MDS solve, and the
 //     companion-plane recovery address every helper's beta repair-plane
@@ -31,38 +35,20 @@ import (
 // Both paths compute the exact same GF(2^8) operations on the same bytes
 // as the per-plane code, so outputs are byte-identical; the conformance
 // suite enforces that across backends with batching toggled
-// (SetBatching(false) forces the per-plane formulation).
+// (SetBatching(false) forces the per-plane group transforms and repair).
 
 // batchOff disables the batched paths when set. Stored inverted so the
 // zero value means "batching on".
 var batchOff atomic.Bool
 
-// Batching pays off while per-call kernel dispatch dominates the
-// arithmetic; once sub-chunks grow large every per-plane call already
-// streams enough bytes to amortize itself. Decode reaches parity near
-// scs≈1600 on the ymm tiers and rides the wider zmm strided kernels to
-// 4 KiB; zero-copy repair (no gather/scatter to degrade into memcpy)
-// wins through 1 KiB sub-chunks on every measured tier, with the
-// per-plane path pulling ahead from 2 KiB
-// (BenchmarkKernelClayRepairSweep tracks the crossover). The gates are
-// vars overridable by SetBatchLimits (identity tests push arbitrarily
-// large sub-chunks through the batched paths); 0 means "derive the
-// measured default".
-var (
-	batchMaxSubChunk       = 0
-	batchRepairMaxSubChunk = 0
-)
-
-// batchDecodeLimit returns the sub-chunk size gate for batched decode.
-func batchDecodeLimit() int {
-	if batchMaxSubChunk != 0 {
-		return batchMaxSubChunk
-	}
-	if gf256.StridedRunCap() >= 4096 {
-		return 4096
-	}
-	return 2048
-}
+// Zero-copy repair (no gather/scatter to degrade into memcpy) wins
+// through 1 KiB sub-chunks on every measured tier, with the per-plane path
+// pulling ahead from 2 KiB (BenchmarkKernelClayRepairSweep tracks the
+// crossover). Decode has no gate: its whole-space transforms match the
+// per-plane path at 12.9 KB and 103 KB sub-chunks. The repair gate is a
+// var overridable by SetBatchLimits (identity tests push arbitrarily large
+// sub-chunks through the batched path); 0 means "the measured default".
+var batchRepairMaxSubChunk = 0
 
 // batchRepairLimit returns the sub-chunk size gate for zero-copy batched
 // repair.
@@ -86,15 +72,15 @@ func SetBatching(on bool) (restore func()) {
 	return func() { batchOff.Store(prev) }
 }
 
-// SetBatchLimits overrides the sub-chunk size gates above which the
-// batched paths yield to the per-plane code, returning a restore
-// function; 0 restores the backend-derived defaults. Identity tests use
-// it to push arbitrarily large sub-chunks through the batched
-// implementations; it is not safe concurrently with Decode/Repair calls.
-func SetBatchLimits(decodeMax, repairMax int) (restore func()) {
-	prevD, prevR := batchMaxSubChunk, batchRepairMaxSubChunk
-	batchMaxSubChunk, batchRepairMaxSubChunk = decodeMax, repairMax
-	return func() { batchMaxSubChunk, batchRepairMaxSubChunk = prevD, prevR }
+// SetBatchLimits overrides the sub-chunk size gate above which batched
+// repair yields to the per-plane code, returning a restore function; 0
+// restores the measured default. Identity tests use it to push
+// arbitrarily large sub-chunks through the batched implementation; it is
+// not safe concurrently with Repair calls.
+func SetBatchLimits(repairMax int) (restore func()) {
+	prev := batchRepairMaxSubChunk
+	batchRepairMaxSubChunk = repairMax
+	return func() { batchRepairMaxSubChunk = prev }
 }
 
 // repairScratch pools the compact-space slab for repairStrided. Pooling
@@ -105,137 +91,69 @@ func SetBatchLimits(decodeMax, repairMax int) (restore func()) {
 // shared registry instance each grab independent slabs.
 var repairScratch = sync.Pool{New: func() any { b := []byte(nil); return &b }}
 
-// copySegs copies the listed scs-byte segments from src to dst, coalescing
-// adjacent segment indices into single copies.
-func copySegs(dst, src []byte, idx []int32, scs int) {
-	for i := 0; i < len(idx); {
-		j := i + 1
-		for j < len(idx) && idx[j] == idx[j-1]+1 {
-			j++
-		}
-		off, end := int(idx[i])*scs, (int(idx[j-1])+1)*scs
-		copy(dst[off:end], src[off:end])
-		i = j
+// copyPlanes copies the planes z with digit(z, y) == x from src to dst:
+// the unpaired vertices, whose coupled and uncoupled symbols agree.
+func (c *Clay) copyPlanes(dst, src []byte, x, y, scs int) {
+	run := c.pow[c.t-1-y] * scs
+	for off := x * run; off < len(dst); off += c.pow[c.t-y] * scs {
+		copy(dst[off:off+run], src[off:off+run])
 	}
 }
 
-// solveBatch runs the plane MDS reconstruction across a batch of planes in
-// one program invocation per lost node: sel(u) returns node u's full
-// buffer, idx lists the plane indices to solve. full indicates idx covers
-// every segment of the buffers contiguously, letting the solve run as a
-// plain full-width Program.Run.
-func (dec *planeSolver) solveBatch(srcs, dsts [][]byte, sel func(u int) []byte, idx []int32, scs int, full bool) {
-	if len(dec.lost) == 0 {
-		return
-	}
-	for si, sv := range dec.survivors {
-		srcs[si] = sel(sv)
-	}
-	for li, l := range dec.lost {
-		dsts[li] = sel(l)
-	}
-	dec.progOnce.Do(func() { dec.prog = kernel.Compile(dec.rows) })
-	if full {
-		dec.prog.Run(srcs, dsts, true)
-		return
-	}
-	dec.prog.RunSegs(srcs, dsts, idx, scs, true)
+// couplePlanes applies a two-source transform to every plane z with
+// digit(z, y) == xp in one strided call, reading b at the companion plane
+// setDigit(z, y, x):
+//
+//	dst[z] = plan(a[z], b[z + (x-xp)*q^(t-1-y)])
+//
+// Each of the q^y runs of q^(t-1-y) planes is one segment, so every
+// operand is one base and one stride, the companion a constant shift.
+func (c *Clay) couplePlanes(plan *gf256.RowPlan, a, b, dst []byte, x, xp, y, scs int) {
+	run := c.pow[c.t-1-y] * scs
+	stride := c.pow[c.t-y] * scs
+	base := xp * run
+	srcs := [2][]byte{a, b}
+	srcBase := [2]int{base, base + (x-xp)*run}
+	srcStride := [2]int{stride, stride}
+	plan.ApplyStrided(srcs[:], dst, base, stride, srcBase[:], srcStride[:], run, c.pow[y], true)
 }
 
-// decodeGroupBatched computes U for every node across all planes of one
-// intersection-score group. Within a group the transforms only read C
-// (any plane) and U of strictly lower-score planes — when a companion node
-// is erased, its companion plane's score is one lower — so running every
-// transform of the group before every solve preserves the per-plane data
-// dependencies exactly.
-func (c *Clay) decodeGroupBatched(group []int32, erased []bool, C, U [][]byte, dec *planeSolver, scs int, srcs, dsts [][]byte) {
-	full := len(group) == c.alpha
-	var pairBuf [2][]byte
-	var deltaBuf [2]int32
-	pair, delta := pairBuf[:], deltaBuf[:]
-
-	// Per-row plane buckets by digit value; full groups use the
-	// precomputed whole-space lists.
-	var bucket [][]int32
-	var counts []int
-	var slab []int32
-	if !full {
-		bucket = make([][]int32, c.q)
-		counts = make([]int, c.q)
-		slab = make([]int32, len(group))
-	}
-	for y := 0; y < c.t; y++ {
-		if !full {
-			clear(counts)
-			pw := c.pow[c.t-1-y]
-			for _, z := range group {
-				counts[(int(z)/pw)%c.q]++
-			}
-			off := 0
-			for x := 0; x < c.q; x++ {
-				bucket[x] = slab[off : off : off+counts[x]]
-				off += counts[x]
-			}
-			for _, z := range group {
-				x := (int(z) / pw) % c.q
-				bucket[x] = append(bucket[x], z)
-			}
+// decodeWhole computes U for every node across all alpha planes, for a
+// score group that covers the whole plane space. A plane whose companion
+// node is erased scores one above its companion plane, so in such a group
+// no companion is erased: every transform reads C only.
+func (c *Clay) decodeWhole(erased []bool, C, U [][]byte, dec *planeSolver, scs int, srcs, dsts [][]byte) {
+	for u := 0; u < c.nt; u++ {
+		if erased[u] {
+			continue
 		}
-		for x := 0; x < c.q; x++ {
-			u := x + y*c.q
-			if erased[u] {
-				continue
-			}
-			for xp := 0; xp < c.q; xp++ {
-				idx := c.digitPlanes[y*c.q+xp]
-				if !full {
-					idx = bucket[xp]
-				}
-				if len(idx) == 0 {
-					continue
-				}
-				if xp == x {
-					copySegs(U[u], C[u], idx, scs) // unpaired vertices
-					continue
-				}
-				comp := xp + y*c.q
-				delta[0], delta[1] = 0, int32((x-xp)*c.pow[c.t-1-y])
-				pair[0] = C[u]
-				if !erased[comp] {
-					pair[1] = C[comp]
-					c.pairRow.MulSegs(pair, U[u], idx, delta, scs)
-				} else {
-					pair[1] = U[comp]
-					c.coupleRow.MulSegs(pair, U[u], idx, delta, scs)
-				}
+		x, y := c.nodeXY(u)
+		for xp := 0; xp < c.q; xp++ {
+			if xp == x {
+				c.copyPlanes(U[u], C[u], x, y, scs)
+			} else {
+				c.couplePlanes(c.pairRow, C[u], C[xp+y*c.q], U[u], x, xp, y, scs)
 			}
 		}
 	}
-	dec.solveBatch(srcs, dsts, func(u int) []byte { return U[u] }, group, scs, full)
+	dec.solve(srcs, dsts, func(u int) []byte { return U[u] })
 }
 
-// convertUCBatched is the batched form of the final U -> C conversion for
-// erased nodes: every plane's U is known, so each (node, companion-column)
-// pair converts in one segment batch over the whole plane space.
-func (c *Clay) convertUCBatched(erased []bool, C, U [][]byte, scs int) {
-	var pairBuf [2][]byte
-	var deltaBuf [2]int32
-	pair, delta := pairBuf[:], deltaBuf[:]
+// convertUC is the final U -> C conversion for the erased nodes: every
+// plane's U is known, so each (node, companion-column) pair converts in
+// one strided call over the whole plane space.
+func (c *Clay) convertUC(erased []bool, C, U [][]byte, scs int) {
 	for u := 0; u < c.nt; u++ {
 		if !erased[u] {
 			continue
 		}
 		x, y := c.nodeXY(u)
 		for xp := 0; xp < c.q; xp++ {
-			idx := c.digitPlanes[y*c.q+xp]
 			if xp == x {
-				copySegs(C[u], U[u], idx, scs)
-				continue
+				c.copyPlanes(C[u], U[u], x, y, scs)
+			} else {
+				c.couplePlanes(c.coupleRow, U[u], U[xp+y*c.q], C[u], x, xp, y, scs)
 			}
-			comp := xp + y*c.q
-			delta[0], delta[1] = 0, int32((x-xp)*c.pow[c.t-1-y])
-			pair[0], pair[1] = U[u], U[comp]
-			c.coupleRow.MulSegs(pair, C[u], idx, delta, scs)
 		}
 	}
 }

@@ -24,14 +24,16 @@ func encodeWith(t *testing.T, c *Clay, data [][]byte, batched bool) [][]byte {
 	return shards
 }
 
-// TestBatchedEncodeDecodeRepairIdentity checks that the batched paths are
-// byte-identical to the per-plane baseline for encode, every decode
-// pattern up to m erasures, and every single repair, across shapes and
-// sub-chunk sizes covering the strided and per-run kernel routes.
+// TestBatchedEncodeDecodeRepairIdentity checks that the batched encode is
+// byte-identical to the per-plane one, and that every decode pattern up
+// to two erasures and every single repair reproduces exactly the bytes it
+// erased (the data shards are the input data) under both formulations,
+// across shapes and sub-chunk sizes covering the strided and per-run
+// kernel routes.
 func TestBatchedEncodeDecodeRepairIdentity(t *testing.T) {
-	// Lift the size gates so every sub-chunk size below exercises the
-	// batched code paths, not the gated fallbacks.
-	defer SetBatchLimits(1<<30, 1<<30)()
+	// Lift the repair gate so every sub-chunk size below exercises the
+	// batched repair, not the gated fallback.
+	defer SetBatchLimits(1 << 30)()
 
 	shapes := []struct{ k, m int }{{4, 2}, {9, 3}, {6, 2}, {2, 2}}
 	for _, sh := range shapes {
@@ -52,6 +54,9 @@ func TestBatchedEncodeDecodeRepairIdentity(t *testing.T) {
 				if !bytes.Equal(batched[i], baseline[i]) {
 					t.Fatalf("k=%d m=%d scs=%d: encode shard %d diverges from per-plane path",
 						sh.k, sh.m, scs, i)
+				}
+				if i < c.K() && !bytes.Equal(baseline[i], data[i]) {
+					t.Fatalf("k=%d m=%d scs=%d: encode changed data shard %d", sh.k, sh.m, scs, i)
 				}
 			}
 
@@ -114,15 +119,15 @@ func TestBatchingToggle(t *testing.T) {
 	}
 }
 
-// TestBatchLimitsIgnoreWorkerBudget: the batched/per-plane choice depends
-// on the backend tier and the sub-chunk size only, never on how many
-// workers the process may use.
+// TestBatchLimitsIgnoreWorkerBudget: the batched/per-plane repair choice
+// depends on the sub-chunk size only, never on how many workers the
+// process may use.
 func TestBatchLimitsIgnoreWorkerBudget(t *testing.T) {
 	prev := parallel.SetWorkers(1)
 	defer parallel.SetWorkers(prev)
-	dec, rep := batchDecodeLimit(), batchRepairLimit()
+	rep := batchRepairLimit()
 	parallel.SetWorkers(8)
-	if d, r := batchDecodeLimit(), batchRepairLimit(); d != dec || r != rep {
-		t.Fatalf("limits moved with the worker budget: decode %d -> %d, repair %d -> %d", dec, d, rep, r)
+	if r := batchRepairLimit(); r != rep {
+		t.Fatalf("repair gate moved with the worker budget: %d -> %d", rep, r)
 	}
 }

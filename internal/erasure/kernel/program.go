@@ -98,34 +98,6 @@ func (p *Program) run(srcs, dsts [][]byte, overwrite bool, workers int) {
 	p.runRange(srcs, dsts, 0, size, overwrite)
 }
 
-// RunSegs executes the program over a batch of equal-length segments
-// instead of one contiguous stripe: for every output row i and every
-// segment index s in idx,
-//
-//	dsts[i][s*segLen : (s+1)*segLen] (^)= Σ_j rows[i][j] * srcs[j][same]
-//
-// idx must be strictly increasing. Sub-packetized codes use this to solve
-// many scattered planes in one call per output row; the gf256 segment
-// layer coalesces adjacent planes and dispatches the strided SIMD kernels
-// (runs up to 1 KiB on the ymm tiers, 4 KiB on the zmm tier, longer runs
-// as windowed calls), so callers need no layout knowledge. Output is
-// byte-identical to one Run per segment. The batch runs on the calling
-// goroutine.
-func (p *Program) RunSegs(srcs, dsts [][]byte, idx []int32, segLen int, overwrite bool) {
-	if len(dsts) != len(p.plans) {
-		panic("kernel: destination count does not match program rows")
-	}
-	if len(p.plans) == 0 {
-		return
-	}
-	if len(srcs) != p.width {
-		panic("kernel: source count does not match program width")
-	}
-	for i, plan := range p.plans {
-		plan.ApplySegs(srcs, dsts[i], idx, nil, segLen, overwrite)
-	}
-}
-
 // runRange processes dst bytes [off, end) chunk by chunk, all rows per
 // chunk.
 func (p *Program) runRange(srcs, dsts [][]byte, off, end int, overwrite bool) {

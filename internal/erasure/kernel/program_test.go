@@ -83,51 +83,6 @@ func TestProgramParallelIdentical(t *testing.T) {
 	}
 }
 
-// TestProgramRunSegs checks the segment-batch entry against per-segment
-// Run calls over assorted index patterns and segment sizes (sub-vector,
-// odd, and strided layouts included).
-func TestProgramRunSegs(t *testing.T) {
-	cases := []struct {
-		name string
-		idx  []int32
-	}{
-		{"single", []int32{3}},
-		{"contiguous", []int32{0, 1, 2, 3}},
-		{"strided", []int32{0, 1, 9, 10, 18, 19}},
-		{"singletons", []int32{1, 4, 7, 10, 13, 16}},
-		{"ragged", []int32{0, 2, 3, 4, 11, 17, 18}},
-	}
-	for _, segLen := range []int{1, 8, 51, 64, 513} {
-		for _, tc := range cases {
-			for _, overwrite := range []bool{false, true} {
-				const nSegs = 20
-				rows, srcs, got, want := randomCase(t, 3, 9, nSegs*segLen, int64(segLen)*31)
-				p := Compile(rows)
-				p.RunSegs(srcs, got, tc.idx, segLen, overwrite)
-				// Reference: one contiguous Run per segment over sub-slices.
-				for _, s := range tc.idx {
-					off := int(s) * segLen
-					subSrcs := make([][]byte, len(srcs))
-					for j := range srcs {
-						subSrcs[j] = srcs[j][off : off+segLen]
-					}
-					subDsts := make([][]byte, len(want))
-					for i := range want {
-						subDsts[i] = want[i][off : off+segLen]
-					}
-					p.RunSerial(subSrcs, subDsts, overwrite)
-				}
-				for i := range got {
-					if !bytes.Equal(got[i], want[i]) {
-						t.Fatalf("RunSegs diverges: case=%s segLen=%d overwrite=%v row=%d",
-							tc.name, segLen, overwrite, i)
-					}
-				}
-			}
-		}
-	}
-}
-
 func TestProgramZeroColumnsAllowNilSources(t *testing.T) {
 	rows := [][]byte{{0, 2, 0, 3}}
 	srcs := make([][]byte, 4)

@@ -109,13 +109,6 @@ func Backends() []string {
 	return out
 }
 
-// StridedRunCap returns the run size (bytes) up to which the active
-// backend's strided segment kernel keeps whole runs in single calls: the
-// zmm kernel's masked tails make runs up to 4 KiB profitable, the ymm
-// kernels cap at 1 KiB. Callers sizing batch gates (Clay's sub-chunk
-// limits) key off it.
-func StridedRunCap() int { return stridedRunCap(currentBackend()) }
-
 // SetBackend forces the named backend and returns a function restoring the
 // previous one. It errors if the backend is not available in this build on
 // this machine. It is meant for tests and benchmarks comparing tiers; the

@@ -286,48 +286,6 @@ func gfniStridedAsm(mats *uint64, srcs **byte, nsrc int, dst *byte, segn int, st
 //go:noescape
 func avx2StridedAsm(tbls *byte, srcs **byte, nsrc int, dst *byte, segn int, stride int, count int, xor int)
 
-// stridedSIMD dispatches the strided assembly kernel: count segments of
-// segBytes each, stride bytes apart, destination starting at dst[base]
-// and source j at base + delta[j]*segLen. Requires segBytes >= 32 and an
-// active SIMD backend.
-func (rp *RowPlan) stridedSIMD(srcs [][]byte, dst []byte, base int, delta []int32, segLen, segBytes, stride, count int, overwrite bool, backend int32) {
-	extent := (count-1)*stride + segBytes
-	_ = dst[base+extent-1] // bounds-check the full destination span
-	var ptrBuf [32]*byte
-	ptrs := ptrBuf[:0]
-	if len(rp.nzSrc) > len(ptrBuf) {
-		ptrs = make([]*byte, 0, len(rp.nzSrc))
-	}
-	for _, j := range rp.nzSrc {
-		so := base
-		if delta != nil {
-			so += int(delta[j]) * segLen
-		}
-		_ = srcs[j][so+extent-1] // bounds-check the full source span
-		ptrs = append(ptrs, &srcs[j][so])
-	}
-	xor := 1
-	if overwrite {
-		xor = 0
-	}
-	switch backend {
-	case backendGFNI512:
-		var strideBuf [32]int
-		strides := strideBuf[:0]
-		if len(ptrs) > len(strideBuf) {
-			strides = make([]int, 0, len(ptrs))
-		}
-		for range ptrs {
-			strides = append(strides, stride)
-		}
-		gfni512StridedAsm(&rp.nzMat[0], &ptrs[0], &strides[0], len(ptrs), &dst[base], stride, segBytes, count, xor)
-	case backendGFNI:
-		gfniStridedAsm(&rp.nzMat[0], &ptrs[0], len(ptrs), &dst[base], segBytes, stride, count, xor)
-	default:
-		avx2StridedAsm(&rp.nzTbl[0], &ptrs[0], len(ptrs), &dst[base], segBytes, stride, count, xor)
-	}
-}
-
 // applyStridedSIMD runs the per-operand-geometry segment batch on the
 // active SIMD backend: count segments of segn bytes, the destination at
 // dstBase advancing dstStride per segment and source j at srcBase[j]

@@ -22,12 +22,6 @@ func (rp *RowPlan) applySIMD(srcs [][]byte, dst []byte, off, end int, overwrite 
 	panic("gf256: SIMD backend selected without assembly support")
 }
 
-// stridedSIMD is unreachable for the same reason: ApplySegs only routes
-// here when the active backend is SIMD.
-func (rp *RowPlan) stridedSIMD(srcs [][]byte, dst []byte, base int, delta []int32, segLen, segBytes, stride, count int, overwrite bool, backend int32) {
-	panic("gf256: SIMD backend selected without assembly support")
-}
-
 // applyStridedSIMD reports that no strided SIMD kernel exists; ApplyStrided
 // then walks per-segment windows on the word kernels.
 func (rp *RowPlan) applyStridedSIMD(srcs [][]byte, dst []byte, dstBase, dstStride int, srcBase, srcStride []int, segn, count int, overwrite bool, backend int32) bool {

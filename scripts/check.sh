@@ -4,10 +4,13 @@
 # lock-free snapshot forks + the engine's ordering and gather fuzz smokes
 # (the slicing one on two queues that hand outgrown wait rings to each
 # other) + the placement fuzz smoke (Select against its straw2 reference)
-# + the matrix codes' round-trip fuzz smoke + the store's naive-model fuzz
-# smoke (overlay Reserve included) + the two input-surface fuzz smokes
-# (fault lists, ceph.conf text) + a run of every example, each of which
-# must exit 0 + the benchmark module's self-test and smoke runs.
+# + the matrix codes' round-trip fuzz smoke + the codec's two strided fuzz
+# smokes (ApplyStrided against its scalar oracle; Clay's batched and
+# per-plane formulations against each other and the erased bytes) + the
+# store's naive-model fuzz smoke (overlay Reserve included) + the two
+# input-surface fuzz smokes (fault lists, ceph.conf text) + a run of every
+# example, each of which must exit 0 + the benchmark module's self-test
+# and smoke runs.
 # Run from the repo root: ./scripts/check.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -53,12 +56,14 @@ go test -race -count=1 \
     ./internal/parallel \
     ./internal/tuner
 
-echo "== fuzz smoke (simclock: same-instant FIFO, RunUntil slicing with wait rings changing queues; simnet: gather == per-ship; crush: Select == straw2 reference; matrix codes: decode/repair == CanRecover; bluestore: store == naive per-chunk model across forks, Reserve included; inputs: fault lists and ceph.conf text are run or rejected, never a panic) =="
+echo "== fuzz smoke (simclock: same-instant FIFO, RunUntil slicing with wait rings changing queues; simnet: gather == per-ship; crush: Select == straw2 reference; matrix codes: decode/repair == CanRecover; gf256: ApplyStrided == scalar oracle; clay: batched == per-plane == erased bytes; bluestore: store == naive per-chunk model across forks, Reserve included; inputs: fault lists and ceph.conf text are run or rejected, never a panic) =="
 go test ./internal/simclock -run xxx -fuzz FuzzSimclockFIFO -fuzztime 10s
 go test ./internal/simclock -run xxx -fuzz FuzzRunUntilSlicing -fuzztime 10s
 go test ./internal/simnet -run xxx -fuzz FuzzGatherMatchesPerShip -fuzztime 10s
 go test ./internal/crush -run xxx -fuzz FuzzSelectMatchesReference -fuzztime 10s
 go test ./internal/erasure/conformance -run xxx -fuzz FuzzMatrixCodeRoundTrip -fuzztime 10s
+go test ./internal/gf256 -run xxx -fuzz FuzzApplyStrided -fuzztime 10s
+go test ./internal/erasure/conformance -run xxx -fuzz FuzzClayBatchIdentity -fuzztime 10s
 go test ./internal/bluestore -run xxx -fuzz FuzzStoreMatchesNaiveModel -fuzztime 10s
 go test ./internal/core -run xxx -fuzz FuzzFaultSpecs -fuzztime 10s
 go test ./internal/cephconf -run xxx -fuzz FuzzParseApply -fuzztime 10s
