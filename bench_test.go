@@ -271,7 +271,8 @@ func BenchmarkAblationClientLoad(b *testing.B) {
 		}); err != nil {
 			b.Fatal(err)
 		}
-		objs, err := workload.Scaled(benchScale).Objects()
+		w := core.DefaultProfile().ScaleWorkload(benchScale).Workload
+		objs, err := workload.Spec{NamePrefix: "obj", Count: w.Objects, ObjectSize: w.ObjectSize}.Objects()
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -4,7 +4,8 @@
 //
 //	[global]
 //	osd_pool_default_pg_num = 256
-//	bluestore_cache_kv_ratio = 0.45
+//	bluestore_cache_kv_ratio = 0.55
+//	bluestore_cache_meta_ratio = 0.35
 //
 //	[osd]
 //	osd_max_backfills = 1
@@ -193,7 +194,15 @@ func (c *Config) ApplyProfile(p core.Profile) (core.Profile, error) {
 		}
 	}
 
-	var kvRatio, metaRatio, dataRatio float64 = -1, -1, -1
+	// A ratio the file leaves out keeps the autotuned scheme's.
+	ratios, ratiosSet := bluestore.CacheAutotune, false
+	ratios.Autotune = false
+	ratioField := func(dst *float64) handler {
+		return func(val string) error {
+			ratiosSet = true
+			return floatField(dst)(val)
+		}
+	}
 	autotune := ""
 
 	handlers := map[string]handler{
@@ -202,9 +211,9 @@ func (c *Config) ApplyProfile(p core.Profile) (core.Profile, error) {
 		"osd_max_backfills":                 intField(&p.Tuning.MaxBackfills),
 		"osd_recovery_max_active":           intField(&p.Tuning.RecoveryMaxActive),
 		"mon_osd_down_out_interval":         floatField(&p.Tuning.MarkOutIntervalSeconds),
-		"bluestore_cache_kv_ratio":          floatField(&kvRatio),
-		"bluestore_cache_meta_ratio":        floatField(&metaRatio),
-		"bluestore_cache_data_ratio":        floatField(&dataRatio),
+		"bluestore_cache_kv_ratio":          ratioField(&ratios.KVRatio),
+		"bluestore_cache_meta_ratio":        ratioField(&ratios.MetaRatio),
+		"bluestore_cache_data_ratio":        ratioField(&ratios.DataRatio),
 		"bluestore_min_alloc_size":          sizeField(&p.Backend.MinAllocSize),
 		"erasure_code_plugin": func(val string) error {
 			p.Pool.Plugin = val
@@ -235,17 +244,9 @@ func (c *Config) ApplyProfile(p core.Profile) (core.Profile, error) {
 	case autotune == "true" || autotune == "1":
 		p.Backend.CacheScheme = core.SchemeAutotune
 		p.Backend.CustomRatios = nil
-	case kvRatio >= 0 || metaRatio >= 0 || dataRatio >= 0:
-		ratios := bluestore.CacheConfig{KVRatio: orDefault(kvRatio, 0.45), MetaRatio: orDefault(metaRatio, 0.45), DataRatio: orDefault(dataRatio, 0.10)}
+	case ratiosSet:
 		p.Backend.CacheScheme = ""
 		p.Backend.CustomRatios = &ratios
 	}
 	return p, p.Validate()
-}
-
-func orDefault(v, def float64) float64 {
-	if v < 0 {
-		return def
-	}
-	return v
 }

@@ -140,6 +140,11 @@ func TestApplyProfileRejectsBadValues(t *testing.T) {
 	if _, err := cfg.ApplyProfile(core.DefaultProfile()); err == nil {
 		t.Fatal("invalid resulting profile accepted")
 	}
+	// A negative cache ratio would give negative cache-hit fractions.
+	cfg, _ = Parse(strings.NewReader("[osd]\nbluestore_cache_kv_ratio = -0.5\n"))
+	if _, err := cfg.ApplyProfile(core.DefaultProfile()); !errors.Is(err, core.ErrInvalidProfile) || !strings.Contains(err.Error(), "custom_ratios kv") {
+		t.Fatalf("negative kv ratio: err = %v", err)
+	}
 }
 
 func TestUnknownKeysIgnored(t *testing.T) {
@@ -162,7 +167,7 @@ func TestLoadMissingFile(t *testing.T) {
 func FuzzParseApply(f *testing.F) {
 	f.Add(sample)
 	// The package comment's example.
-	f.Add("[global]\nosd_pool_default_pg_num = 256\nbluestore_cache_kv_ratio = 0.45\n\n[osd]\nosd_max_backfills = 1\n")
+	f.Add("[global]\nosd_pool_default_pg_num = 256\nbluestore_cache_kv_ratio = 0.55\nbluestore_cache_meta_ratio = 0.35\n\n[osd]\nosd_max_backfills = 1\n")
 	for _, size := range []string{"9999999999G", "-4K", "4M"} {
 		f.Add("[global]\nosd_pool_erasure_code_stripe_unit = " + size + "\nbluestore_min_alloc_size = " + size + "\n")
 	}

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sort"
 
 	"repro/internal/blockdev"
 	"repro/internal/bluestore"
@@ -110,19 +111,13 @@ type PG struct {
 	Objects []*ObjectRecord
 }
 
-// Pool is an erasure-coded pool.
+// Pool is an erasure-coded pool: the normalized config it was created
+// with (Snapshot/Fork rebuild the pool from it without re-running CRUSH),
+// its code and its placement groups.
 type Pool struct {
-	Name          string
-	Plugin        string
-	Code          erasure.Code
-	PGCount       int
-	StripeUnit    int64
-	FailureDomain string
-	PGs           []*PG
-
-	// cfg is the normalized PoolConfig the pool was created with, kept so
-	// Snapshot/Fork can rebuild the pool without re-running CRUSH.
-	cfg PoolConfig
+	PoolConfig
+	Code erasure.Code
+	PGs  []*PG
 }
 
 // PoolConfig parameterizes CreatePool.
@@ -133,6 +128,39 @@ type PoolConfig struct {
 	PGNum         int
 	StripeUnit    int64
 	FailureDomain string // "osd", "host", or "rack"
+}
+
+// Normalize resolves the config's zero-value defaults: a 4 KiB stripe
+// unit, the host failure domain, and the plugin's registered default D.
+// Two configs that create the same pool normalize to equal values.
+func (pc PoolConfig) Normalize() PoolConfig {
+	if pc.StripeUnit <= 0 {
+		pc.StripeUnit = 4096
+	}
+	if pc.FailureDomain == "" {
+		pc.FailureDomain = crush.TypeHost
+	}
+	pc.D = erasure.ResolveD(pc.Plugin, pc.K, pc.M, pc.D)
+	return pc
+}
+
+// newPool builds a pool without placement groups from a normalized config.
+// Codes come from the process-wide registry: constructions are immutable
+// and their derived-artifact caches are concurrency-safe, so pools with
+// the same spec — across clusters and snapshot forks — share one instance
+// and its compiled programs and plans.
+func newPool(pc PoolConfig) (*Pool, error) {
+	code, err := codecache.Get(pc.Plugin, pc.K, pc.M, pc.D)
+	if err != nil {
+		return nil, err
+	}
+	return &Pool{PoolConfig: pc, Code: code}, nil
+}
+
+// pgSeed is the CRUSH placement seed of one of the pool's PGs, at creation
+// and at every remap after a failure.
+func (p *Pool) pgSeed(pg int) uint64 {
+	return crush.NameKey(p.Name) ^ uint64(pg)*0x9e3779b97f4a7c15
 }
 
 // Cluster is the simulated DSS.
@@ -170,7 +198,7 @@ func normalizeClusterConfig(cfg Config) (Config, error) {
 		return cfg, fmt.Errorf("%w: hosts=%d osdsPerHost=%d", ErrBadGeometry, cfg.Hosts, cfg.OSDsPerHost)
 	}
 	if cfg.DeviceCapacity <= 0 {
-		cfg.DeviceCapacity = 100 << 30
+		cfg.DeviceCapacity = DefaultConfig().DeviceCapacity
 	}
 	if cfg.Net.BandwidthBytesPerSec == 0 {
 		cfg.Net = simnet.DefaultConfig()
@@ -289,32 +317,13 @@ func (c *Cluster) CreatePool(pc PoolConfig) (*Pool, error) {
 	if pc.PGNum <= 0 {
 		return nil, fmt.Errorf("cluster: pool %q needs pg_num >= 1", pc.Name)
 	}
-	if pc.StripeUnit <= 0 {
-		pc.StripeUnit = 4096
-	}
-	if pc.FailureDomain == "" {
-		pc.FailureDomain = crush.TypeHost
-	}
-	// Codes come from the process-wide registry: constructions are
-	// immutable and their derived-artifact caches are concurrency-safe,
-	// so pools with the same spec — across clusters and snapshot forks —
-	// share one instance and its compiled programs/plans.
-	code, err := codecache.Get(pc.Plugin, pc.K, pc.M, pc.D)
+	pc = pc.Normalize()
+	pool, err := newPool(pc)
 	if err != nil {
 		return nil, err
 	}
-	pool := &Pool{
-		Name:          pc.Name,
-		Plugin:        pc.Plugin,
-		Code:          code,
-		PGCount:       pc.PGNum,
-		StripeUnit:    pc.StripeUnit,
-		FailureDomain: pc.FailureDomain,
-		cfg:           pc,
-	}
-	poolSeed := nameHash(pc.Name)
 	for pg := 0; pg < pc.PGNum; pg++ {
-		acting, err := c.crush.Select(poolSeed^uint64(pg)*0x9e3779b97f4a7c15, code.N(), pc.FailureDomain)
+		acting, err := c.crush.Select(pool.pgSeed(pg), pool.Code.N(), pc.FailureDomain)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: mapping pg %d: %w", pg, err)
 		}
@@ -325,18 +334,9 @@ func (c *Cluster) CreatePool(pc PoolConfig) (*Pool, error) {
 	return pool, nil
 }
 
-func nameHash(s string) uint64 {
-	var h uint64 = 1469598103934665603
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
 // pgOf maps an object name to its placement group.
 func (p *Pool) pgOf(name string) *PG {
-	return p.PGs[nameHash(name)%uint64(p.PGCount)]
+	return p.PGs[crush.NameKey(name)%uint64(p.PGNum)]
 }
 
 // PGOf returns the placement group an object name maps to.
@@ -375,15 +375,15 @@ func (c *Cluster) BulkLoad(poolName string, objs []workload.Object) error {
 	}
 	// Group the records by PG, load order kept within a PG: PG i owns
 	// records[starts[i]:starts[i+1]].
-	starts := make([]int, pool.PGCount+1)
+	starts := make([]int, pool.PGNum+1)
 	for i := range objs {
 		starts[pool.pgOf(objs[i].Name).ID+1]++
 	}
-	for i := 0; i < pool.PGCount; i++ {
+	for i := 0; i < pool.PGNum; i++ {
 		starts[i+1] += starts[i]
 	}
 	records := make([]ObjectRecord, len(objs))
-	next := slices.Clone(starts[:pool.PGCount])
+	next := slices.Clone(starts[:pool.PGNum])
 	for i := range objs {
 		o := &objs[i]
 		cs, err := pool.storedChunkSize(o.Size, false)
@@ -394,7 +394,7 @@ func (c *Cluster) BulkLoad(poolName string, objs []workload.Object) error {
 		records[next[pg]] = ObjectRecord{Name: o.Name, Size: o.Size, ChunkSize: cs}
 		next[pg]++
 	}
-	runs := make([]*bluestore.BulkPG, pool.PGCount)
+	runs := make([]*bluestore.BulkPG, pool.PGNum)
 	for _, pg := range pool.PGs {
 		lo, hi := starts[pg.ID], starts[pg.ID+1]
 		if lo == hi {
@@ -625,28 +625,47 @@ func (c *Cluster) DegradedPGs(poolName string) ([]*PG, error) {
 	return out, nil
 }
 
-// HostWithMostChunks returns the host whose OSDs hold the most chunks of
-// the pool — the EC-aware target the white-box fault injector picks so a
-// "host failure" is guaranteed to intersect stored data.
-func (c *Cluster) HostWithMostChunks(poolName string) (string, error) {
+// RankHosts ranks the hosts holding the pool's chunks, the most chunks
+// first and ties by name, leaving out the OSDs in skip (nil skips none):
+// the EC-aware order the white-box fault injector picks targets in, so a
+// "host failure" is guaranteed to intersect stored data. osdChunks holds
+// each counted OSD's chunk count.
+func (c *Cluster) RankHosts(poolName string, skip map[int]bool) (hosts []string, osdChunks map[int]int, err error) {
 	pool, err := c.Pool(poolName)
+	if err != nil {
+		return nil, nil, err
+	}
+	osdChunks, hostChunks := map[int]int{}, map[string]int{}
+	for _, pg := range pool.PGs {
+		for _, id := range pg.Acting {
+			if len(pg.Objects) > 0 && !skip[id] {
+				osdChunks[id] += len(pg.Objects)
+				hostChunks[c.crush.HostOf(id)] += len(pg.Objects)
+			}
+		}
+	}
+	if len(hostChunks) == 0 {
+		return nil, nil, fmt.Errorf("cluster: pool %q holds no data", poolName)
+	}
+	hosts = make([]string, 0, len(hostChunks))
+	for h := range hostChunks {
+		hosts = append(hosts, h)
+	}
+	sort.Slice(hosts, func(i, j int) bool {
+		if hostChunks[hosts[i]] != hostChunks[hosts[j]] {
+			return hostChunks[hosts[i]] > hostChunks[hosts[j]]
+		}
+		return hosts[i] < hosts[j]
+	})
+	return hosts, osdChunks, nil
+}
+
+// HostWithMostChunks returns the first host of RankHosts: the one whose
+// OSDs hold the most chunks of the pool.
+func (c *Cluster) HostWithMostChunks(poolName string) (string, error) {
+	hosts, _, err := c.RankHosts(poolName, nil)
 	if err != nil {
 		return "", err
 	}
-	counts := map[string]int{}
-	for _, pg := range pool.PGs {
-		for _, id := range pg.Acting {
-			counts[c.crush.HostOf(id)] += len(pg.Objects)
-		}
-	}
-	best := "" // ties go to the first host by name
-	for h, n := range counts {
-		if n > 0 && (best == "" || n > counts[best] || n == counts[best] && h < best) {
-			best = h
-		}
-	}
-	if best == "" {
-		return "", fmt.Errorf("cluster: pool %q holds no data", poolName)
-	}
-	return best, nil
+	return hosts[0], nil
 }

@@ -212,13 +212,12 @@ func (c *Cluster) ScheduleRecovery(poolName string) (*RecoveryResult, error) {
 	for _, id := range mon.failedOSDs {
 		c.crush.SetOut(id, true)
 	}
-	poolSeed := nameHash(pool.Name)
 	for _, w := range work {
 		// When the failure consumed a whole failure domain there may be
 		// too few domains left for a clean re-selection; Ceph remaps such
 		// PGs degraded across the remaining domains, which the sweep
 		// below reproduces.
-		newActing, err := c.crush.Select(poolSeed^uint64(w.pg.ID)*0x9e3779b97f4a7c15, pool.Code.N(), pool.FailureDomain)
+		newActing, err := c.crush.Select(pool.pgSeed(w.pg.ID), pool.Code.N(), pool.FailureDomain)
 		if err != nil {
 			newActing = nil
 		}
@@ -319,7 +318,7 @@ func (c *Cluster) ScheduleRecovery(poolName string) (*RecoveryResult, error) {
 		mon.epoch++
 		c.log(c.sim.Now(), "mon0", fmt.Sprintf("osdmap e%d: marking %d osds out, start recovery I/O", mon.epoch, len(mon.failedOSDs)))
 		for _, pg := range emptyRemaps {
-			newActing, err := c.crush.Select(poolSeed^uint64(pg.ID)*0x9e3779b97f4a7c15, pool.Code.N(), pool.FailureDomain)
+			newActing, err := c.crush.Select(pool.pgSeed(pg.ID), pool.Code.N(), pool.FailureDomain)
 			if err != nil {
 				continue // stays degraded; surfaced via Health
 			}

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/bluestore"
-	"repro/internal/erasure/codecache"
 )
 
 // snapPG captures one placement group's post-populate state. The acting
@@ -55,7 +54,7 @@ func (c *Cluster) Snapshot() *Snapshot {
 	sort.Strings(names)
 	for _, name := range names {
 		pool := c.pools[name]
-		sp := snapPool{cfg: pool.cfg}
+		sp := snapPool{cfg: pool.PoolConfig}
 		for _, pg := range pool.PGs {
 			objs := pg.Objects
 			sp.pgs = append(sp.pgs, snapPG{
@@ -96,23 +95,12 @@ func (s *Snapshot) Fork(cfg Config) (*Cluster, error) {
 		return nil, err
 	}
 	for _, sp := range s.pools {
-		// Forks receive the registry-shared code for the pool spec: the
-		// construction is immutable and its plan/program caches are
-		// concurrency-safe with singleflight fill, so the parallel
-		// fan-out shares compiled state instead of rebuilding it per
-		// fork.
-		code, err := codecache.Get(sp.cfg.Plugin, sp.cfg.K, sp.cfg.M, sp.cfg.D)
+		// Forks receive the registry-shared code for the pool spec, so the
+		// parallel fan-out shares compiled state instead of rebuilding it
+		// per fork.
+		pool, err := newPool(sp.cfg)
 		if err != nil {
 			return nil, err
-		}
-		pool := &Pool{
-			Name:          sp.cfg.Name,
-			Plugin:        sp.cfg.Plugin,
-			Code:          code,
-			PGCount:       sp.cfg.PGNum,
-			StripeUnit:    sp.cfg.StripeUnit,
-			FailureDomain: sp.cfg.FailureDomain,
-			cfg:           sp.cfg,
 		}
 		for i := range sp.pgs {
 			spg := &sp.pgs[i]

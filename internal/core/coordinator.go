@@ -12,7 +12,6 @@ import (
 	"repro/internal/logsys"
 	"repro/internal/simclock"
 	"repro/internal/wamodel"
-	"repro/internal/workload"
 )
 
 // Result is everything one experiment produces.
@@ -134,19 +133,13 @@ func (co *Coordinator) populate() (*Result, map[string][]byte, error) {
 	cl := co.cluster
 
 	// 1. Configure the pool.
-	if _, err := cl.CreatePool(co.mgr.PoolConfig()); err != nil {
+	pool, err := cl.CreatePool(co.mgr.PoolConfig())
+	if err != nil {
 		return nil, nil, err
 	}
 
 	// 2. Execute the workload.
-	spec := workload.Spec{
-		NamePrefix: "obj",
-		Count:      p.Workload.Objects,
-		ObjectSize: p.Workload.ObjectSize,
-		SizeJitter: p.Workload.SizeJitter,
-		Seed:       p.Workload.Seed,
-	}
-	objs, err := spec.Objects()
+	objs, err := p.workloadSpec().Objects()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -173,7 +166,7 @@ func (co *Coordinator) populate() (*Result, map[string][]byte, error) {
 	// 3. Measure storage overhead (Actual WA Factor, §4.4).
 	res.UsedBytes = cl.UsedBytes()
 	measured := float64(res.UsedBytes) / float64(res.WrittenBytes)
-	res.WA, err = wamodel.NewReport(p.Workload.ObjectSize, p.Pool.K+p.Pool.M, p.Pool.K, p.Pool.StripeUnit, measured)
+	res.WA, err = wamodel.NewReport(p.Workload.ObjectSize, pool.Code.N(), pool.Code.K(), pool.StripeUnit, measured)
 	if err != nil {
 		return nil, nil, err
 	}

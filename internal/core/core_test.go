@@ -1,11 +1,16 @@
 package core
 
 import (
+	"encoding/json"
 	"errors"
+	"math"
+	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
+	"repro/internal/bluestore"
 	"repro/internal/logsys"
 )
 
@@ -34,30 +39,136 @@ func TestDefaultProfileValid(t *testing.T) {
 	}
 }
 
+// invalidProfiles are mutations of DefaultProfile that Validate rejects,
+// each with a fragment its error must carry (the field it names).
+var invalidProfiles = []struct {
+	want   string
+	mutate func(*Profile)
+}{
+	{"hosts", func(p *Profile) { p.Cluster.Hosts = 0 }},
+	{"k > 0", func(p *Profile) { p.Pool.K = 0 }},
+	{"pg_num", func(p *Profile) { p.Pool.PGNum = 0 }},
+	{"stripe_unit", func(p *Profile) { p.Pool.StripeUnit = 0 }},
+	{"plugin", func(p *Profile) { p.Pool.Plugin = "made-up" }},
+	{"failure domain", func(p *Profile) { p.Pool.FailureDomain = "continent" }},
+	{"n=12", func(p *Profile) { p.Cluster.Hosts = 5 }}, // fewer than n with host domain
+	{"count", func(p *Profile) { p.Workload.Objects = 0 }},
+	{"cache scheme", func(p *Profile) { p.Backend.CacheScheme = "bogus" }},
+	{"level", func(p *Profile) { p.Faults[0].Level = "rack" }},
+	{"count", func(p *Profile) { p.Faults[0].Count = 0 }},
+	{"locality", func(p *Profile) { p.Faults[0].Locality = "nearby" }},
+	{"injection time", func(p *Profile) { p.Faults[0].AtSeconds = -1 }},
+	{"exceed m", func(p *Profile) { p.Faults[0].Count = 99 }},
+	// LRC(9,3,3) stores 15 chunks, not k+m = 12.
+	{"n=15", func(p *Profile) { p.Pool.Plugin, p.Pool.D, p.Cluster.Hosts = "lrc", 3, 13 }},
+	{"osds", func(p *Profile) {
+		p.Faults = []FaultSpec{{Level: FaultLevelCorruption, OSDs: []int{1}, AtSeconds: 10}}
+	}},
+	{"mark_out_interval_seconds", func(p *Profile) { p.Tuning.MarkOutIntervalSeconds = -1 }},
+	{"max_backfills", func(p *Profile) { p.Tuning.MaxBackfills = -1 }},
+	{"recovery_max_active", func(p *Profile) { p.Tuning.RecoveryMaxActive = -1 }},
+	{"recovery_bw_fraction", func(p *Profile) { p.Tuning.RecoveryBWFraction = -0.1 }},
+	{"recovery_bw_fraction", func(p *Profile) { p.Tuning.RecoveryBWFraction = 1.5 }},
+	{"network_gbps", func(p *Profile) { p.Cluster.NetworkGbps = -1 }},
+	{"device_capacity_gb", func(p *Profile) { p.Cluster.DeviceCapacityGB = -1 }},
+	{"cache_gb", func(p *Profile) { p.Backend.CacheGB = -1 }},
+	{"min_alloc_size", func(p *Profile) { p.Backend.MinAllocSize = -1 }},
+	{"custom_ratios kv", func(p *Profile) {
+		p.Backend.CustomRatios = &bluestore.CacheConfig{KVRatio: -0.5, MetaRatio: 0.45, DataRatio: 0.10}
+	}},
+	{"racks", func(p *Profile) { p.Pool.FailureDomain = "rack" }},
+	{"racks", func(p *Profile) { p.Cluster.Racks = -1 }},
+	{"pool d", func(p *Profile) { p.Pool.D = -1 }},
+	// A parameter beyond GF(2^8) must not reach a plugin's n arithmetic.
+	{"256", func(p *Profile) { p.Pool.K = math.MaxInt }},
+}
+
 func TestProfileValidationRejects(t *testing.T) {
-	mutations := []func(*Profile){
-		func(p *Profile) { p.Cluster.Hosts = 0 },
-		func(p *Profile) { p.Pool.K = 0 },
-		func(p *Profile) { p.Pool.PGNum = 0 },
-		func(p *Profile) { p.Pool.StripeUnit = 0 },
-		func(p *Profile) { p.Pool.Plugin = "made-up" },
-		func(p *Profile) { p.Pool.FailureDomain = "continent" },
-		func(p *Profile) { p.Cluster.Hosts = 5 }, // fewer than n with host domain
-		func(p *Profile) { p.Workload.Objects = 0 },
-		func(p *Profile) { p.Backend.CacheScheme = "bogus" },
-		func(p *Profile) { p.Faults[0].Level = "rack" },
-		func(p *Profile) { p.Faults[0].Count = 0 },
-		func(p *Profile) { p.Faults[0].Locality = "nearby" },
-		func(p *Profile) { p.Faults[0].AtSeconds = -1 },
-		func(p *Profile) { p.Faults[0].Count = 99 }, // beyond m
-	}
-	for i, mutate := range mutations {
+	for i, c := range invalidProfiles {
 		p := DefaultProfile()
-		mutate(&p)
-		if err := p.Validate(); !errors.Is(err, ErrInvalidProfile) {
-			t.Errorf("mutation %d: err = %v", i, err)
+		c.mutate(&p)
+		if err := p.Validate(); !errors.Is(err, ErrInvalidProfile) || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("mutation %d: err = %v, want ErrInvalidProfile naming %q", i, err, c.want)
 		}
 	}
+}
+
+// tinyProfiles are the default profile and its Clay(12,9,11), LRC(9,3,3)
+// and SHEC(9,3) variants at a size that runs in milliseconds.
+func tinyProfiles() []Profile {
+	rs := DefaultProfile()
+	rs.Pool.PGNum = 16
+	rs.Pool.StripeUnit = 64 << 10
+	rs.Workload.Objects = 8
+	rs.Workload.ObjectSize = 1 << 20
+	clay, lrc, shec := rs, rs, rs
+	clay.Pool.Plugin, clay.Pool.D = "clay", 11
+	lrc.Pool.Plugin, lrc.Pool.D = "lrc", 3
+	shec.Pool.Plugin = "shec"
+	return []Profile{rs, clay, lrc, shec}
+}
+
+// TestWAReportsCodeN checks that the §4.4 report takes n from the pool's
+// code: LRC(9,3,3) stores 15 chunks, not k+m = 12.
+func TestWAReportsCodeN(t *testing.T) {
+	for i, want := range []int{12, 12, 15, 12} {
+		p := tinyProfiles()[i]
+		res, err := Run(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.WA.N != want {
+			t.Errorf("%s: WA n = %d, want %d", p.Pool.Plugin, res.WA.N, want)
+		}
+	}
+}
+
+// FuzzLoadProfile drives the whole profile document through LoadProfile:
+// bytes that do not decode as a profile fail to parse, a profile Validate
+// rejects fails with ErrInvalidProfile, and an accepted one has a Layout
+// and, within the caps below, runs to a result or an error — never a
+// panic or a hang.
+func FuzzLoadProfile(f *testing.F) {
+	add := func(p Profile) {
+		data, err := json.Marshal(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	for _, p := range tinyProfiles() {
+		add(p)
+	}
+	for _, c := range invalidProfiles {
+		p := DefaultProfile()
+		c.mutate(&p)
+		add(p)
+	}
+	path := filepath.Join(f.TempDir(), "profile.json")
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		p, err := LoadProfile(path)
+		if err != nil {
+			if json.Unmarshal(data, new(Profile)) == nil && !errors.Is(err, ErrInvalidProfile) {
+				t.Fatalf("profile rejected without ErrInvalidProfile: %v", err)
+			}
+			return
+		}
+		l, err := p.Layout()
+		if err != nil {
+			t.Fatalf("accepted profile has no layout: %v", err)
+		}
+		if l.Hosts > 40 || l.OSDsPerHost > 3 || l.Pool.PGNum > 64 || l.Pool.K+l.Pool.M > 16 ||
+			l.Workload.Objects > 16 || l.Workload.ObjectSize > 1<<20 {
+			return
+		}
+		res, err := Run(p)
+		if (res == nil) == (err == nil) {
+			t.Fatalf("Run returned (%v, %v)", res, err)
+		}
+	})
 }
 
 func TestScaleWorkload(t *testing.T) {

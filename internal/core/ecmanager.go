@@ -99,17 +99,14 @@ func (m *ECManager) Code() (erasure.Code, error) {
 	return codecache.Get(pc.Plugin, pc.K, pc.M, pc.D)
 }
 
-// PoolConfig builds the pool configuration for the profile.
-func (m *ECManager) PoolConfig() cluster.PoolConfig {
-	p := m.profile.Pool
-	return cluster.PoolConfig{
-		Name:          p.Name,
-		Plugin:        p.Plugin,
-		K:             p.K,
-		M:             p.M,
-		D:             p.D,
-		PGNum:         p.PGNum,
-		StripeUnit:    p.StripeUnit,
-		FailureDomain: p.FailureDomain,
+// PoolConfig builds the normalized pool configuration for the profile.
+func (m *ECManager) PoolConfig() cluster.PoolConfig { return m.profile.poolConfig() }
+
+// layout reads the profile's Layout off the cluster config built for it.
+func (m *ECManager) layout(cfg cluster.Config) Layout {
+	return Layout{
+		Hosts: cfg.Hosts, OSDsPerHost: cfg.OSDsPerHost, Racks: cfg.Racks,
+		DeviceCapacity: cfg.DeviceCapacity, MinAllocSize: cfg.Store.MinAllocSize,
+		Pool: m.PoolConfig(), Workload: m.profile.Workload,
 	}
 }

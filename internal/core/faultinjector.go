@@ -45,39 +45,6 @@ type PlannedFault struct {
 	Corruptions []Corruption
 }
 
-// chunkCounts returns the pool's chunk count per OSD, leaving out the OSDs
-// earlier specs of the same fault list have taken, and the hosts of those
-// OSDs ordered by chunk count descending, ties broken by name.
-func (f *FaultInjector) chunkCounts(taken map[int]bool) (map[int]int, []string, error) {
-	pool, err := f.c.Pool(f.pool)
-	if err != nil {
-		return nil, nil, err
-	}
-	osdCounts, hostCounts := map[int]int{}, map[string]int{}
-	for _, pg := range pool.PGs {
-		for _, id := range pg.Acting {
-			if len(pg.Objects) > 0 && !taken[id] {
-				osdCounts[id] += len(pg.Objects)
-				hostCounts[f.c.Crush().HostOf(id)] += len(pg.Objects)
-			}
-		}
-	}
-	if len(hostCounts) == 0 {
-		return nil, nil, fmt.Errorf("core: pool %q holds no data to fault", f.pool)
-	}
-	hosts := make([]string, 0, len(hostCounts))
-	for h := range hostCounts {
-		hosts = append(hosts, h)
-	}
-	sort.Slice(hosts, func(i, j int) bool {
-		if hostCounts[hosts[i]] != hostCounts[hosts[j]] {
-			return hostCounts[hosts[i]] > hostCounts[hosts[j]]
-		}
-		return hosts[i] < hosts[j]
-	})
-	return osdCounts, hosts, nil
-}
-
 // heaviestOSDs returns a host's untaken OSD ids ordered by chunk count
 // descending (ties by id), so device faults hit data-bearing devices
 // first.
@@ -187,7 +154,9 @@ func (f *FaultInjector) planCorruption(pf *PlannedFault) error {
 // not yet taken, using placement knowledge to hit stored data.
 func (f *FaultInjector) pickOSDs(pf *PlannedFault, taken map[int]bool) error {
 	spec := pf.Spec
-	osdCounts, hosts, err := f.chunkCounts(taken)
+	// Hosts by chunk count, leaving out the OSDs earlier specs of the same
+	// fault list have taken.
+	hosts, osdCounts, err := f.c.RankHosts(f.pool, taken)
 	if err != nil {
 		return err
 	}

@@ -246,6 +246,7 @@ func FuzzFaultSpecs(f *testing.F) {
 	f.Add(uint8(2), 1<<40, uint8(0), 1e300, []byte{0}, uint8(0), -7, uint8(3), -1.0) // extremes
 	f.Add(uint8(0), 1, uint8(0), 1e300, []byte{}, uint8(3), 0, uint8(0), 0.0)        // past the clock's range
 	f.Add(uint8(1), 1, uint8(0), math.NaN(), []byte{}, uint8(0), 1, uint8(0), math.Inf(1))
+	f.Add(uint8(2), 1, uint8(0), 1.0, []byte{2}, uint8(3), 0, uint8(0), 0.0) // corruption with osds
 	f.Fuzz(func(t *testing.T, levelA uint8, countA int, locA uint8, atA float64, ids []byte,
 		levelB uint8, countB int, locB uint8, atB float64) {
 		specA := FaultSpec{Level: levels[levelA%4], Count: countA, Locality: localities[locA%4], AtSeconds: atA}

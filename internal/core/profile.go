@@ -1,16 +1,17 @@
 package core
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 
 	"repro/internal/bluestore"
+	"repro/internal/cluster"
 	"repro/internal/erasure"
 	"repro/internal/erasure/codecache"
+	"repro/internal/workload"
 )
 
 // Fault levels and localities (§3.2). Corruption extends the prototype's
@@ -54,7 +55,7 @@ type PoolSpec struct {
 	Plugin        string `json:"plugin"` // e.g. jerasure_reed_sol_van, jerasure_cauchy_orig, isa_reed_sol_van, clay
 	K             int    `json:"k"`
 	M             int    `json:"m"`
-	D             int    `json:"d,omitempty"` // Clay helpers, LRC locality or SHEC c; 0 takes codecache.Normalize's default
+	D             int    `json:"d,omitempty"` // Clay helpers, LRC locality or SHEC c; 0 takes the plugin's registered default
 	PGNum         int    `json:"pg_num"`
 	StripeUnit    int64  `json:"stripe_unit"`
 	FailureDomain string `json:"failure_domain"` // osd, host, rack
@@ -92,9 +93,7 @@ type FaultSpec struct {
 }
 
 // TuningSpec overrides selected Ceph-style daemon settings. Zero values
-// keep cluster.DefaultCostModel's defaults (600 s
-// mon_osd_down_out_interval, osd_max_backfills=1, a 0.13 recovery
-// bandwidth share, osd_recovery_max_active=10).
+// keep cluster.DefaultCostModel's defaults.
 type TuningSpec struct {
 	MarkOutIntervalSeconds float64 `json:"mark_out_interval_seconds,omitempty"`
 	MaxBackfills           int     `json:"max_backfills,omitempty"`
@@ -159,50 +158,42 @@ func ClayProfile() Profile {
 	return p
 }
 
-// LayoutKey hashes exactly the profile fields that shape a populated
-// cluster's on-disk state: topology, pool/EC geometry, the backend's
-// allocation granularity, and the workload. Two profiles with equal keys
-// produce byte-identical clusters after the populate phase, so one can
-// run on a copy-on-write fork of the other's snapshot. Recovery-side
-// knobs — cache scheme and size, network bandwidth, faults, tuning — are
-// deliberately excluded. Fields are normalized the same way the cluster
-// and the code registry resolve them (D through codecache.Normalize), so
-// e.g. Clay with D=0 and D=k+m-1 share a key.
-func (p Profile) LayoutKey() string {
-	capGB := p.Cluster.DeviceCapacityGB
-	if capGB <= 0 {
-		capGB = 100
+// Layout is what shapes a populated cluster's on-disk state: the geometry
+// and allocation granularity of the cluster config Populate builds, the
+// normalized pool config it creates the pool from, and the workload. Two
+// profiles with equal layouts populate byte-identical clusters, so one can
+// run on a copy-on-write fork of the other's snapshot. Recovery-side knobs
+// — cache scheme and size, network bandwidth, faults, tuning — are not
+// part of it.
+type Layout struct {
+	Hosts, OSDsPerHost, Racks    int
+	DeviceCapacity, MinAllocSize int64
+	Pool                         cluster.PoolConfig
+	Workload                     WorkloadSpec
+}
+
+// Layout validates the profile and returns its Layout.
+func (p Profile) Layout() (Layout, error) {
+	mgr, err := NewECManager(p)
+	if err != nil {
+		return Layout{}, err
 	}
-	d := codecache.Normalize(codecache.Spec{Plugin: p.Pool.Plugin, K: p.Pool.K, M: p.Pool.M, D: p.Pool.D}).D
-	fd := p.Pool.FailureDomain
-	if fd == "" {
-		fd = "host"
-	}
-	minAlloc := p.Backend.MinAllocSize
-	if minAlloc <= 0 {
-		minAlloc = 4096
-	}
-	sum := sha256.Sum256([]byte(fmt.Sprintf(
-		"layout/v1|%d|%d|%d|%d|%s|%s|%d|%d|%d|%d|%d|%s|%d|%d|%d|%g|%d|%t",
-		p.Cluster.Hosts, p.Cluster.OSDsPerHost, capGB, p.Cluster.Racks,
-		p.Pool.Name, p.Pool.Plugin, p.Pool.K, p.Pool.M, d, p.Pool.PGNum, p.Pool.StripeUnit, fd,
-		minAlloc,
-		p.Workload.Objects, p.Workload.ObjectSize, p.Workload.SizeJitter, p.Workload.Seed, p.Workload.Payload,
-	)))
-	return hex.EncodeToString(sum[:])
+	cfg, err := mgr.ClusterConfig(nil)
+	return mgr.layout(cfg), err
 }
 
 // ScaleWorkload divides the object count by factor (>= 1), preserving
 // per-object behaviour; used to run paper-shaped experiments quickly. The
-// mark-out interval is scaled down with the workload so the ratio of the
-// checking period to the EC recovery period — which the paper's
-// normalized figures depend on — is preserved at any scale.
+// mark-out interval — the profile's, or cluster.DefaultCostModel's — is
+// scaled down with the workload so the ratio of the checking period to
+// the EC recovery period, which the paper's normalized figures depend on,
+// is preserved at any scale.
 func (p Profile) ScaleWorkload(factor int) Profile {
 	if factor > 1 {
 		p.Workload.Objects = max(p.Workload.Objects/factor, 1)
 		base := p.Tuning.MarkOutIntervalSeconds
 		if base == 0 {
-			base = 600
+			base = cluster.DefaultCostModel().MarkOutInterval.Seconds()
 		}
 		p.Tuning.MarkOutIntervalSeconds = base / float64(factor)
 	}
@@ -210,12 +201,15 @@ func (p Profile) ScaleWorkload(factor int) Profile {
 }
 
 // Validate checks the profile against the white-box fault-tolerance rule
-// and basic geometry constraints.
+// and basic geometry constraints. An optional numeric field keeps its
+// default at zero; a negative, non-finite or out-of-range value is an
+// error naming the field.
 func (p *Profile) Validate() error {
 	bad := func(format string, args ...any) error {
 		return fmt.Errorf("%w: %s", ErrInvalidProfile, fmt.Sprintf(format, args...))
 	}
-	if p.Cluster.Hosts <= 0 || p.Cluster.OSDsPerHost <= 0 {
+	c, b, t := p.Cluster, p.Backend, p.Tuning
+	if c.Hosts <= 0 || c.OSDsPerHost <= 0 {
 		return bad("cluster needs hosts and osds per host")
 	}
 	if p.Pool.K <= 0 || p.Pool.M <= 0 {
@@ -227,34 +221,69 @@ func (p *Profile) Validate() error {
 	if p.Pool.StripeUnit <= 0 {
 		return bad("pool needs a positive stripe_unit")
 	}
-	found := false
-	for _, name := range erasure.Plugins() {
-		if name == p.Pool.Plugin {
-			found = true
-			break
+	var ratios bluestore.CacheConfig
+	if b.CustomRatios != nil {
+		ratios = *b.CustomRatios
+	}
+	// GB-valued fields become int64 byte counts. Below 1 Mb/s a recovery's
+	// simulated span, sampled every 30 s, outgrows any run; a week of
+	// mark-out interval is about twenty thousand samples.
+	const huge, maxGB, week = math.MaxFloat64, math.MaxInt64 >> 30, 7 * 24 * 3600
+	for _, f := range []struct {
+		field          string
+		v, least, most float64 // 0 is always allowed
+	}{
+		{"cluster racks", float64(c.Racks), 0, huge},
+		{"cluster device_capacity_gb", float64(c.DeviceCapacityGB), 0, maxGB},
+		{"cluster network_gbps", c.NetworkGbps, 0.001, huge},
+		{"pool d", float64(p.Pool.D), 0, huge},
+		{"backend custom_ratios kv", ratios.KVRatio, 0, huge},
+		{"backend custom_ratios meta", ratios.MetaRatio, 0, huge},
+		{"backend custom_ratios data", ratios.DataRatio, 0, huge},
+		{"backend cache_gb", b.CacheGB, 0, maxGB},
+		{"backend min_alloc_size", float64(b.MinAllocSize), 0, huge},
+		{"tuning mark_out_interval_seconds", t.MarkOutIntervalSeconds, 0, week},
+		{"tuning max_backfills", float64(t.MaxBackfills), 0, huge},
+		{"tuning recovery_max_active", float64(t.RecoveryMaxActive), 0, huge},
+		{"tuning recovery_bw_fraction", t.RecoveryBWFraction, 0, 1},
+	} {
+		if !(f.v == 0 || f.v >= f.least && f.v <= f.most) {
+			return bad("%s %g is neither 0 nor in [%g, %g]", f.field, f.v, f.least, f.most)
 		}
 	}
-	if !found {
-		return bad("unknown EC plugin %q (have %v)", p.Pool.Plugin, erasure.Plugins())
+	pc := p.poolConfig()
+	code, err := codecache.Get(pc.Plugin, pc.K, pc.M, pc.D)
+	if errors.Is(err, erasure.ErrUnknownPlugin) {
+		return bad("unknown EC plugin %q (have %v)", pc.Plugin, erasure.Plugins())
 	}
-	switch p.Pool.FailureDomain {
-	case "osd", "host", "rack", "":
+	if err != nil {
+		return bad("pool: %v", err)
+	}
+	// The acting set spans n distinct failure domains.
+	domains, n := c.Hosts, code.N()
+	switch pc.FailureDomain {
+	case "host":
+	case "osd":
+		domains *= c.OSDsPerHost
+	case "rack":
+		if c.Racks == 0 {
+			return bad("rack failure domain needs cluster racks > 0")
+		}
+		domains = min(c.Racks, c.Hosts)
 	default:
-		return bad("unknown failure domain %q", p.Pool.FailureDomain)
+		return bad("unknown failure domain %q", pc.FailureDomain)
 	}
-	if p.Pool.FailureDomain == "host" || p.Pool.FailureDomain == "" {
-		if p.Cluster.Hosts < p.Pool.K+p.Pool.M {
-			return bad("need >= n=%d hosts for host failure domain, have %d", p.Pool.K+p.Pool.M, p.Cluster.Hosts)
-		}
+	if domains < n {
+		return bad("need >= n=%d %ss for the %s failure domain, have %d", n, pc.FailureDomain, pc.FailureDomain, domains)
 	}
-	if p.Workload.Objects <= 0 || p.Workload.ObjectSize <= 0 {
-		return bad("workload needs objects and object size")
+	if err := p.workloadSpec().Validate(); err != nil {
+		return bad("%v", err)
 	}
-	switch p.Backend.CacheScheme {
+	switch b.CacheScheme {
 	case SchemeKVOptimized, SchemeDataOptimized, SchemeAutotune, "":
 	default:
-		if p.Backend.CustomRatios == nil {
-			return bad("unknown cache scheme %q", p.Backend.CacheScheme)
+		if b.CustomRatios == nil {
+			return bad("unknown cache scheme %q", b.CacheScheme)
 		}
 	}
 	for i, f := range p.Faults {
@@ -265,6 +294,11 @@ func (p *Profile) Validate() error {
 		}
 		if f.Count <= 0 && len(f.OSDs) == 0 {
 			return bad("fault %d: needs count or explicit osds", i)
+		}
+		// Corruption targets chunks, which the plan picks: explicit osds
+		// would leave it nothing to corrupt.
+		if f.Level == FaultLevelCorruption && len(f.OSDs) > 0 {
+			return bad("fault %d: a corruption fault takes a count, not osds", i)
 		}
 		switch f.Locality {
 		case "", LocalitySameHost, LocalityDiffHosts:
@@ -284,6 +318,16 @@ func (p *Profile) Validate() error {
 		}
 	}
 	return nil
+}
+
+// poolConfig is the normalized config Populate creates the pool from.
+// PoolSpec is cluster.PoolConfig with JSON tags, field for field.
+func (p *Profile) poolConfig() cluster.PoolConfig { return cluster.PoolConfig(p.Pool).Normalize() }
+
+// workloadSpec is the workload Populate writes.
+func (p *Profile) workloadSpec() workload.Spec {
+	w := p.Workload
+	return workload.Spec{NamePrefix: "obj", Count: w.Objects, ObjectSize: w.ObjectSize, SizeJitter: w.SizeJitter, Seed: w.Seed}
 }
 
 // MarshalJSON-friendly load/save helpers.

@@ -15,9 +15,8 @@ import (
 // concurrently; each Run forks the cluster copy-on-write and pays only
 // for recovery-side work.
 type Snapshot struct {
-	profile   Profile
-	layoutKey string
-	snap      *cluster.Snapshot
+	layout Layout
+	snap   *cluster.Snapshot
 
 	written  int64
 	used     int64
@@ -27,16 +26,16 @@ type Snapshot struct {
 	dropped  int
 }
 
-// LayoutKey returns the layout hash of the profile the snapshot was
-// populated from.
-func (s *Snapshot) LayoutKey() string { return s.layoutKey }
+// Layout returns the layout of the profile the snapshot was populated
+// from.
+func (s *Snapshot) Layout() Layout { return s.layout }
 
 // Populate builds a cluster for the profile, runs the populate phase
 // (pool creation, workload, storage-overhead measurement), and captures
 // the result as an immutable Snapshot. Faults, tuning, cache and network
 // settings of the profile are irrelevant here — only layout-relevant
 // fields shape the snapshot — so one Populate can serve every profile
-// sharing the same LayoutKey.
+// sharing the same Layout.
 func Populate(p Profile) (*Snapshot, error) {
 	mgr, err := NewECManager(p)
 	if err != nil {
@@ -54,7 +53,7 @@ func Populate(p Profile) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Snapshot{profile: p, layoutKey: p.LayoutKey()}
+	s := &Snapshot{layout: mgr.layout(cfg)}
 	s.snap = co.cluster.Snapshot()
 	s.written = res.WrittenBytes
 	s.used = res.UsedBytes
@@ -65,7 +64,7 @@ func Populate(p Profile) (*Snapshot, error) {
 }
 
 // Run executes the recovery side of a profile on a copy-on-write fork of
-// the snapshot. The profile's LayoutKey must match the snapshot's; its
+// the snapshot. The profile's Layout must match the snapshot's; its
 // recovery-side fields (cache scheme, network, faults, tuning) are
 // applied to the fork. Results are bit-identical to Coordinator.Run on
 // a freshly built, unforked cluster.
@@ -82,8 +81,12 @@ func (s *Snapshot) Run(p Profile) (*Result, error) {
 // the snapshot, holding a copy of the populate-phase log lines so the
 // fork's timeline matches an unforked run's.
 func (s *Snapshot) coordinator(p Profile) (*Coordinator, error) {
-	if key := p.LayoutKey(); key != s.layoutKey {
-		return nil, fmt.Errorf("core: profile %q layout %s does not match snapshot layout %s", p.Name, key[:12], s.layoutKey[:12])
+	l, err := p.Layout()
+	if err != nil {
+		return nil, err
+	}
+	if l != s.layout {
+		return nil, fmt.Errorf("core: profile %q layout %+v does not match snapshot layout %+v", p.Name, l, s.layout)
 	}
 	co, err := newCoordinator(p, s.snap.Fork)
 	if err != nil {

@@ -3,11 +3,24 @@ package core
 import (
 	"reflect"
 	"testing"
+
+	"repro/internal/bluestore"
+	"repro/internal/cluster"
 )
 
-func TestLayoutKeyGroupsCells(t *testing.T) {
+// layoutOfProfile returns a profile's Layout, failing the test on error.
+func layoutOfProfile(t *testing.T, p Profile) Layout {
+	t.Helper()
+	l, err := p.Layout()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
+
+func TestLayoutGroupsCells(t *testing.T) {
 	base := fastProfile()
-	key := base.LayoutKey()
+	key := layoutOfProfile(t, base)
 
 	// Recovery-side changes keep the key.
 	same := []func(*Profile){
@@ -23,8 +36,8 @@ func TestLayoutKeyGroupsCells(t *testing.T) {
 	for i, mutate := range same {
 		p := fastProfile()
 		mutate(&p)
-		if p.LayoutKey() != key {
-			t.Errorf("recovery-side mutation %d changed the layout key", i)
+		if layoutOfProfile(t, p) != key {
+			t.Errorf("recovery-side mutation %d changed the layout", i)
 		}
 	}
 
@@ -50,36 +63,44 @@ func TestLayoutKeyGroupsCells(t *testing.T) {
 	for i, mutate := range diff {
 		p := fastProfile()
 		mutate(&p)
-		if p.LayoutKey() == key {
-			t.Errorf("layout mutation %d did not change the layout key", i)
+		if layoutOfProfile(t, p) == key {
+			t.Errorf("layout mutation %d did not change the layout", i)
 		}
 	}
 
-	// Normalization: an implied D and its spelled-out default share a key
-	// (Clay k+m-1, LRC two groups, SHEC ceil(m/2)).
+	// Normalization: an implied D and its spelled-out default share a
+	// layout (Clay k+m-1, LRC two groups, SHEC ceil(m/2)).
 	for _, pc := range []struct {
 		plugin  string
 		k, m, d int
 	}{
 		{"clay", base.Pool.K, base.Pool.M, base.Pool.K + base.Pool.M - 1},
-		{"lrc", base.Pool.K, base.Pool.M, 2},
+		{"lrc", 8, base.Pool.M, 2}, // two groups must divide k
 		{"shec", 9, 5, 3},
 	} {
 		c1 := fastProfile()
 		c1.Pool.Plugin, c1.Pool.K, c1.Pool.M = pc.plugin, pc.k, pc.m
 		c2 := c1
 		c2.Pool.D = pc.d
-		if c1.LayoutKey() != c2.LayoutKey() {
+		if layoutOfProfile(t, c1) != layoutOfProfile(t, c2) {
 			t.Errorf("%s D normalization broken: D=0 and D=%d differ", pc.plugin, pc.d)
 		}
 	}
-	// Failure domain "" and "host" share a key.
+	// Failure domain "" and "host" share a layout, and so do an unset
+	// device capacity and min_alloc and their defaults.
 	f1 := fastProfile()
 	f1.Pool.FailureDomain = ""
 	f2 := fastProfile()
 	f2.Pool.FailureDomain = "host"
-	if f1.LayoutKey() != f2.LayoutKey() {
+	if layoutOfProfile(t, f1) != layoutOfProfile(t, f2) {
 		t.Error("failure-domain normalization broken")
+	}
+	d1, d2 := fastProfile(), fastProfile()
+	d1.Cluster.DeviceCapacityGB, d1.Backend.MinAllocSize = 0, 0
+	d2.Cluster.DeviceCapacityGB = int(cluster.DefaultConfig().DeviceCapacity >> 30)
+	d2.Backend.MinAllocSize = bluestore.DefaultConfig().MinAllocSize
+	if layoutOfProfile(t, d1) != layoutOfProfile(t, d2) {
+		t.Error("device capacity or min_alloc normalization broken")
 	}
 }
 
@@ -188,8 +209,8 @@ func TestSnapshotSharedAcrossCacheSchemes(t *testing.T) {
 		p := fastProfile()
 		p.Name = "cell-" + scheme
 		p.Backend.CacheScheme = scheme
-		if p.LayoutKey() != snap.LayoutKey() {
-			t.Fatalf("scheme %s changed the layout key", scheme)
+		if layoutOfProfile(t, p) != snap.Layout() {
+			t.Fatalf("scheme %s changed the layout", scheme)
 		}
 		forked, err := snap.Run(p)
 		if err != nil {

@@ -18,7 +18,7 @@ import (
 const sweepBound = 16
 
 // Sweep runs batches of profiles, populating each layout once. It is a
-// bounded LRU of populated-cluster snapshots keyed by Profile.LayoutKey,
+// bounded LRU of populated-cluster snapshots keyed by Profile.Layout,
 // kept across Run calls, whose singleflight fill makes concurrent runs
 // sharing a layout populate exactly one cluster between them; every
 // profile then runs its recovery side on a fork. Snapshots carry no
@@ -26,7 +26,7 @@ const sweepBound = 16
 // codecache registry, so evicting a snapshot never discards compiled
 // plans or programs. A Sweep is safe for concurrent use.
 type Sweep struct {
-	lru *kernel.LRU[string, *Snapshot]
+	lru *kernel.LRU[Layout, *Snapshot]
 	// requests counts profiles run, populates the fills among them and
 	// failed the fills that returned an error (the LRU does not keep
 	// those); Stats derives everything else.
@@ -37,7 +37,7 @@ type Sweep struct {
 func NewSweep() *Sweep { return newSweep(sweepBound) }
 
 func newSweep(bound int) *Sweep {
-	return &Sweep{lru: kernel.NewLRU[string, *Snapshot](bound)}
+	return &Sweep{lru: kernel.NewLRU[Layout, *Snapshot](bound)}
 }
 
 // Run executes every profile concurrently under the worker budget
@@ -58,7 +58,14 @@ func (s *Sweep) Run(ps []Profile) ([]*Result, []error) {
 // layout, then runs the recovery side on a fork.
 func (s *Sweep) run(p Profile) (*Result, error) {
 	s.requests.Add(1)
-	snap, err := s.lru.GetOrCompute(p.LayoutKey(), func() (*Snapshot, error) {
+	l, err := p.Layout()
+	if err != nil {
+		// An invalid profile is a miss whose populate fails.
+		s.populates.Add(1)
+		s.failed.Add(1)
+		return nil, err
+	}
+	snap, err := s.lru.GetOrCompute(l, func() (*Snapshot, error) {
 		s.populates.Add(1)
 		snap, err := Populate(p)
 		if err != nil {

@@ -59,7 +59,7 @@ type Map struct {
 // its own rack, so two OSDs share a number exactly when they share the
 // host (or rack) name the domain stands for.
 type osdItem struct {
-	key        uint64 // nameKey of the OSD's name
+	key        uint64 // NameKey of the OSD's name
 	host, rack int32
 }
 
@@ -144,7 +144,7 @@ func (b *Builder) Build() *Map {
 			bucket++
 		case TypeOSD:
 			m.osds[n.OSDID] = n
-			m.items[n.OSDID] = osdItem{key: nameKey(n.Name), host: hostB, rack: rackB}
+			m.items[n.OSDID] = osdItem{key: NameKey(n.Name), host: hostB, rack: rackB}
 			m.hostOf[n.OSDID] = host
 			m.rackOf[n.OSDID] = rack
 			return n.Weight
@@ -221,7 +221,9 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-func nameKey(s string) uint64 {
+// NameKey is the FNV-1a hash of a name: an OSD's straw2 item key here, a
+// pool's placement seed and an object's PG in the cluster.
+func NameKey(s string) uint64 {
 	var h uint64 = 1469598103934665603
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])

@@ -279,7 +279,7 @@ func referenceSelect(m *Map, seed uint64, n int, failureDomain string) ([]int, e
 		if len(cands) > 0 && node.Weight != cands[0].weight {
 			uniform = false
 		}
-		cands = append(cands, candidate{domainKey: key, osd: id, itemKey: nameKey(node.Name), weight: node.Weight})
+		cands = append(cands, candidate{domainKey: key, osd: id, itemKey: NameKey(node.Name), weight: node.Weight})
 	}
 	chosen := make([]int, 0, n)
 	for r := 0; len(chosen) < n; r++ {

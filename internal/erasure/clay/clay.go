@@ -111,11 +111,8 @@ func New(k, m, d int) (*Clay, error) {
 
 func init() {
 	erasure.Register("clay", func(k, m, d int) (erasure.Code, error) {
-		if d == 0 {
-			d = k + m - 1
-		}
 		return New(k, m, d)
-	})
+	}, func(k, m int) int { return k + m - 1 })
 }
 
 // Name implements erasure.Code.

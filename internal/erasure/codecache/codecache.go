@@ -27,25 +27,6 @@ type Spec struct {
 	K, M, D int
 }
 
-// Normalize resolves the plugins' d-defaults so that callers passing 0
-// and callers passing the resolved value share one entry. The defaults
-// mirror the plugin init registrations (clay: k+m-1, lrc: 2 groups,
-// shec: ceil(m/2)); codecache tests cross-check them against the
-// registry so drift gets caught.
-func Normalize(s Spec) Spec {
-	if s.D == 0 {
-		switch s.Plugin {
-		case "clay":
-			s.D = s.K + s.M - 1
-		case "lrc":
-			s.D = 2
-		case "shec":
-			s.D = (s.M + 1) / 2
-		}
-	}
-	return s
-}
-
 // entry holds one shared instance; the sync.Once makes construction
 // singleflight without holding the registry lock.
 type entry struct {
@@ -61,10 +42,12 @@ var (
 )
 
 // Get returns the shared code instance for the spec, constructing it on
-// first use. Construction errors are cached too: the plugin set and spec
-// are fixed at init/config time, so a failing spec keeps failing.
+// first use. d = 0 resolves to the default the plugin registered with, so
+// callers passing 0 and callers passing that default share one entry.
+// Construction errors are cached too: the plugin set and spec are fixed
+// at init/config time, so a failing spec keeps failing.
 func Get(plugin string, k, m, d int) (erasure.Code, error) {
-	spec := Normalize(Spec{Plugin: plugin, K: k, M: m, D: d})
+	spec := Spec{Plugin: plugin, K: k, M: m, D: erasure.ResolveD(plugin, k, m, d)}
 	mu.Lock()
 	e, ok := entries[spec]
 	if ok {

@@ -54,35 +54,6 @@ func TestSharedInstancePerSpec(t *testing.T) {
 	}
 }
 
-// TestNormalizeMatchesPluginDefaults guards against the registry's
-// d-defaults drifting from the plugin init registrations: a d=0 request
-// and its normalized spec must build geometrically identical codes (and
-// therefore share one entry).
-func TestNormalizeMatchesPluginDefaults(t *testing.T) {
-	Reset()
-	defer Reset()
-	for _, g := range geometries {
-		raw, err := erasure.New(g.plugin, g.k, g.m, 0)
-		if err != nil {
-			t.Fatalf("New(%s, d=0): %v", g.plugin, err)
-		}
-		spec := Normalize(Spec{Plugin: g.plugin, K: g.k, M: g.m, D: 0})
-		norm, err := erasure.New(spec.Plugin, spec.K, spec.M, spec.D)
-		if err != nil {
-			t.Fatalf("New(normalized %+v): %v", spec, err)
-		}
-		if raw.Name() != norm.Name() || raw.K() != norm.K() || raw.M() != norm.M() ||
-			raw.N() != norm.N() || raw.SubChunks() != norm.SubChunks() {
-			t.Errorf("%s: normalized spec %+v builds different geometry than d=0", g.plugin, spec)
-		}
-		a, _ := Get(g.plugin, g.k, g.m, 0)
-		b, _ := Get(spec.Plugin, spec.K, spec.M, spec.D)
-		if a != b {
-			t.Errorf("%s: d=0 and normalized d map to different registry entries", g.plugin)
-		}
-	}
-}
-
 func TestConstructionErrorCached(t *testing.T) {
 	Reset()
 	defer Reset()

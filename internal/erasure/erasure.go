@@ -185,28 +185,51 @@ func CheckDataShards(shards [][]byte, k, n, alpha int) (int, error) {
 	return size, nil
 }
 
-// Factory builds a code from (k, m, d). Codes that do not use d ignore it.
+// Factory builds a code from (k, m, d). New has already resolved d = 0 to
+// the plugin's default; codes that do not use d ignore it.
 type Factory func(k, m, d int) (Code, error)
 
-var registry = map[string]Factory{}
+// plugin is one registration: the factory and, for a plugin with a d
+// parameter, the d that 0 stands for.
+type plugin struct {
+	build    Factory
+	defaultD func(k, m int) int
+}
+
+var registry = map[string]plugin{}
 
 // Register adds a named plugin factory, mirroring Ceph's EC plugin
-// registry (jerasure, isa, clay, ...). It panics on duplicates, which would
-// indicate an init-order bug.
-func Register(name string, f Factory) {
+// registry (jerasure, isa, clay, ...). defaultD is the one statement of a
+// plugin's default d, nil for a plugin without one. It panics on
+// duplicates, which would indicate an init-order bug.
+func Register(name string, f Factory, defaultD func(k, m int) int) {
 	if _, dup := registry[name]; dup {
 		panic("erasure: duplicate plugin " + name)
 	}
-	registry[name] = f
+	registry[name] = plugin{build: f, defaultD: defaultD}
 }
 
-// New instantiates a registered plugin by name.
+// ResolveD returns the d a plugin builds (k, m, d) with: d itself, or the
+// plugin's registered default when d is 0.
+func ResolveD(name string, k, m, d int) int {
+	if p := registry[name]; d == 0 && p.defaultD != nil {
+		return p.defaultD(k, m)
+	}
+	return d
+}
+
+// New instantiates a registered plugin by name. Every plugin codes over
+// GF(2^8), so a parameter above 256 builds no code; rejecting it here keeps
+// the plugins' shard-count sums from overflowing.
 func New(name string, k, m, d int) (Code, error) {
-	f, ok := registry[name]
+	p, ok := registry[name]
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownPlugin, name)
 	}
-	return f(k, m, d)
+	if k > 256 || m > 256 || d > 256 {
+		return nil, fmt.Errorf("erasure: %s k=%d m=%d d=%d: parameters above 256 exceed GF(2^8)", name, k, m, d)
+	}
+	return p.build(k, m, ResolveD(name, k, m, d))
 }
 
 // Plugins returns the sorted names of all registered plugins.

@@ -73,8 +73,8 @@ func TestRegisterDuplicatePanics(t *testing.T) {
 			t.Fatal("duplicate Register did not panic")
 		}
 	}()
-	Register("dup-test", nil)
-	Register("dup-test", nil)
+	Register("dup-test", nil, nil)
+	Register("dup-test", nil, nil)
 }
 
 func TestPluginsSorted(t *testing.T) {

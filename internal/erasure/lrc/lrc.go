@@ -71,13 +71,9 @@ func init() {
 	// Registry signature is (k, m, d); for LRC, m is the global parity
 	// count and d carries the locality l (Ceph's lrc plugin similarly
 	// takes k/m/l). d == 0 defaults to 2 groups.
-	erasure.Register("lrc", func(k, m, d int) (erasure.Code, error) {
-		l := d
-		if l == 0 {
-			l = 2
-		}
+	erasure.Register("lrc", func(k, m, l int) (erasure.Code, error) {
 		return New(k, l, m)
-	})
+	}, func(k, m int) int { return 2 })
 }
 
 // Name implements erasure.Code.

@@ -60,13 +60,13 @@ func init() {
 	// plugins expose RS techniques.
 	erasure.Register("jerasure_reed_sol_van", func(k, m, d int) (erasure.Code, error) {
 		return New(k, m, Vandermonde)
-	})
+	}, nil)
 	erasure.Register("jerasure_cauchy_orig", func(k, m, d int) (erasure.Code, error) {
 		return New(k, m, Cauchy)
-	})
+	}, nil)
 	erasure.Register("isa_reed_sol_van", func(k, m, d int) (erasure.Code, error) {
 		return New(k, m, Vandermonde)
-	})
+	}, nil)
 }
 
 // Name implements erasure.Code.

@@ -74,13 +74,9 @@ func New(k, m, c int) (*SHEC, error) {
 func init() {
 	// Registry signature (k, m, d): d carries the durability target c,
 	// defaulting to ceil(m/2) as Ceph's shec examples commonly use.
-	erasure.Register("shec", func(k, m, d int) (erasure.Code, error) {
-		c := d
-		if c == 0 {
-			c = (m + 1) / 2
-		}
+	erasure.Register("shec", func(k, m, c int) (erasure.Code, error) {
 		return New(k, m, c)
-	})
+	}, func(k, m int) int { return (m + 1) / 2 })
 }
 
 // Name implements erasure.Code.

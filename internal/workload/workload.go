@@ -30,25 +30,6 @@ type Spec struct {
 	Seed int64
 }
 
-// PaperDefault is the §4.1 workload: 10,000 x 64 MB object writes.
-func PaperDefault() Spec {
-	return Spec{NamePrefix: "obj", Count: 10000, ObjectSize: 64 << 20}
-}
-
-// Scaled returns the paper workload shrunk by the given factor (>= 1),
-// keeping object size fixed and reducing the count, so per-object behaviour
-// (padding, metadata) is preserved.
-func Scaled(factor int) Spec {
-	s := PaperDefault()
-	if factor > 1 {
-		s.Count /= factor
-		if s.Count < 1 {
-			s.Count = 1
-		}
-	}
-	return s
-}
-
 // Validate checks the spec.
 func (s Spec) Validate() error {
 	if s.Count <= 0 {
@@ -57,14 +38,11 @@ func (s Spec) Validate() error {
 	if s.ObjectSize <= 0 {
 		return fmt.Errorf("workload: object size must be positive, got %d", s.ObjectSize)
 	}
-	if s.SizeJitter < 0 || s.SizeJitter >= 1 {
+	if !(s.SizeJitter >= 0 && s.SizeJitter < 1) {
 		return fmt.Errorf("workload: jitter must be in [0,1), got %f", s.SizeJitter)
 	}
 	return nil
 }
-
-// TotalBytes returns the workload's nominal write volume.
-func (s Spec) TotalBytes() int64 { return int64(s.Count) * s.ObjectSize }
 
 // Objects generates the object list deterministically. The inner loop is
 // allocation-free: every name ("<prefix>-<7 digits>", the width fmt used

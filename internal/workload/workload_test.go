@@ -1,29 +1,9 @@
 package workload
 
-import "testing"
-
-func TestPaperDefault(t *testing.T) {
-	s := PaperDefault()
-	if s.Count != 10000 || s.ObjectSize != 64<<20 {
-		t.Fatalf("spec = %+v", s)
-	}
-	if s.TotalBytes() != int64(10000)*(64<<20) {
-		t.Fatal("total bytes wrong")
-	}
-}
-
-func TestScaled(t *testing.T) {
-	s := Scaled(100)
-	if s.Count != 100 || s.ObjectSize != 64<<20 {
-		t.Fatalf("scaled = %+v", s)
-	}
-	if Scaled(1_000_000).Count != 1 {
-		t.Fatal("over-scaling should floor at 1")
-	}
-	if Scaled(0).Count != 10000 {
-		t.Fatal("factor <= 1 should be identity")
-	}
-}
+import (
+	"math"
+	"testing"
+)
 
 func TestValidate(t *testing.T) {
 	bad := []Spec{
@@ -31,6 +11,7 @@ func TestValidate(t *testing.T) {
 		{Count: 1, ObjectSize: 0},
 		{Count: 1, ObjectSize: 1, SizeJitter: 1.0},
 		{Count: 1, ObjectSize: 1, SizeJitter: -0.1},
+		{Count: 1, ObjectSize: 1, SizeJitter: math.NaN()},
 	}
 	for i, s := range bad {
 		if err := s.Validate(); err == nil {

@@ -7,8 +7,9 @@
 # + the matrix codes' round-trip fuzz smoke + the codec's two strided fuzz
 # smokes (ApplyStrided against its scalar oracle; Clay's batched and
 # per-plane formulations against each other and the erased bytes) + the
-# store's naive-model fuzz smoke (overlay Reserve included) + the two
-# input-surface fuzz smokes (fault lists, ceph.conf text) + a run of every
+# store's naive-model fuzz smoke (overlay Reserve included) + the three
+# input-surface fuzz smokes (fault lists, whole profile documents,
+# ceph.conf text) + a run of every
 # example, each of which must exit 0 + the benchmark module's self-test
 # and smoke runs.
 # Run from the repo root: ./scripts/check.sh
@@ -56,7 +57,7 @@ go test -race -count=1 \
     ./internal/parallel \
     ./internal/tuner
 
-echo "== fuzz smoke (simclock: same-instant FIFO, RunUntil slicing with wait rings changing queues; simnet: gather == per-ship; crush: Select == straw2 reference; matrix codes: decode/repair == CanRecover; gf256: ApplyStrided == scalar oracle; clay: batched == per-plane == erased bytes; bluestore: store == naive per-chunk model across forks, Reserve included; inputs: fault lists and ceph.conf text are run or rejected, never a panic) =="
+echo "== fuzz smoke (simclock: same-instant FIFO, RunUntil slicing with wait rings changing queues; simnet: gather == per-ship; crush: Select == straw2 reference; matrix codes: decode/repair == CanRecover; gf256: ApplyStrided == scalar oracle; clay: batched == per-plane == erased bytes; bluestore: store == naive per-chunk model across forks, Reserve included; inputs: fault lists, profile documents and ceph.conf text are run or rejected, never a panic) =="
 go test ./internal/simclock -run xxx -fuzz FuzzSimclockFIFO -fuzztime 10s
 go test ./internal/simclock -run xxx -fuzz FuzzRunUntilSlicing -fuzztime 10s
 go test ./internal/simnet -run xxx -fuzz FuzzGatherMatchesPerShip -fuzztime 10s
@@ -66,6 +67,7 @@ go test ./internal/gf256 -run xxx -fuzz FuzzApplyStrided -fuzztime 10s
 go test ./internal/erasure/conformance -run xxx -fuzz FuzzClayBatchIdentity -fuzztime 10s
 go test ./internal/bluestore -run xxx -fuzz FuzzStoreMatchesNaiveModel -fuzztime 10s
 go test ./internal/core -run xxx -fuzz FuzzFaultSpecs -fuzztime 10s
+go test ./internal/core -run xxx -fuzz FuzzLoadProfile -fuzztime 10s
 go test ./internal/cephconf -run xxx -fuzz FuzzParseApply -fuzztime 10s
 
 echo "== go build/test (purego: portable word kernels, no asm) =="
