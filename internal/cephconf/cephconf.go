@@ -231,11 +231,18 @@ func (c *Config) ApplyProfile(p core.Profile) (core.Profile, error) {
 			return nil
 		},
 	}
-	for key, h := range handlers {
+	// Keys in sorted order, so a file with several malformed options
+	// always reports the same one.
+	keys := make([]string, 0, len(handlers))
+	for key := range handlers {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	for _, key := range keys {
 		// osd section wins over global for osd_* keys; everything else
 		// reads global directly via Get's fallback.
 		if val, ok := c.Get("osd", key); ok {
-			if err := h(val); err != nil {
+			if err := handlers[key](val); err != nil {
 				return p, fmt.Errorf("cephconf: option %s: %w", key, err)
 			}
 		}

@@ -147,6 +147,20 @@ func TestApplyProfileRejectsBadValues(t *testing.T) {
 	}
 }
 
+// TestApplyProfileReportsFirstBadKey: with two malformed options the
+// error names the one that sorts first, on every call.
+func TestApplyProfileReportsFirstBadKey(t *testing.T) {
+	cfg, err := Parse(strings.NewReader("[global]\nosd_pool_default_pg_num = y\nosd_max_backfills = x\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50; i++ {
+		if _, err := cfg.ApplyProfile(core.DefaultProfile()); err == nil || !strings.Contains(err.Error(), "osd_max_backfills") {
+			t.Fatalf("call %d: err = %v, want one naming osd_max_backfills", i, err)
+		}
+	}
+}
+
 func TestUnknownKeysIgnored(t *testing.T) {
 	cfg, _ := Parse(strings.NewReader("[global]\nrgw_frontends = beast port=8080\n"))
 	if _, err := cfg.ApplyProfile(core.DefaultProfile()); err != nil {

@@ -8,10 +8,6 @@ import (
 	"repro/internal/parallel"
 )
 
-// BenchmarkExperimentCells measures one full figure (six recovery cells)
-// serial versus fanned out over the worker pool. On multi-core machines
-// the speedup tracks the worker count until cells outnumber cores; on a
-// single core it bounds the scheduling overhead of the pool itself.
 // BenchmarkSimEngine measures the discrete-event engine itself: the
 // Figure-2 suite with a single worker, so wall-clock tracks the event
 // loop rather than the experiment fan-out. scale=50 is the quick
@@ -64,6 +60,10 @@ func BenchmarkSnapshotFork(b *testing.B) {
 	}
 }
 
+// BenchmarkExperimentCells measures one full figure (six recovery cells)
+// serial versus fanned out over the worker pool. On multi-core machines
+// the speedup tracks the worker count until cells outnumber cores; on a
+// single core it bounds the scheduling overhead of the pool itself.
 func BenchmarkExperimentCells(b *testing.B) {
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {

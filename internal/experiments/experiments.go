@@ -49,10 +49,14 @@ type Figure struct {
 
 // runProfiles runs independent experiment cells on the process-wide
 // sweep: concurrently under the worker budget, cells sharing a layout
-// forking one populated snapshot. Every cell builds its own coordinator
-// and forked cluster, so cells share no mutable state; results come back
-// in input order and the first failing cell (by input order) decides the
-// error, the same error a serial loop would hit first.
+// forking one populated snapshot, and a cell whose profile equals, but for
+// its name, one of the sweep's 16 most recent served a copy of that
+// result without simulating (the paper baselines repeat across figures).
+// Every simulated cell builds its own coordinator and forked cluster, so
+// cells share no mutable state; repeats share only their read-only
+// Timeline and IOSamples. Results come back in input order and the first
+// failing cell (by input order) decides the error, the same error a
+// serial loop would hit first.
 func runProfiles(ps []core.Profile) ([]*core.Result, error) {
 	results, errs := cells.Load().Run(ps)
 	for _, err := range errs {

@@ -1,38 +1,46 @@
 package experiments
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/parallel"
 )
 
-// TestParallelCellsMatchSerial forces the cell worker pool on and off and
-// requires identical raw measurements: parallelism must only change
-// wall-clock time, never results (every cell owns its whole simulated
-// cluster and the simulated clock is per-cluster).
+// TestParallelCellsMatchSerial runs the whole campaign — all eight
+// experiments in ecbench's order — with the worker pool forced off and on,
+// each arm on a fresh sweep, and requires equal values: parallelism must
+// only change wall-clock time, never results (every cell owns its whole
+// simulated cluster and the simulated clock is per-cluster). At 4 workers
+// the snapshot and result caches fill concurrently; Fig. 3's main run and
+// its 1.0x point are one profile, simulated once for both.
 func TestParallelCellsMatchSerial(t *testing.T) {
 	const scale = 200
-	prev := parallel.SetWorkers(1)
-	defer parallel.SetWorkers(prev)
-	serial, err := Fig2aBackendCache(scale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel.SetWorkers(4)
-	par, err := Fig2aBackendCache(scale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(par.Raw) != len(serial.Raw) {
-		t.Fatalf("cell count differs: %d vs %d", len(par.Raw), len(serial.Raw))
-	}
-	for key, want := range serial.Raw {
-		if got := par.Raw[key]; got != want {
-			t.Errorf("%s: parallel %v != serial %v", key, got, want)
+	campaign := func(workers int) []any {
+		defer parallel.SetWorkers(parallel.SetWorkers(workers))
+		ResetSnapshotCache()
+		var out []any
+		add := func(v any, err error) {
+			if err != nil {
+				t.Fatalf("workers=%d: %v", workers, err)
+			}
+			out = append(out, v)
 		}
+		add(Fig2aBackendCache(scale))
+		add(Fig2bPlacementGroups(scale))
+		add(Fig2cStripeUnit(scale))
+		add(Fig2dFailureMode(scale))
+		add(Fig3Timeline(scale))
+		add(Table3WriteAmplification(scale))
+		add(WAFormulaValidation(scale))
+		add(PluginComparison(scale))
+		return out
 	}
-	if par.Baseline != serial.Baseline {
-		t.Errorf("baseline differs: %v vs %v", par.Baseline, serial.Baseline)
+	serial, par := campaign(1), campaign(4)
+	for i := range serial {
+		if !reflect.DeepEqual(serial[i], par[i]) {
+			t.Errorf("experiment %d: 4 workers returned\n%+v\nwant (1 worker)\n%+v", i, par[i], serial[i])
+		}
 	}
 }
 

@@ -7,7 +7,7 @@ import (
 )
 
 // cells is the process-wide sweep every experiment runs its cells on, so
-// figures of one campaign share populated snapshots.
+// figures of one campaign share populated snapshots and recent results.
 var cells atomic.Pointer[core.Sweep]
 
 func init() { ResetSnapshotCache() }
@@ -17,5 +17,7 @@ func init() { ResetSnapshotCache() }
 func ResetSnapshotCache() { cells.Store(core.NewSweep()) }
 
 // SnapshotCacheStats returns (hits, misses, evictions) of the process-wide
-// sweep since the last reset.
+// sweep's snapshot cache since the last reset. Every request that did not
+// populate is a hit, including one served from the result cache without
+// simulating.
 func SnapshotCacheStats() (int64, int64, int64) { return cells.Load().Stats() }

@@ -44,7 +44,11 @@ go test ./...
 # blockdev, bluestore and cluster are here because concurrent
 # forks of one snapshot read a frozen parent that has no lock
 # (cluster.TestConcurrentForksLeaveSnapshotUnchanged): a fork that wrote
-# into it would be a race.
+# into it would be a race. core.Sweep's two singleflight caches, the
+# snapshot LRU and the result LRU, fill concurrently in
+# experiments.TestParallelCellsMatchSerial (the whole campaign at 4
+# workers, Fig. 3's main run and its 1.0x point one profile) and in
+# core's sweep tests.
 echo "== go test -race (concurrent packages + kernels) =="
 go test -race -count=1 \
     ./internal/gf256 \
