@@ -17,11 +17,9 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/erasure"
 	"repro/internal/experiments"
-	"repro/internal/workload"
 )
 
 const benchScale = 20
@@ -249,119 +247,6 @@ func BenchmarkAblationRecoveryThrottle(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.ReportMetric(run(0.11).Seconds(), "ec_s_throttled")
 		b.ReportMetric(run(1.0).Seconds(), "ec_s_unthrottled")
-	}
-}
-
-// BenchmarkAblationClientLoad measures how foreground client traffic
-// lengthens the EC recovery phase — the contention Ceph's mclock
-// recovery reservation exists to bound — and what the clients see
-// meanwhile: every op is the cluster's one read model (degraded objects
-// decode; the object ships to the single client host, whose NIC bounds
-// the load the cluster admits).
-func BenchmarkAblationClientLoad(b *testing.B) {
-	run := func(ops float64) (time.Duration, *cluster.ClientLoad) {
-		cfg := cluster.DefaultConfig()
-		c, err := cluster.New(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := c.CreatePool(cluster.PoolConfig{
-			Name: "p", Plugin: "jerasure_reed_sol_van", K: 9, M: 3,
-			PGNum: 256, StripeUnit: 4 << 20, FailureDomain: "host",
-		}); err != nil {
-			b.Fatal(err)
-		}
-		w := core.DefaultProfile().ScaleWorkload(benchScale).Workload
-		objs, err := workload.Spec{NamePrefix: "obj", Count: w.Objects, ObjectSize: w.ObjectSize}.Objects()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := c.BulkLoad("p", objs); err != nil {
-			b.Fatal(err)
-		}
-		host, err := c.HostWithMostChunks("p")
-		if err != nil {
-			b.Fatal(err)
-		}
-		c.FailHost(time.Second, host)
-		var load *cluster.ClientLoad
-		if ops > 0 {
-			load, err = c.StartClientLoad("p", ops)
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		res, err := c.ScheduleRecovery("p")
-		if err != nil {
-			b.Fatal(err)
-		}
-		var watch func()
-		watch = func() {
-			if res.Done() {
-				if load != nil {
-					load.Stop()
-				}
-				return
-			}
-			c.Sim().After(5*time.Second, watch)
-		}
-		c.Sim().After(5*time.Second, watch)
-		c.Sim().Run()
-		return res.ECRecoveryPeriod(), load
-	}
-	for i := 0; i < b.N; i++ {
-		idle, _ := run(0)
-		busy, load := run(40)
-		b.ReportMetric(idle.Seconds(), "ec_s_idle")
-		b.ReportMetric(busy.Seconds(), "ec_s_40ops")
-		b.ReportMetric(float64(load.OpsCompleted), "client_ops_done")
-		b.ReportMetric(float64(load.OpsShed), "client_ops_shed")
-		b.ReportMetric(load.MeanLatency().Seconds(), "client_mean_s")
-	}
-}
-
-// BenchmarkAblationDegradedReads measures client read latency healthy vs
-// degraded (decode on the read path), RS vs Clay — the client-visible
-// cost of running without the failed chunks repaired.
-func BenchmarkAblationDegradedReads(b *testing.B) {
-	measure := func(plugin string, d int) (healthy, degraded float64) {
-		c, err := cluster.New(cluster.DefaultConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		pool, err := c.CreatePool(cluster.PoolConfig{
-			Name: "p", Plugin: plugin, K: 9, M: 3, D: d,
-			PGNum: 32, StripeUnit: 4 << 20, FailureDomain: "host",
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		objs, err := workload.Spec{Count: 32, ObjectSize: 64 << 20, NamePrefix: "o"}.Objects()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := c.BulkLoad("p", objs); err != nil {
-			b.Fatal(err)
-		}
-		name := objs[0].Name
-		h, err := c.ReadLatency("p", name)
-		if err != nil {
-			b.Fatal(err)
-		}
-		c.OSD(pool.PGOf(name).Acting[0]).MarkDown()
-		dg, err := c.ReadLatency("p", name)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return h.Seconds() * 1000, dg.Seconds() * 1000
-	}
-	for i := 0; i < b.N; i++ {
-		rsH, rsD := measure("jerasure_reed_sol_van", 0)
-		clayH, clayD := measure("clay", 11)
-		b.ReportMetric(rsH, "rs_healthy_ms")
-		b.ReportMetric(rsD, "rs_degraded_ms")
-		b.ReportMetric(clayH, "clay_healthy_ms")
-		b.ReportMetric(clayD, "clay_degraded_ms")
 	}
 }
 

@@ -37,7 +37,6 @@ var ErrSyntax = errors.New("cephconf: syntax error")
 // normalized to lowercase with underscores.
 type Config struct {
 	sections map[string]map[string]string
-	order    []string
 }
 
 // Parse reads a configuration from r.
@@ -77,7 +76,6 @@ func Parse(r io.Reader) (*Config, error) {
 		}
 		if cfg.sections[section] == nil {
 			cfg.sections[section] = map[string]string{}
-			cfg.order = append(cfg.order, section)
 		}
 		cfg.sections[section][key] = value
 	}
@@ -110,23 +108,6 @@ func (c *Config) Get(section, key string) (string, bool) {
 	}
 	v, ok := c.sections["global"][key]
 	return v, ok
-}
-
-// Sections lists sections in first-seen order.
-func (c *Config) Sections() []string {
-	out := append([]string(nil), c.order...)
-	return out
-}
-
-// Keys lists a section's keys, sorted.
-func (c *Config) Keys(section string) []string {
-	m := c.sections[normalizeKey(section)]
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // ParseSize parses a byte size with optional K/M/G suffix (binary units,

@@ -50,11 +50,11 @@ func TestParseBasics(t *testing.T) {
 	if v, _ := cfg.Get("global", "osd_pool_erasure_code_stripe_unit"); v != "4M" {
 		t.Fatalf("inline comment not stripped: %q", v)
 	}
-	if len(cfg.Sections()) != 2 {
-		t.Fatalf("sections: %v", cfg.Sections())
+	if len(cfg.sections) != 2 {
+		t.Fatalf("sections: %v", cfg.sections)
 	}
-	if len(cfg.Keys("osd")) != 5 {
-		t.Fatalf("osd keys: %v", cfg.Keys("osd"))
+	if len(cfg.sections["osd"]) != 5 {
+		t.Fatalf("osd keys: %v", cfg.sections["osd"])
 	}
 }
 

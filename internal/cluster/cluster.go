@@ -56,7 +56,9 @@ type Config struct {
 	Racks int
 	Net   simnet.Config
 	Store bluestore.Config
-	Cost  CostModel
+	// Tuning holds the recovery settings a profile may set; zero fields
+	// take Ceph's defaults.
+	Tuning Tuning
 	// Log, if set, receives all node log lines.
 	Log LogFunc
 }
@@ -70,7 +72,6 @@ func DefaultConfig() Config {
 		DeviceCapacity: 100 << 30,
 		Net:            simnet.DefaultConfig(),
 		Store:          bluestore.DefaultConfig(),
-		Cost:           DefaultCostModel(),
 	}
 }
 
@@ -92,11 +93,6 @@ type OSD struct {
 
 // Up reports whether the OSD process is alive.
 func (o *OSD) Up() bool { return o.up }
-
-// MarkDown stops the OSD process immediately, without going through the
-// simulator's failure scheduling — for constructing degraded states in
-// measurements and tests. Recovery cycles should use InjectOSDFailures.
-func (o *OSD) MarkDown() { o.up = false }
 
 // ObjectRecord tracks one stored object within a PG. Records are
 // immutable once published: bulk-loaded ones are shared with the stores'
@@ -203,9 +199,7 @@ func normalizeClusterConfig(cfg Config) (Config, error) {
 	if cfg.Net.BandwidthBytesPerSec == 0 {
 		cfg.Net = simnet.DefaultConfig()
 	}
-	if cfg.Cost == (CostModel{}) {
-		cfg.Cost = DefaultCostModel()
-	}
+	cfg.Tuning = cfg.Tuning.Normalize()
 	return cfg, nil
 }
 
@@ -271,7 +265,7 @@ func build(cfg Config, mkStore func(cfg Config, id int) (*bluestore.Store, error
 				nic:     nic,
 				disk:    sim.NewQueue(1),
 				cpu:     sim.NewQueue(1),
-				reserve: sim.NewSemaphore(max(cfg.Cost.MaxBackfills, 1)),
+				reserve: sim.NewSemaphore(cfg.Tuning.MaxBackfills),
 			}
 			c.osds = append(c.osds, osd)
 		}
@@ -287,9 +281,6 @@ func (c *Cluster) Sim() *simclock.Sim { return c.sim }
 // RunSim drives the simulation to completion and returns the final
 // simulated time.
 func (c *Cluster) RunSim() simclock.Time { return c.sim.Run() }
-
-// Net exposes the network fabric.
-func (c *Cluster) Net() *simnet.Network { return c.net }
 
 // Crush exposes the placement map.
 func (c *Cluster) Crush() *crush.Map { return c.crush }
@@ -338,9 +329,6 @@ func (c *Cluster) CreatePool(pc PoolConfig) (*Pool, error) {
 func (p *Pool) pgOf(name string) *PG {
 	return p.PGs[crush.NameKey(name)%uint64(p.PGNum)]
 }
-
-// PGOf returns the placement group an object name maps to.
-func (p *Pool) PGOf(name string) *PG { return p.pgOf(name) }
 
 // chunkID is the identity of one shard of an object on its OSD.
 func (p *Pool) chunkID(pg *PG, object string, shard int) bluestore.ChunkID {
@@ -596,15 +584,6 @@ func (c *Cluster) UsedBytes() int64 {
 	var total int64
 	for _, o := range c.osds {
 		total += o.Store.UsedBytes()
-	}
-	return total
-}
-
-// DataBytes sums allocated payload bytes across OSDs.
-func (c *Cluster) DataBytes() int64 {
-	var total int64
-	for _, o := range c.osds {
-		total += o.Store.DataBytes()
 	}
 	return total
 }

@@ -20,7 +20,7 @@ func smallCluster(t *testing.T, hosts, osdsPerHost int, log LogFunc) *Cluster {
 	cfg.DeviceCapacity = 4 << 30
 	cfg.Log = log
 	// Shrink the checking period so tests run few events.
-	cfg.Cost.MarkOutInterval = 30 * time.Second
+	cfg.Tuning.MarkOutInterval = 30 * time.Second
 	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +100,11 @@ func TestBulkLoadDistributesChunks(t *testing.T) {
 	if total != 64*6 {
 		t.Fatalf("chunks = %d, want %d", total, 64*6)
 	}
-	if c.DataBytes() == 0 || c.UsedBytes() <= c.DataBytes() {
+	var data int64
+	for _, o := range c.OSDs() {
+		data += o.Store.DataBytes()
+	}
+	if data == 0 || c.UsedBytes() <= data {
 		t.Fatal("usage accounting wrong")
 	}
 }

@@ -1,101 +1,144 @@
 package cluster
 
 import (
+	"fmt"
 	"testing"
 	"time"
+
+	"repro/internal/workload"
 )
 
 func TestRecoveryFractionClamps(t *testing.T) {
-	cm := DefaultCostModel()
-	if f := cm.recoveryFraction(false); f != cm.RecoveryBWFraction {
+	tu := Tuning{}.Normalize()
+	if f := tu.recoveryFraction(false); f != tu.RecoveryBWFraction {
 		t.Fatalf("busy fraction = %f", f)
 	}
-	boosted := cm.recoveryFraction(true)
-	if boosted <= cm.RecoveryBWFraction {
+	boosted := tu.recoveryFraction(true)
+	if boosted <= tu.RecoveryBWFraction {
 		t.Fatal("idle boost not applied")
 	}
 	if boosted > 1 {
 		t.Fatal("fraction above 1")
 	}
-	cm.RecoveryBWFraction = 0
-	if cm.recoveryFraction(false) != 1 {
-		t.Fatal("zero fraction should disable throttling")
-	}
-	cm.RecoveryBWFraction = 0.9
-	cm.IdleBoost = 5
-	if cm.recoveryFraction(true) != 1 {
+	tu.RecoveryBWFraction = 0.9 // boosted past the whole device
+	if tu.recoveryFraction(true) != 1 {
 		t.Fatal("boost must clamp at 1")
 	}
 }
 
 func TestThrottledTimeCap(t *testing.T) {
-	cm := DefaultCostModel()
-	cm.RecoveryBWFraction = 0.1
-	cm.RecoveryOpCap = time.Second
-	cm.IdleBoost = 1
+	tu := Tuning{RecoveryBWFraction: 0.1}.Normalize()
 	// Small op: pure throttled rate.
-	small := cm.throttledTime(1<<20, 100e6, false)
+	small := tu.throttledTime(1<<20, 100e6, false)
 	want := time.Duration(float64(1<<20) / 10e6 * float64(time.Second))
 	if small != want {
 		t.Fatalf("small op = %v, want %v", small, want)
 	}
 	// Huge op: cap + full-bandwidth transfer, well under the throttled time.
-	huge := cm.throttledTime(1<<30, 100e6, false)
+	huge := tu.throttledTime(1<<30, 100e6, false)
 	throttled := time.Duration(float64(1<<30) / 10e6 * float64(time.Second))
-	capped := time.Second + time.Duration(float64(1<<30)/100e6*float64(time.Second))
+	capped := recoveryOpCap + time.Duration(float64(1<<30)/100e6*float64(time.Second))
 	if huge != capped {
 		t.Fatalf("huge op = %v, want %v", huge, capped)
 	}
 	if huge >= throttled {
 		t.Fatal("cap must beat pure throttling for large ops")
 	}
-	// Cap disabled.
-	cm.RecoveryOpCap = 0
-	if cm.throttledTime(1<<30, 100e6, false) != throttled {
-		t.Fatal("no cap should mean pure throttled time")
-	}
 }
 
 func TestDiskReadTimeComponents(t *testing.T) {
-	cm := DefaultCostModel()
-	base := cm.diskReadTime(0, 0, 0, false)
+	tu := Tuning{}.Normalize()
+	base := tu.diskReadTime(0, 0, 0, false)
 	if base != 0 {
 		t.Fatalf("zero read costs %v", base)
 	}
-	withIOs := cm.diskReadTime(0, 10, 0, false)
-	if withIOs != 10*cm.PerIOOverhead {
+	withIOs := tu.diskReadTime(0, 10, 0, false)
+	if withIOs != 10*perIOOverhead {
 		t.Fatalf("ios cost = %v", withIOs)
 	}
-	withRuns := cm.diskReadTime(0, 0, 4, false)
-	if withRuns != 4*cm.DiskSeek {
+	withRuns := tu.diskReadTime(0, 0, 4, false)
+	if withRuns != 4*diskSeek {
 		t.Fatalf("runs cost = %v", withRuns)
 	}
 	// Bytes dominate for large sequential reads.
-	big := cm.diskReadTime(100<<20, 1, 1, false)
+	big := tu.diskReadTime(100<<20, 1, 1, false)
 	if big < time.Second {
 		t.Fatalf("100 MiB at throttled rate should exceed 1s, got %v", big)
 	}
 }
 
 func TestDiskWriteSlowerThanFullBW(t *testing.T) {
-	cm := DefaultCostModel()
-	throttled := cm.diskWriteTime(8<<20, false)
-	idle := cm.diskWriteTime(8<<20, true)
+	tu := Tuning{}.Normalize()
+	throttled := tu.diskWriteTime(8<<20, false)
+	idle := tu.diskWriteTime(8<<20, true)
 	if idle >= throttled {
 		t.Fatal("idle writes should be faster")
 	}
 }
 
 func TestDecodeTime(t *testing.T) {
-	cm := DefaultCostModel()
-	pure := cm.decodeTime(1<<30, 0)
-	want := time.Duration(float64(1<<30) / cm.DecodeBW * float64(time.Second))
+	src := int64(1 << 30)
+	pure := decodeTime(src, 0)
+	want := time.Duration(float64(src) / decodeBW * float64(time.Second))
 	if pure != want {
 		t.Fatalf("decode = %v want %v", pure, want)
 	}
-	withSub := cm.decodeTime(0, 100_000)
-	if withSub != 100_000*(cm.ClaySubChunkCPU+cm.ClaySubChunkOp) {
+	withSub := decodeTime(0, 100_000)
+	if withSub != 100_000*(claySubChunkCPU+claySubChunkOp) {
 		t.Fatalf("sub-chunk cost = %v", withSub)
+	}
+}
+
+// TestPartialTuningRecovers: a Tuning that sets only the mark-out interval
+// takes Ceph's defaults for the other three settings, and a host failure
+// recovers to active+clean. A zero setting left in place could stall
+// recovery or loop forever scheduling events, so the cycle, milliseconds
+// of work, runs under a wall-clock bound that panics: a t.Fatal would
+// leave the runaway goroutine allocating for the rest of the package's
+// tests.
+func TestPartialTuningRecovers(t *testing.T) {
+	markOut := 30 * time.Second
+	c, err := New(Config{Hosts: 8, OSDsPerHost: 2, DeviceCapacity: 4 << 30, Tuning: Tuning{MarkOutInterval: markOut}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Tuning{}.Normalize()
+	want.MarkOutInterval = markOut
+	if got := c.cfg.Tuning; got != want {
+		t.Fatalf("tuning = %+v, want %+v", got, want)
+	}
+	pool := rsPool(t, c, 16)
+	objs, _ := workload.Spec{Count: 16, ObjectSize: 1 << 20, NamePrefix: "o"}.Objects()
+	if err := c.BulkLoad("ecpool", objs); err != nil {
+		t.Fatal(err)
+	}
+	host, err := c.HostWithMostChunks("ecpool")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.FailHost(time.Second, host)
+
+	bound := 2 * time.Second
+	if d, ok := t.Deadline(); ok {
+		bound = min(bound, time.Until(d)/2)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.RecoverPool("ecpool")
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(bound):
+		panic(fmt.Sprintf("recovery with only the mark-out interval tuned did not finish within %v of wall clock", bound))
+	}
+	for _, pg := range pool.PGs {
+		if st := c.PGStateOf(pool, pg); st != PGActiveClean {
+			t.Fatalf("pg %d is %s after recovery", pg.ID, st)
+		}
 	}
 }
 

@@ -16,7 +16,7 @@ func TestRealRackTopology(t *testing.T) {
 	cfg.OSDsPerHost = 2
 	cfg.Racks = 6
 	cfg.DeviceCapacity = 4 << 30
-	cfg.Cost.MarkOutInterval = 20 * time.Second
+	cfg.Tuning.MarkOutInterval = 20 * time.Second
 	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +106,7 @@ func TestClayMultiLossFullDecode(t *testing.T) {
 	cfg.Hosts = 8
 	cfg.OSDsPerHost = 3
 	cfg.DeviceCapacity = 4 << 30
-	cfg.Cost.MarkOutInterval = 20 * time.Second
+	cfg.Tuning.MarkOutInterval = 20 * time.Second
 	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

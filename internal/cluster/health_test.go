@@ -45,58 +45,6 @@ func TestHealthStates(t *testing.T) {
 	}
 }
 
-func TestReadLatencyHealthyVsDegraded(t *testing.T) {
-	c := smallCluster(t, 10, 2, nil)
-	if _, err := c.CreatePool(PoolConfig{
-		Name: "ecpool", Plugin: "jerasure_reed_sol_van",
-		K: 4, M: 2, PGNum: 8, StripeUnit: 1 << 20, FailureDomain: "host",
-	}); err != nil {
-		t.Fatal(err)
-	}
-	objs, _ := workload.Spec{Count: 8, ObjectSize: 4 << 20, NamePrefix: "o"}.Objects()
-	if err := c.BulkLoad("ecpool", objs); err != nil {
-		t.Fatal(err)
-	}
-	healthy, err := c.ReadLatency("ecpool", objs[0].Name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if healthy <= 0 {
-		t.Fatal("zero healthy latency")
-	}
-
-	// Kill a data-shard OSD of this object's PG: degraded reads decode
-	// and must be slower.
-	pool, _ := c.Pool("ecpool")
-	pg, _, _ := pool.findObject(objs[0].Name)
-	c.OSD(pg.Acting[0]).up = false
-	degraded, err := c.ReadLatency("ecpool", objs[0].Name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if degraded <= healthy {
-		t.Fatalf("degraded read (%v) should be slower than healthy (%v)", degraded, healthy)
-	}
-
-	// Beyond fault tolerance: unreadable.
-	c.OSD(pg.Acting[1]).up = false
-	c.OSD(pg.Acting[2]).up = false
-	if _, err := c.ReadLatency("ecpool", objs[0].Name); err == nil {
-		t.Fatal("read beyond tolerance should fail")
-	}
-}
-
-func TestReadLatencyUnknownObject(t *testing.T) {
-	c := smallCluster(t, 8, 2, nil)
-	rsPool(t, c, 4)
-	if _, err := c.ReadLatency("ecpool", "ghost"); err == nil {
-		t.Fatal("unknown object accepted")
-	}
-	if _, err := c.ReadLatency("ghostpool", "x"); err == nil {
-		t.Fatal("unknown pool accepted")
-	}
-}
-
 func TestHealthAfterRecoveryIsOKAgain(t *testing.T) {
 	c := smallCluster(t, 10, 2, nil)
 	rsPool(t, c, 16)

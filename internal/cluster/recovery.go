@@ -31,7 +31,6 @@ func newMonitor(c *Cluster) *monitor {
 // their processes stop and their devices are removed. Detection happens
 // after the heartbeat grace elapses, as in Ceph.
 func (c *Cluster) InjectOSDFailures(at simclock.Time, ids ...int) {
-	cm := &c.cfg.Cost
 	if at > c.mon.injectedAt {
 		c.mon.injectedAt = at
 	}
@@ -47,7 +46,7 @@ func (c *Cluster) InjectOSDFailures(at simclock.Time, ids ...int) {
 		})
 	}
 	// Detection: the next heartbeat round after the grace expires.
-	detect := at + cm.HeartbeatGrace + cm.HeartbeatInterval/2
+	detect := at + heartbeatGrace + heartbeatInterval/2
 	if detect > c.mon.detectedAt {
 		c.mon.detectedAt = detect
 	}
@@ -56,7 +55,7 @@ func (c *Cluster) InjectOSDFailures(at simclock.Time, ids ...int) {
 		c.sim.At(detect, func() {
 			c.crush.SetOut(id, true)
 			c.mon.epoch++
-			c.log(c.sim.Now(), "mon0", fmt.Sprintf("osdmap e%d: osd.%d failure detected: no heartbeat for %v, marked down", c.mon.epoch, id, cm.HeartbeatGrace))
+			c.log(c.sim.Now(), "mon0", fmt.Sprintf("osdmap e%d: osd.%d failure detected: no heartbeat for %v, marked down", c.mon.epoch, id, heartbeatGrace))
 		})
 	}
 }
@@ -136,7 +135,6 @@ func (c *Cluster) ScheduleRecovery(poolName string) (*RecoveryResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	cm := &c.cfg.Cost
 	mon := c.mon
 	if len(mon.failedOSDs) == 0 {
 		return nil, fmt.Errorf("cluster: no failures injected")
@@ -147,11 +145,11 @@ func (c *Cluster) ScheduleRecovery(poolName string) (*RecoveryResult, error) {
 	// coordination, during which the MGR exchanges heartbeats and OSDs
 	// peer and compute missing sets.
 	extraHosts := max(len(mon.failedHosts)-1, 0)
-	res.RecoveryStartAt = mon.detectedAt + cm.MarkOutInterval + simclock.Time(extraHosts)*cm.HostCoordination
+	res.RecoveryStartAt = mon.detectedAt + c.cfg.Tuning.MarkOutInterval + simclock.Time(extraHosts)*hostCoordination
 
 	// Heartbeat chatter during the checking window (Figure 3's "MGR log:
 	// receiving heartbeats").
-	for t := mon.detectedAt; t < res.RecoveryStartAt; t += 10 * cm.HeartbeatInterval {
+	for t := mon.detectedAt; t < res.RecoveryStartAt; t += 10 * heartbeatInterval {
 		t := t
 		c.sim.At(t, func() {
 			c.log(t, "mon0", "receiving heartbeats from osd peers")
@@ -294,8 +292,8 @@ func (c *Cluster) ScheduleRecovery(poolName string) (*RecoveryResult, error) {
 					alive++
 				}
 			}
-			scan := simclock.Time(len(w.pg.Objects)*len(w.lostIdx)) * cm.MissingScanPerChunk
-			service := simclock.Time(alive)*cm.PeeringRoundTrip + scan
+			scan := simclock.Time(len(w.pg.Objects)*len(w.lostIdx)) * missingScanPerChunk
+			service := simclock.Time(alive)*peeringRoundTrip + scan
 			c.log(c.sim.Now(), primary.Host, fmt.Sprintf("pg %d peering: check recovery resource", w.pg.ID))
 			primary.cpu.Submit(service, func() {
 				c.log(c.sim.Now(), primary.Host, fmt.Sprintf("pg %d collecting missing OSDs, queueing recovery (%d objects)", w.pg.ID, len(w.pg.Objects)))
@@ -387,7 +385,6 @@ type helperIO struct {
 // reads (the read-ahead effect that erodes Clay's disk savings), while the
 // network still ships only the planned bytes.
 func (c *Cluster) planHelperIO(pool *Pool, pg *PG, plan *erasure.Plan, chunkSize int64) []helperIO {
-	cm := &c.cfg.Cost
 	alpha := int64(plan.SubChunkTotal)
 	unit := pool.StripeUnit
 	units := max((chunkSize+unit-1)/unit, 1)
@@ -404,12 +401,12 @@ func (c *Cluster) planHelperIO(pool *Pool, pg *PG, plan *erasure.Plan, chunkSize
 			hio.diskBytes = chunkSize
 			hio.ios = 1
 			hio.runs = 1
-		case subBytes < cm.DiskBlock:
+		case subBytes < diskBlock:
 			// Strided sub-chunks below block granularity coalesce into a
 			// whole-range read: the device moves the full chunk even
 			// though the network ships only the planned bytes.
 			hio.diskBytes = chunkSize
-			hio.ios = max(int((chunkSize+cm.DiskBlock-1)/cm.DiskBlock/64), 1) // batched requests
+			hio.ios = max(int((chunkSize+diskBlock-1)/diskBlock/64), 1) // batched requests
 			hio.runs = 1
 		default:
 			hio.diskBytes = hio.netBytes
@@ -431,7 +428,6 @@ func (c *Cluster) planHelperIO(pool *Pool, pg *PG, plan *erasure.Plan, chunkSize
 // rewrite.
 type pgRecovery struct {
 	c       *Cluster
-	cm      *CostModel
 	pool    *Pool
 	pg      *PG
 	lostIdx []int
@@ -525,7 +521,7 @@ func (c *Cluster) startPGRecovery(pool *Pool, pg *PG, lostIdx []int, primaryID i
 	primary := c.osds[primaryID]
 	c.log(c.sim.Now(), primary.Host, fmt.Sprintf("pg %d start recovery I/O (%d objects, %d lost chunks each)", pg.ID, len(pg.Objects), len(lostIdx)))
 	pr := &pgRecovery{
-		c: c, cm: &c.cfg.Cost, pool: pool, pg: pg,
+		c: c, pool: pool, pg: pg,
 		lostIdx: lostIdx, targets: targets, plan: plan,
 		primary: primary, res: res, done: done,
 	}
@@ -533,7 +529,7 @@ func (c *Cluster) startPGRecovery(pool *Pool, pg *PG, lostIdx []int, primaryID i
 }
 
 func (pr *pgRecovery) pump() {
-	for pr.inFlight < pr.cm.RecoveryMaxActive && pr.next < len(pr.pg.Objects) {
+	for pr.inFlight < pr.c.cfg.Tuning.RecoveryMaxActive && pr.next < len(pr.pg.Objects) {
 		obj := pr.pg.Objects[pr.next]
 		pr.next++
 		pr.inFlight++
@@ -560,7 +556,7 @@ func (pr *pgRecovery) hiosFor(chunkSize int64) []helperIO {
 }
 
 func (pr *pgRecovery) repair(obj *ObjectRecord) {
-	c, cm := pr.c, pr.cm
+	c := pr.c
 	hios := pr.hiosFor(obj.ChunkSize)
 	or := c.newObjRepair()
 	or.pr, or.obj, or.units = pr, obj, pr.units
@@ -577,14 +573,14 @@ func (pr *pgRecovery) repair(obj *ObjectRecord) {
 		or.helpers.Expect(helper.nic)
 		hMetaHit, hKVHit, hDataHit := helper.Store.AccessProfile()
 		missFrac := 1 - (hMetaHit+hKVHit)/2
-		effBytes := int64(float64(hio.diskBytes) * (1 - hDataHit*cm.ColdDataFraction))
-		if hio.strided && cm.StrideEfficiency > 0 && cm.StrideEfficiency < 1 {
+		effBytes := int64(float64(hio.diskBytes) * (1 - hDataHit*coldDataFraction))
+		if hio.strided {
 			// Strided reads forfeit read-ahead: the device spends
 			// sequential-equivalent time moving fewer bytes.
-			effBytes = int64(float64(effBytes) / cm.StrideEfficiency)
+			effBytes = int64(float64(effBytes) / strideEfficiency)
 		}
 		idle := helper.disk.InFlight() == 0 && helper.disk.QueueLen() == 0
-		service := simclock.Time(float64(cm.MetaLookup)*missFrac) + cm.diskReadTime(effBytes, hio.ios, hio.runs, idle)
+		service := simclock.Time(float64(metaLookup)*missFrac) + c.cfg.Tuning.diskReadTime(effBytes, hio.ios, hio.runs, idle)
 		hr := c.newHelperRead()
 		hr.or, hr.hio = or, hio
 		helper.disk.SubmitArg(service, helperReadDone, hr)
@@ -621,7 +617,7 @@ func helpersArrived(a any) { a.(*objRepair).decode() }
 func (or *objRepair) decode() {
 	pr := or.pr
 	subOps := or.units * int64(pr.plan.SubChunksRead())
-	service := pr.cm.decodeTime(or.srcBytes, subOps) + pr.cm.RepairOpOverhead
+	service := decodeTime(or.srcBytes, subOps) + repairOpOverhead
 	pr.primary.cpu.SubmitArg(service, decodeDone, or)
 }
 
@@ -651,7 +647,7 @@ func writeShipDone(a any) {
 	pr := or.pr
 	target := pr.c.osds[pr.targets[w.li]]
 	idle := target.disk.InFlight() == 0 && target.disk.QueueLen() == 0
-	target.disk.SubmitArg(pr.cm.diskWriteTime(or.obj.ChunkSize, idle), writeDiskDone, w)
+	target.disk.SubmitArg(pr.c.cfg.Tuning.diskWriteTime(or.obj.ChunkSize, idle), writeDiskDone, w)
 }
 
 func writeDiskDone(a any) {

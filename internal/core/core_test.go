@@ -9,8 +9,10 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/bluestore"
+	"repro/internal/cluster"
 	"repro/internal/logsys"
 )
 
@@ -178,6 +180,60 @@ func TestScaleWorkload(t *testing.T) {
 	}
 	if DefaultProfile().ScaleWorkload(1_000_000).Workload.Objects != 1 {
 		t.Fatal("floor at 1")
+	}
+}
+
+// TestTuningReachesCluster: each TuningSpec field arrives in the config
+// the cluster runs with unchanged (the mark-out interval as a duration), a
+// zero field as Ceph's default, and ScaleWorkload divides the default
+// mark-out interval when the profile leaves it unset.
+func TestTuningReachesCluster(t *testing.T) {
+	defaults := cluster.Tuning{MarkOutInterval: 600 * time.Second, MaxBackfills: 1, RecoveryMaxActive: 10, RecoveryBWFraction: 0.13}
+	clusterTuning := func(spec TuningSpec) cluster.Tuning {
+		t.Helper()
+		p := fastProfile()
+		p.Tuning = spec
+		mgr, err := NewECManager(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := mgr.ClusterConfig(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := cluster.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c.Snapshot().Config().Tuning
+	}
+	if got := clusterTuning(TuningSpec{}); got != defaults {
+		t.Fatalf("zero tuning reached the cluster as %+v, want %+v", got, defaults)
+	}
+	markOut, backfills, active, fraction := defaults, defaults, defaults, defaults
+	markOut.MarkOutInterval = 42500 * time.Millisecond
+	backfills.MaxBackfills = 3
+	active.RecoveryMaxActive = 7
+	fraction.RecoveryBWFraction = 0.4
+	all := cluster.Tuning{MarkOutInterval: 42500 * time.Millisecond, MaxBackfills: 3, RecoveryMaxActive: 7, RecoveryBWFraction: 0.4}
+	for _, tc := range []struct {
+		spec TuningSpec
+		want cluster.Tuning
+	}{
+		{TuningSpec{MarkOutIntervalSeconds: 42.5}, markOut},
+		{TuningSpec{MaxBackfills: 3}, backfills},
+		{TuningSpec{RecoveryMaxActive: 7}, active},
+		{TuningSpec{RecoveryBWFraction: 0.4}, fraction},
+		{TuningSpec{MarkOutIntervalSeconds: 42.5, MaxBackfills: 3, RecoveryMaxActive: 7, RecoveryBWFraction: 0.4}, all},
+	} {
+		if got := clusterTuning(tc.spec); got != tc.want {
+			t.Errorf("%+v reached the cluster as %+v, want %+v", tc.spec, got, tc.want)
+		}
+	}
+	p := fastProfile()
+	p.Tuning = TuningSpec{}
+	if got, want := p.ScaleWorkload(20).Tuning.MarkOutIntervalSeconds, defaults.MarkOutInterval.Seconds()/20; got != want {
+		t.Fatalf("ScaleWorkload(20) mark-out = %v s, want %v s", got, want)
 	}
 }
 

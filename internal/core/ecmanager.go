@@ -74,17 +74,11 @@ func (m *ECManager) ClusterConfig(log cluster.LogFunc) (cluster.Config, error) {
 	if p.Backend.MinAllocSize > 0 {
 		cfg.Store.MinAllocSize = p.Backend.MinAllocSize
 	}
-	if p.Tuning.MarkOutIntervalSeconds > 0 {
-		cfg.Cost.MarkOutInterval = time.Duration(p.Tuning.MarkOutIntervalSeconds * float64(time.Second))
-	}
-	if p.Tuning.MaxBackfills > 0 {
-		cfg.Cost.MaxBackfills = p.Tuning.MaxBackfills
-	}
-	if p.Tuning.RecoveryBWFraction > 0 {
-		cfg.Cost.RecoveryBWFraction = p.Tuning.RecoveryBWFraction
-	}
-	if p.Tuning.RecoveryMaxActive > 0 {
-		cfg.Cost.RecoveryMaxActive = p.Tuning.RecoveryMaxActive
+	cfg.Tuning = cluster.Tuning{
+		MarkOutInterval:    time.Duration(p.Tuning.MarkOutIntervalSeconds * float64(time.Second)),
+		MaxBackfills:       p.Tuning.MaxBackfills,
+		RecoveryMaxActive:  p.Tuning.RecoveryMaxActive,
+		RecoveryBWFraction: p.Tuning.RecoveryBWFraction,
 	}
 	cfg.Log = log
 	return cfg, nil

@@ -93,7 +93,7 @@ type FaultSpec struct {
 }
 
 // TuningSpec overrides selected Ceph-style daemon settings. Zero values
-// keep cluster.DefaultCostModel's defaults.
+// keep the defaults cluster.Tuning.Normalize fills in.
 type TuningSpec struct {
 	MarkOutIntervalSeconds float64 `json:"mark_out_interval_seconds,omitempty"`
 	MaxBackfills           int     `json:"max_backfills,omitempty"`
@@ -184,7 +184,7 @@ func (p Profile) Layout() (Layout, error) {
 
 // ScaleWorkload divides the object count by factor (>= 1), preserving
 // per-object behaviour; used to run paper-shaped experiments quickly. The
-// mark-out interval — the profile's, or cluster.DefaultCostModel's — is
+// mark-out interval — the profile's, or cluster.Tuning's default — is
 // scaled down with the workload so the ratio of the checking period to
 // the EC recovery period, which the paper's normalized figures depend on,
 // is preserved at any scale.
@@ -193,7 +193,7 @@ func (p Profile) ScaleWorkload(factor int) Profile {
 		p.Workload.Objects = max(p.Workload.Objects/factor, 1)
 		base := p.Tuning.MarkOutIntervalSeconds
 		if base == 0 {
-			base = cluster.DefaultCostModel().MarkOutInterval.Seconds()
+			base = cluster.Tuning{}.Normalize().MarkOutInterval.Seconds()
 		}
 		p.Tuning.MarkOutIntervalSeconds = base / float64(factor)
 	}

@@ -43,16 +43,11 @@ type tracked struct {
 // NewSampler creates an empty sampler.
 func NewSampler() *Sampler { return &Sampler{} }
 
-// Track registers a device under a unique name. The first sample deltas
-// against the device's counters at track time.
-func (s *Sampler) Track(name string, dev *blockdev.Device) error {
-	return s.TrackFrom(name, dev, dev.Snapshot())
-}
-
-// TrackFrom registers a device with an explicit baseline for the first
-// delta. Forked clusters inherit their parent's populate-phase counters,
-// so tracking them from a zero baseline reports the same first-sample
-// deltas a fresh cluster tracked from birth would.
+// TrackFrom registers a device under a unique name, with an explicit
+// baseline for the first delta (dev.Snapshot() deltas against its
+// counters now). Forked clusters inherit their parent's populate-phase
+// counters, so tracking them from a zero baseline reports the same
+// first-sample deltas a fresh cluster tracked from birth would.
 func (s *Sampler) TrackFrom(name string, dev *blockdev.Device, baseline blockdev.Stats) error {
 	i, dup := slices.BinarySearchFunc(s.devs, name, func(d tracked, n string) int { return strings.Compare(d.name, n) })
 	if dup {

@@ -11,10 +11,10 @@ import (
 func TestSampleDeltas(t *testing.T) {
 	s := NewSampler()
 	dev, _ := blockdev.New(1 << 20)
-	if err := s.Track("osd0", dev); err != nil {
+	if err := s.TrackFrom("osd0", dev, dev.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Track("osd0", dev); err == nil {
+	if err := s.TrackFrom("osd0", dev, dev.Snapshot()); err == nil {
 		t.Fatal("duplicate track accepted")
 	}
 	_ = dev.AccountWrite(100)
@@ -40,7 +40,7 @@ func TestSampleDeltas(t *testing.T) {
 func TestSamplesStableAfterMoreSamples(t *testing.T) {
 	s := NewSampler()
 	dev, _ := blockdev.New(1 << 20)
-	_ = s.Track("osd0", dev)
+	_ = s.TrackFrom("osd0", dev, dev.Snapshot())
 	tick := func(i int) {
 		_ = dev.AccountWrite(int64(i))
 		s.Sample(time.Duration(i) * time.Second)
@@ -75,8 +75,8 @@ func TestMultipleDevicesSortedInSample(t *testing.T) {
 	s := NewSampler()
 	d1, _ := blockdev.New(1 << 20)
 	d2, _ := blockdev.New(1 << 20)
-	_ = s.Track("osd1", d1)
-	_ = s.Track("osd0", d2)
+	_ = s.TrackFrom("osd1", d1, d1.Snapshot())
+	_ = s.TrackFrom("osd0", d2, d2.Snapshot())
 	s.Sample(time.Second)
 	samples := s.Samples()
 	if len(samples) != 2 || samples[0].Device != "osd0" || samples[1].Device != "osd1" {

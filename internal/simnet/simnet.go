@@ -237,13 +237,3 @@ func (n *Network) HostUtilization(host string) (egress, ingress simclock.Time) {
 	}
 	return h.egress.BusyTime, h.ingress.BusyTime
 }
-
-// QueueDepth reports in-flight plus waiting transfers on a host's NIC
-// queues.
-func (n *Network) QueueDepth(host string) int {
-	h, ok := n.hosts[host]
-	if !ok {
-		return 0
-	}
-	return h.egress.InFlight() + h.egress.QueueLen() + h.ingress.InFlight() + h.ingress.QueueLen()
-}

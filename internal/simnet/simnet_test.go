@@ -136,24 +136,26 @@ func TestDefaultConfig(t *testing.T) {
 
 func TestQueueDepthAndUnknownHostStats(t *testing.T) {
 	sim, net := newNet(t, "a", "b")
-	if net.QueueDepth("a") != 0 {
+	// In-flight plus waiting transfers on a host's NIC queues.
+	depth := func(name string) int {
+		h := net.hosts[name]
+		return h.egress.InFlight() + h.egress.QueueLen() + h.ingress.InFlight() + h.ingress.QueueLen()
+	}
+	if depth("a") != 0 {
 		t.Fatal("idle depth nonzero")
 	}
 	net.Transfer("a", "b", 5_000_000, nil)
 	net.Transfer("a", "b", 5_000_000, nil)
 	// Before running: both transfers occupy/queue on a's egress.
-	if net.QueueDepth("a") != 2 {
-		t.Fatalf("depth = %d", net.QueueDepth("a"))
+	if depth("a") != 2 {
+		t.Fatalf("depth = %d", depth("a"))
 	}
 	sim.Run()
-	if net.QueueDepth("a") != 0 {
+	if depth("a") != 0 {
 		t.Fatal("depth after drain")
 	}
 	if eg, in := net.HostUtilization("ghost"); eg != 0 || in != 0 {
 		t.Fatal("unknown host should report zero")
-	}
-	if net.QueueDepth("ghost") != 0 {
-		t.Fatal("unknown host depth")
 	}
 }
 

@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Repo-wide check: gofmt + vet + build + tier-1 tests (the scale-1 golden of
-# cmd/ecbench included) + race audit of the concurrent packages and of the
+# cmd/ecbench included, and the root surface pins: TestKnobSurface for the
+# ECFAULT_* variables, TestConfigSurface for cluster.Config's 17 settable
+# leaf fields) + race audit of the concurrent packages and of the
 # lock-free snapshot forks + the engine's ordering and gather fuzz smokes
 # (the slicing one on two queues that hand outgrown wait rings to each
 # other) + the placement fuzz smoke (Select against its straw2 reference)
