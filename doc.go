@@ -6,7 +6,9 @@
 // ECFault's fault injection and log classification running in-process
 // around it.
 //
-// The benchmarks in bench_test.go regenerate every table and figure of the
-// paper's evaluation; see DESIGN.md for the system inventory and
-// EXPERIMENTS.md for paper-vs-measured results.
+// cmd/ecbench regenerates every table and figure of the paper's
+// evaluation; its full-scale output with the paper's values beside it is
+// checked in as paper_results.txt and pinned byte for byte by
+// cmd/ecbench's TestScale1Golden. See DESIGN.md for the system inventory
+// and EXPERIMENTS.md for what is reproduced and what deviates.
 package repro

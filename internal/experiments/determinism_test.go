@@ -18,7 +18,11 @@ import (
 //	ECFAULT_CAPTURE_GOLDEN=1 go test ./internal/experiments -run EngineDeterminism -v
 //
 // only when the simulation physics (cost model, recovery protocol)
-// changes intentionally — never to paper over an engine regression.
+// changes intentionally — never to paper over an engine regression. Such
+// a change moves the full-scale record too; the same switch rewrites it
+// (cmd/ecbench TestScale1Golden states the policy):
+//
+//	ECFAULT_CAPTURE_GOLDEN=1 go test ./cmd/ecbench -run Scale1Golden -v
 
 type timelineGolden struct {
 	DetectedNS  int64

@@ -1,9 +1,12 @@
 #!/usr/bin/env bash
 # Repo-wide check: gofmt + vet + build + tier-1 tests (the scale-1 golden of
-# cmd/ecbench included, and the root surface pins: TestKnobSurface for the
-# ECFAULT_* variables, TestConfigSurface for cluster.Config's 17 settable
-# leaf fields) + race audit of the concurrent packages and of the
-# lock-free snapshot forks + the engine's ordering and gather fuzz smokes
+# cmd/ecbench included: the -compare output against the reproduction
+# record, paper_results.txt, byte for byte; and the root surface pins:
+# TestKnobSurface for the ECFAULT_* variables, TestConfigSurface for
+# cluster.Config's 17 settable leaf fields) + one iteration of every go
+# test benchmark (the codec and GF ones) + race audit of the concurrent
+# packages and of the lock-free snapshot forks + the engine's ordering and
+# gather fuzz smokes
 # (the slicing one on two queues that hand outgrown wait rings to each
 # other) + the placement fuzz smoke (Select against its straw2 reference)
 # + the matrix codes' round-trip fuzz smoke + the codec's two strided fuzz
@@ -38,10 +41,17 @@ for e in examples/*/; do
     go run "./$e" >/dev/null
 done
 
-# No -short here: cmd/ecbench's TestScale1Golden hashes the full-scale
-# evaluation (about 2 s) and -short would skip it.
+# No -short here: cmd/ecbench's TestScale1Golden compares the full-scale
+# evaluation with paper_results.txt and hashes it (about 2 s), and -short
+# would skip it.
 echo "== go test (tier 1, with the scale-1 golden) =="
 go test ./...
+
+# One iteration of each benchmark, so one that panics or fails shows up.
+# They are the codec and GF benchmarks the calibration table in
+# EXPERIMENTS.md cites; wall clock is measured by bench/ecperf.sh.
+echo "== benchmark smoke (one iteration each) =="
+go test -run xxx -bench . -benchtime 1x ./...
 
 # blockdev, bluestore and cluster are here because concurrent
 # forks of one snapshot read a frozen parent that has no lock
