@@ -30,7 +30,8 @@ import (
 	"repro/internal/blockdev"
 )
 
-// ErrNoSuchChunk is returned when reading or deleting an unknown chunk.
+// ErrNoSuchChunk is returned when reading, scrubbing or corrupting an
+// unknown chunk.
 var ErrNoSuchChunk = errors.New("bluestore: no such chunk")
 
 // CacheConfig is the BlueStore cache split of Table 2. Ratios should sum
@@ -190,7 +191,6 @@ type chunkInfo struct {
 	share     int64 // logical object share used for EC metadata accounting
 	hasData   bool  // payload mode: the bytes are in Store.payloads
 	corrupted bool  // accounting-mode corruption marker
-	deleted   bool  // tombstone over a base-run chunk
 }
 
 // chunkData is a payload-mode chunk's bytes and their crc32 at write time.
@@ -209,12 +209,12 @@ type Store struct {
 	// through WriteChunksBulk. Entries are immutable and the slice is
 	// append-only, so a fork shares its parent's table as is.
 	runs []baseRun
-	// chunks is the overlay over runs: chunks written, overwritten or
-	// corrupted one at a time, plus tombstones for base chunks deleted or
-	// dropped. Every lookup, on root and forked stores alike, is overlay
-	// first, then runs.
+	// chunks is the overlay over runs: chunks written, rewritten or
+	// corrupted one at a time. An entry for a chunk the runs also hold
+	// shadows it; nothing removes a chunk. Every lookup, on root and forked
+	// stores alike, is overlay first, then runs.
 	chunks map[ChunkID]chunkInfo
-	count  int // visible chunks: runs + overlay - tombstones and shadows
+	count  int // visible chunks: runs + overlay - shadows
 	frozen bool
 	// payloads holds the bytes of payload-mode chunks, nil until the first
 	// payload write. A fork starts from a copy of the map that shares the
@@ -239,7 +239,7 @@ type Store struct {
 
 	// profile memoises AccessProfile. Everything it reads — the KV
 	// footprint, accountedMeta, ecMetaBytes, count, dataWorkingSet and the
-	// config — changes only in WriteChunk, WriteChunksBulk, drop and
+	// config — changes only in WriteChunk, WriteChunksBulk and
 	// SetDataWorkingSet, which clear profileValid; recovery asks once per
 	// helper per repaired object in between.
 	profile      [3]float64
@@ -276,7 +276,7 @@ func ceilDiv(a, b int64) int64 { return (a + b - 1) / b }
 // lookup resolves a chunk through the overlay, then the base runs.
 func (s *Store) lookup(id ChunkID) (chunkInfo, bool) {
 	if info, ok := s.chunks[id]; ok {
-		return info, !info.deleted
+		return info, true
 	}
 	return s.lookupBase(id)
 }
@@ -320,7 +320,9 @@ func (s *Store) checkMutable(op string) error {
 // objectShare is the chunk's logical share of the client object
 // (S_object / n), which drives EC metadata accounting; payload, if
 // non-nil, carries real bytes (len(payload) must equal size), otherwise
-// the write is accounting-only.
+// the write is accounting-only. A write over a stored chunk — recovery
+// or scrub repair rewriting it — replaces it, in the overlay even when
+// the base runs hold it; a refused write leaves the old chunk as it was.
 func (s *Store) WriteChunk(id ChunkID, size, objectShare int64, payload []byte) error {
 	if size < 0 || objectShare < 0 {
 		return fmt.Errorf("bluestore: negative sizes")
@@ -331,19 +333,27 @@ func (s *Store) WriteChunk(id ChunkID, size, objectShare int64, payload []byte) 
 	if err := s.checkMutable("WriteChunk"); err != nil {
 		return err
 	}
-	if old, ok := s.lookup(id); ok {
-		s.drop(id, old)
-	}
-	s.profileValid = false
 	info := chunkInfo{size: size, share: objectShare, hasData: payload != nil}
 	allocated := roundUp(size, s.cfg.MinAllocSize)
-
 	if info.hasData && s.nextOffset+allocated > s.dev.Capacity() {
 		return fmt.Errorf("bluestore: device full (%d + %d > %d)", s.nextOffset, allocated, s.dev.Capacity())
 	}
 	if err := s.dev.AccountWrite(size); err != nil {
 		return fmt.Errorf("bluestore: %w", err)
 	}
+	if old, ok := s.lookup(id); ok {
+		// The replaced chunk's accounting leaves the totals; the overlay
+		// entry below hides it.
+		s.dataAllocated -= roundUp(old.size, s.cfg.MinAllocSize)
+		s.accountedMeta -= s.metaRecordBytes(old.size)
+		s.ecMetaBytes -= s.ecMeta(old.share)
+		s.kvBytes -= id.onodeEntry()
+		if old.hasData {
+			delete(s.payloads, id)
+		}
+		s.count--
+	}
+	s.profileValid = false
 	if info.hasData {
 		s.nextOffset += allocated
 		if s.payloads == nil {
@@ -512,39 +522,6 @@ func (s *Store) ChunkSize(id ChunkID) (int64, error) {
 		return 0, fmt.Errorf("%w: %s", ErrNoSuchChunk, id)
 	}
 	return info.size, nil
-}
-
-// DeleteChunk removes a chunk and its metadata.
-func (s *Store) DeleteChunk(id ChunkID) error {
-	if err := s.checkMutable("DeleteChunk"); err != nil {
-		return err
-	}
-	info, ok := s.lookup(id)
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNoSuchChunk, id)
-	}
-	s.drop(id, info)
-	return nil
-}
-
-// drop releases a visible chunk's accounting and hides it: a chunk
-// the base runs hold is tombstoned in the overlay, any other just leaves
-// it.
-func (s *Store) drop(id ChunkID, info chunkInfo) {
-	s.profileValid = false
-	s.dataAllocated -= roundUp(info.size, s.cfg.MinAllocSize)
-	s.accountedMeta -= s.metaRecordBytes(info.size)
-	s.ecMetaBytes -= s.ecMeta(info.share)
-	s.kvBytes -= id.onodeEntry()
-	if info.hasData {
-		delete(s.payloads, id)
-	}
-	s.count--
-	if _, inBase := s.lookupBase(id); inBase {
-		s.chunks[id] = chunkInfo{deleted: true}
-	} else {
-		delete(s.chunks, id)
-	}
 }
 
 // Chunks returns the number of stored chunks.

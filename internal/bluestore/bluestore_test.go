@@ -86,28 +86,6 @@ func TestUsedBytesGrowsWithMetadata(t *testing.T) {
 	}
 }
 
-func TestDeleteChunkReleasesEverything(t *testing.T) {
-	s := newStore(t, Config{})
-	if err := s.WriteChunk(cid("c"), 4096, 4096, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.DeleteChunk(cid("c")); err != nil {
-		t.Fatal(err)
-	}
-	if s.DataBytes() != 0 {
-		t.Fatalf("DataBytes = %d after delete", s.DataBytes())
-	}
-	if s.Chunks() != 0 {
-		t.Fatal("chunk still listed")
-	}
-	if s.MetaBytes() != 0 {
-		t.Fatalf("MetaBytes = %d after delete", s.MetaBytes())
-	}
-	if err := s.DeleteChunk(cid("c")); !errors.Is(err, ErrNoSuchChunk) {
-		t.Fatalf("double delete: %v", err)
-	}
-}
-
 func TestOverwriteReplaces(t *testing.T) {
 	s := newStore(t, Config{})
 	_ = s.WriteChunk(cid("c"), 8192, 8192, nil)
@@ -133,6 +111,55 @@ func TestWriteFailsOnRemovedDevice(t *testing.T) {
 	if err := s.WriteChunk(cid("c"), 100, 100, nil); err == nil {
 		t.Fatal("write to removed device succeeded")
 	}
+}
+
+// TestRefusedRewriteKeepsChunk: a rewrite the store refuses — device full,
+// device removed — leaves the chunk it would have replaced, bulk-loaded or
+// written one at a time, stored and accounted as before.
+func TestRefusedRewriteKeepsChunk(t *testing.T) {
+	dev, err := blockdev.New(64 << 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := Open(dev, Config{})
+	pg, err := NewBulkPG("", 0, 1, []ObjectRecord{{Name: "bulk", Size: 4096, ChunkSize: 4096}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.WriteChunksBulk(pg, 0); err != nil {
+		t.Fatal(err)
+	}
+	pay := bytes.Repeat([]byte{5}, 32<<10)
+	if err := s.WriteChunk(cid("solo"), 32<<10, 32<<10, pay); err != nil {
+		t.Fatal(err)
+	}
+	chunks, used := s.Chunks(), s.UsedBytes()
+	kept := func(why string) {
+		t.Helper()
+		if s.Chunks() != chunks || s.UsedBytes() != used {
+			t.Fatalf("%s: Chunks %d, UsedBytes %d; was %d, %d", why, s.Chunks(), s.UsedBytes(), chunks, used)
+		}
+		if size, err := s.ChunkSize(cid("bulk")); err != nil || size != 4096 {
+			t.Fatalf("%s: bulk chunk %d bytes, %v", why, size, err)
+		}
+		if size, err := s.ChunkSize(cid("solo")); err != nil || size != 32<<10 || !bytes.Equal(s.payloads[cid("solo")].bytes, pay) {
+			t.Fatalf("%s: solo chunk %d bytes, %v, or its payload changed", why, size, err)
+		}
+	}
+	big := bytes.Repeat([]byte{6}, 40<<10)
+	for _, id := range []ChunkID{cid("bulk"), cid("solo")} {
+		if err := s.WriteChunk(id, 40<<10, 40<<10, big); err == nil {
+			t.Fatalf("rewrite of %s past the device's end succeeded", id)
+		}
+	}
+	kept("device full")
+	s.Device().Remove()
+	for _, id := range []ChunkID{cid("bulk"), cid("solo")} {
+		if err := s.WriteChunk(id, 4096, 4096, nil); err == nil {
+			t.Fatalf("rewrite of %s on a removed device succeeded", id)
+		}
+	}
+	kept("device removed")
 }
 
 func TestCacheProfileSchemes(t *testing.T) {

@@ -34,18 +34,22 @@ func TestStoreForkOfFork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Corruption replaces the parent's copy of the chunk's bytes.
+	// Corruption replaces the parent's copy of the chunk's bytes, and the
+	// fork of the fork rewrites its own.
 	if err := s.CorruptChunk(cid("a")); err != nil {
 		t.Fatal(err)
 	}
-	if err := ff.DeleteChunk(cid("a")); err != nil {
+	if err := ff.WriteChunk(cid("a"), 4096, 4096, bytes.Repeat([]byte{2}, 4096)); err != nil {
 		t.Fatal(err)
 	}
 	if _, got, err := f.ReadChunk(cid("a")); err != nil || !bytes.Equal(got, bytes.Repeat([]byte{1}, 4096)) {
 		t.Fatalf("frozen fork's chunk changed by its parent or its fork: %v", err)
 	}
-	if ff.HasChunk(cid("a")) || !s.HasChunk(cid("a")) {
-		t.Fatal("fork of fork delete leaked")
+	if _, got, err := ff.ReadChunk(cid("a")); err != nil || !bytes.Equal(got, bytes.Repeat([]byte{2}, 4096)) {
+		t.Fatalf("fork of fork lost its rewrite: %v", err)
+	}
+	if clean, err := s.ScrubChunk(cid("a")); err != nil || clean {
+		t.Fatalf("parent's corruption undone by a fork: clean=%v, %v", clean, err)
 	}
 }
 
@@ -79,15 +83,15 @@ func TestFrozenStoreRejectsWrites(t *testing.T) {
 	if err := s.WriteChunk(cid("c2"), 4096, 4096, nil); err == nil {
 		t.Fatal("WriteChunk on frozen store should fail")
 	}
-	if err := s.DeleteChunk(cid("c1")); err == nil {
-		t.Fatal("DeleteChunk on frozen store should fail")
+	if err := s.WriteChunk(cid("c1"), 8192, 8192, nil); err == nil {
+		t.Fatal("rewrite of c1 on frozen store should fail")
 	}
 	if err := s.Reserve(100); err == nil || !strings.Contains(err.Error(), "Reserve on frozen store") {
 		t.Fatalf("Reserve on frozen store: %v, want the frozen-store error", err)
 	}
-	// Reads still work.
-	if s.Chunks() != 1 || !s.HasChunk(cid("c1")) {
-		t.Fatal("frozen store lost c1")
+	// Reads still work, and c1 is as it was written.
+	if size, err := s.ChunkSize(cid("c1")); s.Chunks() != 1 || err != nil || size != 4096 {
+		t.Fatalf("frozen store's c1: %d chunks, %d bytes, %v", s.Chunks(), size, err)
 	}
 	if _, _, err := s.ReadChunk(cid("c1")); err != nil {
 		t.Fatal(err)
@@ -110,12 +114,12 @@ func TestStoreForkIsolationPayload(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// f1 rewrites the chunk with different bytes; f2 deletes it.
+	// f1 rewrites the chunk with different bytes; f2 corrupts it.
 	pay2 := bytes.Repeat([]byte{9}, 4096)
 	if err := f1.WriteChunk(cid("obj.a"), 4096, 4096, pay2); err != nil {
 		t.Fatal(err)
 	}
-	if err := f2.DeleteChunk(cid("obj.a")); err != nil {
+	if err := f2.CorruptChunk(cid("obj.a")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -125,11 +129,13 @@ func TestStoreForkIsolationPayload(t *testing.T) {
 	if _, got, err := f1.ReadChunk(cid("obj.a")); err != nil || !bytes.Equal(got, pay2) {
 		t.Fatalf("f1 payload wrong: %v", err)
 	}
-	if f2.HasChunk(cid("obj.a")) {
-		t.Fatal("f2 still sees deleted chunk")
+	if clean, err := f2.ScrubChunk(cid("obj.a")); err != nil || clean {
+		t.Fatalf("f2's corruption scrubs clean=%v, %v", clean, err)
 	}
-	if !s.HasChunk(cid("obj.a")) {
-		t.Fatal("parent lost chunk after fork delete")
+	for _, st := range []*Store{s, f1} {
+		if clean, err := st.ScrubChunk(cid("obj.a")); err != nil || !clean {
+			t.Fatalf("f2's corruption leaked: clean=%v, %v", clean, err)
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package bluestore
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"maps"
 	"math/rand"
@@ -170,7 +169,7 @@ func (w *modelWorld) step(op, a, b byte) {
 	refuses := w.frozen() && target == 0
 	sizes := []int64{100, 4096, 5000, 600 << 10}
 
-	switch op % 10 {
+	switch op % 9 {
 	case 0: // bulk load: a few new objects into one (PG, shard), runs pile up
 		pg, shard := 9+int(a)%2, int(a>>1)%2
 		var recs []ObjectRecord
@@ -213,20 +212,6 @@ func (w *modelWorld) step(op, a, b byte) {
 		}
 	case 3:
 		id := w.pickID(a, b)
-		_, had := o.chunks[id.String()]
-		err := s.DeleteChunk(id)
-		switch {
-		case refuses:
-			if err == nil {
-				t.Fatalf("DeleteChunk(%s) on frozen store succeeded", id)
-			}
-		case had && err != nil, !had && !errors.Is(err, ErrNoSuchChunk):
-			t.Fatalf("DeleteChunk(%s): had %v, err %v", id, had, err)
-		default:
-			delete(o.chunks, id.String())
-		}
-	case 4:
-		id := w.pickID(a, b)
 		c, had := o.chunks[id.String()]
 		err := s.CorruptChunk(id)
 		switch {
@@ -242,14 +227,14 @@ func (w *modelWorld) step(op, a, b byte) {
 			c.corrupted = c.payload == nil || !c.corrupted
 			o.chunks[id.String()] = c
 		}
-	case 5:
+	case 4:
 		id := w.pickID(a, b)
 		c, had := o.chunks[id.String()]
 		clean, err := s.ScrubChunk(id)
 		if had != (err == nil) || (had && clean == c.corrupted) {
 			t.Fatalf("ScrubChunk(%s) = %v, %v; oracle had %v corrupted %v", id, clean, err, had, c.corrupted)
 		}
-	case 6:
+	case 5:
 		id := w.pickID(a, b)
 		c, had := o.chunks[id.String()]
 		size, payload, err := s.ReadChunk(id)
@@ -262,12 +247,12 @@ func (w *modelWorld) step(op, a, b byte) {
 		if had && c.payload != nil && !c.corrupted && !bytes.Equal(payload, c.payload) {
 			t.Fatalf("ReadChunk(%s) returned other bytes than were written", id)
 		}
-	case 7:
+	case 6:
 		if !refuses {
 			s.SetDataWorkingSet(int64(b) << 10)
 			o.workingSet = int64(b) << 10
 		}
-	case 8: // freeze the root and grow two sibling forks, once
+	case 7: // freeze the root and grow two sibling forks, once
 		if w.frozen() {
 			return
 		}
@@ -289,7 +274,7 @@ func (w *modelWorld) step(op, a, b byte) {
 			w.oracles = append(w.oracles, o.fork())
 		}
 		s.Freeze() // idempotent
-	case 9: // size the overlay ahead of writes: invisible, so the oracle ignores it
+	case 8: // size the overlay ahead of writes: invisible, so the oracle ignores it
 		if err := s.Reserve(int(b)); (err != nil) != refuses {
 			t.Fatalf("Reserve(%d): err %v, frozen %v", b, err, refuses)
 		}
@@ -356,15 +341,18 @@ func runModel(t *testing.T, program []byte) {
 // modelSeedPrograms reach every op on bulk-loaded chunks, before and
 // after the freeze, on both forks.
 var modelSeedPrograms = [][]byte{
-	// two overlapping loads, overwrite/delete/corrupt/scrub bulk chunks,
-	// freeze, then the same on fork 1 (a>>6 == 1) and fork 2 (a>>6 == 2)
-	{0, 0, 0, 4, 0, 0, 3, 1, 1, 5, 1, 1, 2, 2, 1, 3, 3, 5, 4, 5, 7, 5, 5, 7, 6, 6, 3, 7, 0, 9,
-		8, 0, 0, 1, 65, 1, 2, 66, 2, 3, 67, 3, 4, 69, 5, 5, 69, 5, 0, 64, 2,
-		1, 129, 1, 2, 130, 2, 3, 131, 3, 4, 133, 5, 5, 133, 5, 0, 128, 2, 1, 1, 1, 3, 2, 2},
-	// freeze, load and delete on both forks, then Reserve on the parent
+	// a load, corrupt/rewrite/scrub/read bulk and solo chunks, a rewrite of
+	// a corrupted chunk, freeze, then the same on fork 1 (a>>6 == 1) and
+	// fork 2 (a>>6 == 2), and writes the parent refuses
+	{0, 0, 0, 0, 3, 0, 0, 1, 1, 1, 4, 1, 1, 2, 2, 1, 1, 3, 5, 3, 5, 7, 4, 5, 7, 1, 5, 7, 4, 5, 7,
+		5, 6, 3, 6, 0, 9, 7, 0, 0,
+		1, 65, 1, 2, 66, 2, 1, 67, 3, 3, 69, 5, 4, 69, 5, 2, 69, 5, 4, 69, 5, 0, 64, 2,
+		1, 129, 1, 2, 130, 2, 1, 131, 3, 3, 133, 5, 4, 133, 5, 1, 133, 5, 4, 133, 5, 0, 128, 2,
+		1, 1, 1, 1, 2, 2},
+	// freeze, load and rewrite on both forks, then Reserve on the parent
 	// (refused) and on fork 1 ahead of a write
-	{1, 8, 0, 0, 0, 64, 3, 0, 128, 4, 3, 65, 0, 3, 129, 0, 9, 0, 7, 9, 65, 200, 1, 65, 9},
-	{2, 0, 3, 4, 2, 4, 9, 3, 1, 0, 1, 1, 0, 8, 0, 0, 2, 65, 0, 2, 130, 0, 6, 65, 0, 6, 130, 0},
+	{1, 7, 0, 0, 0, 64, 3, 0, 128, 4, 1, 65, 0, 1, 129, 0, 8, 0, 7, 8, 65, 200, 1, 65, 9},
+	{2, 0, 3, 4, 2, 4, 9, 1, 1, 0, 1, 1, 0, 7, 0, 0, 2, 65, 0, 2, 130, 0, 5, 65, 0, 5, 130, 0},
 }
 
 func TestStoreMatchesNaiveModel(t *testing.T) {

@@ -37,10 +37,11 @@ import (
 
 // Errors.
 var (
-	ErrNoPool      = errors.New("cluster: no such pool")
-	ErrNoObject    = errors.New("cluster: no such object")
-	ErrPoolExists  = errors.New("cluster: pool exists")
-	ErrBadGeometry = errors.New("cluster: invalid cluster geometry")
+	ErrNoPool       = errors.New("cluster: no such pool")
+	ErrNoObject     = errors.New("cluster: no such object")
+	ErrObjectExists = errors.New("cluster: object exists")
+	ErrPoolExists   = errors.New("cluster: pool exists")
+	ErrBadGeometry  = errors.New("cluster: invalid cluster geometry")
 )
 
 // LogFunc receives framework log lines (simulated time, node, message).
@@ -82,7 +83,6 @@ type OSD struct {
 	Store *bluestore.Store
 
 	up bool // process alive
-	in bool // in the CRUSH map
 
 	nic *simnet.Host // the host's NIC, resolved once at construction
 
@@ -90,9 +90,6 @@ type OSD struct {
 	cpu     *simclock.Queue     // decode/peering CPU
 	reserve *simclock.Semaphore // recovery/backfill reservations (osd_max_backfills)
 }
-
-// Up reports whether the OSD process is alive.
-func (o *OSD) Up() bool { return o.up }
 
 // ObjectRecord tracks one stored object within a PG. Records are
 // immutable once published: bulk-loaded ones are shared with the stores'
@@ -261,7 +258,6 @@ func build(cfg Config, mkStore func(cfg Config, id int) (*bluestore.Store, error
 				Host:    host,
 				Store:   store,
 				up:      true,
-				in:      true,
 				nic:     nic,
 				disk:    sim.NewQueue(1),
 				cpu:     sim.NewQueue(1),
@@ -287,9 +283,6 @@ func (c *Cluster) Crush() *crush.Map { return c.crush }
 
 // OSDs returns all OSDs.
 func (c *Cluster) OSDs() []*OSD { return c.osds }
-
-// OSD returns one OSD by id.
-func (c *Cluster) OSD(id int) *OSD { return c.osds[id] }
 
 // Pool returns a pool by name.
 func (c *Cluster) Pool(name string) (*Pool, error) {
@@ -416,19 +409,20 @@ func (c *Cluster) BulkLoad(poolName string, objs []workload.Object) error {
 }
 
 // findObject locates an object's record in its PG, or returns nil.
-func (p *Pool) findObject(name string) (*PG, *ObjectRecord, int) {
+func (p *Pool) findObject(name string) (*PG, *ObjectRecord) {
 	pg := p.pgOf(name)
-	for i, o := range pg.Objects {
+	for _, o := range pg.Objects {
 		if o.Name == name {
-			return pg, o, i
+			return pg, o
 		}
 	}
-	return pg, nil, -1
+	return pg, nil
 }
 
 // WriteObject stores an object with real payload bytes: it erasure-codes
 // the data with the pool's plugin and writes one shard per acting-set OSD.
-// Overwriting an existing object replaces its chunks.
+// Objects are written once: a name the pool already holds is refused with
+// ErrObjectExists before anything is encoded or written.
 //
 // Payload layout: data shard i holds the contiguous byte range
 // [i*chunk, (i+1)*chunk) of the object (zero-padded at the tail). Ceph
@@ -440,7 +434,10 @@ func (c *Cluster) WriteObject(poolName, name string, data []byte) error {
 	if err != nil {
 		return err
 	}
-	pg := pool.pgOf(name)
+	pg, existing := pool.findObject(name)
+	if existing != nil {
+		return fmt.Errorf("%w: %s/%s", ErrObjectExists, poolName, name)
+	}
 	code := pool.Code
 	cs, err := pool.storedChunkSize(int64(len(data)), true)
 	if err != nil {
@@ -471,54 +468,8 @@ func (c *Cluster) WriteObject(poolName, name string, data []byte) error {
 			return err
 		}
 	}
-	rec := &ObjectRecord{Name: name, Size: int64(len(data)), ChunkSize: cs, Payload: true}
-	if _, existing, idx := pool.findObject(name); existing != nil {
-		// Replace the slice, not the element: forks share it with the
-		// snapshot.
-		pg.Objects = slices.Clone(pg.Objects)
-		pg.Objects[idx] = rec
-		return nil
-	}
-	pg.Objects = append(pg.Objects, rec)
+	pg.Objects = append(pg.Objects, &ObjectRecord{Name: name, Size: int64(len(data)), ChunkSize: cs, Payload: true})
 	return nil
-}
-
-// DeleteObject removes an object's chunks from every acting OSD and drops
-// its record.
-func (c *Cluster) DeleteObject(poolName, name string) error {
-	pool, err := c.Pool(poolName)
-	if err != nil {
-		return err
-	}
-	pg, rec, idx := pool.findObject(name)
-	if rec == nil {
-		return fmt.Errorf("%w: %s/%s", ErrNoObject, poolName, name)
-	}
-	for shard, osdID := range pg.Acting {
-		osd := c.osds[osdID]
-		if !osd.up {
-			continue
-		}
-		// Chunks may be missing on OSDs that joined after a degraded
-		// write; ignore not-found.
-		_ = osd.Store.DeleteChunk(pool.chunkID(pg, name, shard))
-	}
-	// A new slice, not an in-place delete: forks share it with the snapshot.
-	pg.Objects = slices.Concat(pg.Objects[:idx], pg.Objects[idx+1:])
-	return nil
-}
-
-// StatObject returns an object's logical size.
-func (c *Cluster) StatObject(poolName, name string) (int64, error) {
-	pool, err := c.Pool(poolName)
-	if err != nil {
-		return 0, err
-	}
-	_, rec, _ := pool.findObject(name)
-	if rec == nil {
-		return 0, fmt.Errorf("%w: %s/%s", ErrNoObject, poolName, name)
-	}
-	return rec.Size, nil
 }
 
 // ReadObject reads an object, decoding around missing or failed shards
@@ -528,7 +479,7 @@ func (c *Cluster) ReadObject(poolName, name string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	pg, rec, _ := pool.findObject(name)
+	pg, rec := pool.findObject(name)
 	if rec == nil {
 		return nil, fmt.Errorf("%w: %s/%s", ErrNoObject, poolName, name)
 	}
@@ -586,22 +537,6 @@ func (c *Cluster) UsedBytes() int64 {
 		total += o.Store.UsedBytes()
 	}
 	return total
-}
-
-// DegradedPGs lists PGs of a pool that currently include a down OSD in
-// their acting set.
-func (c *Cluster) DegradedPGs(poolName string) ([]*PG, error) {
-	pool, err := c.Pool(poolName)
-	if err != nil {
-		return nil, err
-	}
-	var out []*PG
-	for _, pg := range pool.PGs {
-		if len(c.lostShards(pg)) > 0 {
-			out = append(out, pg)
-		}
-	}
-	return out, nil
 }
 
 // RankHosts ranks the hosts holding the pool's chunks, the most chunks

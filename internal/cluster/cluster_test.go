@@ -2,11 +2,14 @@ package cluster
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
+	"repro/internal/blockdev"
 	"repro/internal/simclock"
 	"repro/internal/workload"
 )
@@ -54,7 +57,7 @@ func TestTopology(t *testing.T) {
 	if c.Crush().NumOSDs() != 16 {
 		t.Fatal("crush map size wrong")
 	}
-	if !c.OSD(3).Up() {
+	if !c.OSDs()[3].up {
 		t.Fatal("osd should start up")
 	}
 }
@@ -129,6 +132,44 @@ func TestWriteReadObjectRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWriteObjectIsWriteOnce: a second write of a name the pool holds,
+// written with payload or bulk-loaded, is refused before it touches the
+// PG records, the usage or any device.
+func TestWriteObjectIsWriteOnce(t *testing.T) {
+	c := smallCluster(t, 8, 2, nil)
+	p := rsPool(t, c, 4)
+	objs, _ := workload.Spec{Count: 8, ObjectSize: 1 << 20, NamePrefix: "o"}.Objects()
+	if err := c.BulkLoad("ecpool", objs); err != nil {
+		t.Fatal(err)
+	}
+	data := bytes.Repeat([]byte{1}, 20_000)
+	if err := c.WriteObject("ecpool", "payload", data); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"payload", objs[3].Name} {
+		pg := p.pgOf(name)
+		records, used := slices.Clone(pg.Objects), c.UsedBytes()
+		var devs []blockdev.Stats
+		for _, o := range c.OSDs() {
+			devs = append(devs, o.Store.Device().Snapshot())
+		}
+		if err := c.WriteObject("ecpool", name, bytes.Repeat([]byte{2}, 30_000)); !errors.Is(err, ErrObjectExists) {
+			t.Fatalf("second write of %s: %v, want ErrObjectExists", name, err)
+		}
+		if !slices.Equal(pg.Objects, records) || c.UsedBytes() != used {
+			t.Fatalf("refused write of %s changed the PG records or the usage", name)
+		}
+		for i, o := range c.OSDs() {
+			if o.Store.Device().Snapshot() != devs[i] {
+				t.Fatalf("refused write of %s moved osd.%d's device counters", name, i)
+			}
+		}
+	}
+	if got, err := c.ReadObject("ecpool", "payload"); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("first write's bytes lost: %v", err)
+	}
+}
+
 func TestDegradedRead(t *testing.T) {
 	c := smallCluster(t, 8, 2, nil)
 	p := rsPool(t, c, 8)
@@ -139,8 +180,8 @@ func TestDegradedRead(t *testing.T) {
 	}
 	// Kill two OSDs holding shards of the object (max tolerable).
 	pg := p.pgOf("obj")
-	c.OSD(pg.Acting[0]).up = false
-	c.OSD(pg.Acting[3]).up = false
+	c.OSDs()[pg.Acting[0]].up = false
+	c.OSDs()[pg.Acting[3]].up = false
 	got, err := c.ReadObject("ecpool", "obj")
 	if err != nil {
 		t.Fatal(err)
@@ -149,7 +190,7 @@ func TestDegradedRead(t *testing.T) {
 		t.Fatal("degraded read mismatch")
 	}
 	// Losing a third shard exceeds m=2.
-	c.OSD(pg.Acting[5]).up = false
+	c.OSDs()[pg.Acting[5]].up = false
 	if _, err := c.ReadObject("ecpool", "obj"); err == nil {
 		t.Fatal("read beyond fault tolerance succeeded")
 	}
@@ -194,9 +235,8 @@ func TestRecoveryEndToEndSynthetic(t *testing.T) {
 		t.Fatalf("I/O accounting empty: %+v", res)
 	}
 	// Degraded PGs must be clean afterwards: no acting member down.
-	pgs, _ := c.DegradedPGs("ecpool")
-	if len(pgs) != 0 {
-		t.Fatalf("%d PGs still degraded", len(pgs))
+	if h := c.Health(); h.CleanPGs != h.TotalPGs {
+		t.Fatalf("%d of %d PGs still not clean", h.TotalPGs-h.CleanPGs, h.TotalPGs)
 	}
 	if len(logLines) == 0 {
 		t.Fatal("no log lines emitted")

@@ -21,7 +21,7 @@ func TestHealthStates(t *testing.T) {
 
 	// One OSD down: some PGs degrade, health warns.
 	victim := p.PGs[0].Acting[0]
-	c.OSD(victim).up = false
+	c.OSDs()[victim].up = false
 	h = c.Health()
 	if h.Status != HealthWarn {
 		t.Fatalf("status = %s, want WARN", h.Status)
@@ -34,8 +34,8 @@ func TestHealthStates(t *testing.T) {
 	}
 
 	// Lose more shards of one PG than m=2: incomplete, health error.
-	c.OSD(p.PGs[0].Acting[1]).up = false
-	c.OSD(p.PGs[0].Acting[2]).up = false
+	c.OSDs()[p.PGs[0].Acting[1]].up = false
+	c.OSDs()[p.PGs[0].Acting[2]].up = false
 	h = c.Health()
 	if h.Status != HealthErr || h.IncompletePGs == 0 {
 		t.Fatalf("health: %s", h)

@@ -107,7 +107,7 @@ func (c *Cluster) RepairInconsistent(poolName string, report *ScrubReport) (int,
 	repaired := 0
 	for _, k := range keys {
 		shards := damaged[k]
-		pg, rec, _ := pool.findObject(k.object)
+		pg, rec := pool.findObject(k.object)
 		if rec == nil || pg.ID != k.pg {
 			return repaired, fmt.Errorf("cluster: scrubbed object %s vanished", k.object)
 		}
@@ -141,7 +141,7 @@ func (c *Cluster) CorruptChunk(poolName, object string, shard int) error {
 	if err != nil {
 		return err
 	}
-	pg, rec, _ := pool.findObject(object)
+	pg, rec := pool.findObject(object)
 	if rec == nil {
 		return fmt.Errorf("%w: %s/%s", ErrNoObject, poolName, object)
 	}

@@ -9,10 +9,10 @@ import (
 
 // snapPG captures one placement group's post-populate state. The acting
 // set is copied per fork (recovery remaps it in place); the object
-// records are shared read-only across forks — recovery only reads their
-// fields, WriteObject and DeleteObject replace the slice rather than
-// write into it, and its capacity is clamped so a fork appending to its
-// own PG reallocates instead of scribbling over shared backing memory.
+// records are shared read-only across forks — recovery and scrub only
+// read their fields, and the one change a fork makes to a PG's list is
+// WriteObject's append of a new object, which the clamped capacity turns
+// into a reallocation instead of a write into shared backing memory.
 type snapPG struct {
 	id      int
 	acting  []int

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"reflect"
@@ -97,16 +98,15 @@ func TestForkIsolationFromParentAndSiblings(t *testing.T) {
 		t.Fatalf("parent UsedBytes drifted %d -> %d", parentUsed, got)
 	}
 	for _, o := range parent.OSDs() {
-		if !o.Up() {
+		if !o.up {
 			t.Fatalf("parent osd.%d marked down by a fork", o.ID)
 		}
 		if o.Store.Device().Removed() {
 			t.Fatalf("parent osd.%d device removed by a fork", o.ID)
 		}
 	}
-	pgs, _ := parent.DegradedPGs("ecpool")
-	if len(pgs) != 0 {
-		t.Fatalf("parent has %d degraded PGs", len(pgs))
+	if h := parent.Health(); h.CleanPGs != h.TotalPGs {
+		t.Fatalf("parent has %d of %d PGs not clean", h.TotalPGs-h.CleanPGs, h.TotalPGs)
 	}
 	pp, _ := parent.Pool("ecpool")
 	for i, pg := range pp.PGs {
@@ -158,51 +158,47 @@ func TestForkPayloadRecoveryIsolated(t *testing.T) {
 	}
 }
 
-// TestForkObjectMutationsStayInFork: a fork that deletes one object and
-// overwrites another leaves the snapshot's object records alone, so the
-// next fork still sees the populated image.
+// TestForkObjectMutationsStayInFork: a fork that writes a new object and
+// scrub-repairs a corrupted snapshot chunk leaves the snapshot's stores
+// and object records alone, so the next fork still sees the populated
+// image.
 func TestForkObjectMutationsStayInFork(t *testing.T) {
 	snap := populateSmall(t, nil).Snapshot()
-	fork := func() *Cluster {
-		c, err := snap.Fork(snap.Config())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c
-	}
-	records := func(c *Cluster) [][]ObjectRecord {
-		pool, _ := c.Pool("ecpool")
-		var out [][]ObjectRecord
-		for _, pg := range pool.PGs {
-			var recs []ObjectRecord
-			for _, o := range pg.Objects {
-				recs = append(recs, *o)
-			}
-			out = append(out, recs)
-		}
-		return out
-	}
-	want := records(fork())
+	wantStores, wantPGs := snapshotPrint(t, snap)
 
-	f1 := fork()
+	f1, err := snap.Fork(snap.Config())
+	if err != nil {
+		t.Fatal(err)
+	}
 	pool, _ := f1.Pool("ecpool")
-	deleted, overwritten := pool.PGs[0].Objects[0], pool.PGs[1].Objects[0]
-	if err := f1.DeleteObject("ecpool", deleted.Name); err != nil {
+	repaired := pool.PGs[1].Objects[0]
+	if err := f1.WriteObject("ecpool", "late", []byte("tiny")); err != nil {
 		t.Fatal(err)
 	}
-	if err := f1.WriteObject("ecpool", overwritten.Name, []byte("tiny")); err != nil {
+	if err := f1.CorruptChunk("ecpool", repaired.Name, 2); err != nil {
 		t.Fatal(err)
+	}
+	report, err := f1.ScrubPool("ecpool")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := f1.RepairInconsistent("ecpool", report); err != nil || n != 1 {
+		t.Fatalf("fork repaired %d chunks, %v; want 1", n, err)
+	}
+	if got, err := f1.ReadObject("ecpool", "late"); err != nil || string(got) != "tiny" {
+		t.Fatalf("the writing fork reads its object as %q, %v", got, err)
 	}
 
-	f2 := fork()
-	if got := records(f2); !reflect.DeepEqual(got, want) {
-		t.Fatalf("next fork's object records changed by a sibling:\n got %v\nwant %v", got[:2], want[:2])
+	gotStores, gotPGs := snapshotPrint(t, snap)
+	if !reflect.DeepEqual(gotStores, wantStores) || !reflect.DeepEqual(gotPGs, wantPGs) {
+		t.Fatal("snapshot stores or PGs changed by a fork's write and repair")
 	}
-	if size, err := f2.StatObject("ecpool", overwritten.Name); err != nil || size != 4<<20 {
-		t.Fatalf("next fork stats %s at %d bytes, %v; want the bulk-loaded 4 MiB", overwritten.Name, size, err)
+	f2, err := snap.Fork(snap.Config())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := f1.StatObject("ecpool", deleted.Name); err == nil {
-		t.Fatal("the deleting fork still lists its deleted object")
+	if _, err := f2.ReadObject("ecpool", "late"); !errors.Is(err, ErrNoObject) {
+		t.Fatalf("next fork reads its sibling's object: %v", err)
 	}
 }
 
@@ -262,7 +258,7 @@ func TestSnapshotFreezesParentStores(t *testing.T) {
 func TestBulkLoadIsAllOrNothing(t *testing.T) {
 	c := populateSmall(t, nil)
 	before := footprint(t, c)
-	bad := c.OSD(len(c.OSDs()) / 2)
+	bad := c.OSDs()[len(c.OSDs())/2]
 	bad.Store.Device().Remove()
 	objs, _ := workload.Spec{Count: 256, ObjectSize: 1 << 20, NamePrefix: "late"}.Objects()
 	if err := c.BulkLoad("ecpool", objs); err == nil {
@@ -372,10 +368,10 @@ func payloadPrint(t *testing.T, s *Snapshot, stores []storePrint, pool string, p
 
 // TestConcurrentForksLeaveSnapshotUnchanged is the contract the stores'
 // missing locks rest on: a frozen snapshot is only read by its forks, so
-// eight of them running at once — each writing a payload object, corrupting
-// and overwriting snapshot payload chunks, failing an OSD and recovering
-// the pool — leave every store, device, payload byte and PG of the
-// snapshot as it was. Under -race it also shows that no fork writes
+// eight of them running at once — each writing a payload object,
+// corrupting snapshot payload chunks and rewriting them by scrub repair,
+// failing an OSD and recovering the pool — leave every store, device,
+// payload byte and PG of the snapshot as it was. Under -race it also shows that no fork writes
 // anything the snapshot shares with its siblings.
 func TestConcurrentForksLeaveSnapshotUnchanged(t *testing.T) {
 	parent := populateSmall(t, nil)
@@ -398,11 +394,17 @@ func TestConcurrentForksLeaveSnapshotUnchanged(t *testing.T) {
 			if err := c.WriteObject("ecpool", fmt.Sprintf("late-%d", i), bytes.Repeat([]byte{byte(i + 1)}, 30_000)); err != nil {
 				return err
 			}
-			if err := c.CorruptChunk("ecpool", fmt.Sprintf("early-%d", i%4), i%3); err != nil {
+			for j := 0; j < 2; j++ {
+				if err := c.CorruptChunk("ecpool", fmt.Sprintf("early-%d", (i+j)%4), (i+j)%3); err != nil {
+					return err
+				}
+			}
+			report, err := c.ScrubPool("ecpool")
+			if err != nil {
 				return err
 			}
-			if err := c.WriteObject("ecpool", fmt.Sprintf("early-%d", (i+1)%4), bytes.Repeat([]byte{byte(0x80 + i)}, 30_000)); err != nil {
-				return err
+			if n, err := c.RepairInconsistent("ecpool", report); err != nil || n != 2 {
+				return fmt.Errorf("scrub repair rewrote %d chunks, %v; want 2", n, err)
 			}
 			pool, err := c.Pool("ecpool")
 			if err != nil {

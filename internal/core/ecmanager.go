@@ -6,8 +6,6 @@ import (
 
 	"repro/internal/bluestore"
 	"repro/internal/cluster"
-	"repro/internal/erasure"
-	"repro/internal/erasure/codecache"
 	"repro/internal/simnet"
 )
 
@@ -82,15 +80,6 @@ func (m *ECManager) ClusterConfig(log cluster.LogFunc) (cluster.Config, error) {
 	}
 	cfg.Log = log
 	return cfg, nil
-}
-
-// Code returns the erasure code for the profile's pool spec — the same
-// registry-shared instance the cluster pool and every snapshot fork use,
-// so callers computing durability or plan statistics hit the instance's
-// warm plan/program caches.
-func (m *ECManager) Code() (erasure.Code, error) {
-	pc := m.PoolConfig()
-	return codecache.Get(pc.Plugin, pc.K, pc.M, pc.D)
 }
 
 // PoolConfig builds the normalized pool configuration for the profile.

@@ -198,7 +198,7 @@ func TestRunScheduleDeviceRound(t *testing.T) {
 		t.Fatal(err)
 	}
 	target := res.Rounds[0].Plan.OSDs[0]
-	if !co.Cluster().OSD(target).Store.Device().Removed() {
+	if !co.Cluster().OSDs()[target].Store.Device().Removed() {
 		t.Fatalf("osd.%d's device not removed by its device round", target)
 	}
 	// Each round reports its own slice of the timeline and of iostat.

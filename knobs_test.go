@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/bluestore"
 	"repro/internal/cluster"
 )
 
@@ -84,5 +85,39 @@ func TestConfigSurface(t *testing.T) {
 	walk("", reflect.TypeFor[cluster.Config]())
 	if !slices.Equal(found, configLeaves) {
 		t.Errorf("cluster.Config leaf fields (%d):\n got %v\nwant %v", len(found), found, configLeaves)
+	}
+}
+
+// methods is the exported method set of the two types the simulator's
+// state lives in: the cluster and one OSD's object store. The store is
+// write-once — an object is written by BulkLoad or WriteObject, and its
+// chunks are rewritten only by recovery and scrub repair — so neither
+// type has a delete, stat or replace. A new method has to be added here
+// in the same diff, which is where its caller gets argued.
+var methods = map[reflect.Type][]string{
+	reflect.TypeFor[*cluster.Cluster](): {
+		"BulkLoad", "CorruptChunk", "CreatePool", "Crush", "FailHost", "Health",
+		"HostWithMostChunks", "InjectOSDFailures", "OSDs", "PGStateOf", "Pool",
+		"RankHosts", "ReadObject", "RecoverPool", "RepairInconsistent",
+		"ResetFailureState", "RunSim", "ScheduleRecovery", "ScrubPool", "Sim",
+		"Snapshot", "UsedBytes", "WriteObject",
+	},
+	reflect.TypeFor[*bluestore.Store](): {
+		"AccessProfile", "ChunkSize", "Chunks", "Config", "CorruptChunk",
+		"DataBytes", "Device", "Fork", "Freeze", "HasChunk", "MetaBytes",
+		"ReadChunk", "Reserve", "ScrubChunk", "SetDataWorkingSet", "UsedBytes",
+		"Writable", "WriteChunk", "WriteChunksBulk",
+	},
+}
+
+func TestMethodSurface(t *testing.T) {
+	for typ, want := range methods {
+		var found []string
+		for i := 0; i < typ.NumMethod(); i++ {
+			found = append(found, typ.Method(i).Name)
+		}
+		if !slices.Equal(found, want) {
+			t.Errorf("%v methods (%d):\n got %v\nwant %v", typ, len(found), found, want)
+		}
 	}
 }

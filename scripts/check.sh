@@ -3,20 +3,22 @@
 # cmd/ecbench included: the -compare output against the reproduction
 # record, paper_results.txt, byte for byte; and the root surface pins:
 # TestKnobSurface for the ECFAULT_* variables, TestConfigSurface for
-# cluster.Config's 17 settable leaf fields) + one iteration of every go
-# test benchmark (the codec and GF ones) + race audit of the concurrent
-# packages and of the lock-free snapshot forks + the engine's ordering and
-# gather fuzz smokes
-# (the slicing one on two queues that hand outgrown wait rings to each
-# other) + the placement fuzz smoke (Select against its straw2 reference)
-# + the matrix codes' round-trip fuzz smoke + the codec's two strided fuzz
-# smokes (ApplyStrided against its scalar oracle; Clay's batched and
-# per-plane formulations against each other and the erased bytes) + the
-# store's naive-model fuzz smoke (overlay Reserve included) + the three
+# cluster.Config's 17 settable leaf fields, TestMethodSurface for the
+# exported methods of *cluster.Cluster and *bluestore.Store) + one
+# iteration of every go test benchmark (the codec and GF ones) + race
+# audit of the concurrent packages and of the lock-free snapshot forks +
+# the engine's ordering and gather fuzz smokes (the slicing one on two
+# queues that hand outgrown wait rings to each other) + the placement fuzz
+# smoke (Select against its straw2 reference) + the matrix codes'
+# round-trip fuzz smoke + the codec's two strided fuzz smokes
+# (ApplyStrided against its scalar oracle; Clay's batched and per-plane
+# formulations against each other and the erased bytes) + the store's
+# naive-model fuzz smoke (bulk loads, writes and rewrites over bulk-loaded
+# and corrupted chunks, scrubs and Reserve, across forks) + the three
 # input-surface fuzz smokes (fault lists, whole profile documents,
-# ceph.conf text) + a run of every
-# example, each of which must exit 0 + the benchmark module's self-test
-# and smoke runs.
+# ceph.conf text) + a run of every example, each of which must exit 0 +
+# the whole module built and tested under the purego tag + the benchmark
+# module's self-test and smoke runs.
 # Run from the repo root: ./scripts/check.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -73,7 +75,7 @@ go test -race -count=1 \
     ./internal/parallel \
     ./internal/tuner
 
-echo "== fuzz smoke (simclock: same-instant FIFO, RunUntil slicing with wait rings changing queues; simnet: gather == per-ship; crush: Select == straw2 reference; matrix codes: decode/repair == CanRecover; gf256: ApplyStrided == scalar oracle; clay: batched == per-plane == erased bytes; bluestore: store == naive per-chunk model across forks, Reserve included; inputs: fault lists, profile documents and ceph.conf text are run or rejected, never a panic) =="
+echo "== fuzz smoke (simclock: same-instant FIFO, RunUntil slicing with wait rings changing queues; simnet: gather == per-ship; crush: Select == straw2 reference; matrix codes: decode/repair == CanRecover; gf256: ApplyStrided == scalar oracle; clay: batched == per-plane == erased bytes; bluestore: store == naive per-chunk model across forks, rewrites and Reserve included; inputs: fault lists, profile documents and ceph.conf text are run or rejected, never a panic) =="
 go test ./internal/simclock -run xxx -fuzz FuzzSimclockFIFO -fuzztime 10s
 go test ./internal/simclock -run xxx -fuzz FuzzRunUntilSlicing -fuzztime 10s
 go test ./internal/simnet -run xxx -fuzz FuzzGatherMatchesPerShip -fuzztime 10s
@@ -86,9 +88,12 @@ go test ./internal/core -run xxx -fuzz FuzzFaultSpecs -fuzztime 10s
 go test ./internal/core -run xxx -fuzz FuzzLoadProfile -fuzztime 10s
 go test ./internal/cephconf -run xxx -fuzz FuzzParseApply -fuzztime 10s
 
+# The SIMD backends are amd64-only: the whole module, built and tested
+# with them compiled out, stays green and byte-identical on the portable
+# word and scalar kernels, as it would be on arm64.
 echo "== go build/test (purego: portable word kernels, no asm) =="
 go build -tags purego ./...
-go test -tags purego -count=1 ./internal/gf256 ./internal/erasure/...
+go test -tags purego -count=1 ./...
 
 # bench/ is a module of its own (repro/bench), so the root commands above
 # neither build nor test it; it calls exported cluster/core/workload
