@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"maps"
+	"slices"
 	"strconv"
 
 	"repro/internal/blockdev"
@@ -186,6 +187,36 @@ type baseRun struct {
 	shard int
 }
 
+// find returns the chunk's record in the run, or nil when the run is of
+// another (pool, PG, shard) or does not hold the object.
+func (r *baseRun) find(id ChunkID) (*ObjectRecord, int32) {
+	if r.pg.pg != id.PG || r.shard != id.Shard || r.pg.pool != id.Pool {
+		return nil, 0
+	}
+	j, ok := r.pg.index[id.Object]
+	if !ok {
+		return nil, 0
+	}
+	return &r.pg.objects[j], j
+}
+
+// info is the accounting of the run's chunk of o.
+func (r *baseRun) info(o *ObjectRecord) chunkInfo {
+	return chunkInfo{size: o.ChunkSize, share: o.Size / int64(r.pg.shards)}
+}
+
+// recoveredRun is a shard of a bulk-loaded PG a recovery target is
+// rebuilding: the run ExpectRun declared, plus one bit per object of the
+// PG, set once the object's chunk is written with its record's size and
+// share. It is a type of its own, not a field of baseRun, so the base run
+// tables every populate builds stay two words an entry.
+type recoveredRun struct {
+	baseRun
+	have []uint64
+}
+
+func (r *recoveredRun) has(j int32) bool { return r.have[j>>6]&(1<<(j&63)) != 0 }
+
 type chunkInfo struct {
 	size      int64
 	share     int64 // logical object share used for EC metadata accounting
@@ -209,12 +240,16 @@ type Store struct {
 	// through WriteChunksBulk. Entries are immutable and the slice is
 	// append-only, so a fork shares its parent's table as is.
 	runs []baseRun
-	// chunks is the overlay over runs: chunks written, rewritten or
-	// corrupted one at a time. An entry for a chunk the runs also hold
-	// shadows it; nothing removes a chunk. Every lookup, on root and forked
-	// stores alike, is overlay first, then runs.
+	// recovered is the runs ExpectRun declared, with the objects written
+	// so far. Unlike runs, each is the store's own: Fork copies the bits.
+	recovered []recoveredRun
+	// chunks is the overlay over both kinds of run: chunks written,
+	// rewritten or corrupted one at a time. An entry for a chunk a run
+	// also holds shadows it; nothing removes a chunk. Every lookup, on
+	// root and forked stores alike, is overlay first, then base runs, then
+	// recovered runs.
 	chunks map[ChunkID]chunkInfo
-	count  int // visible chunks: runs + overlay - shadows
+	count  int // visible chunks: runs + recovered bits + overlay - shadows
 	frozen bool
 	// payloads holds the bytes of payload-mode chunks, nil until the first
 	// payload write. A fork starts from a copy of the map that shares the
@@ -273,29 +308,37 @@ func roundUp(v, to int64) int64 { return (v + to - 1) / to * to }
 
 func ceilDiv(a, b int64) int64 { return (a + b - 1) / b }
 
-// lookup resolves a chunk through the overlay, then the base runs.
+// lookup resolves a chunk through the overlay, the base runs and then the
+// recovered runs.
 func (s *Store) lookup(id ChunkID) (chunkInfo, bool) {
-	if info, ok := s.chunks[id]; ok {
-		return info, true
-	}
-	return s.lookupBase(id)
+	info, ok, _, _ := s.locate(id)
+	return info, ok
 }
 
-// lookupBase resolves a chunk in the base runs, ignoring the overlay. A
-// store that holds no run of the chunk's (pool, PG, shard) — every
-// recovery target — misses on integer compares alone.
-func (s *Store) lookupBase(id ChunkID) (chunkInfo, bool) {
+// locate is lookup that, on a miss, also reports the recovered run
+// declared for the chunk and the object's position in it (nil when no
+// run was declared for it). The base runs of a recovery target's PG are on
+// other stores, so there a write's scan of them misses on integer
+// compares alone.
+func (s *Store) locate(id ChunkID) (info chunkInfo, ok bool, rr *recoveredRun, j int32) {
+	if info, ok := s.chunks[id]; ok {
+		return info, true, nil, 0
+	}
 	for i := range s.runs {
-		r := &s.runs[i]
-		if r.pg.pg != id.PG || r.shard != id.Shard || r.pg.pool != id.Pool {
-			continue
-		}
-		if j, ok := r.pg.index[id.Object]; ok {
-			o := &r.pg.objects[j]
-			return chunkInfo{size: o.ChunkSize, share: o.Size / int64(r.pg.shards)}, true
+		if o, _ := s.runs[i].find(id); o != nil {
+			return s.runs[i].info(o), true, nil, 0
 		}
 	}
-	return chunkInfo{}, false
+	for i := range s.recovered {
+		r := &s.recovered[i]
+		if o, j := r.find(id); o != nil {
+			if r.has(j) {
+				return r.info(o), true, nil, 0
+			}
+			return chunkInfo{}, false, r, j
+		}
+	}
+	return chunkInfo{}, false, nil, 0
 }
 
 // Writable reports why the store would refuse a write, or nil.
@@ -322,7 +365,10 @@ func (s *Store) checkMutable(op string) error {
 // non-nil, carries real bytes (len(payload) must equal size), otherwise
 // the write is accounting-only. A write over a stored chunk — recovery
 // or scrub repair rewriting it — replaces it, in the overlay even when
-// the base runs hold it; a refused write leaves the old chunk as it was.
+// a run holds it; a refused write leaves the old chunk as it was. A new
+// chunk of a run ExpectRun declared, written accounting-only with its
+// record's size and share, sets the object's bit in the run instead of
+// taking an overlay entry; the accounting is the same.
 func (s *Store) WriteChunk(id ChunkID, size, objectShare int64, payload []byte) error {
 	if size < 0 || objectShare < 0 {
 		return fmt.Errorf("bluestore: negative sizes")
@@ -341,7 +387,8 @@ func (s *Store) WriteChunk(id ChunkID, size, objectShare int64, payload []byte) 
 	if err := s.dev.AccountWrite(size); err != nil {
 		return fmt.Errorf("bluestore: %w", err)
 	}
-	if old, ok := s.lookup(id); ok {
+	old, ok, rr, j := s.locate(id)
+	if ok {
 		// The replaced chunk's accounting leaves the totals; the overlay
 		// entry below hides it.
 		s.dataAllocated -= roundUp(old.size, s.cfg.MinAllocSize)
@@ -365,21 +412,33 @@ func (s *Store) WriteChunk(id ChunkID, size, objectShare int64, payload []byte) 
 	s.kvBytes += id.onodeEntry()
 	s.accountedMeta += s.metaRecordBytes(size)
 	s.ecMetaBytes += s.ecMeta(objectShare)
-	s.chunks[id] = info
+	if rr != nil && info == rr.info(&rr.pg.objects[j]) {
+		rr.have[j>>6] |= 1 << (j & 63)
+	} else {
+		s.chunks[id] = info
+	}
 	s.count++
 	return nil
 }
 
-// Reserve sizes the overlay for n more chunks written one at a time, so a
-// store that is about to receive them — a recovery target — does not
-// regrow the map on the way. It changes no visible state.
-func (s *Store) Reserve(n int) error {
-	if err := s.checkMutable("Reserve"); err != nil {
+// ExpectRun declares that the store is about to receive shard `shard` of
+// the objects of a bulk-loaded PG one chunk at a time, as a recovery
+// target does: those writes then cost one bit each instead of an overlay
+// entry. It changes no visible state, and declaring a run twice is
+// declaring it once.
+func (s *Store) ExpectRun(pg *BulkPG, shard int) error {
+	if err := s.checkMutable("ExpectRun"); err != nil {
 		return err
 	}
-	chunks := make(map[ChunkID]chunkInfo, len(s.chunks)+n)
-	maps.Copy(chunks, s.chunks)
-	s.chunks = chunks
+	for i := range s.recovered {
+		if r := &s.recovered[i]; r.pg == pg && r.shard == shard {
+			return nil
+		}
+	}
+	s.recovered = append(s.recovered, recoveredRun{
+		baseRun: baseRun{pg: pg, shard: shard},
+		have:    make([]uint64, (len(pg.objects)+63)/64),
+	})
 	return nil
 }
 
@@ -576,7 +635,7 @@ func (s *Store) Freeze() {
 // only recovery-side knobs (cache scheme and size); MinAllocSize shaped the
 // on-disk layout during populate and must match the parent, because the
 // copy shares the parent's base runs and payload bytes and starts from
-// copies of its overlay, device and accounting.
+// copies of its recovered runs, overlay, device and accounting.
 func (s *Store) Fork(cfg Config) (*Store, error) {
 	cfg = normalizeConfig(cfg)
 	if cfg.MinAllocSize != s.cfg.MinAllocSize {
@@ -586,6 +645,7 @@ func (s *Store) Fork(cfg Config) (*Store, error) {
 		cfg:            cfg,
 		dev:            s.dev.Fork(),
 		runs:           s.runs[:len(s.runs):len(s.runs)],
+		recovered:      cloneRecovered(s.recovered),
 		chunks:         maps.Clone(s.chunks),
 		count:          s.count,
 		payloads:       maps.Clone(s.payloads),
@@ -596,6 +656,15 @@ func (s *Store) Fork(cfg Config) (*Store, error) {
 		ecMetaBytes:    s.ecMetaBytes,
 		dataWorkingSet: s.dataWorkingSet,
 	}, nil
+}
+
+// cloneRecovered copies recovered runs, bits included.
+func cloneRecovered(runs []recoveredRun) []recoveredRun {
+	runs = slices.Clone(runs)
+	for i := range runs {
+		runs[i].have = slices.Clone(runs[i].have)
+	}
+	return runs
 }
 
 // AccessProfile returns the modeled cache hit fractions for onode/meta

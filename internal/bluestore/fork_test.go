@@ -86,8 +86,12 @@ func TestFrozenStoreRejectsWrites(t *testing.T) {
 	if err := s.WriteChunk(cid("c1"), 8192, 8192, nil); err == nil {
 		t.Fatal("rewrite of c1 on frozen store should fail")
 	}
-	if err := s.Reserve(100); err == nil || !strings.Contains(err.Error(), "Reserve on frozen store") {
-		t.Fatalf("Reserve on frozen store: %v, want the frozen-store error", err)
+	pg, err := NewBulkPG("", 0, 1, []ObjectRecord{{Name: "c3", Size: 4096, ChunkSize: 4096}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ExpectRun(pg, 0); err == nil || !strings.Contains(err.Error(), "ExpectRun on frozen store") {
+		t.Fatalf("ExpectRun on frozen store: %v, want the frozen-store error", err)
 	}
 	// Reads still work, and c1 is as it was written.
 	if size, err := s.ChunkSize(cid("c1")); s.Chunks() != 1 || err != nil || size != 4096 {
@@ -276,5 +280,122 @@ func TestForkCorruptionStaysInFork(t *testing.T) {
 		if clean, err := s.ScrubChunk(cid(name)); err != nil || !clean {
 			t.Fatalf("parent's %s scrubs clean=%v, %v after its fork wrote", name, clean, err)
 		}
+	}
+}
+
+// TestRecoveredRunMatchesOverlay: two sibling forks receive the same
+// recovery writes, one having declared the run they rebuild and one not,
+// so one keeps them as bits and the other as overlay entries. To every
+// reader they are the same store after every write: a rewrite, a
+// corruption, a write of another size and the rewrite of that included.
+func TestRecoveredRunMatchesOverlay(t *testing.T) {
+	objs := make([]ObjectRecord, 70) // two bitset words
+	for i := range objs {
+		cs := 4096 + int64(i)*1000
+		objs[i] = ObjectRecord{Name: fmt.Sprintf("obj%03d", i), Size: 3*cs - int64(i), ChunkSize: cs}
+	}
+	pg, err := NewBulkPG("p", 0, 3, objs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev, err := blockdev.New(64 << 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A cache far below the needs, so the profile moves with every write.
+	parent := Open(dev, Config{CacheBytes: 8 << 10})
+	if err := parent.WriteChunksBulk(pg, 0); err != nil {
+		t.Fatal(err)
+	}
+	parent.Freeze()
+	declared, err := parent.Fork(parent.Config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := parent.Fork(parent.Config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := declared.ExpectRun(pg, 1); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []*Store{declared, plain} {
+		s.SetDataWorkingSet(1 << 20)
+	}
+
+	id := func(j, shard int) ChunkID { return ChunkID{Pool: "p", Object: objs[j].Name, Shard: shard} }
+	type step struct {
+		j       int
+		corrupt bool
+		size    int64 // 0: the record's
+	}
+	var steps []step
+	for j := range objs {
+		steps = append(steps, step{j: j})
+		switch j {
+		case 10:
+			steps = append(steps, step{j: 3})
+		case 20:
+			steps = append(steps, step{j: 5, corrupt: true}, step{j: 0, corrupt: true})
+		case 30:
+			steps = append(steps, step{j: 40, size: 8192}, step{j: 40}, step{j: 5})
+		}
+	}
+	for n, st := range steps {
+		for _, s := range []*Store{declared, plain} {
+			var err error
+			switch o := &objs[st.j]; {
+			case st.corrupt:
+				err = s.CorruptChunk(id(st.j, 1))
+			case st.size != 0:
+				err = s.WriteChunk(id(st.j, 1), st.size, st.size, nil)
+			default:
+				err = s.WriteChunk(id(st.j, 1), o.ChunkSize, o.Size/3, nil)
+			}
+			if err != nil {
+				t.Fatalf("step %d %+v: %v", n, st, err)
+			}
+		}
+		if d, p := declared.Chunks(), plain.Chunks(); d != p {
+			t.Fatalf("step %d: Chunks %d declared, %d plain", n, d, p)
+		}
+		if d, p := declared.DataBytes(), plain.DataBytes(); d != p {
+			t.Fatalf("step %d: DataBytes %d declared, %d plain", n, d, p)
+		}
+		if d, p := declared.MetaBytes(), plain.MetaBytes(); d != p {
+			t.Fatalf("step %d: MetaBytes %d declared, %d plain", n, d, p)
+		}
+		if d, p := declared.UsedBytes(), plain.UsedBytes(); d != p {
+			t.Fatalf("step %d: UsedBytes %d declared, %d plain", n, d, p)
+		}
+		dm, dk, dd := declared.AccessProfile()
+		pm, pk, pd := plain.AccessProfile()
+		if dm != pm || dk != pk || dd != pd {
+			t.Fatalf("step %d: AccessProfile (%v,%v,%v) declared, (%v,%v,%v) plain", n, dm, dk, dd, pm, pk, pd)
+		}
+		for j := range objs {
+			for shard := 0; shard < 3; shard++ {
+				c := id(j, shard)
+				if d, p := declared.HasChunk(c), plain.HasChunk(c); d != p {
+					t.Fatalf("step %d: HasChunk(%s) %v declared, %v plain", n, c, d, p)
+				}
+				ds, derr := declared.ChunkSize(c)
+				ps, perr := plain.ChunkSize(c)
+				if ds != ps || (derr == nil) != (perr == nil) {
+					t.Fatalf("step %d: ChunkSize(%s) %d, %v declared; %d, %v plain", n, c, ds, derr, ps, perr)
+				}
+				dc, derr := declared.ScrubChunk(c)
+				pc, perr := plain.ScrubChunk(c)
+				if dc != pc || (derr == nil) != (perr == nil) {
+					t.Fatalf("step %d: ScrubChunk(%s) %v, %v declared; %v, %v plain", n, c, dc, derr, pc, perr)
+				}
+			}
+		}
+	}
+	if declared.Device().Snapshot() != plain.Device().Snapshot() {
+		t.Fatalf("device stats %+v declared, %+v plain", declared.Device().Snapshot(), plain.Device().Snapshot())
+	}
+	if len(plain.chunks) != len(objs) || len(declared.chunks) != 4 {
+		t.Fatalf("overlay entries: %d declared, %d plain; want 4 (the rewrites and corruptions) and %d", len(declared.chunks), len(plain.chunks), len(objs))
 	}
 }

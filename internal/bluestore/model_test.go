@@ -5,14 +5,16 @@ import (
 	"fmt"
 	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/blockdev"
 )
 
-// The oracle is the store the base runs replaced: one name-keyed map entry
-// per chunk, bulk-loaded or not, and all accounting recomputed per chunk
-// from that map. The real store must be indistinguishable from it.
+// The oracle is the store the base and recovered runs replaced: one
+// name-keyed map entry per chunk, bulk-loaded, recovered or neither, and
+// all accounting recomputed per chunk from that map. The real store must
+// be indistinguishable from it.
 type oracleChunk struct {
 	size, share int64
 	payload     []byte // nil in accounting mode
@@ -127,7 +129,9 @@ type modelWorld struct {
 	t       *testing.T
 	stores  []*Store
 	oracles []*oracle
+	removed []bool    // the store's device is pulled: every write refuses
 	ids     []ChunkID // every id ever used
+	runs    []baseRun // every PG shard ever bulk-loaded or declared
 	nextObj int
 }
 
@@ -141,7 +145,7 @@ func newModelWorld(t *testing.T, scheme byte) *modelWorld {
 	// A cache far smaller than the needs, so every hit fraction is < 1
 	// and depends on the chunk count and the accounting.
 	s := Open(dev, Config{CacheBytes: 8 << 10, Cache: modelSchemes[int(scheme)%len(modelSchemes)]})
-	return &modelWorld{t: t, stores: []*Store{s}, oracles: []*oracle{{chunks: map[string]oracleChunk{}}}}
+	return &modelWorld{t: t, stores: []*Store{s}, oracles: []*oracle{{chunks: map[string]oracleChunk{}}}, removed: []bool{false}}
 }
 
 func (w *modelWorld) frozen() bool { return len(w.stores) > 1 }
@@ -157,6 +161,35 @@ func (w *modelWorld) pickID(a, b byte) ChunkID {
 	return id
 }
 
+var modelSizes = []int64{100, 4096, 5000, 600 << 10}
+
+// newBulkPG makes one to five new objects of PG pg, their sizes picked by
+// b, in a code of three shards.
+func (w *modelWorld) newBulkPG(pg int, b byte) *BulkPG {
+	var recs []ObjectRecord
+	for i := 0; i <= int(b)%5; i++ {
+		size := modelSizes[(int(b)+i)%len(modelSizes)]
+		recs = append(recs, ObjectRecord{Name: fmt.Sprintf("obj-%07d", w.nextObj), Size: 3 * size, ChunkSize: size})
+		w.nextObj++
+	}
+	run, err := NewBulkPG("p", pg, 3, recs)
+	if err != nil {
+		w.t.Fatal(err)
+	}
+	return run
+}
+
+// addRun records a PG shard and the ids of its chunks, once.
+func (w *modelWorld) addRun(r baseRun) {
+	if slices.Contains(w.runs, r) {
+		return
+	}
+	w.runs = append(w.runs, r)
+	for _, rec := range r.pg.objects {
+		w.ids = append(w.ids, ChunkID{Pool: "p", PG: r.pg.pg, Object: rec.Name, Shard: r.shard})
+	}
+}
+
 // step interprets one (op, a, b) instruction against store `a`-chosen and
 // its oracle, requiring both to agree on the outcome.
 func (w *modelWorld) step(op, a, b byte) {
@@ -166,46 +199,38 @@ func (w *modelWorld) step(op, a, b byte) {
 		target = int(a>>6) % len(w.stores) // 0 is the frozen parent: must refuse
 	}
 	s, o := w.stores[target], w.oracles[target]
-	refuses := w.frozen() && target == 0
-	sizes := []int64{100, 4096, 5000, 600 << 10}
+	frozen := w.frozen() && target == 0
+	removed := w.removed[target]
+	refuses := frozen || removed
 
-	switch op % 9 {
+	switch op % 10 {
 	case 0: // bulk load: a few new objects into one (PG, shard), runs pile up
-		pg, shard := 9+int(a)%2, int(a>>1)%2
-		var recs []ObjectRecord
-		for i := 0; i <= int(b)%5; i++ {
-			size := sizes[(int(b)+i)%len(sizes)]
-			recs = append(recs, ObjectRecord{Name: fmt.Sprintf("obj-%07d", w.nextObj), Size: 3 * size, ChunkSize: size})
-			w.nextObj++
-		}
-		run, err := NewBulkPG("p", pg, 3, recs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		err = s.WriteChunksBulk(run, shard)
+		shard := int(a>>1) % 2
+		run := w.newBulkPG(9+int(a)%2, b)
+		err := s.WriteChunksBulk(run, shard)
 		if (err != nil) != refuses {
-			t.Fatalf("WriteChunksBulk: err %v, frozen %v", err, refuses)
+			t.Fatalf("WriteChunksBulk: err %v, refuses %v", err, refuses)
 		}
 		if (s.Writable() != nil) != refuses {
-			t.Fatalf("Writable: %v, frozen %v", s.Writable(), refuses)
+			t.Fatalf("Writable: %v, refuses %v", s.Writable(), refuses)
 		}
-		for _, r := range recs {
-			id := ChunkID{Pool: "p", PG: pg, Object: r.Name, Shard: shard}
-			w.ids = append(w.ids, id)
-			if err == nil {
+		w.addRun(baseRun{pg: run, shard: shard})
+		if err == nil {
+			for _, r := range run.objects {
+				id := ChunkID{Pool: "p", PG: run.pg, Object: r.Name, Shard: shard}
 				o.chunks[id.String()] = oracleChunk{size: r.ChunkSize, share: r.Size / 3}
 			}
 		}
 	case 1, 2: // write, accounting (1) or payload (2) mode, over anything or nothing
 		id := w.pickID(a, b)
-		size := sizes[int(b)%3]
+		size := modelSizes[int(b)%3]
 		var payload []byte
-		if op%9 == 2 {
+		if op%10 == 2 {
 			payload = bytes.Repeat([]byte{b | 1}, int(size))
 		}
 		err := s.WriteChunk(id, size, size+int64(b), payload)
 		if (err != nil) != refuses {
-			t.Fatalf("WriteChunk(%s): err %v, frozen %v", id, err, refuses)
+			t.Fatalf("WriteChunk(%s): err %v, refuses %v", id, err, refuses)
 		}
 		if err == nil {
 			o.chunks[id.String()] = oracleChunk{size: size, share: size + int64(b), payload: payload}
@@ -215,9 +240,15 @@ func (w *modelWorld) step(op, a, b byte) {
 		c, had := o.chunks[id.String()]
 		err := s.CorruptChunk(id)
 		switch {
-		case refuses:
+		case frozen:
 			if err == nil {
 				t.Fatalf("CorruptChunk(%s) on frozen store succeeded", id)
+			}
+		case removed && had && c.payload != nil:
+			// Flipping a payload byte reads the device; a pulled one
+			// refuses and the bytes stay as they were.
+			if err == nil {
+				t.Fatalf("CorruptChunk(%s) of a payload on a removed device succeeded", id)
 			}
 		case had != (err == nil):
 			t.Fatalf("CorruptChunk(%s): had %v, err %v", id, had, err)
@@ -231,6 +262,9 @@ func (w *modelWorld) step(op, a, b byte) {
 		id := w.pickID(a, b)
 		c, had := o.chunks[id.String()]
 		clean, err := s.ScrubChunk(id)
+		if removed && had && c.payload != nil { // a payload scrub reads the device
+			had = false
+		}
 		if had != (err == nil) || (had && clean == c.corrupted) {
 			t.Fatalf("ScrubChunk(%s) = %v, %v; oracle had %v corrupted %v", id, clean, err, had, c.corrupted)
 		}
@@ -238,6 +272,9 @@ func (w *modelWorld) step(op, a, b byte) {
 		id := w.pickID(a, b)
 		c, had := o.chunks[id.String()]
 		size, payload, err := s.ReadChunk(id)
+		if removed {
+			had = false
+		}
 		if had != (err == nil) {
 			t.Fatalf("ReadChunk(%s): had %v, err %v", id, had, err)
 		}
@@ -252,8 +289,12 @@ func (w *modelWorld) step(op, a, b byte) {
 			s.SetDataWorkingSet(int64(b) << 10)
 			o.workingSet = int64(b) << 10
 		}
-	case 7: // freeze the root and grow two sibling forks, once
+	case 7: // freeze the root and grow two sibling forks, once; then b == 255 pulls fork 2's device
 		if w.frozen() {
+			if b == 255 {
+				w.stores[2].Device().Remove()
+				w.removed[2] = true
+			}
 			return
 		}
 		s.Freeze()
@@ -272,11 +313,33 @@ func (w *modelWorld) step(op, a, b byte) {
 			}
 			w.stores = append(w.stores, f)
 			w.oracles = append(w.oracles, o.fork())
+			w.removed = append(w.removed, false)
 		}
 		s.Freeze() // idempotent
-	case 8: // size the overlay ahead of writes: invisible, so the oracle ignores it
-		if err := s.Reserve(int(b)); (err != nil) != refuses {
-			t.Fatalf("Reserve(%d): err %v, frozen %v", b, err, refuses)
+	case 8: // declare shard 2, which no store holds, of a new PG or of one met before: invisible, so the oracle ignores it
+		var run *BulkPG
+		if len(w.runs) > 0 && a&1 == 1 {
+			run = w.runs[int(a>>1)%len(w.runs)].pg
+		} else {
+			run = w.newBulkPG(9+int(a>>1)%2, b)
+		}
+		if err := s.ExpectRun(run, 2); (err != nil) != frozen {
+			t.Fatalf("ExpectRun: err %v, frozen %v", err, frozen)
+		}
+		w.addRun(baseRun{pg: run, shard: 2})
+	case 9: // a recovery write: a chunk of a run, accounting-only, sized as its record says
+		if len(w.runs) == 0 {
+			return
+		}
+		r := w.runs[int(a&63)%len(w.runs)]
+		rec := &r.pg.objects[int(b)%len(r.pg.objects)]
+		id := ChunkID{Pool: "p", PG: r.pg.pg, Object: rec.Name, Shard: r.shard}
+		err := s.WriteChunk(id, rec.ChunkSize, rec.Size/3, nil)
+		if (err != nil) != refuses {
+			t.Fatalf("WriteChunk(%s): err %v, refuses %v", id, err, refuses)
+		}
+		if err == nil {
+			o.chunks[id.String()] = oracleChunk{size: rec.ChunkSize, share: rec.Size / 3}
 		}
 	}
 }
@@ -349,10 +412,24 @@ var modelSeedPrograms = [][]byte{
 		1, 65, 1, 2, 66, 2, 1, 67, 3, 3, 69, 5, 4, 69, 5, 2, 69, 5, 4, 69, 5, 0, 64, 2,
 		1, 129, 1, 2, 130, 2, 1, 131, 3, 3, 133, 5, 4, 133, 5, 1, 133, 5, 4, 133, 5, 0, 128, 2,
 		1, 1, 1, 1, 2, 2},
-	// freeze, load and rewrite on both forks, then Reserve on the parent
-	// (refused) and on fork 1 ahead of a write
-	{1, 7, 0, 0, 0, 64, 3, 0, 128, 4, 1, 65, 0, 1, 129, 0, 8, 0, 7, 8, 65, 200, 1, 65, 9},
+	// freeze, load and rewrite on both forks, then ExpectRun on the parent
+	// (refused) and on fork 1 ahead of a write and a recovery write
+	{1, 7, 0, 0, 0, 64, 3, 0, 128, 4, 1, 65, 0, 1, 129, 0, 8, 0, 7, 8, 65, 200, 1, 65, 9, 9, 66, 0},
 	{2, 0, 3, 4, 2, 4, 9, 1, 1, 0, 1, 1, 0, 7, 0, 0, 2, 65, 0, 2, 130, 0, 5, 65, 0, 5, 130, 0},
+	// recovered runs: declare a PG shard, write a chunk of it twice (a bit,
+	// then an overlay rewrite), write another, corrupt and scrub it, write a
+	// third with a size its record does not have; declare a second PG and
+	// write one of its chunks, then freeze mid-run and write other chunks
+	// of it on the two forks while the parent refuses one; ExpectRun on the
+	// parent (refused) and twice on fork 1, which writes the run where fork
+	// 2 has none; pull fork 2's device, whose recovery write, bulk load,
+	// reads, scrub and corruption then refuse; on fork 1 corrupt a chunk
+	// recovered since the fork, scrub it, rewrite it and scrub it again
+	{0, 8, 0, 2, 9, 0, 0, 9, 0, 0, 9, 0, 1, 3, 1, 0, 4, 1, 0, 1, 1, 1,
+		8, 2, 4, 9, 1, 0, 7, 0, 0, 9, 65, 1, 9, 129, 2, 9, 1, 3,
+		8, 0, 0, 8, 65, 0, 8, 65, 0, 9, 66, 0, 9, 130, 0,
+		7, 128, 255, 9, 129, 3, 0, 128, 1, 5, 129, 3, 4, 129, 3, 3, 129, 3,
+		3, 65, 7, 4, 65, 7, 9, 65, 1, 4, 65, 7},
 }
 
 func TestStoreMatchesNaiveModel(t *testing.T) {

@@ -102,6 +102,9 @@ type PG struct {
 	ID      int
 	Acting  []int
 	Objects []*ObjectRecord
+	// bulk is the record of the objects the PG's last bulk load gave it,
+	// nil when none did: recovery declares it on each target.
+	bulk *bluestore.BulkPG
 }
 
 // Pool is an erasure-coded pool: the normalized config it was created
@@ -400,6 +403,7 @@ func (c *Cluster) BulkLoad(poolName string, objs []workload.Object) error {
 				return fmt.Errorf("cluster: bulk load on osd.%d: %w", osdID, err)
 			}
 		}
+		pg.bulk = runs[pg.ID]
 		pg.Objects = slices.Grow(pg.Objects, hi-lo)
 		for i := lo; i < hi; i++ {
 			pg.Objects = append(pg.Objects, &records[i])

@@ -262,20 +262,18 @@ func (c *Cluster) ScheduleRecovery(poolName string) (*RecoveryResult, error) {
 	for id, bytes := range readPerOSD {
 		c.osds[id].Store.SetDataWorkingSet(bytes)
 	}
-	// Each target receives one chunk per object of every PG it repairs:
-	// size its overlay for them once instead of growing it write by write.
-	targetChunks := make([]int, len(c.osds))
+	// Each target receives its lost shard of every object of the PG:
+	// declare the bulk-loaded ones as a run, so each write sets a bit
+	// instead of adding an overlay entry. Payload objects take the
+	// overlay.
 	for _, w := range work {
-		for _, id := range w.targets {
-			targetChunks[id] += len(w.pg.Objects)
-		}
-	}
-	for id, n := range targetChunks {
-		if n == 0 {
+		if w.pg.bulk == nil {
 			continue
 		}
-		if err := c.osds[id].Store.Reserve(n); err != nil {
-			return nil, fmt.Errorf("cluster: recovery target osd.%d: %w", id, err)
+		for li, id := range w.targets {
+			if err := c.osds[id].Store.ExpectRun(w.pg.bulk, w.lostIdx[li]); err != nil {
+				return nil, fmt.Errorf("cluster: recovery target osd.%d: %w", id, err)
+			}
 		}
 	}
 

@@ -17,6 +17,7 @@ type snapPG struct {
 	id      int
 	acting  []int
 	objects []*ObjectRecord
+	bulk    *bluestore.BulkPG
 }
 
 // snapPool captures one pool: its normalized creation config (so forks
@@ -61,6 +62,7 @@ func (c *Cluster) Snapshot() *Snapshot {
 				id:      pg.ID,
 				acting:  append([]int(nil), pg.Acting...),
 				objects: objs[:len(objs):len(objs)],
+				bulk:    pg.bulk,
 			})
 		}
 		s.pools = append(s.pools, sp)
@@ -108,6 +110,7 @@ func (s *Snapshot) Fork(cfg Config) (*Cluster, error) {
 				ID:      spg.id,
 				Acting:  append([]int(nil), spg.acting...),
 				Objects: spg.objects,
+				bulk:    spg.bulk,
 			})
 		}
 		c.pools[sp.cfg.Name] = pool

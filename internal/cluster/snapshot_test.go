@@ -435,3 +435,67 @@ func TestConcurrentForksLeaveSnapshotUnchanged(t *testing.T) {
 		t.Error("snapshot PGs (acting sets or object records) changed by its forks")
 	}
 }
+
+// TestRecoveredChunkScrubsAndRepairs: a chunk a recovery target rebuilt on
+// a fork — a bit of the run ScheduleRecovery declared on it — behaves like
+// any other chunk in the next round: corrupted, it scrubs dirty; repaired,
+// it is rewritten and scrubs clean.
+func TestRecoveredChunkScrubsAndRepairs(t *testing.T) {
+	snap := populateSmall(t, nil).Snapshot()
+	c, err := snap.Fork(snap.Config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool, err := c.Pool("ecpool")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := make([][]int, len(pool.PGs))
+	for i, pg := range pool.PGs {
+		before[i] = slices.Clone(pg.Acting)
+	}
+	if res := runHostFailure(t, c); res.RepairedChunks == 0 {
+		t.Fatal("recovery repaired nothing")
+	}
+	c.ResetFailureState()
+
+	// The first shard recovery moved to a new OSD.
+	var pg *PG
+	shard := -1
+	for i, p := range pool.PGs {
+		if len(p.Objects) == 0 {
+			continue
+		}
+		if shard = slices.IndexFunc(p.Acting, func(id int) bool { return !slices.Contains(before[i], id) }); shard >= 0 {
+			pg = p
+			break
+		}
+	}
+	if pg == nil {
+		t.Fatal("recovery moved no shard")
+	}
+	obj, osd := pg.Objects[len(pg.Objects)/2].Name, pg.Acting[shard]
+	chunks := 0
+	for _, p := range pool.PGs {
+		chunks += len(p.Objects) * len(p.Acting)
+	}
+
+	if err := c.CorruptChunk("ecpool", obj, shard); err != nil {
+		t.Fatal(err)
+	}
+	report, err := c.ScrubPool("ecpool")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Inconsistency{Pool: "ecpool", PG: pg.ID, Object: obj, Shard: shard, OSD: osd}
+	if report.ChunksScrubbed != chunks || len(report.Inconsistent) != 1 || report.Inconsistent[0] != want {
+		t.Fatalf("scrub after corrupting a recovered chunk: %d of %d chunks, %+v; want only %+v",
+			report.ChunksScrubbed, chunks, report.Inconsistent, want)
+	}
+	if n, err := c.RepairInconsistent("ecpool", report); n != 1 || err != nil {
+		t.Fatalf("RepairInconsistent rewrote %d chunks, %v; want 1", n, err)
+	}
+	if report, err := c.ScrubPool("ecpool"); err != nil || report.ChunksScrubbed != chunks || len(report.Inconsistent) != 0 {
+		t.Fatalf("scrub after repair: %+v, %v", report, err)
+	}
+}

@@ -104,9 +104,9 @@ var methods = map[reflect.Type][]string{
 	},
 	reflect.TypeFor[*bluestore.Store](): {
 		"AccessProfile", "ChunkSize", "Chunks", "Config", "CorruptChunk",
-		"DataBytes", "Device", "Fork", "Freeze", "HasChunk", "MetaBytes",
-		"ReadChunk", "Reserve", "ScrubChunk", "SetDataWorkingSet", "UsedBytes",
-		"Writable", "WriteChunk", "WriteChunksBulk",
+		"DataBytes", "Device", "ExpectRun", "Fork", "Freeze", "HasChunk",
+		"MetaBytes", "ReadChunk", "ScrubChunk", "SetDataWorkingSet",
+		"UsedBytes", "Writable", "WriteChunk", "WriteChunksBulk",
 	},
 }
 
