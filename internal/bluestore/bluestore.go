@@ -149,33 +149,44 @@ type ObjectRecord struct {
 }
 
 // BulkPG is the accounting-mode objects one bulk load added to one
-// placement group. It is immutable and shared: the PG's object list, every
+// placement group, strictly increasing by Name: a sorted table a lookup
+// binary-searches. It is immutable and shared: the PG's object list, every
 // store holding a shard of the PG and every fork of those stores point at
 // the same records, so a bulk-loaded chunk costs no per-chunk state
 // anywhere.
 type BulkPG struct {
-	pool    string
-	pg      int
-	shards  int // n of the code: a chunk's logical share is Size/shards
-	objects []ObjectRecord
-
-	index     map[string]int32 // object name -> position in objects
-	nameBytes int64            // sum of len(Name) over objects
+	pool      string
+	pg        int
+	shards    int // n of the code: a chunk's logical share is Size/shards
+	objects   []ObjectRecord
+	nameBytes int64 // sum of len(Name) over objects
 }
 
-// NewBulkPG indexes a placement group's bulk-loaded objects. The caller
-// must not modify objects afterwards.
+// ErrRepeatedName is returned by NewBulkPG for a name that occurs twice.
+var ErrRepeatedName = errors.New("bluestore: repeated object name")
+
+// NewBulkPG makes a placement group's bulk-loaded objects one shared
+// table. The records must be strictly increasing by Name: the first name
+// out of order is refused, and a repeated one with ErrRepeatedName. The
+// caller must not modify objects afterwards.
 func NewBulkPG(pool string, pg, shards int, objects []ObjectRecord) (*BulkPG, error) {
 	if shards <= 0 {
 		return nil, fmt.Errorf("bluestore: bulk PG needs a positive shard count, got %d", shards)
 	}
-	b := &BulkPG{pool: pool, pg: pg, shards: shards, objects: objects, index: make(map[string]int32, len(objects))}
+	b := &BulkPG{pool: pool, pg: pg, shards: shards, objects: objects}
 	for i := range objects {
 		o := &objects[i]
 		if o.ChunkSize < 0 || o.Size < 0 {
 			return nil, fmt.Errorf("bluestore: negative sizes")
 		}
-		b.index[o.Name] = int32(i)
+		if i > 0 {
+			switch prev := objects[i-1].Name; {
+			case o.Name == prev:
+				return nil, fmt.Errorf("%w: %q", ErrRepeatedName, o.Name)
+			case o.Name < prev:
+				return nil, fmt.Errorf("bluestore: bulk PG objects out of name order: %q after %q", o.Name, prev)
+			}
+		}
 		b.nameBytes += int64(len(o.Name))
 	}
 	return b, nil
@@ -187,17 +198,25 @@ type baseRun struct {
 	shard int
 }
 
-// find returns the chunk's record in the run, or nil when the run is of
-// another (pool, PG, shard) or does not hold the object.
+// find returns the chunk's record in the run and its position, or nil when
+// the run is of another (pool, PG, shard) or does not hold the object.
 func (r *baseRun) find(id ChunkID) (*ObjectRecord, int32) {
 	if r.pg.pg != id.PG || r.shard != id.Shard || r.pg.pool != id.Pool {
 		return nil, 0
 	}
-	j, ok := r.pg.index[id.Object]
-	if !ok {
+	objs := r.pg.objects
+	lo, hi := 0, len(objs)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); objs[m].Name < id.Object {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo == len(objs) || objs[lo].Name != id.Object {
 		return nil, 0
 	}
-	return &r.pg.objects[j], j
+	return &objs[lo], int32(lo)
 }
 
 // info is the accounting of the run's chunk of o.

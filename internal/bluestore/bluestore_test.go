@@ -3,6 +3,7 @@ package bluestore
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -329,5 +330,40 @@ func TestAccessors(t *testing.T) {
 	}
 	if _, err := s.ChunkSize(cid("y")); err == nil {
 		t.Fatal("missing chunk size accepted")
+	}
+}
+
+// TestBulkPGFind: a run finds every record of its PG at its position by
+// binary search, and nothing else — not the names around each stored one,
+// nor a proper prefix of one or one with a byte added — in a PG of one
+// object and in one of 10,000, Fig. 2b's pg_num = 1.
+func TestBulkPGFind(t *testing.T) {
+	for _, n := range []int{1, 10_000} {
+		// Odd numbers are stored; the even ones around them are misses.
+		name := func(v int) string { return fmt.Sprintf("obj-%07d", v) }
+		recs := make([]ObjectRecord, n)
+		for i := range recs {
+			recs[i] = ObjectRecord{Name: name(2*i + 1), Size: 3 * int64(i), ChunkSize: int64(i)}
+		}
+		pg, err := NewBulkPG("p", 3, 3, recs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := baseRun{pg: pg, shard: 1}
+		id := func(object string) ChunkID { return ChunkID{Pool: "p", PG: 3, Object: object, Shard: 1} }
+		for i := range recs {
+			if o, j := r.find(id(recs[i].Name)); o != &pg.objects[i] || j != int32(i) {
+				t.Fatalf("n=%d: find(%s) = %v, %d; want record %d", n, recs[i].Name, o, j, i)
+			}
+		}
+		misses := []string{"", recs[0].Name[:len(recs[0].Name)-1], recs[n-1].Name + "0"}
+		for i := 0; i <= n; i++ {
+			misses = append(misses, name(2*i))
+		}
+		for _, m := range misses {
+			if o, _ := r.find(id(m)); o != nil {
+				t.Fatalf("n=%d: find(%q) = %s, want a miss", n, m, o.Name)
+			}
+		}
 	}
 }

@@ -3,6 +3,7 @@ package bluestore
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -156,6 +157,8 @@ func TestStoreForkAccountingMatchesFresh(t *testing.T) {
 				ChunkSize: 16384,
 			})
 		}
+		// A BulkPG is a name-ordered table: obja0, obja1, ..., objz3.
+		slices.SortFunc(objs, func(a, b ObjectRecord) int { return strings.Compare(a.Name, b.Name) })
 		pg, err := NewBulkPG("", 0, 1, objs)
 		if err != nil {
 			t.Fatal(err)

@@ -2,6 +2,7 @@ package bluestore
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"maps"
 	"math/rand"
@@ -163,16 +164,21 @@ func (w *modelWorld) pickID(a, b byte) ChunkID {
 
 var modelSizes = []int64{100, 4096, 5000, 600 << 10}
 
-// newBulkPG makes one to five new objects of PG pg, their sizes picked by
-// b, in a code of three shards.
-func (w *modelWorld) newBulkPG(pg int, b byte) *BulkPG {
+// newRecords makes one to five new objects in name order, their sizes
+// picked by b, in a code of three shards.
+func (w *modelWorld) newRecords(b byte) []ObjectRecord {
 	var recs []ObjectRecord
 	for i := 0; i <= int(b)%5; i++ {
 		size := modelSizes[(int(b)+i)%len(modelSizes)]
 		recs = append(recs, ObjectRecord{Name: fmt.Sprintf("obj-%07d", w.nextObj), Size: 3 * size, ChunkSize: size})
 		w.nextObj++
 	}
-	run, err := NewBulkPG("p", pg, 3, recs)
+	return recs
+}
+
+// newBulkPG makes newRecords' objects a run of PG pg.
+func (w *modelWorld) newBulkPG(pg int, b byte) *BulkPG {
+	run, err := NewBulkPG("p", pg, 3, w.newRecords(b))
 	if err != nil {
 		w.t.Fatal(err)
 	}
@@ -205,6 +211,20 @@ func (w *modelWorld) step(op, a, b byte) {
 
 	switch op % 10 {
 	case 0: // bulk load: a few new objects into one (PG, shard), runs pile up
+		if a&0x20 != 0 {
+			// A table out of name order, or with a name repeated, is
+			// refused before it reaches a store: nothing changes.
+			recs := w.newRecords(b)
+			if a&0x10 != 0 {
+				recs = append(recs, recs[len(recs)-1])
+			} else {
+				recs = append(w.newRecords(b), recs...) // newer names first
+			}
+			if _, err := NewBulkPG("p", 9+int(a)%2, 3, recs); err == nil || errors.Is(err, ErrRepeatedName) != (a&0x10 != 0) {
+				t.Fatalf("NewBulkPG of %d records out of order or repeated: %v", len(recs), err)
+			}
+			return
+		}
 		shard := int(a>>1) % 2
 		run := w.newBulkPG(9+int(a)%2, b)
 		err := s.WriteChunksBulk(run, shard)
@@ -430,6 +450,10 @@ var modelSeedPrograms = [][]byte{
 		8, 0, 0, 8, 65, 0, 8, 65, 0, 9, 66, 0, 9, 130, 0,
 		7, 128, 255, 9, 129, 3, 0, 128, 1, 5, 129, 3, 4, 129, 3, 3, 129, 3,
 		3, 65, 7, 4, 65, 7, 9, 65, 1, 4, 65, 7},
+	// refused loads, out of order (a&0x30 == 0x20) and with a name
+	// repeated (0x30), before and after a load that succeeds and reads of
+	// its chunks
+	{0, 0, 32, 3, 0, 48, 0, 0, 0, 2, 0, 33, 1, 0, 49, 4, 5, 1, 0, 4, 2, 0},
 }
 
 func TestStoreMatchesNaiveModel(t *testing.T) {

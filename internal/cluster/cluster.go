@@ -99,9 +99,14 @@ type ObjectRecord = bluestore.ObjectRecord
 // PG is a placement group: an ordered acting set of OSDs holding one
 // chunk each for every object mapped to the group.
 type PG struct {
-	ID      int
-	Acting  []int
-	Objects []*ObjectRecord
+	ID     int
+	Acting []int
+	// Objects is the PG's records in load order. A bulk load into an
+	// empty PG makes it the load's BulkPG table itself, capacity clipped,
+	// so a later append copies instead of writing into shared records. A
+	// pointer into it is valid until the next WriteObject or BulkLoad on
+	// the PG.
+	Objects []ObjectRecord
 	// bulk is the record of the objects the PG's last bulk load gave it,
 	// nil when none did: recovery declares it on each target.
 	bulk *bluestore.BulkPG
@@ -350,8 +355,13 @@ func (p *Pool) storedChunkSize(objectSize int64, payload bool) (int64, error) {
 // or simulated time: the steady state before the experiment's fault. Each
 // PG's new objects reach each acting OSD as one base run over one shared
 // slab of records, so the load costs O(PGs x n) store calls and no
-// per-chunk state. It is all-or-nothing: when any store would refuse the
-// write, nothing is written and no object is recorded.
+// per-chunk state. Each PG's records are a name-ordered table (see
+// bluestore.NewBulkPG), so the objects of a PG must come in strictly
+// increasing name order, as workload.Spec.Objects makes them: one out of
+// order is refused, and one whose name the load repeats or the pool
+// already holds with ErrObjectExists. It is all-or-nothing: when any
+// object or store is refused, nothing is written and no object is
+// recorded.
 func (c *Cluster) BulkLoad(poolName string, objs []workload.Object) error {
 	pool, err := c.Pool(poolName)
 	if err != nil {
@@ -385,7 +395,15 @@ func (c *Cluster) BulkLoad(poolName string, objs []workload.Object) error {
 			continue
 		}
 		if runs[pg.ID], err = bluestore.NewBulkPG(pool.Name, pg.ID, pool.Code.N(), records[lo:hi:hi]); err != nil {
+			if errors.Is(err, bluestore.ErrRepeatedName) {
+				return fmt.Errorf("%w: %s: %w", ErrObjectExists, poolName, err)
+			}
 			return err
+		}
+		for i := lo; i < hi && len(pg.Objects) > 0; i++ {
+			if _, held := pool.findObject(records[i].Name); held != nil {
+				return fmt.Errorf("%w: %s/%s", ErrObjectExists, poolName, records[i].Name)
+			}
 		}
 		for _, osdID := range pg.Acting {
 			if err := c.osds[osdID].Store.Writable(); err != nil {
@@ -404,9 +422,10 @@ func (c *Cluster) BulkLoad(poolName string, objs []workload.Object) error {
 			}
 		}
 		pg.bulk = runs[pg.ID]
-		pg.Objects = slices.Grow(pg.Objects, hi-lo)
-		for i := lo; i < hi; i++ {
-			pg.Objects = append(pg.Objects, &records[i])
+		if len(pg.Objects) == 0 {
+			pg.Objects = records[lo:hi:hi]
+		} else {
+			pg.Objects = append(pg.Objects, records[lo:hi]...)
 		}
 	}
 	return nil
@@ -415,9 +434,9 @@ func (c *Cluster) BulkLoad(poolName string, objs []workload.Object) error {
 // findObject locates an object's record in its PG, or returns nil.
 func (p *Pool) findObject(name string) (*PG, *ObjectRecord) {
 	pg := p.pgOf(name)
-	for _, o := range pg.Objects {
-		if o.Name == name {
-			return pg, o
+	for i := range pg.Objects {
+		if pg.Objects[i].Name == name {
+			return pg, &pg.Objects[i]
 		}
 	}
 	return pg, nil
@@ -472,7 +491,7 @@ func (c *Cluster) WriteObject(poolName, name string, data []byte) error {
 			return err
 		}
 	}
-	pg.Objects = append(pg.Objects, &ObjectRecord{Name: name, Size: int64(len(data)), ChunkSize: cs, Payload: true})
+	pg.Objects = append(pg.Objects, ObjectRecord{Name: name, Size: int64(len(data)), ChunkSize: cs, Payload: true})
 	return nil
 }
 

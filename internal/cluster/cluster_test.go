@@ -170,6 +170,64 @@ func TestWriteObjectIsWriteOnce(t *testing.T) {
 	}
 }
 
+// TestBulkLoadRefusesRepeatedOrUnorderedNames: a load that repeats a
+// name, within itself or one the PG already holds, is refused with
+// ErrObjectExists, and one out of name order is refused too, each before
+// any store or PG record changes; sorted loads of new names succeed, into
+// the empty PG and into the loaded one.
+func TestBulkLoadRefusesRepeatedOrUnorderedNames(t *testing.T) {
+	c := smallCluster(t, 8, 2, nil)
+	pg := rsPool(t, c, 1).PGs[0]
+	load := func(names ...string) error {
+		objs := make([]workload.Object, len(names))
+		for i, n := range names {
+			objs[i] = workload.Object{Name: n, Size: 1 << 20}
+		}
+		return c.BulkLoad("ecpool", objs)
+	}
+	chunks := func() (n int) {
+		for _, o := range c.OSDs() {
+			n += o.Store.Chunks()
+		}
+		return n
+	}
+	for _, tc := range []struct {
+		names  []string
+		exists bool
+		ok     bool // a sorted load of new names
+	}{
+		{[]string{"o-2", "o-2", "o-3"}, true, false},
+		{[]string{"o-3", "o-2"}, false, false},
+		{[]string{"o-2", "o-3"}, false, true},
+		{[]string{"o-1", "o-2"}, true, false},
+		{[]string{"o-1", "o-1"}, true, false},
+		{[]string{"o-4", "o-1"}, false, false},
+		{[]string{"o-1", "o-4"}, false, true},
+	} {
+		records, used, n := slices.Clone(pg.Objects), c.UsedBytes(), chunks()
+		err := load(tc.names...)
+		if tc.ok {
+			if err != nil || len(pg.Objects) != len(records)+len(tc.names) || chunks() != n+6*len(tc.names) {
+				t.Fatalf("load %v: %v, %d records, %d chunks", tc.names, err, len(pg.Objects), chunks())
+			}
+			continue
+		}
+		if err == nil || errors.Is(err, ErrObjectExists) != tc.exists {
+			t.Fatalf("load %v: %v, want refused (exists %v)", tc.names, err, tc.exists)
+		}
+		if !slices.Equal(pg.Objects, records) || c.UsedBytes() != used || chunks() != n {
+			t.Fatalf("refused load %v changed the PG records, the usage or the chunk count", tc.names)
+		}
+	}
+	var names []string
+	for _, o := range pg.Objects {
+		names = append(names, o.Name)
+	}
+	if want := []string{"o-2", "o-3", "o-1", "o-4"}; !slices.Equal(names, want) {
+		t.Fatalf("PG records %v, want %v", names, want)
+	}
+}
+
 func TestDegradedRead(t *testing.T) {
 	c := smallCluster(t, 8, 2, nil)
 	p := rsPool(t, c, 8)

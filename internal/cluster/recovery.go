@@ -248,7 +248,8 @@ func (c *Cluster) ScheduleRecovery(poolName string) (*RecoveryResult, error) {
 		// re-walking the helper list per object.
 		var perHelper int64
 		var lastSize, lastShare int64 = -1, 0
-		for _, o := range w.pg.Objects {
+		for i := range w.pg.Objects {
+			o := &w.pg.Objects[i]
 			if o.ChunkSize != lastSize {
 				lastSize = o.ChunkSize
 				lastShare = w.plan.BytesRead(o.ChunkSize) / int64(len(w.plan.Helpers))
@@ -528,7 +529,7 @@ func (c *Cluster) startPGRecovery(pool *Pool, pg *PG, lostIdx []int, primaryID i
 
 func (pr *pgRecovery) pump() {
 	for pr.inFlight < pr.c.cfg.Tuning.RecoveryMaxActive && pr.next < len(pr.pg.Objects) {
-		obj := pr.pg.Objects[pr.next]
+		obj := &pr.pg.Objects[pr.next]
 		pr.next++
 		pr.inFlight++
 		pr.repair(obj)

@@ -11,12 +11,13 @@ import (
 // set is copied per fork (recovery remaps it in place); the object
 // records are shared read-only across forks — recovery and scrub only
 // read their fields, and the one change a fork makes to a PG's list is
-// WriteObject's append of a new object, which the clamped capacity turns
-// into a reallocation instead of a write into shared backing memory.
+// WriteObject's or BulkLoad's append of new objects, which the clamped
+// capacity turns into a reallocation instead of a write into shared
+// backing memory.
 type snapPG struct {
 	id      int
 	acting  []int
-	objects []*ObjectRecord
+	objects []ObjectRecord
 	bulk    *bluestore.BulkPG
 }
 

@@ -336,7 +336,7 @@ func snapshotPrint(t *testing.T, s *Snapshot) ([]storePrint, [][]pgPrint) {
 		for _, pg := range sp.pgs {
 			p := pgPrint{acting: slices.Clone(pg.acting)}
 			for _, o := range pg.objects {
-				p.records = append(p.records, *o)
+				p.records = append(p.records, o)
 				if o.Payload {
 					payloadPrint(t, s, stores, sp.cfg.Name, pg, o.Name)
 				}

@@ -44,7 +44,8 @@ func (s Spec) Validate() error {
 	return nil
 }
 
-// Objects generates the object list deterministically. The inner loop is
+// Objects generates the object list deterministically, names strictly
+// increasing: the order cluster.BulkLoad requires. The inner loop is
 // allocation-free: every name ("<prefix>-<7 digits>", the width fmt used
 // to produce) is a slice of one shared backing buffer filled up front,
 // and the jitter RNG is only constructed when jitter is in play.

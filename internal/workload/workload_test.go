@@ -34,20 +34,32 @@ func TestObjectsDeterministic(t *testing.T) {
 	}
 }
 
+// TestObjectsNamesUniqueAndSized: names are strictly increasing — so
+// unique, and any subsequence of them, a PG's share, already the sorted
+// table a bulk load requires — for counts around powers of ten, with the
+// default and a custom prefix and with jitter on and off; sizes stay
+// within the jitter.
 func TestObjectsNamesUniqueAndSized(t *testing.T) {
-	s := Spec{NamePrefix: "w", Count: 200, ObjectSize: 4096, SizeJitter: 0.25, Seed: 1}
-	objs, err := s.Objects()
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := map[string]bool{}
-	for _, o := range objs {
-		if seen[o.Name] {
-			t.Fatalf("duplicate name %s", o.Name)
-		}
-		seen[o.Name] = true
-		if o.Size < 3072 || o.Size > 5120 {
-			t.Fatalf("size %d outside jitter bounds", o.Size)
+	for _, count := range []int{1, 9, 10, 11, 200, 1_000} {
+		for _, prefix := range []string{"", "w"} {
+			for _, jitter := range []float64{0, 0.25} {
+				s := Spec{NamePrefix: prefix, Count: count, ObjectSize: 4096, SizeJitter: jitter, Seed: 1}
+				objs, err := s.Objects()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(objs) != count {
+					t.Fatalf("%+v: %d objects", s, len(objs))
+				}
+				for i, o := range objs {
+					if i > 0 && o.Name <= objs[i-1].Name {
+						t.Fatalf("%+v: name %q after %q", s, o.Name, objs[i-1].Name)
+					}
+					if o.Size < 3072 || o.Size > 5120 || (jitter == 0 && o.Size != 4096) {
+						t.Fatalf("%+v: size %d outside jitter bounds", s, o.Size)
+					}
+				}
+			}
 		}
 	}
 }

@@ -15,7 +15,8 @@
 # formulations against each other and the erased bytes) + the store's
 # naive-model fuzz smoke (bulk loads, writes and rewrites over bulk-loaded,
 # recovered and corrupted chunks, scrubs and the recovered runs ExpectRun
-# declares, across forks) + the three
+# declares, across forks, and bulk loads refused for a name out of order
+# or repeated) + the three
 # input-surface fuzz smokes (fault lists, whole profile documents,
 # ceph.conf text) + a run of every example, each of which must exit 0 +
 # the whole module built and tested under the purego tag + the benchmark
@@ -76,7 +77,7 @@ go test -race -count=1 \
     ./internal/parallel \
     ./internal/tuner
 
-echo "== fuzz smoke (simclock: same-instant FIFO, RunUntil slicing with wait rings changing queues; simnet: gather == per-ship; crush: Select == straw2 reference; matrix codes: decode/repair == CanRecover; gf256: ApplyStrided == scalar oracle; clay: batched == per-plane == erased bytes; bluestore: store == naive per-chunk model across forks, rewrites and recovered runs included; inputs: fault lists, profile documents and ceph.conf text are run or rejected, never a panic) =="
+echo "== fuzz smoke (simclock: same-instant FIFO, RunUntil slicing with wait rings changing queues; simnet: gather == per-ship; crush: Select == straw2 reference; matrix codes: decode/repair == CanRecover; gf256: ApplyStrided == scalar oracle; clay: batched == per-plane == erased bytes; bluestore: store == naive per-chunk model across forks, rewrites, recovered runs and refused out-of-order loads included; inputs: fault lists, profile documents and ceph.conf text are run or rejected, never a panic) =="
 go test ./internal/simclock -run xxx -fuzz FuzzSimclockFIFO -fuzztime 10s
 go test ./internal/simclock -run xxx -fuzz FuzzRunUntilSlicing -fuzztime 10s
 go test ./internal/simnet -run xxx -fuzz FuzzGatherMatchesPerShip -fuzztime 10s
