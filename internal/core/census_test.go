@@ -10,17 +10,21 @@ import "testing"
 // write ship's delivery, the decode and the disk write — and a
 // Clay(12,9,11) repair, with 11 helpers, 38; the rest is peering,
 // heartbeats, reports and iostat samples. A change to the event graph
-// shows here as a count before it shows in a profile. The unforked root
+// shows here as a count before it shows in a profile. So do the most
+// events pending at once and the most jobs waiting at once across the
+// run's queues and semaphores (helper disks, NICs, CPUs, backfill
+// reservations), which size the engine's two slabs. The unforked root
 // run and the fork path Run takes must read the same counts: a fork
 // schedules what its root would have.
 func TestEventsPerRepair(t *testing.T) {
 	for _, tc := range []struct {
-		name    string
-		profile Profile
-		fired   uint64
+		name               string
+		profile            Profile
+		fired              uint64
+		heapPeak, waitPeak int
 	}{
-		{"paper-default", DefaultProfile(), 147_116},
-		{"paper-default-clay", ClayProfile(), 174_646},
+		{"paper-default", DefaultProfile(), 147_116, 135, 1_487},
+		{"paper-default-clay", ClayProfile(), 174_646, 135, 1_806},
 	} {
 		root, err := NewCoordinator(tc.profile)
 		if err != nil {
@@ -55,6 +59,10 @@ func TestEventsPerRepair(t *testing.T) {
 			}
 			if st.Fired != tc.fired || st.Scheduled != tc.fired {
 				t.Errorf("%s: scheduled %d, fired %d events, want %d of each", name, st.Scheduled, st.Fired, tc.fired)
+			}
+			if st.HeapPeak != tc.heapPeak || st.WaitPeak != tc.waitPeak {
+				t.Errorf("%s: %d events pending and %d jobs waiting at most, want %d and %d",
+					name, st.HeapPeak, st.WaitPeak, tc.heapPeak, tc.waitPeak)
 			}
 			if st.SlotPeak != st.HeapPeak {
 				t.Errorf("%s: slot slab reached %d for at most %d pending events", name, st.SlotPeak, st.HeapPeak)

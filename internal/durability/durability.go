@@ -58,20 +58,24 @@ func FatalityProfile(code erasure.Code, samples int, seed int64) []float64 {
 	}
 	n := code.N()
 	maxLoss := code.M() + 1
-	rng := rand.New(rand.NewSource(seed))
 	out := make([]float64, maxLoss+1)
+	if _, ok := code.(erasure.PatternChecker); !ok {
+		out[maxLoss] = 1 // MDS: exact
+		return out
+	}
+	rng := rand.New(rand.NewSource(seed))
+	perm := make([]int, n)
 	for size := 1; size <= maxLoss; size++ {
-		if _, ok := code.(erasure.PatternChecker); !ok {
-			// MDS: exact.
-			if size > code.M() {
-				out[size] = 1
-			}
-			continue
-		}
 		fatal := 0
 		for s := 0; s < samples; s++ {
-			pattern := rng.Perm(n)[:size]
-			if !erasure.CanRecover(code, pattern) {
+			// rng.Perm(n)'s swap loop, drawn into one buffer: the same
+			// random stream and patterns with no slice per sample.
+			for i := range perm {
+				j := rng.Intn(i + 1)
+				perm[i] = perm[j]
+				perm[j] = i
+			}
+			if !erasure.CanRecover(code, perm[:size]) {
 				fatal++
 			}
 		}

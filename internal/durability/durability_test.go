@@ -2,6 +2,7 @@ package durability
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -192,5 +193,52 @@ func TestDeterministicSampling(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatal("sampling not deterministic")
 		}
+	}
+}
+
+// TestFatalityProfileMatchesPerm pins the sampler's patterns to the ones
+// rand.Perm draws from the same seed: FatalityProfile draws them into one
+// reused buffer with Perm's own swap loop, so the random stream, every
+// pattern and the profile stay identical, bit for bit.
+func TestFatalityProfileMatchesPerm(t *testing.T) {
+	reference := func(code erasure.Code, samples int, seed int64) []float64 {
+		rng := rand.New(rand.NewSource(seed))
+		out := make([]float64, code.M()+2)
+		for size := 1; size <= code.M()+1; size++ {
+			fatal := 0
+			for range samples {
+				if !erasure.CanRecover(code, rng.Perm(code.N())[:size]) {
+					fatal++
+				}
+			}
+			out[size] = float64(fatal) / float64(samples)
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		plugin  string
+		k, m, d int
+	}{{"lrc", 9, 3, 3}, {"shec", 9, 5, 3}} {
+		code := mustCode(t, tc.plugin, tc.k, tc.m, tc.d)
+		for _, seed := range []int64{1, 42} {
+			got, want := FatalityProfile(code, 1500, seed), reference(code, 1500, seed)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s(%d,%d,%d) seed %d: profile %v, rand.Perm reference %v", tc.plugin, tc.k, tc.m, tc.d, seed, got, want)
+			}
+			if got[len(got)-1] == 0 {
+				t.Errorf("%s(%d,%d,%d) seed %d: no sampled pattern is fatal: %v", tc.plugin, tc.k, tc.m, tc.d, seed, got)
+			}
+		}
+	}
+}
+
+// TestFatalityProfileAllocsPerCall: the sampler's allocations do not grow
+// with the number of sampled patterns.
+func TestFatalityProfileAllocsPerCall(t *testing.T) {
+	code := mustCode(t, "lrc", 9, 3, 3)
+	few := testing.AllocsPerRun(5, func() { FatalityProfile(code, 10, 1) })
+	many := testing.AllocsPerRun(5, func() { FatalityProfile(code, 1500, 1) })
+	if many != few {
+		t.Fatalf("FatalityProfile allocated %.0f times for 10 samples a size, %.0f for 1,500", few, many)
 	}
 }

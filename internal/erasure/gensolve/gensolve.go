@@ -167,25 +167,55 @@ func (c *Code) Repair(shards [][]byte, failed []int) error {
 // Decodable reports whether the failed shard indices are recoverable
 // from the survivors, exactly: the surviving generator rows have rank k
 // iff every lost row is in their span, local-repair patterns included.
-// It answers by elimination alone — no inversion, no compiled program, no
-// solver-cache entry — so sampling many patterns (durability's fatality
-// profile) leaves the solvers the repair path shares alone. Non-MDS codes
-// export it as erasure.PatternChecker's CanRecover; MDS codes must not, so
-// that erasure.CanRecover keeps answering them with an integer compare.
+// The surviving data rows are unit rows, so that is the surviving parity
+// rows, cut to the lost data columns, having full rank. It answers by
+// elimination alone — no inversion, no compiled program, no solver-cache
+// entry, and no heap while at most stackLost data shards are lost — so
+// sampling many patterns (durability's fatality profile) costs no
+// garbage and leaves the solvers the repair path shares alone. Non-MDS
+// codes export it as erasure.PatternChecker's CanRecover; MDS codes must
+// not, so that erasure.CanRecover keeps answering them with an integer
+// compare.
 func (c *Code) Decodable(failed []int) bool {
+	var erased kernel.Mask
+	lost := 0 // data shards among the failed
 	for _, f := range failed {
 		if f < 0 || f >= c.N() {
 			return false
 		}
+		if f < c.k && !erased.Has(f) {
+			lost++
+		}
+		erased.Set(f)
 	}
-	surviving := make([]int, 0, c.N())
-	for i := 0; i < c.N(); i++ {
-		if !slices.Contains(failed, i) {
-			surviving = append(surviving, i)
+	var basisBuf [stackLost * stackLost]byte
+	var pivotBuf [stackLost]int
+	basis, pivots := basisBuf[:], pivotBuf[:0]
+	if lost > stackLost {
+		basis, pivots = make([]byte, lost*lost), make([]int, 0, lost)
+	}
+	for r := c.k; r < c.N() && len(pivots) < lost; r++ {
+		if erased.Has(r) {
+			continue
+		}
+		row := basis[len(pivots)*lost:][:lost]
+		x := 0
+		for j, v := range c.gen.Row(r) {
+			if erased.Has(j) {
+				row[x] = v
+				x++
+			}
+		}
+		if p := reduce(basis, pivots, row); p >= 0 {
+			pivots = append(pivots, p)
 		}
 	}
-	return len(independent(c.gen, surviving, c.k)) == c.k
+	return len(pivots) == lost
 }
+
+// stackLost bounds the lost data shards whose elimination Decodable runs
+// in stack scratch: lost × lost bytes of basis and lost pivots.
+const stackLost = 16
 
 // solverFor returns the solver for a failed-index list, in any order and
 // with duplicates allowed.
@@ -260,14 +290,13 @@ func IndependentRows(m *gfmat.Matrix, candidates []int, want int) (*gfmat.Matrix
 	return m.SubMatrix(chosen), chosen
 }
 
-// independent is the row-echelon elimination behind IndependentRows and
-// Decodable: the first want candidates, in order, that are linearly
-// independent of the ones chosen before them.
+// independent is the row-echelon elimination behind IndependentRows: the
+// first want candidates, in order, that are linearly independent of the
+// ones chosen before them.
 func independent(m *gfmat.Matrix, candidates []int, want int) []int {
 	cols := m.Cols
-	// Row i of echelon is chosen[i]'s row reduced by the rows before it
-	// and scaled to a leading 1 at pivots[i]; the row past the last chosen
-	// one is scratch for the candidate under test.
+	// Row i of echelon is chosen[i]'s row in reduce's form; the row past
+	// the last chosen one is scratch for the candidate under test.
 	echelon := make([]byte, want*cols)
 	pivots := make([]int, 0, want)
 	chosen := make([]int, 0, want)
@@ -277,18 +306,30 @@ func independent(m *gfmat.Matrix, candidates []int, want int) []int {
 		}
 		row := echelon[len(chosen)*cols:][:cols]
 		copy(row, m.Row(r))
-		for i, p := range pivots {
-			if row[p] != 0 {
-				gf256.MulAddSlice(row[p], echelon[i*cols:][:cols], row)
-			}
+		if p := reduce(echelon, pivots, row); p >= 0 {
+			pivots = append(pivots, p)
+			chosen = append(chosen, r)
 		}
-		pivot := slices.IndexFunc(row, func(b byte) bool { return b != 0 })
-		if pivot == -1 {
-			continue
-		}
-		gf256.MulSlice(gf256.Inv(row[pivot]), row, row)
-		pivots = append(pivots, pivot)
-		chosen = append(chosen, r)
 	}
 	return chosen
+}
+
+// reduce is one step of a row-echelon elimination. Row i of basis, as
+// wide as row, is reduced by the rows before it and scaled to a leading 1
+// at pivots[i]. reduce eliminates those pivots from row and returns row's
+// own, scaling row to a leading 1 there, or -1 when row is in the span of
+// the basis. It keeps no reference to its arguments, so they may live on
+// the caller's stack.
+func reduce(basis []byte, pivots []int, row []byte) int {
+	cols := len(row)
+	for i, p := range pivots {
+		if row[p] != 0 {
+			gf256.MulAddSlice(row[p], basis[i*cols:][:cols], row)
+		}
+	}
+	pivot := slices.IndexFunc(row, func(b byte) bool { return b != 0 })
+	if pivot >= 0 {
+		gf256.MulSlice(gf256.Inv(row[pivot]), row, row)
+	}
+	return pivot
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/erasure"
@@ -178,5 +179,75 @@ func TestIndependentRowsSelection(t *testing.T) {
 	_, chosen = IndependentRows(gen, []int{0, 0, 0, 0, 0}, 5)
 	if len(chosen) != 1 {
 		t.Fatalf("chose %d rows from duplicates", len(chosen))
+	}
+}
+
+// TestDecodableMatchesFullRank pins Decodable's rank test, which
+// eliminates only the surviving parity rows cut to the lost data columns,
+// to the full one: the surviving generator rows reach rank k. It checks
+// every erasure pattern of the LRC-shaped code (duplicates included once
+// per pattern), and random patterns of an MDS code that lose more data
+// shards than fit Decodable's stack scratch, and sometimes too many.
+func TestDecodableMatchesFullRank(t *testing.T) {
+	fullRank := func(c *Code, failed []int) bool {
+		var surviving []int
+		for i := 0; i < c.N(); i++ {
+			if !slices.Contains(failed, i) {
+				surviving = append(surviving, i)
+			}
+		}
+		_, chosen := IndependentRows(c.gen, surviving, c.K())
+		return len(chosen) == c.K()
+	}
+	code := lrcLike()
+	fatal := 0
+	for set := 0; set < 1<<code.N(); set++ {
+		var failed []int
+		for i := 0; i < code.N(); i++ {
+			if set&(1<<i) != 0 {
+				failed = append(failed, i)
+			}
+		}
+		if len(failed) > 0 {
+			failed = append(failed, failed[0])
+		}
+		want := fullRank(code, failed)
+		if got := code.Decodable(failed); got != want {
+			t.Fatalf("Decodable(%v) = %v, full rank says %v", failed, got, want)
+		}
+		if !want {
+			fatal++
+		}
+	}
+	if fatal == 0 {
+		t.Fatal("no fatal pattern among all of them")
+	}
+
+	wide := NewCode(rsGen(44, 22), nil)
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 200; i++ {
+		failed := rng.Perm(wide.K())[:stackLost+1+rng.Intn(wide.K()-stackLost)]
+		for _, p := range rng.Perm(wide.M())[:rng.Intn(6)] {
+			failed = append(failed, wide.K()+p)
+		}
+		want := fullRank(wide, failed)
+		if got := wide.Decodable(failed); got != want || want != (len(failed) <= wide.M()) {
+			t.Fatalf("Decodable(%d failed) = %v, full rank says %v", len(failed), got, want)
+		}
+	}
+}
+
+// TestDecodableAllocatesNothing: sampling patterns (durability's fatality
+// profile) must not allocate per pattern.
+func TestDecodableAllocatesNothing(t *testing.T) {
+	code := lrcLike()
+	patterns := [][]int{{0}, {0, 1, 2, 6}, {0, 1, 2, 3}, {9, 8, 5, 4, 3}, {0, 1, 2, 3, 4, 5}}
+	allocs := testing.AllocsPerRun(50, func() {
+		for _, p := range patterns {
+			code.Decodable(p)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Decodable allocated %.1f times per round of patterns", allocs)
 	}
 }

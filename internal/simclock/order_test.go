@@ -1,7 +1,6 @@
 package simclock
 
 import (
-	"math/bits"
 	"slices"
 	"testing"
 	"time"
@@ -33,13 +32,34 @@ type traceEntry struct {
 // tracer is one program execution: the trace in firing order plus the
 // spawn budget bounding the run. Budget consumption order equals
 // execution order; if the engines diverge, the traces already differ, so
-// the shared counter never masks a failure.
+// the shared counter never masks a failure. The two queues and the
+// semaphore share their Sim's backlog slab; owner and handed record which
+// of them each node was last seen waiting in, and how often one was seen
+// in another's backlog since (see observe).
 type tracer struct {
 	s      *Sim
-	qs     [2]*Queue // one Sim's queues: a ring one outgrows serves the other
+	qs     [2]*Queue
 	sem    *Semaphore
 	trace  []traceEntry
 	budget int
+	owner  map[int32]int
+	handed int
+}
+
+// observe walks the three backlogs and counts each node now waiting in a
+// different one than when last seen: a node one freed that another took.
+// Called from every callback, it sees a lower bound of the hand-offs.
+func (tr *tracer) observe() {
+	for who, b := range []*backlog{&tr.qs[0].backlog, &tr.qs[1].backlog, &tr.sem.backlog} {
+		i := b.head
+		for range b.count {
+			if was, ok := tr.owner[i]; ok && was != who {
+				tr.handed++
+			}
+			tr.owner[i] = who
+			i = tr.s.node(i).next
+		}
+	}
 }
 
 type node struct {
@@ -50,6 +70,7 @@ type node struct {
 func runNode(a any) {
 	n := a.(*node)
 	tr := n.tr
+	tr.observe()
 	tr.trace = append(tr.trace, traceEntry{tr.s.Now(), n.id})
 	h := mix(n.id)
 	kids := int(h & 3) // 0..3 children
@@ -71,6 +92,7 @@ func runNode(a any) {
 		tr.budget--
 		id := h ^ 0x123456
 		tr.sem.Acquire(func() {
+			tr.observe()
 			tr.trace = append(tr.trace, traceEntry{tr.s.Now(), id})
 			tr.s.AfterArg(Time(h%uint64(30*time.Microsecond)), semDone, tr)
 		})
@@ -79,6 +101,7 @@ func runNode(a any) {
 
 func queueDone(a any) {
 	n := a.(*node)
+	n.tr.observe()
 	n.tr.trace = append(n.tr.trace, traceEntry{n.tr.s.Now(), n.id})
 }
 
@@ -87,11 +110,12 @@ func semDone(a any) {
 }
 
 // runProgram executes the seeded program. step == 0 drives it with one
-// Run; otherwise see runSliced. It also reports how many wait rings the
-// two queues took from each other (see handedOver).
+// Run; otherwise see runSliced. It also reports how many backlog nodes
+// were seen changing hands between the queues and the semaphore (see
+// tracer.observe).
 func runProgram(seed uint64, step Time) ([]traceEntry, Time, int) {
 	s := New()
-	tr := &tracer{s: s, qs: [2]*Queue{s.NewQueue(2), s.NewQueue(1)}, sem: s.NewSemaphore(2), budget: 1500}
+	tr := &tracer{s: s, qs: [2]*Queue{s.NewQueue(2), s.NewQueue(1)}, sem: s.NewSemaphore(2), budget: 1500, owner: map[int32]int{}}
 	r := seed
 	for i := 0; i < 16; i++ {
 		r = mix(r + uint64(i))
@@ -104,23 +128,7 @@ func runProgram(seed uint64, step Time) ([]traceEntry, Time, int) {
 	} else {
 		end = runSliced(s, func(int) Time { return step })
 	}
-	return tr.trace, end, handedOver(s, tr.qs[:]...)
-}
-
-// handedOver counts the wait rings the queues took from their Sim's free
-// list: every ring a queue outgrew (all it held before its current one,
-// from 8 up) went to the list, and what is still there was never taken.
-func handedOver(s *Sim, qs ...*Queue) int {
-	n := 0
-	for _, q := range qs {
-		if len(q.waiting) > 0 {
-			n += bits.TrailingZeros(uint(len(q.waiting) / 8))
-		}
-	}
-	for _, free := range s.freeRings {
-		n -= len(free)
-	}
-	return n
+	return tr.trace, end, tr.handed
 }
 
 // runSliced drives s the way a stepping caller does: RunUntil(t += cut(i))
@@ -176,7 +184,7 @@ func TestRunUntilSlicingProperty(t *testing.T) {
 		}
 	}
 	if handed == 0 {
-		t.Error("no queue took a ring another had outgrown: the programs no longer reach the hand-off")
+		t.Error("no backlog took a node another had freed: the programs no longer reach the hand-off")
 	}
 }
 
@@ -237,8 +245,8 @@ func FuzzSimclockFIFO(f *testing.F) {
 
 // FuzzRunUntilSlicing is the fuzz form of TestRunUntilSlicingProperty:
 // each byte schedules a root on a coarse timestamp grid with optional
-// traffic on one of two Queues (picked by the byte's position, so wait
-// rings change hands between them) and delayed children, and the same
+// traffic on one of two Queues (picked by the byte's position, so backlog
+// nodes change hands between them) and delayed children, and the same
 // bytes give the cut points (slice i is data[i%len]*20ns+1 long, so cuts
 // fall on, between and past event times). The sliced trace must equal the
 // single-Run trace.

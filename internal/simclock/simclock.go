@@ -23,6 +23,10 @@
 // an `any` does not allocate. The closure-based At/After/Submit
 // signatures remain for cold paths; hot callers use the *Arg variants
 // with a pooled or long-lived argument.
+//
+// A job waiting for a Queue's server or a Semaphore's unit waits in its
+// Sim's one backlog slab, which every Queue and Semaphore links a FIFO
+// through, so the slab grows to the most jobs waiting at once in the Sim.
 package simclock
 
 import (
@@ -38,6 +42,14 @@ type Time = time.Duration
 // paper's campaign peaks at 135 to 160 pending events per run, so an
 // ordinary run never regrows them.
 const initialEvents = 192
+
+// A backlog slab chunk holds waitChunk nodes: 256 of 40 bytes is 10 KiB,
+// a malloc size class. Chunks are never copied, so node indices stay valid
+// while the slab grows.
+const (
+	waitShift = 8
+	waitChunk = 1 << waitShift
+)
 
 // Sim is a discrete-event simulator. It is not safe for concurrent use:
 // everything, callbacks included, runs on the caller's goroutine inside
@@ -56,11 +68,32 @@ type Sim struct {
 
 	heapPeak int
 
-	// freeRings holds the cleared wait rings that queues outgrew, indexed
-	// by size class (log2 of the length). A recovery's disk backlogs grow
-	// one queue after another through the same sizes, so a queue that
-	// grows takes a ring of the new size here before it allocates one.
-	freeRings [][][]queuedJob
+	// wait is the backlog slab. free heads its LIFO list of free nodes,
+	// which ends at the index one past the slab: the list is empty when
+	// free is that index. waiting counts the nodes in use.
+	wait     []*[waitChunk]waitNode
+	free     int32
+	waiting  int
+	waitPeak int
+}
+
+// waitNode is one waiting job: a Queue job, or a Semaphore grant with no
+// service time. next links its backlog, or the free list.
+type waitNode struct {
+	service Time
+	fn      func(any)
+	arg     any
+	next    int32
+}
+
+// backlog is a FIFO linked through its Sim's slab from head to tail (both
+// unset while count is 0). waited is the area under its count-over-time
+// curve up to since, the last time count changed.
+type backlog struct {
+	head, tail int32
+	count      int
+	waited     Time
+	since      Time
 }
 
 // entry is one scheduled event as the heap sees it. It must stay free of
@@ -267,18 +300,72 @@ type Stats struct {
 	Fired     uint64 // events fired
 	HeapPeak  int    // most events pending at once
 	SlotPeak  int    // callback slots ever in use at once
+	WaitPeak  int    // most jobs waiting at once, across queues and semaphores
 }
 
 // Stats returns the census. It is always on: the counts fall out of the
-// sequence number and the slab's length, the heap peak is one compare per
-// scheduled event.
+// sequence number and the slab's length, the heap and wait peaks are one
+// compare per scheduled event or waiting job.
 func (s *Sim) Stats() Stats {
 	return Stats{
 		Scheduled: s.seq,
 		Fired:     s.seq - uint64(len(s.heap)),
 		HeapPeak:  s.heapPeak,
 		SlotPeak:  len(s.slots),
+		WaitPeak:  s.waitPeak,
 	}
+}
+
+// node returns the backlog slab's node i.
+func (s *Sim) node(i int32) *waitNode {
+	return &s.wait[i>>waitShift][i&(waitChunk-1)]
+}
+
+// push appends a job to b's tail in a node off the free list. When the
+// list is empty, a new chunk becomes it, in order, ending one past the
+// slab again.
+func (s *Sim) push(b *backlog, service Time, fn func(any), arg any) {
+	if base := int32(len(s.wait)) << waitShift; s.free == base {
+		c := new([waitChunk]waitNode)
+		for j := range c {
+			c[j].next = base + int32(j) + 1
+		}
+		s.wait = append(s.wait, c)
+	}
+	i := s.free
+	n := s.node(i)
+	s.free = n.next
+	n.service, n.fn, n.arg = service, fn, arg
+	if b.count == 0 {
+		b.head = i
+	} else {
+		s.node(b.tail).next = i
+	}
+	b.tail = i
+	b.waited += Time(b.count) * (s.now - b.since)
+	b.since = s.now
+	b.count++
+	s.waiting++
+	if s.waiting > s.waitPeak {
+		s.waitPeak = s.waiting
+	}
+}
+
+// pop removes the job at b's head, which must not be empty. The node is
+// cleared before it goes back on the free list, so a drained backlog
+// keeps nothing alive.
+func (s *Sim) pop(b *backlog) (service Time, fn func(any), arg any) {
+	i := b.head
+	n := s.node(i)
+	service, fn, arg = n.service, n.fn, n.arg
+	b.head = n.next
+	*n = waitNode{next: s.free}
+	s.free = i
+	b.waited += Time(b.count) * (s.now - b.since)
+	b.since = s.now
+	b.count--
+	s.waiting--
+	return service, fn, arg
 }
 
 // Queue is a FIFO service center with a fixed number of parallel servers.
@@ -290,25 +377,11 @@ type Queue struct {
 	sim     *Sim
 	servers int
 	busy    int
-
-	// waiting is a power-of-two ring buffer: head indexes the oldest
-	// entry, count the occupancy. Unlike the previous s = s[1:] slice it
-	// neither leaks popped entries nor reallocates on steady-state churn.
-	waiting []queuedJob
-	head    int
-	count   int
+	backlog // jobs waiting for a server
 
 	// Stats.
-	JobsServed   int
-	BusyTime     Time // total server-occupied duration
-	totalWaiting Time
-}
-
-type queuedJob struct {
-	service Time
-	fn      func(any)
-	arg     any
-	queued  Time
+	JobsServed int
+	BusyTime   Time // total server-occupied duration
 }
 
 // NewQueue creates a service center with the given parallelism (>= 1).
@@ -339,7 +412,7 @@ func (q *Queue) SubmitArg(service Time, fn func(any), arg any) {
 		q.start(service, fn, arg)
 		return
 	}
-	q.pushWait(queuedJob{service: service, fn: fn, arg: arg, queued: q.sim.now})
+	q.sim.push(&q.backlog, service, fn, arg)
 }
 
 func (q *Queue) start(service Time, fn func(any), arg any) {
@@ -357,68 +430,11 @@ func (q *Queue) jobDone(fn func(any), arg any) {
 	q.busy--
 	q.JobsServed++
 	if q.count > 0 {
-		w := q.popWait()
-		q.totalWaiting += q.sim.now - w.queued
-		q.start(w.service, w.fn, w.arg)
+		q.start(q.sim.pop(&q.backlog))
 	}
 	if fn != nil {
 		fn(arg)
 	}
-}
-
-func (q *Queue) pushWait(j queuedJob) {
-	if q.count == len(q.waiting) {
-		q.growWait()
-	}
-	q.waiting[(q.head+q.count)&(len(q.waiting)-1)] = j
-	q.count++
-}
-
-func (q *Queue) popWait() queuedJob {
-	j := q.waiting[q.head]
-	q.waiting[q.head] = queuedJob{}
-	q.head = (q.head + 1) & (len(q.waiting) - 1)
-	q.count--
-	return j
-}
-
-func (q *Queue) growWait() {
-	s := q.sim
-	next := s.takeRing(max(len(q.waiting)*2, 8))
-	for i := 0; i < q.count; i++ {
-		next[i] = q.waiting[(q.head+i)&(len(q.waiting)-1)]
-	}
-	if q.waiting != nil {
-		clear(q.waiting)
-		s.putRing(q.waiting)
-	}
-	q.waiting = next
-	q.head = 0
-}
-
-// takeRing returns an empty wait ring of the given power-of-two size, one
-// a queue outgrew if there is one.
-func (s *Sim) takeRing(size int) []queuedJob {
-	c := bits.TrailingZeros(uint(size))
-	if c < len(s.freeRings) {
-		if free := s.freeRings[c]; len(free) > 0 {
-			s.freeRings[c] = free[:len(free)-1]
-			return free[len(free)-1]
-		}
-	}
-	return make([]queuedJob, size)
-}
-
-// putRing keeps a cleared ring for the next queue that grows to its size.
-// Rings come back only when outgrown, never when a queue drains: a queue
-// that flips between empty and busy would clear and refill its ring on
-// every flip.
-func (s *Sim) putRing(r []queuedJob) {
-	c := bits.TrailingZeros(uint(len(r)))
-	for len(s.freeRings) <= c {
-		s.freeRings = append(s.freeRings, nil)
-	}
-	s.freeRings[c] = append(s.freeRings[c], r)
 }
 
 // InFlight reports currently executing jobs.
@@ -427,20 +443,22 @@ func (q *Queue) InFlight() int { return q.busy }
 // QueueLen reports jobs waiting for a server.
 func (q *Queue) QueueLen() int { return q.count }
 
-// TotalWaiting is the cumulative time jobs spent queued before service.
-func (q *Queue) TotalWaiting() Time { return q.totalWaiting }
+// TotalWaiting is the cumulative time jobs spent queued before service:
+// the area under the queue's backlog curve, which is the sum of the
+// per-job waits exactly once the queue has drained. Mid-run it also
+// counts the time that still-waiting jobs have waited so far.
+func (q *Queue) TotalWaiting() Time {
+	return q.waited + Time(q.count)*(q.sim.now-q.since)
+}
 
 // Semaphore is a counting semaphore with FIFO waiters, used for held
 // resources like Ceph's per-OSD recovery/backfill reservations (unlike
 // Queue, which models jobs with known service times).
 type Semaphore struct {
+	sim      *Sim
 	capacity int
 	held     int
-
-	// waiters is a ring buffer like Queue.waiting.
-	waiters []func()
-	head    int
-	count   int
+	backlog  // acquirers waiting for a unit
 }
 
 // NewSemaphore creates a semaphore with the given capacity (>= 1).
@@ -448,7 +466,7 @@ func (s *Sim) NewSemaphore(capacity int) *Semaphore {
 	if capacity < 1 {
 		panic("simclock: semaphore needs capacity >= 1")
 	}
-	return &Semaphore{capacity: capacity}
+	return &Semaphore{sim: s, capacity: capacity}
 }
 
 // Acquire grants a unit to fn, immediately if available, otherwise when a
@@ -459,11 +477,7 @@ func (sem *Semaphore) Acquire(fn func()) {
 		fn()
 		return
 	}
-	if sem.count == len(sem.waiters) {
-		sem.growWaiters()
-	}
-	sem.waiters[(sem.head+sem.count)&(len(sem.waiters)-1)] = fn
-	sem.count++
+	sem.sim.push(&sem.backlog, 0, callThunk, fn)
 }
 
 // Release returns a unit, granting the oldest waiter if any.
@@ -472,27 +486,11 @@ func (sem *Semaphore) Release() {
 		panic("simclock: Release without Acquire")
 	}
 	if sem.count > 0 {
-		next := sem.waiters[sem.head]
-		sem.waiters[sem.head] = nil
-		sem.head = (sem.head + 1) & (len(sem.waiters) - 1)
-		sem.count--
-		next()
+		_, fn, arg := sem.sim.pop(&sem.backlog)
+		fn(arg)
 		return
 	}
 	sem.held--
-}
-
-func (sem *Semaphore) growWaiters() {
-	size := len(sem.waiters) * 2
-	if size == 0 {
-		size = 8
-	}
-	next := make([]func(), size)
-	for i := 0; i < sem.count; i++ {
-		next[i] = sem.waiters[(sem.head+i)&(len(sem.waiters)-1)]
-	}
-	sem.waiters = next
-	sem.head = 0
 }
 
 // Held reports currently granted units.

@@ -148,13 +148,93 @@ func TestStatsMidRun(t *testing.T) {
 		s.At(Time(i)*time.Second, func() {})
 	}
 	q.Submit(10*time.Second, nil) // in service: scheduled
-	q.Submit(10*time.Second, nil) // waiting: not scheduled until promoted
+	q.Submit(10*time.Second, nil) // waiting: not scheduled until promoted, the one job in the backlog
 	s.RunUntil(3 * time.Second)
-	if st := s.Stats(); st != (Stats{Scheduled: 6, Fired: 3, HeapPeak: 6, SlotPeak: 6}) {
+	if st := s.Stats(); st != (Stats{Scheduled: 6, Fired: 3, HeapPeak: 6, SlotPeak: 6, WaitPeak: 1}) {
 		t.Fatalf("mid-run stats %+v", st)
 	}
 	s.Run()
-	if st := s.Stats(); st != (Stats{Scheduled: 7, Fired: 7, HeapPeak: 6, SlotPeak: 6}) {
+	if st := s.Stats(); st != (Stats{Scheduled: 7, Fired: 7, HeapPeak: 6, SlotPeak: 6, WaitPeak: 1}) {
 		t.Fatalf("final stats %+v", st)
+	}
+}
+
+// TestSlabTracksBacklog runs random spawn trees through two queues and a
+// semaphore of one Sim and checks, inside every callback, that the
+// backlog nodes in use — every node of the slab not on its free list —
+// are exactly the jobs waiting in the three, and that no free node holds
+// a callback or argument. After the run every node is free and empty, the
+// wait peak is the most jobs seen waiting at once, and the slab holds the
+// chunks that peak needs and no more.
+func TestSlabTracksBacklog(t *testing.T) {
+	if size := unsafe.Sizeof([waitChunk]waitNode{}); size != 10<<10 {
+		t.Errorf("a backlog chunk is %d bytes, want 10 KiB (40-byte nodes, a malloc size class)", size)
+	}
+	crossed := false
+	for seed := uint64(1); seed <= 8; seed++ {
+		s := New()
+		qs := [2]*Queue{s.NewQueue(1), s.NewQueue(2)}
+		sem := s.NewSemaphore(1)
+		budget, fired, peak := 3000, 0, 0
+		waiting := func() int { return qs[0].QueueLen() + qs[1].QueueLen() + sem.Waiting() }
+		check := func() {
+			free := 0
+			for i := s.free; int(i) < len(s.wait)*waitChunk; i = s.node(i).next {
+				if n := s.node(i); n.fn != nil || n.arg != nil {
+					t.Fatalf("seed %d at %v: free node %d holds a callback", seed, s.Now(), i)
+				}
+				free++
+			}
+			if inUse := len(s.wait)*waitChunk - free; inUse != waiting() || inUse != s.waiting {
+				t.Fatalf("seed %d at %v: %d nodes in use (counted %d), %d jobs waiting",
+					seed, s.Now(), inUse, s.waiting, waiting())
+			}
+			peak = max(peak, waiting())
+		}
+		var visit func(a any)
+		visit = func(a any) {
+			fired++
+			check()
+			h := mix(*a.(*uint64))
+			for i := 0; i < int(h&3) && budget > 0; i++ {
+				budget--
+				h = mix(h + uint64(i) + 1)
+				d, child := Time(h%uint64(200*time.Microsecond)), h
+				switch h >> 8 % 4 {
+				case 0, 1:
+					qs[h>>8%2].SubmitArg(d/4, visit, &child)
+				case 2:
+					sem.Acquire(func() {
+						s.AfterArg(d/8, func(any) { sem.Release() }, nil)
+						visit(&child)
+					})
+				default:
+					s.AfterArg(d, visit, &child)
+				}
+				peak = max(peak, waiting())
+			}
+		}
+		r := seed
+		for i := 0; i < 64; i++ {
+			r = mix(r + uint64(i))
+			id := mix(r)
+			s.AtArg(Time(r%uint64(time.Millisecond)), visit, &id)
+		}
+		s.Run()
+		check()
+
+		if fired < 2000 {
+			t.Fatalf("seed %d: only %d callbacks ran", seed, fired)
+		}
+		if waiting() != 0 || s.waiting != 0 {
+			t.Errorf("seed %d: %d jobs still waiting after the run", seed, waiting())
+		}
+		if st := s.Stats(); st.WaitPeak != peak || len(s.wait) != (peak+waitChunk-1)/waitChunk {
+			t.Errorf("seed %d: wait peak %d, slab of %d chunks, for at most %d jobs waiting", seed, st.WaitPeak, len(s.wait), peak)
+		}
+		crossed = crossed || len(s.wait) > 1
+	}
+	if !crossed {
+		t.Error("no program needed a second chunk: the slab's growth is not exercised")
 	}
 }

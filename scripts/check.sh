@@ -8,7 +8,7 @@
 # iteration of every go test benchmark (the codec and GF ones) + race
 # audit of the concurrent packages and of the lock-free snapshot forks +
 # the engine's ordering and gather fuzz smokes (the slicing one on two
-# queues that hand outgrown wait rings to each other) + the placement fuzz
+# queues with backlog nodes changing hands) + the placement fuzz
 # smoke (Select against its straw2 reference) + the matrix codes'
 # round-trip fuzz smoke + the codec's two strided fuzz smokes
 # (ApplyStrided against its scalar oracle; Clay's batched and per-plane
@@ -77,7 +77,7 @@ go test -race -count=1 \
     ./internal/parallel \
     ./internal/tuner
 
-echo "== fuzz smoke (simclock: same-instant FIFO, RunUntil slicing with wait rings changing queues; simnet: gather == per-ship; crush: Select == straw2 reference; matrix codes: decode/repair == CanRecover; gf256: ApplyStrided == scalar oracle; clay: batched == per-plane == erased bytes; bluestore: store == naive per-chunk model across forks, rewrites, recovered runs and refused out-of-order loads included; inputs: fault lists, profile documents and ceph.conf text are run or rejected, never a panic) =="
+echo "== fuzz smoke (simclock: same-instant FIFO, RunUntil slicing with backlog nodes changing hands; simnet: gather == per-ship; crush: Select == straw2 reference; matrix codes: decode/repair == CanRecover; gf256: ApplyStrided == scalar oracle; clay: batched == per-plane == erased bytes; bluestore: store == naive per-chunk model across forks, rewrites, recovered runs and refused out-of-order loads included; inputs: fault lists, profile documents and ceph.conf text are run or rejected, never a panic) =="
 go test ./internal/simclock -run xxx -fuzz FuzzSimclockFIFO -fuzztime 10s
 go test ./internal/simclock -run xxx -fuzz FuzzRunUntilSlicing -fuzztime 10s
 go test ./internal/simnet -run xxx -fuzz FuzzGatherMatchesPerShip -fuzztime 10s
