@@ -40,20 +40,16 @@ type timelineGolden struct {
 // objects, every code path, sub-second cells.
 const goldenScale = 50
 
-func goldenProfiles() []struct {
+// goldenCase is one golden shape: its engineGoldens key and profile.
+type goldenCase struct {
 	Name string
 	P    core.Profile
-} {
-	return goldenProfilesAt(goldenScale)
 }
 
-// goldenProfilesAt builds the golden shapes at an arbitrary workload
-// scale divisor; TestEngineDeterminismForked uses it to cover a scale
-// the stored goldens do not pin.
-func goldenProfilesAt(scale int) []struct {
-	Name string
-	P    core.Profile
-} {
+// goldenProfilesAt builds the golden shapes at a workload scale divisor:
+// goldenScale for the stored goldens, and any other scale for
+// TestEngineDeterminismForked's cold-versus-fork comparison.
+func goldenProfilesAt(scale int) []goldenCase {
 	rs, clay := Codes[0], Codes[1]
 	base := func(plugin string, d int) core.Profile {
 		return withCode(baseProfile(scale), plugin, d)
@@ -64,16 +60,10 @@ func goldenProfilesAt(scale int) []struct {
 		p.Pool.PGNum = 256
 		return p
 	}
-	var out []struct {
-		Name string
-		P    core.Profile
-	}
+	var out []goldenCase
 	add := func(name string, p core.Profile) {
 		p.Name = "golden-" + name
-		out = append(out, struct {
-			Name string
-			P    core.Profile
-		}{name, p})
+		out = append(out, goldenCase{name, p})
 	}
 
 	add("rs-host", base(rs.Plugin, rs.D))
@@ -109,22 +99,12 @@ var engineGoldens = map[string]timelineGolden{
 
 func TestEngineDeterminism(t *testing.T) {
 	capture := os.Getenv("ECFAULT_CAPTURE_GOLDEN") != ""
-	for _, cfg := range goldenProfiles() {
-		r := coldRun(t, cfg.P).Recovery
-		if r == nil {
+	for _, cfg := range goldenProfilesAt(goldenScale) {
+		res := coldRun(t, cfg.P)
+		if res.Recovery == nil {
 			t.Fatalf("%s: no recovery result", cfg.Name)
 		}
-		got := timelineGolden{
-			DetectedNS:  int64(r.DetectedAt),
-			StartNS:     int64(r.RecoveryStartAt),
-			FinishedNS:  int64(r.FinishedAt),
-			HelperDisk:  r.HelperDiskBytes,
-			Network:     r.NetworkBytes,
-			Written:     r.WrittenBytes,
-			ObjRepairs:  r.ObjectRepairs,
-			RepChunks:   r.RepairedChunks,
-			DegradedPGs: r.DegradedPGs,
-		}
+		got := recoveryGolden(res)
 		if capture {
 			fmt.Printf("\t%q: {DetectedNS: %d, StartNS: %d, FinishedNS: %d, HelperDisk: %d, Network: %d, Written: %d, ObjRepairs: %d, RepChunks: %d, DegradedPGs: %d},\n",
 				cfg.Name, got.DetectedNS, got.StartNS, got.FinishedNS, got.HelperDisk, got.Network, got.Written, got.ObjRepairs, got.RepChunks, got.DegradedPGs)

@@ -11,6 +11,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -93,76 +94,58 @@ func withCode(p core.Profile, plugin string, d int) core.Profile {
 	return p
 }
 
-// normalize converts raw durations into cells normalized by the minimum
-// (the paper's presentation for Fig. 2a-c) or by an explicit baseline.
-func normalize(fig *Figure, baseline time.Duration) {
-	if baseline == 0 {
-		for _, d := range fig.Raw {
-			if baseline == 0 || d < baseline {
-				baseline = d
-			}
-		}
-	}
-	fig.Baseline = baseline
-	for i := range fig.Cells {
-		for code := range fig.Cells[i].Values {
-			key := fig.Cells[i].Config + "/" + code
-			fig.Cells[i].Values[code] = float64(fig.Raw[key]) / float64(baseline)
-		}
-	}
-}
-
-// runFigure runs one recovery cell per (config, code) pair — all cells
-// concurrently under the worker budget — and fills the figure's Raw map
-// and Cells in config order.
-func runFigure(fig *Figure, configs []string, mkProfile func(cfgIdx, codeIdx int) core.Profile) error {
+// runFigure runs one recovery cell per (config, code) pair, all in one
+// batch under the worker budget, and returns the figure with its bars in
+// config order. A baseline profile, when given, runs first in the batch,
+// is no bar, and is what every bar is normalized against; otherwise the
+// fastest bar is (the paper's presentation for Fig. 2a-c).
+func runFigure(id, title string, configs []string, baseline *core.Profile, mkProfile func(cfgIdx, codeIdx int) core.Profile) (*Figure, error) {
 	var ps []core.Profile
-	var keys []string
-	for ci, cfg := range configs {
-		for di, code := range Codes {
+	if baseline != nil {
+		ps = append(ps, *baseline)
+	}
+	for ci := range configs {
+		for di := range Codes {
 			ps = append(ps, mkProfile(ci, di))
-			keys = append(keys, cfg+"/"+code.Label)
 		}
 	}
 	times, _, err := runRecoveries(ps)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	for i, key := range keys {
-		fig.Raw[key] = times[i]
+	fig := &Figure{ID: id, Title: title, Raw: map[string]time.Duration{}}
+	if baseline != nil {
+		fig.Baseline, times = times[0], times[1:]
+	} else {
+		fig.Baseline = slices.Min(times)
 	}
-	for _, cfg := range configs {
+	for ci, cfg := range configs {
 		cell := Cell{Config: cfg, Values: map[string]float64{}}
-		for _, code := range Codes {
-			cell.Values[code.Label] = 0
+		for di, code := range Codes {
+			d := times[ci*len(Codes)+di]
+			fig.Raw[cfg+"/"+code.Label] = d
+			cell.Values[code.Label] = float64(d) / float64(fig.Baseline)
 		}
 		fig.Cells = append(fig.Cells, cell)
 	}
-	return nil
+	return fig, nil
 }
 
 // Fig2aBackendCache reproduces Figure 2a: three BlueStore cache schemes
 // under a single OSD-host failure.
 func Fig2aBackendCache(scale int) (*Figure, error) {
-	fig := &Figure{ID: "fig2a", Title: "Impact of Backend Cache on EC Recovery Time", Raw: map[string]time.Duration{}}
 	schemes := []string{core.SchemeKVOptimized, core.SchemeDataOptimized, core.SchemeAutotune}
-	err := runFigure(fig, schemes, func(ci, di int) core.Profile {
+	return runFigure("fig2a", "Impact of Backend Cache on EC Recovery Time", schemes, nil, func(ci, di int) core.Profile {
 		code := Codes[di]
 		p := withCode(baseProfile(scale), code.Plugin, code.D)
 		p.Name = fmt.Sprintf("fig2a-%s-%s", schemes[ci], code.Label)
 		p.Backend.CacheScheme = schemes[ci]
 		return p
 	})
-	if err != nil {
-		return nil, err
-	}
-	normalize(fig, 0)
-	return fig, nil
 }
 
 // Fig2bPlacementGroups reproduces Figure 2b: pg_num in {1, 16, 256}.
 func Fig2bPlacementGroups(scale int) (*Figure, error) {
-	fig := &Figure{ID: "fig2b", Title: "Impact of Placement Groups on EC Recovery Time", Raw: map[string]time.Duration{}}
 	pgNums := []int{1, 16, 256}
 	labels := make([]string, len(pgNums))
 	for i, pgs := range pgNums {
@@ -171,49 +154,28 @@ func Fig2bPlacementGroups(scale int) (*Figure, error) {
 			labels[i] = "1 PG"
 		}
 	}
-	err := runFigure(fig, labels, func(ci, di int) core.Profile {
+	return runFigure("fig2b", "Impact of Placement Groups on EC Recovery Time", labels, nil, func(ci, di int) core.Profile {
 		code := Codes[di]
 		p := withCode(baseProfile(scale), code.Plugin, code.D)
 		p.Name = fmt.Sprintf("fig2b-%d-%s", pgNums[ci], code.Label)
 		p.Pool.PGNum = pgNums[ci]
 		return p
 	})
-	if err != nil {
-		return nil, err
-	}
-	normalize(fig, 0)
-	return fig, nil
 }
 
 // Fig2cStripeUnit reproduces Figure 2c: stripe_unit in {4KB, 4MB, 64MB}
 // with pg_num = 256.
 func Fig2cStripeUnit(scale int) (*Figure, error) {
-	fig := &Figure{ID: "fig2c", Title: "Impact of Stripe Unit on EC Recovery Time", Raw: map[string]time.Duration{}}
-	units := []struct {
-		label string
-		bytes int64
-	}{
-		{"4KB", 4 << 10},
-		{"4MB", 4 << 20},
-		{"64MB", 64 << 20},
-	}
-	labels := make([]string, len(units))
-	for i, u := range units {
-		labels[i] = u.label
-	}
-	err := runFigure(fig, labels, func(ci, di int) core.Profile {
+	labels := []string{"4KB", "4MB", "64MB"}
+	units := []int64{4 << 10, 4 << 20, 64 << 20}
+	return runFigure("fig2c", "Impact of Stripe Unit on EC Recovery Time", labels, nil, func(ci, di int) core.Profile {
 		code := Codes[di]
 		p := withCode(baseProfile(scale), code.Plugin, code.D)
-		p.Name = fmt.Sprintf("fig2c-%s-%s", units[ci].label, code.Label)
+		p.Name = fmt.Sprintf("fig2c-%s-%s", labels[ci], code.Label)
 		p.Pool.PGNum = 256
-		p.Pool.StripeUnit = units[ci].bytes
+		p.Pool.StripeUnit = units[ci]
 		return p
 	})
-	if err != nil {
-		return nil, err
-	}
-	normalize(fig, 0)
-	return fig, nil
 }
 
 // Fig2dFailureMode reproduces Figure 2d: with failure domain OSD and
@@ -221,63 +183,28 @@ func Fig2cStripeUnit(scale int) (*Figure, error) {
 // the same or different hosts. Bars are normalized against a single
 // device failure of the RS pool (the paper's implicit baseline).
 func Fig2dFailureMode(scale int) (*Figure, error) {
-	fig := &Figure{ID: "fig2d", Title: "Impact of Failure Mode on EC Recovery Time", Raw: map[string]time.Duration{}}
-	modes := []struct {
-		label    string
-		count    int
-		locality string
-	}{
-		{"2 failures same host", 2, core.LocalitySameHost},
-		{"2 failures diff. hosts", 2, core.LocalityDiffHosts},
-		{"3 failures same host", 3, core.LocalitySameHost},
-		{"3 failures diff. hosts", 3, core.LocalityDiffHosts},
-	}
-	shape := func(p core.Profile) core.Profile {
+	labels := []string{"2 failures same host", "2 failures diff. hosts", "3 failures same host", "3 failures diff. hosts"}
+	counts := []int{2, 2, 3, 3}
+	localities := []string{core.LocalitySameHost, core.LocalityDiffHosts, core.LocalitySameHost, core.LocalityDiffHosts}
+	profile := func(di int) core.Profile {
+		p := withCode(baseProfile(scale), Codes[di].Plugin, Codes[di].D)
 		p.Cluster.OSDsPerHost = 3 // the added SSD (§4.2, Failure Mode)
 		p.Pool.FailureDomain = "osd"
 		p.Pool.PGNum = 256
 		return p
 	}
-	// One batch: the baseline (single device failure, RS) plus every
-	// mode x code cell, all concurrent.
-	var ps []core.Profile
-	var keys []string
-	{
-		p := shape(withCode(baseProfile(scale), Codes[0].Plugin, Codes[0].D))
-		p.Name = "fig2d-baseline"
-		p.Faults = []core.FaultSpec{{Level: core.FaultLevelDevice, Count: 1, AtSeconds: 10}}
-		ps = append(ps, p)
-		keys = append(keys, "baseline")
-	}
-	for _, mode := range modes {
-		for _, code := range Codes {
-			p := shape(withCode(baseProfile(scale), code.Plugin, code.D))
-			p.Name = fmt.Sprintf("fig2d-%s-%s", mode.label, code.Label)
-			p.Faults = []core.FaultSpec{{
-				Level: core.FaultLevelDevice, Count: mode.count,
-				Locality: mode.locality, AtSeconds: 10,
-			}}
-			ps = append(ps, p)
-			keys = append(keys, mode.label+"/"+code.Label)
-		}
-	}
-	times, _, err := runRecoveries(ps)
-	if err != nil {
-		return nil, err
-	}
-	baseline := times[0]
-	for i := 1; i < len(times); i++ {
-		fig.Raw[keys[i]] = times[i]
-	}
-	for _, mode := range modes {
-		cell := Cell{Config: mode.label, Values: map[string]float64{}}
-		for _, code := range Codes {
-			cell.Values[code.Label] = 0
-		}
-		fig.Cells = append(fig.Cells, cell)
-	}
-	normalize(fig, baseline)
-	return fig, nil
+	baseline := profile(0)
+	baseline.Name = "fig2d-baseline"
+	baseline.Faults = []core.FaultSpec{{Level: core.FaultLevelDevice, Count: 1, AtSeconds: 10}}
+	return runFigure("fig2d", "Impact of Failure Mode on EC Recovery Time", labels, &baseline, func(ci, di int) core.Profile {
+		p := profile(di)
+		p.Name = fmt.Sprintf("fig2d-%s-%s", labels[ci], Codes[di].Label)
+		p.Faults = []core.FaultSpec{{
+			Level: core.FaultLevelDevice, Count: counts[ci],
+			Locality: localities[ci], AtSeconds: 10,
+		}}
+		return p
+	})
 }
 
 // TimelineResult is the Figure 3 reproduction.

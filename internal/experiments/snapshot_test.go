@@ -135,7 +135,7 @@ func TestEngineDeterminismForked(t *testing.T) {
 // TestResetSnapshotCache: a reset empties the process-wide sweep, so its
 // stats restart from zero and a layout populated before it misses again.
 func TestResetSnapshotCache(t *testing.T) {
-	p := goldenProfiles()[0].P
+	p := goldenProfilesAt(goldenScale)[0].P
 	if _, err := runProfiles([]core.Profile{p}); err != nil {
 		t.Fatal(err)
 	}

@@ -54,31 +54,3 @@ func TestCompareFigureMechanics(t *testing.T) {
 		t.Fatal("empty mean should be 0")
 	}
 }
-
-// TestReproductionAccuracy runs the two cheapest artifacts and bounds the
-// deviation from the paper: Table 3 within a point, Figure 2c bars within
-// a mean absolute error of 0.6 normalized units at test scale.
-func TestReproductionAccuracy(t *testing.T) {
-	rows, err := Table3WriteAmplification(testScale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	targets := Targets().Table3
-	for _, r := range rows {
-		label := "RS(12,9)"
-		if r.Report.K == 12 {
-			label = "RS(15,12)"
-		}
-		want := targets[label][0]
-		if math.Abs(r.Report.Measured-want) > 0.05 {
-			t.Fatalf("%s WA %.3f vs paper %.2f", label, r.Report.Measured, want)
-		}
-	}
-	fig, err := Fig2cStripeUnit(testScale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mae := MeanAbsErr(CompareFigure(fig)); mae > 0.6 {
-		t.Fatalf("fig2c mean abs err %.2f exceeds bound", mae)
-	}
-}

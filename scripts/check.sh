@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Repo-wide check: gofmt + vet + build + tier-1 tests (the scale-1 golden of
 # cmd/ecbench included: the -compare output against the reproduction
-# record, paper_results.txt, byte for byte; and the root surface pins:
+# record, paper_results.txt, byte for byte; the claims table of
+# internal/experiments, which asserts every EXPERIMENTS.md shape claim and
+# deviation at scale 1, the record's scale; and the root surface pins:
 # TestKnobSurface for the ECFAULT_* variables, TestConfigSurface for
 # cluster.Config's 17 settable leaf fields, TestMethodSurface for the
 # exported methods of *cluster.Cluster and *bluestore.Store) + one
