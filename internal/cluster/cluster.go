@@ -176,10 +176,8 @@ type Cluster struct {
 
 	mon *monitor
 
-	// Freelists for the pooled recovery-pipeline nodes (see recovery.go).
-	freeObjs   *objRepair
-	freeReads  *helperRead
-	freeWrites *chunkWrite
+	// freeObjs is the freelist of object-repair records (see recovery.go).
+	freeObjs *objRepair
 }
 
 // New builds the cluster topology with fresh empty stores.
@@ -283,8 +281,16 @@ func build(cfg Config, mkStore func(cfg Config, id int) (*bluestore.Store, error
 func (c *Cluster) Sim() *simclock.Sim { return c.sim }
 
 // RunSim drives the simulation to completion and returns the final
-// simulated time.
-func (c *Cluster) RunSim() simclock.Time { return c.sim.Run() }
+// simulated time. The records of the repairs that finished go on to the
+// next run's cluster.
+func (c *Cluster) RunSim() simclock.Time {
+	t := c.sim.Run()
+	if c.freeObjs != nil {
+		spareRepairs.Put(c.freeObjs)
+		c.freeObjs = nil
+	}
+	return t
+}
 
 // Crush exposes the placement map.
 func (c *Cluster) Crush() *crush.Map { return c.crush }

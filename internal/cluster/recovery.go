@@ -420,11 +420,11 @@ func (c *Cluster) planHelperIO(pool *Pool, pg *PG, plan *erasure.Plan, chunkSize
 
 // pgRecovery drives one PG's object repairs. Every stage of the pipeline
 // — helper read, ship to primary, decode, ship to target, target write —
-// is a fixed-arg simulator event whose argument is a pooled node, so
-// steady-state repair schedules events without allocating. The scheduling
-// order matches the earlier closure-based pipeline call for call, which
-// is what keeps RecoveryResult timelines bit-identical across the engine
-// rewrite.
+// is a fixed-arg simulator event whose argument is a recycled repair
+// record or one of its legs, so steady-state repair schedules events
+// without allocating. The scheduling order matches the earlier
+// closure-based pipeline call for call, which is what keeps
+// RecoveryResult timelines bit-identical across the engine rewrite.
 type pgRecovery struct {
 	c       *Cluster
 	pool    *Pool
@@ -447,32 +447,41 @@ type pgRecovery struct {
 	units        int64
 }
 
-// objRepair is one in-flight object repair; helperRead and chunkWrite are
-// its per-helper and per-lost-chunk legs. All three recycle through
-// cluster-level freelists.
+// objRepair is one in-flight object repair. It owns its legs, one
+// helperRead per helper and one chunkWrite per lost chunk, and a leg's
+// events take a pointer to the leg as their argument. Records recycle
+// through the cluster's freelist, keeping their legs' capacity, and
+// RunSim hands the drained freelist on to the next run's cluster.
 type objRepair struct {
 	pr         *pgRecovery
 	obj        *ObjectRecord
 	units      int64
 	srcBytes   int64
 	helpers    simnet.Gather // the helper ships converging on the primary
+	reads      []helperRead
+	writes     []chunkWrite
 	writesLeft int
 	next       *objRepair
 }
 
 type helperRead struct {
-	or   *objRepair
-	hio  *helperIO
-	next *helperRead
+	or  *objRepair
+	hio *helperIO
 }
 
 type chunkWrite struct {
-	or   *objRepair
-	li   int // index into pr.lostIdx / pr.targets
-	next *chunkWrite
+	or *objRepair
+	li int // index into pr.lostIdx / pr.targets
 }
 
+// spareRepairs holds the repair-record freelists of finished runs, one
+// chain per run.
+var spareRepairs simclock.Spares[*objRepair]
+
 func (c *Cluster) newObjRepair() *objRepair {
+	if c.freeObjs == nil {
+		c.freeObjs = spareRepairs.Get()
+	}
 	if or := c.freeObjs; or != nil {
 		c.freeObjs = or.next
 		or.next = nil
@@ -482,36 +491,10 @@ func (c *Cluster) newObjRepair() *objRepair {
 }
 
 func (c *Cluster) freeObjRepair(or *objRepair) {
-	*or = objRepair{next: c.freeObjs}
+	clear(or.reads)
+	clear(or.writes)
+	*or = objRepair{reads: or.reads[:0], writes: or.writes[:0], next: c.freeObjs}
 	c.freeObjs = or
-}
-
-func (c *Cluster) newHelperRead() *helperRead {
-	if hr := c.freeReads; hr != nil {
-		c.freeReads = hr.next
-		hr.next = nil
-		return hr
-	}
-	return &helperRead{}
-}
-
-func (c *Cluster) freeHelperRead(hr *helperRead) {
-	*hr = helperRead{next: c.freeReads}
-	c.freeReads = hr
-}
-
-func (c *Cluster) newChunkWrite() *chunkWrite {
-	if w := c.freeWrites; w != nil {
-		c.freeWrites = w.next
-		w.next = nil
-		return w
-	}
-	return &chunkWrite{}
-}
-
-func (c *Cluster) freeChunkWrite(w *chunkWrite) {
-	*w = chunkWrite{next: c.freeWrites}
-	c.freeWrites = w
 }
 
 // startPGRecovery pumps the PG's missing objects through the repair
@@ -566,6 +549,7 @@ func (pr *pgRecovery) repair(obj *ObjectRecord) {
 	// Every helper is announced to the gather here; the first ships from
 	// helperReadDone, an event later at the earliest.
 	or.helpers.Reset(pr.primary.nic, helpersArrived, or)
+	or.reads = slices.Grow(or.reads, len(hios))[:len(hios)]
 	for i := range hios {
 		hio := &hios[i]
 		helper := c.osds[hio.osd]
@@ -580,8 +564,8 @@ func (pr *pgRecovery) repair(obj *ObjectRecord) {
 		}
 		idle := helper.disk.InFlight() == 0 && helper.disk.QueueLen() == 0
 		service := simclock.Time(float64(metaLookup)*missFrac) + c.cfg.Tuning.diskReadTime(effBytes, hio.ios, hio.runs, idle)
-		hr := c.newHelperRead()
-		hr.or, hr.hio = or, hio
+		hr := &or.reads[i]
+		*hr = helperRead{or: or, hio: hio}
 		helper.disk.SubmitArg(service, helperReadDone, hr)
 	}
 }
@@ -596,7 +580,6 @@ func helperReadDone(a any) {
 	or := hr.or
 	pr := or.pr
 	hio := hr.hio
-	pr.c.freeHelperRead(hr)
 	helper := pr.c.osds[hio.osd]
 	// Device-level accounting of the sub-chunk reads.
 	_ = helper.Store.Device().AccountRead(hio.diskBytes)
@@ -632,10 +615,11 @@ func decodeDone(a any) {
 		}
 	}
 	or.writesLeft = len(pr.lostIdx)
+	or.writes = slices.Grow(or.writes, len(pr.lostIdx))[:len(pr.lostIdx)]
 	for li := range pr.lostIdx {
 		target := c.osds[pr.targets[li]]
-		w := c.newChunkWrite()
-		w.or, w.li = or, li
+		w := &or.writes[li]
+		*w = chunkWrite{or: or, li: li}
 		c.net.Send(pr.primary.nic, target.nic, obj.ChunkSize, writeShipDone, w)
 	}
 }
@@ -664,7 +648,6 @@ func writeDiskDone(a any) {
 		}
 	}
 	pr.res.WrittenBytes += obj.ChunkSize
-	c.freeChunkWrite(w)
 	or.writesLeft--
 	if or.writesLeft == 0 {
 		or.finish()
@@ -686,16 +669,10 @@ func (or *objRepair) finish() {
 // reservationOrder returns the unique OSDs a PG must reserve, sorted by
 // id (the global acquisition order that prevents deadlock).
 func reservationOrder(primary int, targets []int) []int {
-	seen := map[int]bool{primary: true}
-	out := []int{primary}
-	for _, t := range targets {
-		if !seen[t] {
-			seen[t] = true
-			out = append(out, t)
-		}
-	}
-	sort.Ints(out)
-	return out
+	out := append(make([]int, 0, 1+len(targets)), primary)
+	out = append(out, targets...)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // repairPayload reconstructs the real bytes of an object's lost chunks and

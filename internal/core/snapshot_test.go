@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/bluestore"
@@ -193,6 +194,62 @@ func TestSnapshotRunMatchesFreshRun(t *testing.T) {
 			}
 			compareResults(t, coldRun(t, p), got)
 		})
+	}
+}
+
+// TestForkAfterForkMatchesColdRun: a finished run hands its backlog
+// slab, repair records and iostat buffer to the next, so a fork that
+// follows a larger one starts on that run's storage. On one snapshot of
+// Fig. 2d's Clay layout (three OSDs per host, failure domain osd) the
+// three-diff-host cell runs, then the profile's default one-host failure,
+// then both at once on two goroutines; every result must equal the cold
+// run of its profile, and still does once every run is done, so none
+// shares storage a later run reused.
+func TestForkAfterForkMatchesColdRun(t *testing.T) {
+	cell := func(name string, faults []FaultSpec) Profile {
+		p := ClayProfile()
+		p.Name = name
+		p.Cluster.OSDsPerHost = 3
+		p.Pool.FailureDomain = "osd"
+		p.Faults = faults
+		return p
+	}
+	ps := []Profile{
+		cell("fig2d-3-diff-hosts-clay", []FaultSpec{{Level: FaultLevelDevice, Count: 3, Locality: LocalityDiffHosts, AtSeconds: 10}}),
+		cell("fig2d-layout-default-faults", DefaultProfile().Faults),
+	}
+	snap, err := Populate(ps[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold := make([]*Result, len(ps))
+	for i, p := range ps {
+		cold[i] = coldRun(t, p)
+	}
+	serial := make([]*Result, len(ps))
+	for i, p := range ps {
+		if serial[i], err = snap.Run(p); err != nil {
+			t.Fatal(err)
+		}
+		compareResults(t, cold[i], serial[i])
+	}
+	parallel := make([]*Result, len(ps))
+	errs := make([]error, len(ps))
+	var wg sync.WaitGroup
+	for i, p := range ps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			parallel[i], errs[i] = snap.Run(p)
+		}()
+	}
+	wg.Wait()
+	for i := range ps {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		compareResults(t, cold[i], parallel[i])
+		compareResults(t, cold[i], serial[i])
 	}
 }
 

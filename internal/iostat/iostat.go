@@ -4,7 +4,9 @@
 // start and stop on each device).
 //
 // A Sampler belongs to one run and is driven from its simulator's
-// goroutine, like the devices it reads; it takes no lock.
+// goroutine, like the devices it reads; it takes no lock. The buffer it
+// grows its samples in outlives it: Samples hands it to the next
+// sampler's first Sample, on any goroutine, through a simclock.Spares.
 package iostat
 
 import (
@@ -31,7 +33,12 @@ type Sample struct {
 type Sampler struct {
 	devs    []tracked // sorted by name: the order a tick records them in
 	samples []Sample
+	lent    bool // samples is the slice Samples returned, not the growth buffer
 }
+
+// spareBuffers holds the growth buffers of samplers whose samples were
+// taken, cleared and cut to length 0.
+var spareBuffers simclock.Spares[[]Sample]
 
 // tracked is one device and its counters at the previous sample.
 type tracked struct {
@@ -61,9 +68,14 @@ func (s *Sampler) TrackFrom(name string, dev *blockdev.Device, baseline blockdev
 func (s *Sampler) Sample(t simclock.Time) {
 	// Grow by doubling when a tick does not fit: append alone grows a large
 	// slice by about 1.25x a time, which allocates several times the final
-	// size over a run.
+	// size over a run. The first tick starts from a spare buffer, if an
+	// earlier sampler left one.
 	if cap(s.samples)-len(s.samples) < len(s.devs) {
+		if s.samples == nil {
+			s.samples = spareBuffers.Get()
+		}
 		s.samples = slices.Grow(s.samples, max(len(s.devs), len(s.samples)))
+		s.lent = false
 	}
 	for i := range s.devs {
 		d := &s.devs[i]
@@ -80,10 +92,22 @@ func (s *Sampler) Sample(t simclock.Time) {
 	}
 }
 
-// Samples returns all recorded samples in time order. The slice is the
-// sampler's own, clipped to its length: recorded samples are never written
-// again, and an append by the caller reallocates instead of reaching the
-// sampler.
+// Samples returns all recorded samples in time order, as a copy of their
+// exact length that the caller owns. The sampler hands its growth buffer
+// on to the next sampler; samples it records later append to the copy,
+// which its length-equal capacity turns into a reallocation, so neither
+// they nor an append by the caller reaches the other. Calls across rounds
+// are cumulative: each returns every sample recorded so far.
 func (s *Sampler) Samples() []Sample {
-	return slices.Clip(s.samples)
+	var out []Sample
+	if len(s.samples) > 0 {
+		out = make([]Sample, len(s.samples))
+		copy(out, s.samples)
+	}
+	if s.samples != nil && !s.lent {
+		clear(s.samples)
+		spareBuffers.Put(s.samples[:0])
+	}
+	s.samples, s.lent = out, true
+	return out
 }

@@ -121,8 +121,9 @@ func TestQueueRingWraparound(t *testing.T) {
 // TestQueueRingGrowthWhileWrapped grows a queue's backlog past two slab
 // chunks while it is partly drained: the jobs served first leave their
 // nodes on the free list, the burst that follows links those back in
-// before it takes fresh ones, and service stays FIFO throughout. The slab
-// ends holding exactly the chunks the peak backlog needs.
+// before it takes fresh ones, and service stays FIFO throughout. Once
+// every job is served, and before Run would hand the slab on, it holds
+// exactly the chunks the peak backlog needs.
 func TestQueueRingGrowthWhileWrapped(t *testing.T) {
 	s := New()
 	q := s.NewQueue(1)
@@ -139,7 +140,7 @@ func TestQueueRingGrowthWhileWrapped(t *testing.T) {
 			submit(i)
 		}
 	})
-	s.Run()
+	fireAll(s)
 	if len(finish) != last {
 		t.Fatalf("served %d, want %d", len(finish), last)
 	}
@@ -159,7 +160,8 @@ func TestQueueRingGrowthWhileWrapped(t *testing.T) {
 // its one backlog slab. A queue that backs up and drains leaves its nodes
 // on the free list, so a second queue and a semaphore backing up together
 // to the same depth later allocate nothing, each stays FIFO, and the slab
-// keeps only the chunks that peak needs.
+// keeps only the chunks that peak needs. Each phase fires its events
+// without Run, which would hand the drained slab on to the next Sim.
 func TestOutgrownRingsAreReused(t *testing.T) {
 	s := New()
 	ids := make([]int, 65)
@@ -191,7 +193,7 @@ func TestOutgrownRingsAreReused(t *testing.T) {
 	for i := 0; i <= 64; i++ { // one in service, 64 waiting
 		a.SubmitArg(time.Second, record, &ids[i])
 	}
-	s.Run()
+	fireAll(s)
 	fifo("queue A", served, 65)
 	if a.JobsServed != 65 || a.TotalWaiting() != 64*65/2*time.Second {
 		t.Fatalf("queue A: JobsServed %d, TotalWaiting %v", a.JobsServed, a.TotalWaiting())
@@ -220,7 +222,7 @@ func TestOutgrownRingsAreReused(t *testing.T) {
 	if b.QueueLen() != 32 || sem.Waiting() != 32 {
 		t.Fatalf("%d and %d waiting, want 32 each", b.QueueLen(), sem.Waiting())
 	}
-	s.Run()
+	fireAll(s)
 	fifo("queue B", served, 33)
 	fifo("semaphore", granted, 33)
 	if b.JobsServed != 33 || sem.Held() != 0 {

@@ -27,11 +27,19 @@
 // A job waiting for a Queue's server or a Semaphore's unit waits in its
 // Sim's one backlog slab, which every Queue and Semaphore links a FIFO
 // through, so the slab grows to the most jobs waiting at once in the Sim.
+//
+// A run's drained working set outlives the run. When Run returns with no
+// job waiting, the Sim hands its slab chunks to a process-wide Spares
+// stack, and the next Sim to back up, on any goroutine, takes them before
+// it allocates. The cluster's repair records and iostat's sample buffer
+// travel the same way, each through a Spares of its own; nothing else in
+// the engine is shared between Sims.
 package simclock
 
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 	"time"
 )
 
@@ -273,10 +281,19 @@ func (s *Sim) fire() {
 	}
 }
 
-// Run processes events until none remain, returning the final time.
+// Run processes events until none remain, returning the final time. A
+// drained Sim, one with no job waiting either, then hands its backlog
+// slab on to the next Sim that backs up; it keeps its chunk table, so a
+// Sim run again takes chunks back without growing it. A Sim left with a
+// semaphore acquirer waiting keeps its slab.
 func (s *Sim) Run() Time {
 	for len(s.heap) > 0 {
 		s.fire()
+	}
+	if s.waiting == 0 && len(s.wait) > 0 {
+		spareChunks.Put(s.wait...)
+		clear(s.wait)
+		s.wait, s.free = s.wait[:0], 0
 	}
 	return s.now
 }
@@ -321,12 +338,20 @@ func (s *Sim) node(i int32) *waitNode {
 	return &s.wait[i>>waitShift][i&(waitChunk-1)]
 }
 
+// spareChunks holds the backlog chunks of drained Sims. Every node of a
+// spare chunk is cleared: pop clears a node before it frees it, and a Sim
+// hands its slab on only when every node is free.
+var spareChunks Spares[*[waitChunk]waitNode]
+
 // push appends a job to b's tail in a node off the free list. When the
-// list is empty, a new chunk becomes it, in order, ending one past the
-// slab again.
+// list is empty, a chunk becomes it, in order, ending one past the slab
+// again: a spare one if a drained Sim left one, else a new one.
 func (s *Sim) push(b *backlog, service Time, fn func(any), arg any) {
 	if base := int32(len(s.wait)) << waitShift; s.free == base {
-		c := new([waitChunk]waitNode)
+		c := spareChunks.Get()
+		if c == nil {
+			c = new([waitChunk]waitNode)
+		}
 		for j := range c {
 			c[j].next = base + int32(j) + 1
 		}
@@ -524,4 +549,35 @@ func (j *Join) Done() {
 	if j.remaining == 0 && j.fn != nil {
 		j.fn()
 	}
+}
+
+// Spares is a stack of drained working storage that a finished run leaves
+// for the next one, on any goroutine: a package keeps one per kind of
+// storage it recycles across runs. It is safe for concurrent use, and its
+// zero value is empty. It has no cap: what it holds is bounded by the
+// most working sets that were ever live at once.
+type Spares[T any] struct {
+	mu    sync.Mutex
+	items []T
+}
+
+// Put pushes xs. The caller gives them up: nothing may reach them after.
+func (p *Spares[T]) Put(xs ...T) {
+	p.mu.Lock()
+	p.items = append(p.items, xs...)
+	p.mu.Unlock()
+}
+
+// Get pops the item put last, or returns the zero value when the stack
+// is empty.
+func (p *Spares[T]) Get() (x T) {
+	p.mu.Lock()
+	if n := len(p.items); n > 0 {
+		x = p.items[n-1]
+		var zero T
+		p.items[n-1] = zero
+		p.items = p.items[:n-1]
+	}
+	p.mu.Unlock()
+	return x
 }

@@ -3,10 +3,21 @@ package simclock
 import (
 	"math"
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 	"unsafe"
 )
+
+// fireAll fires every pending event as Run does, but leaves the backlog
+// slab with its Sim, so a test can count the chunks a peak needed before
+// Run would hand them on.
+func fireAll(s *Sim) {
+	for len(s.heap) > 0 {
+		s.fire()
+	}
+}
 
 // pointerBearing reports whether a value of type t holds anything the
 // garbage collector has to trace.
@@ -163,9 +174,10 @@ func TestStatsMidRun(t *testing.T) {
 // semaphore of one Sim and checks, inside every callback, that the
 // backlog nodes in use — every node of the slab not on its free list —
 // are exactly the jobs waiting in the three, and that no free node holds
-// a callback or argument. After the run every node is free and empty, the
-// wait peak is the most jobs seen waiting at once, and the slab holds the
-// chunks that peak needs and no more.
+// a callback or argument. Once every event has fired, and before Run
+// would hand the slab on, every node is free and empty, the wait peak is
+// the most jobs seen waiting at once, and the slab holds the chunks that
+// peak needs and no more.
 func TestSlabTracksBacklog(t *testing.T) {
 	if size := unsafe.Sizeof([waitChunk]waitNode{}); size != 10<<10 {
 		t.Errorf("a backlog chunk is %d bytes, want 10 KiB (40-byte nodes, a malloc size class)", size)
@@ -220,7 +232,7 @@ func TestSlabTracksBacklog(t *testing.T) {
 			id := mix(r)
 			s.AtArg(Time(r%uint64(time.Millisecond)), visit, &id)
 		}
-		s.Run()
+		fireAll(s)
 		check()
 
 		if fired < 2000 {
@@ -237,4 +249,103 @@ func TestSlabTracksBacklog(t *testing.T) {
 	if !crossed {
 		t.Error("no program needed a second chunk: the slab's growth is not exercised")
 	}
+}
+
+// TestDrainedSlabIsHandedOn: a Sim that Run leaves drained hands its
+// backlog chunks on, and the next Sim to back up takes them before it
+// allocates. A Sim with a job still waiting keeps its slab, so no live
+// node is ever handed on, and Sims draining and refilling on several
+// goroutines at once stay FIFO while chunks move between them.
+func TestDrainedSlabIsHandedOn(t *testing.T) {
+	backUp := func(s *Sim, jobs int, record func(any), ids []int) {
+		q := s.NewQueue(1)
+		for i := 0; i < jobs; i++ {
+			q.SubmitArg(time.Microsecond, record, &ids[i])
+		}
+	}
+	ids := make([]int, 4*waitChunk)
+	for i := range ids {
+		ids[i] = i
+	}
+
+	t.Run("a second Sim takes the first one's chunks", func(t *testing.T) {
+		const jobs = 2*waitChunk + 11 // three chunks of waiting jobs
+		first := New()
+		backUp(first, jobs, nil, ids)
+		handed := slices.Clone(first.wait)
+		if len(handed) != 3 {
+			t.Fatalf("%d jobs waiting took %d chunks, want 3", jobs-1, len(handed))
+		}
+		first.Run()
+		if len(first.wait) != 0 || first.free != 0 {
+			t.Fatalf("a drained Sim kept %d chunks (free list at %d)", len(first.wait), first.free)
+		}
+		second := New()
+		var served []int
+		backUp(second, jobs, func(x any) { served = append(served, *x.(*int)) }, ids)
+		if len(second.wait) != len(handed) {
+			t.Fatalf("the second Sim holds %d chunks, want %d", len(second.wait), len(handed))
+		}
+		for i, c := range second.wait {
+			if !slices.Contains(handed, c) {
+				t.Errorf("the second Sim's chunk %d is new, not one the first handed on", i)
+			}
+		}
+		second.Run()
+		if !slices.Equal(served, ids[:jobs]) {
+			t.Fatalf("jobs on handed-on chunks served out of FIFO order: %v", served)
+		}
+	})
+
+	t.Run("a Sim with an acquirer waiting keeps its slab", func(t *testing.T) {
+		s := New()
+		sem := s.NewSemaphore(1)
+		granted := false
+		sem.Acquire(func() {})
+		sem.Acquire(func() { granted = true })
+		s.Run()
+		if len(s.wait) != 1 || sem.Waiting() != 1 {
+			t.Fatalf("Run with an acquirer waiting left %d chunks and %d waiting, want 1 and 1", len(s.wait), sem.Waiting())
+		}
+		spareChunks.mu.Lock()
+		live := slices.Contains(spareChunks.items, s.wait[0])
+		spareChunks.mu.Unlock()
+		if live {
+			t.Fatal("the chunk holding a waiting acquirer was handed on")
+		}
+		sem.Release()
+		if !granted {
+			t.Fatal("the waiting acquirer was not granted on Release")
+		}
+		s.Run()
+		if len(s.wait) != 0 {
+			t.Fatalf("a drained Sim kept %d chunks", len(s.wait))
+		}
+	})
+
+	t.Run("Sims on four goroutines drain and refill FIFO", func(t *testing.T) {
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				s := New()
+				for round := 0; round < 24; round++ {
+					jobs := 1 + (g*131+round*389)%len(ids)
+					var served []int
+					backUp(s, jobs, func(x any) { served = append(served, *x.(*int)) }, ids)
+					s.Run()
+					if !slices.Equal(served, ids[:jobs]) {
+						t.Errorf("goroutine %d round %d: %d jobs served out of FIFO order", g, round, jobs)
+						return
+					}
+					if len(s.wait) != 0 {
+						t.Errorf("goroutine %d round %d: a drained Sim kept %d chunks", g, round, len(s.wait))
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	})
 }

@@ -8,7 +8,8 @@
 # cluster.Config's 17 settable leaf fields, TestMethodSurface for the
 # exported methods of *cluster.Cluster and *bluestore.Store) + one
 # iteration of every go test benchmark (the codec and GF ones) + race
-# audit of the concurrent packages and of the lock-free snapshot forks +
+# audit of the concurrent packages, of the lock-free snapshot forks and of
+# the spare stacks a finished run hands its working set on through +
 # the engine's ordering and gather fuzz smokes (the slicing one on two
 # queues with backlog nodes changing hands) + the placement fuzz
 # smoke (Select against its straw2 reference) + the matrix codes'
@@ -66,7 +67,11 @@ go test -run xxx -bench . -benchtime 1x ./...
 # snapshot LRU and the result LRU, fill concurrently in
 # experiments.TestParallelCellsMatchSerial (the whole campaign at 4
 # workers, Fig. 3's main run and its 1.0x point one profile) and in
-# core's sweep tests.
+# core's sweep tests. simclock and iostat are here because a drained run
+# hands its backlog slab and its sample buffer to the next run, on any
+# goroutine, through a mutex-guarded spare stack
+# (simclock.TestDrainedSlabIsHandedOn drains and refills Sims on four
+# goroutines; core.TestForkAfterForkMatchesColdRun forks on two).
 echo "== go test -race (concurrent packages + kernels) =="
 go test -race -count=1 \
     ./internal/gf256 \
@@ -77,6 +82,8 @@ go test -race -count=1 \
     ./internal/experiments \
     ./internal/core \
     ./internal/parallel \
+    ./internal/simclock \
+    ./internal/iostat \
     ./internal/tuner
 
 echo "== fuzz smoke (simclock: same-instant FIFO, RunUntil slicing with backlog nodes changing hands; simnet: gather == per-ship; crush: Select == straw2 reference; matrix codes: decode/repair == CanRecover; gf256: ApplyStrided == scalar oracle; clay: batched == per-plane == erased bytes; bluestore: store == naive per-chunk model across forks, rewrites, recovered runs and refused out-of-order loads included; inputs: fault lists, profile documents and ceph.conf text are run or rejected, never a panic) =="
