@@ -5,9 +5,9 @@ package gf256
 import "sync"
 
 // Hardware capability probing and the per-coefficient constant tables the
-// SIMD row kernels consume. The kernels themselves are in row_amd64.s; the
-// split-nibble layout and the affine-matrix construction are documented in
-// DESIGN.md ("SIMD backend").
+// SIMD row kernels consume. The kernels themselves are in row_amd64.s (ymm)
+// and strided_avx512.s (zmm); the split-nibble layout and the affine-matrix
+// construction are documented in DESIGN.md ("SIMD backend").
 
 // cpuidAsm executes CPUID with the given leaf/subleaf.
 func cpuidAsm(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
@@ -15,28 +15,24 @@ func cpuidAsm(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 // xgetbvAsm reads XCR0 (requires OSXSAVE, checked by the caller).
 func xgetbvAsm() (eax, edx uint32)
 
-// gfniRowAsm computes dst[i] (^)= XOR_j affine(mats[j], srcs[j][i]) over
-// [0, n) for n a positive multiple of 32. xor != 0 accumulates into dst,
-// xor == 0 overwrites. srcs points at nsrc segment base pointers.
+// gfniStridedAsm is the GFNI row kernel: count segments of segn bytes
+// (segn >= 32) placed stride bytes apart, every source pointer advancing
+// in lockstep with dst; a contiguous range is count = 1. xor != 0
+// accumulates into dst, xor == 0 overwrites. srcs points at nsrc segment
+// base pointers. Segment remainders below 32 bytes are finished in-asm
+// with a masked merge.
 //
 //go:noescape
-func gfniRowAsm(mats *uint64, srcs **byte, nsrc int, dst *byte, n int, xor int)
+func gfniStridedAsm(mats *uint64, srcs **byte, nsrc int, dst *byte, segn int, stride int, count int, xor int)
 
-// avx2RowAsm is gfniRowAsm with 64-byte split-nibble tables (low 32 bytes:
-// products of the low nibble; high 32: products of the high nibble).
+// avx2StridedAsm is gfniStridedAsm with 64-byte split-nibble tables (low
+// 32 bytes: products of the low nibble; high 32: products of the high
+// nibble).
 //
 //go:noescape
-func avx2RowAsm(tbls *byte, srcs **byte, nsrc int, dst *byte, n int, xor int)
+func avx2StridedAsm(tbls *byte, srcs **byte, nsrc int, dst *byte, segn int, stride int, count int, xor int)
 
-// gfni512RowAsm is the zmm row kernel: 64-byte strips (unrolled to 128)
-// with the final partial strip finished by K-masked loads and a masked
-// store, so any n >= 1 completes in-kernel — no overlap window, no scalar
-// tail. Requires backendGFNI512.
-//
-//go:noescape
-func gfni512RowAsm(mats *uint64, srcs **byte, nsrc int, dst *byte, n int, xor int)
-
-// gfni512StridedAsm is the zmm strided kernel with per-operand geometry:
+// gfni512StridedAsm is the zmm row kernel with per-operand geometry:
 // count segments of segn bytes, the destination advancing dstride bytes
 // per segment and source j advancing strides[j] (0 re-reads the same
 // window — virtual zero shards). Segment tails are K-masked, so any
@@ -200,143 +196,23 @@ func simdCompile(rp *RowPlan) {
 	}
 }
 
-// applySIMD runs the vectorized row kernel over dst[off:end). The SIMD
-// loads are unaligned, so arbitrary shard offsets (Clay sub-slices, fuzzed
-// alignments) take the same path. A sub-32-byte remainder of a segment
-// that is itself >= 32 bytes is finished by re-running the kernel over the
-// overlapping final 32-byte window into a scratch buffer and merging only
-// the new bytes, so the scalar tail handles nothing but segments shorter
-// than one vector.
-func (rp *RowPlan) applySIMD(srcs [][]byte, dst []byte, off, end int, overwrite bool, backend int32) {
-	if backend == backendGFNI512 {
-		// The zmm kernel's K-masked tail covers any length in one call.
-		if end == off {
-			return
-		}
-		var ptrBuf [32]*byte
-		ptrs := ptrBuf[:0]
-		if len(rp.nzSrc) > len(ptrBuf) {
-			ptrs = make([]*byte, 0, len(rp.nzSrc))
-		}
-		for _, j := range rp.nzSrc {
-			ptrs = append(ptrs, &srcs[j][off])
-		}
-		xor := 1
-		if overwrite {
-			xor = 0
-		}
-		gfni512RowAsm(&rp.nzMat[0], &ptrs[0], len(ptrs), &dst[off], end-off, xor)
-		return
-	}
-	if end-off < 32 {
-		rp.tail(srcs, dst, off, end, overwrite)
-		return
-	}
-	var ptrBuf [32]*byte
-	ptrs := ptrBuf[:0]
-	if len(rp.nzSrc) > len(ptrBuf) {
-		ptrs = make([]*byte, 0, len(rp.nzSrc))
-	}
-	for _, j := range rp.nzSrc {
-		ptrs = append(ptrs, &srcs[j][off])
-	}
-	xor := 1
-	if overwrite {
-		xor = 0
-	}
-	n := (end - off) &^ 31
-	if backend == backendGFNI {
-		gfniRowAsm(&rp.nzMat[0], &ptrs[0], len(ptrs), &dst[off], n, xor)
-	} else {
-		avx2RowAsm(&rp.nzTbl[0], &ptrs[0], len(ptrs), &dst[off], n, xor)
-	}
-	if rem := end - off - n; rem > 0 {
-		w := end - 32 // overlapping final window, w >= off
-		for i, j := range rp.nzSrc {
-			ptrs[i] = &srcs[j][w]
-		}
-		var tmp [32]byte
-		if backend == backendGFNI {
-			gfniRowAsm(&rp.nzMat[0], &ptrs[0], len(ptrs), &tmp[0], 32, 0)
-		} else {
-			avx2RowAsm(&rp.nzTbl[0], &ptrs[0], len(ptrs), &tmp[0], 32, 0)
-		}
-		tail := dst[off+n : end]
-		if overwrite {
-			copy(tail, tmp[32-rem:])
-		} else {
-			for i, v := range tmp[32-rem:] {
-				tail[i] ^= v
-			}
-		}
-	}
-}
-
-// gfniStridedAsm runs the GFNI row kernel over count segments of segn
-// bytes placed stride bytes apart (stride >= segn >= 32), one call for the
-// whole batch. Each source pointer advances in lockstep with dst. Segment
-// remainders below 32 bytes are finished in-asm with a masked merge, so no
-// scalar tail ever runs.
-//
-//go:noescape
-func gfniStridedAsm(mats *uint64, srcs **byte, nsrc int, dst *byte, segn int, stride int, count int, xor int)
-
-// avx2StridedAsm is gfniStridedAsm with 64-byte split-nibble tables.
-//
-//go:noescape
-func avx2StridedAsm(tbls *byte, srcs **byte, nsrc int, dst *byte, segn int, stride int, count int, xor int)
-
-// applyStridedSIMD runs the per-operand-geometry segment batch on the
-// active SIMD backend: count segments of segn bytes, the destination at
-// dstBase advancing dstStride per segment and source j at srcBase[j]
-// advancing srcStride[j] (0 pins a window — virtual zero shards). The zmm
-// kernel consumes the geometry directly; the ymm kernels only fit when
-// every operand shares one stride and the segment fills a vector. Returns
-// false when no kernel fits (the caller walks per-segment windows).
-func (rp *RowPlan) applyStridedSIMD(srcs [][]byte, dst []byte, dstBase, dstStride int, srcBase, srcStride []int, segn, count int, overwrite bool, backend int32) bool {
-	if backend < backendGFNI512 {
-		// Lockstep ymm kernels: one shared stride, >= one vector per
-		// segment, below the run cap (longer runs amortize per-window
-		// calls on their own).
-		if segn < 32 || segn >= stridedMaxRun {
-			return false
-		}
-		for _, j := range rp.nzSrc {
-			if srcStride[j] != dstStride {
-				return false
-			}
-		}
-	}
-	var ptrBuf [32]*byte
-	ptrs := ptrBuf[:0]
-	if len(rp.nzSrc) > len(ptrBuf) {
-		ptrs = make([]*byte, 0, len(rp.nzSrc))
-	}
-	for _, j := range rp.nzSrc {
-		so := srcBase[j]
-		_ = srcs[j][so+(count-1)*srcStride[j]+segn-1] // bounds-check the span
-		ptrs = append(ptrs, &srcs[j][so])
-	}
-	_ = dst[dstBase+(count-1)*dstStride+segn-1]
+// applyStridedSIMD runs the active tier's one row kernel: count segments
+// of segn bytes, the destination at dst advancing dstStride per segment and
+// ptrs[i], the first segment of the plan's i-th non-zero source, advancing
+// strides[i]. The zmm kernel takes any geometry and any segn >= 1; the ymm
+// kernels need segn >= 32 and, when count > 1, every stride equal to
+// dstStride. The zmm kernel advances ptrs in place.
+func (rp *RowPlan) applyStridedSIMD(ptrs []*byte, strides []int, dst *byte, dstStride, segn, count int, overwrite bool, backend int32) {
 	xor := 1
 	if overwrite {
 		xor = 0
 	}
 	switch backend {
 	case backendGFNI512:
-		var strideBuf [32]int
-		strides := strideBuf[:0]
-		if len(rp.nzSrc) > len(strideBuf) {
-			strides = make([]int, 0, len(rp.nzSrc))
-		}
-		for _, j := range rp.nzSrc {
-			strides = append(strides, srcStride[j])
-		}
-		gfni512StridedAsm(&rp.nzMat[0], &ptrs[0], &strides[0], len(ptrs), &dst[dstBase], dstStride, segn, count, xor)
+		gfni512StridedAsm(&rp.nzMat[0], &ptrs[0], &strides[0], len(ptrs), dst, dstStride, segn, count, xor)
 	case backendGFNI:
-		gfniStridedAsm(&rp.nzMat[0], &ptrs[0], len(ptrs), &dst[dstBase], segn, dstStride, count, xor)
+		gfniStridedAsm(&rp.nzMat[0], &ptrs[0], len(ptrs), dst, segn, dstStride, count, xor)
 	default:
-		avx2StridedAsm(&rp.nzTbl[0], &ptrs[0], len(ptrs), &dst[dstBase], segn, dstStride, count, xor)
+		avx2StridedAsm(&rp.nzTbl[0], &ptrs[0], len(ptrs), dst, segn, dstStride, count, xor)
 	}
-	return true
 }

@@ -17,13 +17,8 @@ func CPUFeatures() []string { return nil }
 // simdCompile is a no-op: there are no kernel constants to attach.
 func simdCompile(rp *RowPlan) {}
 
-// applySIMD is unreachable: currentBackend never exceeds backendWord here.
-func (rp *RowPlan) applySIMD(srcs [][]byte, dst []byte, off, end int, overwrite bool, backend int32) {
+// applyStridedSIMD is unreachable: currentBackend never exceeds
+// backendWord here.
+func (rp *RowPlan) applyStridedSIMD(ptrs []*byte, strides []int, dst *byte, dstStride, segn, count int, overwrite bool, backend int32) {
 	panic("gf256: SIMD backend selected without assembly support")
-}
-
-// applyStridedSIMD reports that no strided SIMD kernel exists; ApplyStrided
-// then walks per-segment windows on the word kernels.
-func (rp *RowPlan) applyStridedSIMD(srcs [][]byte, dst []byte, dstBase, dstStride int, srcBase, srcStride []int, segn, count int, overwrite bool, backend int32) bool {
-	return false
 }

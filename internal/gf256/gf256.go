@@ -138,14 +138,6 @@ func MulAddSlice(c byte, src, dst []byte) {
 	}
 }
 
-// XorSlice sets dst[i] ^= src[i].
-func XorSlice(src, dst []byte) {
-	if len(src) != len(dst) {
-		panic(fmt.Sprintf("gf256: slice length mismatch %d != %d", len(src), len(dst)))
-	}
-	xorWords(src, dst)
-}
-
 // xorWords XORs src into dst eight bytes at a time, falling back to bytes
 // for the tail. Encoding and decoding are XOR-heavy (coefficient 1 rows,
 // local parities), so the word-wide path matters.

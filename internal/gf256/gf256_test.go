@@ -203,18 +203,9 @@ func TestMulSlice(t *testing.T) {
 	}
 }
 
-func TestXorSlice(t *testing.T) {
-	a := []byte{1, 2, 3}
-	b := []byte{7, 7, 7}
-	XorSlice(a, b)
-	if b[0] != 6 || b[1] != 5 || b[2] != 4 {
-		t.Fatalf("XorSlice wrong: %v", b)
-	}
-}
-
 func TestXorWordsAllLengths(t *testing.T) {
-	// Word-wide XOR must agree with the byte loop at every length and
-	// alignment tail.
+	// MulAddSlice's c = 1 path, the word-wide XOR, must agree with the
+	// byte loop at every length and alignment tail.
 	for n := 0; n < 64; n++ {
 		src := make([]byte, n)
 		dst := make([]byte, n)
@@ -224,25 +215,12 @@ func TestXorWordsAllLengths(t *testing.T) {
 			dst[i] = byte(i * 31)
 			want[i] = dst[i] ^ src[i]
 		}
-		XorSlice(src, dst)
+		MulAddSlice(1, src, dst)
 		for i := range want {
 			if dst[i] != want[i] {
 				t.Fatalf("len %d index %d: got %#x want %#x", n, i, dst[i], want[i])
 			}
 		}
-	}
-}
-
-func BenchmarkXorSlice(b *testing.B) {
-	src := make([]byte, 64*1024)
-	dst := make([]byte, 64*1024)
-	for i := range src {
-		src[i] = byte(i)
-	}
-	b.SetBytes(int64(len(src)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		XorSlice(src, dst)
 	}
 }
 

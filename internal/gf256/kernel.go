@@ -141,13 +141,27 @@ func (rp *RowPlan) Apply(srcs [][]byte, dst []byte, off, end int, overwrite bool
 		}
 		return
 	}
-	switch b := currentBackend(); {
-	case b >= backendAVX2:
-		// SIMD loads are unaligned, so every operand layout takes this
-		// path; only the sub-32-byte remainder is scalar.
-		rp.applySIMD(srcs, dst, off, end, overwrite, b)
+	if off == end {
 		return
-	case b == backendScalar:
+	}
+	switch b := currentBackend(); {
+	case b == backendGFNI512 || b >= backendAVX2 && end-off >= 32:
+		// One segment (count = 1) through the tier's row kernel, the one
+		// ApplyStrided runs. Its loads are unaligned, so every operand
+		// layout takes it; the zmm kernel masks any remainder in-kernel.
+		var ptrBuf [32]*byte
+		var strideBuf [32]int
+		ptrs, strides := ptrBuf[:0], strideBuf[:]
+		if len(rp.nzSrc) > len(ptrBuf) {
+			ptrs, strides = make([]*byte, 0, len(rp.nzSrc)), make([]int, len(rp.nzSrc))
+		}
+		for _, j := range rp.nzSrc {
+			ptrs = append(ptrs, &srcs[j][off])
+		}
+		rp.applyStridedSIMD(ptrs, strides, &dst[off], 0, end-off, 1, overwrite, b)
+		return
+	case b >= backendAVX2 || b == backendScalar:
+		// A ymm range under one vector, or the scalar tier.
 		rp.tail(srcs, dst, off, end, overwrite)
 		return
 	}
@@ -335,7 +349,8 @@ func mergeWords(acc []uint64, dst []uint64, overwrite bool) {
 }
 
 // tail is the scalar table loop: the scalar tier, sub-word ranges and
-// unaligned operands on the word tier.
+// unaligned operands on the word tier, and ranges under one vector on the
+// ymm tiers.
 func (rp *RowPlan) tail(srcs [][]byte, dst []byte, off, end int, overwrite bool) {
 	for i := off; i < end; i++ {
 		var acc byte

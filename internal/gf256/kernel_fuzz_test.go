@@ -158,11 +158,14 @@ func FuzzRowPlanRanges(f *testing.F) {
 // misaligned operands take: sources offset by every sub-word amount, the
 // destination offset with them or left aligned (one misaligned source is
 // enough to leave the word kernels), at lengths around band boundaries
-// and between 1 and 2 KiB, on every backend.
+// and between 1 and 2 KiB, on every backend. The lengths around 32, 64
+// and 128 bytes reach each part of the SIMD kernels' one-segment call:
+// the 64- and 128-byte strips, the lone 32-byte strip, the masked tail,
+// and the scalar tail below one ymm vector.
 func TestRowPlanUnalignedOperands(t *testing.T) {
 	coeffs := []byte{2, 0, 1, 0x8e, 0xfd}
 	eachBackend(t, func(t *testing.T) {
-		for _, n := range []int{0, 1, 7, 8, 9, 63, 1024, 1500, 2048, 2055, 4096 + 5} {
+		for _, n := range []int{0, 1, 7, 8, 9, 31, 32, 33, 63, 64, 95, 96, 97, 127, 128, 129, 1024, 1500, 2048, 2055, 4096 + 5} {
 			for shift := 0; shift < 8; shift++ {
 				for _, dstShift := range []int{shift, 0} {
 					srcs := make([][]byte, len(coeffs))

@@ -6,20 +6,13 @@ package gf256
 // small slices at regular offsets: one sub-chunk per plane, with the same
 // coupling coefficients in every plane. Issuing one RowPlan.Apply per
 // sub-chunk leaves each call too small to amortize the SIMD kernels — at
-// ~50 B segments the pointer setup, the overlap-tail fixup, and the call
-// itself cost more than the arithmetic. ApplyStrided takes a whole
-// uniformly strided segment set in one call and hands it to a strided
-// assembly kernel that walks every segment, masked-store tails included.
-// Every path computes the same elementwise GF(2^8) arithmetic, so results
-// are byte-identical to per-segment Apply calls; the conformance suite
-// enforces that across backends.
-
-// stridedMaxRun is the segment size (bytes) from which the ymm tiers walk
-// per-segment Apply calls instead of their lockstep strided kernels: long
-// segments amortize their own call overhead and the contiguous kernels
-// use wider strips. The zmm kernel runs the same strip widths as its
-// contiguous counterpart with masked tails, so it takes every size.
-const stridedMaxRun = 1024
+// ~50 B segments the pointer setup and the call itself cost more than the
+// arithmetic. ApplyStrided takes a whole uniformly strided segment set in
+// one call and hands it to the tier's row kernel, which walks every
+// segment, masked tails included. Each SIMD tier has that one kernel:
+// Apply is its one-segment case. Every path computes the same elementwise
+// GF(2^8) arithmetic, so results are byte-identical to per-segment Apply
+// calls; the conformance suite enforces that across backends.
 
 // ApplyStrided applies the plan to count segments of segn bytes where
 // every operand carries its own base offset and stride: for s in
@@ -32,10 +25,10 @@ const stridedMaxRun = 1024
 // and no source window may alias the destination. This is the fully
 // general layout entry: Clay's zero-copy repair uses it to combine
 // shard-space operands (plane-run strides) with compact scratch (run-width
-// strides) in single calls. The zmm strided kernel consumes the geometry
-// directly; the ymm tiers fall back to a lockstep strided call when all
-// strides agree, and every other case walks per-segment windows — all
-// byte-identical.
+// strides) in single calls. The zmm kernel consumes the geometry
+// directly; the ymm kernels take it when all strides agree and segments
+// fill a vector; every other case walks per-segment windows through Apply
+// — all byte-identical.
 func (rp *RowPlan) ApplyStrided(srcs [][]byte, dst []byte, dstBase, dstStride int, srcBase, srcStride []int, segn, count int, overwrite bool) {
 	if len(srcs) != len(rp.coeffs) {
 		panic("gf256: RowPlan source count mismatch")
@@ -63,12 +56,21 @@ func (rp *RowPlan) ApplyStrided(srcs [][]byte, dst []byte, dstBase, dstStride in
 		}
 		return
 	}
-	if count == 1 {
-		rp.applyWindowAt(srcs, dst, dstBase, srcBase, segn, overwrite)
-		return
-	}
-	if b := currentBackend(); b >= backendAVX2 &&
-		rp.applyStridedSIMD(srcs, dst, dstBase, dstStride, srcBase, srcStride, segn, count, overwrite, b) {
+	if b := currentBackend(); rp.stridedFits(b, dstStride, srcStride, segn) {
+		var ptrBuf [32]*byte
+		var strideBuf [32]int
+		ptrs, strides := ptrBuf[:0], strideBuf[:0]
+		if len(rp.nzSrc) > len(ptrBuf) {
+			ptrs, strides = make([]*byte, 0, len(rp.nzSrc)), make([]int, 0, len(rp.nzSrc))
+		}
+		for _, j := range rp.nzSrc {
+			so := srcBase[j]
+			_ = srcs[j][so+(count-1)*srcStride[j]+segn-1] // bounds-check the span
+			ptrs = append(ptrs, &srcs[j][so])
+			strides = append(strides, srcStride[j])
+		}
+		_ = dst[dstBase+(count-1)*dstStride+segn-1]
+		rp.applyStridedSIMD(ptrs, strides, &dst[dstBase], dstStride, segn, count, overwrite, b)
 		return
 	}
 	var offBuf [16]int
@@ -84,6 +86,24 @@ func (rp *RowPlan) ApplyStrided(srcs [][]byte, dst []byte, dstBase, dstStride in
 		}
 		rp.applyWindowAt(srcs, dst, dstBase+s*dstStride, offs, segn, overwrite)
 	}
+}
+
+// stridedFits reports whether backend b's row kernel takes the geometry in
+// one call. The zmm kernel takes any; the ymm kernels need a full vector
+// per segment and every source advancing in lockstep with the destination.
+func (rp *RowPlan) stridedFits(b int32, dstStride int, srcStride []int, segn int) bool {
+	switch {
+	case b == backendGFNI512:
+		return true
+	case b < backendAVX2 || segn < 32:
+		return false
+	}
+	for _, j := range rp.nzSrc {
+		if srcStride[j] != dstStride {
+			return false
+		}
+	}
+	return true
 }
 
 // applyWindowAt runs Apply over one n-byte window with per-source absolute

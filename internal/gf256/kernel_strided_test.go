@@ -52,13 +52,22 @@ func stridedCases() []stridedCase {
 		{segn: 513, count: 3, dstStride: 600, srcStrideOf: id(520), dstBase: 0, srcBaseOf: id(5)},
 		{segn: 1025, count: 2, dstStride: 1025, srcStrideOf: id(2048), dstBase: 1, srcBaseOf: id(0)},
 		{segn: 4095, count: 2, dstStride: 4100, srcStrideOf: id(4096), dstBase: 0, srcBaseOf: id(3)},
+		// Lockstep (every source stride equals dstStride): the ymm
+		// kernels' geometry, through their 64-byte strips, lone 32-byte
+		// strip and masked tail, at and above 1 KiB segments.
+		{segn: 96, count: 3, dstStride: 100, srcStrideOf: id(100), dstBase: 1, srcBaseOf: id(3)},
+		{segn: 127, count: 3, dstStride: 127, srcStrideOf: id(127), dstBase: 0, srcBaseOf: id(5)},
+		{segn: 1024, count: 2, dstStride: 1030, srcStrideOf: id(1030), dstBase: 2, srcBaseOf: id(0)},
+		{segn: 1025, count: 3, dstStride: 1025, srcStrideOf: id(1025), dstBase: 0, srcBaseOf: id(7)},
+		{segn: 4095, count: 2, dstStride: 4095, srcStrideOf: id(4095), dstBase: 3, srcBaseOf: id(1)},
 	}
 }
 
 // TestApplyStridedIdentity checks ApplyStrided against the scalar oracle
 // on every available backend, over geometries that exercise the zmm
-// multi-stride kernel, the ymm lockstep path (all strides equal), zero
-// strides, and the per-segment window fallback.
+// multi-stride kernel, the ymm lockstep path (all strides equal) from one
+// vector to 4 KiB segments, zero strides, and the per-segment window
+// fallback.
 func TestApplyStridedIdentity(t *testing.T) {
 	rows := [][]byte{
 		{2},

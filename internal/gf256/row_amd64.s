@@ -2,28 +2,37 @@
 
 #include "textflag.h"
 
-// Vectorized GF(2^8) row kernels: dst[i] (^)= XOR_j c_j * srcs[j][i].
+// Vectorized GF(2^8) row kernels for the ymm tiers:
 //
-// Both kernels walk the destination in 64-byte strips (with a single
-// 32-byte strip when n % 64 == 32), accumulate the full row sum in ymm
-// registers, and touch the destination once per strip regardless of row
-// width. All loads and stores are unaligned (VMOVDQU), so callers pass
-// arbitrary shard offsets; sub-32-byte tails are the caller's problem.
+//	dst[s*stride+i] (^)= XOR_j c_j * srcs[j][s*stride+i]
+//
+// over count segments of segn bytes (segn >= 32) placed stride bytes
+// apart. Every source pointer tracks the destination offset, so segment s
+// spans byte offsets [s*stride, s*stride+segn) of every operand; a
+// contiguous range is the count = 1 case. Each segment is walked in
+// 64-byte strips, then one 32-byte strip when 32 or more bytes remain;
+// the full row sum accumulates in ymm registers, so the destination is
+// touched once per strip regardless of row width. A remainder under 32
+// bytes is finished in-asm: the row sum is recomputed over the
+// overlapping final 32-byte window of the segment and merged under a byte
+// mask from tailMask, so only the rem new bytes change and xor mode never
+// double-accumulates the overlap. All loads and stores are unaligned
+// (VMOVDQU), so callers pass arbitrary shard offsets.
 //
 // Register plan (both kernels):
 //	R8  constant table base (affine matrices / nibble tables)
 //	R9  source pointer array base
 //	R10 source count
 //	DI  destination base
-//	R13 total bytes (multiple of 32)
+//	R11 segment bytes, R13 stride, R15 remaining segments
 //	R14 xor flag (0 = overwrite, else accumulate)
-//	R12 strip offset, CX source index, SI current source pointer
-//	Y0/Y1 accumulators
+//	R12 current segment base offset, DX segment end offset
+//	CX  source index, SI current source pointer
+//	Y0/Y1 accumulators, Y9 tail byte mask
 
-// tailMask provides 32-byte masks for the strided kernels' in-segment
-// tails: loading 32 bytes at offset rem (0 < rem < 32) yields a mask whose
-// final rem bytes are 0xFF and the rest 0x00 — exactly the new bytes of an
-// overlapping final window ending at the segment boundary.
+// tailMask: loading 32 bytes at offset rem (0 < rem < 32) yields a mask
+// whose final rem bytes are 0xFF and the rest 0x00 — exactly the new
+// bytes of an overlapping final window ending at the segment boundary.
 DATA tailMask<>+0(SB)/8, $0x0000000000000000
 DATA tailMask<>+8(SB)/8, $0x0000000000000000
 DATA tailMask<>+16(SB)/8, $0x0000000000000000
@@ -40,189 +49,11 @@ DATA nibMask<>+16(SB)/8, $0x0f0f0f0f0f0f0f0f
 DATA nibMask<>+24(SB)/8, $0x0f0f0f0f0f0f0f0f
 GLOBL nibMask<>(SB), RODATA|NOPTR, $32
 
-// func gfniRowAsm(mats *uint64, srcs **byte, nsrc int, dst *byte, n int, xor int)
+// func gfniStridedAsm(mats *uint64, srcs **byte, nsrc int, dst *byte, segn int, stride int, count int, xor int)
 //
 // One VGF2P8AFFINEQB per 32 source bytes: mats[j] is the 8x8 bit matrix of
-// multiplication by c_j over the field polynomial 0x11d.
-TEXT ·gfniRowAsm(SB), NOSPLIT, $0-48
-	MOVQ mats+0(FP), R8
-	MOVQ srcs+8(FP), R9
-	MOVQ nsrc+16(FP), R10
-	MOVQ dst+24(FP), DI
-	MOVQ n+32(FP), R13
-	MOVQ xor+40(FP), R14
-	XORQ R12, R12
-
-gfniStrip64:
-	LEAQ 64(R12), AX
-	CMPQ AX, R13
-	JGT  gfniStrip32
-	VPXOR Y0, Y0, Y0
-	VPXOR Y1, Y1, Y1
-	XORQ CX, CX
-
-gfniSrc64:
-	VBROADCASTSD (R8)(CX*8), Y2
-	MOVQ (R9)(CX*8), SI
-	VMOVDQU (SI)(R12*1), Y3
-	VMOVDQU 32(SI)(R12*1), Y4
-	VGF2P8AFFINEQB $0, Y2, Y3, Y3
-	VGF2P8AFFINEQB $0, Y2, Y4, Y4
-	VPXOR Y3, Y0, Y0
-	VPXOR Y4, Y1, Y1
-	INCQ CX
-	CMPQ CX, R10
-	JLT  gfniSrc64
-
-	TESTQ R14, R14
-	JZ    gfniStore64
-	VPXOR (DI)(R12*1), Y0, Y0
-	VPXOR 32(DI)(R12*1), Y1, Y1
-
-gfniStore64:
-	VMOVDQU Y0, (DI)(R12*1)
-	VMOVDQU Y1, 32(DI)(R12*1)
-	ADDQ $64, R12
-	JMP  gfniStrip64
-
-gfniStrip32:
-	CMPQ R12, R13
-	JGE  gfniDone
-	VPXOR Y0, Y0, Y0
-	XORQ CX, CX
-
-gfniSrc32:
-	VBROADCASTSD (R8)(CX*8), Y2
-	MOVQ (R9)(CX*8), SI
-	VMOVDQU (SI)(R12*1), Y3
-	VGF2P8AFFINEQB $0, Y2, Y3, Y3
-	VPXOR Y3, Y0, Y0
-	INCQ CX
-	CMPQ CX, R10
-	JLT  gfniSrc32
-
-	TESTQ R14, R14
-	JZ    gfniStore32
-	VPXOR (DI)(R12*1), Y0, Y0
-
-gfniStore32:
-	VMOVDQU Y0, (DI)(R12*1)
-
-gfniDone:
-	VZEROUPPER
-	RET
-
-// func avx2RowAsm(tbls *byte, srcs **byte, nsrc int, dst *byte, n int, xor int)
-//
-// ISA-L-style split-nibble scheme: tbls holds 64 bytes per source — the
-// 16-entry low-nibble product table doubled across both ymm lanes, then
-// the high-nibble table likewise. Each 32 source bytes cost two VPSHUFBs.
-// BX cursors through the tables (64 per source); Y8 holds the 0x0f mask.
-TEXT ·avx2RowAsm(SB), NOSPLIT, $0-48
-	MOVQ tbls+0(FP), R8
-	MOVQ srcs+8(FP), R9
-	MOVQ nsrc+16(FP), R10
-	MOVQ dst+24(FP), DI
-	MOVQ n+32(FP), R13
-	MOVQ xor+40(FP), R14
-	VMOVDQU nibMask<>(SB), Y8
-	XORQ R12, R12
-
-avx2Strip64:
-	LEAQ 64(R12), AX
-	CMPQ AX, R13
-	JGT  avx2Strip32
-	VPXOR Y0, Y0, Y0
-	VPXOR Y1, Y1, Y1
-	XORQ CX, CX
-	MOVQ R8, BX
-
-avx2Src64:
-	VMOVDQU (BX), Y5
-	VMOVDQU 32(BX), Y6
-	MOVQ (R9)(CX*8), SI
-	VMOVDQU (SI)(R12*1), Y2
-	VMOVDQU 32(SI)(R12*1), Y3
-	VPSRLW $4, Y2, Y4
-	VPSRLW $4, Y3, Y7
-	VPAND  Y8, Y2, Y2
-	VPAND  Y8, Y3, Y3
-	VPAND  Y8, Y4, Y4
-	VPAND  Y8, Y7, Y7
-	VPSHUFB Y2, Y5, Y2
-	VPSHUFB Y3, Y5, Y3
-	VPSHUFB Y4, Y6, Y4
-	VPSHUFB Y7, Y6, Y7
-	VPXOR Y4, Y2, Y2
-	VPXOR Y7, Y3, Y3
-	VPXOR Y2, Y0, Y0
-	VPXOR Y3, Y1, Y1
-	ADDQ $64, BX
-	INCQ CX
-	CMPQ CX, R10
-	JLT  avx2Src64
-
-	TESTQ R14, R14
-	JZ    avx2Store64
-	VPXOR (DI)(R12*1), Y0, Y0
-	VPXOR 32(DI)(R12*1), Y1, Y1
-
-avx2Store64:
-	VMOVDQU Y0, (DI)(R12*1)
-	VMOVDQU Y1, 32(DI)(R12*1)
-	ADDQ $64, R12
-	JMP  avx2Strip64
-
-avx2Strip32:
-	CMPQ R12, R13
-	JGE  avx2Done
-	VPXOR Y0, Y0, Y0
-	XORQ CX, CX
-	MOVQ R8, BX
-
-avx2Src32:
-	VMOVDQU (BX), Y5
-	VMOVDQU 32(BX), Y6
-	MOVQ (R9)(CX*8), SI
-	VMOVDQU (SI)(R12*1), Y2
-	VPSRLW $4, Y2, Y4
-	VPAND  Y8, Y2, Y2
-	VPAND  Y8, Y4, Y4
-	VPSHUFB Y2, Y5, Y2
-	VPSHUFB Y4, Y6, Y4
-	VPXOR Y4, Y2, Y2
-	VPXOR Y2, Y0, Y0
-	ADDQ $64, BX
-	INCQ CX
-	CMPQ CX, R10
-	JLT  avx2Src32
-
-	TESTQ R14, R14
-	JZ    avx2Store32
-	VPXOR (DI)(R12*1), Y0, Y0
-
-avx2Store32:
-	VMOVDQU Y0, (DI)(R12*1)
-
-avx2Done:
-	VZEROUPPER
-	RET
-
-// Strided variants: the same row sum applied to count segments of segn
-// bytes (segn >= 32) placed stride bytes apart, one call for the whole
-// batch. Every source pointer tracks the destination offset, so segment s
-// spans byte offsets [s*stride, s*stride+segn) of every operand. Segment
-// remainders under 32 bytes are finished in-asm: the row sum is recomputed
-// over the overlapping final 32-byte window of the segment and merged
-// under a byte mask from tailMask, so only the rem new bytes change and
-// xor mode never double-accumulates the overlap.
-//
-// Additional registers on top of the contiguous kernels' plan:
-//	R11 segment bytes, R15 remaining segments, R13 stride
-//	R12 current segment base offset, DX segment end offset
-//	Y9 tail byte mask
-
-// func gfniStridedAsm(mats *uint64, srcs **byte, nsrc int, dst *byte, segn int, stride int, count int, xor int)
+// multiplication by c_j over the field polynomial 0x11d. BX is the strip
+// cursor.
 TEXT ·gfniStridedAsm(SB), NOSPLIT, $0-64
 	MOVQ mats+0(FP), R8
 	MOVQ srcs+8(FP), R9
@@ -240,14 +71,46 @@ gfniSSeg:
 	LEAQ (R12)(R11*1), DX // segment end offset
 	MOVQ R12, BX          // strip cursor
 
-gfniSStrip:
+gfniSStrip64:
+	LEAQ 64(BX), AX
+	CMPQ AX, DX
+	JGT  gfniSStrip32
+	VPXOR Y0, Y0, Y0
+	VPXOR Y1, Y1, Y1
+	XORQ CX, CX
+
+gfniSSrc64:
+	VBROADCASTSD (R8)(CX*8), Y2
+	MOVQ (R9)(CX*8), SI
+	VMOVDQU (SI)(BX*1), Y3
+	VMOVDQU 32(SI)(BX*1), Y4
+	VGF2P8AFFINEQB $0, Y2, Y3, Y3
+	VGF2P8AFFINEQB $0, Y2, Y4, Y4
+	VPXOR Y3, Y0, Y0
+	VPXOR Y4, Y1, Y1
+	INCQ CX
+	CMPQ CX, R10
+	JLT  gfniSSrc64
+
+	TESTQ R14, R14
+	JZ    gfniSStore64
+	VPXOR (DI)(BX*1), Y0, Y0
+	VPXOR 32(DI)(BX*1), Y1, Y1
+
+gfniSStore64:
+	VMOVDQU Y0, (DI)(BX*1)
+	VMOVDQU Y1, 32(DI)(BX*1)
+	MOVQ AX, BX
+	JMP  gfniSStrip64
+
+gfniSStrip32:
 	LEAQ 32(BX), AX
 	CMPQ AX, DX
 	JGT  gfniSTail
 	VPXOR Y0, Y0, Y0
 	XORQ CX, CX
 
-gfniSSrc:
+gfniSSrc32:
 	VBROADCASTSD (R8)(CX*8), Y2
 	MOVQ (R9)(CX*8), SI
 	VMOVDQU (SI)(BX*1), Y3
@@ -255,16 +118,15 @@ gfniSSrc:
 	VPXOR Y3, Y0, Y0
 	INCQ CX
 	CMPQ CX, R10
-	JLT  gfniSSrc
+	JLT  gfniSSrc32
 
 	TESTQ R14, R14
-	JZ    gfniSStore
+	JZ    gfniSStore32
 	VPXOR (DI)(BX*1), Y0, Y0
 
-gfniSStore:
+gfniSStore32:
 	VMOVDQU Y0, (DI)(BX*1)
-	ADDQ $32, BX
-	JMP  gfniSStrip
+	MOVQ AX, BX
 
 gfniSTail:
 	CMPQ BX, DX
@@ -309,8 +171,11 @@ gfniSDone:
 
 // func avx2StridedAsm(tbls *byte, srcs **byte, nsrc int, dst *byte, segn int, stride int, count int, xor int)
 //
-// AX doubles as the strip cursor (BX cursors the nibble tables inside the
-// source loops, as in avx2RowAsm).
+// ISA-L-style split-nibble scheme: tbls holds 64 bytes per source — the
+// 16-entry low-nibble product table doubled across both ymm lanes, then
+// the high-nibble table likewise. Each 32 source bytes cost two VPSHUFBs.
+// AX is the strip cursor; BX cursors the tables (64 per source) inside
+// the source loops; Y8 holds the 0x0f mask.
 TEXT ·avx2StridedAsm(SB), NOSPLIT, $0-64
 	MOVQ tbls+0(FP), R8
 	MOVQ srcs+8(FP), R9
@@ -329,7 +194,52 @@ avx2SSeg:
 	LEAQ (R12)(R11*1), DX // segment end offset
 	MOVQ R12, AX          // strip cursor
 
-avx2SStrip:
+avx2SStrip64:
+	LEAQ 64(AX), BX
+	CMPQ BX, DX
+	JGT  avx2SStrip32
+	VPXOR Y0, Y0, Y0
+	VPXOR Y1, Y1, Y1
+	XORQ CX, CX
+	MOVQ R8, BX
+
+avx2SSrc64:
+	VMOVDQU (BX), Y5
+	VMOVDQU 32(BX), Y6
+	MOVQ (R9)(CX*8), SI
+	VMOVDQU (SI)(AX*1), Y2
+	VMOVDQU 32(SI)(AX*1), Y3
+	VPSRLW $4, Y2, Y4
+	VPSRLW $4, Y3, Y7
+	VPAND  Y8, Y2, Y2
+	VPAND  Y8, Y3, Y3
+	VPAND  Y8, Y4, Y4
+	VPAND  Y8, Y7, Y7
+	VPSHUFB Y2, Y5, Y2
+	VPSHUFB Y3, Y5, Y3
+	VPSHUFB Y4, Y6, Y4
+	VPSHUFB Y7, Y6, Y7
+	VPXOR Y4, Y2, Y2
+	VPXOR Y7, Y3, Y3
+	VPXOR Y2, Y0, Y0
+	VPXOR Y3, Y1, Y1
+	ADDQ $64, BX
+	INCQ CX
+	CMPQ CX, R10
+	JLT  avx2SSrc64
+
+	TESTQ R14, R14
+	JZ    avx2SStore64
+	VPXOR (DI)(AX*1), Y0, Y0
+	VPXOR 32(DI)(AX*1), Y1, Y1
+
+avx2SStore64:
+	VMOVDQU Y0, (DI)(AX*1)
+	VMOVDQU Y1, 32(DI)(AX*1)
+	ADDQ $64, AX
+	JMP  avx2SStrip64
+
+avx2SStrip32:
 	LEAQ 32(AX), BX
 	CMPQ BX, DX
 	JGT  avx2STail
@@ -337,7 +247,7 @@ avx2SStrip:
 	XORQ CX, CX
 	MOVQ R8, BX
 
-avx2SSrc:
+avx2SSrc32:
 	VMOVDQU (BX), Y5
 	VMOVDQU 32(BX), Y6
 	MOVQ (R9)(CX*8), SI
@@ -352,16 +262,15 @@ avx2SSrc:
 	ADDQ $64, BX
 	INCQ CX
 	CMPQ CX, R10
-	JLT  avx2SSrc
+	JLT  avx2SSrc32
 
 	TESTQ R14, R14
-	JZ    avx2SStore
+	JZ    avx2SStore32
 	VPXOR (DI)(AX*1), Y0, Y0
 
-avx2SStore:
+avx2SStore32:
 	VMOVDQU Y0, (DI)(AX*1)
 	ADDQ $32, AX
-	JMP  avx2SStrip
 
 avx2STail:
 	CMPQ AX, DX

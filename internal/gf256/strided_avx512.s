@@ -2,14 +2,17 @@
 
 #include "textflag.h"
 
-// AVX-512 GFNI strided segment kernel with per-operand geometry: count
-// segments of segn bytes; after each segment the destination pointer
-// advances dstride bytes and source pointer j advances strides[j] bytes
-// (a zero stride re-reads the same window — virtual zero shards, or a
-// compact buffer walked at a different pace than the shard space). The
-// segment interior runs in full 64-byte zmm strips; the segn % 64 tail is
+// AVX-512 GFNI row kernel, the zmm tier's only one, with per-operand
+// geometry: count segments of segn bytes; after each segment the
+// destination pointer advances dstride bytes and source pointer j advances
+// strides[j] bytes (a zero stride re-reads the same window — virtual zero
+// shards, or a compact buffer walked at a different pace than the shard
+// space). A contiguous range is the count = 1 case. The segment interior
+// runs in full 64-byte zmm strips, two at a time; the segn % 64 tail is
 // finished with K-masked loads and a masked store, computed once per call
-// since segn is uniform. Any segn >= 1 therefore stays fully in-kernel.
+// since segn is uniform. Masked-off source bytes load as zero, and
+// affine(M, 0) == 0, so they add nothing. Any segn >= 1 therefore stays
+// fully in-kernel.
 //
 // The source pointer array is advanced in place and left clobbered.
 // Pointers are only advanced while further segments remain, so every

@@ -26,8 +26,8 @@ type Network struct {
 	BytesMoved int64
 }
 
-// Host is a registered host's NIC. Callers that transfer often keep the
-// handle AddHost returned, so the hot path never looks a name up.
+// Host is a registered host's NIC: the handle AddHost returns, which Send
+// and Ship take, so no transfer looks a name up.
 type Host struct {
 	egress  *simclock.Queue
 	ingress *simclock.Queue
@@ -133,31 +133,9 @@ func ingressDone(a any) {
 	n.sim.AfterArg(n.latency, fn, arg)
 }
 
-func noop(any) {}
-
-// Transfer moves bytes from one host to another, invoking done when the
-// payload has fully arrived. Intra-host transfers skip the NIC and incur
+// Send moves bytes from one host to another: fn(arg) fires when the
+// payload has fully arrived at to. Intra-host sends skip the NIC and incur
 // only loopback latency.
-func (n *Network) Transfer(from, to string, bytes int64, done func()) {
-	fn, arg := noop, any(nil)
-	if done != nil {
-		fn, arg = callThunk, done
-	}
-	n.Send(n.host("source", from), n.host("destination", to), bytes, fn, arg)
-}
-
-func callThunk(a any) { a.(func())() }
-
-func (n *Network) host(role, name string) *Host {
-	h, ok := n.hosts[name]
-	if !ok {
-		panic("simnet: unknown " + role + " host " + name)
-	}
-	return h
-}
-
-// Send is the allocation-free, pre-resolved form of Transfer: fn(arg)
-// fires when the payload has fully arrived at to.
 func (n *Network) Send(from, to *Host, bytes int64, fn func(any), arg any) {
 	n.send(from, to, bytes, fn, arg, nil)
 }

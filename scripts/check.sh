@@ -13,9 +13,10 @@
 # the engine's ordering and gather fuzz smokes (the slicing one on two
 # queues with backlog nodes changing hands) + the placement fuzz
 # smoke (Select against its straw2 reference) + the matrix codes'
-# round-trip fuzz smoke + the codec's two strided fuzz smokes
-# (ApplyStrided against its scalar oracle; Clay's batched and per-plane
-# formulations against each other and the erased bytes) + the store's
+# round-trip fuzz smoke + the codec's three kernel fuzz smokes (the row
+# kernel of every backend against the bit-by-bit reference; ApplyStrided
+# against its scalar oracle; Clay's batched and per-plane formulations
+# against each other and the erased bytes) + the store's
 # naive-model fuzz smoke (bulk loads, writes and rewrites over bulk-loaded,
 # recovered and corrupted chunks, scrubs and the recovered runs ExpectRun
 # declares, across forks, and bulk loads refused for a name out of order
@@ -86,12 +87,13 @@ go test -race -count=1 \
     ./internal/iostat \
     ./internal/tuner
 
-echo "== fuzz smoke (simclock: same-instant FIFO, RunUntil slicing with backlog nodes changing hands; simnet: gather == per-ship; crush: Select == straw2 reference; matrix codes: decode/repair == CanRecover; gf256: ApplyStrided == scalar oracle; clay: batched == per-plane == erased bytes; bluestore: store == naive per-chunk model across forks, rewrites, recovered runs and refused out-of-order loads included; inputs: fault lists, profile documents and ceph.conf text are run or rejected, never a panic) =="
+echo "== fuzz smoke (simclock: same-instant FIFO, RunUntil slicing with backlog nodes changing hands; simnet: gather == per-ship; crush: Select == straw2 reference; matrix codes: decode/repair == CanRecover; gf256: every backend's row kernel == bit-by-bit reference, ApplyStrided == scalar oracle; clay: batched == per-plane == erased bytes; bluestore: store == naive per-chunk model across forks, rewrites, recovered runs and refused out-of-order loads included; inputs: fault lists, profile documents and ceph.conf text are run or rejected, never a panic) =="
 go test ./internal/simclock -run xxx -fuzz FuzzSimclockFIFO -fuzztime 10s
 go test ./internal/simclock -run xxx -fuzz FuzzRunUntilSlicing -fuzztime 10s
 go test ./internal/simnet -run xxx -fuzz FuzzGatherMatchesPerShip -fuzztime 10s
 go test ./internal/crush -run xxx -fuzz FuzzSelectMatchesReference -fuzztime 10s
 go test ./internal/erasure/conformance -run xxx -fuzz FuzzMatrixCodeRoundTrip -fuzztime 10s
+go test ./internal/gf256 -run xxx -fuzz FuzzMulAddRow -fuzztime 10s
 go test ./internal/gf256 -run xxx -fuzz FuzzApplyStrided -fuzztime 10s
 go test ./internal/erasure/conformance -run xxx -fuzz FuzzClayBatchIdentity -fuzztime 10s
 go test ./internal/bluestore -run xxx -fuzz FuzzStoreMatchesNaiveModel -fuzztime 10s
