@@ -320,9 +320,6 @@ func Open(dev *blockdev.Device, cfg Config) *Store {
 	return &Store{cfg: normalizeConfig(cfg), dev: dev, chunks: map[ChunkID]chunkInfo{}}
 }
 
-// Config returns the effective configuration.
-func (s *Store) Config() Config { return s.cfg }
-
 func roundUp(v, to int64) int64 { return (v + to - 1) / to * to }
 
 func ceilDiv(a, b int64) int64 { return (a + b - 1) / b }
@@ -591,15 +588,6 @@ func (s *Store) ScrubChunk(id ChunkID) (bool, error) {
 func (s *Store) HasChunk(id ChunkID) bool {
 	_, ok := s.lookup(id)
 	return ok
-}
-
-// ChunkSize returns the stored (padded) size of a chunk.
-func (s *Store) ChunkSize(id ChunkID) (int64, error) {
-	info, ok := s.lookup(id)
-	if !ok {
-		return 0, fmt.Errorf("%w: %s", ErrNoSuchChunk, id)
-	}
-	return info.size, nil
 }
 
 // Chunks returns the number of stored chunks.

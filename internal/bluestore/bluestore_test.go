@@ -11,6 +11,16 @@ import (
 	"repro/internal/blockdev"
 )
 
+// chunkSize is a chunk's stored (padded) size, or ErrNoSuchChunk for a
+// chunk the store does not hold.
+func (s *Store) chunkSize(id ChunkID) (int64, error) {
+	info, ok := s.lookup(id)
+	if !ok {
+		return 0, fmt.Errorf("%w: %s", ErrNoSuchChunk, id)
+	}
+	return info.size, nil
+}
+
 func newStore(t *testing.T, cfg Config) *Store {
 	t.Helper()
 	dev, err := blockdev.New(1 << 30)
@@ -140,10 +150,10 @@ func TestRefusedRewriteKeepsChunk(t *testing.T) {
 		if s.Chunks() != chunks || s.UsedBytes() != used {
 			t.Fatalf("%s: Chunks %d, UsedBytes %d; was %d, %d", why, s.Chunks(), s.UsedBytes(), chunks, used)
 		}
-		if size, err := s.ChunkSize(cid("bulk")); err != nil || size != 4096 {
+		if size, err := s.chunkSize(cid("bulk")); err != nil || size != 4096 {
 			t.Fatalf("%s: bulk chunk %d bytes, %v", why, size, err)
 		}
-		if size, err := s.ChunkSize(cid("solo")); err != nil || size != 32<<10 || !bytes.Equal(s.payloads[cid("solo")].bytes, pay) {
+		if size, err := s.chunkSize(cid("solo")); err != nil || size != 32<<10 || !bytes.Equal(s.payloads[cid("solo")].bytes, pay) {
 			t.Fatalf("%s: solo chunk %d bytes, %v, or its payload changed", why, size, err)
 		}
 	}
@@ -245,11 +255,11 @@ func TestWAExampleMatchesFormulaPlusMeta(t *testing.T) {
 // default, and keeps the fields that are set.
 func TestOpenValidation(t *testing.T) {
 	dev, _ := blockdev.New(4096)
-	if got := Open(dev, Config{}).Config(); got != DefaultConfig() {
+	if got := Open(dev, Config{}).cfg; got != DefaultConfig() {
 		t.Fatalf("zero Config opened as %+v, want %+v", got, DefaultConfig())
 	}
 	set := Config{MinAllocSize: 65536, CacheBytes: 1 << 20, Cache: CacheKVOptimized}
-	if got := Open(dev, set).Config(); got != set {
+	if got := Open(dev, set).cfg; got != set {
 		t.Fatalf("Config %+v opened as %+v", set, got)
 	}
 }
@@ -312,7 +322,7 @@ func TestCorruptAndScrubChunk(t *testing.T) {
 
 func TestAccessors(t *testing.T) {
 	s := newStore(t, Config{MinAllocSize: 8192})
-	if s.Config().MinAllocSize != 8192 {
+	if s.cfg.MinAllocSize != 8192 {
 		t.Fatal("Config not reflecting options")
 	}
 	if s.HasChunk(cid("x")) {
@@ -324,11 +334,11 @@ func TestAccessors(t *testing.T) {
 	if !s.HasChunk(cid("x")) {
 		t.Fatal("chunk missing")
 	}
-	size, err := s.ChunkSize(cid("x"))
+	size, err := s.chunkSize(cid("x"))
 	if err != nil || size != 100 {
 		t.Fatalf("ChunkSize = %d, %v", size, err)
 	}
-	if _, err := s.ChunkSize(cid("y")); err == nil {
+	if _, err := s.chunkSize(cid("y")); err == nil {
 		t.Fatal("missing chunk size accepted")
 	}
 }

@@ -26,12 +26,12 @@ func TestStoreForkOfFork(t *testing.T) {
 	if err := s.WriteChunk(cid("a"), 4096, 4096, bytes.Repeat([]byte{1}, 4096)); err != nil {
 		t.Fatal(err)
 	}
-	f, err := s.Fork(s.Config())
+	f, err := s.Fork(s.cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	f.Freeze()
-	ff, err := f.Fork(f.Config())
+	ff, err := f.Fork(f.cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,20 +57,20 @@ func TestStoreForkOfFork(t *testing.T) {
 func TestStoreForkRejectsLayoutChange(t *testing.T) {
 	s := newTestStore(t)
 	s.Freeze()
-	cfg := s.Config()
+	cfg := s.cfg
 	cfg.MinAllocSize = 65536
 	if _, err := s.Fork(cfg); err == nil {
 		t.Fatal("Fork changing MinAllocSize should fail")
 	}
 	// Cache knobs are recovery-side and may change.
-	cfg = s.Config()
+	cfg = s.cfg
 	cfg.Cache = CacheKVOptimized
 	cfg.CacheBytes = 1 << 30
 	f, err := s.Fork(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Config().Cache != CacheKVOptimized {
+	if f.cfg.Cache != CacheKVOptimized {
 		t.Fatal("fork did not take new cache config")
 	}
 }
@@ -95,7 +95,7 @@ func TestFrozenStoreRejectsWrites(t *testing.T) {
 		t.Fatalf("ExpectRun on frozen store: %v, want the frozen-store error", err)
 	}
 	// Reads still work, and c1 is as it was written.
-	if size, err := s.ChunkSize(cid("c1")); s.Chunks() != 1 || err != nil || size != 4096 {
+	if size, err := s.chunkSize(cid("c1")); s.Chunks() != 1 || err != nil || size != 4096 {
 		t.Fatalf("frozen store's c1: %d chunks, %d bytes, %v", s.Chunks(), size, err)
 	}
 	if _, _, err := s.ReadChunk(cid("c1")); err != nil {
@@ -110,11 +110,11 @@ func TestStoreForkIsolationPayload(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Freeze()
-	f1, err := s.Fork(s.Config())
+	f1, err := s.Fork(s.cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f2, err := s.Fork(s.Config())
+	f2, err := s.Fork(s.cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestStoreForkAccountingMatchesFresh(t *testing.T) {
 	parent := newTestStore(t)
 	populate(parent)
 	parent.Freeze()
-	fork, err := parent.Fork(parent.Config())
+	fork, err := parent.Fork(parent.cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func bulkLoaded(t *testing.T) *Store {
 func TestForkAllocations(t *testing.T) {
 	s := bulkLoaded(t)
 	s.Freeze()
-	cfg := s.Config()
+	cfg := s.cfg
 	allocs := testing.AllocsPerRun(100, func() {
 		if _, err := s.Fork(cfg); err != nil {
 			t.Fatal(err)
@@ -263,7 +263,7 @@ func TestForkCorruptionStaysInFork(t *testing.T) {
 		}
 	}
 	s.Freeze()
-	f, err := s.Fork(s.Config())
+	f, err := s.Fork(s.cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,11 +311,11 @@ func TestRecoveredRunMatchesOverlay(t *testing.T) {
 		t.Fatal(err)
 	}
 	parent.Freeze()
-	declared, err := parent.Fork(parent.Config())
+	declared, err := parent.Fork(parent.cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := parent.Fork(parent.Config())
+	plain, err := parent.Fork(parent.cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,8 +382,8 @@ func TestRecoveredRunMatchesOverlay(t *testing.T) {
 				if d, p := declared.HasChunk(c), plain.HasChunk(c); d != p {
 					t.Fatalf("step %d: HasChunk(%s) %v declared, %v plain", n, c, d, p)
 				}
-				ds, derr := declared.ChunkSize(c)
-				ps, perr := plain.ChunkSize(c)
+				ds, derr := declared.chunkSize(c)
+				ps, perr := plain.chunkSize(c)
 				if ds != ps || (derr == nil) != (perr == nil) {
 					t.Fatalf("step %d: ChunkSize(%s) %d, %v declared; %d, %v plain", n, c, ds, derr, ps, perr)
 				}

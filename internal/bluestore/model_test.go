@@ -322,7 +322,7 @@ func (w *modelWorld) step(op, a, b byte) {
 			// The second fork changes what a fork may change, the cache
 			// scheme and size: it must not inherit the parent's remembered
 			// access profile.
-			cfg := s.Config()
+			cfg := s.cfg
 			if i == 1 {
 				cfg.Cache = modelSchemes[(int(a)+1)%len(modelSchemes)]
 				cfg.CacheBytes = 12 << 10
@@ -369,7 +369,7 @@ func (w *modelWorld) step(op, a, b byte) {
 func (w *modelWorld) check(step int) {
 	t := w.t
 	for i, s := range w.stores {
-		o, cfg := w.oracles[i], s.Config()
+		o, cfg := w.oracles[i], s.cfg
 		if got, want := s.Chunks(), len(o.chunks); got != want {
 			t.Fatalf("step %d store %d: Chunks %d, oracle %d", step, i, got, want)
 		}
@@ -396,7 +396,7 @@ func (w *modelWorld) check(step int) {
 			if s.HasChunk(id) != had {
 				t.Fatalf("step %d store %d: HasChunk(%s) = %v, oracle %v", step, i, id, !had, had)
 			}
-			size, err := s.ChunkSize(id)
+			size, err := s.chunkSize(id)
 			if had != (err == nil) || size != c.size {
 				t.Fatalf("step %d store %d: ChunkSize(%s) = %d, %v; oracle %d, %v", step, i, id, size, err, c.size, had)
 			}

@@ -229,9 +229,6 @@ func build(cfg Config, mkStore func(cfg Config, id int) (*bluestore.Store, error
 		pools: map[string]*Pool{},
 		log:   log,
 	}
-	if _, err := net.AddHost("mon0"); err != nil {
-		return nil, err
-	}
 	for r := 0; r < cfg.Racks; r++ {
 		if err := b.AddRack(fmt.Sprintf("rack%02d", r)); err != nil {
 			return nil, err
@@ -246,10 +243,7 @@ func build(cfg Config, mkStore func(cfg Config, id int) (*bluestore.Store, error
 		if err := b.AddHost(host, rack); err != nil {
 			return nil, err
 		}
-		nic, err := net.AddHost(host)
-		if err != nil {
-			return nil, err
-		}
+		nic := net.AddHost()
 		for d := 0; d < cfg.OSDsPerHost; d++ {
 			id, err := b.AddOSD(host, 1.0)
 			if err != nil {

@@ -14,6 +14,21 @@ import (
 	"repro/internal/workload"
 )
 
+// recoverPool runs the whole recovery cycle of a pool after failures were
+// injected: ScheduleRecovery, then the simulation to completion, as the
+// coordinator drives it.
+func (c *Cluster) recoverPool(poolName string) (*RecoveryResult, error) {
+	res, err := c.ScheduleRecovery(poolName)
+	if err != nil {
+		return nil, err
+	}
+	c.RunSim()
+	if res.FinishedAt == 0 {
+		return nil, fmt.Errorf("cluster: recovery did not complete")
+	}
+	return res, nil
+}
+
 // smallCluster builds a fast cluster for tests.
 func smallCluster(t *testing.T, hosts, osdsPerHost int, log LogFunc) *Cluster {
 	t.Helper()
@@ -54,7 +69,7 @@ func TestTopology(t *testing.T) {
 	if len(c.OSDs()) != 16 {
 		t.Fatalf("osds = %d", len(c.OSDs()))
 	}
-	if c.Crush().NumOSDs() != 16 {
+	if m := c.Crush(); m.HostOf(15) == "" || m.HostOf(16) != "" {
 		t.Fatal("crush map size wrong")
 	}
 	if !c.OSDs()[3].up {
@@ -270,7 +285,7 @@ func TestRecoveryEndToEndSynthetic(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.FailHost(10*time.Second, host)
-	res, err := c.RecoverPool("ecpool")
+	res, err := c.recoverPool("ecpool")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +333,7 @@ func TestRecoveryRestoresPayloadBytes(t *testing.T) {
 	// Fail one OSD that holds chunks.
 	victim := p.PGs[0].Acting[1]
 	c.InjectOSDFailures(time.Second, victim)
-	if _, err := c.RecoverPool("ecpool"); err != nil {
+	if _, err := c.recoverPool("ecpool"); err != nil {
 		t.Fatal(err)
 	}
 	// All objects readable with original bytes, including via recovered
@@ -337,7 +352,7 @@ func TestRecoveryRestoresPayloadBytes(t *testing.T) {
 func TestRecoveryWithoutFailuresErrors(t *testing.T) {
 	c := smallCluster(t, 8, 2, nil)
 	rsPool(t, c, 4)
-	if _, err := c.RecoverPool("ecpool"); err == nil {
+	if _, err := c.recoverPool("ecpool"); err == nil {
 		t.Fatal("recovery without failures should error")
 	}
 }
@@ -358,7 +373,7 @@ func TestClayPoolRecovery(t *testing.T) {
 	// Single-OSD failure: Clay should use the bandwidth-optimal plan.
 	victim := c.Crush().OSDsOnHost(host)[0]
 	c.InjectOSDFailures(time.Second, victim)
-	res, err := c.RecoverPool("claypool")
+	res, err := c.recoverPool("claypool")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +399,7 @@ func TestRecoveryDeterministic(t *testing.T) {
 		}
 		host, _ := c.HostWithMostChunks("ecpool")
 		c.FailHost(5*time.Second, host)
-		res, err := c.RecoverPool("ecpool")
+		res, err := c.recoverPool("ecpool")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -412,7 +427,7 @@ func TestMoreParallelismWithMorePGs(t *testing.T) {
 		}
 		host, _ := c.HostWithMostChunks("ecpool")
 		c.FailHost(time.Second, host)
-		res, err := c.RecoverPool("ecpool")
+		res, err := c.recoverPool("ecpool")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -124,7 +124,7 @@ func TestPartialTuningRecovers(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.RecoverPool("ecpool")
+		_, err := c.recoverPool("ecpool")
 		done <- err
 	}()
 	select {

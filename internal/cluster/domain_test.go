@@ -28,10 +28,18 @@ func TestRealRackTopology(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rackOf := map[int]string{}
+	for _, rack := range c.Crush().Root.Children {
+		for _, host := range rack.Children {
+			for _, osd := range host.Children {
+				rackOf[osd.OSDID] = rack.Name
+			}
+		}
+	}
 	for _, pg := range p.PGs {
 		racks := map[string]bool{}
 		for _, id := range pg.Acting {
-			r := c.Crush().RackOf(id)
+			r := rackOf[id]
 			if r == "" {
 				t.Fatal("osd has no rack")
 			}
@@ -46,15 +54,15 @@ func TestRealRackTopology(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Fail every host in one rack: each PG loses at most one chunk.
-	victimRack := c.Crush().RackOf(p.PGs[0].Acting[0])
+	victimRack := rackOf[p.PGs[0].Acting[0]]
 	var ids []int
 	for _, osd := range c.OSDs() {
-		if c.Crush().RackOf(osd.ID) == victimRack {
+		if rackOf[osd.ID] == victimRack {
 			ids = append(ids, osd.ID)
 		}
 	}
 	c.InjectOSDFailures(time.Second, ids...)
-	res, err := c.RecoverPool("rp")
+	res, err := c.recoverPool("rp")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +100,7 @@ func TestRackFailureDomainPool(t *testing.T) {
 	}
 	host, _ := c.HostWithMostChunks("rackpool")
 	c.FailHost(time.Second, host)
-	if _, err := c.RecoverPool("rackpool"); err != nil {
+	if _, err := c.recoverPool("rackpool"); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -126,7 +134,7 @@ func TestClayMultiLossFullDecode(t *testing.T) {
 	host, _ := c.HostWithMostChunks("clayosd")
 	ids := c.Crush().OSDsOnHost(host)[:2]
 	c.InjectOSDFailures(time.Second, ids...)
-	res, err := c.RecoverPool("clayosd")
+	res, err := c.recoverPool("clayosd")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +169,7 @@ func TestLRCGuardBlocksWholeGroupLoss(t *testing.T) {
 		pg = p.PGs[1]
 	}
 	c.InjectOSDFailures(time.Second, pg.Acting[0], pg.Acting[1], pg.Acting[4])
-	if _, err := c.RecoverPool("lrcguard"); err == nil {
+	if _, err := c.recoverPool("lrcguard"); err == nil {
 		t.Fatal("whole-group loss must be refused as unrecoverable")
 	}
 }

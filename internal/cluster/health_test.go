@@ -54,7 +54,7 @@ func TestHealthAfterRecoveryIsOKAgain(t *testing.T) {
 	}
 	host, _ := c.HostWithMostChunks("ecpool")
 	c.FailHost(time.Second, host)
-	if _, err := c.RecoverPool("ecpool"); err != nil {
+	if _, err := c.recoverPool("ecpool"); err != nil {
 		t.Fatal(err)
 	}
 	h := c.Health()

@@ -30,7 +30,7 @@ func TestLRCPoolRecovery(t *testing.T) {
 	}
 	victim := c.Crush().OSDsOnHost(host)[0]
 	c.InjectOSDFailures(time.Second, victim)
-	res, err := c.RecoverPool("lrcpool")
+	res, err := c.recoverPool("lrcpool")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestSHECPoolRecovery(t *testing.T) {
 	host, _ := c.HostWithMostChunks("shecpool")
 	victim := c.Crush().OSDsOnHost(host)[0]
 	c.InjectOSDFailures(time.Second, victim)
-	res, err := c.RecoverPool("shecpool")
+	res, err := c.recoverPool("shecpool")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestLRCPayloadRecovery(t *testing.T) {
 	}
 	victim := p.PGs[0].Acting[2]
 	c.InjectOSDFailures(time.Second, victim)
-	if _, err := c.RecoverPool("lrcpool"); err != nil {
+	if _, err := c.recoverPool("lrcpool"); err != nil {
 		t.Fatal(err)
 	}
 	for name, want := range contents {
@@ -146,7 +146,7 @@ func TestRepairTrafficComparison(t *testing.T) {
 		}
 		host, _ := c.HostWithMostChunks("p")
 		c.InjectOSDFailures(time.Second, c.Crush().OSDsOnHost(host)[0])
-		res, err := c.RecoverPool("p")
+		res, err := c.recoverPool("p")
 		if err != nil {
 			t.Fatalf("%s: %v", cfg.plugin, err)
 		}

@@ -110,26 +110,11 @@ func (r *RecoveryResult) CheckingFraction() float64 {
 	return float64(r.CheckingPeriod()) / float64(total)
 }
 
-// RecoverPool runs the full recovery cycle of a pool after failures have
-// been injected with InjectOSDFailures, driving the simulation to
-// completion and returning the measured result.
-func (c *Cluster) RecoverPool(poolName string) (*RecoveryResult, error) {
-	res, err := c.ScheduleRecovery(poolName)
-	if err != nil {
-		return nil, err
-	}
-	c.RunSim()
-	if res.FinishedAt == 0 {
-		return nil, fmt.Errorf("cluster: recovery did not complete")
-	}
-	return res, nil
-}
-
 // ScheduleRecovery sets up the whole recovery cycle on the simulator and
 // returns the result record, which is filled in as the simulation runs.
 // Callers that need to interleave their own periodic events (iostat
-// sampling, log flushing) schedule them against Sim() and then call
-// Sim().Run() themselves; RecoverPool wraps both steps.
+// sampling, log flushing) schedule them against Sim(), then call RunSim
+// to drive the cycle to completion.
 func (c *Cluster) ScheduleRecovery(poolName string) (*RecoveryResult, error) {
 	pool, err := c.Pool(poolName)
 	if err != nil {

@@ -165,7 +165,7 @@ func TestSequentialFailureCycles(t *testing.T) {
 
 	host1, _ := c.HostWithMostChunks("seq")
 	c.FailHost(c.Sim().Now()+time.Second, host1)
-	res1, err := c.RecoverPool("seq")
+	res1, err := c.recoverPool("seq")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestSequentialFailureCycles(t *testing.T) {
 		t.Fatal("injector picked the dead host again")
 	}
 	c.FailHost(c.Sim().Now()+time.Second, host2)
-	res2, err := c.RecoverPool("seq")
+	res2, err := c.recoverPool("seq")
 	if err != nil {
 		t.Fatal(err)
 	}

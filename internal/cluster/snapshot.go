@@ -71,9 +71,6 @@ func (c *Cluster) Snapshot() *Snapshot {
 	return s
 }
 
-// Config returns the snapshot's normalized cluster config (Log is nil).
-func (s *Snapshot) Config() Config { return s.cfg }
-
 // Fork builds a fresh cluster — new simulator, network, CRUSH map,
 // monitor, queues — whose stores are forks of the snapshot's and whose
 // pools carry the captured PG placements and shared object records. cfg

@@ -37,7 +37,7 @@ func runHostFailure(t *testing.T, c *Cluster) *RecoveryResult {
 		t.Fatal(err)
 	}
 	c.FailHost(10*time.Second, host)
-	res, err := c.RecoverPool("ecpool")
+	res, err := c.recoverPool("ecpool")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestForkRecoveryMatchesFresh(t *testing.T) {
 
 	parent := populateSmall(t, nil)
 	snap := parent.Snapshot()
-	fork, err := snap.Fork(snap.Config())
+	fork, err := snap.Fork(snap.cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,11 +69,11 @@ func TestForkIsolationFromParentAndSiblings(t *testing.T) {
 	parentUsed := parent.UsedBytes()
 	snap := parent.Snapshot()
 
-	f1, err := snap.Fork(snap.Config())
+	f1, err := snap.Fork(snap.cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f2, err := snap.Fork(snap.Config())
+	f2, err := snap.Fork(snap.cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestForkIsolationFromParentAndSiblings(t *testing.T) {
 	r1 := runHostFailure(t, f1)
 	p2, _ := f2.Pool("ecpool")
 	f2.InjectOSDFailures(time.Second, p2.PGs[0].Acting[1])
-	r2, err := f2.RecoverPool("ecpool")
+	r2, err := f2.recoverPool("ecpool")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,13 +130,13 @@ func TestForkPayloadRecoveryIsolated(t *testing.T) {
 		}
 	}
 	snap := parent.Snapshot()
-	fork, err := snap.Fork(snap.Config())
+	fork, err := snap.Fork(snap.cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	victim := p.PGs[0].Acting[1]
 	fork.InjectOSDFailures(time.Second, victim)
-	if _, err := fork.RecoverPool("ecpool"); err != nil {
+	if _, err := fork.recoverPool("ecpool"); err != nil {
 		t.Fatal(err)
 	}
 	// Every object readable with correct bytes on the fork and the parent.
@@ -166,7 +166,7 @@ func TestForkObjectMutationsStayInFork(t *testing.T) {
 	snap := populateSmall(t, nil).Snapshot()
 	wantStores, wantPGs := snapshotPrint(t, snap)
 
-	f1, err := snap.Fork(snap.Config())
+	f1, err := snap.Fork(snap.cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestForkObjectMutationsStayInFork(t *testing.T) {
 	if !reflect.DeepEqual(gotStores, wantStores) || !reflect.DeepEqual(gotPGs, wantPGs) {
 		t.Fatal("snapshot stores or PGs changed by a fork's write and repair")
 	}
-	f2, err := snap.Fork(snap.Config())
+	f2, err := snap.Fork(snap.cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,12 +205,12 @@ func TestForkObjectMutationsStayInFork(t *testing.T) {
 func TestForkRejectsGeometryChange(t *testing.T) {
 	parent := smallCluster(t, 4, 2, nil)
 	snap := parent.Snapshot()
-	cfg := snap.Config()
+	cfg := snap.cfg
 	cfg.Hosts = 5
 	if _, err := snap.Fork(cfg); err == nil {
 		t.Fatal("geometry change accepted")
 	}
-	cfg = snap.Config()
+	cfg = snap.cfg
 	cfg.Store.MinAllocSize = 65536
 	if _, err := snap.Fork(cfg); err == nil {
 		t.Fatal("layout-relevant store change accepted")
@@ -286,11 +286,11 @@ func TestBulkLoadIsAllOrNothing(t *testing.T) {
 func TestForksShareCodeInstance(t *testing.T) {
 	parent := populateSmall(t, nil)
 	snap := parent.Snapshot()
-	f1, err := snap.Fork(snap.Config())
+	f1, err := snap.Fork(snap.cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f2, err := snap.Fork(snap.Config())
+	f2, err := snap.Fork(snap.cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +354,7 @@ func snapshotPrint(t *testing.T, s *Snapshot) ([]storePrint, [][]pgPrint) {
 func payloadPrint(t *testing.T, s *Snapshot, stores []storePrint, pool string, pg snapPG, object string) {
 	t.Helper()
 	for shard, osd := range pg.acting {
-		f, err := s.stores[osd].Fork(s.stores[osd].Config())
+		f, err := s.stores[osd].Fork(s.cfg.Store)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -387,7 +387,7 @@ func TestConcurrentForksLeaveSnapshotUnchanged(t *testing.T) {
 	errs := make([]error, forks)
 	parallel.ForEach(forks, forks, func(i int) {
 		errs[i] = func() error {
-			c, err := snap.Fork(snap.Config())
+			c, err := snap.Fork(snap.cfg)
 			if err != nil {
 				return err
 			}
@@ -412,7 +412,7 @@ func TestConcurrentForksLeaveSnapshotUnchanged(t *testing.T) {
 			}
 			pg := pool.PGs[i%len(pool.PGs)]
 			c.InjectOSDFailures(time.Second, pg.Acting[i%len(pg.Acting)])
-			res, err := c.RecoverPool("ecpool")
+			res, err := c.recoverPool("ecpool")
 			if err == nil && res.RepairedChunks == 0 {
 				err = fmt.Errorf("repaired nothing")
 			}
@@ -442,7 +442,7 @@ func TestConcurrentForksLeaveSnapshotUnchanged(t *testing.T) {
 // it is rewritten and scrubs clean.
 func TestRecoveredChunkScrubsAndRepairs(t *testing.T) {
 	snap := populateSmall(t, nil).Snapshot()
-	c, err := snap.Fork(snap.Config())
+	c, err := snap.Fork(snap.cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

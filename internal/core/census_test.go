@@ -52,7 +52,7 @@ func TestEventsPerRepair(t *testing.T) {
 			res  *Result
 		}{{"root", root, rootRes}, {"fork", fork, forkRes}} {
 			name := tc.name + "/" + run.path
-			st := run.co.Cluster().Sim().Stats()
+			st := run.co.cluster.Sim().Stats()
 			t.Logf("%s: %+v, %d object repairs", name, st, run.res.Recovery.ObjectRepairs)
 			if run.res.Recovery.ObjectRepairs != 4588 {
 				t.Errorf("%s: %d object repairs, want 4588", name, run.res.Recovery.ObjectRepairs)

@@ -107,9 +107,6 @@ func (co *Coordinator) log(t simclock.Time, node, msg string) {
 	co.pending = append(co.pending, logsys.Entry{Time: t, Node: node, Category: cat, Message: msg})
 }
 
-// Cluster exposes the cluster under test.
-func (co *Coordinator) Cluster() *cluster.Cluster { return co.cluster }
-
 // Run executes the whole experiment cycle on the coordinator's own
 // cluster, unforked, and returns its measurements. It is the cold
 // reference the fork tests compare with; profiles run through core.Run.

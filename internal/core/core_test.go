@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/bluestore"
 	"repro/internal/cluster"
+	"repro/internal/erasure"
 	"repro/internal/logsys"
 )
 
@@ -183,10 +184,12 @@ func TestScaleWorkload(t *testing.T) {
 	}
 }
 
-// TestTuningReachesCluster: each TuningSpec field arrives in the config
-// the cluster runs with unchanged (the mark-out interval as a duration), a
-// zero field as Ceph's default, and ScaleWorkload divides the default
-// mark-out interval when the profile leaves it unset.
+// TestTuningReachesCluster: each TuningSpec field arrives in the cluster
+// config the EC manager builds, as the cluster runs with it once New has
+// normalized it (cluster.TestPartialTuningRecovers): unchanged (the
+// mark-out interval as a duration), a zero field as Ceph's default. And
+// ScaleWorkload divides the default mark-out interval when the profile
+// leaves it unset.
 func TestTuningReachesCluster(t *testing.T) {
 	defaults := cluster.Tuning{MarkOutInterval: 600 * time.Second, MaxBackfills: 1, RecoveryMaxActive: 10, RecoveryBWFraction: 0.13}
 	clusterTuning := func(spec TuningSpec) cluster.Tuning {
@@ -201,11 +204,7 @@ func TestTuningReachesCluster(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := cluster.New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c.Snapshot().Config().Tuning
+		return cfg.Tuning.Normalize()
 	}
 	if got := clusterTuning(TuningSpec{}); got != defaults {
 		t.Fatalf("zero tuning reached the cluster as %+v, want %+v", got, defaults)
@@ -241,7 +240,11 @@ func TestProfileJSONRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "p.json")
 	orig := ClayProfile()
-	if err := SaveProfile(orig, path); err != nil {
+	data, err := json.MarshalIndent(orig, "", "  ") // as ecfault -clay writes it
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	got, err := LoadProfile(path)
@@ -256,30 +259,47 @@ func TestProfileJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// TestProfileCoversTable1 pins the configuration surface of Table 1.
+// TestProfileCoversTable1 pins the configuration surface of Table 1 that a
+// profile reaches: every value listed of each dimension passes Validate,
+// every registered plugin included, and the fault levels are exactly the
+// ones Validate accepts.
 func TestProfileCoversTable1(t *testing.T) {
-	surface := ConfigSurface()
-	for _, dim := range []string{"bluestore cache", "pg_num", "ec plugin", "ec technique", "failure domain", "ec parameters"} {
-		if len(surface[dim]) == 0 {
-			t.Errorf("configuration dimension %q not covered", dim)
+	accepts := func(dim string, edit func(*Profile)) {
+		t.Helper()
+		p := DefaultProfile()
+		p.Cluster.Racks = 15 // enough racks for an acting set of 15
+		edit(&p)
+		if err := p.Validate(); err != nil {
+			t.Errorf("%s: %v", dim, err)
 		}
 	}
-	plugins := surface["ec plugin"]
-	hasClay, hasRS := false, false
-	for _, p := range plugins {
-		if p == "clay" {
-			hasClay = true
-		}
-		if p == "jerasure_reed_sol_van" {
-			hasRS = true
-		}
+	for _, scheme := range []string{SchemeKVOptimized, SchemeDataOptimized, SchemeAutotune} {
+		accepts("bluestore cache "+scheme, func(p *Profile) { p.Backend.CacheScheme = scheme })
 	}
-	if !hasClay || !hasRS {
+	accepts("bluestore cache custom ratios", func(p *Profile) {
+		p.Backend.CacheScheme, p.Backend.CustomRatios = "custom", &bluestore.CacheConfig{KVRatio: 1, MetaRatio: 1, DataRatio: 2}
+	})
+	accepts("pg_num", func(p *Profile) { p.Pool.PGNum = 1 })
+	plugins := erasure.Plugins()
+	if !slices.Contains(plugins, "clay") || !slices.Contains(plugins, "jerasure_reed_sol_van") {
 		t.Fatalf("plugins missing: %v", plugins)
 	}
-	// The fault levels are exactly the ones Validate accepts.
-	if got, want := surface["fault level"], []string{FaultLevelNode, FaultLevelDevice, FaultLevelCorruption}; !slices.Equal(got, want) {
-		t.Fatalf("fault levels %v, want %v", got, want)
+	for _, plugin := range plugins {
+		accepts("ec plugin "+plugin, func(p *Profile) { p.Pool.Plugin, p.Pool.K, p.Pool.M = plugin, 8, 4 })
+	}
+	accepts("ec parameters", func(p *Profile) {
+		p.Pool.Plugin, p.Pool.K, p.Pool.M, p.Pool.D, p.Pool.StripeUnit = "clay", 4, 2, 5, 4096
+	})
+	for _, domain := range []string{"osd", "host", "rack"} {
+		accepts("failure domain "+domain, func(p *Profile) { p.Pool.FailureDomain = domain })
+	}
+	for _, level := range []string{FaultLevelNode, FaultLevelDevice, FaultLevelCorruption} {
+		accepts("fault level "+level, func(p *Profile) { p.Faults = []FaultSpec{{Level: level, Count: 1, AtSeconds: 10}} })
+	}
+	p := DefaultProfile()
+	p.Faults = []FaultSpec{{Level: "rack", Count: 1, AtSeconds: 10}}
+	if err := p.Validate(); !errors.Is(err, ErrInvalidProfile) {
+		t.Fatalf("fault level rack: %v, want ErrInvalidProfile", err)
 	}
 }
 
@@ -390,33 +410,33 @@ func TestFaultInjectorLocalities(t *testing.T) {
 	if _, _, err := co.populate(); err != nil {
 		t.Fatal(err)
 	}
-	inj := NewFaultInjector(co.Cluster(), p.Pool.Name)
+	inj := NewFaultInjector(co.cluster, p.Pool.Name)
 
-	same, err := inj.Plan(FaultSpec{Level: FaultLevelDevice, Count: 3, Locality: LocalitySameHost, AtSeconds: 1})
+	same, err := inj.plan(FaultSpec{Level: FaultLevelDevice, Count: 3, Locality: LocalitySameHost, AtSeconds: 1}, map[int]bool{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	hosts := map[string]bool{}
 	for _, id := range same.OSDs {
-		hosts[co.Cluster().Crush().HostOf(id)] = true
+		hosts[co.cluster.Crush().HostOf(id)] = true
 	}
 	if len(same.OSDs) != 3 || len(hosts) != 1 {
 		t.Fatalf("same-host plan: %v over %d hosts", same.OSDs, len(hosts))
 	}
 
-	diff, err := inj.Plan(FaultSpec{Level: FaultLevelDevice, Count: 3, Locality: LocalityDiffHosts, AtSeconds: 1})
+	diff, err := inj.plan(FaultSpec{Level: FaultLevelDevice, Count: 3, Locality: LocalityDiffHosts, AtSeconds: 1}, map[int]bool{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	hosts = map[string]bool{}
 	for _, id := range diff.OSDs {
-		hosts[co.Cluster().Crush().HostOf(id)] = true
+		hosts[co.cluster.Crush().HostOf(id)] = true
 	}
 	if len(diff.OSDs) != 3 || len(hosts) != 3 {
 		t.Fatalf("diff-hosts plan: %v over %d hosts", diff.OSDs, len(hosts))
 	}
 
-	node, err := inj.Plan(FaultSpec{Level: FaultLevelNode, Count: 1, AtSeconds: 1})
+	node, err := inj.plan(FaultSpec{Level: FaultLevelNode, Count: 1, AtSeconds: 1}, map[int]bool{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,9 +460,9 @@ func TestFaultInjectorWhiteBoxGuard(t *testing.T) {
 	if _, _, err := co.populate(); err != nil {
 		t.Fatal(err)
 	}
-	inj := NewFaultInjector(co.Cluster(), p.Pool.Name)
+	inj := NewFaultInjector(co.cluster, p.Pool.Name)
 	// Explicitly target 4 OSDs hosting one PG's chunks: beyond m=2.
-	pool, _ := co.Cluster().Pool(p.Pool.Name)
+	pool, _ := co.cluster.Pool(p.Pool.Name)
 	var victim []int
 	for _, pg := range pool.PGs {
 		if len(pg.Objects) > 0 {
@@ -450,7 +470,7 @@ func TestFaultInjectorWhiteBoxGuard(t *testing.T) {
 			break
 		}
 	}
-	if _, err := inj.Plan(FaultSpec{Level: FaultLevelDevice, OSDs: victim, AtSeconds: 1}); !errors.Is(err, ErrExceedsTolerance) {
+	if _, err := inj.plan(FaultSpec{Level: FaultLevelDevice, OSDs: victim, AtSeconds: 1}, map[int]bool{}); !errors.Is(err, ErrExceedsTolerance) {
 		t.Fatalf("guard did not trip: %v", err)
 	}
 }
@@ -478,7 +498,7 @@ func TestDeviceFaultRemovesItsTargets(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plans, err := NewFaultInjector(co.Cluster(), p.Pool.Name).PlanAll(p.Faults)
+		plans, err := NewFaultInjector(co.cluster, p.Pool.Name).PlanAll(p.Faults)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -490,7 +510,7 @@ func TestDeviceFaultRemovesItsTargets(t *testing.T) {
 			want = append(want, pf.OSDs...)
 		}
 		slices.Sort(want)
-		for _, osd := range co.Cluster().OSDs() {
+		for _, osd := range co.cluster.OSDs() {
 			if osd.Store.Device().Removed() {
 				removed = append(removed, osd.ID)
 			}
@@ -498,7 +518,7 @@ func TestDeviceFaultRemovesItsTargets(t *testing.T) {
 		if !slices.Equal(removed, want) {
 			t.Fatalf("%s: removed devices %v, planned %v", tc.name, removed, want)
 		}
-		crush := co.Cluster().Crush()
+		crush := co.cluster.Crush()
 		switch tc.name {
 		case "two device faults":
 			if len(want) != 2 || crush.HostOf(want[0]) == crush.HostOf(want[1]) {

@@ -64,11 +64,6 @@ func (f *FaultInjector) heaviestOSDs(host string, osdCounts map[int]int, taken m
 	return ids
 }
 
-// Plan resolves a fault spec into concrete targets.
-func (f *FaultInjector) Plan(spec FaultSpec) (PlannedFault, error) {
-	return f.plan(spec, map[int]bool{})
-}
-
 // PlanAll plans a fault list cumulatively: a later spec never selects an
 // OSD an earlier one took, and the white-box guard runs over the union of
 // what the list takes down.

@@ -53,8 +53,8 @@ func TestFaultListPlansCumulatively(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj := NewFaultInjector(co.Cluster(), p.Pool.Name)
-	alone, err := inj.Plan(specs[0])
+	inj := NewFaultInjector(co.cluster, p.Pool.Name)
+	alone, err := inj.plan(specs[0], map[int]bool{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestFaultListGuardedAsAWhole(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool, _ := co.Cluster().Pool(p.Pool.Name)
+	pool, _ := co.cluster.Pool(p.Pool.Name)
 	var acting []int
 	for _, pg := range pool.PGs {
 		if len(pg.Objects) > 0 {
@@ -114,9 +114,9 @@ func TestFaultListGuardedAsAWhole(t *testing.T) {
 		{Level: FaultLevelDevice, OSDs: acting[0:2], AtSeconds: 1},
 		{Level: FaultLevelDevice, OSDs: acting[2:4], AtSeconds: 1},
 	}
-	inj := NewFaultInjector(co.Cluster(), p.Pool.Name)
+	inj := NewFaultInjector(co.cluster, p.Pool.Name)
 	for i, spec := range specs {
-		if _, err := inj.Plan(spec); err != nil {
+		if _, err := inj.plan(spec, map[int]bool{}); err != nil {
 			t.Fatalf("spec %d alone: %v", i, err)
 		}
 	}
@@ -145,7 +145,7 @@ func TestNoDegradedPGCompletesAtDetection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool, _ := co.Cluster().Pool(p.Pool.Name)
+	pool, _ := co.cluster.Pool(p.Pool.Name)
 	idle := 0
 	for slices.Contains(pool.PGs[0].Acting, idle) {
 		idle++
@@ -198,7 +198,7 @@ func TestRunScheduleDeviceRound(t *testing.T) {
 		t.Fatal(err)
 	}
 	target := res.Rounds[0].Plan.OSDs[0]
-	if !co.Cluster().OSDs()[target].Store.Device().Removed() {
+	if !co.cluster.OSDs()[target].Store.Device().Removed() {
 		t.Fatalf("osd.%d's device not removed by its device round", target)
 	}
 	// Each round reports its own slice of the timeline and of iostat.

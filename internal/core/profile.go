@@ -347,30 +347,3 @@ func LoadProfile(path string) (Profile, error) {
 	}
 	return p, nil
 }
-
-// SaveProfile writes a profile as indented JSON.
-func SaveProfile(p Profile, path string) error {
-	data, err := json.MarshalIndent(p, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// ConfigSurface returns the Table 1 configuration dimensions this
-// framework can vary, for documentation and the coverage test.
-func ConfigSurface() map[string][]string {
-	return map[string][]string{
-		"storage backend": {"bluestore"},
-		"bluestore cache": {SchemeKVOptimized, SchemeDataOptimized, SchemeAutotune, "custom ratios"},
-		"interface":       {"rados"},
-		"pg_num":          {"customized"},
-		"ec plugin":       erasure.Plugins(),
-		"ec technique":    {"reed_sol_van", "cauchy_orig", "clay"},
-		"failure domain":  {"osd", "host", "rack"},
-		"device class":    {"virtual nvme"},
-		"ec parameters":   {"k", "m", "d", "stripe_unit"},
-		"fault level":     {FaultLevelNode, FaultLevelDevice, FaultLevelCorruption},
-		"fault locality":  {LocalitySameHost, LocalityDiffHosts},
-	}
-}

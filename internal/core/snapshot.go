@@ -26,10 +26,6 @@ type Snapshot struct {
 	dropped  int
 }
 
-// Layout returns the layout of the profile the snapshot was populated
-// from.
-func (s *Snapshot) Layout() Layout { return s.layout }
-
 // Populate builds a cluster for the profile, runs the populate phase
 // (pool creation, workload, storage-overhead measurement), and captures
 // the result as an immutable Snapshot. Faults, tuning, cache and network

@@ -266,7 +266,7 @@ func TestSnapshotSharedAcrossCacheSchemes(t *testing.T) {
 		p := fastProfile()
 		p.Name = "cell-" + scheme
 		p.Backend.CacheScheme = scheme
-		if layoutOfProfile(t, p) != snap.Layout() {
+		if layoutOfProfile(t, p) != snap.layout {
 			t.Fatalf("scheme %s changed the layout", scheme)
 		}
 		forked, err := snap.Run(p)

@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Node types in the hierarchy.
@@ -43,13 +42,12 @@ type Node struct {
 }
 
 // Map is a CRUSH map: a tree rooted at a single root node. OSD ids are
-// dense, 0 to NumOSDs()-1, so every per-OSD table is a slice.
+// dense, from 0 up, so every per-OSD table is a slice.
 type Map struct {
 	Root   *Node
 	osds   []*Node   // by OSD id
 	items  []osdItem // by OSD id
 	hostOf []string  // by OSD id: host name
-	rackOf []string  // by OSD id: rack name, "" for a host under the root
 	byName map[string]*Node
 }
 
@@ -126,42 +124,37 @@ func (b *Builder) Build() *Map {
 		osds:   make([]*Node, b.nextID),
 		items:  make([]osdItem, b.nextID),
 		hostOf: make([]string, b.nextID),
-		rackOf: make([]string, b.nextID),
 		byName: b.byName,
 	}
 	var bucket int32
-	var walk func(n *Node, host, rack string, hostB, rackB int32) float64
-	walk = func(n *Node, host, rack string, hostB, rackB int32) float64 {
+	var walk func(n *Node, host string, hostB, rackB int32) float64
+	walk = func(n *Node, host string, hostB, rackB int32) float64 {
 		switch n.Type {
 		case TypeHost:
 			host, hostB = n.Name, bucket
-			if rack == "" {
+			if rackB < 0 {
 				rackB = bucket // flat maps: host acts as rack
 			}
 			bucket++
 		case TypeRack:
-			rack, rackB = n.Name, bucket
+			rackB = bucket
 			bucket++
 		case TypeOSD:
 			m.osds[n.OSDID] = n
 			m.items[n.OSDID] = osdItem{key: NameKey(n.Name), host: hostB, rack: rackB}
 			m.hostOf[n.OSDID] = host
-			m.rackOf[n.OSDID] = rack
 			return n.Weight
 		}
 		total := 0.0
 		for _, c := range n.Children {
-			total += walk(c, host, rack, hostB, rackB)
+			total += walk(c, host, hostB, rackB)
 		}
 		n.Weight = total
 		return total
 	}
-	walk(b.root, "", "", -1, -1)
+	walk(b.root, "", -1, -1)
 	return m
 }
-
-// NumOSDs returns the number of OSDs in the map.
-func (m *Map) NumOSDs() int { return len(m.osds) }
 
 // HostOf returns the host name of an OSD ("" for an unknown id).
 func (m *Map) HostOf(osd int) string {
@@ -169,29 +162,6 @@ func (m *Map) HostOf(osd int) string {
 		return ""
 	}
 	return m.hostOf[osd]
-}
-
-// RackOf returns the rack name of an OSD ("" if none, or for an unknown
-// id).
-func (m *Map) RackOf(osd int) string {
-	if osd < 0 || osd >= len(m.rackOf) {
-		return ""
-	}
-	return m.rackOf[osd]
-}
-
-// Hosts returns all host names that hold an OSD, sorted.
-func (m *Map) Hosts() []string {
-	seen := map[string]bool{}
-	var hosts []string
-	for _, h := range m.hostOf {
-		if !seen[h] {
-			seen[h] = true
-			hosts = append(hosts, h)
-		}
-	}
-	sort.Strings(hosts)
-	return hosts
 }
 
 // OSDsOnHost returns the OSD ids on a host, sorted.

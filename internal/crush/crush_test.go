@@ -30,11 +30,11 @@ func hostName(h int) string { return "host" + string(rune('a'+h%26)) + string(ru
 
 func TestBuildTopology(t *testing.T) {
 	m := buildCluster(t, 5, 2)
-	if m.NumOSDs() != 10 {
-		t.Fatalf("NumOSDs = %d", m.NumOSDs())
+	if len(m.osds) != 10 {
+		t.Fatalf("%d OSDs", len(m.osds))
 	}
-	if len(m.Hosts()) != 5 {
-		t.Fatalf("Hosts = %v", m.Hosts())
+	if len(m.Root.Children) != 5 {
+		t.Fatalf("%d hosts under the root", len(m.Root.Children))
 	}
 	if m.HostOf(0) != m.HostOf(1) {
 		t.Fatal("osd 0 and 1 should share a host")
@@ -153,7 +153,7 @@ func TestSetOutExcludesOSD(t *testing.T) {
 
 func TestDistributionRoughlyUniform(t *testing.T) {
 	m := buildCluster(t, 10, 2)
-	counts := make([]int, m.NumOSDs())
+	counts := make([]int, len(m.osds))
 	const pgs = 4000
 	for seed := uint64(0); seed < pgs; seed++ {
 		sel, err := m.Select(seed, 3, TypeHost)
@@ -164,7 +164,7 @@ func TestDistributionRoughlyUniform(t *testing.T) {
 			counts[o]++
 		}
 	}
-	mean := float64(pgs*3) / float64(m.NumOSDs())
+	mean := float64(pgs*3) / float64(len(m.osds))
 	for id, c := range counts {
 		if float64(c) < mean*0.7 || float64(c) > mean*1.3 {
 			t.Fatalf("osd %d has %d placements, mean %.0f — distribution too skewed", id, c, mean)
@@ -212,7 +212,8 @@ func TestRacks(t *testing.T) {
 		}
 	}
 	m := b.Build()
-	if m.RackOf(0) != "r1" || m.RackOf(3) != "r2" {
+	racks := rackNames(m)
+	if racks[0] != "r1" || racks[3] != "r2" {
 		t.Fatal("rack mapping wrong")
 	}
 	for seed := uint64(0); seed < 50; seed++ {
@@ -220,13 +221,34 @@ func TestRacks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m.RackOf(sel[0]) == m.RackOf(sel[1]) {
+		if racks[sel[0]] == racks[sel[1]] {
 			t.Fatal("rack domain violated")
 		}
 	}
 }
 
-func TestBuilderErrors(t *testing.T) {
+// rackNames maps every OSD under a rack to the rack's name, read off the
+// map's tree: racks as names, independent of the bucket numbers Select
+// compares.
+func rackNames(m *Map) map[int]string {
+	racks := map[int]string{}
+	for _, rack := range m.Root.Children {
+		if rack.Type != TypeRack {
+			continue
+		}
+		for _, host := range rack.Children {
+			for _, osd := range host.Children {
+				racks[osd.OSDID] = rack.Name
+			}
+		}
+	}
+	return racks
+}
+
+// TestDuplicateHostRejected: a host name is added once. The cluster adds
+// each host to the map before it builds the host's NIC, so this is the
+// one duplicate check a cluster's hosts pass.
+func TestDuplicateHostRejected(t *testing.T) {
 	b := NewBuilder()
 	if err := b.AddHost("h", ""); err != nil {
 		t.Fatal(err)
@@ -234,6 +256,10 @@ func TestBuilderErrors(t *testing.T) {
 	if err := b.AddHost("h", ""); err == nil {
 		t.Fatal("duplicate host accepted")
 	}
+}
+
+func TestBuilderErrors(t *testing.T) {
+	b := NewBuilder()
 	if err := b.AddHost("x", "norack"); err == nil {
 		t.Fatal("unknown rack accepted")
 	}
@@ -260,6 +286,7 @@ func referenceSelect(m *Map, seed uint64, n int, failureDomain string) ([]int, e
 	}
 	var cands []candidate
 	uniform := true
+	racks := rackNames(m)
 	for id, node := range m.osds {
 		if node == nil || node.out || node.Weight <= 0 {
 			continue
@@ -271,7 +298,7 @@ func referenceSelect(m *Map, seed uint64, n int, failureDomain string) ([]int, e
 		case TypeHost:
 			key = m.hostOf[id]
 		case TypeRack:
-			key = m.rackOf[id]
+			key = racks[id]
 			if key == "" {
 				key = m.hostOf[id] // flat maps: host acts as rack
 			}
@@ -419,7 +446,7 @@ func TestSelectMatchesReference(t *testing.T) {
 		for out := 0; out <= 3; out++ {
 			ids := make([]int, out)
 			for j := range ids {
-				ids[j] = (j*13 + out) % sh.m.NumOSDs()
+				ids[j] = (j*13 + out) % len(sh.m.osds)
 				sh.m.SetOut(ids[j], true)
 			}
 			for _, domain := range []string{TypeOSD, TypeHost, TypeRack, "datacenter"} {
@@ -450,7 +477,7 @@ func FuzzSelectMatchesReference(f *testing.F) {
 			weight = func(i int) float64 { return float64(weights[i%len(weights)]) / 16 }
 		}
 		m := shapeMap(t, int(racks%4), int(hostsPerRack%8), int(flatHosts%16), 1+int(osdsPerHost%4), weight)
-		for id := 0; id < m.NumOSDs(); id++ {
+		for id := 0; id < len(m.osds); id++ {
 			if outMask>>(id%64)&1 != 0 {
 				m.SetOut(id, true)
 			}

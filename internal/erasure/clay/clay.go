@@ -41,13 +41,13 @@ const gamma byte = 2
 // singleflight caches, so one instance is safe to share across goroutines
 // and snapshot forks.
 type Clay struct {
-	k, m, d int
-	q, t    int
-	nt      int   // q*t internal grid nodes (>= n, extras are virtual zeros)
-	kInt    int   // nt - q internal data nodes
-	alpha   int   // q^t sub-chunks per chunk
-	beta    int   // alpha / q sub-chunks read per helper on single repair
-	pow     []int // pow[i] = q^i, i in [0, t]
+	k, m  int
+	q, t  int
+	nt    int   // q*t internal grid nodes (>= n, extras are virtual zeros)
+	kInt  int   // nt - q internal data nodes
+	alpha int   // q^t sub-chunks per chunk
+	beta  int   // alpha / q sub-chunks read per helper on single repair
+	pow   []int // pow[i] = q^i, i in [0, t]
 
 	base *gfmat.Matrix // nt x kInt MDS generator for the uncoupled planes
 
@@ -96,7 +96,7 @@ func New(k, m, d int) (*Clay, error) {
 	invG2 := gf256.Inv(gf256.Mul(gamma, gamma) ^ 1)
 	invG := gf256.Inv(gamma)
 	return &Clay{
-		k: k, m: m, d: d,
+		k: k, m: m,
 		q: q, t: t, nt: nt, kInt: nt - q,
 		alpha: alpha, beta: alpha / q,
 		pow:         pow,
@@ -126,9 +126,6 @@ func (c *Clay) M() int { return c.m }
 
 // N implements erasure.Code.
 func (c *Clay) N() int { return c.k + c.m }
-
-// D is the number of helpers contacted for a single-chunk repair.
-func (c *Clay) D() int { return c.d }
 
 // SubChunks implements erasure.Code.
 func (c *Clay) SubChunks() int { return c.alpha }

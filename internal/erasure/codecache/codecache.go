@@ -70,20 +70,3 @@ func Stats() (h, m int64) {
 	defer mu.Unlock()
 	return hits, misses
 }
-
-// Len returns the number of distinct specs constructed.
-func Len() int {
-	mu.Lock()
-	defer mu.Unlock()
-	return len(entries)
-}
-
-// Reset drops all shared instances and counters. Tests only: callers
-// holding codes from before a Reset keep working, they just stop being
-// shared with later callers.
-func Reset() {
-	mu.Lock()
-	defer mu.Unlock()
-	entries = map[Spec]*entry{}
-	hits, misses = 0, 0
-}

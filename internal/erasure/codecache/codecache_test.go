@@ -31,8 +31,8 @@ var geometries = []struct {
 }
 
 func TestSharedInstancePerSpec(t *testing.T) {
-	Reset()
-	defer Reset()
+	reset()
+	defer reset()
 	for _, g := range geometries {
 		a, err := Get(g.plugin, g.k, g.m, g.d)
 		if err != nil {
@@ -49,20 +49,30 @@ func TestSharedInstancePerSpec(t *testing.T) {
 	if h, m := Stats(); h != int64(len(geometries)) || m != int64(len(geometries)) {
 		t.Errorf("Stats = (%d, %d), want (%d, %d)", h, m, len(geometries), len(geometries))
 	}
-	if Len() != len(geometries) {
-		t.Errorf("Len = %d, want %d", Len(), len(geometries))
+	if len(entries) != len(geometries) {
+		t.Errorf("%d specs constructed, want %d", len(entries), len(geometries))
 	}
 }
 
 func TestConstructionErrorCached(t *testing.T) {
-	Reset()
-	defer Reset()
+	reset()
+	defer reset()
 	if _, err := Get("clay", 4, 2, 3); err == nil { // clay requires d = k+m-1
 		t.Fatal("expected construction error")
 	}
 	if _, err := Get("clay", 4, 2, 3); err == nil {
 		t.Fatal("expected cached construction error")
 	}
+}
+
+// reset drops all shared instances and counters, so a test starts from an
+// empty registry. Codes handed out before keep working; they just stop
+// being shared with later callers.
+func reset() {
+	mu.Lock()
+	defer mu.Unlock()
+	entries = map[Spec]*entry{}
+	hits, misses = 0, 0
 }
 
 // patternsFor returns recoverable erasure patterns covering single and
@@ -102,8 +112,8 @@ func encoded(t *testing.T, code erasure.Code, rng *rand.Rand) [][]byte {
 // with a cold private instance. Run under -race this is the concurrency
 // proof for the shared plan/solver/program caches.
 func TestSharedCodeStress(t *testing.T) {
-	Reset()
-	defer Reset()
+	reset()
+	defer reset()
 	const goroutines = 16
 	const iters = 8
 	for _, g := range geometries {

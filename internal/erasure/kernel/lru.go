@@ -11,7 +11,6 @@ package kernel
 
 import (
 	"errors"
-	"math/bits"
 	"sync"
 )
 
@@ -57,12 +56,6 @@ func (m Mask) Has(i int) bool {
 		return false
 	}
 	return m[i>>6]&(1<<(i&63)) != 0
-}
-
-// Count returns the number of set bits.
-func (m Mask) Count() int {
-	return bits.OnesCount64(m[0]) + bits.OnesCount64(m[1]) +
-		bits.OnesCount64(m[2]) + bits.OnesCount64(m[3])
 }
 
 // DecodeCacheSize bounds the per-code derived-artifact caches (decode

@@ -29,9 +29,6 @@ func Compile(rows [][]byte) *Program {
 	return p
 }
 
-// Rows returns the number of output rows.
-func (p *Program) Rows() int { return len(p.plans) }
-
 // Run executes the program: for every output row i,
 //
 //	dsts[i] = Σ_j rows[i][j] * srcs[j]   (overwrite)
@@ -48,18 +45,8 @@ func (p *Program) Run(srcs, dsts [][]byte, overwrite bool) {
 	p.run(srcs, dsts, overwrite, parallel.Workers())
 }
 
-// RunSerial executes the program on the calling goroutine regardless of
-// the worker budget.
-func (p *Program) RunSerial(srcs, dsts [][]byte, overwrite bool) {
-	p.run(srcs, dsts, overwrite, 1)
-}
-
-// RunParallel executes the program with an explicit worker count (tests
-// use this to force the fan-out on single-core machines).
-func (p *Program) RunParallel(srcs, dsts [][]byte, overwrite bool, workers int) {
-	p.run(srcs, dsts, overwrite, workers)
-}
-
+// run is Run with an explicit worker count, so a test can force the
+// serial pass or the fan-out on any machine.
 func (p *Program) run(srcs, dsts [][]byte, overwrite bool, workers int) {
 	if len(dsts) != len(p.plans) {
 		panic("kernel: destination count does not match program rows")

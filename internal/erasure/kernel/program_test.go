@@ -47,7 +47,7 @@ func TestProgramMatchesScalar(t *testing.T) {
 		for _, overwrite := range []bool{false, true} {
 			rows, srcs, got, want := randomCase(t, 3, 9, size, int64(size))
 			p := Compile(rows)
-			p.RunSerial(srcs, got, overwrite)
+			p.run(srcs, got, overwrite, 1)
 			refRun(rows, srcs, want, overwrite)
 			for i := range got {
 				if !bytes.Equal(got[i], want[i]) {
@@ -68,12 +68,12 @@ func TestProgramParallelIdentical(t *testing.T) {
 	for _, size := range []int{threshold, threshold/3 + 5, 256<<10 + 1} {
 		rows, srcs, serial, par := randomCase(t, 3, 9, size, int64(size)*7)
 		p := Compile(rows)
-		p.RunSerial(srcs, serial, true)
+		p.run(srcs, serial, true, 1)
 		for _, workers := range []int{2, 3, 4, 16} {
 			for i := range par {
 				clear(par[i])
 			}
-			p.RunParallel(srcs, par, true, workers)
+			p.run(srcs, par, true, workers)
 			for i := range par {
 				if !bytes.Equal(par[i], serial[i]) {
 					t.Fatalf("size %d workers %d: row %d parallel output differs from serial", size, workers, i)

@@ -79,12 +79,6 @@ func init() {
 // Name implements erasure.Code.
 func (c *LRC) Name() string { return "lrc" }
 
-// Groups returns the number of local groups.
-func (c *LRC) Groups() int { return c.l }
-
-// GlobalParities returns the number of global parities.
-func (c *LRC) GlobalParities() int { return c.g }
-
 // groupOf returns the local group of a chunk, or -1 for global parities.
 func (c *LRC) groupOf(chunk int) int {
 	switch {

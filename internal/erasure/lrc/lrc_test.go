@@ -55,7 +55,7 @@ func TestNewValidation(t *testing.T) {
 
 func TestGeometry(t *testing.T) {
 	c := newLRC(t, 8, 2, 2) // two groups of 4, two global parities
-	if c.N() != 12 || c.M() != 4 || c.Groups() != 2 || c.GlobalParities() != 2 {
+	if c.N() != 12 || c.M() != 4 || c.l != 2 || c.g != 2 {
 		t.Fatalf("geometry: n=%d m=%d", c.N(), c.M())
 	}
 	if c.groupOf(3) != 0 || c.groupOf(4) != 1 || c.groupOf(8) != 0 || c.groupOf(9) != 1 || c.groupOf(10) != -1 {
@@ -94,7 +94,7 @@ func TestSingleFailureLocalRepair(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if f < c.K()+c.Groups() {
+		if f < c.K()+c.l {
 			// Data or local parity: repair stays within the group.
 			if len(plan.Helpers) != 4 {
 				t.Fatalf("shard %d: local repair should read 4 chunks, reads %d", f, len(plan.Helpers))

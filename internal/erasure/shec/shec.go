@@ -82,12 +82,6 @@ func init() {
 // Name implements erasure.Code.
 func (s *SHEC) Name() string { return "shec" }
 
-// C is the designed durability (guaranteed recoverable failures).
-func (s *SHEC) C() int { return s.c }
-
-// Window is the data-chunk span of each parity.
-func (s *SHEC) Window() int { return s.window }
-
 // coveredBy lists the parities whose window contains data chunk d.
 func (s *SHEC) coveredBy(d int) []int {
 	var out []int

@@ -58,14 +58,14 @@ func TestNewValidation(t *testing.T) {
 
 func TestWindowCoverage(t *testing.T) {
 	s := newSHEC(t, 10, 6, 3)
-	if s.Window() != 5 {
-		t.Fatalf("window = %d, want ceil(10*3/6)=5", s.Window())
+	if s.window != 5 {
+		t.Fatalf("window = %d, want ceil(10*3/6)=5", s.window)
 	}
 	// Every data chunk must be covered by at least c parities (the
 	// necessary condition for c-durability).
 	for d := 0; d < s.K(); d++ {
-		if got := len(s.coveredBy(d)); got < s.C() {
-			t.Fatalf("chunk %d covered by %d parities, want >= %d", d, got, s.C())
+		if got := len(s.coveredBy(d)); got < s.c {
+			t.Fatalf("chunk %d covered by %d parities, want >= %d", d, got, s.c)
 		}
 	}
 }
@@ -141,8 +141,8 @@ func TestSingleRepairReadsWindowNotK(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(plan.Helpers) != s.Window() {
-		t.Fatalf("single repair reads %d chunks, want window=%d (vs k=%d)", len(plan.Helpers), s.Window(), s.K())
+	if len(plan.Helpers) != s.window {
+		t.Fatalf("single repair reads %d chunks, want window=%d (vs k=%d)", len(plan.Helpers), s.window, s.K())
 	}
 	if len(plan.Helpers) >= s.K() {
 		t.Fatal("shec repair should beat reading k chunks")
@@ -207,8 +207,8 @@ func TestParityRepairUsesOwnWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(plan.Helpers) != s.Window() {
-		t.Fatalf("parity repair reads %d, want %d", len(plan.Helpers), s.Window())
+	if len(plan.Helpers) != s.window {
+		t.Fatalf("parity repair reads %d, want %d", len(plan.Helpers), s.window)
 	}
 	for _, h := range plan.Helpers {
 		if h.Shard >= s.K() {
@@ -230,7 +230,7 @@ func TestRegistry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if code.(*SHEC).C() != 3 {
-		t.Fatalf("default c = %d", code.(*SHEC).C())
+	if code.(*SHEC).c != 3 {
+		t.Fatalf("default c = %d", code.(*SHEC).c)
 	}
 }

@@ -78,14 +78,6 @@ type Delta struct {
 // AbsErr is |measured - paper|.
 func (d Delta) AbsErr() float64 { return math.Abs(d.Measured - d.Paper) }
 
-// RelErr is the error relative to the paper value.
-func (d Delta) RelErr() float64 {
-	if d.Paper == 0 {
-		return math.Inf(1)
-	}
-	return d.AbsErr() / d.Paper
-}
-
 // CompareFigure lines a measured figure up against the paper's bars,
 // sorted by key so every rendering and every sum over them repeats. Bars
 // the paper does not publish are skipped.

@@ -51,9 +51,6 @@ func init() {
 	}
 }
 
-// Add returns a+b in GF(2^8). Addition and subtraction coincide.
-func Add(a, b byte) byte { return a ^ b }
-
 // Mul returns the product a*b in GF(2^8).
 func Mul(a, b byte) byte { return mulTable[a][b] }
 
@@ -65,29 +62,6 @@ func Inv(a byte) byte {
 		panic("gf256: inverse of zero")
 	}
 	return invTable[a]
-}
-
-// Div returns a/b in GF(2^8). It panics if b == 0.
-func Div(a, b byte) byte {
-	if b == 0 {
-		panic("gf256: division by zero")
-	}
-	if a == 0 {
-		return 0
-	}
-	return expTable[int(logTable[a])+255-int(logTable[b])]
-}
-
-// Exp returns alpha^n for n >= 0, where alpha=2 generates the
-// multiplicative group.
-func Exp(n int) byte { return expTable[n%255] }
-
-// Log returns log_alpha(a). It panics if a == 0.
-func Log(a byte) int {
-	if a == 0 {
-		panic("gf256: log of zero")
-	}
-	return int(logTable[a])
 }
 
 // Pow returns a**n in GF(2^8), with Pow(a, 0) == 1 for any a, and

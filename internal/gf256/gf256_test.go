@@ -5,9 +5,13 @@ import (
 	"testing/quick"
 )
 
+// TestAddIsXor: field addition is XOR, and a coefficient of one is how
+// the kernels add a source into a destination.
 func TestAddIsXor(t *testing.T) {
-	if Add(0x53, 0xCA) != 0x53^0xCA {
-		t.Fatalf("Add(0x53,0xCA) = %#x", Add(0x53, 0xCA))
+	dst := []byte{0x53}
+	MulAddSlice(1, []byte{0xCA}, dst)
+	if dst[0] != 0x53^0xCA {
+		t.Fatalf("0x53 + 0xCA = %#x", dst[0])
 	}
 }
 
@@ -93,12 +97,14 @@ func TestInvZeroPanics(t *testing.T) {
 	Inv(0)
 }
 
+// TestDiv: division is multiplication by the inverse, the form the
+// matrix inversion uses.
 func TestDiv(t *testing.T) {
 	f := func(a, b byte) bool {
 		if b == 0 {
 			return true
 		}
-		return Mul(Div(a, b), b) == a
+		return Mul(Mul(a, Inv(b)), b) == a
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -111,13 +117,15 @@ func TestDivByZeroPanics(t *testing.T) {
 			t.Fatal("Div by zero did not panic")
 		}
 	}()
-	Div(3, 0)
+	Mul(3, Inv(0))
 }
 
+// TestExpLogRoundTrip: the log table, from which Mul and Inv are built,
+// inverts the generator's powers.
 func TestExpLogRoundTrip(t *testing.T) {
 	for a := 1; a < 256; a++ {
-		if Exp(Log(byte(a))) != byte(a) {
-			t.Fatalf("Exp(Log(%#x)) != %#x", a, a)
+		if Pow(2, int(logTable[a])) != byte(a) || expTable[logTable[a]] != byte(a) {
+			t.Fatalf("alpha^log(%#x) != %#x", a, a)
 		}
 	}
 }
@@ -125,7 +133,7 @@ func TestExpLogRoundTrip(t *testing.T) {
 func TestExpGeneratesWholeGroup(t *testing.T) {
 	seen := map[byte]bool{}
 	for i := 0; i < 255; i++ {
-		seen[Exp(i)] = true
+		seen[Pow(2, i)] = true
 	}
 	if len(seen) != 255 {
 		t.Fatalf("alpha generates %d elements, want 255", len(seen))

@@ -38,9 +38,8 @@ import "unsafe"
 // SWAR doubling only moves bits within byte lanes, so the word view is
 // correct for either endianness.
 //
-// CompileRow turns a coefficient row into its bit-plane lists once;
-// MulAddRow is the convenience entry that compiles and runs in one call.
-// The erasure kernel package compiles whole matrices into RowPlan programs
+// CompileRow turns a coefficient row into its bit-plane lists once. The
+// erasure kernel package compiles whole matrices into RowPlan programs
 // and adds banding across outputs and worker fan-out.
 
 // bandWords is the accumulator band size in 64-bit words (2 KiB), chosen
@@ -366,16 +365,4 @@ func (rp *RowPlan) tail(srcs [][]byte, dst []byte, off, end int, overwrite bool)
 			dst[i] ^= acc
 		}
 	}
-}
-
-// MulAddRow computes dst[i] ^= Σ_j coeffs[j]*srcs[j][i], the fused form of
-// applying one generator-matrix row to a set of source shards: one pass
-// over the destination regardless of row width. Sources under zero
-// coefficients may be nil; all others must match len(dst). Callers
-// applying the same row repeatedly should CompileRow once instead.
-func MulAddRow(coeffs []byte, srcs [][]byte, dst []byte) {
-	if len(coeffs) != len(srcs) {
-		panic("gf256: coeffs/srcs length mismatch")
-	}
-	CompileRow(coeffs).MulAdd(srcs, dst)
 }

@@ -42,7 +42,7 @@ func BenchmarkMulAddRow(b *testing.B) {
 		b.Run(fmt.Sprintf("%dKiB", size>>10), func(b *testing.B) {
 			b.SetBytes(int64(size * len(coeffs)))
 			for i := 0; i < b.N; i++ {
-				MulAddRow(coeffs, srcs, dst)
+				CompileRow(coeffs).MulAdd(srcs, dst)
 			}
 		})
 	}

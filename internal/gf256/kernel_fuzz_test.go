@@ -103,9 +103,9 @@ func FuzzMulAddRow(f *testing.F) {
 			for i := range dst {
 				dst[i] = byte(i * 3)
 			}
-			MulAddRow(coeffs, srcs, dst)
+			CompileRow(coeffs).MulAdd(srcs, dst)
 			if !bytes.Equal(dst, want) {
-				t.Fatalf("MulAddRow(%d coeffs, len=%d, backend=%s) diverges from reference", len(coeffs), len(src), Backend())
+				t.Fatalf("row MulAdd(%d coeffs, len=%d, backend=%s) diverges from reference", len(coeffs), len(src), Backend())
 			}
 		})
 	})
@@ -185,9 +185,9 @@ func TestRowPlanUnalignedOperands(t *testing.T) {
 					for j, c := range coeffs {
 						refMulAdd(c, srcs[j], want)
 					}
-					MulAddRow(coeffs, srcs, dst)
+					CompileRow(coeffs).MulAdd(srcs, dst)
 					if !bytes.Equal(dst, want) {
-						t.Fatalf("backend=%s n=%d shift=%d dstShift=%d: MulAddRow diverges from reference", Backend(), n, shift, dstShift)
+						t.Fatalf("backend=%s n=%d shift=%d dstShift=%d: row MulAdd diverges from reference", Backend(), n, shift, dstShift)
 					}
 				}
 			}

@@ -30,18 +30,6 @@ func New(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]byte, rows*cols)}
 }
 
-// FromRows builds a matrix from row slices, which must all have equal length.
-func FromRows(rows [][]byte) *Matrix {
-	m := New(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != m.Cols {
-			panic("gfmat: ragged rows")
-		}
-		copy(m.Data[i*m.Cols:], r)
-	}
-	return m
-}
-
 // Identity returns the n x n identity matrix.
 func Identity(n int) *Matrix {
 	m := New(n, n)
@@ -82,23 +70,6 @@ func (m *Matrix) Mul(other *Matrix) *Matrix {
 			}
 			gf256.MulAddSlice(a, other.Row(k), orow)
 		}
-	}
-	return out
-}
-
-// MulVec computes m * v for a column vector v (len(v) == m.Cols).
-func (m *Matrix) MulVec(v []byte) []byte {
-	if len(v) != m.Cols {
-		panic("gfmat: vector length mismatch")
-	}
-	out := make([]byte, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		var acc byte
-		row := m.Row(i)
-		for j, x := range v {
-			acc ^= gf256.Mul(row[j], x)
-		}
-		out[i] = acc
 	}
 	return out
 }

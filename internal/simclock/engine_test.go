@@ -53,21 +53,26 @@ func TestHeapOrderingStress(t *testing.T) {
 	}
 }
 
+// atArg schedules fn(arg) at absolute time t without allocating: the call
+// every scheduling entry point makes.
+func (s *Sim) atArg(t Time, fn func(any), arg any) { s.schedule(t, fn, arg, nil) }
+
 // TestMixedSchedulingSameInstant checks the determinism contract across
-// the different scheduling entry points: At, After, AtArg and AfterArg
-// all consume one sequence number, so same-instant events fire in call
-// order no matter which API scheduled them.
+// the different scheduling entry points: At, After, AfterArg and the
+// schedule call under them all consume one sequence number, so
+// same-instant events fire in call order no matter which API scheduled
+// them.
 func TestMixedSchedulingSameInstant(t *testing.T) {
 	s := New()
 	var order []int
 	rec := func(a any) { order = append(order, *a.(*int)) }
 	vals := [6]int{0, 1, 2, 3, 4, 5}
 	s.At(time.Second, func() { order = append(order, vals[0]) })
-	s.AtArg(time.Second, rec, &vals[1])
+	s.atArg(time.Second, rec, &vals[1])
 	s.After(time.Second, func() { order = append(order, vals[2]) })
 	s.AfterArg(time.Second, rec, &vals[3])
 	s.At(time.Second, func() { order = append(order, vals[4]) })
-	s.AtArg(time.Second, rec, &vals[5])
+	s.atArg(time.Second, rec, &vals[5])
 	s.Run()
 	for i, v := range order {
 		if v != i {
@@ -219,14 +224,14 @@ func TestOutgrownRingsAreReused(t *testing.T) {
 	if n := after.Mallocs - before.Mallocs; n != 0 {
 		t.Errorf("backing up a queue and a semaphore to 64 waiters allocated %d objects, want 0", n)
 	}
-	if b.QueueLen() != 32 || sem.Waiting() != 32 {
-		t.Fatalf("%d and %d waiting, want 32 each", b.QueueLen(), sem.Waiting())
+	if b.QueueLen() != 32 || sem.count != 32 {
+		t.Fatalf("%d and %d waiting, want 32 each", b.QueueLen(), sem.count)
 	}
 	fireAll(s)
 	fifo("queue B", served, 33)
 	fifo("semaphore", granted, 33)
-	if b.JobsServed != 33 || sem.Held() != 0 {
-		t.Fatalf("queue B served %d jobs, semaphore holds %d", b.JobsServed, sem.Held())
+	if b.JobsServed != 33 || sem.held != 0 {
+		t.Fatalf("queue B served %d jobs, semaphore holds %d", b.JobsServed, sem.held)
 	}
 	chunks("queue B and semaphore", 64)
 }
@@ -241,19 +246,19 @@ func TestSemaphoreFIFOWraparound(t *testing.T) {
 		n := i
 		sem.Acquire(func() { grants = append(grants, n) })
 	}
-	if sem.Held() != 2 || sem.Waiting() != 23 {
-		t.Fatalf("held=%d waiting=%d", sem.Held(), sem.Waiting())
+	if sem.held != 2 || sem.count != 23 {
+		t.Fatalf("held=%d waiting=%d", sem.held, sem.count)
 	}
 	for i := 0; i < 23; i++ {
 		sem.Release()
 	}
-	if sem.Waiting() != 0 || sem.Held() != 2 {
-		t.Fatalf("after drain: held=%d waiting=%d", sem.Held(), sem.Waiting())
+	if sem.count != 0 || sem.held != 2 {
+		t.Fatalf("after drain: held=%d waiting=%d", sem.held, sem.count)
 	}
 	sem.Release()
 	sem.Release()
-	if sem.Held() != 0 {
-		t.Fatalf("held = %d", sem.Held())
+	if sem.held != 0 {
+		t.Fatalf("held = %d", sem.held)
 	}
 	for i, v := range grants {
 		if v != i+1 {
@@ -276,7 +281,7 @@ func TestArgVariantsDeliverArg(t *testing.T) {
 	type payload struct{ hits int }
 	p := &payload{}
 	bump := func(a any) { a.(*payload).hits++ }
-	s.AtArg(time.Second, bump, p)
+	s.atArg(time.Second, bump, p)
 	s.AfterArg(2*time.Second, bump, p)
 	q.SubmitArg(time.Second, bump, p)
 	q.SubmitArg(time.Second, nil, nil) // nil completion is allowed
@@ -297,7 +302,7 @@ func TestSteadyStateAllocFree(t *testing.T) {
 	load := func() {
 		base := s.Now()
 		for i := 0; i < 32; i++ {
-			s.AtArg(base+Time(i)*time.Millisecond, bump, nil)
+			s.atArg(base+Time(i)*time.Millisecond, bump, nil)
 			q.SubmitArg(time.Millisecond, bump, nil)
 		}
 		s.Run()

@@ -120,7 +120,7 @@ func runProgram(seed uint64, step Time) ([]traceEntry, Time, int) {
 	for i := 0; i < 16; i++ {
 		r = mix(r + uint64(i))
 		at := Time(r % uint64(2*time.Millisecond))
-		s.AtArg(at, runNode, &node{tr: tr, id: mix(r)})
+		s.atArg(at, runNode, &node{tr: tr, id: mix(r)})
 	}
 	var end Time
 	if step == 0 {
@@ -135,7 +135,7 @@ func runProgram(seed uint64, step Time) ([]traceEntry, Time, int) {
 // while events are pending, then Run, whose result it returns.
 func runSliced(s *Sim, cut func(i int) Time) Time {
 	var t Time
-	for i := 0; s.Pending() > 0; i++ {
+	for i := 0; len(s.heap) > 0; i++ {
 		t += cut(i)
 		s.RunUntil(t)
 	}
@@ -218,12 +218,12 @@ func FuzzSimclockFIFO(f *testing.F) {
 			b := b
 			id := nextID
 			nextID++
-			s.AtArg(Time(b&0x7)*100*time.Nanosecond, func(any) {
+			s.atArg(Time(b&0x7)*100*time.Nanosecond, func(any) {
 				trace = append(trace, traceEntry{s.Now(), id})
 				if b&0x80 != 0 {
 					cid := nextID
 					nextID++
-					s.AtArg(s.Now(), child, cid)
+					s.atArg(s.Now(), child, cid)
 				}
 			}, nil)
 		}
@@ -269,7 +269,7 @@ func FuzzRunUntilSlicing(f *testing.F) {
 			for i, b := range data {
 				b := b
 				id := uint64(i)
-				s.AtArg(Time(b&0x3f)*100*time.Nanosecond, func(any) {
+				s.atArg(Time(b&0x3f)*100*time.Nanosecond, func(any) {
 					trace = append(trace, traceEntry{s.Now(), id})
 					if b&0x40 != 0 {
 						qs[id&1].SubmitArg(Time(b)*10*time.Nanosecond, record, id|1<<32)

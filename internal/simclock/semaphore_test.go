@@ -11,16 +11,16 @@ func TestSemaphoreImmediateGrant(t *testing.T) {
 	granted := 0
 	sem.Acquire(func() { granted++ })
 	sem.Acquire(func() { granted++ })
-	if granted != 2 || sem.Held() != 2 {
-		t.Fatalf("granted=%d held=%d", granted, sem.Held())
+	if granted != 2 || sem.held != 2 {
+		t.Fatalf("granted=%d held=%d", granted, sem.held)
 	}
 	sem.Acquire(func() { granted++ })
-	if granted != 2 || sem.Waiting() != 1 {
-		t.Fatalf("third acquire should wait: granted=%d waiting=%d", granted, sem.Waiting())
+	if granted != 2 || sem.count != 1 {
+		t.Fatalf("third acquire should wait: granted=%d waiting=%d", granted, sem.count)
 	}
 	sem.Release()
-	if granted != 3 || sem.Held() != 2 {
-		t.Fatalf("release should grant the waiter: granted=%d held=%d", granted, sem.Held())
+	if granted != 3 || sem.held != 2 {
+		t.Fatalf("release should grant the waiter: granted=%d held=%d", granted, sem.held)
 	}
 }
 

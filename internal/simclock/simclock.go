@@ -151,9 +151,6 @@ func callThunk(a any) { a.(func())() }
 // At schedules fn at absolute time t, which must not be in the past.
 func (s *Sim) At(t Time, fn func()) { s.schedule(t, callThunk, fn, nil) }
 
-// AtArg schedules fn(arg) at absolute time t without allocating.
-func (s *Sim) AtArg(t Time, fn func(any), arg any) { s.schedule(t, fn, arg, nil) }
-
 // After schedules fn d from now. Negative d is treated as zero.
 func (s *Sim) After(d Time, fn func()) {
 	if d < 0 {
@@ -307,9 +304,6 @@ func (s *Sim) RunUntil(t Time) {
 		s.now = t
 	}
 }
-
-// Pending reports the number of queued events.
-func (s *Sim) Pending() int { return len(s.heap) }
 
 // Stats is the engine's census of a simulator's life so far.
 type Stats struct {
@@ -517,12 +511,6 @@ func (sem *Semaphore) Release() {
 	}
 	sem.held--
 }
-
-// Held reports currently granted units.
-func (sem *Semaphore) Held() int { return sem.held }
-
-// Waiting reports queued acquirers.
-func (sem *Semaphore) Waiting() int { return sem.count }
 
 // Join is a completion barrier: after n calls to Done, fn fires once.
 type Join struct {

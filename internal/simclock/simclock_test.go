@@ -86,8 +86,8 @@ func TestRunUntil(t *testing.T) {
 	if s.Now() != 3*time.Second {
 		t.Fatalf("now = %v", s.Now())
 	}
-	if s.Pending() != 2 {
-		t.Fatalf("pending = %d", s.Pending())
+	if len(s.heap) != 2 {
+		t.Fatalf("pending = %d", len(s.heap))
 	}
 }
 

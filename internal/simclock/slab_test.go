@@ -109,10 +109,10 @@ func TestSlotSlabTracksPending(t *testing.T) {
 		var visit func(a any)
 		visit = func(a any) {
 			fired++
-			if got := inUse(); got != s.Pending() {
-				t.Fatalf("seed %d at %v: %d slots in use, %d events pending", seed, s.Now(), got, s.Pending())
+			if got := inUse(); got != len(s.heap) {
+				t.Fatalf("seed %d at %v: %d slots in use, %d events pending", seed, s.Now(), got, len(s.heap))
 			}
-			peak = max(peak, s.Pending()) // a promoted Queue job may just have been scheduled
+			peak = max(peak, len(s.heap)) // a promoted Queue job may just have been scheduled
 			h := mix(*a.(*uint64))
 			for i := 0; i < int(h&3) && budget > 0; i++ {
 				budget--
@@ -123,16 +123,16 @@ func TestSlotSlabTracksPending(t *testing.T) {
 				} else {
 					s.AfterArg(d, visit, &child)
 				}
-				peak = max(peak, s.Pending())
+				peak = max(peak, len(s.heap))
 			}
 		}
 		r := seed
 		for i := 0; i < 16; i++ {
 			r = mix(r + uint64(i))
 			id := mix(r)
-			s.AtArg(Time(r%uint64(2*time.Millisecond)), visit, &id)
+			s.atArg(Time(r%uint64(2*time.Millisecond)), visit, &id)
 		}
-		peak = max(peak, s.Pending())
+		peak = max(peak, len(s.heap))
 		s.Run()
 
 		st := s.Stats()
@@ -188,7 +188,7 @@ func TestSlabTracksBacklog(t *testing.T) {
 		qs := [2]*Queue{s.NewQueue(1), s.NewQueue(2)}
 		sem := s.NewSemaphore(1)
 		budget, fired, peak := 3000, 0, 0
-		waiting := func() int { return qs[0].QueueLen() + qs[1].QueueLen() + sem.Waiting() }
+		waiting := func() int { return qs[0].QueueLen() + qs[1].QueueLen() + sem.count }
 		check := func() {
 			free := 0
 			for i := s.free; int(i) < len(s.wait)*waitChunk; i = s.node(i).next {
@@ -230,7 +230,7 @@ func TestSlabTracksBacklog(t *testing.T) {
 		for i := 0; i < 64; i++ {
 			r = mix(r + uint64(i))
 			id := mix(r)
-			s.AtArg(Time(r%uint64(time.Millisecond)), visit, &id)
+			s.atArg(Time(r%uint64(time.Millisecond)), visit, &id)
 		}
 		fireAll(s)
 		check()
@@ -304,8 +304,8 @@ func TestDrainedSlabIsHandedOn(t *testing.T) {
 		sem.Acquire(func() {})
 		sem.Acquire(func() { granted = true })
 		s.Run()
-		if len(s.wait) != 1 || sem.Waiting() != 1 {
-			t.Fatalf("Run with an acquirer waiting left %d chunks and %d waiting, want 1 and 1", len(s.wait), sem.Waiting())
+		if len(s.wait) != 1 || sem.count != 1 {
+			t.Fatalf("Run with an acquirer waiting left %d chunks and %d waiting, want 1 and 1", len(s.wait), sem.count)
 		}
 		spareChunks.mu.Lock()
 		live := slices.Contains(spareChunks.items, s.wait[0])

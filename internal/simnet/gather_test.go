@@ -106,7 +106,7 @@ func runGatherProgram(p gatherProgram, perShip bool) gatherOutcome {
 	net := New(sim, Config{BandwidthBytesPerSec: 1e6, Latency: p.latency})
 	var hosts [gatherHosts]*Host
 	for i := range hosts {
-		hosts[i], _ = net.AddHost(fmt.Sprintf("h%d", i))
+		hosts[i] = net.AddHost()
 	}
 	var out gatherOutcome
 	record := func(id int) { out.trace = append(out.trace, completion{sim.Now(), id}) }
@@ -282,7 +282,7 @@ func TestGatherFoldsDeliveries(t *testing.T) {
 	net := New(sim, Config{BandwidthBytesPerSec: 1e6, Latency: time.Millisecond})
 	var hosts [9]*Host
 	for i := range hosts {
-		hosts[i], _ = net.AddHost(fmt.Sprintf("h%d", i))
+		hosts[i] = net.AddHost()
 	}
 	var done simclock.Time
 	var g Gather

@@ -6,7 +6,6 @@
 package simnet
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/simclock"
@@ -17,7 +16,6 @@ type Network struct {
 	sim       *simclock.Sim
 	bandwidth float64 // NIC bandwidth in bytes/sec, full duplex
 	latency   simclock.Time
-	hosts     map[string]*Host
 
 	freeTransfers *transfer // pooled in-flight transfer state
 
@@ -26,8 +24,9 @@ type Network struct {
 	BytesMoved int64
 }
 
-// Host is a registered host's NIC: the handle AddHost returns, which Send
-// and Ship take, so no transfer looks a name up.
+// Host is a host's NIC: the handle AddHost returns, which Send and Ship
+// take. The network keeps no registry of hosts; whoever adds one holds
+// its handle.
 type Host struct {
 	egress  *simclock.Queue
 	ingress *simclock.Queue
@@ -55,22 +54,15 @@ func New(sim *simclock.Sim, cfg Config) *Network {
 		sim:       sim,
 		bandwidth: cfg.BandwidthBytesPerSec,
 		latency:   cfg.Latency,
-		hosts:     map[string]*Host{},
 	}
 }
 
-// AddHost registers a host NIC and returns its handle. Duplicate names
-// are rejected.
-func (n *Network) AddHost(name string) (*Host, error) {
-	if _, ok := n.hosts[name]; ok {
-		return nil, fmt.Errorf("simnet: duplicate host %q", name)
-	}
-	h := &Host{
+// AddHost adds a host NIC to the fabric and returns its handle.
+func (n *Network) AddHost() *Host {
+	return &Host{
 		egress:  n.sim.NewQueue(1),
 		ingress: n.sim.NewQueue(1),
 	}
-	n.hosts[name] = h
-	return h, nil
 }
 
 // serviceTime converts a payload size to wire time at NIC speed.
@@ -204,14 +196,4 @@ func gatherArrive(a any) {
 	if g.left == 0 {
 		g.fn(g.arg)
 	}
-}
-
-// HostUtilization returns cumulative egress and ingress busy time for a
-// host, used by the breakdown analysis.
-func (n *Network) HostUtilization(host string) (egress, ingress simclock.Time) {
-	h, ok := n.hosts[host]
-	if !ok {
-		return 0, 0
-	}
-	return h.egress.BusyTime, h.ingress.BusyTime
 }

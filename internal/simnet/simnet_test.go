@@ -7,19 +7,14 @@ import (
 	"repro/internal/simclock"
 )
 
-// newNet registers the named hosts on a 1 MB/s, zero-latency network
-// (arithmetic stays exact) and returns their handles in order.
-func newNet(t *testing.T, names ...string) (*simclock.Sim, *Network, []*Host) {
-	t.Helper()
+// newNet adds n hosts to a 1 MB/s, zero-latency network (arithmetic
+// stays exact) and returns their handles in order.
+func newNet(n int) (*simclock.Sim, *Network, []*Host) {
 	sim := simclock.New()
 	net := New(sim, Config{BandwidthBytesPerSec: 1e6, Latency: 0})
-	hosts := make([]*Host, len(names))
-	for i, name := range names {
-		h, err := net.AddHost(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		hosts[i] = h
+	hosts := make([]*Host, n)
+	for i := range hosts {
+		hosts[i] = net.AddHost()
 	}
 	return sim, net, hosts
 }
@@ -28,7 +23,7 @@ func newNet(t *testing.T, names ...string) (*simclock.Sim, *Network, []*Host) {
 func ignore(any) {}
 
 func TestTransferTime(t *testing.T) {
-	sim, net, h := newNet(t, "a", "b")
+	sim, net, h := newNet(2)
 	var done simclock.Time
 	net.Send(h[0], h[1], 1_000_000, func(any) { done = sim.Now() }, nil)
 	sim.Run()
@@ -39,7 +34,7 @@ func TestTransferTime(t *testing.T) {
 }
 
 func TestEgressContention(t *testing.T) {
-	sim, net, h := newNet(t, "a", "b", "c")
+	sim, net, h := newNet(3)
 	var times []simclock.Time
 	arrived := func(any) { times = append(times, sim.Now()) }
 	net.Send(h[0], h[1], 1_000_000, arrived, nil)
@@ -52,7 +47,7 @@ func TestEgressContention(t *testing.T) {
 }
 
 func TestIngressContention(t *testing.T) {
-	sim, net, h := newNet(t, "a", "b", "c")
+	sim, net, h := newNet(3)
 	var times []simclock.Time
 	arrived := func(any) { times = append(times, sim.Now()) }
 	net.Send(h[0], h[2], 1_000_000, arrived, nil)
@@ -67,18 +62,14 @@ func TestIngressContention(t *testing.T) {
 func TestIntraHostBypassesNIC(t *testing.T) {
 	sim := simclock.New()
 	net := New(sim, Config{BandwidthBytesPerSec: 1e6, Latency: 400 * time.Microsecond})
-	a, err := net.AddHost("a")
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := net.AddHost()
 	var done simclock.Time
 	net.Send(a, a, 1_000_000_000, func(any) { done = sim.Now() }, nil)
 	sim.Run()
 	if done != 100*time.Microsecond { // latency/4, no bandwidth charge
 		t.Fatalf("done = %v", done)
 	}
-	eg, in := net.HostUtilization("a")
-	if eg != 0 || in != 0 {
+	if a.egress.BusyTime != 0 || a.ingress.BusyTime != 0 {
 		t.Fatal("intra-host transfer must not occupy the NIC")
 	}
 	if net.BytesMoved != 0 {
@@ -87,7 +78,7 @@ func TestIntraHostBypassesNIC(t *testing.T) {
 }
 
 func TestBytesMovedAccounting(t *testing.T) {
-	sim, net, h := newNet(t, "a", "b")
+	sim, net, h := newNet(2)
 	net.Send(h[0], h[1], 123, ignore, nil)
 	net.Send(h[1], h[0], 77, ignore, nil)
 	sim.Run()
@@ -96,18 +87,10 @@ func TestBytesMovedAccounting(t *testing.T) {
 	}
 }
 
-func TestDuplicateHostRejected(t *testing.T) {
-	_, net, _ := newNet(t, "a")
-	if _, err := net.AddHost("a"); err == nil {
-		t.Fatal("duplicate host accepted")
-	}
-}
-
 func TestLatencyApplied(t *testing.T) {
 	sim := simclock.New()
 	net := New(sim, Config{BandwidthBytesPerSec: 1e6, Latency: time.Millisecond})
-	a, _ := net.AddHost("a")
-	b, _ := net.AddHost("b")
+	a, b := net.AddHost(), net.AddHost()
 	var done simclock.Time
 	net.Send(a, b, 1_000_000, func(any) { done = sim.Now() }, nil)
 	sim.Run()
@@ -117,11 +100,10 @@ func TestLatencyApplied(t *testing.T) {
 }
 
 func TestHostUtilization(t *testing.T) {
-	sim, net, h := newNet(t, "a", "b")
+	sim, net, h := newNet(2)
 	net.Send(h[0], h[1], 500_000, ignore, nil)
 	sim.Run()
-	eg, _ := net.HostUtilization("a")
-	_, in := net.HostUtilization("b")
+	eg, in := h[0].egress.BusyTime, h[1].ingress.BusyTime
 	if eg != 500*time.Millisecond || in != 500*time.Millisecond {
 		t.Fatalf("eg=%v in=%v", eg, in)
 	}
@@ -135,7 +117,7 @@ func TestDefaultConfig(t *testing.T) {
 }
 
 func TestQueueDepthAndUnknownHostStats(t *testing.T) {
-	sim, net, h := newNet(t, "a", "b")
+	sim, net, h := newNet(2)
 	// In-flight plus waiting transfers on a host's NIC queues.
 	depth := func(h *Host) int {
 		return h.egress.InFlight() + h.egress.QueueLen() + h.ingress.InFlight() + h.ingress.QueueLen()
@@ -153,8 +135,8 @@ func TestQueueDepthAndUnknownHostStats(t *testing.T) {
 	if depth(h[0]) != 0 {
 		t.Fatal("depth after drain")
 	}
-	if eg, in := net.HostUtilization("ghost"); eg != 0 || in != 0 {
-		t.Fatal("unknown host should report zero")
+	if idle := net.AddHost(); idle.egress.BusyTime != 0 || idle.ingress.BusyTime != 0 {
+		t.Fatal("a host no transfer touched should report zero busy time")
 	}
 }
 
@@ -168,7 +150,7 @@ func TestZeroBandwidthPanics(t *testing.T) {
 }
 
 func TestNegativeTransferPanics(t *testing.T) {
-	_, net, h := newNet(t, "a", "b")
+	_, net, h := newNet(2)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic")

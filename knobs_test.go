@@ -98,12 +98,12 @@ var methods = map[reflect.Type][]string{
 	reflect.TypeFor[*cluster.Cluster](): {
 		"BulkLoad", "CorruptChunk", "CreatePool", "Crush", "FailHost", "Health",
 		"HostWithMostChunks", "InjectOSDFailures", "OSDs", "PGStateOf", "Pool",
-		"RankHosts", "ReadObject", "RecoverPool", "RepairInconsistent",
+		"RankHosts", "ReadObject", "RepairInconsistent",
 		"ResetFailureState", "RunSim", "ScheduleRecovery", "ScrubPool", "Sim",
 		"Snapshot", "UsedBytes", "WriteObject",
 	},
 	reflect.TypeFor[*bluestore.Store](): {
-		"AccessProfile", "ChunkSize", "Chunks", "Config", "CorruptChunk",
+		"AccessProfile", "Chunks", "CorruptChunk",
 		"DataBytes", "Device", "ExpectRun", "Fork", "Freeze", "HasChunk",
 		"MetaBytes", "ReadChunk", "ScrubChunk", "SetDataWorkingSet",
 		"UsedBytes", "Writable", "WriteChunk", "WriteChunksBulk",

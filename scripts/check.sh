@@ -5,8 +5,12 @@
 # internal/experiments, which asserts every EXPERIMENTS.md shape claim and
 # deviation at scale 1, the record's scale; and the root surface pins:
 # TestKnobSurface for the ECFAULT_* variables, TestConfigSurface for
-# cluster.Config's 17 settable leaf fields, TestMethodSurface for the
-# exported methods of *cluster.Cluster and *bluestore.Store) + one
+# cluster.Config's 17 settable leaf fields, TestMethodSurface for the 22
+# exported methods of *cluster.Cluster and the 17 of *bluestore.Store, and
+# TestExportedMeansCalled for every exported name under internal/: each
+# has a caller outside tests in this module or bench/, or a reasoned entry
+# in its allowlist; it lists files with go/build's default context, so the
+# purego leg below checks the same list) + one
 # iteration of every go test benchmark (the codec and GF ones) + race
 # audit of the concurrent packages, of the lock-free snapshot forks and of
 # the spare stacks a finished run hands its working set on through +
