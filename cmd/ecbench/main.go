@@ -31,25 +31,20 @@ import (
 	"repro/internal/report"
 )
 
-// figureIDs are the ids -only accepts, in output order.
-var figureIDs = []string{"fig2a", "fig2b", "fig2c", "fig2d", "fig3", "table3", "wa", "plugins"}
-
-// parseOnly turns the -only value into the set of ids to run; an empty
-// value selects every id.
-func parseOnly(only string) (map[string]bool, error) {
-	ids := figureIDs
-	if only != "" {
-		ids = strings.Split(only, ",")
+// parseOnly turns the -only value into the ids to run; an empty value
+// selects every id.
+func parseOnly(only string) ([]string, error) {
+	if only == "" {
+		return experiments.ArtifactIDs, nil
 	}
-	want := map[string]bool{}
-	for _, id := range ids {
-		id = strings.TrimSpace(id)
-		if !slices.Contains(figureIDs, id) {
-			return nil, fmt.Errorf("ecbench: -only: unknown id %q (valid: %s)", id, strings.Join(figureIDs, ","))
+	ids := strings.Split(only, ",")
+	for i, id := range ids {
+		ids[i] = strings.TrimSpace(id)
+		if !slices.Contains(experiments.ArtifactIDs, ids[i]) {
+			return nil, fmt.Errorf("ecbench: -only: unknown id %q (valid: %s)", ids[i], strings.Join(experiments.ArtifactIDs, ","))
 		}
-		want[id] = true
 	}
-	return want, nil
+	return ids, nil
 }
 
 func main() {
@@ -65,7 +60,7 @@ func run(args []string, stdout io.Writer) (err error) {
 	fs := flag.NewFlagSet("ecbench", flag.ExitOnError)
 	scale := fs.Int("scale", 10, "divide the paper workload by this factor")
 	workers := fs.Int("workers", 0, "concurrent experiment cells (0 = ECFAULT_WORKERS or NumCPU)")
-	only := fs.String("only", "", "comma-separated subset: "+strings.Join(figureIDs, ","))
+	only := fs.String("only", "", "comma-separated subset: "+strings.Join(experiments.ArtifactIDs, ","))
 	bars := fs.Bool("bars", false, "render figures as ASCII bar charts")
 	compare := fs.Bool("compare", false, "append paper-vs-measured deltas to each figure")
 	jsonOut := fs.Bool("json", false, "emit all results as JSON instead of text")
@@ -88,7 +83,7 @@ func run(args []string, stdout io.Writer) (err error) {
 			chunk, parThresh, parallel.Workers())
 		return nil
 	}
-	want, err := parseOnly(*only)
+	ids, err := parseOnly(*only)
 	if err != nil {
 		return err
 	}
@@ -99,11 +94,21 @@ func run(args []string, stdout io.Writer) (err error) {
 	}
 	defer func() { err = errors.Join(err, stopProf()) }()
 
-	var collected = map[string]any{}
-	emitFigure := func(fig *experiments.Figure) {
-		if *jsonOut {
-			collected[fig.ID] = fig
-			return
+	arts, err := experiments.Run(*scale, ids...)
+	if err != nil {
+		return err
+	}
+	if *jsonOut {
+		if arts.Fig3 != nil {
+			arts.Fig3.Events = nil // keep the JSON compact
+		}
+		enc := json.NewEncoder(stdout)
+		enc.SetIndent("", "  ")
+		return enc.Encode(arts)
+	}
+	for _, fig := range []*experiments.Figure{arts.Fig2a, arts.Fig2b, arts.Fig2c, arts.Fig2d} {
+		if fig == nil {
+			continue
 		}
 		if *bars {
 			fmt.Fprintln(stdout, report.FigureBars(fig))
@@ -116,75 +121,18 @@ func run(args []string, stdout io.Writer) (err error) {
 			}
 		}
 	}
-
-	for _, f := range []struct {
-		id string
-		fn func(scale int) (*experiments.Figure, error)
-	}{
-		{"fig2a", experiments.Fig2aBackendCache},
-		{"fig2b", experiments.Fig2bPlacementGroups},
-		{"fig2c", experiments.Fig2cStripeUnit},
-		{"fig2d", experiments.Fig2dFailureMode},
-	} {
-		if !want[f.id] {
-			continue
-		}
-		fig, err := f.fn(*scale)
-		if err != nil {
-			return err
-		}
-		emitFigure(fig)
+	if tl := arts.Fig3; tl != nil {
+		fmt.Fprintln(stdout, report.Timeline(tl))
+		fmt.Fprintln(stdout, report.TimelineEvents(tl.Events, tl.Events[0].Time))
 	}
-	if want["fig3"] {
-		tl, err := experiments.Fig3Timeline(*scale)
-		if err != nil {
-			return err
-		}
-		if *jsonOut {
-			tl.Events = nil // keep the JSON compact
-			collected["fig3"] = tl
-		} else {
-			fmt.Fprintln(stdout, report.Timeline(tl))
-			fmt.Fprintln(stdout, report.TimelineEvents(tl.Events, tl.Events[0].Time))
-		}
+	if arts.Table3 != nil {
+		fmt.Fprintln(stdout, report.Table3(arts.Table3))
 	}
-	if want["table3"] {
-		rows, err := experiments.Table3WriteAmplification(*scale)
-		if err != nil {
-			return err
-		}
-		if *jsonOut {
-			collected["table3"] = rows
-		} else {
-			fmt.Fprintln(stdout, report.Table3(rows))
-		}
+	if arts.WA != nil {
+		fmt.Fprintln(stdout, report.WAValidation(arts.WA))
 	}
-	if want["wa"] {
-		rows, err := experiments.WAFormulaValidation(*scale)
-		if err != nil {
-			return err
-		}
-		if *jsonOut {
-			collected["wa_validation"] = rows
-		} else {
-			fmt.Fprintln(stdout, report.WAValidation(rows))
-		}
-	}
-	if want["plugins"] {
-		rows, err := experiments.PluginComparison(*scale)
-		if err != nil {
-			return err
-		}
-		if *jsonOut {
-			collected["plugins"] = rows
-		} else {
-			fmt.Fprintln(stdout, report.Plugins(rows))
-		}
-	}
-	if *jsonOut {
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(collected)
+	if arts.Plugins != nil {
+		fmt.Fprintln(stdout, report.Plugins(arts.Plugins))
 	}
 	return nil
 }

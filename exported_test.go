@@ -26,11 +26,10 @@ import (
 // or an entry here in the same diff, with the reason, which is where its
 // caller gets argued; a name that gains a caller, or goes, leaves.
 var uncalled = map[string]string{
-	"bluestore.Store.Chunks":      "cluster tests count each store's chunks to see that a load or a fork wrote what it should and nothing more",
-	"core.NewCoordinator":         "with Coordinator.Run, the unforked cold run experiments' fork tests compare with",
-	"core.Coordinator.Run":        "with NewCoordinator, the unforked cold run experiments' fork tests compare with",
+	"core.Coordinator.Run":        "the unforked cold run experiments' fork tests compare with",
 	"erasure/clay.SetBatching":    "conformance tests run Clay batched and per plane against each other",
 	"erasure/clay.SetBatchLimits": "conformance tests move Clay's repair batching gate",
+	"experiments.Evaluate":        "the claims' one evaluator, which ROADMAP items 2 (ecbench's fidelity gate), 13 (placement ensembles) and 14 (the scale ladder) call",
 	"gf256.SetBackend":            "conformance and gf256 tests sweep every kernel tier in one process",
 	"simclock.Queue.TotalWaiting": "a queue's wait area, which ROADMAP item 11's per-resource bounds read",
 	"simclock.Sim.RunUntil":       "the sliced run ROADMAP item 4 drives faults between; FuzzRunUntilSlicing proves it exact",

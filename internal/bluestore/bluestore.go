@@ -590,11 +590,6 @@ func (s *Store) HasChunk(id ChunkID) bool {
 	return ok
 }
 
-// Chunks returns the number of stored chunks.
-func (s *Store) Chunks() int {
-	return s.count
-}
-
 // DataBytes is the allocated payload space (min_alloc rounded).
 func (s *Store) DataBytes() int64 {
 	return s.dataAllocated

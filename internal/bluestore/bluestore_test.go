@@ -104,7 +104,7 @@ func TestOverwriteReplaces(t *testing.T) {
 	if s.DataBytes() != 4096 {
 		t.Fatalf("DataBytes = %d after overwrite", s.DataBytes())
 	}
-	if s.Chunks() != 1 {
+	if s.count != 1 {
 		t.Fatal("chunk count wrong")
 	}
 }
@@ -144,11 +144,11 @@ func TestRefusedRewriteKeepsChunk(t *testing.T) {
 	if err := s.WriteChunk(cid("solo"), 32<<10, 32<<10, pay); err != nil {
 		t.Fatal(err)
 	}
-	chunks, used := s.Chunks(), s.UsedBytes()
+	chunks, used := s.count, s.UsedBytes()
 	kept := func(why string) {
 		t.Helper()
-		if s.Chunks() != chunks || s.UsedBytes() != used {
-			t.Fatalf("%s: Chunks %d, UsedBytes %d; was %d, %d", why, s.Chunks(), s.UsedBytes(), chunks, used)
+		if s.count != chunks || s.UsedBytes() != used {
+			t.Fatalf("%s: count %d, UsedBytes %d; was %d, %d", why, s.count, s.UsedBytes(), chunks, used)
 		}
 		if size, err := s.chunkSize(cid("bulk")); err != nil || size != 4096 {
 			t.Fatalf("%s: bulk chunk %d bytes, %v", why, size, err)

@@ -95,8 +95,8 @@ func TestFrozenStoreRejectsWrites(t *testing.T) {
 		t.Fatalf("ExpectRun on frozen store: %v, want the frozen-store error", err)
 	}
 	// Reads still work, and c1 is as it was written.
-	if size, err := s.chunkSize(cid("c1")); s.Chunks() != 1 || err != nil || size != 4096 {
-		t.Fatalf("frozen store's c1: %d chunks, %d bytes, %v", s.Chunks(), size, err)
+	if size, err := s.chunkSize(cid("c1")); s.count != 1 || err != nil || size != 4096 {
+		t.Fatalf("frozen store's c1: %d chunks, %d bytes, %v", s.count, size, err)
 	}
 	if _, _, err := s.ReadChunk(cid("c1")); err != nil {
 		t.Fatal(err)
@@ -194,8 +194,8 @@ func TestStoreForkAccountingMatchesFresh(t *testing.T) {
 	mutate(fresh)
 	mutate(fork)
 
-	if fresh.Chunks() != fork.Chunks() {
-		t.Fatalf("Chunks %d vs %d", fresh.Chunks(), fork.Chunks())
+	if fresh.count != fork.count {
+		t.Fatalf("count %d vs %d", fresh.count, fork.count)
 	}
 	if fresh.DataBytes() != fork.DataBytes() {
 		t.Fatalf("DataBytes %d vs %d", fresh.DataBytes(), fork.DataBytes())
@@ -359,7 +359,7 @@ func TestRecoveredRunMatchesOverlay(t *testing.T) {
 				t.Fatalf("step %d %+v: %v", n, st, err)
 			}
 		}
-		if d, p := declared.Chunks(), plain.Chunks(); d != p {
+		if d, p := declared.count, plain.count; d != p {
 			t.Fatalf("step %d: Chunks %d declared, %d plain", n, d, p)
 		}
 		if d, p := declared.DataBytes(), plain.DataBytes(); d != p {

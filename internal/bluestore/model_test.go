@@ -370,7 +370,7 @@ func (w *modelWorld) check(step int) {
 	t := w.t
 	for i, s := range w.stores {
 		o, cfg := w.oracles[i], s.cfg
-		if got, want := s.Chunks(), len(o.chunks); got != want {
+		if got, want := s.count, len(o.chunks); got != want {
 			t.Fatalf("step %d store %d: Chunks %d, oracle %d", step, i, got, want)
 		}
 		if got, want := s.DataBytes(), o.dataBytes(cfg); got != want {

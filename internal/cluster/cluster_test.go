@@ -104,6 +104,31 @@ func TestCreatePoolPlacesPGs(t *testing.T) {
 	}
 }
 
+// storedChunks counts the chunks of pool "ecpool" the stores hold: every
+// OSD is asked for every shard of each object the pool records and of
+// each of names, so a chunk written off its acting set counts too.
+func storedChunks(c *Cluster, names ...string) (n int) {
+	pool := c.pools["ecpool"]
+	names = slices.Clone(names)
+	for _, pg := range pool.PGs {
+		for _, o := range pg.Objects {
+			names = append(names, o.Name)
+		}
+	}
+	slices.Sort(names)
+	for _, name := range slices.Compact(names) {
+		for shard := range pool.Code.N() {
+			id := pool.chunkID(pool.pgOf(name), name, shard)
+			for _, o := range c.OSDs() {
+				if o.Store.HasChunk(id) {
+					n++
+				}
+			}
+		}
+	}
+	return n
+}
+
 func TestBulkLoadDistributesChunks(t *testing.T) {
 	c := smallCluster(t, 8, 2, nil)
 	rsPool(t, c, 16)
@@ -111,11 +136,7 @@ func TestBulkLoadDistributesChunks(t *testing.T) {
 	if err := c.BulkLoad("ecpool", objs); err != nil {
 		t.Fatal(err)
 	}
-	total := 0
-	for _, o := range c.OSDs() {
-		total += o.Store.Chunks()
-	}
-	if total != 64*6 {
+	if total := storedChunks(c); total != 64*6 {
 		t.Fatalf("chunks = %d, want %d", total, 64*6)
 	}
 	var data int64
@@ -200,12 +221,7 @@ func TestBulkLoadRefusesRepeatedOrUnorderedNames(t *testing.T) {
 		}
 		return c.BulkLoad("ecpool", objs)
 	}
-	chunks := func() (n int) {
-		for _, o := range c.OSDs() {
-			n += o.Store.Chunks()
-		}
-		return n
-	}
+	chunks := func() int { return storedChunks(c, "o-1", "o-2", "o-3", "o-4") }
 	for _, tc := range []struct {
 		names  []string
 		exists bool

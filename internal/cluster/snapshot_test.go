@@ -223,31 +223,29 @@ type clusterFootprint struct {
 	used            int64
 }
 
-func footprint(t *testing.T, c *Cluster) clusterFootprint {
-	t.Helper()
-	pool, err := c.Pool("ecpool")
-	if err != nil {
-		t.Fatal(err)
-	}
+// footprint reads it before and after a load of objs.
+func footprint(c *Cluster, objs []workload.Object) clusterFootprint {
 	fp := clusterFootprint{used: c.UsedBytes()}
-	for _, pg := range pool.PGs {
+	for _, pg := range c.pools["ecpool"].PGs {
 		fp.objects += len(pg.Objects)
 	}
-	for _, o := range c.OSDs() {
-		fp.chunks += o.Store.Chunks()
+	names := make([]string, len(objs))
+	for i, o := range objs {
+		names[i] = o.Name
 	}
+	fp.chunks = storedChunks(c, names...)
 	return fp
 }
 
 func TestSnapshotFreezesParentStores(t *testing.T) {
 	parent := populateSmall(t, nil)
-	before := footprint(t, parent)
-	parent.Snapshot()
 	objs, _ := workload.Spec{Count: 64, ObjectSize: 1 << 20, NamePrefix: "late"}.Objects()
+	before := footprint(parent, objs)
+	parent.Snapshot()
 	if err := parent.BulkLoad("ecpool", objs); err == nil {
 		t.Fatal("bulk load into frozen parent should fail")
 	}
-	if after := footprint(t, parent); after != before {
+	if after := footprint(parent, objs); after != before {
 		t.Fatalf("failed bulk load left state behind: %+v -> %+v", before, after)
 	}
 }
@@ -257,14 +255,14 @@ func TestSnapshotFreezesParentStores(t *testing.T) {
 // obstacle is gone the same pool takes a further load.
 func TestBulkLoadIsAllOrNothing(t *testing.T) {
 	c := populateSmall(t, nil)
-	before := footprint(t, c)
+	objs, _ := workload.Spec{Count: 256, ObjectSize: 1 << 20, NamePrefix: "late"}.Objects()
+	before := footprint(c, objs)
 	bad := c.OSDs()[len(c.OSDs())/2]
 	bad.Store.Device().Remove()
-	objs, _ := workload.Spec{Count: 256, ObjectSize: 1 << 20, NamePrefix: "late"}.Objects()
 	if err := c.BulkLoad("ecpool", objs); err == nil {
 		t.Fatal("bulk load onto a removed device should fail")
 	}
-	if after := footprint(t, c); after != before {
+	if after := footprint(c, objs); after != before {
 		t.Fatalf("failed bulk load left state behind: %+v -> %+v", before, after)
 	}
 
@@ -272,7 +270,7 @@ func TestBulkLoadIsAllOrNothing(t *testing.T) {
 	if err := healthy.BulkLoad("ecpool", objs); err != nil {
 		t.Fatal(err)
 	}
-	after := footprint(t, healthy)
+	after := footprint(healthy, objs)
 	pool, _ := healthy.Pool("ecpool")
 	if after.objects != before.objects+256 || after.chunks != before.chunks+256*pool.Code.N() || after.used <= before.used {
 		t.Fatalf("second bulk load: %+v -> %+v", before, after)
@@ -323,7 +321,6 @@ func snapshotPrint(t *testing.T, s *Snapshot) ([]storePrint, [][]pgPrint) {
 	var stores []storePrint
 	for _, st := range s.stores {
 		stores = append(stores, storePrint{
-			chunks:  st.Chunks(),
 			data:    st.DataBytes(),
 			meta:    st.MetaBytes(),
 			dev:     st.Device().Snapshot(),
@@ -337,6 +334,11 @@ func snapshotPrint(t *testing.T, s *Snapshot) ([]storePrint, [][]pgPrint) {
 			p := pgPrint{acting: slices.Clone(pg.acting)}
 			for _, o := range pg.objects {
 				p.records = append(p.records, o)
+				for shard, osd := range pg.acting {
+					if s.stores[osd].HasChunk(bluestore.ChunkID{Pool: sp.cfg.Name, PG: pg.id, Object: o.Name, Shard: shard}) {
+						stores[osd].chunks++
+					}
+				}
 				if o.Payload {
 					payloadPrint(t, s, stores, sp.cfg.Name, pg, o.Name)
 				}

@@ -53,7 +53,7 @@ type Result struct {
 type Coordinator struct {
 	mgr     *ECManager
 	cluster *cluster.Cluster
-	sampler *iostat.Sampler
+	sampler *iostat.Sampler // nil until a fault round first samples
 
 	// pending holds the classified log lines not yet collected, in the
 	// order the cluster logged them; dropped counts the lines since the
@@ -63,8 +63,9 @@ type Coordinator struct {
 }
 
 // NewCoordinator builds the experiment environment for a profile on a
-// freshly built root cluster. Profiles run through core.Run, which forks;
-// this unforked path is the cold reference the fork tests compare with.
+// freshly built root cluster: Populate's, before it freezes the cluster
+// into a snapshot. Its Run is the unforked path, the cold reference the
+// fork tests compare with.
 func NewCoordinator(p Profile) (*Coordinator, error) {
 	return newCoordinator(p, cluster.New)
 }
@@ -78,20 +79,13 @@ func newCoordinator(p Profile, build func(cluster.Config) (*cluster.Cluster, err
 	if err != nil {
 		return nil, err
 	}
-	co := &Coordinator{mgr: mgr, sampler: iostat.NewSampler()}
+	co := &Coordinator{mgr: mgr}
 	cfg, err := mgr.ClusterConfig(co.log)
 	if err != nil {
 		return nil, err
 	}
 	if co.cluster, err = build(cfg); err != nil {
 		return nil, err
-	}
-	// Track devices from a zero baseline: a fork's counters carry the
-	// populate traffic, exactly like a root device tracked from birth.
-	for _, osd := range co.cluster.OSDs() {
-		if err := co.sampler.TrackFrom(fmt.Sprintf("osd.%d", osd.ID), osd.Store.Device(), blockdev.Stats{}); err != nil {
-			return nil, err
-		}
 	}
 	return co, nil
 }
@@ -234,7 +228,17 @@ func (co *Coordinator) round(specs []FaultSpec, res *Result) ([]PlannedFault, er
 	}
 	res.Recovery = rec
 
-	// iostat sampling every 30 simulated seconds until recovery ends.
+	// iostat sampling every 30 simulated seconds until recovery ends, of
+	// every device from a zero baseline: a fork's counters carry the
+	// populate traffic, exactly like a root device tracked from birth.
+	if co.sampler == nil {
+		co.sampler = iostat.NewSampler()
+		for _, osd := range cl.OSDs() {
+			if err := co.sampler.TrackFrom(fmt.Sprintf("osd.%d", osd.ID), osd.Store.Device(), blockdev.Stats{}); err != nil {
+				return nil, err
+			}
+		}
+	}
 	var sample func()
 	sample = func() {
 		co.sampler.Sample(cl.Sim().Now())
@@ -262,7 +266,9 @@ func (co *Coordinator) collect(res *Result) {
 	// A fresh slice, not pending[:0]: the caller keeps res.Timeline (every
 	// schedule round holds its own).
 	co.pending, co.dropped = nil, 0
-	res.IOSamples = co.sampler.Samples()
+	if co.sampler != nil {
+		res.IOSamples = co.sampler.Samples()
+	}
 }
 
 // Run is the one-call entry point: populate a cluster for the profile,

@@ -359,9 +359,9 @@ func TestEndToEndExperiment(t *testing.T) {
 			sawDetect = true
 		case e.Category == logsys.CatHeartbeat:
 			sawHeartbeat = true
-		case e.Category == logsys.CatRecovery && contains(e.Message, "start recovery I/O"):
+		case e.Category == logsys.CatRecovery && strings.Contains(e.Message, "start recovery I/O"):
 			sawStart = true
-		case e.Category == logsys.CatRecovery && contains(e.Message, "recovery completed"):
+		case e.Category == logsys.CatRecovery && strings.Contains(e.Message, "recovery completed"):
 			sawComplete = true
 		}
 	}
@@ -369,18 +369,6 @@ func TestEndToEndExperiment(t *testing.T) {
 		t.Fatalf("timeline missing phases: detect=%v hb=%v start=%v complete=%v",
 			sawDetect, sawHeartbeat, sawStart, sawComplete)
 	}
-}
-
-func contains(s, sub string) bool {
-	return len(s) >= len(sub) && (s == sub || len(sub) == 0 ||
-		func() bool {
-			for i := 0; i+len(sub) <= len(s); i++ {
-				if s[i:i+len(sub)] == sub {
-					return true
-				}
-			}
-			return false
-		}())
 }
 
 func TestEndToEndPayloadVerification(t *testing.T) {

@@ -33,23 +33,19 @@ type Snapshot struct {
 // fields shape the snapshot — so one Populate can serve every profile
 // sharing the same Layout.
 func Populate(p Profile) (*Snapshot, error) {
-	mgr, err := NewECManager(p)
+	l, err := p.Layout()
 	if err != nil {
 		return nil, err
 	}
-	co := &Coordinator{mgr: mgr}
-	cfg, err := mgr.ClusterConfig(co.log)
+	co, err := NewCoordinator(p)
 	if err != nil {
-		return nil, err
-	}
-	if co.cluster, err = cluster.New(cfg); err != nil {
 		return nil, err
 	}
 	res, contents, err := co.populate()
 	if err != nil {
 		return nil, err
 	}
-	s := &Snapshot{layout: mgr.layout(cfg)}
+	s := &Snapshot{layout: l}
 	s.snap = co.cluster.Snapshot()
 	s.written = res.WrittenBytes
 	s.used = res.UsedBytes

@@ -25,7 +25,7 @@ import (
 // data, then l local parities (one per group), then g global parities.
 type LRC struct {
 	*gensolve.Code
-	k, l, g   int
+	k, l      int
 	groupSize int
 }
 
@@ -62,7 +62,7 @@ func New(k, l, g int) (*LRC, error) {
 			gen.Set(row, j, gf256.Inv(x^byte(j)^0x80))
 		}
 	}
-	c := &LRC{k: k, l: l, g: g, groupSize: groupSize}
+	c := &LRC{k: k, l: l, groupSize: groupSize}
 	c.Code = gensolve.NewCode(gen, c.localRepair)
 	return c, nil
 }

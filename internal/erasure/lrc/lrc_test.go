@@ -55,7 +55,7 @@ func TestNewValidation(t *testing.T) {
 
 func TestGeometry(t *testing.T) {
 	c := newLRC(t, 8, 2, 2) // two groups of 4, two global parities
-	if c.N() != 12 || c.M() != 4 || c.l != 2 || c.g != 2 {
+	if c.N() != 12 || c.M() != 4 || c.l != 2 {
 		t.Fatalf("geometry: n=%d m=%d", c.N(), c.M())
 	}
 	if c.groupOf(3) != 0 || c.groupOf(4) != 1 || c.groupOf(8) != 0 || c.groupOf(9) != 1 || c.groupOf(10) != -1 {

@@ -24,7 +24,7 @@ import (
 // data then m parities.
 type SHEC struct {
 	*gensolve.Code
-	k, c   int
+	k      int
 	window int
 	starts []int // window start (data index) per parity
 	gen    *gfmat.Matrix
@@ -52,7 +52,7 @@ func New(k, m, c int) (*SHEC, error) {
 		w = k
 	}
 	gen := gfmat.New(k+m, k)
-	s := &SHEC{k: k, c: c, window: w, gen: gen}
+	s := &SHEC{k: k, window: w, gen: gen}
 	for i := 0; i < k; i++ {
 		gen.Set(i, i, 1)
 	}

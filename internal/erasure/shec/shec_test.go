@@ -57,15 +57,16 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestWindowCoverage(t *testing.T) {
-	s := newSHEC(t, 10, 6, 3)
+	const c = 3
+	s := newSHEC(t, 10, 6, c)
 	if s.window != 5 {
 		t.Fatalf("window = %d, want ceil(10*3/6)=5", s.window)
 	}
 	// Every data chunk must be covered by at least c parities (the
 	// necessary condition for c-durability).
 	for d := 0; d < s.K(); d++ {
-		if got := len(s.coveredBy(d)); got < s.c {
-			t.Fatalf("chunk %d covered by %d parities, want >= %d", d, got, s.c)
+		if got := len(s.coveredBy(d)); got < c {
+			t.Fatalf("chunk %d covered by %d parities, want >= %d", d, got, c)
 		}
 	}
 }
@@ -230,7 +231,7 @@ func TestRegistry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if code.(*SHEC).c != 3 {
-		t.Fatalf("default c = %d", code.(*SHEC).c)
+	if w := code.(*SHEC).window; w != 5 {
+		t.Fatalf("default c: window = %d, want ceil(10*3/6)=5", w)
 	}
 }

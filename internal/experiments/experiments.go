@@ -12,6 +12,7 @@ package experiments
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -259,6 +260,39 @@ func Fig3Timeline(scale int) (*TimelineResult, error) {
 	return out, nil
 }
 
+// phases are Figure 3's annotations in the figure's order: each phase's
+// label and the substring that marks its log lines.
+var phases = []struct{ substr, label string }{
+	{"failure detected", "failure detected"},
+	{"receiving heartbeats", "MGR log: receiving heartbeats"},
+	{"check recovery resource", "OSD log: check recovery resource"},
+	{"collecting missing", "OSD log: collecting missing OSDs, queueing recovery"},
+	{"start recovery I/O", "OSD log: start recovery I/O"},
+	{"report recovery I/O", "MGR log: report recovery I/O"},
+	{"all placement groups active+clean", "OSD log: recovery completed"},
+}
+
+// Phase is the log line that opens one Figure 3 phase.
+type Phase struct {
+	Label string
+	logsys.Entry
+}
+
+// Phases returns, in Figure 3's order, the first entry of each phase
+// that entries hold; a phase none of them marks is left out.
+func Phases(entries []logsys.Entry) []Phase {
+	var out []Phase
+	for _, ph := range phases {
+		for _, e := range entries {
+			if strings.Contains(e.Message, ph.substr) {
+				out = append(out, Phase{ph.label, e})
+				break
+			}
+		}
+	}
+	return out
+}
+
 // WARow is one row of Table 3.
 type WARow struct {
 	ID     string
@@ -426,4 +460,45 @@ func PluginComparison(scale int) ([]PluginRow, error) {
 		}
 	})
 	return out, nil
+}
+
+// ArtifactIDs name the evaluation's artifacts in the order ecbench prints
+// them: each is an ecbench -only id and the artifact a claim reads.
+var ArtifactIDs = []string{"fig2a", "fig2b", "fig2c", "fig2d", "fig3", "table3", "wa", "plugins"}
+
+// Artifacts is one run of the paper's evaluation, encoded as ecbench
+// -json prints it; an artifact not asked for is nil.
+type Artifacts struct {
+	Fig2a   *Figure           `json:"fig2a,omitempty"`
+	Fig2b   *Figure           `json:"fig2b,omitempty"`
+	Fig2c   *Figure           `json:"fig2c,omitempty"`
+	Fig2d   *Figure           `json:"fig2d,omitempty"`
+	Fig3    *TimelineResult   `json:"fig3,omitempty"`
+	Plugins []PluginRow       `json:"plugins,omitempty"`
+	Table3  []WARow           `json:"table3,omitempty"`
+	WA      []WAValidationRow `json:"wa_validation,omitempty"`
+}
+
+// Run computes at scale the artifacts whose ids are given, every one when
+// none is, in ArtifactIDs order; the first that fails stops the run.
+func Run(scale int, ids ...string) (*Artifacts, error) {
+	a := &Artifacts{}
+	steps := map[string]func() error{
+		"fig2a":   func() (err error) { a.Fig2a, err = Fig2aBackendCache(scale); return },
+		"fig2b":   func() (err error) { a.Fig2b, err = Fig2bPlacementGroups(scale); return },
+		"fig2c":   func() (err error) { a.Fig2c, err = Fig2cStripeUnit(scale); return },
+		"fig2d":   func() (err error) { a.Fig2d, err = Fig2dFailureMode(scale); return },
+		"fig3":    func() (err error) { a.Fig3, err = Fig3Timeline(scale); return },
+		"table3":  func() (err error) { a.Table3, err = Table3WriteAmplification(scale); return },
+		"wa":      func() (err error) { a.WA, err = WAFormulaValidation(scale); return },
+		"plugins": func() (err error) { a.Plugins, err = PluginComparison(scale); return },
+	}
+	for _, id := range ArtifactIDs {
+		if len(ids) == 0 || slices.Contains(ids, id) {
+			if err := steps[id](); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return a, nil
 }

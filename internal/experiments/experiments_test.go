@@ -9,7 +9,7 @@ import (
 
 // testScale is the scale of the reproduction record, paper_results.txt:
 // the model the design-decision orderings are checked on. The claims of
-// EXPERIMENTS.md are checked at the same scale (claims_test.go).
+// EXPERIMENTS.md are checked at the same scale (claims.go).
 const testScale = 1
 
 func TestRunRecoveryRejectsFaultFreeProfile(t *testing.T) {

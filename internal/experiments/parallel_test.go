@@ -16,30 +16,19 @@ import (
 // its 1.0x point are one profile, simulated once for both.
 func TestParallelCellsMatchSerial(t *testing.T) {
 	const scale = 200
-	campaign := func(workers int) []any {
+	campaign := func(workers int) reflect.Value {
 		defer parallel.SetWorkers(parallel.SetWorkers(workers))
 		ResetSnapshotCache()
-		var out []any
-		add := func(v any, err error) {
-			if err != nil {
-				t.Fatalf("workers=%d: %v", workers, err)
-			}
-			out = append(out, v)
+		a, err := Run(scale)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		add(Fig2aBackendCache(scale))
-		add(Fig2bPlacementGroups(scale))
-		add(Fig2cStripeUnit(scale))
-		add(Fig2dFailureMode(scale))
-		add(Fig3Timeline(scale))
-		add(Table3WriteAmplification(scale))
-		add(WAFormulaValidation(scale))
-		add(PluginComparison(scale))
-		return out
+		return reflect.ValueOf(*a)
 	}
 	serial, par := campaign(1), campaign(4)
-	for i := range serial {
-		if !reflect.DeepEqual(serial[i], par[i]) {
-			t.Errorf("experiment %d: 4 workers returned\n%+v\nwant (1 worker)\n%+v", i, par[i], serial[i])
+	for i := range serial.NumField() {
+		if s, p := serial.Field(i).Interface(), par.Field(i).Interface(); !reflect.DeepEqual(s, p) {
+			t.Errorf("%s: 4 workers returned\n%+v\nwant (1 worker)\n%+v", serial.Type().Field(i).Name, p, s)
 		}
 	}
 }

@@ -2,11 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/logsys"
 )
 
 // recoveryGolden extracts the golden-comparable fields from a result.
@@ -23,27 +22,6 @@ func recoveryGolden(res *core.Result) timelineGolden {
 		RepChunks:   r.RepairedChunks,
 		DegradedPGs: r.DegradedPGs,
 	}
-}
-
-// renderTimeline flattens a merged timeline to the raw on-node log
-// format; comparing the rendered bytes is what "byte-identical timeline"
-// means for compareRuns (entry order included).
-func renderTimeline(entries []logsys.Entry) string {
-	var b strings.Builder
-	for _, e := range entries {
-		fmt.Fprintf(&b, "%d %s %s %s\n", int64(e.Time), e.Node, e.Category, e.Message)
-	}
-	return b.String()
-}
-
-// renderIOSamples flattens the iostat sample stream, order included.
-func renderIOSamples(res *core.Result) string {
-	var b strings.Builder
-	for _, s := range res.IOSamples {
-		fmt.Fprintf(&b, "%d %s r%d w%d rb%d wb%d\n",
-			int64(s.Time), s.Device, s.ReadOps, s.WriteOps, s.ReadBytes, s.WriteBytes)
-	}
-	return b.String()
 }
 
 // coldRun runs a profile on its own freshly built root cluster, with no
@@ -63,37 +41,29 @@ func coldRun(t *testing.T, p core.Profile) *core.Result {
 }
 
 // compareRuns asserts every observable of a cold run and its forked twin
-// is identical.
+// is identical, the order of the iostat samples and of the timeline
+// included.
 func compareRuns(t *testing.T, label string, cold, forked *core.Result) {
 	t.Helper()
 	if cold.Recovery == nil || forked.Recovery == nil {
 		t.Fatalf("%s: missing recovery result (cold=%v forked=%v)",
 			label, cold.Recovery != nil, forked.Recovery != nil)
 	}
-	if *cold.Recovery != *forked.Recovery {
-		t.Errorf("%s: recovery result diverged\ncold   %+v\nforked %+v",
-			label, *cold.Recovery, *forked.Recovery)
-	}
-	if cold.UsedBytes != forked.UsedBytes || cold.WrittenBytes != forked.WrittenBytes {
-		t.Errorf("%s: byte accounting diverged: cold used=%d written=%d, forked used=%d written=%d",
-			label, cold.UsedBytes, cold.WrittenBytes, forked.UsedBytes, forked.WrittenBytes)
-	}
-	if cold.LogLinesShipped != forked.LogLinesShipped || cold.LogLinesDropped != forked.LogLinesDropped {
-		t.Errorf("%s: log accounting diverged: cold %d/%d, forked %d/%d",
-			label, cold.LogLinesShipped, cold.LogLinesDropped, forked.LogLinesShipped, forked.LogLinesDropped)
-	}
-	if renderIOSamples(cold) != renderIOSamples(forked) {
-		t.Errorf("%s: iostat sample stream diverged (%d vs %d samples)",
-			label, len(cold.IOSamples), len(forked.IOSamples))
-	}
-	if c, f := renderTimeline(cold.Timeline), renderTimeline(forked.Timeline); c != f {
-		i := 0
-		for i < len(c) && i < len(f) && c[i] == f[i] {
-			i++
+	for _, f := range []struct {
+		name         string
+		cold, forked any
+	}{
+		{"recovery result", *cold.Recovery, *forked.Recovery},
+		{"used bytes", cold.UsedBytes, forked.UsedBytes},
+		{"written bytes", cold.WrittenBytes, forked.WrittenBytes},
+		{"log lines shipped", cold.LogLinesShipped, forked.LogLinesShipped},
+		{"log lines dropped", cold.LogLinesDropped, forked.LogLinesDropped},
+		{"iostat samples", cold.IOSamples, forked.IOSamples},
+		{"timeline", cold.Timeline, forked.Timeline},
+	} {
+		if !reflect.DeepEqual(f.cold, f.forked) {
+			t.Errorf("%s: %s diverged\ncold   %+v\nforked %+v", label, f.name, f.cold, f.forked)
 		}
-		lo := max(i-80, 0)
-		t.Errorf("%s: timeline diverged at byte %d\ncold   ...%q\nforked ...%q",
-			label, i, c[lo:min(i+80, len(c))], f[lo:min(i+80, len(f))])
 	}
 }
 

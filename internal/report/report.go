@@ -111,26 +111,12 @@ func Timeline(tl *experiments.TimelineResult) string {
 	return b.String()
 }
 
-// TimelineEvents renders the first matching log line of each recovery
-// phase, echoing the annotations of Figure 3.
+// TimelineEvents renders the line that opens each Figure 3 phase, at
+// its offset from origin.
 func TimelineEvents(entries []logsys.Entry, origin time.Duration) string {
-	wanted := []struct{ substr, label string }{
-		{"failure detected", "failure detected"},
-		{"receiving heartbeats", "MGR log: receiving heartbeats"},
-		{"check recovery resource", "OSD log: check recovery resource"},
-		{"collecting missing", "OSD log: collecting missing OSDs, queueing recovery"},
-		{"start recovery I/O", "OSD log: start recovery I/O"},
-		{"report recovery I/O", "MGR log: report recovery I/O"},
-		{"recovery completed", "OSD log: recovery completed"},
-	}
 	var b strings.Builder
-	for _, w := range wanted {
-		for _, e := range entries {
-			if strings.Contains(e.Message, w.substr) {
-				fmt.Fprintf(&b, "  %8.0fs  %s\n", (e.Time - origin).Seconds(), w.label)
-				break
-			}
-		}
+	for _, ph := range experiments.Phases(entries) {
+		fmt.Fprintf(&b, "  %8.0fs  %s\n", (ph.Time - origin).Seconds(), ph.Label)
 	}
 	return b.String()
 }

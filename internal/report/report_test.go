@@ -98,6 +98,7 @@ func TestTimelineEvents(t *testing.T) {
 		{Time: 100 * time.Second, Node: "mon0", Category: logsys.CatFailure, Message: "osd.3 failure detected: no heartbeat"},
 		{Time: 130 * time.Second, Node: "mon0", Category: logsys.CatHeartbeat, Message: "receiving heartbeats from osd peers"},
 		{Time: 702 * time.Second, Node: "host01", Category: logsys.CatRecovery, Message: "pg 7 start recovery I/O (5 objects)"},
+		{Time: 733 * time.Second, Node: "host02", Category: logsys.CatRecovery, Message: "pg 3 recovery completed"},
 		{Time: 1228 * time.Second, Node: "mon0", Category: logsys.CatRecovery, Message: "recovery completed: all placement groups active+clean"},
 	}
 	out := TimelineEvents(entries, 100*time.Second)
@@ -107,7 +108,8 @@ func TestTimelineEvents(t *testing.T) {
 	if !strings.Contains(out, "602s  OSD log: start recovery I/O") {
 		t.Errorf("recovery start missing:\n%s", out)
 	}
-	if !strings.Contains(out, "1128s  OSD log: recovery completed") {
+	// The cluster-wide completion, not the first PG's.
+	if !strings.Contains(out, "1128s  OSD log: recovery completed") || strings.Contains(out, "633s") {
 		t.Errorf("completion missing:\n%s", out)
 	}
 }

@@ -103,7 +103,7 @@ var methods = map[reflect.Type][]string{
 		"Snapshot", "UsedBytes", "WriteObject",
 	},
 	reflect.TypeFor[*bluestore.Store](): {
-		"AccessProfile", "Chunks", "CorruptChunk",
+		"AccessProfile", "CorruptChunk",
 		"DataBytes", "Device", "ExpectRun", "Fork", "Freeze", "HasChunk",
 		"MetaBytes", "ReadChunk", "ScrubChunk", "SetDataWorkingSet",
 		"UsedBytes", "Writable", "WriteChunk", "WriteChunksBulk",

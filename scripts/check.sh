@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # Repo-wide check: gofmt + vet + build + tier-1 tests (the scale-1 golden of
 # cmd/ecbench included: the -compare output against the reproduction
-# record, paper_results.txt, byte for byte; the claims table of
-# internal/experiments, which asserts every EXPERIMENTS.md shape claim and
-# deviation at scale 1, the record's scale; and the root surface pins:
+# record, paper_results.txt, byte for byte; the claims evaluator of
+# internal/experiments, experiments.Evaluate, whose tests assert every
+# EXPERIMENTS.md shape claim and deviation at scale 1, the record's scale;
+# and the root surface pins:
 # TestKnobSurface for the ECFAULT_* variables, TestConfigSurface for
 # cluster.Config's 17 settable leaf fields, TestMethodSurface for the 22
-# exported methods of *cluster.Cluster and the 17 of *bluestore.Store, and
+# exported methods of *cluster.Cluster and the 16 of *bluestore.Store, and
 # TestExportedMeansCalled for every exported name under internal/: each
 # has a caller outside tests in this module or bench/, or a reasoned entry
 # in its allowlist; it lists files with go/build's default context, so the
