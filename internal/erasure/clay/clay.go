@@ -167,13 +167,20 @@ func (c *Clay) setDigit(z, y, v int) int {
 	return z + (v-old)*c.pow[c.t-1-y]
 }
 
-// padWorthwhile reports whether decode/repair should re-run on 8-byte
-// padded sub-chunk slots: only when the sub-chunk size is odd and the
-// active gf256 backend actually needs alignment — the SIMD tiers load
-// unaligned, so for them the copies are pure overhead at every size, while
-// the word kernels fall to their byte path without the padding.
-func padWorthwhile(scs int) bool {
-	return scs&7 != 0 && !gf256.Vectorized()
+// workWidth is the sub-chunk slot width decode and repair work in. An odd
+// sub-chunk size leaves every plane slice at an unaligned offset, forcing
+// the word kernels onto their byte fallback for the whole call; so on
+// those backends the call works on copies whose sub-chunks sit in
+// 8-byte-padded slots (word kernels throughout) and strips the padding
+// from what it recovers. GF arithmetic is elementwise, so the real bytes
+// are identical either way, and the two extra memmoves are far cheaper
+// than byte-path transforms over every plane. The SIMD tiers load
+// unaligned: for them the copies would be pure overhead at every size.
+func workWidth(scs int) int {
+	if scs&7 == 0 || gf256.Vectorized() {
+		return scs
+	}
+	return (scs + 7) &^ 7
 }
 
 // padCopy lays src's sub-chunks of scs bytes out in scsPad-byte slots of
@@ -231,59 +238,50 @@ func (c *Clay) Decode(shards [][]byte) error {
 	if len(missingExt) > c.m {
 		return fmt.Errorf("%w: %d lost, max %d", erasure.ErrTooManyErasures, len(missingExt), c.m)
 	}
-	scs := size / c.alpha
-	if padWorthwhile(scs) {
-		// An odd sub-chunk size leaves every plane slice at an unaligned
-		// offset, forcing the word kernels onto their byte fallback for
-		// the whole decode. Re-run on a copy whose sub-chunks sit in
-		// 8-byte-padded slots (word kernels throughout), then strip the
-		// padding from the recovered shards: GF arithmetic is elementwise,
-		// so the real bytes are identical either way, and the two extra
-		// memmoves are far cheaper than byte-path transforms over every
-		// plane. The SIMD backends load unaligned, so they skip the detour.
-		scsPad := (scs + 7) &^ 7
-		work := make([][]byte, len(shards))
-		for i, s := range shards {
-			if s == nil {
-				continue
-			}
-			w := make([]byte, scsPad*c.alpha)
-			padCopy(w, s, scs, scsPad)
-			work[i] = w
-		}
-		if err := c.Decode(work); err != nil {
-			return err
-		}
-		for _, e := range missingExt {
-			out := make([]byte, size)
-			unpadCopy(out, work[e], scs, scsPad)
-			shards[e] = out
-		}
-		return nil
-	}
-
+	// The recovered shards are the caller's; every other buffer is carved
+	// from one pooled slab.
 	erased := make([]bool, c.nt)
 	for _, e := range missingExt {
 		erased[c.internalIndex(e)] = true
 		shards[e] = make([]byte, size)
 	}
+	scs := size / c.alpha
+	w := workWidth(scs)
+	nodes := c.nt // U
+	if c.nt > c.N() {
+		nodes++ // the zero window
+	}
+	if w != scs {
+		nodes += c.N() // padded copies
+	}
+	s := getSlab(nodes * line(w*c.alpha))
+	defer s.release()
 
-	// C holds coupled symbols per internal node: virtual nodes are zero;
-	// real nodes alias the shard buffers. U is computed per plane.
+	// C holds coupled symbols per internal node: virtual nodes read the
+	// zero window; real nodes alias the shard buffers, or their padded
+	// copies on the detour (the erased ones are written, never read).
 	C := make([][]byte, c.nt)
-	zero := make([]byte, size)
+	var zero []byte
+	if c.nt > c.N() {
+		zero = s.zeros(w * c.alpha)
+	}
 	for u := 0; u < c.nt; u++ {
-		ext := c.externalIndex(u)
-		if ext == -1 {
+		switch ext := c.externalIndex(u); {
+		case ext == -1:
 			C[u] = zero
-		} else {
+		case w == scs:
 			C[u] = shards[ext]
+		default:
+			C[u] = s.take(w * c.alpha)
+			if !erased[u] {
+				padCopy(C[u], shards[ext], scs, w)
+			}
 		}
 	}
 	// U for every node and plane; filled as planes are processed.
 	U := make([][]byte, c.nt)
 	for u := range U {
-		U[u] = make([]byte, size)
+		U[u] = s.take(w * c.alpha)
 	}
 
 	// Group planes by intersection score.
@@ -302,16 +300,21 @@ func (c *Clay) Decode(shards [][]byte) error {
 	dsts := make([][]byte, len(dec.lost))
 	for _, group := range byScore {
 		if Batching() && len(group) == c.alpha {
-			c.decodeWhole(erased, C, U, dec, scs, srcs, dsts)
+			c.decodeWhole(erased, C, U, dec, w, srcs, dsts)
 			continue
 		}
 		for _, z := range group {
-			c.decodePlane(z, erased, C, U, dec, scs, srcs, dsts)
+			c.decodePlane(z, erased, C, U, dec, w, srcs, dsts)
 		}
 	}
 
 	// All U known everywhere; convert U -> C for the erased nodes.
-	c.convertUC(erased, C, U, scs)
+	c.convertUC(erased, C, U, w)
+	if w != scs {
+		for _, e := range missingExt {
+			unpadCopy(shards[e], C[c.internalIndex(e)], scs, w)
+		}
+	}
 	return nil
 }
 
@@ -567,38 +570,87 @@ func (c *Clay) repairSingle(shards [][]byte, failedExt int) error {
 		return fmt.Errorf("%w: shard size %d not divisible by alpha=%d", erasure.ErrShardSize, size, c.alpha)
 	}
 	scs := size / c.alpha
-	if padWorthwhile(scs) {
-		// Same padding detour as Decode: repair on 8-byte-padded sub-chunk
-		// slots so the plane transforms run on the word kernels.
-		scsPad := (scs + 7) &^ 7
-		work := make([][]byte, len(shards))
-		for i, s := range shards {
-			if i == failedExt || s == nil {
-				continue
-			}
-			w := make([]byte, scsPad*c.alpha)
-			padCopy(w, s, scs, scsPad)
-			work[i] = w
-		}
-		if err := c.repairSingle(work, failedExt); err != nil {
-			return err
-		}
-		out := make([]byte, size)
-		unpadCopy(out, work[failedExt], scs, scsPad)
-		shards[failedExt] = out
-		return nil
-	}
 	out := make([]byte, size)
-	if Batching() && scs < batchRepairLimit() {
-		return c.repairStrided(shards, failedExt, scs, out)
+	w := workWidth(scs)
+	u0 := c.internalIndex(failedExt)
+	strided := Batching() && w < batchRepairLimit()
+	need := c.repairNeed(u0, w, strided)
+	if w != scs {
+		need += c.N() * line(w*c.alpha) // padded helpers and output
 	}
+	s := getSlab(need)
+	defer s.release()
+	work, dst := shards, out
+	if w != scs {
+		work = make([][]byte, len(shards))
+		for i, sh := range shards {
+			if i != failedExt {
+				work[i] = s.take(w * c.alpha)
+				padCopy(work[i], sh, scs, w)
+			}
+		}
+		dst = s.take(w * c.alpha)
+	}
+	repair := c.repairPerPlane
+	if strided {
+		repair = c.repairStrided
+	}
+	if err := repair(work, failedExt, w, dst, &s); err != nil {
+		return err
+	}
+	if w != scs {
+		unpadCopy(out, dst, scs, w)
+	}
+	shards[failedExt] = out
+	return nil
+}
+
+// repairNeed is the slab a single repair of internal node u0 carves: U of
+// every node plus one coupling temporary, per repair plane on the
+// per-plane path or across all beta of them on the strided one, and the
+// zero window when the code is shortened.
+func (c *Clay) repairNeed(u0, scs int, strided bool) int {
+	node, window := scs, scs
+	if strided {
+		_, y0 := c.nodeXY(u0)
+		node, window = c.beta*scs, c.pow[c.t-1-y0]*scs
+	}
+	if c.nt == c.N() {
+		window = 0
+	}
+	return (c.nt+1)*line(node) + line(window)
+}
+
+// repairPerPlane is single repair one repair plane at a time, for
+// sub-chunks at or above the strided gate or with batching off; it writes
+// every sub-chunk of out.
+func (c *Clay) repairPerPlane(shards [][]byte, failedExt, scs int, out []byte, s *slab) error {
 	u0 := c.internalIndex(failedExt)
 	x0, y0 := c.nodeXY(u0)
 	planes := c.repairPlanes(u0)
 
-	// C access: virtual nodes read as zero; the failed node must never be
-	// read.
-	zero := make([]byte, scs)
+	erased := make([]bool, c.nt)
+	// In the repair formulation the whole failed column y0 is "unknown" in
+	// U-space within each repair plane.
+	for x := 0; x < c.q; x++ {
+		erased[x+y0*c.q] = true
+	}
+	dec, err := c.planeDecoder(erased)
+	if err != nil {
+		return err
+	}
+
+	uPlane := make([][]byte, c.nt) // U values within the current plane
+	for u := range uPlane {
+		uPlane[u] = s.take(scs)
+	}
+	u2 := s.take(scs)
+	// C access: virtual nodes read the zero window; the failed node must
+	// never be read.
+	var zero []byte
+	if c.nt > c.N() {
+		zero = s.zeros(scs)
+	}
 	readC := func(u, z int) []byte {
 		ext := c.externalIndex(u)
 		if ext == -1 {
@@ -609,29 +661,8 @@ func (c *Clay) repairSingle(shards [][]byte, failedExt int) error {
 		}
 		return shards[ext][z*scs : (z+1)*scs]
 	}
-
-	erased := make([]bool, c.nt)
-	// In the repair formulation the whole failed column y0 is "unknown" in
-	// U-space within each repair plane.
-	colUnknown := make([]int, 0, c.q)
-	for x := 0; x < c.q; x++ {
-		colUnknown = append(colUnknown, x+y0*c.q)
-	}
-	for _, u := range colUnknown {
-		erased[u] = true
-	}
-	dec, err := c.planeDecoder(erased)
-	if err != nil {
-		return err
-	}
-
-	uPlane := make([][]byte, c.nt) // U values within the current plane
-	for u := range uPlane {
-		uPlane[u] = make([]byte, scs)
-	}
 	srcs := make([][]byte, len(dec.survivors))
 	dsts := make([][]byte, len(dec.lost))
-	u2 := make([]byte, scs)
 	var pairBuf [2][]byte
 	pair := pairBuf[:]
 
@@ -671,6 +702,5 @@ func (c *Clay) repairSingle(shards [][]byte, failedExt int) error {
 			mulPair(c.coupleRow, pair, u2, uPlane[us], out[w*scs:(w+1)*scs])
 		}
 	}
-	shards[failedExt] = out
 	return nil
 }

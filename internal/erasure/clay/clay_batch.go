@@ -83,13 +83,55 @@ func SetBatchLimits(repairMax int) (restore func()) {
 	return func() { batchRepairMaxSubChunk = prev }
 }
 
-// repairScratch pools the compact-space slab for repairStrided. Pooling
-// (rather than a per-call make) matters because the slab is written and
-// discarded every repair: at mid-size sub-chunks the allocator's zeroing
-// plus GC scan cost rivals the GF arithmetic itself. The pool is
-// package-level, never hung off a code instance, so repairs racing on a
-// shared registry instance each grab independent slabs.
-var repairScratch = sync.Pool{New: func() any { b := []byte(nil); return &b }}
+// scratch pools the one working slab of every Clay call: Decode's U planes
+// (Encode and multi-failure Repair run through Decode), single repair's
+// uncoupled symbols, the zero window standing in for the virtual shards of
+// a shortened code, and the word kernels' padded copies. Pooling (rather
+// than per-call makes) matters because that memory is written and
+// discarded every call: twelve full shards of U per clay(12,9,11) decode,
+// whose zeroing, and the collections it brings on, rival the GF arithmetic
+// itself. The pool is
+// package-level, never hung off a code instance, so calls racing on a
+// shared registry instance each hold an independent slab for the length of
+// one call. A slab comes back dirty: every buffer carved from it is
+// written before it is read, except the zero window, which is cleared.
+var scratch = sync.Pool{New: func() any { b := []byte(nil); return &b }}
+
+// slab is one call's share of the scratch pool, carved front to back.
+type slab struct {
+	p    *[]byte
+	free []byte
+}
+
+// getSlab takes a slab of n bytes from the pool; release hands it back.
+func getSlab(n int) slab {
+	p := scratch.Get().(*[]byte)
+	if cap(*p) < n {
+		*p = make([]byte, n)
+	}
+	return slab{p: p, free: (*p)[:n]}
+}
+
+func (s *slab) release() { scratch.Put(s.p) }
+
+// line rounds a buffer up to whole 64-byte cache lines: every buffer
+// carved from a slab starts on a line, as a fresh allocation of its size
+// would, so the vector kernels' stores into it do not split lines.
+func line(n int) int { return (n + 63) &^ 63 }
+
+// take carves the next n bytes, holding whatever the last call left.
+func (s *slab) take(n int) []byte {
+	b := s.free[:n:n]
+	s.free = s.free[line(n):]
+	return b
+}
+
+// zeros carves n cleared bytes.
+func (s *slab) zeros(n int) []byte {
+	b := s.take(n)
+	clear(b)
+	return b
+}
 
 // copyPlanes copies the planes z with digit(z, y) == x from src to dst:
 // the unpaired vertices, whose coupled and uncoupled symbols agree.
@@ -170,11 +212,9 @@ func (c *Clay) convertUC(erased []bool, C, U [][]byte, scs int) {
 // helper bytes are never gathered into scratch and recovered bytes
 // are written straight into the output shard. Only the uncoupled symbols
 // live in compact rank-ordered scratch — rank p = a*runLen + i maps to
-// plane z = a*runStride + first + i. Scratch is a pooled slab held
-// exclusively for the duration of the call — nothing hangs off the code
-// instance, so concurrent repairs on a shared registry instance stay
-// independent.
-func (c *Clay) repairStrided(shards [][]byte, failedExt int, scs int, out []byte) error {
+// plane z = a*runStride + first + i — carved from the call's slab
+// (repairNeed sizes it).
+func (c *Clay) repairStrided(shards [][]byte, failedExt, scs int, out []byte, s *slab) error {
 	u0 := c.internalIndex(failedExt)
 	x0, y0 := c.nodeXY(u0)
 	bb := c.beta * scs
@@ -195,24 +235,17 @@ func (c *Clay) repairStrided(shards [][]byte, failedExt int, scs int, out []byte
 		return err
 	}
 
-	// One pooled slab: compact U per node, the step-3 scratch, and one
-	// run-width zero window standing in for virtual shards (read with
-	// stride 0). Every uComp byte is overwritten before it is read, so
-	// only the zero window needs clearing on reuse.
-	need := (c.nt+1)*bb + rl
-	sp := repairScratch.Get().(*[]byte)
-	if cap(*sp) < need {
-		*sp = make([]byte, need)
-	}
-	slab := (*sp)[:need]
-	defer repairScratch.Put(sp)
-	clear(slab[(c.nt+1)*bb:])
+	// Compact U per node and the step-3 scratch, then one run-width zero
+	// window standing in for virtual shards (read with stride 0).
 	uComp := make([][]byte, c.nt)
 	for u := range uComp {
-		uComp[u] = slab[u*bb : (u+1)*bb]
+		uComp[u] = s.take(bb)
 	}
-	u2 := slab[c.nt*bb : (c.nt+1)*bb]
-	zeroRun := slab[(c.nt+1)*bb:]
+	u2 := s.take(bb)
+	var zeroRun []byte
+	if c.nt > c.N() {
+		zeroRun = s.zeros(rl)
+	}
 
 	// cBuf returns the buffer holding node u's coupled symbols: the shard
 	// itself for real helpers (addressed strided), the shared zero window
@@ -379,6 +412,5 @@ func (c *Clay) repairStrided(shards [][]byte, failedExt int, scs int, out []byte
 		pb[1], ps[1] = 0, rl
 		c.coupleRow.ApplyStrided(pair, out, x*rl, rs, pb, ps, rl, nRuns, true)
 	}
-	shards[failedExt] = out
 	return nil
 }

@@ -166,7 +166,10 @@ func FuzzClayBatchIdentity(f *testing.F) {
 }
 
 // BenchmarkClayBatchAB reports the paper's headline Clay shape at 4 KiB
-// and 64 KiB with the batched paths on and off.
+// and 64 KiB with the batched paths on and off, with the bytes and
+// allocations of a call: an encode allocates its three parity shards, a
+// repair its one shard, and beside a few headers only the working slab
+// that refills Clay's scratch pool after a GC has emptied it.
 func BenchmarkClayBatchAB(b *testing.B) {
 	code, err := erasure.New("clay", 9, 3, 11)
 	if err != nil {
@@ -200,6 +203,7 @@ func BenchmarkClayBatchAB(b *testing.B) {
 					shards[i] = nil
 				}
 				b.SetBytes(int64(size * code.K()))
+				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					if err := code.Encode(shards); err != nil {
 						b.Fatal(err)
@@ -208,6 +212,7 @@ func BenchmarkClayBatchAB(b *testing.B) {
 			})
 			b.Run(fmt.Sprintf("repair/%dKiB/%s", sizeKiB, mode.name), func(b *testing.B) {
 				b.SetBytes(int64(size))
+				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					shards := make([][]byte, code.N())
 					copy(shards, full)

@@ -1,7 +1,6 @@
 package simclock
 
 import (
-	"runtime"
 	"testing"
 	"time"
 )
@@ -164,9 +163,10 @@ func TestQueueRingGrowthWhileWrapped(t *testing.T) {
 // TestOutgrownRingsAreReused: every queue and semaphore of a Sim waits in
 // its one backlog slab. A queue that backs up and drains leaves its nodes
 // on the free list, so a second queue and a semaphore backing up together
-// to the same depth later allocate nothing, each stays FIFO, and the slab
-// keeps only the chunks that peak needs. Each phase fires its events
-// without Run, which would hand the drained slab on to the next Sim.
+// to the same depth later take no new chunk, each stays FIFO, and backing
+// them up and draining them again and again allocates nothing. Each phase
+// fires its events without Run, which would hand the drained slab on to
+// the next Sim.
 func TestOutgrownRingsAreReused(t *testing.T) {
 	s := New()
 	ids := make([]int, 65)
@@ -205,33 +205,38 @@ func TestOutgrownRingsAreReused(t *testing.T) {
 	}
 	chunks("queue A", 64)
 
-	served = served[:0]
 	b, sem := s.NewQueue(1), s.NewSemaphore(1)
 	grants := make([]func(), 33)
 	for i := range grants {
 		grants[i] = func() { granted = append(granted, i) }
 	}
 	release := func(x any) { record(x); sem.Release() } // pops alternate
-	b.SubmitArg(time.Second, release, &ids[0])          // in service
-	sem.Acquire(grants[0])                              // held
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 1; i <= 32; i++ { // 64 waiting between them
-		b.SubmitArg(time.Second, release, &ids[i])
-		sem.Acquire(grants[i])
+	// cycle backs queue B and the semaphore up to 64 waiters between them
+	// and drains them. testing.AllocsPerRun runs it once to warm up (the
+	// first back-up after queue A's) and then times it, averaging the
+	// process-wide malloc count over the runs, so a stray background
+	// allocation cannot show as one of the cycle's.
+	cycle := func() {
+		served, granted = served[:0], granted[:0]
+		b.SubmitArg(time.Second, release, &ids[0]) // in service
+		sem.Acquire(grants[0])                     // held
+		for i := 1; i <= 32; i++ {
+			b.SubmitArg(time.Second, release, &ids[i])
+			sem.Acquire(grants[i])
+		}
+		if b.QueueLen() != 32 || sem.count != 32 {
+			t.Fatalf("%d and %d waiting, want 32 each", b.QueueLen(), sem.count)
+		}
+		fireAll(s)
 	}
-	runtime.ReadMemStats(&after)
-	if n := after.Mallocs - before.Mallocs; n != 0 {
-		t.Errorf("backing up a queue and a semaphore to 64 waiters allocated %d objects, want 0", n)
+	const runs = 20
+	if n := testing.AllocsPerRun(runs, cycle); n != 0 {
+		t.Errorf("backing up a queue and a semaphore to 64 waiters allocated %.1f objects a cycle, want 0", n)
 	}
-	if b.QueueLen() != 32 || sem.count != 32 {
-		t.Fatalf("%d and %d waiting, want 32 each", b.QueueLen(), sem.count)
-	}
-	fireAll(s)
 	fifo("queue B", served, 33)
 	fifo("semaphore", granted, 33)
-	if b.JobsServed != 33 || sem.held != 0 {
-		t.Fatalf("queue B served %d jobs, semaphore holds %d", b.JobsServed, sem.held)
+	if b.JobsServed != 33*(runs+1) || sem.held != 0 {
+		t.Fatalf("queue B served %d jobs, want %d; semaphore holds %d", b.JobsServed, 33*(runs+1), sem.held)
 	}
 	chunks("queue B and semaphore", 64)
 }

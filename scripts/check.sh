@@ -21,7 +21,9 @@
 # round-trip fuzz smoke + the codec's three kernel fuzz smokes (the row
 # kernel of every backend against the bit-by-bit reference; ApplyStrided
 # against its scalar oracle; Clay's batched and per-plane formulations
-# against each other and the erased bytes) + the store's
+# against each other and the erased bytes, over recycled scratch: each
+# input builds a new code while Clay's scratch pool is package-level, so
+# slabs pass between shapes and sizes dirty) + the store's
 # naive-model fuzz smoke (bulk loads, writes and rewrites over bulk-loaded,
 # recovered and corrupted chunks, scrubs and the recovered runs ExpectRun
 # declares, across forks, and bulk loads refused for a name out of order
@@ -78,6 +80,11 @@ go test -run xxx -bench . -benchtime 1x ./...
 # goroutine, through a mutex-guarded spare stack
 # (simclock.TestDrainedSlabIsHandedOn drains and refills Sims on four
 # goroutines; core.TestForkAfterForkMatchesColdRun forks on two).
+# erasure/... is here because one code instance serves every caller and
+# each Clay call works in a slab of a package-level pool
+# (clay.TestConcurrentCallersGetIndependentSlabs runs four goroutines on
+# one instance at shard sizes from 4 KiB to 1 MiB; the codecache stress
+# test shares instances of every plugin).
 echo "== go test -race (concurrent packages + kernels) =="
 go test -race -count=1 \
     ./internal/gf256 \
@@ -92,7 +99,7 @@ go test -race -count=1 \
     ./internal/iostat \
     ./internal/tuner
 
-echo "== fuzz smoke (simclock: same-instant FIFO, RunUntil slicing with backlog nodes changing hands; simnet: gather == per-ship; crush: Select == straw2 reference; matrix codes: decode/repair == CanRecover; gf256: every backend's row kernel == bit-by-bit reference, ApplyStrided == scalar oracle; clay: batched == per-plane == erased bytes; bluestore: store == naive per-chunk model across forks, rewrites, recovered runs and refused out-of-order loads included; inputs: fault lists, profile documents and ceph.conf text are run or rejected, never a panic) =="
+echo "== fuzz smoke (simclock: same-instant FIFO, RunUntil slicing with backlog nodes changing hands; simnet: gather == per-ship; crush: Select == straw2 reference; matrix codes: decode/repair == CanRecover; gf256: every backend's row kernel == bit-by-bit reference, ApplyStrided == scalar oracle; clay: batched == per-plane == erased bytes over recycled scratch slabs; bluestore: store == naive per-chunk model across forks, rewrites, recovered runs and refused out-of-order loads included; inputs: fault lists, profile documents and ceph.conf text are run or rejected, never a panic) =="
 go test ./internal/simclock -run xxx -fuzz FuzzSimclockFIFO -fuzztime 10s
 go test ./internal/simclock -run xxx -fuzz FuzzRunUntilSlicing -fuzztime 10s
 go test ./internal/simnet -run xxx -fuzz FuzzGatherMatchesPerShip -fuzztime 10s
@@ -108,7 +115,9 @@ go test ./internal/cephconf -run xxx -fuzz FuzzParseApply -fuzztime 10s
 
 # The SIMD backends are amd64-only: the whole module, built and tested
 # with them compiled out, stays green and byte-identical on the portable
-# word and scalar kernels, as it would be on arm64.
+# word and scalar kernels, as it would be on arm64. It is also the leg
+# where Clay's padded copies (odd sub-chunks on the word kernels) are
+# carved from the scratch slab.
 echo "== go build/test (purego: portable word kernels, no asm) =="
 go build -tags purego ./...
 go test -tags purego -count=1 ./...
