@@ -27,8 +27,6 @@ import (
 // caller gets argued; a name that gains a caller, or goes, leaves.
 var uncalled = map[string]string{
 	"core.Coordinator.Run":        "the unforked cold run experiments' fork tests compare with",
-	"erasure/clay.SetBatching":    "conformance tests run Clay batched and per plane against each other",
-	"erasure/clay.SetBatchLimits": "conformance tests move Clay's repair batching gate",
 	"experiments.Evaluate":        "the claims' one evaluator, which ROADMAP items 2 (ecbench's fidelity gate), 13 (placement ensembles) and 14 (the scale ladder) call",
 	"gf256.SetBackend":            "conformance and gf256 tests sweep every kernel tier in one process",
 	"simclock.Queue.TotalWaiting": "a queue's wait area, which ROADMAP item 11's per-resource bounds read",

@@ -299,7 +299,7 @@ func (c *Clay) Decode(shards [][]byte) error {
 	srcs := make([][]byte, len(dec.survivors))
 	dsts := make([][]byte, len(dec.lost))
 	for _, group := range byScore {
-		if Batching() && len(group) == c.alpha {
+		if len(group) == c.alpha {
 			c.decodeWhole(erased, C, U, dec, w, srcs, dsts)
 			continue
 		}
@@ -570,11 +570,15 @@ func (c *Clay) repairSingle(shards [][]byte, failedExt int) error {
 		return fmt.Errorf("%w: shard size %d not divisible by alpha=%d", erasure.ErrShardSize, size, c.alpha)
 	}
 	scs := size / c.alpha
-	out := make([]byte, size)
+	return c.repairWith(shards, failedExt, scs, workWidth(scs) < stridedRepairMax)
+}
+
+// repairWith is single repair by repairStrided when strided is set and by
+// repairPerPlane otherwise; repairSingle's gate is its one product caller.
+func (c *Clay) repairWith(shards [][]byte, failedExt, scs int, strided bool) error {
+	out := make([]byte, scs*c.alpha)
 	w := workWidth(scs)
-	u0 := c.internalIndex(failedExt)
-	strided := Batching() && w < batchRepairLimit()
-	need := c.repairNeed(u0, w, strided)
+	need := c.repairNeed(c.internalIndex(failedExt), w, strided)
 	if w != scs {
 		need += c.N() * line(w*c.alpha) // padded helpers and output
 	}
@@ -621,9 +625,8 @@ func (c *Clay) repairNeed(u0, scs int, strided bool) int {
 	return (c.nt+1)*line(node) + line(window)
 }
 
-// repairPerPlane is single repair one repair plane at a time, for
-// sub-chunks at or above the strided gate or with batching off; it writes
-// every sub-chunk of out.
+// repairPerPlane is single repair one repair plane at a time, for work
+// widths from stridedRepairMax up; it writes every sub-chunk of out.
 func (c *Clay) repairPerPlane(shards [][]byte, failedExt, scs int, out []byte, s *slab) error {
 	u0 := c.internalIndex(failedExt)
 	x0, y0 := c.nodeXY(u0)

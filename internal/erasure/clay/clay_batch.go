@@ -2,7 +2,6 @@ package clay
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/gf256"
 )
@@ -32,56 +31,27 @@ import (
 //     base/stride geometry, so no coupled symbol is ever gathered or
 //     scattered; only the uncoupled scratch is compact.
 //
-// Both paths compute the exact same GF(2^8) operations on the same bytes
-// as the per-plane code, so outputs are byte-identical; the conformance
-// suite enforces that across backends with batching toggled
-// (SetBatching(false) forces the per-plane group transforms and repair).
+// Both paths compute the same GF(2^8) operations on the same bytes as the
+// per-plane code, so outputs are byte-identical; the identity tests call
+// each formulation directly and compare them on every backend.
 
-// batchOff disables the batched paths when set. Stored inverted so the
-// zero value means "batching on".
-var batchOff atomic.Bool
-
-// Zero-copy repair (no gather/scatter to degrade into memcpy) wins
-// through 1 KiB sub-chunks on every measured tier, with the per-plane path
-// pulling ahead from 2 KiB (BenchmarkKernelClayRepairSweep tracks the
-// crossover). Decode has no gate: its whole-space transforms match the
-// per-plane path at 12.9 KB and 103 KB sub-chunks. The repair gate is a
-// var overridable by SetBatchLimits (identity tests push arbitrarily large
-// sub-chunks through the batched path); 0 means "the measured default".
-var batchRepairMaxSubChunk = 0
-
-// batchRepairLimit returns the sub-chunk size gate for zero-copy batched
-// repair.
-func batchRepairLimit() int {
-	if batchRepairMaxSubChunk != 0 {
-		return batchRepairMaxSubChunk
-	}
-	return 2048
-}
-
-// Batching reports whether the multi-plane batched decode/repair paths are
-// active.
-func Batching() bool { return !batchOff.Load() }
-
-// SetBatching toggles the batched paths and returns a function restoring
-// the previous setting. It is meant for tests and benchmarks comparing the
-// batched and per-plane formulations; both produce byte-identical output.
-func SetBatching(on bool) (restore func()) {
-	prev := batchOff.Load()
-	batchOff.Store(!on)
-	return func() { batchOff.Store(prev) }
-}
-
-// SetBatchLimits overrides the sub-chunk size gate above which batched
-// repair yields to the per-plane code, returning a restore function; 0
-// restores the measured default. Identity tests use it to push
-// arbitrarily large sub-chunks through the batched implementation; it is
-// not safe concurrently with Repair calls.
-func SetBatchLimits(repairMax int) (restore func()) {
-	prev := batchRepairMaxSubChunk
-	batchRepairMaxSubChunk = repairMax
-	return func() { batchRepairMaxSubChunk = prev }
-}
+// stridedRepairMax is the work width from which single repair runs plane
+// by plane, where one plane of U per node stays in cache, instead of
+// streaming beta planes per node through repairStrided. Decode has no
+// gate: a score group runs decodeWhole exactly when it spans every plane.
+// Median MB/s of 3 runs of BenchmarkRepairFormulations (repaired shard)
+// and BenchmarkDecodeFormulations (an encode's U planes, data bytes),
+// clay(12,9,11), 2-vCPU Xeon, gfni512, go1.24.0:
+//
+//	sub-chunk B      56  128   256   512   816 1024 2048 4096 8192 12952 103568
+//	repair strided  520  794  1093  1087  1037 1085 1171 1290  995   916    562
+//	     per plane  126  297   471   611   730  949 1046 1441 1636  1433    886
+//	decode whole   7262 9263 10222 12137 10306 9074 6031 4658 4906  4262   3384
+//	     per plane  612 1259  3071  4040  4273 5662 5375 5393 5602  3683   2949
+//
+// The repair crossover, and decode's per-plane lead, lie at 2-8 KiB, where
+// codec_stripe (56, 816, 12952, 103568 B) has no series: both stay as is.
+const stridedRepairMax = 2048
 
 // scratch pools the one working slab of every Clay call: Decode's U planes
 // (Encode and multi-failure Repair run through Decode), single repair's

@@ -214,7 +214,7 @@ func TestOddSubChunkSizePadding(t *testing.T) {
 }
 
 // TestRepairReadsOnlyPlannedSubChunks poisons every sub-chunk the repair
-// plan does not list; a correct implementation must still reconstruct the
+// plan does not list; both repair formulations must still reconstruct the
 // lost shard exactly.
 func TestRepairReadsOnlyPlannedSubChunks(t *testing.T) {
 	c, err := New(9, 3, 11)
@@ -250,11 +250,10 @@ func TestRepairReadsOnlyPlannedSubChunks(t *testing.T) {
 				}
 			}
 		}
-		if err := c.Repair(work, []int{lost}); err != nil {
-			t.Fatalf("repair %d: %v", lost, err)
-		}
-		if !bytes.Equal(work[lost], orig[lost]) {
-			t.Fatalf("repair of %d read outside its plan (wrong output)", lost)
+		for _, strided := range []bool{true, false} {
+			if !bytes.Equal(repairBy(t, c, work, lost, strided), orig[lost]) {
+				t.Fatalf("repair of %d (strided=%v) read outside its plan (wrong output)", lost, strided)
+			}
 		}
 	}
 }

@@ -3,6 +3,7 @@ package clay
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
@@ -11,11 +12,9 @@ import (
 )
 
 // recovered runs call on a copy of orig with the shards in erase set to
-// nil, under the given batching setting, and returns the shard set the
-// call left.
-func recovered(t *testing.T, c *Clay, orig [][]byte, erase []int, batched bool, call func(*Clay, [][]byte) error) [][]byte {
+// nil and returns the shard set the call left.
+func recovered(t *testing.T, c *Clay, orig [][]byte, erase []int, call func(*Clay, [][]byte) error) [][]byte {
 	t.Helper()
-	defer SetBatching(batched)()
 	work := make([][]byte, len(orig))
 	copy(work, orig)
 	for _, e := range erase {
@@ -29,14 +28,15 @@ func recovered(t *testing.T, c *Clay, orig [][]byte, erase []int, batched bool, 
 
 // TestDirtyScratchIsNeverRead: a slab comes back from the pool holding the
 // last call's bytes, and only the zero window is cleared on reuse. Starting
-// from a 0xA5-poisoned slab, every Encode, Decode, single Repair and
-// multi-failure Repair on one instance, with shard sizes falling and then
-// rising (so a larger call's leftovers sit under a smaller one), batching
-// on and off, on every backend (the word kernels take the padded detour
+// from a 0xA5-poisoned slab, every Encode, Decode, single repair by each
+// formulation and multi-failure Repair on one instance, with shard sizes
+// falling and then rising (so a larger call's leftovers sit under a
+// smaller one), on every backend (the word kernels take the padded detour
 // at odd sub-chunks), must recover the erased bytes exactly, as a cold
 // instance running per plane does. The shortened code (k=4, m=3: nine
 // grid nodes for seven shards) carves the zero window.
 func TestDirtyScratchIsNeverRead(t *testing.T) {
+	perPlane := func(c *Clay, s [][]byte) error { perPlaneDecode(t, c, s); return nil }
 	for _, backend := range gf256.Backends() {
 		restore, err := gf256.SetBackend(backend)
 		if err != nil {
@@ -57,31 +57,34 @@ func TestDirtyScratchIsNeverRead(t *testing.T) {
 			for _, scs := range []int{200, 51, 8, 3, 1, 3, 8, 51, 200} {
 				orig := randShards(t, cold, scs, int64(scs))
 				type step struct {
-					name  string
-					erase []int
-					call  func(*Clay, [][]byte) error
+					name      string
+					erase     []int
+					call, ref func(*Clay, [][]byte) error
 				}
 				repair := func(failed ...int) func(*Clay, [][]byte) error {
 					return func(c *Clay, s [][]byte) error { return c.Repair(s, failed) }
 				}
+				repairAs := func(f int, strided bool) func(*Clay, [][]byte) error {
+					return func(c *Clay, s [][]byte) error { return c.repairWith(s, f, scs, strided) }
+				}
 				calls := []step{
-					{"encode", []int{k, n - 1}, (*Clay).Encode},
-					{"decode", []int{1, k}, (*Clay).Decode},
-					{"decode column", []int{0, 1, 2}, (*Clay).Decode},
-					{"repair multi", []int{0, n - 1}, repair(0, n-1)},
+					{"encode", []int{k, n - 1}, (*Clay).Encode, perPlane},
+					{"decode", []int{1, k}, (*Clay).Decode, perPlane},
+					{"decode column", []int{0, 1, 2}, (*Clay).Decode, perPlane},
+					{"repair multi", []int{0, n - 1}, repair(0, n-1), perPlane},
 				}
 				for _, f := range []int{0, k - 1, k, n - 1} {
-					calls = append(calls, step{fmt.Sprintf("repair %d", f), []int{f}, repair(f)})
+					calls = append(calls,
+						step{fmt.Sprintf("repair %d strided", f), []int{f}, repairAs(f, true), repairAs(f, false)},
+						step{fmt.Sprintf("repair %d per plane", f), []int{f}, repairAs(f, false), repairAs(f, false)})
 				}
-				for _, batched := range []bool{true, false} {
-					for _, cl := range calls {
-						got := recovered(t, hot, orig, cl.erase, batched, cl.call)
-						want := recovered(t, cold, orig, cl.erase, false, cl.call)
-						for _, e := range cl.erase {
-							if !bytes.Equal(got[e], orig[e]) || !bytes.Equal(got[e], want[e]) {
-								t.Fatalf("%s clay(%d,%d) scs=%d batch=%v %s: shard %d differs from the original or the cold instance",
-									backend, k, sh.m, scs, batched, cl.name, e)
-							}
+				for _, cl := range calls {
+					got := recovered(t, hot, orig, cl.erase, cl.call)
+					want := recovered(t, cold, orig, cl.erase, cl.ref)
+					for _, e := range cl.erase {
+						if !bytes.Equal(got[e], orig[e]) || !bytes.Equal(got[e], want[e]) {
+							t.Fatalf("%s clay(%d,%d) scs=%d %s: shard %d differs from the original or the cold instance",
+								backend, k, sh.m, scs, cl.name, e)
 						}
 					}
 				}
@@ -107,11 +110,15 @@ func TestConcurrentCallersGetIndependentSlabs(t *testing.T) {
 	}
 	unit := 8 * cold.SubChunks()
 	var golden [][][]byte
-	restore := SetBatching(false)
 	for i, size := range []int{4 << 10, 64 << 10, 256 << 10, 1 << 20} {
-		golden = append(golden, randShards(t, cold, (size+unit-1)/unit*8, int64(i)))
+		rng := rand.New(rand.NewSource(int64(i)))
+		data := make([][]byte, cold.K())
+		for j := range data {
+			data[j] = make([]byte, (size+unit-1)/unit*unit)
+			rng.Read(data[j])
+		}
+		golden = append(golden, perPlaneEncode(t, cold, data))
 	}
-	restore()
 
 	const goroutines, iters = 4, 4
 	var wg sync.WaitGroup
@@ -191,8 +198,8 @@ func allocatedBytes(t *testing.T, f func() error) uint64 {
 // kilobytes of headers and plane lists, whatever the shard size. Over
 // clay(12,9,11) at 64 KiB and 1 MiB shards an Encode returns 3 parity
 // shards, a Decode 3 recovered ones and a Repair 1; beyond those, the
-// least of three warm runs allocated at most 3,885 / 3,261 / 1,183 / 1,183
-// bytes (Encode, Decode, Repair, Repair per plane; the word backends'
+// least of three warm runs allocated at most 3,885 / 3,261 / 1,183 bytes
+// (Encode, Decode, Repair by either formulation; the word backends'
 // padded detour included). When every call made its own U planes, an
 // Encode or Decode allocated 16.0 shard sizes (its 3 outputs, 12 U planes
 // and a zero window never read at n = nt) and a per-plane Repair 1.18 to
@@ -212,19 +219,21 @@ func TestClayAllocationBudget(t *testing.T) {
 		scs := size / c.SubChunks()
 		orig := randShards(t, c, scs, int64(size))
 		shard := uint64(scs * c.SubChunks())
+		repairAs := func(strided bool) func([][]byte) error {
+			return func(s [][]byte) error { return c.repairWith(s, 5, scs, strided) }
+		}
 		for _, tc := range []struct {
-			name    string
-			batched bool
-			erase   []int
-			call    func([][]byte) error
-			over    uint64 // budget in bytes beyond the outputs
+			name  string
+			erase []int
+			call  func([][]byte) error
+			over  uint64 // budget in bytes beyond the outputs
 		}{
-			{"Encode", true, []int{9, 10, 11}, c.Encode, 4_800},
-			{"Decode", true, []int{0, 4, 10}, c.Decode, 4_000},
-			{"Repair", true, []int{5}, repair, 1_450},
-			{"Repair per plane", false, []int{5}, repair, 1_450},
+			{"Encode", []int{9, 10, 11}, c.Encode, 4_800},
+			{"Decode", []int{0, 4, 10}, c.Decode, 4_000},
+			{"Repair", []int{5}, repair, 1_450},
+			{"Repair strided", []int{5}, repairAs(true), 1_450},
+			{"Repair per plane", []int{5}, repairAs(false), 1_450},
 		} {
-			restore := SetBatching(tc.batched)
 			work := make([][]byte, len(orig))
 			got := allocatedBytes(t, func() error {
 				copy(work, orig)
@@ -233,7 +242,6 @@ func TestClayAllocationBudget(t *testing.T) {
 				}
 				return tc.call(work)
 			})
-			restore()
 			outputs := uint64(len(tc.erase)) * shard
 			t.Logf("%d-byte shards, %s: %d bytes, %d beyond the outputs", shard, tc.name, got, got-outputs)
 			if got > outputs+tc.over {

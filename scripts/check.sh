@@ -20,7 +20,7 @@
 # smoke (Select against its straw2 reference) + the matrix codes'
 # round-trip fuzz smoke + the codec's three kernel fuzz smokes (the row
 # kernel of every backend against the bit-by-bit reference; ApplyStrided
-# against its scalar oracle; Clay's batched and per-plane formulations
+# against its scalar oracle; Clay's two decode and two repair formulations
 # against each other and the erased bytes, over recycled scratch: each
 # input builds a new code while Clay's scratch pool is package-level, so
 # slabs pass between shapes and sizes dirty) + the store's
@@ -99,7 +99,7 @@ go test -race -count=1 \
     ./internal/iostat \
     ./internal/tuner
 
-echo "== fuzz smoke (simclock: same-instant FIFO, RunUntil slicing with backlog nodes changing hands; simnet: gather == per-ship; crush: Select == straw2 reference; matrix codes: decode/repair == CanRecover; gf256: every backend's row kernel == bit-by-bit reference, ApplyStrided == scalar oracle; clay: batched == per-plane == erased bytes over recycled scratch slabs; bluestore: store == naive per-chunk model across forks, rewrites, recovered runs and refused out-of-order loads included; inputs: fault lists, profile documents and ceph.conf text are run or rejected, never a panic) =="
+echo "== fuzz smoke (simclock: same-instant FIFO, RunUntil slicing with backlog nodes changing hands; simnet: gather == per-ship; crush: Select == straw2 reference; matrix codes: decode/repair == CanRecover; gf256: every backend's row kernel == bit-by-bit reference, ApplyStrided == scalar oracle; clay: whole-space == per-plane decode, strided == per-plane repair, both == erased bytes over recycled scratch slabs; bluestore: store == naive per-chunk model across forks, rewrites, recovered runs and refused out-of-order loads included; inputs: fault lists, profile documents and ceph.conf text are run or rejected, never a panic) =="
 go test ./internal/simclock -run xxx -fuzz FuzzSimclockFIFO -fuzztime 10s
 go test ./internal/simclock -run xxx -fuzz FuzzRunUntilSlicing -fuzztime 10s
 go test ./internal/simnet -run xxx -fuzz FuzzGatherMatchesPerShip -fuzztime 10s
@@ -107,7 +107,7 @@ go test ./internal/crush -run xxx -fuzz FuzzSelectMatchesReference -fuzztime 10s
 go test ./internal/erasure/conformance -run xxx -fuzz FuzzMatrixCodeRoundTrip -fuzztime 10s
 go test ./internal/gf256 -run xxx -fuzz FuzzMulAddRow -fuzztime 10s
 go test ./internal/gf256 -run xxx -fuzz FuzzApplyStrided -fuzztime 10s
-go test ./internal/erasure/conformance -run xxx -fuzz FuzzClayBatchIdentity -fuzztime 10s
+go test ./internal/erasure/clay -run xxx -fuzz FuzzClayBatchIdentity -fuzztime 10s
 go test ./internal/bluestore -run xxx -fuzz FuzzStoreMatchesNaiveModel -fuzztime 10s
 go test ./internal/core -run xxx -fuzz FuzzFaultSpecs -fuzztime 10s
 go test ./internal/core -run xxx -fuzz FuzzLoadProfile -fuzztime 10s
