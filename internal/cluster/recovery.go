@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/erasure"
+	"repro/internal/parallel"
 	"repro/internal/simclock"
 	"repro/internal/simnet"
 )
@@ -461,7 +462,7 @@ type chunkWrite struct {
 
 // spareRepairs holds the repair-record freelists of finished runs, one
 // chain per run.
-var spareRepairs simclock.Spares[*objRepair]
+var spareRepairs parallel.Spares[*objRepair]
 
 func (c *Cluster) newObjRepair() *objRepair {
 	if c.freeObjs == nil {

@@ -28,6 +28,7 @@ import (
 	"repro/internal/erasure/kernel"
 	"repro/internal/gf256"
 	"repro/internal/gfmat"
+	"repro/internal/parallel"
 )
 
 // gamma is the coupling coefficient of the pairwise transforms. Any value
@@ -239,83 +240,143 @@ func (c *Clay) Decode(shards [][]byte) error {
 		return fmt.Errorf("%w: %d lost, max %d", erasure.ErrTooManyErasures, len(missingExt), c.m)
 	}
 	// The recovered shards are the caller's; every other buffer is carved
-	// from one pooled slab.
+	// from one slab per worker.
 	erased := make([]bool, c.nt)
 	for _, e := range missingExt {
 		erased[c.internalIndex(e)] = true
 		shards[e] = make([]byte, size)
 	}
-	scs := size / c.alpha
-	w := workWidth(scs)
-	nodes := c.nt // U
-	if c.nt > c.N() {
-		nodes++ // the zero window
-	}
-	if w != scs {
-		nodes += c.N() // padded copies
-	}
-	s := getSlab(nodes * line(w*c.alpha))
-	defer s.release()
-
-	// C holds coupled symbols per internal node: virtual nodes read the
-	// zero window; real nodes alias the shard buffers, or their padded
-	// copies on the detour (the erased ones are written, never read).
-	C := make([][]byte, c.nt)
-	var zero []byte
-	if c.nt > c.N() {
-		zero = s.zeros(w * c.alpha)
-	}
-	for u := 0; u < c.nt; u++ {
-		switch ext := c.externalIndex(u); {
-		case ext == -1:
-			C[u] = zero
-		case w == scs:
-			C[u] = shards[ext]
-		default:
-			C[u] = s.take(w * c.alpha)
-			if !erased[u] {
-				padCopy(C[u], shards[ext], scs, w)
-			}
-		}
-	}
-	// U for every node and plane; filled as planes are processed.
-	U := make([][]byte, c.nt)
-	for u := range U {
-		U[u] = s.take(w * c.alpha)
-	}
-
-	// Group planes by intersection score.
-	byScore := make([][]int, c.t+1)
-	for z := 0; z < c.alpha; z++ {
-		s := c.intersectionScore(z, erased)
-		byScore[s] = append(byScore[s], z)
-	}
-
 	dec, err := c.planeDecoder(erased)
 	if err != nil {
 		return err
 	}
+	groups := c.scoreGroups(erased)
 
-	srcs := make([][]byte, len(dec.survivors))
-	dsts := make([][]byte, len(dec.lost))
-	for _, group := range byScore {
-		if len(group) == c.alpha {
-			c.decodeWhole(erased, C, U, dec, w, srcs, dsts)
-			continue
-		}
-		for _, z := range group {
-			c.decodePlane(z, erased, C, U, dec, w, srcs, dsts)
-		}
+	// Every operation of a decode works on the same byte offset of every
+	// sub-chunk, so the columns split into tiles that decode on their own:
+	// contiguous runs of tiles fan out, one slab per worker, and the bytes
+	// are the same at any worker count.
+	scs := size / c.alpha
+	tile := min(scs, tileBytes)
+	tiles := (scs + tile - 1) / tile
+	workers := min(parallel.Workers(), tiles)
+	per := (tiles + workers - 1) / workers
+	if workers = (tiles + per - 1) / per; workers == 1 {
+		c.decodeColumns(shards, erased, dec, groups, scs, tile, 0, scs)
+		return nil
 	}
-
-	// All U known everywhere; convert U -> C for the erased nodes.
-	c.convertUC(erased, C, U, w)
-	if w != scs {
-		for _, e := range missingExt {
-			unpadCopy(shards[e], C[c.internalIndex(e)], scs, w)
-		}
-	}
+	parallel.ForEach(workers, workers, func(i int) {
+		c.decodeColumns(shards, erased, dec, groups, scs, tile, i*per*tile, min((i+1)*per*tile, scs))
+	})
 	return nil
+}
+
+// decodeColumns decodes bytes [from, to) of every sub-chunk, one tile of
+// at most tile bytes at a time, in one slab. U is compact: alpha planes of
+// the tile's width per node. C is each shard read in place through a view
+// (base the tile's column, stride scs), and the erased nodes' U -> C
+// conversion writes straight into their output shards. A sub-chunk that
+// fits in one tile makes every view compact, so the transforms run whole
+// plane runs per call. On the word kernels' padded detour (an odd
+// sub-chunk), each tile's C is gathered instead into compact copies whose
+// planes sit in 8-byte-padded slots, and the recovered ones are scattered
+// back.
+func (c *Clay) decodeColumns(shards [][]byte, erased []bool, dec *planeSolver, groups [][]int, scs, tile, from, to int) {
+	gather := workWidth(scs) != scs
+	pad := func(tw int) int {
+		if gather {
+			return (tw + 7) &^ 7
+		}
+		return tw
+	}
+	node := line(c.alpha * pad(tile))
+	nodes := c.nt // U
+	if c.nt > c.N() {
+		nodes++ // the zero window
+	}
+	if gather {
+		nodes += c.nt // gathered copies, indexed by internal node
+	}
+	s := c.getSlab(nodes * node)
+	defer s.release()
+	var zero []byte
+	if c.nt > c.N() {
+		zero = s.zeros(c.alpha * pad(tile))
+	}
+	ubuf := s.take(c.nt * node)
+	var gbuf []byte
+	if gather {
+		gbuf = s.take(c.nt * node)
+	}
+
+	ns := len(dec.survivors)
+	C, heads := s.headers(c.nt, c.nt+ns+len(dec.lost))
+	U, srcs, dsts := heads[:c.nt], heads[c.nt:c.nt+ns], heads[c.nt+ns:]
+	for a := from; a < to; a += tile {
+		tw := min(tile, to-a)
+		w := pad(tw)
+		n := c.alpha * w
+		for u := 0; u < c.nt; u++ {
+			U[u] = ubuf[u*node : u*node+n]
+			switch ext := c.externalIndex(u); {
+			case ext == -1:
+				C[u] = compact(zero[:n], w)
+			case gather:
+				C[u] = compact(gbuf[u*node:u*node+n], w)
+				if !erased[u] {
+					for z := 0; z < c.alpha; z++ {
+						copy(C[u].at(z, tw), shards[ext][z*scs+a:])
+					}
+				}
+			default:
+				C[u] = view{buf: shards[ext], base: a, stride: scs}
+			}
+		}
+		for _, group := range groups {
+			if len(group) == c.alpha {
+				c.decodeWhole(erased, C, U, dec, w, srcs, dsts)
+				continue
+			}
+			for _, z := range group {
+				c.decodePlane(z, erased, C, U, dec, w, srcs, dsts)
+			}
+		}
+		// All U known everywhere; convert U -> C for the erased nodes.
+		c.convertUC(erased, C, U, w)
+		if gather {
+			for u := 0; u < c.nt; u++ {
+				if ext := c.externalIndex(u); erased[u] {
+					for z := 0; z < c.alpha; z++ {
+						copy(shards[ext][z*scs+a:z*scs+a+tw], C[u].at(z, tw))
+					}
+				}
+			}
+		}
+	}
+}
+
+// scoreGroups lists the planes by intersection score, lowest first: one
+// group per score, all in one backing array.
+func (c *Clay) scoreGroups(erased []bool) [][]int {
+	score := make([]byte, c.alpha)
+	start := make([]int, c.t+2)
+	for z := range score {
+		s := c.intersectionScore(z, erased)
+		score[z] = byte(s)
+		start[s+1]++
+	}
+	for s := 1; s < len(start); s++ {
+		start[s] += start[s-1]
+	}
+	order := make([]int, c.alpha)
+	groups := make([][]int, c.t+1)
+	for s := range groups {
+		groups[s] = order[start[s]:start[s]:start[s+1]]
+	}
+	for z, s := range score {
+		groups[s] = append(groups[s], z)
+	}
+	return groups
 }
 
 // intersectionScore counts erased nodes (x,y) whose grid column intersects
@@ -368,15 +429,15 @@ func (c *Clay) planeDecoder(erased []bool) (*planeSolver, error) {
 // planeSolver recovers erased uncoupled symbols from the first kInt
 // surviving symbols of the same plane. Only the inverted reconstruction
 // rows are built eagerly (that is the expensive, always-needed part); the
-// kernel.Program (decode, per-plane repair) and the row plans
-// (repairStrided) are each compiled on first use.
+// kernel.Program (per-plane repair) and the row plans (decode,
+// repairStrided) are each compiled on first use.
 type planeSolver struct {
 	survivors []int    // kInt surviving node indices used as inputs
 	lost      []int    // erased node indices
 	rows      [][]byte // reconstruction rows, survivor symbols -> lost symbol
 
 	planOnce sync.Once
-	plans    []*gf256.RowPlan // per-lost-symbol rows for repairStrided
+	plans    []*gf256.RowPlan // per-lost-symbol rows for solveSerial and repairStrided
 
 	progOnce sync.Once
 	prog     *kernel.Program
@@ -384,19 +445,45 @@ type planeSolver struct {
 
 // solve runs the MDS reconstruction as one Program.Run: for each lost
 // node, sel(lost node) is overwritten with the combination of the
-// survivors' sel slices. sel returns one plane's sub-chunk (per-plane
-// decode and repair) or a node's whole buffer (decodeWhole: the arithmetic
-// is elementwise, so one call solves every plane). srcs/dsts are
-// caller scratch of lengths len(survivors) and len(lost).
+// survivors' sel slices, fanned out over the worker budget when the work
+// is large (per-plane repair of large shards). srcs/dsts are caller
+// scratch of lengths len(survivors) and len(lost).
 func (dec *planeSolver) solve(srcs, dsts [][]byte, sel func(u int) []byte) {
+	dec.fill(srcs, dsts, sel)
+	dec.progOnce.Do(func() { dec.prog = kernel.Compile(dec.rows) })
+	dec.prog.Run(srcs, dsts, true)
+}
+
+// solveSerial is solve on the calling goroutine alone, through the row
+// plans, a chunk of every operand at a time as Program.Run does: Decode
+// fans out over column tiles, so a solve within one tile stays serial.
+// sel returns one plane's bytes of a tile (decodePlane) or a node's whole
+// tile (decodeWhole: the arithmetic is elementwise, so one call solves
+// every plane).
+func (dec *planeSolver) solveSerial(srcs, dsts [][]byte, sel func(u int) []byte) {
+	dec.fill(srcs, dsts, sel)
+	plans := dec.rowPlans()
+	n := len(dsts[0])
+	for off := 0; off < n; off += solveChunk {
+		end := min(off+solveChunk, n)
+		for li, plan := range plans {
+			plan.Apply(srcs, dsts[li], off, end, true)
+		}
+	}
+}
+
+// solveChunk is the range solveSerial takes per pass over every lost row,
+// so the survivors' bytes are fetched once per chunk, not once per row:
+// kernel.Program's stripe chunk.
+const solveChunk = 32 << 10
+
+func (dec *planeSolver) fill(srcs, dsts [][]byte, sel func(u int) []byte) {
 	for si, sv := range dec.survivors {
 		srcs[si] = sel(sv)
 	}
 	for li, l := range dec.lost {
 		dsts[li] = sel(l)
 	}
-	dec.progOnce.Do(func() { dec.prog = kernel.Compile(dec.rows) })
-	dec.prog.Run(srcs, dsts, true)
 }
 
 // rowPlans returns the compiled per-lost-symbol row kernels, building them
@@ -411,13 +498,13 @@ func (dec *planeSolver) rowPlans() []*gf256.RowPlan {
 	return dec.plans
 }
 
-// decodePlane computes U for every node in plane z. Survivor U values come
-// from the pairwise reverse transform (using companion C from this plane,
-// or companion U from an already-processed lower-score plane when the
-// companion node is erased); erased U values come from the per-plane MDS
-// solve.
-func (c *Clay) decodePlane(z int, erased []bool, C, U [][]byte, dec *planeSolver, scs int, srcs, dsts [][]byte) {
-	off := z * scs
+// decodePlane computes U for every node in plane z of a tile (w bytes).
+// Survivor U values come from the pairwise reverse transform (using
+// companion C from this plane, or companion U from an already-processed
+// lower-score plane when the companion node is erased); erased U values
+// come from the per-plane MDS solve.
+func (c *Clay) decodePlane(z int, erased []bool, C []view, U [][]byte, dec *planeSolver, w int, srcs, dsts [][]byte) {
+	off := z * w
 	var pairBuf [2][]byte
 	pair := pairBuf[:]
 	for u := 0; u < c.nt; u++ {
@@ -426,25 +513,24 @@ func (c *Clay) decodePlane(z int, erased []bool, C, U [][]byte, dec *planeSolver
 		}
 		x, y := c.nodeXY(u)
 		zy := c.digit(z, y)
-		dst := U[u][off : off+scs]
+		dst := U[u][off : off+w]
 		if zy == x {
-			copy(dst, C[u][off:off+scs]) // unpaired vertex
+			copy(dst, C[u].at(z, w)) // unpaired vertex
 			continue
 		}
 		comp := zy + y*c.q // companion node (z_y, y)
 		zc := c.setDigit(z, y, x)
-		co := zc * scs
 		if !erased[comp] {
 			// Both coupled symbols are available.
-			mulPair(c.pairRow, pair, C[u][off:off+scs], C[comp][co:co+scs], dst)
+			mulPair(c.pairRow, pair, C[u].at(z, w), C[comp].at(zc, w), dst)
 		} else {
 			// Companion plane has score-1 and is already solved:
 			// U1 = C1 + gamma * U2.
-			mulPair(c.coupleRow, pair, C[u][off:off+scs], U[comp][co:co+scs], dst)
+			mulPair(c.coupleRow, pair, C[u].at(z, w), U[comp][zc*w:zc*w+w], dst)
 		}
 	}
 	// Solve for erased U values from the plane's MDS codeword.
-	dec.solve(srcs, dsts, func(u int) []byte { return U[u][off : off+scs] })
+	dec.solveSerial(srcs, dsts, func(u int) []byte { return U[u][off : off+w] })
 }
 
 // repairPlanes returns the plane indices intersecting internal node u0.
@@ -578,11 +664,7 @@ func (c *Clay) repairSingle(shards [][]byte, failedExt int) error {
 func (c *Clay) repairWith(shards [][]byte, failedExt, scs int, strided bool) error {
 	out := make([]byte, scs*c.alpha)
 	w := workWidth(scs)
-	need := c.repairNeed(c.internalIndex(failedExt), w, strided)
-	if w != scs {
-		need += c.N() * line(w*c.alpha) // padded helpers and output
-	}
-	s := getSlab(need)
+	s := c.getSlab(c.repairNeed(failedExt, scs, strided))
 	defer s.release()
 	work, dst := shards, out
 	if w != scs {
@@ -609,20 +691,26 @@ func (c *Clay) repairWith(shards [][]byte, failedExt, scs int, strided bool) err
 	return nil
 }
 
-// repairNeed is the slab a single repair of internal node u0 carves: U of
+// repairNeed is the slab a single repair of shard failedExt carves: U of
 // every node plus one coupling temporary, per repair plane on the
-// per-plane path or across all beta of them on the strided one, and the
-// zero window when the code is shortened.
-func (c *Clay) repairNeed(u0, scs int, strided bool) int {
-	node, window := scs, scs
+// per-plane path or across all beta of them on the strided one, the zero
+// window when the code is shortened, and on the padded detour the padded
+// helpers and output, whole shards each.
+func (c *Clay) repairNeed(failedExt, scs int, strided bool) int {
+	w := workWidth(scs)
+	node, window := w, w
 	if strided {
-		_, y0 := c.nodeXY(u0)
-		node, window = c.beta*scs, c.pow[c.t-1-y0]*scs
+		_, y0 := c.nodeXY(c.internalIndex(failedExt))
+		node, window = c.beta*w, c.pow[c.t-1-y0]*w
 	}
 	if c.nt == c.N() {
 		window = 0
 	}
-	return (c.nt+1)*line(node) + line(window)
+	need := (c.nt+1)*line(node) + line(window)
+	if w != scs {
+		need += c.N() * line(w*c.alpha)
+	}
+	return need
 }
 
 // repairPerPlane is single repair one repair plane at a time, for work

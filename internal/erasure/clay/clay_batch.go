@@ -1,9 +1,8 @@
 package clay
 
 import (
-	"sync"
-
 	"repro/internal/gf256"
+	"repro/internal/parallel"
 )
 
 // Multi-plane batched transforms.
@@ -15,15 +14,21 @@ import (
 // batched paths here run whole plane sets through single
 // gf256.ApplyStrided calls, wherever the planes form a regular geometry:
 //
-//   - The planes z with digit(z, y) == x are q^y runs of q^(t-1-y)
-//     consecutive planes, q^(t-y) apart, and each one's companion plane
-//     setDigit(z, y, x') sits at the same shift. A decode score group that
-//     covers every plane (encode, or erasures that fill whole grid
-//     columns) runs each (node, companion-column) pair as one strided call
-//     and its MDS solve as one full-buffer Program.Run; every other group
-//     runs per plane (decodePlane). The erased nodes' final U -> C
-//     conversion always spans the whole plane space, so it always runs in
-//     this strided form.
+//   - Decode runs column tile by column tile: a tile is bytes [a, a+w) of
+//     every sub-chunk, U is compact (nt x alpha x w) and every node's C is
+//     read in place from its shard through a view (base a, stride the
+//     sub-chunk size). The planes z with digit(z, y) == x are q^y runs of
+//     q^(t-1-y) consecutive planes, q^(t-y) apart, and each one's
+//     companion plane setDigit(z, y, x') sits at the same shift. A score
+//     group that covers every plane (encode, or erasures that fill whole
+//     grid columns) runs each (node, companion-column) pair in strided
+//     calls and its MDS solve over the whole tile; every other group runs
+//     per plane (decodePlane). The erased nodes' final U -> C conversion
+//     always spans the whole plane space, so it always runs in this
+//     strided form, straight into the output shards. When a sub-chunk
+//     fits in one tile every view is compact and a run of planes is one
+//     segment. Tiles are independent, so runs of them fan out over the
+//     worker budget, one slab per worker.
 //   - Single repair solves directly over the shard layout: the pairwise
 //     transforms, the failed node's row of the MDS solve, and the
 //     companion-plane recovery address every helper's beta repair-plane
@@ -39,50 +44,126 @@ import (
 // by plane, where one plane of U per node stays in cache, instead of
 // streaming beta planes per node through repairStrided. Decode has no
 // gate: a score group runs decodeWhole exactly when it spans every plane.
-// Median MB/s of 3 runs of BenchmarkRepairFormulations (repaired shard)
-// and BenchmarkDecodeFormulations (an encode's U planes, data bytes),
+// Median MB/s of 3 runs of BenchmarkRepairFormulations (repaired shard),
 // clay(12,9,11), 2-vCPU Xeon, gfni512, go1.24.0:
 //
 //	sub-chunk B      56  128   256   512   816 1024 2048 4096 8192 12952 103568
 //	repair strided  520  794  1093  1087  1037 1085 1171 1290  995   916    562
 //	     per plane  126  297   471   611   730  949 1046 1441 1636  1433    886
-//	decode whole   7262 9263 10222 12137 10306 9074 6031 4658 4906  4262   3384
-//	     per plane  612 1259  3071  4040  4273 5662 5375 5393 5602  3683   2949
 //
-// The repair crossover, and decode's per-plane lead, lie at 2-8 KiB, where
-// codec_stripe (56, 816, 12952, 103568 B) has no series: both stay as is.
+// The repair crossover lies at 2-4 KiB, where codec_stripe (56, 816,
+// 12952, 103568 B) has no series, so the gate stays where it is.
 const stridedRepairMax = 2048
 
-// scratch pools the one working slab of every Clay call: Decode's U planes
-// (Encode and multi-failure Repair run through Decode), single repair's
-// uncoupled symbols, the zero window standing in for the virtual shards of
-// a shortened code, and the word kernels' padded copies. Pooling (rather
-// than per-call makes) matters because that memory is written and
-// discarded every call: twelve full shards of U per clay(12,9,11) decode,
-// whose zeroing, and the collections it brings on, rival the GF arithmetic
-// itself. The pool is
-// package-level, never hung off a code instance, so calls racing on a
-// shared registry instance each hold an independent slab for the length of
-// one call. A slab comes back dirty: every buffer carved from it is
-// written before it is read, except the zero window, which is cleared.
-var scratch = sync.Pool{New: func() any { b := []byte(nil); return &b }}
+// tileBytes is Decode's column tile width: the slab of one worker holds
+// U for alpha planes of it per node, about 2 MiB for clay(12,9,11),
+// whatever the shard size. Median MB/s (data encoded) of 3 runs of
+// BenchmarkDecodeFormulations' Decode arm at each width, clay(12,9,11),
+// 2-vCPU Xeon, gfni512, go1.24.0; a sub-chunk no wider than the tile is
+// one tile, so those cells differ only by the host's noise (about 10%):
+//
+//	sub-chunk B       816  2048  4096  8192 12952 103568
+//	1 worker   512   3902  3919  3518  2946  2174   1860
+//	          1024   4263  4189  3826  3746  3456   2700
+//	          2048   4229  3868  3770  3511  3243   2644
+//	          4096   4391  3881  3443  3443  3133   2791
+//	          8192   4725  4202  3696  3395  3165   2745
+//	2 workers  512   4115  4133  5196  6153  4262   3241
+//	          1024   4218  4236  5283  4937  4460   3997
+//	          2048   4148  4058  5300  5799  5096   4362
+//	          4096   4539  4040  3557  5820  4306   4566
+//	          8192   4648  3744  3085  3061  4354   3721
+//
+// 2 KiB leads at codec_stripe's 1 MiB sub-chunk on two workers and is
+// within the noise of the best elsewhere from 1 KiB up; narrower tiles
+// pay a call per plane segment, and wider ones leave too few tiles to
+// share between workers. Most of the gain over whole-shard U planes is
+// the fan-out: on two workers Decode at 12952 and 103568 B sub-chunks
+// read 2.1-2.5x the full-shard slab's MB/s, at one worker 1.1-1.4x. The
+// SIMD tiers load unaligned, so they read C in place; only the word
+// kernels' padded detour gathers a tile.
+const tileBytes = 2048
 
-// slab is one call's share of the scratch pool, carved front to back.
+// spares holds the working slabs of finished Clay calls: Decode's tile
+// buffers (Encode and multi-failure Repair run through Decode), single
+// repair's uncoupled symbols, the zero window standing in for the virtual
+// shards of a shortened code, and the word kernels' padded copies. Reusing
+// them (rather than making them per call) matters because that memory is
+// written and discarded every call, and its zeroing, and the collections
+// it brings on, rival the GF arithmetic itself. The stack is
+// package-level, never hung off a code instance, so calls racing on a
+// shared registry instance each hold an independent slab for the length
+// of one call (or, in Decode, of one worker's tiles). Unlike a sync.Pool
+// it never drops a slab at a collection, so a warm call allocates the same
+// bytes every time; it keeps only slabs up to keepMax, so what it holds
+// does not grow with the shard. A slab comes back dirty: every buffer
+// carved from it is written before it is read, except the zero window,
+// which is cleared.
+var spares parallel.Spares[*scratch]
+
+// scratch is one slab of the spare stack with the slice headers that a
+// decode worker indexes it and the shards through, so that a warm worker
+// allocates nothing. The headers are cleared when the slab goes back, so
+// the stack never holds on to a caller's shards.
+type scratch struct {
+	bytes []byte
+	views []view
+	heads [][]byte
+}
+
+// keepMax is the largest slab the spare stack keeps for this code: what
+// one worker of a tiled decode carves at the full tile width, padded
+// copies and zero window included (about 2 MiB for clay(12,9,11) on the
+// SIMD tiers, 4 MiB on the word kernels' padded detour). Larger requests,
+// per-plane repair of very large shards and the padded repair detour,
+// allocate their slab and drop it.
+func (c *Clay) keepMax() int { return (c.nt + 1 + c.N()) * line(c.alpha*tileBytes) }
+
+// slab is one call's (or one decode worker's) share of the spare stack,
+// carved front to back.
 type slab struct {
-	p    *[]byte
+	s    *scratch
+	keep bool // false for a slab too large to keep
 	free []byte
 }
 
-// getSlab takes a slab of n bytes from the pool; release hands it back.
-func getSlab(n int) slab {
-	p := scratch.Get().(*[]byte)
-	if cap(*p) < n {
-		*p = make([]byte, n)
+// getSlab takes a slab of n bytes from the spare stack; release hands it
+// back.
+func (c *Clay) getSlab(n int) slab {
+	if n > c.keepMax() {
+		return slab{s: &scratch{}, free: make([]byte, n)}
 	}
-	return slab{p: p, free: (*p)[:n]}
+	s := spares.Get()
+	if s == nil {
+		s = new(scratch)
+	}
+	if cap(s.bytes) < n {
+		s.bytes = make([]byte, n)
+	}
+	return slab{s: s, keep: true, free: s.bytes[:n]}
 }
 
-func (s *slab) release() { scratch.Put(s.p) }
+func (s *slab) release() {
+	if s.keep {
+		clear(s.s.views)
+		clear(s.s.heads)
+		spares.Put(s.s)
+	}
+}
+
+// headers returns the slab's nv views and nh slice headers, whatever they
+// last held.
+func (s *slab) headers(nv, nh int) ([]view, [][]byte) {
+	sc := s.s
+	if cap(sc.views) < nv {
+		sc.views = make([]view, nv)
+	}
+	if cap(sc.heads) < nh {
+		sc.heads = make([][]byte, nh)
+	}
+	sc.views, sc.heads = sc.views[:nv], sc.heads[:nh]
+	return sc.views, sc.heads
+}
 
 // line rounds a buffer up to whole 64-byte cache lines: every buffer
 // carved from a slab starts on a line, as a fresh allocation of its size
@@ -103,38 +184,77 @@ func (s *slab) zeros(n int) []byte {
 	return b
 }
 
+// view addresses one node's symbols within a column tile: plane z's bytes
+// start at buf[base+z*stride]. A shard is read, or written, in place with
+// the tile's column offset as base and the sub-chunk size as stride; a
+// compact tile buffer has base 0 and the tile width as stride.
+type view struct {
+	buf          []byte
+	base, stride int
+}
+
+func (v view) off(z int) int { return v.base + z*v.stride }
+
+// at is plane z's w bytes.
+func (v view) at(z, w int) []byte {
+	o := v.off(z)
+	return v.buf[o : o+w : o+w]
+}
+
+// compact views a tile buffer whose planes are w bytes apart.
+func compact(b []byte, w int) view { return view{buf: b, stride: w} }
+
 // copyPlanes copies the planes z with digit(z, y) == x from src to dst:
-// the unpaired vertices, whose coupled and uncoupled symbols agree.
-func (c *Clay) copyPlanes(dst, src []byte, x, y, scs int) {
-	run := c.pow[c.t-1-y] * scs
-	for off := x * run; off < len(dst); off += c.pow[c.t-y] * scs {
-		copy(dst[off:off+run], src[off:off+run])
+// the unpaired vertices, whose coupled and uncoupled symbols agree. When
+// both views are compact a run of planes is one copy.
+func (c *Clay) copyPlanes(dst, src view, x, y, w int) {
+	runLen, runGap := c.pow[c.t-1-y], c.pow[c.t-y]
+	seg, step := w, 1
+	if dst.stride == w && src.stride == w {
+		seg, step = runLen*w, runLen
+	}
+	for r := x * runLen; r < c.alpha; r += runGap {
+		for z := r; z < r+runLen; z += step {
+			copy(dst.buf[dst.off(z):dst.off(z)+seg], src.buf[src.off(z):src.off(z)+seg])
+		}
 	}
 }
 
 // couplePlanes applies a two-source transform to every plane z with
-// digit(z, y) == xp in one strided call, reading b at the companion plane
-// setDigit(z, y, x):
+// digit(z, y) == xp, reading b at the companion plane setDigit(z, y, x):
 //
 //	dst[z] = plan(a[z], b[z + (x-xp)*q^(t-1-y)])
 //
-// Each of the q^y runs of q^(t-1-y) planes is one segment, so every
-// operand is one base and one stride, the companion a constant shift.
-func (c *Clay) couplePlanes(plan *gf256.RowPlan, a, b, dst []byte, x, xp, y, scs int) {
-	run := c.pow[c.t-1-y] * scs
-	stride := c.pow[c.t-y] * scs
-	base := xp * run
-	srcs := [2][]byte{a, b}
-	srcBase := [2]int{base, base + (x-xp)*run}
-	srcStride := [2]int{stride, stride}
-	plan.ApplyStrided(srcs[:], dst, base, stride, srcBase[:], srcStride[:], run, c.pow[y], true)
+// The planes form q^y runs of q^(t-1-y) consecutive planes, and the
+// companion is a constant shift, so every operand is one base and one
+// stride per call. When all three views are compact (a sub-chunk that
+// fits in one tile), a run is one segment and the whole set one call;
+// otherwise a plane is one w-byte segment, and the set takes one call per
+// run or one per plane offset within a run, whichever is fewer.
+func (c *Clay) couplePlanes(plan *gf256.RowPlan, a, b, dst view, x, xp, y, w int) {
+	runLen, runGap, runs := c.pow[c.t-1-y], c.pow[c.t-y], c.pow[y]
+	first, shift := xp*runLen, (x-xp)*runLen
+	calls, step, seg, count, gap := runLen, 1, w, runs, runGap
+	if a.stride == w && b.stride == w && dst.stride == w {
+		calls, seg = 1, runLen*w
+	} else if runLen > runs {
+		calls, step, count, gap = runs, runGap, runLen, 1
+	}
+	srcs := [2][]byte{a.buf, b.buf}
+	for i := 0; i < calls; i++ {
+		z := first + i*step
+		srcBase := [2]int{a.off(z), b.off(z + shift)}
+		srcStride := [2]int{gap * a.stride, gap * b.stride}
+		plan.ApplyStrided(srcs[:], dst.buf, dst.off(z), gap*dst.stride, srcBase[:], srcStride[:], seg, count, true)
+	}
 }
 
-// decodeWhole computes U for every node across all alpha planes, for a
-// score group that covers the whole plane space. A plane whose companion
-// node is erased scores one above its companion plane, so in such a group
-// no companion is erased: every transform reads C only.
-func (c *Clay) decodeWhole(erased []bool, C, U [][]byte, dec *planeSolver, scs int, srcs, dsts [][]byte) {
+// decodeWhole computes U for every node across all alpha planes of a tile
+// (w bytes each), for a score group that covers the whole plane space. A
+// plane whose companion node is erased scores one above its companion
+// plane, so in such a group no companion is erased: every transform reads
+// C only.
+func (c *Clay) decodeWhole(erased []bool, C []view, U [][]byte, dec *planeSolver, w int, srcs, dsts [][]byte) {
 	for u := 0; u < c.nt; u++ {
 		if erased[u] {
 			continue
@@ -142,19 +262,19 @@ func (c *Clay) decodeWhole(erased []bool, C, U [][]byte, dec *planeSolver, scs i
 		x, y := c.nodeXY(u)
 		for xp := 0; xp < c.q; xp++ {
 			if xp == x {
-				c.copyPlanes(U[u], C[u], x, y, scs)
+				c.copyPlanes(compact(U[u], w), C[u], x, y, w)
 			} else {
-				c.couplePlanes(c.pairRow, C[u], C[xp+y*c.q], U[u], x, xp, y, scs)
+				c.couplePlanes(c.pairRow, C[u], C[xp+y*c.q], compact(U[u], w), x, xp, y, w)
 			}
 		}
 	}
-	dec.solve(srcs, dsts, func(u int) []byte { return U[u] })
+	dec.solveSerial(srcs, dsts, func(u int) []byte { return U[u] })
 }
 
 // convertUC is the final U -> C conversion for the erased nodes: every
 // plane's U is known, so each (node, companion-column) pair converts in
-// one strided call over the whole plane space.
-func (c *Clay) convertUC(erased []bool, C, U [][]byte, scs int) {
+// strided calls over the whole plane space, straight into C's view.
+func (c *Clay) convertUC(erased []bool, C []view, U [][]byte, w int) {
 	for u := 0; u < c.nt; u++ {
 		if !erased[u] {
 			continue
@@ -162,9 +282,9 @@ func (c *Clay) convertUC(erased []bool, C, U [][]byte, scs int) {
 		x, y := c.nodeXY(u)
 		for xp := 0; xp < c.q; xp++ {
 			if xp == x {
-				c.copyPlanes(C[u], U[u], x, y, scs)
+				c.copyPlanes(C[u], compact(U[u], w), x, y, w)
 			} else {
-				c.couplePlanes(c.coupleRow, U[u], U[xp+y*c.q], C[u], x, xp, y, scs)
+				c.couplePlanes(c.coupleRow, compact(U[u], w), compact(U[xp+y*c.q], w), C[u], x, xp, y, w)
 			}
 		}
 	}

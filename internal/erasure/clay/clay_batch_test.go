@@ -15,7 +15,8 @@ import (
 type decodeState struct {
 	c          *Clay
 	erased     []bool
-	C, U       [][]byte
+	C          []view
+	U          [][]byte
 	dec        *planeSolver
 	srcs, dsts [][]byte
 	scs        int
@@ -29,7 +30,7 @@ func newDecodeState(tb testing.TB, c *Clay, shards [][]byte) *decodeState {
 	for _, s := range shards {
 		size = max(size, len(s))
 	}
-	d := &decodeState{c: c, erased: make([]bool, c.nt), C: make([][]byte, c.nt), U: make([][]byte, c.nt), scs: size / c.alpha}
+	d := &decodeState{c: c, erased: make([]bool, c.nt), C: make([]view, c.nt), U: make([][]byte, c.nt), scs: size / c.alpha}
 	for e, s := range shards {
 		if s == nil {
 			d.erased[c.internalIndex(e)] = true
@@ -38,9 +39,9 @@ func newDecodeState(tb testing.TB, c *Clay, shards [][]byte) *decodeState {
 	}
 	zero := make([]byte, size)
 	for u := range d.C {
-		d.C[u] = zero
+		d.C[u] = compact(zero, d.scs)
 		if ext := c.externalIndex(u); ext != -1 {
-			d.C[u] = shards[ext]
+			d.C[u] = compact(shards[ext], d.scs)
 		}
 		d.U[u] = make([]byte, size)
 	}
@@ -264,9 +265,10 @@ func formulationScan(tb testing.TB, c *Clay, scs, align int, rng *rand.Rand) {
 
 // TestClayBatchIdentity sweeps sub-chunk sizes across 1-513 (covering the
 // strided-SIMD and per-run window routes plus every tail width) and
-// operand alignments 0-7 on every available gf256 backend, and one size
-// past the repair gate, requiring each pair of formulations to agree and
-// to reproduce the erased bytes.
+// operand alignments 0-7 on every available gf256 backend, and the sizes
+// at Decode's column-tile edges past the repair gate (tileSizes),
+// requiring each pair of formulations to agree and to reproduce the
+// erased bytes.
 func TestClayBatchIdentity(t *testing.T) {
 	small, err := New(4, 2, 5)
 	if err != nil {
@@ -297,27 +299,41 @@ func TestClayBatchIdentity(t *testing.T) {
 					formulationScan(t, big, scs, align, rng)
 				}
 			}
-			formulationScan(t, small, 2051, 5, rng)
+			for _, scs := range tileSizes {
+				for _, align := range []int{0, 5} {
+					formulationScan(t, small, scs, align, rng)
+				}
+			}
 		})
 		restore()
 	}
 }
 
+// tileSizes are sub-chunk sizes at Decode's column-tile edges: one whole
+// tile, one tile and a partial 8-byte one, an odd width (the word
+// kernels gather each tile into padded slots) and codec_stripe's 1 MiB
+// sub-chunk (six tiles and a partial one).
+var tileSizes = []int{tileBytes, tileBytes + 8, tileBytes + 3, 12952}
+
 // FuzzClayBatchIdentity fuzzes shape, sub-chunk size, alignment, and data
 // seed through formulationScan on the current backend. The seed corpus
 // pins the kernel route boundaries (one vector, strided window width,
-// tail remainders). Each input builds a new code while the scratch pool is
-// package-level, so slabs pass between shapes and sizes dirty.
+// tail remainders) and the column-tile edges (tileSizes). Each input
+// builds a new code while the spare stack is package-level, so slabs pass
+// between shapes and sizes dirty.
 func FuzzClayBatchIdentity(f *testing.F) {
 	f.Add(uint8(4), uint8(2), uint16(1), uint8(0), int64(1))
 	f.Add(uint8(4), uint8(2), uint16(31), uint8(3), int64(2))
 	f.Add(uint8(6), uint8(3), uint16(32), uint8(7), int64(3))
 	f.Add(uint8(9), uint8(3), uint16(51), uint8(1), int64(4))
 	f.Add(uint8(5), uint8(2), uint16(513), uint8(5), int64(5))
+	for i, scs := range tileSizes {
+		f.Add(uint8(2+i), uint8(i), uint16(scs-1), uint8(i), int64(6+i))
+	}
 	f.Fuzz(func(t *testing.T, k, m uint8, scs uint16, align uint8, seed int64) {
 		kk := 2 + int(k)%8
 		mm := 2 + int(m)%2
-		s := 1 + int(scs)%513
+		s := 1 + int(scs)%12952
 		c, err := New(kk, mm, kk+mm-1)
 		if err != nil {
 			t.Skip(err)
@@ -327,10 +343,10 @@ func FuzzClayBatchIdentity(f *testing.F) {
 }
 
 // formulationSizes are the sub-chunk sizes the formulation benchmarks
-// sweep: 128 B to 8 KiB in powers of two around the repair gate, plus the
-// clay(12,9,11) sub-chunks of codec_stripe's 4 KiB, 64 KiB, 1 MiB and
-// 8 MiB shards.
-var formulationSizes = []int{56, 128, 256, 512, 816, 1024, 2048, 4096, 8192, 12952, 103568}
+// sweep: 128 B to 8 KiB in powers of two around the repair gate, the
+// column-tile edges (tileSizes), and the clay(12,9,11) sub-chunks of
+// codec_stripe's 4 KiB, 64 KiB, 1 MiB and 8 MiB shards.
+var formulationSizes = []int{56, 128, 256, 512, 816, 1024, 2048, 2051, 2056, 4096, 8192, 12952, 103568}
 
 // benchStripe is a clay(12,9,11) stripe of seeded data at sub-chunk scs.
 func benchStripe(b *testing.B, scs int) (*Clay, [][]byte) {
@@ -369,25 +385,39 @@ func BenchmarkRepairFormulations(b *testing.B) {
 	}
 }
 
-// BenchmarkDecodeFormulations times the U planes of an encode, a score
-// group spanning every plane, by decodeWhole and by decodePlane over every
-// plane, on buffers set up once. SetBytes is the data encoded.
+// BenchmarkDecodeFormulations times an encode, a decode whose one score
+// group spans every plane, by Decode itself (column tiles of decodeWhole,
+// fanned out over the worker budget) and by the per-plane formulation
+// over whole shards (decodePlane over every plane, then convertUC), whose
+// U planes are set up once as Decode's slab is. Both make the parity
+// shards they return. SetBytes is the data encoded.
 func BenchmarkDecodeFormulations(b *testing.B) {
 	for _, scs := range formulationSizes {
 		c, full := benchStripe(b, scs)
 		shards := make([][]byte, c.N())
-		copy(shards, full[:c.K()])
-		d := newDecodeState(b, c, shards)
-		for _, mode := range []struct {
-			name string
-			run  func()
-		}{{"whole", d.whole}, {"perplane", d.planes}} {
-			b.Run(fmt.Sprintf("scs%dB/%s", scs, mode.name), func(b *testing.B) {
-				b.SetBytes(int64(scs * c.alpha * c.K()))
-				for i := 0; i < b.N; i++ {
-					mode.run()
+		b.Run(fmt.Sprintf("scs%dB/decode", scs), func(b *testing.B) {
+			b.SetBytes(int64(scs * c.alpha * c.K()))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				copy(shards, full[:c.K()])
+				clear(shards[c.K():])
+				if err := c.Decode(shards); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
+		copy(shards, full[:c.K()])
+		clear(shards[c.K():])
+		d := newDecodeState(b, c, shards)
+		b.Run(fmt.Sprintf("scs%dB/perplane", scs), func(b *testing.B) {
+			b.SetBytes(int64(scs * c.alpha * c.K()))
+			for i := 0; i < b.N; i++ {
+				for u := c.kInt; u < c.nt; u++ {
+					d.C[u] = compact(make([]byte, scs*c.alpha), scs)
+				}
+				d.planes()
+				c.convertUC(d.erased, d.C, d.U, scs)
+			}
+		})
 	}
 }

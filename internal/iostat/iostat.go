@@ -6,7 +6,7 @@
 // A Sampler belongs to one run and is driven from its simulator's
 // goroutine, like the devices it reads; it takes no lock. The buffer it
 // grows its samples in outlives it: Samples hands it to the next
-// sampler's first Sample, on any goroutine, through a simclock.Spares.
+// sampler's first Sample, on any goroutine, through a parallel.Spares.
 package iostat
 
 import (
@@ -15,6 +15,7 @@ import (
 	"strings"
 
 	"repro/internal/blockdev"
+	"repro/internal/parallel"
 	"repro/internal/simclock"
 )
 
@@ -38,7 +39,7 @@ type Sampler struct {
 
 // spareBuffers holds the growth buffers of samplers whose samples were
 // taken, cleared and cut to length 0.
-var spareBuffers simclock.Spares[[]Sample]
+var spareBuffers parallel.Spares[[]Sample]
 
 // tracked is one device and its counters at the previous sample.
 type tracked struct {

@@ -1,13 +1,16 @@
-// Package parallel provides the process-wide worker budget and a small
-// fan-out helper shared by the experiment runner and the coding kernels.
+// Package parallel provides the process-wide worker budget, a small
+// fan-out helper shared by the experiment runner and the coding kernels,
+// and Spares, the stack through which a finished run or codec call hands
+// its working storage to the next one.
 //
 // Workers (ECFAULT_WORKERS, or the -workers flags in cmd/ecbench and
 // cmd/ectuner) is the one budget: core.Sweep's profile fan-out (experiment
-// cells, tuner searches), the plugin comparison's durability Monte Carlo
-// and stripe chunking in kernel.Program all read it. A budget of 1 makes every helper run inline, which keeps
-// single-core machines and tests deterministic by default. The
-// discrete-event engine (simclock) and the cluster model are
-// single-goroutine and do not use it.
+// cells, tuner searches), the plugin comparison's durability Monte Carlo,
+// stripe chunking in kernel.Program and Clay's column tiles all read it.
+// A budget of 1 makes every helper run inline, which keeps single-core
+// machines and tests deterministic by default. The discrete-event engine
+// (simclock) and the cluster model are single-goroutine and do not use
+// it.
 package parallel
 
 import (
@@ -101,4 +104,37 @@ func ForEach(n, workers int, fn func(i int)) {
 	if panicked != nil {
 		panic(panicked)
 	}
+}
+
+// Spares is a stack of drained working storage that a finished run (or
+// codec call) leaves for the next one, on any goroutine: a package keeps
+// one per kind of storage it recycles. It is safe for concurrent use, and
+// its zero value is empty. It has no cap and, unlike a sync.Pool, never
+// drops an item at a collection: what it holds is bounded by the most
+// working sets that were ever live at once, so an owner whose items can
+// be large keeps only bounded ones.
+type Spares[T any] struct {
+	mu    sync.Mutex
+	items []T
+}
+
+// Put pushes xs. The caller gives them up: nothing may reach them after.
+func (p *Spares[T]) Put(xs ...T) {
+	p.mu.Lock()
+	p.items = append(p.items, xs...)
+	p.mu.Unlock()
+}
+
+// Get pops the item put last, or returns the zero value when the stack
+// is empty.
+func (p *Spares[T]) Get() (x T) {
+	p.mu.Lock()
+	if n := len(p.items); n > 0 {
+		x = p.items[n-1]
+		var zero T
+		p.items[n-1] = zero
+		p.items = p.items[:n-1]
+	}
+	p.mu.Unlock()
+	return x
 }

@@ -29,18 +29,20 @@
 // through, so the slab grows to the most jobs waiting at once in the Sim.
 //
 // A run's drained working set outlives the run. When Run returns with no
-// job waiting, the Sim hands its slab chunks to a process-wide Spares
-// stack, and the next Sim to back up, on any goroutine, takes them before
-// it allocates. The cluster's repair records and iostat's sample buffer
-// travel the same way, each through a Spares of its own; nothing else in
+// job waiting, the Sim hands its slab chunks to a process-wide
+// parallel.Spares stack, and the next Sim to back up, on any goroutine,
+// takes them before it allocates. The cluster's repair records and
+// iostat's sample buffer travel the same way, each through a stack of its
+// own (as do Clay's codec slabs, outside the simulator); nothing else in
 // the engine is shared between Sims.
 package simclock
 
 import (
 	"fmt"
 	"math/bits"
-	"sync"
 	"time"
+
+	"repro/internal/parallel"
 )
 
 // Time is simulated time since the start of the run.
@@ -335,7 +337,7 @@ func (s *Sim) node(i int32) *waitNode {
 // spareChunks holds the backlog chunks of drained Sims. Every node of a
 // spare chunk is cleared: pop clears a node before it frees it, and a Sim
 // hands its slab on only when every node is free.
-var spareChunks Spares[*[waitChunk]waitNode]
+var spareChunks parallel.Spares[*[waitChunk]waitNode]
 
 // push appends a job to b's tail in a node off the free list. When the
 // list is empty, a chunk becomes it, in order, ending one past the slab
@@ -537,35 +539,4 @@ func (j *Join) Done() {
 	if j.remaining == 0 && j.fn != nil {
 		j.fn()
 	}
-}
-
-// Spares is a stack of drained working storage that a finished run leaves
-// for the next one, on any goroutine: a package keeps one per kind of
-// storage it recycles across runs. It is safe for concurrent use, and its
-// zero value is empty. It has no cap: what it holds is bounded by the
-// most working sets that were ever live at once.
-type Spares[T any] struct {
-	mu    sync.Mutex
-	items []T
-}
-
-// Put pushes xs. The caller gives them up: nothing may reach them after.
-func (p *Spares[T]) Put(xs ...T) {
-	p.mu.Lock()
-	p.items = append(p.items, xs...)
-	p.mu.Unlock()
-}
-
-// Get pops the item put last, or returns the zero value when the stack
-// is empty.
-func (p *Spares[T]) Get() (x T) {
-	p.mu.Lock()
-	if n := len(p.items); n > 0 {
-		x = p.items[n-1]
-		var zero T
-		p.items[n-1] = zero
-		p.items = p.items[:n-1]
-	}
-	p.mu.Unlock()
-	return x
 }

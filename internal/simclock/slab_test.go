@@ -307,9 +307,14 @@ func TestDrainedSlabIsHandedOn(t *testing.T) {
 		if len(s.wait) != 1 || sem.count != 1 {
 			t.Fatalf("Run with an acquirer waiting left %d chunks and %d waiting, want 1 and 1", len(s.wait), sem.count)
 		}
-		spareChunks.mu.Lock()
-		live := slices.Contains(spareChunks.items, s.wait[0])
-		spareChunks.mu.Unlock()
+		// Empty the stack to look through it, then put it back as it was.
+		var spare []*[waitChunk]waitNode
+		for c := spareChunks.Get(); c != nil; c = spareChunks.Get() {
+			spare = append(spare, c)
+		}
+		live := slices.Contains(spare, s.wait[0])
+		slices.Reverse(spare)
+		spareChunks.Put(spare...)
 		if live {
 			t.Fatal("the chunk holding a waiting acquirer was handed on")
 		}

@@ -21,9 +21,10 @@
 # round-trip fuzz smoke + the codec's three kernel fuzz smokes (the row
 # kernel of every backend against the bit-by-bit reference; ApplyStrided
 # against its scalar oracle; Clay's two decode and two repair formulations
-# against each other and the erased bytes, over recycled scratch: each
-# input builds a new code while Clay's scratch pool is package-level, so
-# slabs pass between shapes and sizes dirty) + the store's
+# against each other and the erased bytes, at sub-chunks up to
+# codec_stripe's 1 MiB one, column-tile edges among the seeds, over
+# recycled scratch: each input builds a new code while Clay's spare stack
+# is package-level, so slabs pass between shapes and sizes dirty) + the store's
 # naive-model fuzz smoke (bulk loads, writes and rewrites over bulk-loaded,
 # recovered and corrupted chunks, scrubs and the recovered runs ExpectRun
 # declares, across forks, and bulk loads refused for a name out of order
@@ -81,10 +82,13 @@ go test -run xxx -bench . -benchtime 1x ./...
 # (simclock.TestDrainedSlabIsHandedOn drains and refills Sims on four
 # goroutines; core.TestForkAfterForkMatchesColdRun forks on two).
 # erasure/... is here because one code instance serves every caller and
-# each Clay call works in a slab of a package-level pool
-# (clay.TestConcurrentCallersGetIndependentSlabs runs four goroutines on
-# one instance at shard sizes from 4 KiB to 1 MiB; the codecache stress
-# test shares instances of every plugin).
+# each Clay call, or each worker of a tiled Decode, works in a slab of a
+# package-level spare stack (clay.TestConcurrentCallersGetIndependentSlabs
+# runs four goroutines on one instance at shard sizes from 4 KiB to 1 MiB;
+# clay.TestDecodeBytesIgnoreWorkers and TestDirtyScratchIsNeverRead fan
+# Decode's tiles out over three workers; the codecache stress test shares
+# instances of every plugin). The stack never drops a slab, so
+# clay.TestClayAllocationBudget runs here too.
 echo "== go test -race (concurrent packages + kernels) =="
 go test -race -count=1 \
     ./internal/gf256 \
@@ -99,7 +103,7 @@ go test -race -count=1 \
     ./internal/iostat \
     ./internal/tuner
 
-echo "== fuzz smoke (simclock: same-instant FIFO, RunUntil slicing with backlog nodes changing hands; simnet: gather == per-ship; crush: Select == straw2 reference; matrix codes: decode/repair == CanRecover; gf256: every backend's row kernel == bit-by-bit reference, ApplyStrided == scalar oracle; clay: whole-space == per-plane decode, strided == per-plane repair, both == erased bytes over recycled scratch slabs; bluestore: store == naive per-chunk model across forks, rewrites, recovered runs and refused out-of-order loads included; inputs: fault lists, profile documents and ceph.conf text are run or rejected, never a panic) =="
+echo "== fuzz smoke (simclock: same-instant FIFO, RunUntil slicing with backlog nodes changing hands; simnet: gather == per-ship; crush: Select == straw2 reference; matrix codes: decode/repair == CanRecover; gf256: every backend's row kernel == bit-by-bit reference, ApplyStrided == scalar oracle; clay: tiled == per-plane decode, strided == per-plane repair, both == erased bytes over recycled scratch slabs; bluestore: store == naive per-chunk model across forks, rewrites, recovered runs and refused out-of-order loads included; inputs: fault lists, profile documents and ceph.conf text are run or rejected, never a panic) =="
 go test ./internal/simclock -run xxx -fuzz FuzzSimclockFIFO -fuzztime 10s
 go test ./internal/simclock -run xxx -fuzz FuzzRunUntilSlicing -fuzztime 10s
 go test ./internal/simnet -run xxx -fuzz FuzzGatherMatchesPerShip -fuzztime 10s
@@ -117,7 +121,9 @@ go test ./internal/cephconf -run xxx -fuzz FuzzParseApply -fuzztime 10s
 # with them compiled out, stays green and byte-identical on the portable
 # word and scalar kernels, as it would be on arm64. It is also the leg
 # where Clay's padded copies (odd sub-chunks on the word kernels) are
-# carved from the scratch slab.
+# carved from the spare stack's slabs: Decode gathers each column tile
+# into them, and a repair whose padded shards outgrow the stack's bound
+# allocates its slab and drops it.
 echo "== go build/test (purego: portable word kernels, no asm) =="
 go build -tags purego ./...
 go test -tags purego -count=1 ./...
