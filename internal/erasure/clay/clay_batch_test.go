@@ -111,9 +111,11 @@ func repairBy(tb testing.TB, c *Clay, orig [][]byte, f int, strided bool) []byte
 // is byte-identical to the per-plane encode, and that every decode pattern
 // up to two erasures, by Decode and by the per-plane reference, and every
 // single repair, by both formulations, reproduces exactly the bytes it
-// erased (the data shards are the input data), across shapes and
-// sub-chunk sizes covering the strided and per-run kernel routes and both
-// sides of the repair gate.
+// erased (the data shards are the input data, the parities the per-plane
+// encode's), across shapes and sub-chunk sizes covering the strided and
+// per-run kernel routes and both sides of the repair gate. The single
+// repairs also run at the column-tile edges (tileSizes) on the small
+// grids.
 func TestBatchedEncodeDecodeRepairIdentity(t *testing.T) {
 	shapes := []struct{ k, m int }{{4, 2}, {9, 3}, {6, 2}, {2, 2}}
 	for _, sh := range shapes {
@@ -121,9 +123,9 @@ func TestBatchedEncodeDecodeRepairIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, scs := range []int{1, 3, 8, 32, 51, 200, 2051} {
+		for _, scs := range append([]int{1, 3, 8, 32, 51, 200}, tileSizes...) {
 			if scs > 200 && c.alpha > 8 {
-				continue // the large size on the small grids only
+				continue // the large sizes on the small grids only
 			}
 			data := make([][]byte, c.K())
 			rng := rand.New(rand.NewSource(int64(sh.k*1000 + scs)))
@@ -132,6 +134,19 @@ func TestBatchedEncodeDecodeRepairIdentity(t *testing.T) {
 				rng.Read(data[i])
 			}
 			baseline := perPlaneEncode(t, c, data)
+			// Every single repair; past 200 B the encode and decode arms
+			// run at the odd tile edge alone.
+			for f := 0; f < c.N(); f++ {
+				for _, strided := range []bool{true, false} {
+					if !bytes.Equal(repairBy(t, c, baseline, f, strided), baseline[f]) {
+						t.Fatalf("k=%d m=%d scs=%d strided=%v: repair of shard %d wrong",
+							sh.k, sh.m, scs, strided, f)
+					}
+				}
+			}
+			if scs > 200 && scs != tileBytes+3 {
+				continue
+			}
 			batched := make([][]byte, c.N())
 			copy(batched, data)
 			if err := c.Encode(batched); err != nil {
@@ -166,16 +181,6 @@ func TestBatchedEncodeDecodeRepairIdentity(t *testing.T) {
 									sh.k, sh.m, scs, a, b, product, i)
 							}
 						}
-					}
-				}
-			}
-
-			// Every single repair.
-			for f := 0; f < c.N(); f++ {
-				for _, strided := range []bool{true, false} {
-					if !bytes.Equal(repairBy(t, c, baseline, f, strided), baseline[f]) {
-						t.Fatalf("k=%d m=%d scs=%d strided=%v: repair of shard %d wrong",
-							sh.k, sh.m, scs, strided, f)
 					}
 				}
 			}

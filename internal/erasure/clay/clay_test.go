@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/erasure"
+	"repro/internal/gf256"
 )
 
 func randShards(t *testing.T, c *Clay, scs int, seed int64) [][]byte {
@@ -215,44 +216,61 @@ func TestOddSubChunkSizePadding(t *testing.T) {
 
 // TestRepairReadsOnlyPlannedSubChunks poisons every sub-chunk the repair
 // plan does not list; both repair formulations must still reconstruct the
-// lost shard exactly.
+// lost shard exactly, on every backend, at a sub-chunk of 2 B and at two
+// past the repair gate: tileBytes+3 (odd, so the word kernels take the
+// padded detour) and codec_stripe's 1 MiB sub-chunk, 12,952 B, by the
+// per-plane formulation the gate picks there, for one lost node of every
+// grid column.
 func TestRepairReadsOnlyPlannedSubChunks(t *testing.T) {
 	c, err := New(9, 3, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	orig := randShards(t, c, 2, 11)
-	scs := len(orig[0]) / c.SubChunks()
-	for lost := 0; lost < c.N(); lost++ {
-		plan, err := c.RepairPlan([]int{lost})
-		if err != nil {
-			t.Fatal(err)
+	for _, scs := range []int{2, tileBytes + 3, 12952} {
+		orig := randShards(t, c, scs, int64(scs))
+		poison := bytes.Repeat([]byte{0xEE}, scs)
+		formulations, losts := []bool{true, false}, []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}
+		if scs > tileBytes+3 {
+			// The gate's choice alone, for one node of every grid column.
+			formulations, losts = formulations[1:], []int{0, 4, 8, 10}
 		}
-		planned := map[int]map[int]bool{}
-		for _, h := range plan.Helpers {
-			sub := map[int]bool{}
-			for _, s := range h.SubChunks {
-				sub[s] = true
+		for _, lost := range losts {
+			plan, err := c.RepairPlan([]int{lost})
+			if err != nil {
+				t.Fatal(err)
 			}
-			planned[h.Shard] = sub
-		}
-		work := cloneShards(orig)
-		work[lost] = nil
-		for i := range work {
-			if i == lost {
-				continue
+			planned := map[int]map[int]bool{}
+			for _, h := range plan.Helpers {
+				sub := map[int]bool{}
+				for _, s := range h.SubChunks {
+					sub[s] = true
+				}
+				planned[h.Shard] = sub
 			}
-			for z := 0; z < c.SubChunks(); z++ {
-				if !planned[i][z] {
-					for b := 0; b < scs; b++ {
-						work[i][z*scs+b] = 0xEE // poison
+			work := cloneShards(orig)
+			work[lost] = nil
+			for i := range work {
+				if i == lost {
+					continue
+				}
+				for z := 0; z < c.SubChunks(); z++ {
+					if !planned[i][z] {
+						copy(work[i][z*scs:], poison)
 					}
 				}
 			}
-		}
-		for _, strided := range []bool{true, false} {
-			if !bytes.Equal(repairBy(t, c, work, lost, strided), orig[lost]) {
-				t.Fatalf("repair of %d (strided=%v) read outside its plan (wrong output)", lost, strided)
+			for _, backend := range gf256.Backends() {
+				restore, err := gf256.SetBackend(backend)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, strided := range formulations {
+					if !bytes.Equal(repairBy(t, c, work, lost, strided), orig[lost]) {
+						restore()
+						t.Fatalf("%s scs=%d: repair of %d (strided=%v) read outside its plan (wrong output)", backend, scs, lost, strided)
+					}
+				}
+				restore()
 			}
 		}
 	}
